@@ -25,6 +25,7 @@ from typing import Optional, Union
 
 from .curvering import CurveSpec
 from .finfield import FieldElement, embed, is_square, make_extension, sqrt
+from .funcfield import poly_gcd
 
 
 class PointAtInfinity:
@@ -135,8 +136,6 @@ def is_smooth(curve: CurveSpec):
     if curve.is_smooth:
         return True, ()
     cubic = curve.cubic()
-    from .funcfield import poly_gcd
-
     rep = poly_gcd(cubic, cubic.derivative())
     field = curve.field
     singular = tuple(

@@ -25,6 +25,8 @@ and insists they agree.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Optional
 
 from .finfield import FieldElement, FiniteField
@@ -242,7 +244,8 @@ class RingElement:
         structural = self.is_constant() and not self.is_zero()
         n = self.norm()
         by_norm = n.is_constant() and not n.is_zero()
-        assert structural == by_norm, "unit characterizations disagree"
+        if structural != by_norm:
+            raise AssertionError("unit characterizations disagree")
         return structural
 
     def evaluate(self, x0: FieldElement, y0: Optional[FieldElement] = None) -> FieldElement:
@@ -462,24 +465,11 @@ class RingMatrix:
             raise ValueError("mismatched curves")
         if other.n != self.n:
             raise ValueError("dimension mismatch")
-        n = self.n
-        return RingMatrix(
-            self.curve,
-            [
-                [
-                    sum(
-                        (self.rows[i][k] * other.rows[k][j] for k in range(n)),
-                        RingFraction.from_ring(RingElement.zero(self.curve)),
-                    )
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ],
-        )
+        return RingMatrix(self.curve, matmul(self.rows, other.rows))
 
     def det(self) -> RingFraction:
-        """Determinant by cofactor expansion, exact over the fraction field."""
-        return _det(self.curve, self.rows)
+        """Determinant, exact over the fraction field."""
+        return det(self.rows)
 
     def is_symmetric(self) -> bool:
         n = self.n
@@ -520,18 +510,39 @@ def _coerce_entry(curve, e) -> RingFraction:
     raise TypeError(f"cannot place {e!r} in a matrix")
 
 
-def _det(curve, rows) -> RingFraction:
+# Row-level matrix algebra, shared by matrices over the fraction field
+# (RingFraction entries) and forms over a finite field (FieldElement
+# entries).
+
+
+def matmul(a, b):
+    """The product of two square matrices given as rows."""
+    cols = tuple(zip(*b))
+    return [[reduce(add, (x * y for x, y in zip(row, col))) for col in cols] for row in a]
+
+
+def det(rows):
+    """Determinant of a square matrix given as rows.
+
+    Cofactor expansion along the first row, skipping its zero entries:
+    at the ranks used here (n <= 3 in search and genus work, sparse Gram
+    matrices beyond that) it beats fraction-free elimination, whose
+    exact divisions cost more than the few products they save.
+    """
     n = len(rows)
     if n == 1:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = RingFraction.from_ring(RingElement.zero(curve))
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        cof = rows[0][j] * _det(curve, minor)
-        total = total - cof if j % 2 else total + cof
-    return total
+    total = None
+    for j, e in enumerate(rows[0]):
+        if e.is_zero():
+            continue
+        cof = e * det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        if j % 2:
+            cof = -cof
+        total = cof if total is None else total + cof
+    return rows[0][0] if total is None else total
 
 
 def congruence(q: RingMatrix, f: RingMatrix) -> RingMatrix:

@@ -27,6 +27,17 @@ from typing import Iterator
 MAX_FIELD_SIZE = 121
 
 
+def capped_power(base: int, exp: int, cap: int) -> int:
+    """base**exp for base >= 2, or cap + 1 once the power exceeds cap;
+    at most log_base(cap) + 1 multiplications, however large exp is."""
+    out = 1
+    for _ in range(exp):
+        out *= base
+        if out > cap:
+            return cap + 1
+    return out
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -106,9 +117,9 @@ class FiniteField:
             raise ValueError(f"characteristic must be an odd prime, got {p}")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        q = p**k
+        q = capped_power(p, k, MAX_FIELD_SIZE)
         if q > MAX_FIELD_SIZE:
-            raise ValueError(f"field size {q} exceeds desk-scale bound {MAX_FIELD_SIZE}")
+            raise ValueError(f"field size {p}^{k} exceeds desk-scale bound {MAX_FIELD_SIZE}")
         if modulus is None:
             modulus = _minimal_irreducible(p, k)
         modulus = tuple(c % p for c in modulus)

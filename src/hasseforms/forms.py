@@ -27,6 +27,7 @@ evidence, not a proof of non-isomorphism.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,16 +38,18 @@ from .curvering import (
     RingFraction,
     RingMatrix,
     congruence,
+    det,
+    matmul,
 )
-from .finfield import FieldElement, FiniteField, SquareClass, embed, square_class
+from .finfield import FieldElement, FiniteField, SquareClass, capped_power, embed, square_class
 from .funcfield import (
     Poly,
     PrimePoly,
-    RatFunc,
-    factor,
     monic_irreducibles,
+    poly_gcd,
+    polys_up_to,
+    residue_field,
     residue_reduce,
-    valuation,
 )
 
 DEFAULT_SEARCH_BUDGET = 10**8
@@ -91,7 +94,7 @@ class FieldForm:
         return len(self.rows)
 
     def det(self) -> FieldElement:
-        return _field_det(self.field, self.rows)
+        return det(self.rows)
 
     def is_degenerate(self) -> bool:
         return self.det().is_zero()
@@ -115,33 +118,9 @@ class FieldForm:
         return f"FieldForm({[[c.coeffs[0] if self.field.k == 1 else c.coeffs for c in row] for row in self.rows]})"
 
 
-def _field_det(field, rows) -> FieldElement:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = field.zero()
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        cof = rows[0][j] * _field_det(field, minor)
-        total = total - cof if j % 2 else total + cof
-    return total
-
-
 def field_congruence(t_rows, form: FieldForm) -> FieldForm:
     """T^t F T over the field, for plain row-tuple transition matrices."""
-    field = form.field
-    n = form.n
-    ft = [
-        [sum((form.rows[i][k] * t_rows[k][j] for k in range(n)), field.zero()) for j in range(n)]
-        for i in range(n)
-    ]
-    rows = [
-        [sum((t_rows[k][i] * ft[k][j] for k in range(n)), field.zero()) for j in range(n)]
-        for i in range(n)
-    ]
-    return FieldForm(field, rows)
+    return FieldForm(form.field, matmul(tuple(zip(*t_rows)), matmul(form.rows, t_rows)))
 
 
 def diagonalize(form: FieldForm):
@@ -256,9 +235,9 @@ class GramMatrix:
     def reduce_mod_prime(self, prime: PrimePoly) -> FieldForm:
         if not self.curve.is_polyline:
             raise ValueError("prime reduction applies over the affine line")
-        target, _ = _residue(prime)
+        target, _ = residue_field(prime)
         rows = [
-            [residue_reduce(RatFunc(e.as_ring_element().a), prime) for e in row]
+            [residue_reduce(e.as_ring_element().a, prime) for e in row]
             for row in self.matrix.rows
         ]
         return FieldForm(target, rows)
@@ -268,12 +247,6 @@ class GramMatrix:
 
     def __repr__(self):
         return f"GramMatrix({self.matrix.rows!r})"
-
-
-def _residue(prime: PrimePoly):
-    from .funcfield import residue_field
-
-    return residue_field(prime)
 
 
 def is_unimodular(form: GramMatrix) -> bool:
@@ -347,20 +320,22 @@ class GenusWitness:
 
 
 def _check_denominators(q: RingMatrix, s: RingElement):
-    """Every denominator must divide a power of s, equivalently every
-    irreducible factor of the denominator divides the norm of s."""
+    """Every denominator must divide a power of s, equivalently of the
+    norm N(s): dividing it by its gcd with N(s) until that gcd is 1 must
+    leave a constant (gcd saturation; no factoring needed)."""
     norm = s.norm()
     for row in q.rows:
         for e in row:
-            if e.den.degree < 1:
-                continue
-            _, factors = factor(e.den)
-            for prime, _ in factors:
-                if not (norm % prime).is_zero():
-                    raise MalformedWitnessError(
-                        f"denominator factor {prime} does not divide a power "
-                        f"of the declared locus"
-                    )
+            rest = e.den
+            g = poly_gcd(rest, norm)
+            while g.degree >= 1:
+                rest = rest // g
+                g = poly_gcd(rest, norm)
+            if rest.degree >= 1:
+                raise MalformedWitnessError(
+                    f"denominator factor {rest} does not divide a power "
+                    f"of the declared locus"
+                )
 
 
 @dataclass
@@ -401,29 +376,12 @@ def verify_genus_witness(
 
     dets = [q.det() for q, _ in witness.pairs]
     covered, uncovered = [], []
-    if curve.is_polyline:
-        for d in range(1, degree + 1):
-            for prime_poly in monic_irreducibles(curve.field, d):
-                prime = PrimePoly(curve.field, prime_poly)
-                if any(
-                    _covers_prime(q, s, det, prime_poly)
-                    for (q, s), det in zip(witness.pairs, dets)
-                ):
-                    covered.append(prime)
-                else:
-                    uncovered.append(prime)
-    else:
-        for d in range(1, degree + 1):
-            for point in enumerate_points(curve, d):
-                if point.degree != d:
-                    continue  # seen at its own degree already
-                if any(
-                    _covers_point(q, s, det, point)
-                    for (q, s), det in zip(witness.pairs, dets)
-                ):
-                    covered.append(point)
-                else:
-                    uncovered.append(point)
+    for d in range(1, degree + 1):
+        for place in _closed_places(curve, d):
+            if any(_covers(q, s, det, place) for (q, s), det in zip(witness.pairs, dets)):
+                covered.append(place)
+            else:
+                uncovered.append(place)
 
     certified = all(identity_ok) and not uncovered
     return GenusReport(
@@ -435,28 +393,32 @@ def verify_genus_witness(
     )
 
 
-def _covers_prime(q: RingMatrix, s: RingElement, det: RingFraction, prime: Poly) -> bool:
-    if (s.a % prime).is_zero():
-        return False  # the prime lies in the declared bad locus
-    for row in q.rows:
-        for e in row:
-            if (e.den % prime).is_zero():
-                return False
-    if det.num.is_zero():
-        return False
-    return valuation(RatFunc(det.num.a, det.den), PrimePoly(prime.field, prime)) == 0
+def _closed_places(curve: CurveSpec, d: int):
+    """The closed places of degree d: monic irreducibles on the line,
+    points of exact degree d on the cubic."""
+    if curve.is_polyline:
+        return [PrimePoly(curve.field, prime) for prime in monic_irreducibles(curve.field, d)]
+    return [point for point in enumerate_points(curve, d) if point.degree == d]
 
 
-def _covers_point(q: RingMatrix, s: RingElement, det: RingFraction, point: AffinePoint) -> bool:
-    if s.evaluate(point.x, point.y).is_zero():
-        return False
-    for row in q.rows:
-        for e in row:
-            if e.den.evaluate(point.x).is_zero():
-                return False
-    if det.den.evaluate(point.x).is_zero():
-        return False
-    return not det.num.evaluate(point.x, point.y).is_zero()
+def _covers(q: RingMatrix, s: RingElement, det: RingFraction, place) -> bool:
+    """Whether the witness (q, s) reaches the place: the place is off the
+    locus of s, q is integral there, and det q is a unit there.  det is a
+    reduced fraction, so it is a unit exactly when neither its numerator
+    nor its denominator vanishes."""
+    parts = (s, det.num, det.den, *(e.den for row in q.rows for e in row))
+    return not any(_vanishes(f, place) for f in parts)
+
+
+def _vanishes(f, place) -> bool:
+    """Whether a ring element or a polynomial in x vanishes at the place:
+    divisible by the prime on the line, zero at the point on the cubic."""
+    if isinstance(place, PrimePoly):
+        poly = f.a if isinstance(f, RingElement) else f  # no y part on the line
+        return (poly % place.poly).is_zero()
+    if isinstance(f, RingElement):
+        return f.evaluate(place.x, place.y).is_zero()
+    return f.evaluate(place.x).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +460,13 @@ def isom_search(
     if curve.is_polyline:
         deg_y = -1
 
+    # every search path ticks at least the pool size, so refuse before
+    # allocating a pool the budget could never pay for
+    size = capped_power(curve.field.q, deg_x + 1, budget)
+    if deg_y >= 0:
+        size *= capped_power(curve.field.q, deg_y + 1, budget)
+    if size > budget:
+        raise BudgetExceededError(f"entry pool size exceeds budget {budget}")
     pool = _entry_pool(curve, deg_x, deg_y)
     f_rows = f.ring_rows()
     g_rows = g.ring_rows()
@@ -618,31 +587,10 @@ class _EvalCounter:
 def _entry_pool(curve: CurveSpec, deg_x: int, deg_y: int):
     """All candidate entries within the degree bounds, in search order."""
     field = curve.field
-    elems = list(field.elements())
-    a_polys = _polys_up_to(field, elems, deg_x)
-    if deg_y < 0:
-        b_polys = [Poly.zero(field)]
-    else:
-        b_polys = _polys_up_to(field, elems, deg_y)
-    pool = [RingElement(curve, a, b) for a in a_polys for b in b_polys]
+    b_polys = [Poly.zero(field)] if deg_y < 0 else list(polys_up_to(field, deg_y))
+    pool = [RingElement(curve, a, b) for a in polys_up_to(field, deg_x) for b in b_polys]
     pool.sort(key=lambda e: _entry_key(e, deg_x, deg_y))
     return pool
-
-
-def _polys_up_to(field, elems, max_deg: int):
-    out = []
-    q = field.q
-
-    def build(num, length):
-        coeffs = []
-        for _ in range(length):
-            num, r = divmod(num, q)
-            coeffs.append(elems[r])
-        return Poly(field, coeffs)
-
-    for num in range(q ** (max_deg + 1)):
-        out.append(build(num, max_deg + 1))
-    return out
 
 
 def _entry_key(e: RingElement, deg_x: int, deg_y: int):
@@ -674,8 +622,6 @@ def _bilinear(f_rows, u, v) -> RingElement:
 
 def _quadratic_candidates(f_rows, pool, target: RingElement, diagonal: bool, counter, rank):
     """All columns c within bounds with c^t F c = target, in entry order."""
-    import itertools
-
     n = len(f_rows)
     if n == 1:
         counter.tick(len(pool))

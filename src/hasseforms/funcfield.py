@@ -21,6 +21,7 @@ caret powers, e.g. ``x^3+2*x+3``; coefficients are read mod p.
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Iterator, Optional
 
@@ -322,23 +323,26 @@ def to_text(f: Poly) -> str:
 # Irreducibles and factorization
 
 
+def _coefficient_vectors(field: FiniteField, length: int):
+    """All coefficient tuples of the length in canonical order: counted
+    base q, constant coefficient fastest."""
+    for digits in itertools.product(tuple(field.elements()), repeat=length):
+        yield digits[::-1]
+
+
+def polys_up_to(field: FiniteField, max_deg: int) -> Iterator[Poly]:
+    """All polynomials of degree <= max_deg, zero first, in canonical order."""
+    for coeffs in _coefficient_vectors(field, max_deg + 1):
+        yield Poly._raw(field, coeffs)
+
+
 def monic_polys(field: FiniteField, degree: int) -> Iterator[Poly]:
     """All monic polynomials of the exact degree, in canonical order."""
     if degree < 0:
         return
-    elems = list(field.elements())
-    q = field.q
-
-    def build(n):
-        coeffs = []
-        for _ in range(degree):
-            n, r = divmod(n, q)
-            coeffs.append(elems[r])
-        coeffs.append(field.one())
-        return Poly(field, coeffs)
-
-    for n in range(q**degree):
-        yield build(n)
+    lead = (field.one(),)
+    for coeffs in _coefficient_vectors(field, degree):
+        yield Poly._raw(field, coeffs + lead)
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -402,15 +406,6 @@ def factor(f: Poly):
         d += 1
     factors.sort(key=lambda fe: fe[0].sort_key())
     return lead, factors
-
-
-def squarefree_radical(f: Poly) -> Poly:
-    """Product of the distinct monic irreducible factors."""
-    lead, factors = factor(f)
-    rad = Poly.one(f.field)
-    for g, _ in factors:
-        rad = rad * g
-    return rad
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,10 @@ def _picard_data(curve: CurveSpec):
     torsion = None
     if not curve.is_polyline:
         torsion = has_two_torsion(curve)
-        # parity of the point group is exactly the 2-torsion criterion
-        assert (order % 2 == 1) == (not torsion)
+        if (order % 2 == 1) == torsion:
+            raise AssertionError(
+                "point-group parity disagrees with the 2-torsion criterion"
+            )
     return order, torsion
 
 

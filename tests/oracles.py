@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 from hasseforms.finfield import FiniteField, make_extension
+from hasseforms.funcfield import RatFunc, factor, valuation
 
 
 def exhaustive_squares(field: FiniteField):
@@ -138,3 +139,55 @@ def smooth_weierstrass_pairs(q: int):
             if not disc.is_zero():
                 pairs.append((a, b))
     return field, pairs
+
+
+# ---------------------------------------------------------------------------
+# Determinants by the Leibniz formula, for entries of any exact ring
+# (FieldElement or RingFraction): a signed sum over all permutations,
+# sharing nothing with the library's cofactor expansion.
+
+
+def _inversions(perm) -> int:
+    return sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
+
+
+def leibniz_det(rows):
+    total = None
+    for perm in itertools.permutations(range(len(rows))):
+        term = rows[0][perm[0]]
+        for i in range(1, len(rows)):
+            term = term * rows[i][perm[i]]
+        if _inversions(perm) % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Witness checks by factoring and valuations: the rules genus verification
+# used before it switched to gcd saturation and divisibility tests.
+
+
+def denominators_divide_power_by_factoring(q, s) -> bool:
+    """Every irreducible factor of every entry denominator of q divides
+    the norm of s (trial-division factoring, degree <= 24)."""
+    norm = s.norm()
+    for row in q.rows:
+        for e in row:
+            if e.den.degree < 1:
+                continue
+            _, factors = factor(e.den)
+            if any(not (norm % prime).is_zero() for prime, _ in factors):
+                return False
+    return True
+
+
+def covers_prime_by_valuation(q, s, prime) -> bool:
+    """Whether (q, s) reaches a finite prime of the line: v(s) = 0, every
+    entry has v >= 0, and v(det q) = 0 for a nonzero determinant."""
+    if valuation(s.a, prime) > 0:
+        return False
+    if any(valuation(RatFunc(e.num.a, e.den), prime) < 0 for row in q.rows for e in row if not e.is_zero()):
+        return False
+    d = leibniz_det(q.rows)
+    return not d.is_zero() and valuation(RatFunc(d.num.a, d.den), prime) == 0

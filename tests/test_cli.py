@@ -216,6 +216,12 @@ def test_bad_json_rejected(capsys):
     assert code == 2
 
 
+def test_oversized_field_rejected(capsys):
+    payload = '{"type": "polyline", "field": {"p": 3, "k": 1000000}}'
+    code, _, err = invoke(capsys, "curve", "--json", payload)
+    assert code == 2 and "exceeds" in err
+
+
 def test_bad_schema_rejected(capsys):
     code, _, err = invoke(capsys, "form", "--json", '{"schema": 99}')
     assert code == 2 and "schema" in err

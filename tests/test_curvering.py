@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +12,10 @@ from hasseforms.curvering import (
     congruence,
 )
 from hasseforms.finfield import make_extension
+from hasseforms.forms import FieldForm
 from hasseforms.funcfield import Poly
+
+from oracles import leibniz_det
 
 F5 = make_extension(5, 1)
 EC = CurveSpec.weierstrass(F5, 2, 3)  # y^2 = x^3 + 2x + 3, singular cubic
@@ -245,20 +250,88 @@ def test_det_congruence_multiplicative_random():
 
 def test_det_against_leibniz_3x3():
     rng = random.Random(17)
-    import itertools
-
     for _ in range(5):
         m = RingMatrix(EC, [[rand_relem(rng, EC, 1) for _ in range(3)] for _ in range(3)])
-        total = RingFraction.from_ring(RingElement.zero(EC))
-        for perm in itertools.permutations(range(3)):
-            sign = 1
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            term = m.entry(0, perm[0]) * m.entry(1, perm[1]) * m.entry(2, perm[2])
-            total = total + term * sign
-        assert m.det() == total
+        assert m.det() == leibniz_det(m.rows)
+
+
+def rand_field_elem(rng, field, zero_share):
+    if rng.random() < zero_share:
+        return field.zero()
+    return field.element([rng.randrange(field.p) for _ in range(field.k)])
+
+
+def rand_field_form(rng, field, n, zero_share=0.3, zero_first_row=False):
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = field.zero() if zero_first_row and i == 0 else rand_field_elem(rng, field, zero_share)
+            rows[i][j] = rows[j][i] = v
+    return FieldForm(field, rows)
+
+
+def rand_entry(rng, curve, max_deg):
+    if not curve.is_polyline:
+        return rand_relem(rng, curve, max_deg)
+    return RingElement(curve, Poly(curve.field, [rng.randrange(5) for _ in range(max_deg + 1)]))
+
+
+def rand_fraction(rng, curve):
+    den = Poly(curve.field, [rng.randrange(5) for _ in range(2)] + [1])
+    return RingFraction(curve, rand_entry(rng, curve, 1), den)
+
+
+def rand_dense(rng, curve, n):
+    return RingMatrix(curve, [[rand_fraction(rng, curve) for _ in range(n)] for _ in range(n)])
+
+
+def rand_diagonal(rng, curve, n):
+    return RingMatrix.diagonal(curve, [rand_entry(rng, curve, 2) for _ in range(n)])
+
+
+F9 = make_extension(3, 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda rng: rand_field_form(rng, F5, 4), id="field-4x4-F5"),
+        pytest.param(lambda rng: rand_field_form(rng, F9, 4), id="field-4x4-F9"),
+        pytest.param(lambda rng: rand_field_form(rng, F5, 5), id="field-5x5-F5"),
+        pytest.param(lambda rng: rand_field_form(rng, F9, 5, zero_share=0.6), id="field-5x5-F9-sparse"),
+        pytest.param(lambda rng: rand_field_form(rng, F5, 4, zero_first_row=True), id="field-4x4-F5-zero-row"),
+        pytest.param(lambda rng: rand_diagonal(rng, LINE, 4), id="ring-diag4-line"),
+        pytest.param(lambda rng: rand_diagonal(rng, EC, 5), id="ring-diag5-cubic"),
+        pytest.param(lambda rng: rand_diagonal(rng, LINE, 6), id="ring-diag6-line"),
+        pytest.param(lambda rng: rand_dense(rng, LINE, 4), id="ring-dense4-line"),
+        pytest.param(lambda rng: rand_dense(rng, EC, 4), id="ring-dense4-cubic"),
+    ],
+)
+def test_det_against_leibniz(build):
+    rng = random.Random(29)
+    for _ in range(3):
+        m = build(rng)
+        assert m.det() == leibniz_det(m.rows)
+
+
+def test_is_unit_invariant_survives_optimize():
+    # the cross-check of the two unit characterizations must not vanish
+    # under python -O, which strips assert statements
+    script = (
+        "from hasseforms.curvering import CurveSpec, RingElement\n"
+        "from hasseforms.finfield import make_extension\n"
+        "from hasseforms.funcfield import Poly\n"
+        "F5 = make_extension(5, 1)\n"
+        "x = RingElement.x(CurveSpec.polyline(F5))\n"
+        "RingElement.norm = lambda self: Poly.one(F5)\n"
+        "try:\n"
+        "    x.is_unit()\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_matrix_flags():

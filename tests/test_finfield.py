@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from hasseforms.finfield import (
+    capped_power,
     FiniteField,
     SquareClass,
     embed,
@@ -116,6 +117,14 @@ def test_make_extension_bounds():
         make_extension(2, 3)  # even characteristic
     with pytest.raises(ValueError):
         make_extension(9, 1)  # not prime
+
+
+def test_capped_power():
+    assert capped_power(3, 4, 121) == 81
+    assert capped_power(11, 2, 121) == 121
+    assert capped_power(3, 5, 121) == 122  # 243 > 121
+    assert capped_power(3, 10**9, 121) == 122  # stops after 5 products
+    assert capped_power(5, 0, 1) == 1
 
 
 def test_reducible_modulus_rejected():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hasseforms import forms
 from hasseforms.curvepoints import AffinePoint
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction, RingMatrix, congruence
 from hasseforms.finfield import SquareClass, make_extension
@@ -20,9 +21,15 @@ from hasseforms.forms import (
     local_isomorphic,
     verify_genus_witness,
 )
-from hasseforms.funcfield import Poly, PrimePoly
+from hasseforms.funcfield import Poly, PrimePoly, monic_irreducibles
 
-from oracles import brute_force_congruent, field_matrix, symmetric_nondegenerate
+from oracles import (
+    brute_force_congruent,
+    covers_prime_by_valuation,
+    denominators_divide_power_by_factoring,
+    field_matrix,
+    symmetric_nondegenerate,
+)
 
 F3 = make_extension(3, 1)
 F5 = make_extension(5, 1)
@@ -297,6 +304,84 @@ def test_malformed_witness_rejected():
         GenusWitness(g, ((bad, RingElement(line, P(F5, "x+1"))),))
 
 
+def _accepts_denominators(q, s) -> bool:
+    try:
+        forms._check_denominators(q, s)
+    except MalformedWitnessError:
+        return False
+    return True
+
+
+def _monic(rng, field, degree):
+    return Poly(field, [rng.randrange(field.p) for _ in range(degree)] + [1])
+
+
+def _witness_piece(curve, den, s):
+    """A witness matrix with one entry 1/den, and its locus s."""
+    q = RingMatrix(curve, [[RingFraction(curve, RingElement.one(curve), den), 0], [0, 1]])
+    return q, s
+
+
+def test_denominator_check_matches_factoring_rule():
+    x1_line = RingElement(LINE5, P(F5, "x+1"))
+    known = [
+        (_witness_piece(LINE5, P(F5, "x^2+x"), x1_line), False),  # x is off the locus
+        (_witness_piece(LINE5, P(F5, "x+1") ** 3, x1_line), True),
+        (_witness_piece(EC, P(F5, "x+1") ** 2, RingElement(EC, P(F5, "x+1"))), True),
+        (_witness_piece(EC, P(F5, "x^3+2*x+3"), RingElement.y(EC)), True),  # N(y) = -(x^3+2x+3)
+        (_witness_piece(EC, P(F5, "x"), RingElement.y(EC)), False),
+    ]
+    for (q, s), accepted in known:
+        assert denominators_divide_power_by_factoring(q, s) == accepted
+        assert _accepts_denominators(q, s) == accepted
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(60):
+        curve = rng.choice((LINE5, EC))
+        s = RingElement(curve, _monic(rng, F5, rng.randrange(1, 3)))
+        if not curve.is_polyline and rng.random() < 0.5:
+            s = s + RingElement(curve, Poly.zero(F5), _monic(rng, F5, rng.randrange(0, 2)))
+        # half of the denominators are built on N(s), so both verdicts occur
+        parts = [s.norm().monic()] if rng.random() < 0.5 else []
+        parts += [_monic(rng, F5, rng.randrange(0, 3)) for _ in range(rng.randrange(0, 2))]
+        den = Poly.one(F5)
+        for part in parts:
+            den = den * part ** rng.randrange(1, 3)
+        q, s = _witness_piece(curve, den, s)
+        expected = denominators_divide_power_by_factoring(q, s)
+        assert _accepts_denominators(q, s) == expected, (den, s)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_denominator_check_beyond_factoring_degree_bound():
+    # trial-division factoring refused denominators of degree above 24;
+    # gcd saturation needs no bound
+    s = RingElement(LINE5, P(F5, "x+1"))
+    assert _accepts_denominators(*_witness_piece(LINE5, P(F5, "x+1") ** 25, s))
+    assert not _accepts_denominators(*_witness_piece(LINE5, P(F5, "x+1") ** 25 * P(F5, "x"), s))
+
+
+def test_line_coverage_matches_valuation_rule():
+    rng = random.Random(43)
+    primes = [PrimePoly(F5, p) for d in (1, 2) for p in monic_irreducibles(F5, d)]
+    checked = set()
+    for _ in range(25):
+        s = RingElement(LINE5, _monic(rng, F5, rng.randrange(0, 3)))
+        entries = []
+        for _ in range(4):
+            num = RingElement(LINE5, Poly(F5, [rng.randrange(5) for _ in range(3)]))
+            den = _monic(rng, F5, rng.randrange(0, 2))
+            entries.append(RingFraction(LINE5, num, den))
+        q = RingMatrix(LINE5, [entries[:2], entries[2:]])
+        det = q.det()
+        for prime in rng.sample(primes, 6):
+            expected = covers_prime_by_valuation(q, s, prime)
+            assert forms._covers(q, s, det, prime) == expected
+            checked.add(expected)
+    assert checked == {True, False}
+
+
 def test_witness_identity_failure_reported():
     line, f, g, pairs = remark_fixture(F5)
     wrong = RingMatrix.identity(line, 2)
@@ -375,6 +460,27 @@ def test_isom_search_budget_cap():
     f = GramMatrix.identity(EC, 2)
     with pytest.raises(BudgetExceededError):
         isom_search(f, f, deg_x=2, deg_y=1, budget=100)
+
+
+def test_isom_search_budget_checked_before_pool(monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("the entry pool was built")
+
+    monkeypatch.setattr(forms, "_entry_pool", no_pool)
+    f = GramMatrix.identity(LINE5, 2)
+    with pytest.raises(BudgetExceededError):
+        isom_search(f, f, deg_x=4, budget=1)
+    with pytest.raises(BudgetExceededError):
+        isom_search(f, f, deg_x=10**9, budget=10**8)
+    g = GramMatrix.identity(EC, 2)
+    with pytest.raises(BudgetExceededError):
+        isom_search(g, g, deg_x=2, deg_y=1, budget=5**3 * 5**2 - 1)
+
+
+def test_isom_search_pool_at_budget_runs():
+    f = GramMatrix.diagonal(LINE5, [1])
+    found = isom_search(f, GramMatrix.diagonal(LINE5, [4]), deg_x=0, budget=5)
+    assert found is not None
 
 
 def test_isom_search_rejects_large_rank():

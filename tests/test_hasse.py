@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from hasseforms.curvepoints import has_two_torsion
@@ -118,3 +121,21 @@ def test_lower_bound_consistent_with_rank2_failure():
             bound = binary_genus_lower_bound(curve)
             if bound is not None and bound >= 2:
                 assert hasse_principle(curve, 2).verdict == FAILS
+
+
+def test_parity_invariant_survives_optimize():
+    # the parity/2-torsion cross-check must not vanish under python -O,
+    # which strips assert statements
+    script = (
+        "from hasseforms import hasse\n"
+        "from hasseforms.curvering import CurveSpec\n"
+        "from hasseforms.finfield import make_extension\n"
+        "hasse.has_two_torsion = lambda curve: True\n"
+        "try:\n"
+        "    hasse.hasse_principle(CurveSpec.weierstrass(make_extension(5, 1), 1, 1), 3)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
