@@ -26,7 +26,7 @@ import sys
 
 from .curvepoints import point_report
 from .curvering import CurveSpec, congruence
-from .finfield import make_extension
+from .finfield import MAX_FIELD_SIZE, make_extension
 from .forms import (
     DEFAULT_SEARCH_BUDGET,
     BudgetExceededError,
@@ -55,6 +55,8 @@ def _parse_coeffs(text: str):
 
 
 def _field_from_q(q: int):
+    if q > MAX_FIELD_SIZE:  # before the scan over every p <= q
+        raise ValueError(f"field size {q} exceeds desk-scale bound {MAX_FIELD_SIZE}")
     for p in range(2, q + 1):
         k = 0
         n = q

@@ -113,6 +113,8 @@ class FiniteField:
     __slots__ = ("p", "k", "q", "modulus", "_sqrt_table", "_embed_roots")
 
     def __init__(self, p: int, k: int, modulus=None):
+        if p > MAX_FIELD_SIZE:  # before the primality test, which costs sqrt(p)
+            raise ValueError(f"field size {p}^{k} exceeds desk-scale bound {MAX_FIELD_SIZE}")
         if not _is_prime(p) or p == 2:
             raise ValueError(f"characteristic must be an odd prime, got {p}")
         if k < 1:

@@ -41,7 +41,7 @@ from .curvering import (
     det,
     matmul,
 )
-from .finfield import FieldElement, FiniteField, SquareClass, capped_power, embed, square_class
+from .finfield import MAX_FIELD_SIZE, FieldElement, FiniteField, SquareClass, capped_power, embed, square_class
 from .funcfield import (
     Poly,
     PrimePoly,
@@ -49,10 +49,11 @@ from .funcfield import (
     poly_gcd,
     polys_up_to,
     residue_field,
-    residue_reduce,
 )
 
 DEFAULT_SEARCH_BUDGET = 10**8
+# genus verification enumerates up to q^degree candidate places
+MAX_INSPECTION_SIZE = MAX_FIELD_SIZE**2
 
 
 class MalformedWitnessError(ValueError):
@@ -228,19 +229,10 @@ class GramMatrix:
     def ring_rows(self):
         return tuple(tuple(e.as_ring_element() for e in row) for row in self.matrix.rows)
 
-    def reduce_at_point(self, point: AffinePoint) -> FieldForm:
-        rows = self.matrix.evaluate(point.x, point.y)
-        return FieldForm(point.x.field, rows)
-
-    def reduce_mod_prime(self, prime: PrimePoly) -> FieldForm:
-        if not self.curve.is_polyline:
-            raise ValueError("prime reduction applies over the affine line")
-        target, _ = residue_field(prime)
-        rows = [
-            [residue_reduce(e.as_ring_element().a, prime) for e in row]
-            for row in self.matrix.rows
-        ]
-        return FieldForm(target, rows)
+    def reduce_at(self, x0: FieldElement, y0: Optional[FieldElement] = None) -> FieldForm:
+        """The Gram matrix evaluated at (x0, y0); on the line y0 is None
+        and x0 is a root of the prime in its residue field."""
+        return FieldForm(x0.field, self.matrix.evaluate(x0, y0))
 
     def __eq__(self, other):
         return isinstance(other, GramMatrix) and self.matrix == other.matrix
@@ -257,10 +249,10 @@ def is_unimodular(form: GramMatrix) -> bool:
 def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
     """Compare two unimodular forms at a closed point.
 
-    Both Gram matrices are reduced into the residue field (evaluation at
-    an affine point, or reduction mod a monic irreducible over the
-    line), where unimodularity keeps them nondegenerate and the Witt
-    comparison applies.
+    Both Gram matrices are reduced into the residue field by evaluation
+    at the place (an affine point, or on the line a root of the monic
+    irreducible), where unimodularity keeps them nondegenerate and the
+    Witt comparison applies.
     """
     if f.curve != g.curve:
         raise ValueError("forms live over different curves")
@@ -271,13 +263,15 @@ def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
     if isinstance(at, PrimePoly):
         if not curve.is_polyline:
             raise ValueError("prime reduction applies over the affine line")
-        return field_isomorphic(f.reduce_mod_prime(at), g.reduce_mod_prime(at))
-    if isinstance(at, AffinePoint):
+        x0, y0 = residue_field(at)[1], None
+    elif isinstance(at, AffinePoint):
         if curve.is_polyline:
             raise ValueError("affine-line forms reduce at primes, not curve points")
         _reject_singular_point(curve, at)
-        return field_isomorphic(f.reduce_at_point(at), g.reduce_at_point(at))
-    raise TypeError(f"cannot localize at {at!r}")
+        x0, y0 = at.x, at.y
+    else:
+        raise TypeError(f"cannot localize at {at!r}")
+    return field_isomorphic(f.reduce_at(x0, y0), g.reduce_at(x0, y0))
 
 
 def _reject_singular_point(curve: CurveSpec, point: AffinePoint):
@@ -371,6 +365,11 @@ def verify_genus_witness(
     if degree < 1:
         raise ValueError("inspection degree must be >= 1")
     curve = f.curve
+    if capped_power(curve.field.q, degree, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
+        raise ValueError(
+            f"inspection degree {degree} over F_{curve.field.q} exceeds the "
+            f"enumeration bound q^degree <= {MAX_INSPECTION_SIZE}"
+        )
 
     identity_ok = tuple(congruence(q, f.matrix) == g.matrix for q, _ in witness.pairs)
 
@@ -436,12 +435,14 @@ def isom_search(
 
     Candidate entries are ring elements A(x) + B(x)y with deg A <= deg_x
     and deg B <= deg_y (deg_y < 0, or the affine line, forbids the y
-    part).  Columns are found left to right: a column must achieve the
-    matching diagonal entry of G, then the inner products against the
-    columns already chosen, and a full candidate must have unit
-    determinant.  The first witness in entry order is returned (entries
-    compare by coefficient vectors, nonzero before zero, which makes the
-    identity the first witness whenever it works); ``None`` means
+    part), listed nonzero before zero, then by coefficient vectors.
+    Columns are found left to right: a column must achieve the matching
+    diagonal entry of G, then the inner products against the columns
+    already chosen, and a full candidate must have unit determinant.
+    Each column's candidates are tried in the order of their tuples of
+    entry positions, and the first witness in that order is returned.
+    It need not be the identity: over F_5 with deg_x = 0, 1_3 against
+    itself gives [[1,1,2],[1,2,1],[2,1,1]].  ``None`` means
     none-within-bounds, which is evidence, not proof.
 
     ``budget`` caps the estimated number of inner-product evaluations
@@ -474,13 +475,12 @@ def isom_search(
         f_rows[i][j].is_zero() for i in range(n) for j in range(n) if i != j
     )
 
-    rank = {e: i for i, e in enumerate(pool)}
     counter = _EvalCounter(budget)
     targets = {}
     for j in range(n):
         t = g_rows[j][j]
         if t not in targets:
-            targets[t] = _quadratic_candidates(f_rows, pool, t, diagonal, counter, rank)
+            targets[t] = _quadratic_candidates(f_rows, pool, t, diagonal, counter)
     candidates = [targets[g_rows[j][j]] for j in range(n)]
 
     est = 1
@@ -492,62 +492,45 @@ def isom_search(
             )
 
     # evaluation at a few curve points is a ring homomorphism, so a
-    # mismatch there rules a pair out before the exact inner product
-    probes = _probe_points(curve)
-    entry_vals = {e: tuple(e.evaluate(x0, y0) for x0, y0 in probes) for e in pool}
-    f_vals = [
-        [tuple(f_rows[i][j].evaluate(x0, y0) for x0, y0 in probes) for j in range(n)]
-        for i in range(n)
+    # mismatch there rules a pair out before the exact inner product;
+    # each view is (entry values by pool position, F there, G there),
+    # and the last view is the ring itself
+    views = [
+        (
+            [e.evaluate(x0, y0) for e in pool],
+            [[e.evaluate(x0, y0) for e in row] for row in f_rows],
+            [[e.evaluate(x0, y0) for e in row] for row in g_rows],
+        )
+        for x0, y0 in _probe_points(curve)
     ]
-    g_vals = [
-        [tuple(g_rows[i][j].evaluate(x0, y0) for x0, y0 in probes) for j in range(n)]
-        for i in range(n)
-    ]
+    views.append((pool, f_rows, g_rows))
 
-    def probe_mismatch(u, v, i, j) -> bool:
-        gv = g_vals[i][j]
-        for t in range(len(probes)):
-            acc = None
-            for r in range(n):
-                for c in range(n):
-                    fv = f_vals[r][c][t]
-                    if fv.is_zero():
-                        continue
-                    term = entry_vals[u[r]][t] * fv * entry_vals[v[c]][t]
-                    acc = term if acc is None else acc + term
-            if acc is None:
-                if not gv[t].is_zero():
-                    return True
-            elif acc != gv[t]:
-                return True
-        return False
+    def agrees(u, v, i: int, j: int) -> bool:
+        return all(
+            _bilinear(f_at, [vals[k] for k in u], [vals[k] for k in v]) == g_at[i][j]
+            for vals, f_at, g_at in views
+        )
 
     cols = []
 
     def extend(j: int) -> Optional[RingMatrix]:
         for col in candidates[j]:
-            ok = True
             for i in range(j):
                 counter.tick()
-                if probe_mismatch(cols[i], col, i, j):
-                    ok = False
+                if not agrees(cols[i], col, i, j):
                     break
-                if _bilinear(f_rows, cols[i], col) != g_rows[i][j]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            cols.append(col)
-            if j == n - 1:
-                q = RingMatrix(curve, [[cols[c][r] for c in range(n)] for r in range(n)])
-                det = q.det()
-                if det.is_integral() and det.as_ring_element().is_unit():
-                    return q
-            else:
-                found = extend(j + 1)
-                if found is not None:
-                    return found
-            cols.pop()
+            else:  # col agrees with every column chosen so far
+                cols.append(col)
+                if j == n - 1:
+                    q = RingMatrix(curve, [[pool[cols[c][r]] for c in range(n)] for r in range(n)])
+                    det = q.det()
+                    if det.is_integral() and det.as_ring_element().is_unit():
+                        return q
+                else:
+                    found = extend(j + 1)
+                    if found is not None:
+                        return found
+                cols.pop()
         return None
 
     return extend(0)
@@ -606,55 +589,46 @@ def _entry_key(e: RingElement, deg_x: int, deg_y: int):
     return (1 if e.is_zero() else 0,) + flat
 
 
-def _bilinear(f_rows, u, v) -> RingElement:
-    n = len(f_rows)
+def _bilinear(f_rows, u, v):
+    """u^t F v, skipping zero entries of F.  The entries are ring
+    elements for the exact check and their values at a point for a
+    probe; u - u is the zero of whichever ring they live in."""
     acc = None
-    for i in range(n):
-        for j in range(n):
-            if f_rows[i][j].is_zero():
+    for i, row in enumerate(f_rows):
+        for j, fij in enumerate(row):
+            if fij.is_zero():
                 continue
-            term = u[i] * f_rows[i][j] * v[j]
+            term = u[i] * fij * v[j]
             acc = term if acc is None else acc + term
-    if acc is None:
-        return RingElement.zero(u[0].curve)
-    return acc
+    return u[0] - u[0] if acc is None else acc
 
 
-def _quadratic_candidates(f_rows, pool, target: RingElement, diagonal: bool, counter, rank):
-    """All columns c within bounds with c^t F c = target, in entry order."""
+def _quadratic_candidates(f_rows, pool, target: RingElement, diagonal: bool, counter):
+    """All columns c within bounds with c^t F c = target, as increasing
+    tuples of pool positions."""
     n = len(f_rows)
-    if n == 1:
-        counter.tick(len(pool))
-        return [(e,) for e in pool if f_rows[0][0] * e * e == target]
+    positions = range(len(pool))
     if not diagonal:
         counter.tick(len(pool) ** n)
         out = []
-        for col in itertools.product(pool, repeat=n):
-            if _bilinear(f_rows, col, col) == target:
+        for col in itertools.product(positions, repeat=n):
+            entries = [pool[k] for k in col]
+            if _bilinear(f_rows, entries, entries) == target:
                 out.append(col)
         return out
-    # diagonal form: hash the first-row contribution, scan the rest
+    # diagonal form: hash f_00 e^2 by position, then scan the other n - 1
+    # entries (for rank 1 there is nothing left to scan)
     counter.tick(len(pool))
     first = {}
-    f0 = f_rows[0][0]
-    for e in pool:
-        first.setdefault(f0 * e * e, []).append(e)
+    for k, e in enumerate(pool):
+        first.setdefault(f_rows[0][0] * e * e, []).append(k)
+    if n > 1:
+        counter.tick(len(pool) ** (n - 1))
     out = []
-    if n == 2:
-        f1 = f_rows[1][1]
-        counter.tick(len(pool))
-        for e2 in pool:
-            need = target - f1 * e2 * e2
-            for e1 in first.get(need, ()):
-                out.append((e1, e2))
-    else:
-        f1, f2 = f_rows[1][1], f_rows[2][2]
-        counter.tick(len(pool) ** 2)
-        for e2 in pool:
-            part = target - f1 * e2 * e2
-            for e3 in pool:
-                need = part - f2 * e3 * e3
-                for e1 in first.get(need, ()):
-                    out.append((e1, e2, e3))
-    out.sort(key=lambda col: tuple(rank[e] for e in col))
+    for rest in itertools.product(positions, repeat=n - 1):
+        need = target
+        for r, k in enumerate(rest, 1):
+            need = need - f_rows[r][r] * pool[k] * pool[k]
+        out.extend((k, *rest) for k in first.get(need, ()))
+    out.sort()
     return out

@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 
 from hasseforms.finfield import FiniteField, make_extension
-from hasseforms.funcfield import RatFunc, factor, valuation
+from hasseforms.curvering import RingElement
+from hasseforms.funcfield import Poly, RatFunc, factor, valuation
 
 
 def exhaustive_squares(field: FiniteField):
@@ -191,3 +192,63 @@ def covers_prime_by_valuation(q, s, prime) -> bool:
         return False
     d = leibniz_det(q.rows)
     return not d.is_zero() and valuation(RatFunc(d.num.a, d.den), prime) == 0
+
+
+# ---------------------------------------------------------------------------
+# First isometry by exhaustive depth-first search over columns, with its
+# own entry list, order and inner product; nothing from forms' search.
+
+
+def _search_entries(curve, deg_x: int, deg_y: int):
+    """Every A + B y with deg A <= deg_x, deg B <= deg_y over a prime
+    field: nonzero before zero, then by the coefficient vector of A,
+    constant term first, followed by that of B."""
+    p = curve.field.p
+    b_vectors = list(itertools.product(range(p), repeat=deg_y + 1)) if deg_y >= 0 else [()]
+    entries = []
+    for a in itertools.product(range(p), repeat=deg_x + 1):
+        for b in b_vectors:
+            elem = RingElement(curve, Poly(curve.field, a), Poly(curve.field, b))
+            entries.append(((elem.is_zero(), a + b), elem))
+    entries.sort(key=lambda pair: pair[0])
+    return [elem for _, elem in entries]
+
+
+def _inner(f_rows, u, v, zero):
+    total = zero
+    for i in range(len(u)):
+        for j in range(len(v)):
+            total = total + u[i] * f_rows[i][j] * v[j]
+    return total
+
+
+def first_isometry(f, g, deg_x: int, deg_y: int = -1):
+    """The first integral Q with Q^t F Q = G and unit determinant, its
+    columns compared left to right by their tuples of entry positions,
+    or None; returned as rows of ring elements."""
+    curve = f.curve
+    if curve.is_polyline:
+        deg_y = -1
+    n = f.n
+    zero = RingElement.zero(curve)
+    f_rows = [[e.as_ring_element() for e in row] for row in f.matrix.rows]
+    g_rows = [[e.as_ring_element() for e in row] for row in g.matrix.rows]
+    columns = list(itertools.product(_search_entries(curve, deg_x, deg_y), repeat=n))
+    fitting = [[c for c in columns if _inner(f_rows, c, c, zero) == g_rows[j][j]] for j in range(n)]
+    chosen = []
+
+    def extend(j):
+        if j == n:
+            rows = [[chosen[c][r] for c in range(n)] for r in range(n)]
+            return rows if leibniz_det(rows).is_unit() else None
+        for col in fitting[j]:
+            if any(_inner(f_rows, chosen[i], col, zero) != g_rows[i][j] for i in range(j)):
+                continue
+            chosen.append(col)
+            found = extend(j + 1)
+            if found is not None:
+                return found
+            chosen.pop()
+        return None
+
+    return extend(0)

@@ -222,6 +222,32 @@ def test_oversized_field_rejected(capsys):
     assert code == 2 and "exceeds" in err
 
 
+def run_cli(*argv):
+    """The CLI in a fresh process; a hang fails the test at the timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "hasseforms.cli", *argv], capture_output=True, text=True, timeout=30
+    )
+
+
+def test_huge_characteristic_rejected_before_primality_test():
+    payload = json.dumps({"type": "polyline", "field": {"p": 2**61 - 1, "k": 1}})
+    proc = run_cli("curve", "--json", payload)
+    assert proc.returncode == 2 and "exceeds" in proc.stderr
+
+
+def test_huge_q_rejected_before_prime_power_scan():
+    # the scan stops at p = 10 for 10^12, and runs to p = q for the prime 10^9 + 7
+    for q in ("1000000000000", "1000000007"):
+        proc = run_cli("curve", "--q", q, "--polyline")
+        assert proc.returncode == 2 and "exceeds" in proc.stderr
+
+
+def test_huge_inspection_degree_rejected():
+    for degree in ("9", str(10**9)):
+        proc = run_cli("genus-verify", "--input", fixture_path("polyline_pair"), "--inspection-degree", degree)
+        assert proc.returncode == 2 and "inspection degree" in proc.stderr
+
+
 def test_bad_schema_rejected(capsys):
     code, _, err = invoke(capsys, "form", "--json", '{"schema": 99}')
     assert code == 2 and "schema" in err

@@ -21,13 +21,14 @@ from hasseforms.forms import (
     local_isomorphic,
     verify_genus_witness,
 )
-from hasseforms.funcfield import Poly, PrimePoly, monic_irreducibles
+from hasseforms.funcfield import Poly, PrimePoly, monic_irreducibles, residue_field, residue_reduce
 
 from oracles import (
     brute_force_congruent,
     covers_prime_by_valuation,
     denominators_divide_power_by_factoring,
     field_matrix,
+    first_isometry,
     symmetric_nondegenerate,
 )
 
@@ -481,6 +482,58 @@ def test_isom_search_pool_at_budget_runs():
     f = GramMatrix.diagonal(LINE5, [1])
     found = isom_search(f, GramMatrix.diagonal(LINE5, [4]), deg_x=0, budget=5)
     assert found is not None
+
+
+def test_isom_search_first_witness_order():
+    # columns are taken left to right, each in the order of its tuple of
+    # entry positions (nonzero entries 1..4 before 0), so the first
+    # witness for 1_3 over F_5 is not the identity
+    f = GramMatrix.identity(LINE5, 3)
+    found = isom_search(f, f, deg_x=0)
+    assert found == RingMatrix(LINE5, [[1, 1, 2], [1, 2, 1], [2, 1, 1]])
+
+
+def _non_diagonal_cases():
+    cases = []
+    for curve in (CurveSpec.polyline(F3), CurveSpec.weierstrass(F3, 1, 1)):
+        f = GramMatrix.from_rows(curve, [[0, 1], [1, 0]])
+        q0 = RingMatrix(curve, [[1, P(F3, "x")], [0, 1]])
+        cases.append((f, GramMatrix(curve, congruence(q0, f.matrix)), 1, 0))
+    f3 = GramMatrix.from_rows(CurveSpec.polyline(F3), [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    cases.append((f3, f3, 0, -1))
+    cases.append((f3, f3, 1, -1))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "f, g, deg_x, deg_y", _non_diagonal_cases(), ids=["line", "cubic", "rank3-deg0", "rank3-deg1"]
+)
+def test_isom_search_non_diagonal_matches_brute_force(f, g, deg_x, deg_y):
+    expected = first_isometry(f, g, deg_x, deg_y)
+    assert expected is not None
+    assert isom_search(f, g, deg_x=deg_x, deg_y=deg_y) == RingMatrix(f.curve, expected)
+
+
+def test_reduce_at_prime_root_matches_residue_reduce():
+    line = CurveSpec.polyline(F3)
+    g = GramMatrix.from_rows(line, [[P(F3, "x^2+1"), P(F3, "x")], [P(F3, "x"), P(F3, "2*x^3+x+2")]])
+    for d in (1, 2, 3):
+        for prime in monic_irreducibles(F3, d):
+            at = PrimePoly(F3, prime)
+            reduced = g.reduce_at(residue_field(at)[1])
+            assert reduced.rows == tuple(
+                tuple(residue_reduce(e.as_ring_element().a, at) for e in row) for row in g.matrix.rows
+            )
+
+
+def test_inspection_degree_capped_before_any_work():
+    _, f, g, pairs = remark_fixture(F5)
+    witness = GenusWitness(g, pairs)
+    with pytest.raises(ValueError, match="inspection degree"):
+        verify_genus_witness(f, g, witness, degree=6)  # 5^6 = 15625 > 121^2
+    with pytest.raises(ValueError, match="inspection degree"):
+        verify_genus_witness(f, g, witness, degree=10**9)
+    assert verify_genus_witness(f, g, witness, degree=5).degree == 5  # 5^5 = 3125
 
 
 def test_isom_search_rejects_large_rank():
