@@ -55,17 +55,17 @@ def _parse_coeffs(text: str):
 
 
 def _field_from_q(q: int):
-    if q > MAX_FIELD_SIZE:  # before the scan over every p <= q
+    if q > MAX_FIELD_SIZE:  # before the scan for a prime factor
         raise ValueError(f"field size {q} exceeds desk-scale bound {MAX_FIELD_SIZE}")
-    for p in range(2, q + 1):
-        k = 0
-        n = q
-        while n % p == 0:
-            n //= p
-            k += 1
-        if n == 1 and k >= 1:
-            return make_extension(p, k)
-    raise ValueError(f"{q} is not a prime power")
+    # the smallest factor above 1 is prime; q is a prime power only of it
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)
+    k, n = 0, q
+    while p is not None and n % p == 0:
+        n //= p
+        k += 1
+    if p is None or n != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return make_extension(p, k)
 
 
 def _curve_from_args(args) -> CurveSpec:

@@ -110,7 +110,7 @@ def _divisor_from_index(n: int, degree: int, p: int):
 class FiniteField:
     """The field F_{p^k} presented as F_p[t]/(m)."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_sqrt_table", "_embed_roots")
+    __slots__ = ("p", "k", "q", "modulus", "_sqrt_table", "_embed_roots", "_inverses")
 
     def __init__(self, p: int, k: int, modulus=None):
         if p > MAX_FIELD_SIZE:  # before the primality test, which costs sqrt(p)
@@ -135,6 +135,7 @@ class FiniteField:
         self.modulus = modulus
         self._sqrt_table = None
         self._embed_roots = {}
+        self._inverses = {}  # nonzero coeffs -> inverse, at most q - 1 entries
 
     def element(self, value) -> FieldElement:
         """Coerce an int (constant) or coefficient sequence into the field."""
@@ -285,9 +286,15 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> FieldElement:
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero field element")
-        return self ** (self.field.q - 2)
+        """a^(q-2), computed once per element and field; zero raises and
+        is never cached."""
+        inverses = self.field._inverses
+        inv = inverses.get(self.coeffs)
+        if inv is None:
+            if self.is_zero():
+                raise ZeroDivisionError("division by zero field element")
+            inv = inverses[self.coeffs] = self ** (self.field.q - 2)
+        return inv
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -52,7 +52,9 @@ from .funcfield import (
 )
 
 DEFAULT_SEARCH_BUDGET = 10**8
-# genus verification enumerates up to q^degree candidate places
+# genus verification enumerates up to q^degree candidate places on the
+# line; on a cubic it enumerates points over F_{q^degree}, which
+# finfield caps at MAX_FIELD_SIZE
 MAX_INSPECTION_SIZE = MAX_FIELD_SIZE**2
 
 
@@ -365,10 +367,11 @@ def verify_genus_witness(
     if degree < 1:
         raise ValueError("inspection degree must be >= 1")
     curve = f.curve
-    if capped_power(curve.field.q, degree, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
+    bound = MAX_INSPECTION_SIZE if curve.is_polyline else MAX_FIELD_SIZE
+    if capped_power(curve.field.q, degree, bound) > bound:
         raise ValueError(
             f"inspection degree {degree} over F_{curve.field.q} exceeds the "
-            f"enumeration bound q^degree <= {MAX_INSPECTION_SIZE}"
+            f"enumeration bound q^degree <= {bound}"
         )
 
     identity_ok = tuple(congruence(q, f.matrix) == g.matrix for q, _ in witness.pairs)
@@ -475,26 +478,10 @@ def isom_search(
         f_rows[i][j].is_zero() for i in range(n) for j in range(n) if i != j
     )
 
-    counter = _EvalCounter(budget)
-    targets = {}
-    for j in range(n):
-        t = g_rows[j][j]
-        if t not in targets:
-            targets[t] = _quadratic_candidates(f_rows, pool, t, diagonal, counter)
-    candidates = [targets[g_rows[j][j]] for j in range(n)]
-
-    est = 1
-    for cand in candidates:
-        est *= max(1, len(cand))
-        if est > budget:
-            raise BudgetExceededError(
-                f"estimated candidate count {est} exceeds budget {budget}"
-            )
-
     # evaluation at a few curve points is a ring homomorphism, so a
-    # mismatch there rules a pair out before the exact inner product;
-    # each view is (entry values by pool position, F there, G there),
-    # and the last view is the ring itself
+    # mismatch there rules a column or a pair out before the exact inner
+    # product; each view is (entry values by pool position, F there,
+    # G there), and the last view is the ring itself
     views = [
         (
             [e.evaluate(x0, y0) for e in pool],
@@ -504,6 +491,22 @@ def isom_search(
         for x0, y0 in _probe_points(curve)
     ]
     views.append((pool, f_rows, g_rows))
+
+    counter = _EvalCounter(budget)
+    targets = {}
+    for j in range(n):
+        t = g_rows[j][j]
+        if t not in targets:
+            targets[t] = _quadratic_candidates(views, j, diagonal, counter)
+    candidates = [targets[g_rows[j][j]] for j in range(n)]
+
+    est = 1
+    for cand in candidates:
+        est *= max(1, len(cand))
+        if est > budget:
+            raise BudgetExceededError(
+                f"estimated candidate count {est} exceeds budget {budget}"
+            )
 
     def agrees(u, v, i: int, j: int) -> bool:
         return all(
@@ -603,17 +606,24 @@ def _bilinear(f_rows, u, v):
     return u[0] - u[0] if acc is None else acc
 
 
-def _quadratic_candidates(f_rows, pool, target: RingElement, diagonal: bool, counter):
-    """All columns c within bounds with c^t F c = target, as increasing
-    tuples of pool positions."""
+def _quadratic_candidates(views, j: int, diagonal: bool, counter):
+    """All columns c within bounds with c^t F c = G_jj, as increasing
+    tuples of pool positions.  ``views`` are the search's probe views,
+    the ring last."""
+    pool, f_rows, g_rows = views[-1]
+    target = g_rows[j][j]
     n = len(f_rows)
     positions = range(len(pool))
     if not diagonal:
+        # the probe views reject most columns before the ring product
         counter.tick(len(pool) ** n)
         out = []
         for col in itertools.product(positions, repeat=n):
-            entries = [pool[k] for k in col]
-            if _bilinear(f_rows, entries, entries) == target:
+            for vals, f_at, g_at in views:
+                entries = [vals[k] for k in col]
+                if _bilinear(f_at, entries, entries) != g_at[j][j]:
+                    break
+            else:
                 out.append(col)
         return out
     # diagonal form: hash f_00 e^2 by position, then scan the other n - 1

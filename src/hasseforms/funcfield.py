@@ -11,9 +11,11 @@ the valuation of f is -deg(f).  Residue fields at finite primes are
 built through ``finfield.make_extension`` together with an explicit
 root of the prime, so reductions are reproducible.
 
-Factorization is trial division against monic irreducibles in
-increasing degree.  That is transparent and entirely adequate at desk
-scale, and the enumeration doubles as an irreducibility certificate.
+Monic irreducibles are found by a product sieve: every reducible monic
+of degree d is g*h with g irreducible of degree e <= d/2 and h monic of
+degree d - e, so marking all those products leaves exactly the primes,
+in canonical order.  Factorization is trial division against these
+irreducibles in increasing degree, which is adequate at desk scale.
 
 Text grammar for polynomials: integer coefficients, variable x,
 caret powers, e.g. ``x^3+2*x+3``; coefficients are read mod p.
@@ -360,17 +362,22 @@ _irr_cache: dict[tuple, tuple] = {}
 
 
 def monic_irreducibles(field: FiniteField, degree: int):
-    """All monic irreducibles of the degree, cached; built by sieving
-    against the cached irreducibles of lower degree."""
+    """All monic irreducibles of the degree in canonical order, cached.
+
+    Product sieve: a reducible monic of degree d is g*h with g a cached
+    irreducible of degree e <= d/2 and h any monic of degree d - e, so
+    the monics left unmarked by those products are the irreducibles.
+    That costs about q^d / e products for each divisor degree e.
+    """
     key = (field.p, field.k, field.modulus, degree)
     if key not in _irr_cache:
-        divisors = []
-        for d in range(1, degree // 2 + 1):
-            divisors.extend(monic_irreducibles(field, d))
+        reducible = set()
+        for e in range(1, degree // 2 + 1):
+            cofactors = list(monic_polys(field, degree - e))
+            for g in monic_irreducibles(field, e):
+                reducible.update((g * h).coeffs for h in cofactors)
         _irr_cache[key] = tuple(
-            g
-            for g in monic_polys(field, degree)
-            if not any((g % h).is_zero() for h in divisors)
+            f for f in monic_polys(field, degree) if f.coeffs not in reducible
         )
     return _irr_cache[key]
 

@@ -13,7 +13,7 @@ import itertools
 
 from hasseforms.finfield import FiniteField, make_extension
 from hasseforms.curvering import RingElement
-from hasseforms.funcfield import Poly, RatFunc, factor, valuation
+from hasseforms.funcfield import Poly, RatFunc, factor, monic_polys, valuation
 
 
 def exhaustive_squares(field: FiniteField):
@@ -252,3 +252,25 @@ def first_isometry(f, g, deg_x: int, deg_y: int = -1):
         return None
 
     return extend(0)
+
+
+# ---------------------------------------------------------------------------
+# Monic irreducibles by trial division: the sieve the library used before
+# it switched to marking products, with its own cache.
+
+
+_trial_cache: dict[tuple, tuple] = {}
+
+
+def monic_irreducibles_by_trial_division(field: FiniteField, degree: int):
+    """The monic irreducibles of the degree in canonical order: every
+    monic polynomial not divisible by an irreducible of degree <= d/2."""
+    key = (field.p, field.k, field.modulus, degree)
+    if key not in _trial_cache:
+        divisors = []
+        for d in range(1, degree // 2 + 1):
+            divisors.extend(monic_irreducibles_by_trial_division(field, d))
+        _trial_cache[key] = tuple(
+            g for g in monic_polys(field, degree) if not any((g % h).is_zero() for h in divisors)
+        )
+    return _trial_cache[key]

@@ -211,6 +211,14 @@ def test_bad_q_rejected(capsys):
     assert code == 2 and "error" in err
 
 
+def test_q_not_a_prime_power_named(capsys):
+    for q in ("12", "100"):
+        code, _, err = invoke(capsys, "curve", "--q", q, "--polyline")
+        assert code == 2 and f"{q} is not a prime power" in err
+    code, data, _ = invoke_json(capsys, "curve", "--q", "9", "--polyline")
+    assert code == 0 and data["affine"] == 9  # the line over F_9
+
+
 def test_bad_json_rejected(capsys):
     code, _, err = invoke(capsys, "form", "--json", "{not json")
     assert code == 2
@@ -246,6 +254,19 @@ def test_huge_inspection_degree_rejected():
     for degree in ("9", str(10**9)):
         proc = run_cli("genus-verify", "--input", fixture_path("polyline_pair"), "--inspection-degree", degree)
         assert proc.returncode == 2 and "inspection degree" in proc.stderr
+
+
+def test_genus_verify_f121_line_finishes(tmp_path):
+    # 7381 primes of degree <= 2; trial-division enumeration alone took over a minute
+    with open(fixture_path("polyline_pair")) as handle:
+        pair = json.load(handle)
+    pair["curve"]["field"] = {"p": 11, "k": 2}
+    path = tmp_path / "pair121.json"
+    path.write_text(json.dumps(pair))
+    proc = run_cli("genus-verify", "--input", str(path), "--inspection-degree", "2")
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["verdict"] == "Certified" and len(report["covered"]) == 121 + 7260
 
 
 def test_bad_schema_rejected(capsys):

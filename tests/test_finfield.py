@@ -52,6 +52,24 @@ def test_division_by_zero_rejected():
         F5.element(1) / F5.element(0)
 
 
+@pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (3, 3), (11, 2)])
+def test_inverse_cold_and_warm(p, k):
+    field = FiniteField(p, k)  # a fresh field, so its inverse cache starts empty
+    with pytest.raises(ZeroDivisionError):
+        field.zero().inverse()
+    nonzero = list(field.nonzero_elements())
+    cold = [a.inverse() for a in nonzero]
+    warm = [a.inverse() for a in nonzero]
+    for a, inv_cold, inv_warm in zip(nonzero, cold, warm):
+        assert a * inv_cold == field.one()
+        assert a * inv_warm == field.one()
+        assert inv_warm == inv_cold == a ** (field.q - 2)
+    assert len(field._inverses) == field.q - 1
+    with pytest.raises(ZeroDivisionError):
+        field.zero().inverse()
+    assert field.zero().coeffs not in field._inverses
+
+
 def test_mismatched_fields_rejected():
     with pytest.raises(ValueError):
         F5.element(1) + F9.element(1)

@@ -22,6 +22,7 @@ from hasseforms.forms import (
     verify_genus_witness,
 )
 from hasseforms.funcfield import Poly, PrimePoly, monic_irreducibles, residue_field, residue_reduce
+from hasseforms.serialize import load_bundled_pair
 
 from oracles import (
     brute_force_congruent,
@@ -534,6 +535,40 @@ def test_inspection_degree_capped_before_any_work():
     with pytest.raises(ValueError, match="inspection degree"):
         verify_genus_witness(f, g, witness, degree=10**9)
     assert verify_genus_witness(f, g, witness, degree=5).degree == 5  # 5^5 = 3125
+
+
+def test_cubic_inspection_degree_capped_before_any_work(monkeypatch):
+    # point enumeration stops at extension fields of size 121, so a cubic
+    # over F_5 is refused at degree 3 (125) before congruence or points
+    pair = load_bundled_pair("singular_cubic_pair")
+
+    def no_work(*args):
+        raise AssertionError("verification started")
+
+    monkeypatch.setattr(forms, "congruence", no_work)
+    monkeypatch.setattr(forms, "enumerate_points", no_work)
+    for degree in (3, 10**9):
+        with pytest.raises(ValueError, match="inspection degree"):
+            verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=degree)
+    monkeypatch.undo()
+    assert verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=2).degree == 2
+
+
+def test_non_diagonal_candidates_probe_before_ring_product(monkeypatch):
+    # a column must pass every probe point before its exact inner product
+    curve = CurveSpec.weierstrass(F5, 1, 1)
+    f = GramMatrix.from_rows(curve, [[0, 1], [1, 0]])
+    ring_products = []
+    bilinear = forms._bilinear
+
+    def counting(f_rows, u, v):
+        if isinstance(u[0], RingElement):
+            ring_products.append(1)
+        return bilinear(f_rows, u, v)
+
+    monkeypatch.setattr(forms, "_bilinear", counting)
+    assert isom_search(f, f, deg_x=0, deg_y=0) == RingMatrix(curve, [[1, 0], [0, 1]])
+    assert 0 < len(ring_products) < 25**2  # pool of 25 entries, 625 columns per target
 
 
 def test_isom_search_rejects_large_rank():

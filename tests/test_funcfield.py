@@ -10,12 +10,15 @@ from hasseforms.funcfield import (
     factor,
     is_irreducible,
     monic_irreducibles,
+    monic_polys,
     poly_gcd,
     residue_field,
     residue_reduce,
     to_text,
     valuation,
 )
+
+from oracles import monic_irreducibles_by_trial_division
 
 F3 = make_extension(3, 1)
 F5 = make_extension(5, 1)
@@ -149,6 +152,61 @@ def test_monic_irreducible_counts():
     assert len(monic_irreducibles(F5, 1)) == 5
     assert len(monic_irreducibles(F5, 2)) == 10
     assert len(monic_irreducibles(F3, 3)) == 8
+
+
+# the line strata of genus verification, plus F_3 up to degree 6
+@pytest.mark.parametrize(
+    "p,k,max_deg",
+    [(3, 1, 6), (5, 1, 3), (7, 1, 3), (11, 1, 3), (3, 2, 2), (5, 2, 2), (3, 3, 2), (7, 2, 2)],
+)
+def test_monic_irreducibles_match_trial_division(p, k, max_deg):
+    field = make_extension(p, k)
+    for d in range(1, max_deg + 1):
+        assert monic_irreducibles(field, d) == monic_irreducibles_by_trial_division(field, d)
+
+
+def _mobius(n):
+    out, m, f = 1, n, 2
+    while f * f <= m:
+        if m % f == 0:
+            m //= f
+            if m % f == 0:
+                return 0
+            out = -out
+        f += 1
+    return -out if m > 1 else out
+
+
+def _odd_prime_powers(limit):
+    for q in range(3, limit + 1, 2):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        k, n = 0, q
+        while n % p == 0:
+            n, k = n // p, k + 1
+        if n == 1:
+            yield p, k
+
+
+@pytest.mark.parametrize("p,k", list(_odd_prime_powers(121)))
+def test_monic_irreducible_counts_match_gauss_formula(p, k):
+    field = make_extension(p, k)
+    q = field.q
+    for d in (1, 2):
+        gauss = sum(_mobius(j) * q ** (d // j) for j in range(1, d + 1) if d % j == 0) // d
+        assert len(monic_irreducibles(field, d)) == gauss
+
+
+@pytest.mark.parametrize("p,max_deg", [(3, 5), (5, 3), (7, 3), (11, 3), (13, 3)])
+def test_monic_irreducibles_match_sympy(p, max_deg):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    field = make_extension(p, 1)
+    for d in range(1, max_deg + 1):
+        primes = set(monic_irreducibles(field, d))
+        for f in monic_polys(field, d):
+            dense = [ZZ(c.coeffs[0]) for c in reversed(f.coeffs)]
+            assert (f in primes) == galoistools.gf_irreducible_p(dense, p, ZZ)
 
 
 # -- valuations -----------------------------------------------------------
