@@ -84,10 +84,14 @@ def _curve_from_args(args) -> CurveSpec:
 def _load_input(args) -> dict:
     if args.input:
         with open(args.input) as handle:
-            return json.load(handle)
-    if args.json:
-        return json.loads(args.json)
-    raise ValueError("provide --input FILE or --json TEXT")
+            data = json.load(handle)
+    elif args.json:
+        data = json.loads(args.json)
+    else:
+        raise ValueError("provide --input FILE or --json TEXT")
+    if not isinstance(data, dict):
+        raise ValueError("input must be a JSON object")
+    return data
 
 
 def _emit(payload: dict, fmt: str):

@@ -424,6 +424,8 @@ class RingMatrix:
 
     def __init__(self, curve: CurveSpec, rows):
         n = len(rows)
+        if n == 0:
+            raise ValueError("matrix must have at least one row")
         coerced = []
         for row in rows:
             if len(row) != n:

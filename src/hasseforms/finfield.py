@@ -11,9 +11,27 @@ coefficient vector read as a base-p integer (constant coefficient least
 significant), and the first irreducible one wins.  This keeps residue
 fields reproducible across runs.
 
-For odd q the nonzero squares form an index-2 subgroup of the unit
-group; membership is decided by the Euler criterion a^((q-1)/2) = 1,
-which the test suite cross-checks against exhaustive squaring.
+Representation.  A field builds all q of its elements once, when it is
+constructed, as interned ``FieldElement`` objects: the element with
+coefficient vector (c_0, ..., c_{k-1}) has the code c_0 + c_1 p + ... +
+c_{k-1} p^(k-1), which is its index in the canonical order.  No element
+is allocated afterwards; every operation returns one of these objects.
+
+Logarithms.  The generator g is the first element in canonical order
+whose powers reach all of F_q^x, so it depends only on (p, k, modulus).
+Each nonzero element a = g^l carries l = log a.  The field keeps the
+table exp (n -> g^n, stored twice over so that a sum of two logs needs
+no reduction) and, as in FLINT's fq_zech, the Zech logarithms
+Z(n) = log(1 + g^n).  Then
+
+    g^i * g^j = g^(i + j)
+    g^i + g^j = g^(i + Z(j - i)), which is zero when 1 + g^(j - i) = 0,
+
+and negation, inverse and powers are single lookups as well.  For odd q
+the nonzero squares are the even powers of g, so the square class of a
+is the parity of its log; the test suite cross-checks this against
+exhaustive squaring.  The coefficient-vector arithmetic below (``_ip_*``)
+only finds the modulus and builds the tables.
 
 Everything here is desk scale: q is capped at MAX_FIELD_SIZE because
 all downstream algorithms are enumerative.
@@ -108,9 +126,12 @@ def _divisor_from_index(n: int, degree: int, p: int):
 
 
 class FiniteField:
-    """The field F_{p^k} presented as F_p[t]/(m)."""
+    """The field F_{p^k} presented as F_p[t]/(m), with its elements
+    interned and its arithmetic on log and Zech tables."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_sqrt_table", "_embed_roots", "_inverses")
+    __slots__ = (
+        "p", "k", "q", "modulus", "_half", "_elements", "_exp", "_zech", "_embed_roots"
+    )
 
     def __init__(self, p: int, k: int, modulus=None):
         if p > MAX_FIELD_SIZE:  # before the primality test, which costs sqrt(p)
@@ -133,31 +154,56 @@ class FiniteField:
         self.k = k
         self.q = q
         self.modulus = modulus
-        self._sqrt_table = None
+        self._half = (q - 1) // 2  # log of -1
         self._embed_roots = {}
-        self._inverses = {}  # nonzero coeffs -> inverse, at most q - 1 entries
+        self._build_tables()
+
+    def _build_tables(self):
+        p, k, q = self.p, self.k, self.q
+        vectors = [tuple(n // p**i % p for i in range(k)) for n in range(q)]
+        one = vectors[1]
+        for g in vectors[1:]:  # the first generator of F_q^x in canonical order
+            powers = [one]
+            power = g
+            while power != one:
+                powers.append(power)
+                power = _ip_mod(_ip_mul(power, g, p), self.modulus, p)
+                power += (0,) * (k - len(power))
+            if len(powers) == q - 1:
+                break
+        codes = [sum(c * p**i for i, c in enumerate(v)) for v in powers]
+        logs = [None] * q
+        for n, code in enumerate(codes):
+            logs[code] = n
+        self._elements = [FieldElement(self, v, n, logs[n]) for n, v in enumerate(vectors)]
+        # exp and Z twice over: a sum of two logs, or a difference of two
+        # (as a negative index), then needs no reduction mod q - 1
+        self._exp = [self._elements[code] for code in codes] * 2
+        # 1 + g^n: add one to the constant coefficient of g^n's code
+        zech = [logs[code - code % p + (code + 1) % p] for code in codes]
+        self._zech = zech * 2
 
     def element(self, value) -> FieldElement:
         """Coerce an int (constant) or coefficient sequence into the field."""
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise ValueError("element belongs to a different field")
-            return value
+            return self._elements[value._code]
         if isinstance(value, int):
-            coeffs = [value % self.p] + [0] * (self.k - 1)
-        else:
-            coeffs = list(value)
-            if len(coeffs) > self.k:
-                raise ValueError("coefficient vector longer than extension degree")
-            coeffs = [int(c) % self.p for c in coeffs]
-            coeffs += [0] * (self.k - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
+            return self._elements[value % self.p]
+        coeffs = list(value)
+        if len(coeffs) > self.k:
+            raise ValueError("coefficient vector longer than extension degree")
+        code = 0
+        for c in reversed(coeffs):
+            code = code * self.p + int(c) % self.p
+        return self._elements[code]
 
     def zero(self) -> FieldElement:
-        return self.element(0)
+        return self._elements[0]
 
     def one(self) -> FieldElement:
-        return self.element(1)
+        return self._elements[1]
 
     def gen(self) -> FieldElement:
         """The class of t (only meaningful for k >= 2)."""
@@ -168,18 +214,10 @@ class FiniteField:
     def elements(self) -> Iterator[FieldElement]:
         """All q elements in canonical order (coefficient vectors counting
         base p, constant coefficient fastest)."""
-        for n in range(self.q):
-            coeffs = []
-            m = n
-            for _ in range(self.k):
-                m, r = divmod(m, self.p)
-                coeffs.append(r)
-            yield FieldElement(self, tuple(coeffs))
+        return iter(self._elements)
 
     def nonzero_elements(self) -> Iterator[FieldElement]:
-        for a in self.elements():
-            if not a.is_zero():
-                yield a
+        return iter(self._elements[1:])
 
     def __eq__(self, other):
         if self is other:
@@ -220,22 +258,33 @@ def make_extension(p: int, k: int) -> FiniteField:
 
 
 class FieldElement:
-    """An element of a FiniteField; immutable, equality coefficient-wise."""
+    """An element of a FiniteField: one of the q objects the field
+    interned when it was built.
 
-    __slots__ = ("field", "coeffs")
+    ``coeffs`` is the coefficient vector, ``_code`` its index in the
+    canonical order and ``_log`` its discrete log to the field's
+    generator (None for zero).  Equality is coefficient-wise and holds
+    across separately built copies of one field; arithmetic with an
+    element of such a copy answers in this element's field.
+    """
 
-    def __init__(self, field: FiniteField, coeffs: tuple):
+    __slots__ = ("field", "coeffs", "_code", "_log", "_hash")
+
+    def __init__(self, field: FiniteField, coeffs: tuple, code: int, log):
         self.field = field
         self.coeffs = coeffs
+        self._code = code
+        self._log = log
+        self._hash = hash((field.q, coeffs))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self._log is None
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             if other.field != self.field:
                 raise ValueError("mismatched fields")
-            return other
+            return self.field._elements[other._code]
         if isinstance(other, int):
             return self.field.element(other)
         return NotImplemented
@@ -245,26 +294,42 @@ class FieldElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        la = self._log
+        if la is None:
+            return other
+        lb = other._log
+        if lb is None:
+            return self
+        field = self.field
+        z = field._zech[lb - la]  # g^la + g^lb = g^la (1 + g^(lb - la))
+        if z is None:
+            return field._elements[0]
+        return field._exp[la + z]
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
+        if self._log is None:
+            return self
+        return self.field._exp[self._log + self.field._half]
 
     def __sub__(self, other):
         if type(other) is not FieldElement or other.field is not self.field:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        field = self.field
+        lb = other._log
+        if lb is None:
+            return self
+        lb += field._half  # the log of -other
+        la = self._log
+        if la is None:
+            return field._exp[lb]
+        z = field._zech[lb - la]
+        if z is None:
+            return field._elements[0]
+        return field._exp[la + z]
 
     def __rsub__(self, other):
         return (-self) + other
@@ -274,27 +339,17 @@ class FieldElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        field = self.field
-        p = field.p
-        if field.k == 1:
-            return FieldElement(field, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        prod = _ip_mul(self.coeffs, other.coeffs, p)
-        red = _ip_mod(prod, field.modulus, p)
-        red = red + (0,) * (field.k - len(red))
-        return FieldElement(field, red)
+        la, lb = self._log, other._log
+        if la is None or lb is None:
+            return self.field._elements[0]
+        return self.field._exp[la + lb]
 
     __rmul__ = __mul__
 
     def inverse(self) -> FieldElement:
-        """a^(q-2), computed once per element and field; zero raises and
-        is never cached."""
-        inverses = self.field._inverses
-        inv = inverses.get(self.coeffs)
-        if inv is None:
-            if self.is_zero():
-                raise ZeroDivisionError("division by zero field element")
-            inv = inverses[self.coeffs] = self ** (self.field.q - 2)
-        return inv
+        if self._log is None:
+            raise ZeroDivisionError("division by zero field element")
+        return self.field._exp[self.field.q - 1 - self._log]
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -306,26 +361,22 @@ class FieldElement:
         return self.field.element(other) / self
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        field = self.field
+        if self._log is None:
+            if e < 0:
+                raise ZeroDivisionError("division by zero field element")
+            return field._elements[0 if e else 1]
+        return field._exp[self._log * e % (field.q - 1)]
 
     def __eq__(self, other):
         if type(other) is FieldElement:
-            return self.coeffs == other.coeffs and self.field == other.field
+            return self is other or (self._code == other._code and self.field == other.field)
         if isinstance(other, int):
-            return self.coeffs == self.field.element(other).coeffs
+            return self._code == other % self.field.p
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.q, self.coeffs))
+        return self._hash
 
     def __repr__(self):
         if self.field.k == 1:
@@ -358,10 +409,10 @@ class SquareClass(enum.Enum):
 
 
 def is_square(a: FieldElement) -> bool:
-    """Euler criterion.  Zero is rejected: square classes live in F_q^x."""
+    """Whether log a is even.  Zero is rejected: square classes live in F_q^x."""
     if a.is_zero():
         raise ValueError("square class of zero is undefined")
-    return a ** ((a.field.q - 1) // 2) == a.field.one()
+    return a._log % 2 == 0
 
 
 def square_class(a: FieldElement) -> SquareClass:
@@ -369,20 +420,16 @@ def square_class(a: FieldElement) -> SquareClass:
 
 
 def sqrt(a: FieldElement) -> FieldElement:
-    """The canonically smallest square root, found by exhaustive search."""
-    field = a.field
-    if field._sqrt_table is None:
-        table = {}
-        for e in field.elements():
-            sq = e * e
-            cur = table.get(sq.coeffs)
-            if cur is None or e.coeffs < cur.coeffs:
-                table[sq.coeffs] = e
-        field._sqrt_table = table
-    root = field._sqrt_table.get(a.coeffs)
-    if root is None:
+    """The canonically smallest square root: of the two roots
+    ±g^(log a / 2), the one with the smaller coefficient tuple."""
+    if a.is_zero():
+        return a
+    if a._log % 2:
         raise ValueError(f"{a!r} is not a square")
-    return root
+    field = a.field
+    root = field._exp[a._log // 2]
+    other = field._exp[a._log // 2 + field._half]
+    return root if root.coeffs < other.coeffs else other
 
 
 def embed(a: FieldElement, target: FiniteField) -> FieldElement:

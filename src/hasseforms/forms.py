@@ -493,11 +493,12 @@ def isom_search(
     views.append((pool, f_rows, g_rows))
 
     counter = _EvalCounter(budget)
+    terms = _diagonal_terms(f_rows, pool) if diagonal else None
     targets = {}
     for j in range(n):
         t = g_rows[j][j]
         if t not in targets:
-            targets[t] = _quadratic_candidates(views, j, diagonal, counter)
+            targets[t] = _quadratic_candidates(views, j, terms, counter)
     candidates = [targets[g_rows[j][j]] for j in range(n)]
 
     est = 1
@@ -606,15 +607,27 @@ def _bilinear(f_rows, u, v):
     return u[0] - u[0] if acc is None else acc
 
 
-def _quadratic_candidates(views, j: int, diagonal: bool, counter):
+def _diagonal_terms(f_rows, pool):
+    """For a diagonal F: f_rr e^2 for each r and each pool position, and
+    the positions holding each value of f_00 e^2.  Neither depends on
+    the target, so one search computes them once."""
+    terms = [[f_rows[r][r] * e * e for e in pool] for r in range(len(f_rows))]
+    first = {}
+    for k, t in enumerate(terms[0]):
+        first.setdefault(t, []).append(k)
+    return terms, first
+
+
+def _quadratic_candidates(views, j: int, terms, counter):
     """All columns c within bounds with c^t F c = G_jj, as increasing
     tuples of pool positions.  ``views`` are the search's probe views,
-    the ring last."""
+    the ring last; ``terms`` is ``_diagonal_terms`` for a diagonal F and
+    None otherwise."""
     pool, f_rows, g_rows = views[-1]
     target = g_rows[j][j]
     n = len(f_rows)
     positions = range(len(pool))
-    if not diagonal:
+    if terms is None:
         # the probe views reject most columns before the ring product
         counter.tick(len(pool) ** n)
         out = []
@@ -626,19 +639,17 @@ def _quadratic_candidates(views, j: int, diagonal: bool, counter):
             else:
                 out.append(col)
         return out
-    # diagonal form: hash f_00 e^2 by position, then scan the other n - 1
+    # diagonal form: look up f_00 e^2 by value, then scan the other n - 1
     # entries (for rank 1 there is nothing left to scan)
+    squares, first = terms
     counter.tick(len(pool))
-    first = {}
-    for k, e in enumerate(pool):
-        first.setdefault(f_rows[0][0] * e * e, []).append(k)
     if n > 1:
         counter.tick(len(pool) ** (n - 1))
     out = []
     for rest in itertools.product(positions, repeat=n - 1):
         need = target
         for r, k in enumerate(rest, 1):
-            need = need - f_rows[r][r] * pool[k] * pool[k]
+            need = need - squares[r][k]
         out.extend((k, *rest) for k in first.get(need, ()))
     out.sort()
     return out

@@ -18,7 +18,8 @@ in canonical order.  Factorization is trial division against these
 irreducibles in increasing degree, which is adequate at desk scale.
 
 Text grammar for polynomials: integer coefficients, variable x,
-caret powers, e.g. ``x^3+2*x+3``; coefficients are read mod p.
+caret powers, e.g. ``x^3+2*x+3``; coefficients are read mod p.  An
+exponent above MAX_TEXT_DEGREE is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Iterator, Optional
 from .finfield import FieldElement, FiniteField, embed, make_extension
 
 FACTOR_DEGREE_BOUND = 24
+MAX_TEXT_DEGREE = 256  # largest exponent the text grammar accepts
 
 
 class Poly:
@@ -263,6 +265,8 @@ _TERM_RE = re.compile(r"^([+-]?)(\d+)?(?:\*?(x)(?:\^(\d+))?)?$")
 
 
 def _parse_poly(field: FiniteField, text: str) -> Poly:
+    if not isinstance(text, str):
+        raise ValueError(f"polynomial text must be a string, got {text!r}")
     compact = text.replace(" ", "")
     if not compact:
         raise ValueError("empty polynomial text")
@@ -281,6 +285,10 @@ def _parse_poly(field: FiniteField, text: str) -> Poly:
             exp = 0
         else:
             exp = int(m.group(4)) if m.group(4) is not None else 1
+            if exp > MAX_TEXT_DEGREE:
+                raise ValueError(
+                    f"exponent {exp} exceeds the text grammar's bound {MAX_TEXT_DEGREE}"
+                )
         coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
     out = [0] * (max(coeffs) + 1)
     for exp, c in coeffs.items():

@@ -94,6 +94,8 @@ def ring_elem_from_json(curve: CurveSpec, data) -> RingElement:
         return RingElement.constant(curve, data)
     if isinstance(data, str):
         return RingElement(curve, Poly.from_text(field, data))
+    if not isinstance(data, dict):
+        raise ValueError("ring element must be a JSON object, int or string")
     a = Poly.from_text(field, data.get("A", "0"))
     b = Poly.from_text(field, data.get("B", "0"))
     return RingElement(curve, a, b)
@@ -110,9 +112,10 @@ def fraction_from_json(curve: CurveSpec, data) -> RingFraction:
         return RingFraction.from_ring(ring_elem_from_json(curve, data))
     num = ring_elem_from_json(curve, data["num"])
     den = data.get("den", "1")
-    if isinstance(den, dict):
-        return RingFraction.make(num, ring_elem_from_json(curve, den))
-    return RingFraction(curve, num, Poly.from_text(curve.field, den))
+    den = ring_elem_from_json(curve, den) if isinstance(den, dict) else Poly.from_text(curve.field, den)
+    if den.is_zero():
+        raise ValueError("fraction has a zero denominator")
+    return RingFraction.make(num, den)
 
 
 def matrix_to_json(m: RingMatrix) -> list:

@@ -274,3 +274,79 @@ def monic_irreducibles_by_trial_division(field: FiniteField, degree: int):
             g for g in monic_polys(field, degree) if not any((g % h).is_zero() for h in divisors)
         )
     return _trial_cache[key]
+
+
+# ---------------------------------------------------------------------------
+# F_p[t]/(m) on plain coefficient vectors: schoolbook products with long
+# division by the modulus, inverses and square roots by exhaustive search.
+# Nothing here uses logarithms or the library's elements.
+
+
+class VectorField:
+    """The field with the given odd prime p and monic modulus m, elements
+    as coefficient tuples (constant coefficient first)."""
+
+    def __init__(self, p: int, modulus):
+        self.p = p
+        self.m = tuple(modulus)
+        self.k = len(modulus) - 1
+        # canonical order: base-p counting, constant coefficient fastest
+        self.vectors = [v[::-1] for v in itertools.product(range(p), repeat=self.k)]
+        self.zero = (0,) * self.k
+        self.one = (1,) + (0,) * (self.k - 1)
+        self._inverses = None
+        self._roots = None
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x % self.p for x in a)
+
+    def mul(self, a, b):
+        p, k, m = self.p, self.k, self.m
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for top in range(2 * k - 2, k - 1, -1):  # t^top = t^(top-k) (t^k - m)
+            c = prod[top] % p
+            for i in range(k + 1):
+                prod[top - k + i] -= c * m[i]
+        return tuple(c % p for c in prod[:k])
+
+    def inverse(self, a):
+        if self._inverses is None:
+            self._inverses = {}
+            for x in self.vectors[1:]:
+                for y in self.vectors[1:]:
+                    if self.mul(x, y) == self.one:
+                        self._inverses[x] = y
+                        break
+        if a not in self._inverses:
+            raise ZeroDivisionError("zero has no inverse")
+        return self._inverses[a]
+
+    def pow(self, a, e: int):
+        if e < 0:
+            a, e = self.inverse(a), -e
+        out = self.one
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
+
+    def smallest_root(self, a):
+        """The smallest (as a tuple) r with r*r = a, or None."""
+        if self._roots is None:
+            self._roots = {}
+            for r in self.vectors:
+                sq = self.mul(r, r)
+                if sq not in self._roots or r < self._roots[sq]:
+                    self._roots[sq] = r
+        return self._roots.get(a)

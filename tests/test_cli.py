@@ -256,6 +256,18 @@ def test_huge_inspection_degree_rejected():
         assert proc.returncode == 2 and "inspection degree" in proc.stderr
 
 
+def test_huge_exponent_in_pair_rejected(tmp_path):
+    # the parser used to allocate max exponent + 1 coefficients first
+    with open(fixture_path("polyline_pair")) as handle:
+        pair = json.load(handle)
+    pair["G"][0][0] = "x^1000000000"
+    path = tmp_path / "huge_exponent.json"
+    path.write_text(json.dumps(pair))
+    for command in ("genus-verify", "isom-search"):
+        proc = run_cli(command, "--input", str(path))
+        assert proc.returncode == 2 and "exceeds" in proc.stderr
+
+
 def test_genus_verify_f121_line_finishes(tmp_path):
     # 7381 primes of degree <= 2; trial-division enumeration alone took over a minute
     with open(fixture_path("polyline_pair")) as handle:
@@ -267,6 +279,24 @@ def test_genus_verify_f121_line_finishes(tmp_path):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["verdict"] == "Certified" and len(report["covered"]) == 121 + 7260
+
+
+def test_malformed_shapes_exit_2(capsys):
+    # each of these escaped cli.run as AttributeError, IndexError or ZeroDivisionError
+    line = {"type": "polyline", "field": {"p": 3, "k": 1}}
+    cases = [
+        ("isom-search", None, "input must be a JSON object"),
+        ("form", [1], "input must be a JSON object"),
+        ("isom-search", {"schema": 1, "curve": line, "F": [], "G": []}, "at least one row"),
+        ("form", {"schema": 1, "curve": line, "matrix": []}, "at least one row"),
+        ("form", {"schema": 1, "curve": line, "matrix": [[{"A": 7}]]}, "must be a string"),
+        ("form", {"schema": 1, "curve": line, "matrix": [[[1]]]}, "ring element must be"),
+        ("form", {"schema": 1, "curve": line, "matrix": [[{"num": "1", "den": "0"}]]}, "zero denominator"),
+        ("form", {"schema": 1, "curve": line, "matrix": [[{"num": "1", "den": {"A": "3"}}]]}, "zero denominator"),
+    ]
+    for command, payload, message in cases:
+        code, _, err = invoke(capsys, command, "--json", json.dumps(payload))
+        assert code == 2 and message in json.loads(err)["error"]
 
 
 def test_bad_schema_rejected(capsys):

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hasseforms.finfield import (
     capped_power,
@@ -13,7 +15,7 @@ from hasseforms.finfield import (
     square_class,
 )
 
-from oracles import exhaustive_squares
+from oracles import VectorField, exhaustive_squares
 
 F5 = make_extension(5, 1)
 F9 = make_extension(3, 2)
@@ -54,7 +56,7 @@ def test_division_by_zero_rejected():
 
 @pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (3, 3), (11, 2)])
 def test_inverse_cold_and_warm(p, k):
-    field = FiniteField(p, k)  # a fresh field, so its inverse cache starts empty
+    field = FiniteField(p, k)  # a fresh field: the first inverse of each element is cold
     with pytest.raises(ZeroDivisionError):
         field.zero().inverse()
     nonzero = list(field.nonzero_elements())
@@ -64,10 +66,10 @@ def test_inverse_cold_and_warm(p, k):
         assert a * inv_cold == field.one()
         assert a * inv_warm == field.one()
         assert inv_warm == inv_cold == a ** (field.q - 2)
-    assert len(field._inverses) == field.q - 1
     with pytest.raises(ZeroDivisionError):
         field.zero().inverse()
-    assert field.zero().coeffs not in field._inverses
+    with pytest.raises(ZeroDivisionError):
+        field.zero() ** -1
 
 
 def test_mismatched_fields_rejected():
@@ -192,3 +194,122 @@ def test_canonical_element_order():
     assert elems[1] == F9.one()
     assert elems[3] == F9.gen()
     assert len(elems) == 9
+
+
+# every odd prime power q <= 121, as (p, k)
+ODD_FIELDS = [
+    (p, k)
+    for p in range(3, 122, 2)
+    if all(p % d for d in range(2, p))
+    for k in (1, 2, 3, 4)
+    if p**k <= 121
+]
+
+
+def test_odd_fields_listed():
+    assert len(ODD_FIELDS) == 35
+
+
+@pytest.mark.parametrize("p,k", ODD_FIELDS)
+def test_tables_match_vector_oracle(p, k):
+    field = make_extension(p, k)
+    oracle = VectorField(p, field.modulus)
+    elems = list(field.elements())
+    assert [a.coeffs for a in elems] == oracle.vectors
+    # every result must be the field's own interned element
+    by_coeffs = {a.coeffs: a for a in elems}
+    for a in elems:
+        for b in elems:
+            assert a + b is by_coeffs[oracle.add(a.coeffs, b.coeffs)]
+            assert a - b is by_coeffs[oracle.sub(a.coeffs, b.coeffs)]
+            assert a * b is by_coeffs[oracle.mul(a.coeffs, b.coeffs)]
+    exponents = (0, 1, 2, 3, field.q // 2, field.q - 2, field.q - 1, field.q, 2 * field.q + 1, 10**9 + 7)
+    for a in elems:
+        assert -a is by_coeffs[oracle.neg(a.coeffs)]
+        for e in exponents:
+            assert a**e is by_coeffs[oracle.pow(a.coeffs, e)]
+        if a.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+            with pytest.raises(ZeroDivisionError):
+                a**-1
+            with pytest.raises(ValueError):
+                is_square(a)
+            assert sqrt(a) is a
+            continue
+        assert a.inverse() is by_coeffs[oracle.inverse(a.coeffs)]
+        for e in exponents:
+            assert a**-e is by_coeffs[oracle.pow(a.coeffs, -e)]
+        root = oracle.smallest_root(a.coeffs)
+        assert is_square(a) == (root is not None)
+        if root is None:
+            with pytest.raises(ValueError):
+                sqrt(a)
+        else:
+            assert sqrt(a) is by_coeffs[root]
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 4), (11, 2)])
+def test_separately_built_fields_interoperate(p, k):
+    f1, f2 = FiniteField(p, k), FiniteField(p, k)
+    assert f1 is not f2 and f1 == f2 and hash(f1) == hash(f2)
+    oracle = VectorField(p, f1.modulus)
+    for a in f1.elements():
+        twin = f2.element(a.coeffs)
+        assert twin is not a and twin == a and hash(twin) == hash(a)
+        assert f1.element(twin) is a
+        for b in itertools.islice(f2.elements(), 0, None, max(1, f2.q // 7)):
+            assert (a + b).field is f1 and (b + a).field is f2
+            assert (a + b).coeffs == (b + a).coeffs == oracle.add(a.coeffs, b.coeffs)
+            assert (a - b).coeffs == oracle.sub(a.coeffs, b.coeffs)
+            assert (a * b).coeffs == (b * a).coeffs == oracle.mul(a.coeffs, b.coeffs)
+            if not b.is_zero():
+                assert (a / b).coeffs == oracle.mul(a.coeffs, oracle.inverse(b.coeffs))
+    # the generator depends only on (p, k, modulus)
+    assert [g.coeffs for g in f1._exp] == [g.coeffs for g in f2._exp]
+
+
+@pytest.mark.parametrize("p,k", ODD_FIELDS)
+def test_generator_is_first_primitive_element(p, k):
+    field = make_extension(p, k)
+    oracle = VectorField(p, field.modulus)
+
+    def order(v):
+        n, x = 1, v
+        while x != oracle.one:
+            n, x = n + 1, oracle.mul(x, v)
+        return n
+
+    first = next(v for v in oracle.vectors[1:] if order(v) == field.q - 1)
+    assert field._exp[1].coeffs == first
+
+
+def _field_and_elements(n):
+    return st.sampled_from(ODD_FIELDS).flatmap(
+        lambda pk: st.tuples(
+            *[st.integers(0, pk[0] ** pk[1] - 1) for _ in range(n)]
+        ).map(lambda codes: [list(make_extension(*pk).elements())[c] for c in codes])
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_field_and_elements(3), st.integers(-300, 300), st.integers(-300, 300))
+def test_field_axioms_hypothesis(elems, e1, e2):
+    a, b, c = elems
+    field = a.field
+    zero, one = field.zero(), field.one()
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a + (-a) == zero and -(-a) == a
+    assert (a - b) + b == a and a - b == -(b - a)
+    assert a**0 == one
+    if not a.is_zero():
+        assert a * a.inverse() == one and a / a == one
+        assert a ** (e1 + e2) == a**e1 * a**e2
+        assert (a**e1) ** 2 == a ** (2 * e1)
+        assert is_square(a * a) and sqrt(a * a) in (a, -a)
+        if not b.is_zero():
+            assert (a * b) ** e1 == a**e1 * b**e1
+            assert is_square(a * b) == (is_square(a) == is_square(b))

@@ -515,6 +515,25 @@ def test_isom_search_non_diagonal_matches_brute_force(f, g, deg_x, deg_y):
     assert isom_search(f, g, deg_x=deg_x, deg_y=deg_y) == RingMatrix(f.curve, expected)
 
 
+def _diagonal_cases():
+    # distinct diagonal entries of F, and distinct diagonal targets of G
+    cases = []
+    for curve, deg_y in ((CurveSpec.polyline(F5), -1), (CurveSpec.weierstrass(F3, 1, 1), 0)):
+        f = GramMatrix.diagonal(curve, [1, 2])
+        q0 = RingMatrix(curve, [[1, P(curve.field, "x")], [0, 1]])
+        cases.append((f, GramMatrix(curve, congruence(q0, f.matrix)), 1, deg_y))
+    f3 = GramMatrix.diagonal(CurveSpec.polyline(F3), [1, 2, 2])
+    cases.append((f3, f3, 0, -1))
+    return cases
+
+
+@pytest.mark.parametrize("f, g, deg_x, deg_y", _diagonal_cases(), ids=["line", "cubic", "rank3"])
+def test_isom_search_diagonal_matches_brute_force(f, g, deg_x, deg_y):
+    expected = first_isometry(f, g, deg_x, deg_y)
+    assert expected is not None
+    assert isom_search(f, g, deg_x=deg_x, deg_y=deg_y) == RingMatrix(f.curve, expected)
+
+
 def test_reduce_at_prime_root_matches_residue_reduce():
     line = CurveSpec.polyline(F3)
     g = GramMatrix.from_rows(line, [[P(F3, "x^2+1"), P(F3, "x")], [P(F3, "x"), P(F3, "2*x^3+x+2")]])

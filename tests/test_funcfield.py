@@ -4,6 +4,7 @@ import pytest
 
 from hasseforms.finfield import make_extension
 from hasseforms.funcfield import (
+    MAX_TEXT_DEGREE,
     Poly,
     PrimePoly,
     RatFunc,
@@ -96,6 +97,19 @@ def test_parse_poly(text, coeffs):
 def test_parse_rejects_garbage():
     for bad in ("", "x+", "y^2", "x**2", "++1"):
         with pytest.raises(ValueError):
+            Poly.from_text(F5, bad)
+
+
+def test_parse_refuses_huge_exponent_before_allocating():
+    assert Poly.from_text(F3, f"x^{MAX_TEXT_DEGREE}").degree == MAX_TEXT_DEGREE
+    for text in (f"x^{MAX_TEXT_DEGREE + 1}", "x^300000", "x^1000000000", "1+x^" + "9" * 4000):
+        with pytest.raises(ValueError, match="exceeds"):
+            Poly.from_text(F3, text)
+
+
+def test_parse_rejects_non_strings():
+    for bad in (None, 3, [1, 2], {"A": "x"}):
+        with pytest.raises(ValueError, match="must be a string"):
             Poly.from_text(F5, bad)
 
 
