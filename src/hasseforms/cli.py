@@ -47,6 +47,7 @@ from .serialize import (
     pair_from_json,
     point_report_to_json,
     render_text,
+    require_key,
 )
 
 
@@ -126,8 +127,8 @@ def _cmd_form(args) -> int:
     data = _load_input(args)
     if data.get("schema") != 1:
         raise ValueError("unsupported or missing schema version")
-    curve = curve_from_json(data["curve"])
-    matrix = matrix_from_json(curve, data["matrix"])
+    curve = curve_from_json(require_key(data, "curve", "input"))
+    matrix = matrix_from_json(curve, require_key(data, "matrix", "input"))
     det = matrix.det()
     symmetric = matrix.is_symmetric()
     integral = matrix.all_integral()
@@ -308,8 +309,18 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, TypeError, OSError, BudgetExceededError, json.JSONDecodeError) as exc:
-        sys.stderr.write(dumps({"error": str(exc)}))
+        sys.stderr.write(dumps({"error": _error_text(exc)}))
         return 2
+
+
+def _error_text(exc: Exception) -> str:
+    """The exit-2 message.  A KeyError's own text is only the key's repr;
+    it becomes ``missing key 'field'``, followed by the object the key is
+    missing from when the loader named it (KeyError(key, object))."""
+    if isinstance(exc, KeyError) and exc.args:
+        where = f" in {exc.args[1]}" if len(exc.args) > 1 else ""
+        return f"missing key {exc.args[0]!r}{where}"
+    return str(exc)
 
 
 def main() -> None:

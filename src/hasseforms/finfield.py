@@ -33,8 +33,12 @@ is the parity of its log; the test suite cross-checks this against
 exhaustive squaring.  The coefficient-vector arithmetic below (``_ip_*``)
 only finds the modulus and builds the tables.
 
-Everything here is desk scale: q is capped at MAX_FIELD_SIZE because
-all downstream algorithms are enumerative.
+Everything here is desk scale, because all downstream algorithms are
+enumerative.  Base fields, the fields curves and forms are defined over,
+have q <= MAX_FIELD_SIZE = 121; the inputs enforce that cap.  Extension
+fields, built as residue fields, as point fields of a curve and as the
+evaluation fields of the isometry search, have q <= MAX_INSPECTION_SIZE
+= 121^2 = 14 641, and ``FiniteField`` refuses anything larger.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import enum
 from typing import Iterator
 
 MAX_FIELD_SIZE = 121
+MAX_INSPECTION_SIZE = MAX_FIELD_SIZE**2
 
 
 def capped_power(base: int, exp: int, cap: int) -> int:
@@ -116,6 +121,28 @@ def _ip_is_irreducible(m, p: int) -> bool:
     return True
 
 
+def _ip_pow_mod(a, e: int, m, p):
+    """a^e mod m by square and multiply, trimmed."""
+    out, base = (1,), _ip_trim(a)
+    while e:
+        if e & 1:
+            out = _ip_mod(_ip_mul(out, base, p), m, p)
+        base = _ip_mod(_ip_mul(base, base, p), m, p)
+        e >>= 1
+    return out
+
+
+def _prime_factors(n: int):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
 def _divisor_from_index(n: int, degree: int, p: int):
     coeffs = []
     for _ in range(degree):
@@ -134,15 +161,15 @@ class FiniteField:
     )
 
     def __init__(self, p: int, k: int, modulus=None):
-        if p > MAX_FIELD_SIZE:  # before the primality test, which costs sqrt(p)
-            raise ValueError(f"field size {p}^{k} exceeds desk-scale bound {MAX_FIELD_SIZE}")
+        if p > MAX_INSPECTION_SIZE:  # before the primality test, which costs sqrt(p)
+            raise ValueError(f"field size {p}^{k} exceeds desk-scale bound {MAX_INSPECTION_SIZE}")
         if not _is_prime(p) or p == 2:
             raise ValueError(f"characteristic must be an odd prime, got {p}")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        q = capped_power(p, k, MAX_FIELD_SIZE)
-        if q > MAX_FIELD_SIZE:
-            raise ValueError(f"field size {p}^{k} exceeds desk-scale bound {MAX_FIELD_SIZE}")
+        q = capped_power(p, k, MAX_INSPECTION_SIZE)
+        if q > MAX_INSPECTION_SIZE:
+            raise ValueError(f"field size {p}^{k} exceeds desk-scale bound {MAX_INSPECTION_SIZE}")
         if modulus is None:
             modulus = _minimal_irreducible(p, k)
         modulus = tuple(c % p for c in modulus)
@@ -162,15 +189,19 @@ class FiniteField:
         p, k, q = self.p, self.k, self.q
         vectors = [tuple(n // p**i % p for i in range(k)) for n in range(q)]
         one = vectors[1]
-        for g in vectors[1:]:  # the first generator of F_q^x in canonical order
-            powers = [one]
-            power = g
-            while power != one:
-                powers.append(power)
-                power = _ip_mod(_ip_mul(power, g, p), self.modulus, p)
-                power += (0,) * (k - len(power))
-            if len(powers) == q - 1:
-                break
+        # the first generator of F_q^x in canonical order: g has order
+        # q - 1 iff g^((q - 1)/l) != 1 for every prime l dividing q - 1
+        cofactors = [(q - 1) // l for l in _prime_factors(q - 1)]
+        g = next(
+            v for v in vectors[1:]
+            if all(_ip_pow_mod(v, e, self.modulus, p) != (1,) for e in cofactors)
+        )
+        powers = [one]
+        power = g
+        for _ in range(q - 2):
+            powers.append(power)
+            power = _ip_mod(_ip_mul(power, g, p), self.modulus, p)
+            power += (0,) * (k - len(power))
         codes = [sum(c * p**i for i, c in enumerate(v)) for v in powers]
         logs = [None] * q
         for n, code in enumerate(codes):
@@ -182,6 +213,13 @@ class FiniteField:
         # 1 + g^n: add one to the constant coefficient of g^n's code
         zech = [logs[code - code % p + (code + 1) % p] for code in codes]
         self._zech = zech * 2
+
+    def zech_table(self) -> list:
+        """Z(n) = log(1 + g^n), None where 1 + g^n = 0, for every n with
+        -2(q - 1) <= n < 2(q - 1) as a list index.  A kernel that holds
+        elements as their logs adds g^a + g^b as g^(a + Z(b - a)).
+        Read only."""
+        return self._zech
 
     def element(self, value) -> FieldElement:
         """Coerce an int (constant) or coefficient sequence into the field."""
@@ -279,6 +317,11 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return self._log is None
+
+    @property
+    def log(self):
+        """The discrete log to the field's generator; None for zero."""
+        return self._log
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):

@@ -41,7 +41,19 @@ from .curvering import (
     det,
     matmul,
 )
-from .finfield import MAX_FIELD_SIZE, FieldElement, FiniteField, SquareClass, capped_power, embed, square_class
+from .finfield import (
+    MAX_FIELD_SIZE,
+    MAX_INSPECTION_SIZE,
+    FieldElement,
+    FiniteField,
+    SquareClass,
+    capped_power,
+    embed,
+    is_square,
+    make_extension,
+    sqrt,
+    square_class,
+)
 from .funcfield import (
     Poly,
     PrimePoly,
@@ -52,10 +64,6 @@ from .funcfield import (
 )
 
 DEFAULT_SEARCH_BUDGET = 10**8
-# genus verification enumerates up to q^degree candidate places on the
-# line; on a cubic it enumerates points over F_{q^degree}, which
-# finfield caps at MAX_FIELD_SIZE
-MAX_INSPECTION_SIZE = MAX_FIELD_SIZE**2
 
 
 class MalformedWitnessError(ValueError):
@@ -367,6 +375,8 @@ def verify_genus_witness(
     if degree < 1:
         raise ValueError("inspection degree must be >= 1")
     curve = f.curve
+    # the line enumerates up to q^degree candidate primes; the cubic lists
+    # each closed point once per conjugate, so it stays at the base cap
     bound = MAX_INSPECTION_SIZE if curve.is_polyline else MAX_FIELD_SIZE
     if capped_power(curve.field.q, degree, bound) > bound:
         raise ValueError(
@@ -448,6 +458,23 @@ def isom_search(
     itself gives [[1,1,2],[1,2,1],[2,1,1]].  ``None`` means
     none-within-bounds, which is evidence, not proof.
 
+    Every inner product is compared on its values at D + 1 curve points
+    with distinct x, and that comparison is exact.  For h = A + By the
+    norm N(h) = A^2 - B^2 (x^3 + ax + b) is 0 only when h is (a cubic is
+    not a square), its degree max(2 deg A, 2 deg B + 3) is the pole
+    order of h at infinity (on the line N(h) = h, of degree deg A), and
+    h(P) = 0 forces N(h)(x(P)) = h(P) h'(P) = 0, h' the conjugate.  Pole
+    orders add under products, so D, the largest pole order of u^t F v
+    for columns within the bounds, also bounds u^t F v - G_ij, and a
+    nonzero difference vanishes at no more than D of the x-values.  A
+    G_ij of larger pole order is matched by nothing and needs no points.
+    The points are the first D + 1 x-values, in canonical order, of the
+    smallest F_{q^k} that has that many (on the cubic, each with the
+    smaller square root for y); when no field of at most
+    MAX_INSPECTION_SIZE elements has them, ValueError is raised before
+    the pool is built.  Only the final witness is built as a matrix over
+    the ring, for its determinant.
+
     ``budget`` caps the estimated number of inner-product evaluations
     (default 10^8); exceeding it raises BudgetExceededError.
     """
@@ -471,34 +498,38 @@ def isom_search(
         size *= capped_power(curve.field.q, deg_y + 1, budget)
     if size > budget:
         raise BudgetExceededError(f"entry pool size exceeds budget {budget}")
-    pool = _entry_pool(curve, deg_x, deg_y)
     f_rows = f.ring_rows()
     g_rows = g.ring_rows()
+    reach = _reach(curve, f_rows, deg_x, deg_y)
+    points = _evaluation_points(curve, 0 if reach is None else reach + 1)
+    pool = _entry_pool(curve, deg_x, deg_y)
     diagonal = all(
         f_rows[i][j].is_zero() for i in range(n) for j in range(n) if i != j
     )
 
-    # evaluation at a few curve points is a ring homomorphism, so a
-    # mismatch there rules a column or a pair out before the exact inner
-    # product; each view is (entry values by pool position, F there,
-    # G there), and the last view is the ring itself
-    views = [
-        (
-            [e.evaluate(x0, y0) for e in pool],
-            [[e.evaluate(x0, y0) for e in row] for row in f_rows],
-            [[e.evaluate(x0, y0) for e in row] for row in g_rows],
-        )
-        for x0, y0 in _probe_points(curve)
-    ]
-    views.append((pool, f_rows, g_rows))
-
+    # the scan for each distinct diagonal target is charged before any
+    # value is computed; the scans themselves tick nothing
     counter = _EvalCounter(budget)
-    terms = _diagonal_terms(f_rows, pool) if diagonal else None
+    for _ in {g_rows[j][j] for j in range(n)}:
+        if diagonal:
+            counter.tick(len(pool))
+            if n > 1:
+                counter.tick(len(pool) ** (n - 1))
+        else:
+            counter.tick(len(pool) ** n)
+
+    logs = _Logs(curve.field, points)
+    vectors = _pool_vectors(curve, deg_x, deg_y, logs)
+    f_at = [[logs.values(e) for e in row] for row in f_rows]
+    f_cols = _columns(f_rows, f_at)
+    # None marks a G entry beyond the reach of u^t F v, matched by nothing
+    g_at = [[logs.values(e) if _reachable(e, reach) else None for e in row] for row in g_rows]
+    scan = _diagonal_scan(vectors, f_at, logs) if diagonal else _full_scan(vectors, f_cols, logs)
     targets = {}
     for j in range(n):
         t = g_rows[j][j]
         if t not in targets:
-            targets[t] = _quadratic_candidates(views, j, terms, counter)
+            targets[t] = [] if g_at[j][j] is None else scan(g_at[j][j])
     candidates = [targets[g_rows[j][j]] for j in range(n)]
 
     est = 1
@@ -509,19 +540,14 @@ def isom_search(
                 f"estimated candidate count {est} exceeds budget {budget}"
             )
 
-    def agrees(u, v, i: int, j: int) -> bool:
-        return all(
-            _bilinear(f_at, [vals[k] for k in u], [vals[k] for k in v]) == g_at[i][j]
-            for vals, f_at, g_at in views
-        )
-
-    cols = []
+    cols, images = [], []
 
     def extend(j: int) -> Optional[RingMatrix]:
+        checks = [(images[i], g_at[i][j]) for i in range(j)]
         for col in candidates[j]:
-            for i in range(j):
+            for image, target in checks:
                 counter.tick()
-                if not agrees(cols[i], col, i, j):
+                if target is None or not _agrees(image, col, vectors, target, logs):
                     break
             else:  # col agrees with every column chosen so far
                 cols.append(col)
@@ -531,29 +557,15 @@ def isom_search(
                     if det.is_integral() and det.as_ring_element().is_unit():
                         return q
                 else:
+                    images.append(_image([vectors[k] for k in col], f_cols, logs))
                     found = extend(j + 1)
                     if found is not None:
                         return found
+                    images.pop()
                 cols.pop()
         return None
 
     return extend(0)
-
-
-def _probe_points(curve: CurveSpec):
-    """A few evaluation points of the coordinate ring, used as a cheap
-    necessary filter during the search."""
-    if curve.is_polyline:
-        xs = []
-        for x0 in curve.field.elements():
-            xs.append((x0, None))
-            if len(xs) == 4:
-                break
-        return xs
-    pts = enumerate_points(curve, 1)
-    if len(pts) < 2:
-        pts = enumerate_points(curve, 2)
-    return [(p.x, p.y) for p in pts[:4]]
 
 
 class _EvalCounter:
@@ -593,63 +605,211 @@ def _entry_key(e: RingElement, deg_x: int, deg_y: int):
     return (1 if e.is_zero() else 0,) + flat
 
 
-def _bilinear(f_rows, u, v):
-    """u^t F v, skipping zero entries of F.  The entries are ring
-    elements for the exact check and their values at a point for a
-    probe; u - u is the zero of whichever ring they live in."""
-    acc = None
-    for i, row in enumerate(f_rows):
-        for j, fij in enumerate(row):
-            if fij.is_zero():
-                continue
-            term = u[i] * fij * v[j]
-            acc = term if acc is None else acc + term
-    return u[0] - u[0] if acc is None else acc
+def _pole_order(e: RingElement) -> Optional[int]:
+    """deg N(e), the pole order of e at infinity, or None for 0."""
+    if e.is_zero():
+        return None
+    if e.curve.is_polyline:
+        return e.a.degree
+    return max(2 * e.a.degree, 2 * e.b.degree + 3 if not e.b.is_zero() else -1)
 
 
-def _diagonal_terms(f_rows, pool):
-    """For a diagonal F: f_rr e^2 for each r and each pool position, and
-    the positions holding each value of f_00 e^2.  Neither depends on
-    the target, so one search computes them once."""
-    terms = [[f_rows[r][r] * e * e for e in pool] for r in range(len(f_rows))]
-    first = {}
-    for k, t in enumerate(terms[0]):
-        first.setdefault(t, []).append(k)
-    return terms, first
+def _reach(curve: CurveSpec, f_rows, deg_x: int, deg_y: int) -> Optional[int]:
+    """The largest pole order of u^t F v over columns within the bounds,
+    or None when the bounds admit only the zero entry."""
+    entry = []
+    if deg_x >= 0:
+        entry.append(deg_x if curve.is_polyline else 2 * deg_x)
+    if deg_y >= 0:
+        entry.append(2 * deg_y + 3)
+    if not entry:
+        return None
+    return 2 * max(entry) + max(_pole_order(e) for row in f_rows for e in row if not e.is_zero())
 
 
-def _quadratic_candidates(views, j: int, terms, counter):
-    """All columns c within bounds with c^t F c = G_jj, as increasing
-    tuples of pool positions.  ``views`` are the search's probe views,
-    the ring last; ``terms`` is ``_diagonal_terms`` for a diagonal F and
-    None otherwise."""
-    pool, f_rows, g_rows = views[-1]
-    target = g_rows[j][j]
-    n = len(f_rows)
-    positions = range(len(pool))
-    if terms is None:
-        # the probe views reject most columns before the ring product
-        counter.tick(len(pool) ** n)
+def _reachable(target: RingElement, reach: Optional[int]) -> bool:
+    order = _pole_order(target)
+    return order is None or (reach is not None and order <= reach)
+
+
+def _evaluation_points(curve: CurveSpec, count: int):
+    """``count`` points (x0, y0) of the curve with distinct x0: the first
+    x-values in canonical order of the smallest F_{q^k} that has enough,
+    with y0 = 0 on the line and the smallest square root on the cubic."""
+    if count == 0:
+        return []
+    base = curve.field
+    for k in itertools.count(1):
+        if capped_power(base.q, k, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
+            raise ValueError(
+                f"exact search needs {count} points with distinct x, more than "
+                f"any field of at most {MAX_INSPECTION_SIZE} elements has"
+            )
+        if base.q**k < count:
+            continue
+        ext = make_extension(base.p, base.k * k)
+        if curve.is_polyline:
+            return [(x0, ext.zero()) for x0 in itertools.islice(ext.elements(), count)]
+        a, b = embed(curve.a, ext), embed(curve.b, ext)
+        points = []
+        for x0 in ext.elements():
+            rhs = x0 * x0 * x0 + a * x0 + b
+            if rhs.is_zero() or is_square(rhs):
+                points.append((x0, sqrt(rhs)))
+                if len(points) == count:
+                    return points
+
+
+class _Logs:
+    """Values at the evaluation points, as tuples with one discrete log
+    per point and None for 0: a product is a sum of logs, and a sum is
+    one lookup in the evaluation field's Zech table."""
+
+    __slots__ = ("points", "zech", "half", "wrap", "lift")
+
+    def __init__(self, base: FiniteField, points):
+        ext = points[0][0].field if points else base
+        self.points = points
+        self.zech = ext.zech_table()
+        self.half = (ext.q - 1) // 2  # the log of -1
+        # n mod (q - 1) for 0 <= n < 4(q - 1), as shared int objects, so
+        # vectors over a field with logs above 256 hold no int of their own
+        self.wrap = list(range(ext.q - 1)) * 4
+        # each base coefficient embedded once, not once per point as
+        # Poly.evaluate would for entries of degree up to MAX_TEXT_DEGREE
+        self.lift = {c: embed(c, ext) for c in base.elements()}
+
+    def values(self, e: RingElement) -> tuple:
+        """e at each point, by Horner's rule on the lifted coefficients."""
         out = []
-        for col in itertools.product(positions, repeat=n):
-            for vals, f_at, g_at in views:
-                entries = [vals[k] for k in col]
-                if _bilinear(f_at, entries, entries) != g_at[j][j]:
-                    break
+        for x0, y0 in self.points:
+            a = b = x0 - x0
+            for c in reversed(e.a.coeffs):
+                a = a * x0 + self.lift[c]
+            for c in reversed(e.b.coeffs):
+                b = b * x0 + self.lift[c]
+            out.append((a + b * y0).log)
+        return tuple(out)
+
+    def mul(self, us, vs) -> tuple:
+        wrap = self.wrap
+        return tuple([None if a is None or b is None else wrap[a + b] for a, b in zip(us, vs)])
+
+    def add(self, us, vs) -> tuple:
+        # g^a + g^b = g^(a + Z(b - a)), and None where that sum is 0
+        zech, wrap = self.zech, self.wrap
+        return tuple([
+            b if a is None else a if b is None else None if (z := zech[b - a]) is None else wrap[a + z]
+            for a, b in zip(us, vs)
+        ])
+
+    def times_square(self, fs, us, negate: bool = False) -> tuple:
+        """f u^2 at each point, or -f u^2."""
+        wrap, shift = self.wrap, self.half if negate else 0
+        return tuple([None if a is None or c is None else wrap[c + 2 * a + shift] for c, a in zip(fs, us)])
+
+
+def _pool_vectors(curve: CurveSpec, deg_x: int, deg_y: int, logs: _Logs):
+    """The values at the points of every pool entry, by pool position.
+
+    An entry is the sum of its coefficients times the basis x^i (for A)
+    and x^i y (for B).  Adding one coefficient position at a time, over
+    the coefficients in the order ``_entry_key`` compares them, lists
+    the entries in ``_entry_key`` order with zero first; ``_entry_pool``
+    lists zero last.
+    """
+    points = logs.points
+    basis = [tuple((x0**i).log for x0, _ in points) for i in range(deg_x + 1)]
+    basis += [tuple((x0**i * y0).log for x0, y0 in points) for i in range(deg_y + 1)]
+    coeffs = sorted(curve.field.elements(), key=lambda c: c.coeffs)
+    vectors = [(None,) * len(points)]
+    for values in basis:
+        steps = [logs.mul((logs.lift[c].log,) * len(points), values) for c in coeffs]
+        vectors = [logs.add(vec, step) for vec in vectors for step in steps]
+    return vectors[1:] + vectors[:1]
+
+
+def _image(entries, f_cols, logs: _Logs):
+    """The row vector u^t F at the points, for a column u given by its
+    entries' values and F by ``_columns``; computed once per chosen
+    column."""
+    image = []
+    for terms in f_cols:
+        acc = None
+        for r, f in terms:
+            term = entries[r] if f is None else logs.mul(entries[r], f)
+            acc = term if acc is None else logs.add(acc, term)
+        image.append(acc)
+    return image
+
+
+def _columns(f_rows, f_at):
+    """For each column s of F, the pairs (r, values of F_rs) over its
+    nonzero entries, with None for the values of an entry equal to 1."""
+    n = len(f_rows)
+    return [
+        [(r, None if f_rows[r][s] == 1 else f_at[r][s]) for r in range(n) if not f_rows[r][s].is_zero()]
+        for s in range(n)
+    ]
+
+
+def _agrees(image, col, vectors, target, logs: _Logs) -> bool:
+    """Whether u^t F v equals the target at every point, for u given by
+    its image u^t F and v by its pool positions; stops at the first
+    point that disagrees."""
+    zech, wrap = logs.zech, logs.wrap
+    for m, t in enumerate(target):
+        acc = None
+        for w, k in zip(image, col):
+            a, b = w[m], vectors[k][m]
+            if a is None or b is None:
+                continue
+            if acc is None:
+                acc = a + b
             else:
-                out.append(col)
+                z = zech[a + b - acc]
+                acc = None if z is None else wrap[acc + z]
+        if (acc if acc is None else wrap[acc]) != t:
+            return False
+    return True
+
+
+def _diagonal_scan(vectors, f_at, logs: _Logs):
+    """For a diagonal F: a function from a target's values to all
+    columns c with c^t F c equal to it, as increasing tuples of pool
+    positions.  It looks up f_00 c_0^2 by value and scans the other
+    n - 1 entries (for rank 1 there is nothing left to scan)."""
+    n = len(f_at)
+    first = {}
+    for k, vec in enumerate(vectors):
+        first.setdefault(logs.times_square(f_at[0][0], vec), []).append(k)
+    # -f_rr e^2 for r >= 1 and each pool position
+    minus = [[logs.times_square(f_at[r][r], vec, negate=True) for vec in vectors] for r in range(1, n)]
+
+    def scan(target):
+        out = []
+        for rest in itertools.product(range(len(vectors)), repeat=n - 1):
+            need = target
+            for r, k in enumerate(rest):
+                need = logs.add(need, minus[r][k])
+            out.extend((k, *rest) for k in first.get(need, ()))
+        out.sort()
         return out
-    # diagonal form: look up f_00 e^2 by value, then scan the other n - 1
-    # entries (for rank 1 there is nothing left to scan)
-    squares, first = terms
-    counter.tick(len(pool))
-    if n > 1:
-        counter.tick(len(pool) ** (n - 1))
-    out = []
-    for rest in itertools.product(positions, repeat=n - 1):
-        need = target
-        for r, k in enumerate(rest, 1):
-            need = need - squares[r][k]
-        out.extend((k, *rest) for k in first.get(need, ()))
-    out.sort()
-    return out
+
+    return scan
+
+
+def _full_scan(vectors, f_cols, logs: _Logs):
+    """For any F: a function from a target's values to all columns c with
+    c^t F c equal to it, each n-tuple of pool positions checked with
+    ``_agrees`` against its own image."""
+    n = len(f_cols)
+
+    def scan(target):
+        return [
+            col
+            for col in itertools.product(range(len(vectors)), repeat=n)
+            if _agrees(_image([vectors[k] for k in col], f_cols, logs), col, vectors, target, logs)
+        ]
+
+    return scan

@@ -25,7 +25,7 @@ import json
 
 from .curvepoints import AffinePoint, PointCountReport
 from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix
-from .finfield import FieldElement, FiniteField, make_extension
+from .finfield import MAX_FIELD_SIZE, FieldElement, FiniteField, capped_power, make_extension
 from .forms import GenusReport, GenusWitness, GramMatrix
 from .funcfield import Poly, PrimePoly, to_text
 from .hasse import HasseDecision
@@ -33,6 +33,16 @@ from .hasse import HasseDecision
 
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def require_key(data, key: str, what: str):
+    """data[key] of the JSON object ``what``; a missing key raises
+    KeyError(key, what), which the CLI renders naming both."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    if key not in data:
+        raise KeyError(key, what)
+    return data[key]
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +54,15 @@ def field_to_json(field: FiniteField) -> dict:
 
 
 def field_from_json(data: dict) -> FiniteField:
-    return make_extension(int(data["p"]), int(data.get("k", 1)))
+    """A base field F_{p^k}: p and k are integers and p^k is at most
+    MAX_FIELD_SIZE, checked before the primality test."""
+    p, k = require_key(data, "p", "field"), data.get("k", 1)
+    for name, value in (("p", p), ("k", k)):
+        if type(value) is not int:  # JSON true is not a number either
+            raise ValueError(f"field {name} must be an integer, got {json.dumps(value)}")
+    if p >= 2 and capped_power(p, k, MAX_FIELD_SIZE) > MAX_FIELD_SIZE:
+        raise ValueError(f"field size {p}^{k} exceeds desk-scale bound {MAX_FIELD_SIZE}")
+    return make_extension(p, k)
 
 
 def elem_to_json(e: FieldElement) -> list:
@@ -70,14 +88,17 @@ def curve_to_json(curve: CurveSpec) -> dict:
 
 
 def curve_from_json(data: dict) -> CurveSpec:
-    field = field_from_json(data["field"])
-    if data["type"] == "polyline":
+    field = field_from_json(require_key(data, "field", "curve"))
+    kind = require_key(data, "type", "curve")
+    if kind == "polyline":
         return CurveSpec.polyline(field)
-    if data["type"] == "weierstrass":
+    if kind == "weierstrass":
         return CurveSpec.weierstrass(
-            field, elem_from_json(field, data["a"]), elem_from_json(field, data["b"])
+            field,
+            elem_from_json(field, require_key(data, "a", "curve")),
+            elem_from_json(field, require_key(data, "b", "curve")),
         )
-    raise ValueError(f"unknown curve type {data['type']!r}")
+    raise ValueError(f"unknown curve type {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +238,19 @@ def pair_from_json(data: dict, field: FiniteField | None = None) -> dict:
     """
     if data.get("schema") != 1:
         raise ValueError("unsupported or missing schema version")
-    curve_data = dict(data["curve"])
+    curve_data = dict(require_key(data, "curve", "pair"))
     if field is not None:
         curve_data["field"] = field_to_json(field)
     curve = curve_from_json(curve_data)
-    f = gram_from_json(curve, data["F"])
-    g = gram_from_json(curve, data["G"])
+    f = gram_from_json(curve, require_key(data, "F", "pair"))
+    g = gram_from_json(curve, require_key(data, "G", "pair"))
     out = {"curve": curve, "F": f, "G": g}
     if "witnesses" in data:
         pairs = tuple(
-            (matrix_from_json(curve, w["Q"]), ring_elem_from_json(curve, w["s"]))
+            (
+                matrix_from_json(curve, require_key(w, "Q", "witness")),
+                ring_elem_from_json(curve, require_key(w, "s", "witness")),
+            )
             for w in data["witnesses"]
         )
         out["witness"] = GenusWitness(g, pairs)

@@ -299,6 +299,45 @@ def test_malformed_shapes_exit_2(capsys):
         assert code == 2 and message in json.loads(err)["error"]
 
 
+def test_missing_key_names_the_object(capsys):
+    line = {"type": "polyline", "field": {"p": 3, "k": 1}}
+    cases = [
+        ({"schema": 1, "curve": {"type": "polyline"}, "F": [[1]], "G": [[1]]}, "missing key 'field' in curve"),
+        ({"schema": 1, "curve": line, "G": [[1]]}, "missing key 'F' in pair"),
+        ({"schema": 1, "curve": {"field": {"p": 3}}, "F": [[1]], "G": [[1]]}, "missing key 'type' in curve"),
+        ({"schema": 1, "curve": {"type": "polyline", "field": {"k": 1}}, "F": [[1]], "G": [[1]]}, "missing key 'p' in field"),
+    ]
+    for payload, message in cases:
+        code, _, err = invoke(capsys, "isom-search", "--json", json.dumps(payload), "--degree-bound", "0")
+        assert code == 2 and json.loads(err)["error"] == message
+    code, _, err = invoke(capsys, "form", "--json", json.dumps({"schema": 1, "curve": line}))
+    assert code == 2 and json.loads(err)["error"] == "missing key 'matrix' in input"
+
+
+def test_field_entries_must_be_integers(capsys):
+    for field, message in [
+        ({"p": None}, "field p must be an integer, got null"),
+        ({"p": "5"}, 'field p must be an integer, got "5"'),
+        ({"p": 5, "k": 1.0}, "field k must be an integer, got 1.0"),
+        ({"p": 5, "k": True}, "field k must be an integer, got true"),
+    ]:
+        curve = {"type": "polyline", "field": field}
+        code, _, err = invoke(capsys, "curve", "--json", json.dumps(curve))
+        assert code == 2 and json.loads(err)["error"] == message
+
+
+def test_base_field_cap_stays_at_121(capsys):
+    # extension fields go up to 121^2, but no input may name a base field above 121
+    code, _, err = invoke(capsys, "curve", "--json", json.dumps({"type": "polyline", "field": {"p": 5, "k": 4}}))
+    assert code == 2 and "exceeds desk-scale bound 121" in json.loads(err)["error"]
+    code, _, err = invoke(capsys, "curve", "--q", "625", "--polyline")
+    assert code == 2 and "exceeds desk-scale bound 121" in json.loads(err)["error"]
+    code, _, err = invoke(capsys, "curve", "--json", json.dumps({"type": "polyline", "field": {"p": 127}}))
+    assert code == 2 and "exceeds desk-scale bound 121" in json.loads(err)["error"]
+    code, _, _ = invoke(capsys, "curve", "--json", json.dumps({"type": "polyline", "field": {"p": 11, "k": 2}}))
+    assert code == 0
+
+
 def test_bad_schema_rejected(capsys):
     code, _, err = invoke(capsys, "form", "--json", '{"schema": 99}')
     assert code == 2 and "schema" in err

@@ -56,7 +56,8 @@ def test_enumerate_rejects_polyline():
 
 def test_enumerate_respects_size_bound():
     with pytest.raises(ValueError):
-        enumerate_points(C511, degree=4)  # 5^4 = 625 > 121
+        enumerate_points(C511, degree=6)  # 5^6 = 15625 > 121^2
+    assert all(p.x.field.q == 625 for p in enumerate_points(C511, degree=4))
 
 
 def test_degree_two_enumeration():

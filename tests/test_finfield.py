@@ -132,7 +132,8 @@ def test_make_extension_deterministic_moduli():
 
 def test_make_extension_bounds():
     with pytest.raises(ValueError):
-        make_extension(5, 4)  # 625 > 121
+        make_extension(5, 6)  # 15625 > 121^2
+    assert make_extension(5, 4).q == 625  # extension fields reach 121^2
     with pytest.raises(ValueError):
         make_extension(2, 3)  # even characteristic
     with pytest.raises(ValueError):
@@ -269,7 +270,7 @@ def test_separately_built_fields_interoperate(p, k):
     assert [g.coeffs for g in f1._exp] == [g.coeffs for g in f2._exp]
 
 
-@pytest.mark.parametrize("p,k", ODD_FIELDS)
+@pytest.mark.parametrize("p,k", ODD_FIELDS + [(13, 2), (3, 8)])
 def test_generator_is_first_primitive_element(p, k):
     field = make_extension(p, k)
     oracle = VectorField(p, field.modulus)

@@ -5,7 +5,7 @@ import pytest
 from hasseforms import forms
 from hasseforms.curvepoints import AffinePoint
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction, RingMatrix, congruence
-from hasseforms.finfield import SquareClass, make_extension
+from hasseforms.finfield import SquareClass, embed, is_square, make_extension
 from hasseforms.forms import (
     BudgetExceededError,
     FieldForm,
@@ -21,7 +21,7 @@ from hasseforms.forms import (
     local_isomorphic,
     verify_genus_witness,
 )
-from hasseforms.funcfield import Poly, PrimePoly, monic_irreducibles, residue_field, residue_reduce
+from hasseforms.funcfield import Poly, PrimePoly, monic_irreducibles, polys_up_to, residue_field, residue_reduce
 from hasseforms.serialize import load_bundled_pair
 
 from oracles import (
@@ -224,6 +224,21 @@ def test_local_isomorphic_constants_at_prime():
     g = GramMatrix.diagonal(LINE5, [4, 4])
     at = PrimePoly.finite(Poly.x(F5))
     assert local_isomorphic(f, g, at)
+
+
+def test_local_isomorphic_at_degree_two_prime_over_f13():
+    # the residue field F_169 is above the base-field cap of 121
+    field = make_extension(13, 1)
+    line = CurveSpec.polyline(field)
+    prime = PrimePoly.finite(monic_irreducibles(field, 2)[0])
+    assert residue_field(prime)[0].q == 169
+    one = GramMatrix.identity(line, 2)
+    assert local_isomorphic(one, one, prime)
+    c = next(a for a in field.nonzero_elements() if not is_square(a))
+    other = GramMatrix.diagonal(line, [1, c])
+    assert local_isomorphic(one, other, prime)  # c is a square in F_169
+    rational = PrimePoly.finite(Poly.x(field))
+    assert not local_isomorphic(one, other, rational)
 
 
 def test_local_isomorphic_at_curve_point():
@@ -557,8 +572,8 @@ def test_inspection_degree_capped_before_any_work():
 
 
 def test_cubic_inspection_degree_capped_before_any_work(monkeypatch):
-    # point enumeration stops at extension fields of size 121, so a cubic
-    # over F_5 is refused at degree 3 (125) before congruence or points
+    # cubic inspection stays at q^degree <= 121, so a cubic over F_5 is
+    # refused at degree 3 (125) before congruence or points
     pair = load_bundled_pair("singular_cubic_pair")
 
     def no_work(*args):
@@ -573,21 +588,151 @@ def test_cubic_inspection_degree_capped_before_any_work(monkeypatch):
     assert verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=2).degree == 2
 
 
-def test_non_diagonal_candidates_probe_before_ring_product(monkeypatch):
-    # a column must pass every probe point before its exact inner product
+def test_no_ring_product_before_first_determinant(monkeypatch):
+    # the checks run on values at points; the ring is only entered for
+    # the determinant of a full candidate
     curve = CurveSpec.weierstrass(F5, 1, 1)
-    f = GramMatrix.from_rows(curve, [[0, 1], [1, 0]])
-    ring_products = []
-    bilinear = forms._bilinear
+    hyperbolic = GramMatrix.from_rows(curve, [[0, 1], [1, 0]])
+    fixture = load_bundled_pair("singular_cubic_pair")
+    events = []
+    ring_mul, matrix_det = RingElement.__mul__, RingMatrix.det
 
-    def counting(f_rows, u, v):
-        if isinstance(u[0], RingElement):
-            ring_products.append(1)
-        return bilinear(f_rows, u, v)
+    def mul(self, other):
+        events.append("mul")
+        return ring_mul(self, other)
 
-    monkeypatch.setattr(forms, "_bilinear", counting)
-    assert isom_search(f, f, deg_x=0, deg_y=0) == RingMatrix(curve, [[1, 0], [0, 1]])
-    assert 0 < len(ring_products) < 25**2  # pool of 25 entries, 625 columns per target
+    def det(self):
+        events.append("det")
+        return matrix_det(self)
+
+    monkeypatch.setattr(RingElement, "__mul__", mul)
+    monkeypatch.setattr(RingMatrix, "det", det)
+    assert isom_search(hyperbolic, hyperbolic, deg_x=0, deg_y=0) == RingMatrix(curve, [[1, 0], [0, 1]])
+    assert events[0] == "det"
+    events.clear()
+    assert isom_search(fixture["F"], fixture["G"], deg_x=1, deg_y=1) is None
+    assert events == []  # no full candidate, so no ring arithmetic at all
+
+
+def _pinned_search(name):
+    hyperbolic = GramMatrix.from_rows(CurveSpec.weierstrass(F5, 1, 1), [[0, 1], [1, 0]])
+    identity = GramMatrix.identity(LINE5, 3)
+    if name == "cubic fixture":
+        pair = load_bundled_pair("singular_cubic_pair")
+        return isom_search(pair["F"], pair["G"], deg_x=2, deg_y=1)
+    if name == "line fixture":
+        pair = load_bundled_pair("polyline_pair")
+        return isom_search(pair["F"], pair["G"], deg_x=2)
+    if name == "identity rank 3":
+        return isom_search(identity, identity, deg_x=0)
+    return isom_search(hyperbolic, hyperbolic, deg_x=0, deg_y=0)
+
+
+# the budget charges as run-length encoded (amount, repeats): they decide
+# where a search that runs out of budget stops, and the count it reports
+PINNED_TICKS = {
+    "cubic fixture": [(3125, 4), (1, 124980)],
+    "line fixture": [(125, 4), (1, 4)],
+    "identity rank 3": [(5, 1), (25, 1), (1, 15)],
+    "hyperbolic plane": [(625, 1), (1, 225)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TICKS))
+def test_isom_search_tick_sequence_pinned(monkeypatch, name):
+    ticks = []
+    tick = forms._EvalCounter.tick
+
+    def recording(self, amount=1):
+        ticks.append(amount)
+        return tick(self, amount)
+
+    monkeypatch.setattr(forms._EvalCounter, "tick", recording)
+    _pinned_search(name)
+    encoded = []
+    for amount in ticks:
+        if encoded and encoded[-1][0] == amount:
+            encoded[-1] = (amount, encoded[-1][1] + 1)
+        else:
+            encoded.append((amount, 1))
+    assert encoded == PINNED_TICKS[name]
+
+
+def _bounded_elements(curve, bound):
+    """Every ring element with deg N(h) <= bound."""
+    field = curve.field
+    if curve.is_polyline:
+        return [RingElement(curve, a) for a in polys_up_to(field, bound)]
+    b_polys = list(polys_up_to(field, (bound - 3) // 2)) if bound >= 3 else [Poly.zero(field)]
+    return [RingElement(curve, a, b) for a in polys_up_to(field, bound // 2) for b in b_polys]
+
+
+@pytest.mark.parametrize(
+    "curve,bound",
+    [
+        (CurveSpec.polyline(F3), 4),  # 5 points: F_3 has 3, so F_9
+        (LINE5, 4),
+        (CurveSpec.weierstrass(F3, 2, 1), 7),  # 8 points with distinct x
+        (EC, 5),  # the singular cubic of the fixture
+    ],
+)
+def test_evaluation_points_separate_bounded_elements(curve, bound):
+    points = forms._evaluation_points(curve, bound + 1)
+    assert len({x0 for x0, _ in points}) == bound + 1
+    ext = points[0][0].field
+    for x0, y0 in points:
+        if not curve.is_polyline:
+            assert y0 * y0 == x0**3 + embed(curve.a, ext) * x0 + embed(curve.b, ext)
+    elements = _bounded_elements(curve, bound)
+    assert max(forms._pole_order(h) for h in elements if not h.is_zero()) == bound
+    for h in elements:
+        values = [h.evaluate(x0, y0) for x0, y0 in points]
+        assert any(not v.is_zero() for v in values) == (not h.is_zero())
+
+
+def test_isom_search_exact_where_one_point_fewer_matches():
+    # F = [1] and deg_x = 1 give D = 2, so the points are x = 0, 1, 2.
+    # G = 1 + x(x - 1) agrees with 1^2 at x = 0 and x = 1, so two points
+    # would accept c = 1; but no linear c has c^2 = x^2 - x + 1 over F_5
+    f = GramMatrix.diagonal(LINE5, [1])
+    g = GramMatrix.diagonal(LINE5, [P(F5, "x^2-x+1")])
+    assert [x0 for x0, _ in forms._evaluation_points(LINE5, 3)] == [0, 1, 2]
+    assert isom_search(f, g, deg_x=1) is None
+    assert first_isometry(f, g, 1) is None
+
+
+def test_isom_search_evaluation_field_above_base_cap():
+    # a degree-14 entry of F over F_13 at deg_x = 0 needs 15 points with
+    # distinct x: F_169, beyond the base-field cap of 121
+    field = make_extension(13, 1)
+    line = CurveSpec.polyline(field)
+    f = GramMatrix.diagonal(line, [P(field, "x^14+1"), 1])
+    assert forms._reach(line, f.ring_rows(), 0, -1) == 14
+    assert forms._evaluation_points(line, 15)[0][0].field.q == 169
+    q0 = RingMatrix(line, [[1, 2], [0, 1]])
+    g = GramMatrix(line, congruence(q0, f.matrix))
+    found = isom_search(f, g, deg_x=0)
+    assert found == RingMatrix(line, first_isometry(f, g, 0))
+    assert congruence(found, f.matrix) == g.matrix
+    # a target entry of larger pole order than any u^t F v is never met
+    far = GramMatrix.diagonal(line, [P(field, "x^16+1"), 1])
+    assert isom_search(f, far, deg_x=0) is None
+
+
+def test_isom_search_refuses_when_no_field_has_enough_points(monkeypatch):
+    # D = 2 * 200 needs 401 x-values; F_729, the largest field over F_27
+    # within the cap, has at most (729 + 2 * 27 + 3) / 2 < 401 with a point
+    # on the cubic (Hasse bound)
+    field = make_extension(3, 3)
+    curve = CurveSpec.weierstrass(field, 1, 1)
+    f = GramMatrix.diagonal(curve, [P(field, "x^200+1"), 1])
+
+    def no_pool(*args):
+        raise AssertionError("the entry pool was built")
+
+    monkeypatch.setattr(forms, "_entry_pool", no_pool)
+    with pytest.raises(ValueError, match="points with distinct x"):
+        isom_search(f, f, deg_x=0)
 
 
 def test_isom_search_rejects_large_rank():

@@ -6,6 +6,8 @@ exception may escape, and each example must finish within the deadline.
 Inputs are mostly well formed (small fields, short polynomials, the
 bundled pair files with a few leaves replaced) so that they reach the
 search and the verification, with some arbitrary JSON and text mixed in.
+A separate isom-search strategy draws well-formed pairs whose entries
+reach the text-degree cap, for the search's evaluation points.
 """
 
 import contextlib
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from hasseforms.cli import run
 from hasseforms.finfield import make_extension
-from hasseforms.funcfield import Poly
+from hasseforms.funcfield import MAX_TEXT_DEGREE, Poly
 
 FIELDS = [make_extension(p, k) for p, k in ((3, 1), (5, 1), (7, 1), (3, 2), (11, 2))]
 FUZZ = settings(max_examples=150, deadline=5000, derandomize=True, database=None)
@@ -136,6 +138,55 @@ payloads = {
 payloads["isom-search"] = payloads["genus-verify"] = st.one_of(
     pairs.map(json.dumps), mutated_pairs.map(json.dumps), mutated_pairs.map(json.dumps), junk
 )
+
+
+# isom-search pairs with entries up to MAX_TEXT_DEGREE: they push the
+# search's degree bound D far enough that the evaluation points come from
+# F_{q^k} above 121 (the line over F_13, cubics over F_11 and F_13), or
+# from no field within 121^2 at all (cubics over F_25 and F_27)
+high_polys = st.lists(
+    st.tuples(st.integers(1, 12), st.integers(0, 8) | st.integers(150, MAX_TEXT_DEGREE)), min_size=1, max_size=2
+).map(lambda terms: "+".join(f"{c}*x^{e}" for c, e in terms))
+
+
+def _degree_pair(kind, field, rank):
+    entry = st.sampled_from([1, 2, -1, 3]) | high_polys
+    if kind == "weierstrass":
+        entry = entry | st.fixed_dictionaries({"A": high_polys, "B": high_polys})
+    if rank == 1:
+        gram = entry.map(lambda a: [[a]])
+    else:
+        gram = st.tuples(entry, st.just(0) | entry, entry).map(lambda t: [[t[0], t[1]], [t[1], t[2]]])
+    return st.fixed_dictionaries(
+        {
+            "schema": st.just(1),
+            "curve": st.just({"type": kind, "field": field, "a": 1, "b": 1}),
+            "F": gram,
+            "G": gram,
+            "isom_bounds": st.fixed_dictionaries({"deg_x": st.integers(-1, 2), "deg_y": st.integers(-1, 2)}),
+        }
+    )
+
+
+degree_pairs = st.tuples(
+    st.sampled_from(["polyline", "weierstrass"]),
+    st.sampled_from([{"p": 3, "k": 1}, {"p": 5, "k": 1}, {"p": 11, "k": 1}, {"p": 13, "k": 1}, {"p": 5, "k": 2}, {"p": 3, "k": 3}]),
+    st.integers(1, 2),
+).flatmap(lambda t: _degree_pair(*t))
+
+
+@settings(FUZZ, max_examples=100)
+@given(degree_pairs)
+def test_isom_search_exit_codes_on_high_degree_entries(pair):
+    out, err = io.StringIO(), io.StringIO()
+    # a smaller budget than above: each pool entry now carries up to ~500
+    # values, so the pools are kept to a few thousand entries
+    with mock.patch.dict(os.environ, {"HASSE_FORMS_BUDGET": "3000"}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["isom-search", f"--json={json.dumps(pair)}"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error" in json.loads(err.getvalue())
 
 
 @FUZZ
