@@ -155,7 +155,7 @@ def _cmd_genus_verify(args) -> int:
     pair = pair_from_json(_load_input(args))
     if "witness" not in pair:
         raise ValueError("pair file carries no witnesses")
-    degree = args.inspection_degree or pair.get("degree", 2)
+    degree = args.inspection_degree if args.inspection_degree is not None else pair.get("degree", 2)
     report = verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=degree)
     _emit(genus_report_to_json(report), args.format)
     return 0 if report.verdict == "Certified" else 1

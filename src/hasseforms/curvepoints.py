@@ -20,12 +20,12 @@ in F_q.  ``point_report`` carries both facts side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .curvering import CurveSpec
 from .finfield import FieldElement, embed, is_square, make_extension, sqrt
 from .funcfield import poly_gcd
+from .records import Record
 
 
 class PointAtInfinity:
@@ -45,13 +45,25 @@ class PointAtInfinity:
 INFINITY = PointAtInfinity()
 
 
-@dataclass(frozen=True)
-class AffinePoint:
-    """A solution (x, y) of the curve equation over F_{q^d}."""
+class AffinePoint(Record):
+    """A solution (x, y) of the curve equation over F_{q^d}; frozen, and
+    hashable by value."""
 
-    x: FieldElement
-    y: FieldElement
-    degree: int = 1
+    __slots__ = ("x", "y", "degree")
+
+    def __init__(self, x: FieldElement, y: FieldElement, degree: int = 1):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "degree", degree)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.degree))
 
     def __repr__(self):
         return f"({self.x!r}, {self.y!r})"
@@ -60,18 +72,30 @@ class AffinePoint:
 Point = Union[AffinePoint, PointAtInfinity]
 
 
-@dataclass
-class PointCountReport:
+class PointCountReport(Record):
     """Counting summary; Picard data is present only for smooth curves."""
 
-    affine: int
-    total: int
-    smooth: bool
-    singular_points: tuple
-    pic_order: Optional[int] = None
-    pic_parity: Optional[str] = None
-    two_torsion: Optional[bool] = None
-    warning: Optional[str] = None
+    __slots__ = ("affine", "total", "smooth", "singular_points", "pic_order", "pic_parity", "two_torsion", "warning")
+
+    def __init__(
+        self,
+        affine: int,
+        total: int,
+        smooth: bool,
+        singular_points: tuple,
+        pic_order: Optional[int] = None,
+        pic_parity: Optional[str] = None,
+        two_torsion: Optional[bool] = None,
+        warning: Optional[str] = None,
+    ):
+        self.affine = affine
+        self.total = total
+        self.smooth = smooth
+        self.singular_points = singular_points
+        self.pic_order = pic_order
+        self.pic_parity = pic_parity
+        self.two_torsion = two_torsion
+        self.warning = warning
 
 
 def _extension_of(curve: CurveSpec, degree: int):

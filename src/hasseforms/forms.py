@@ -28,7 +28,6 @@ evidence, not a proof of non-isomorphism.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .curvepoints import AffinePoint, enumerate_points, is_smooth
@@ -59,9 +58,9 @@ from .funcfield import (
     PrimePoly,
     monic_irreducibles,
     poly_gcd,
-    polys_up_to,
     residue_field,
 )
+from .records import Record
 
 DEFAULT_SEARCH_BUDGET = 10**8
 
@@ -301,13 +300,16 @@ def _reject_singular_point(curve: CurveSpec, point: AffinePoint):
 # Genus witnesses
 
 
-@dataclass
-class GenusWitness:
+class GenusWitness(Record):
     """Transition matrices with declared bad loci, certifying membership
     in a genus prime by prime."""
 
-    target: GramMatrix
-    pairs: tuple  # of (RingMatrix, RingElement)
+    __slots__ = ("target", "pairs")
+
+    def __init__(self, target: GramMatrix, pairs: tuple):  # pairs of (RingMatrix, RingElement)
+        self.target = target
+        self.pairs = pairs
+        self.__post_init__()
 
     def __post_init__(self):
         pairs = []
@@ -342,15 +344,17 @@ def _check_denominators(q: RingMatrix, s: RingElement):
                 )
 
 
-@dataclass
-class GenusReport:
+class GenusReport(Record):
     """Outcome of point-based genus verification up to a degree."""
 
-    verdict: str  # "Certified" | "GapFound"
-    degree: int
-    identity_ok: tuple
-    covered: tuple
-    uncovered: tuple
+    __slots__ = ("verdict", "degree", "identity_ok", "covered", "uncovered")
+
+    def __init__(self, verdict: str, degree: int, identity_ok: tuple, covered: tuple, uncovered: tuple):
+        self.verdict = verdict  # "Certified" | "GapFound"
+        self.degree = degree
+        self.identity_ok = identity_ok
+        self.covered = covered
+        self.uncovered = uncovered
 
 
 def verify_genus_witness(
@@ -485,6 +489,8 @@ def isom_search(
     n = f.n
     if n > 3:
         raise ValueError("search supports rank <= 3")
+    if deg_x < -1:
+        raise ValueError("degree bound deg_x must be >= -1")
     if budget is None:
         budget = DEFAULT_SEARCH_BUDGET
     curve = f.curve
@@ -502,7 +508,6 @@ def isom_search(
     g_rows = g.ring_rows()
     reach = _reach(curve, f_rows, deg_x, deg_y)
     points = _evaluation_points(curve, 0 if reach is None else reach + 1)
-    pool = _entry_pool(curve, deg_x, deg_y)
     diagonal = all(
         f_rows[i][j].is_zero() for i in range(n) for j in range(n) if i != j
     )
@@ -512,14 +517,15 @@ def isom_search(
     counter = _EvalCounter(budget)
     for _ in {g_rows[j][j] for j in range(n)}:
         if diagonal:
-            counter.tick(len(pool))
+            counter.tick(size)
             if n > 1:
-                counter.tick(len(pool) ** (n - 1))
+                counter.tick(size ** (n - 1))
         else:
-            counter.tick(len(pool) ** n)
+            counter.tick(size ** n)
 
     logs = _Logs(curve.field, points)
-    vectors = _pool_vectors(curve, deg_x, deg_y, logs)
+    coeffs = sorted(curve.field.elements(), key=lambda c: c.coeffs)
+    vectors = _pool_vectors(deg_x, deg_y, coeffs, logs)
     f_at = [[logs.values(e) for e in row] for row in f_rows]
     f_cols = _columns(f_rows, f_at)
     # None marks a G entry beyond the reach of u^t F v, matched by nothing
@@ -552,7 +558,9 @@ def isom_search(
             else:  # col agrees with every column chosen so far
                 cols.append(col)
                 if j == n - 1:
-                    q = RingMatrix(curve, [[pool[cols[c][r]] for c in range(n)] for r in range(n)])
+                    q = RingMatrix(curve, [
+                        [_pool_entry(curve, deg_x, deg_y, coeffs, cols[c][r]) for c in range(n)] for r in range(n)
+                    ])
                     det = q.det()
                     if det.is_integral() and det.as_ring_element().is_unit():
                         return q
@@ -583,26 +591,23 @@ class _EvalCounter:
             )
 
 
-def _entry_pool(curve: CurveSpec, deg_x: int, deg_y: int):
-    """All candidate entries within the degree bounds, in search order."""
+def _pool_entry(curve: CurveSpec, deg_x: int, deg_y: int, coeffs, k: int) -> RingElement:
+    """The entry at pool position k, built from the position alone.
+
+    Search order lists the base-q numbers 1, 2, ..., q^m - 1 and then 0,
+    whose m digits, most significant first, index ``coeffs`` for the
+    coefficients of x^0 .. x^deg_x in A and then of x^0 .. x^deg_y in B;
+    so position k holds the number (k + 1) mod q^m.
+    """
     field = curve.field
-    b_polys = [Poly.zero(field)] if deg_y < 0 else list(polys_up_to(field, deg_y))
-    pool = [RingElement(curve, a, b) for a in polys_up_to(field, deg_x) for b in b_polys]
-    pool.sort(key=lambda e: _entry_key(e, deg_x, deg_y))
-    return pool
-
-
-def _entry_key(e: RingElement, deg_x: int, deg_y: int):
-    """Deterministic search order: nonzero entries first, then by padded
-    coefficient vectors (A part before B part)."""
-    field = e.curve.field
-    zero = field.zero()
-    a = list(e.a.coeffs) + [zero] * (deg_x + 1 - len(e.a.coeffs))
-    b = []
-    if deg_y >= 0:
-        b = list(e.b.coeffs) + [zero] * (deg_y + 1 - len(e.b.coeffs))
-    flat = tuple(v for c in a + b for v in c.coeffs)
-    return (1 if e.is_zero() else 0,) + flat
+    places = deg_x + 1 + max(deg_y + 1, 0)
+    number = (k + 1) % field.q**places
+    digits = []
+    for _ in range(places):
+        number, d = divmod(number, field.q)
+        digits.append(coeffs[d])
+    digits.reverse()
+    return RingElement(curve, Poly._raw(field, digits[: deg_x + 1]), Poly._raw(field, digits[deg_x + 1 :]))
 
 
 def _pole_order(e: RingElement) -> Optional[int]:
@@ -709,19 +714,19 @@ class _Logs:
         return tuple([None if a is None or c is None else wrap[c + 2 * a + shift] for c, a in zip(fs, us)])
 
 
-def _pool_vectors(curve: CurveSpec, deg_x: int, deg_y: int, logs: _Logs):
+def _pool_vectors(deg_x: int, deg_y: int, coeffs, logs: _Logs):
     """The values at the points of every pool entry, by pool position.
 
     An entry is the sum of its coefficients times the basis x^i (for A)
-    and x^i y (for B).  Adding one coefficient position at a time, over
-    the coefficients in the order ``_entry_key`` compares them, lists
-    the entries in ``_entry_key`` order with zero first; ``_entry_pool``
-    lists zero last.
+    and x^i y (for B).  Adding one coefficient position at a time, each
+    over ``coeffs`` (the field sorted by coefficient vector), lists the
+    entries by their padded coefficient vectors, A before B and constant
+    terms first; moving zero from first to last gives search order, the
+    order ``_pool_entry`` indexes.
     """
     points = logs.points
     basis = [tuple((x0**i).log for x0, _ in points) for i in range(deg_x + 1)]
     basis += [tuple((x0**i * y0).log for x0, y0 in points) for i in range(deg_y + 1)]
-    coeffs = sorted(curve.field.elements(), key=lambda c: c.coeffs)
     vectors = [(None,) * len(points)]
     for values in basis:
         steps = [logs.mul((logs.lift[c].log,) * len(points), values) for c in coeffs]

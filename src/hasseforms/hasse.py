@@ -21,33 +21,37 @@ order itself; ``binary_genus_lower_bound`` exposes that bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .curvepoints import has_two_torsion, picard_order
 from .curvering import CurveSpec
 from .finfield import is_square
+from .records import Record
 
 HOLDS = "Holds"
 FAILS = "Fails"
 
 
-@dataclass
-class HasseReason:
+class HasseReason(Record):
     """Machine-checkable evidence behind a verdict."""
 
-    pic_order: int
-    pic_parity: str
-    ufd: bool
-    two_torsion: Optional[bool]
-    criterion: str
+    __slots__ = ("pic_order", "pic_parity", "ufd", "two_torsion", "criterion")
+
+    def __init__(self, pic_order: int, pic_parity: str, ufd: bool, two_torsion: Optional[bool], criterion: str):
+        self.pic_order = pic_order
+        self.pic_parity = pic_parity
+        self.ufd = ufd
+        self.two_torsion = two_torsion
+        self.criterion = criterion
 
 
-@dataclass
-class HasseDecision:
-    verdict: str  # HOLDS | FAILS
-    rank: int
-    reason: HasseReason
+class HasseDecision(Record):
+    __slots__ = ("verdict", "rank", "reason")
+
+    def __init__(self, verdict: str, rank: int, reason: HasseReason):
+        self.verdict = verdict  # HOLDS | FAILS
+        self.rank = rank
+        self.reason = reason
 
     @property
     def holds(self) -> bool:

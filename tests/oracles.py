@@ -13,7 +13,7 @@ import itertools
 
 from hasseforms.finfield import FiniteField, make_extension
 from hasseforms.curvering import RingElement
-from hasseforms.funcfield import Poly, RatFunc, factor, monic_polys, valuation
+from hasseforms.funcfield import Poly, RatFunc, factor, monic_polys, polys_up_to, valuation
 
 
 def exhaustive_squares(field: FiniteField):
@@ -212,6 +212,24 @@ def _search_entries(curve, deg_x: int, deg_y: int):
             entries.append(((elem.is_zero(), a + b), elem))
     entries.sort(key=lambda pair: pair[0])
     return [elem for _, elem in entries]
+
+
+def entry_pool(curve, deg_x: int, deg_y: int):
+    """Every search entry in search order, over any field: nonzero before
+    zero, then by the padded coefficient vectors of A and B, constant
+    terms first, each coefficient by its own base-p digits; built whole
+    and sorted, as the reference for ``forms._pool_entry``."""
+    field = curve.field
+    zero = field.zero()
+    b_polys = [Poly.zero(field)] if deg_y < 0 else list(polys_up_to(field, deg_y))
+    pool = [RingElement(curve, a, b) for a in polys_up_to(field, deg_x) for b in b_polys]
+
+    def key(e):
+        a = list(e.a.coeffs) + [zero] * (deg_x + 1 - len(e.a.coeffs))
+        b = list(e.b.coeffs) + [zero] * (deg_y + 1 - len(e.b.coeffs)) if deg_y >= 0 else []
+        return (e.is_zero(), tuple(v for c in a + b for v in c.coeffs))
+
+    return sorted(pool, key=key)
 
 
 def _inner(f_rows, u, v, zero):

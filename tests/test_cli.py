@@ -152,6 +152,14 @@ def test_genus_verify_inspection_degree_flag(capsys):
     assert len(data["covered"]) == 5
 
 
+def test_genus_verify_inspection_degree_zero_rejected(capsys):
+    code, out, err = invoke(
+        capsys, "genus-verify", "--input", fixture_path("polyline_pair"), "--inspection-degree", "0"
+    )
+    assert code == 2 and out == ""
+    assert "inspection degree must be >= 1" in err
+
+
 def test_isom_search_negative(capsys):
     code, data, _ = invoke_json(capsys, "isom-search", "--input", fixture_path("polyline_pair"))
     assert code == 1
@@ -351,3 +359,18 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "Holds"
+
+
+def test_cli_import_loads_no_code_introspection_modules():
+    # dataclasses drags in inspect, ast, dis and tokenize, and every CLI
+    # job pays for them at start-up; modules the bare interpreter already
+    # holds before the import are not counted
+    probe = (
+        "import json, sys; before = set(sys.modules); import hasseforms.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "hasseforms.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})

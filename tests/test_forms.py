@@ -28,6 +28,7 @@ from oracles import (
     brute_force_congruent,
     covers_prime_by_valuation,
     denominators_divide_power_by_factoring,
+    entry_pool,
     field_matrix,
     first_isometry,
     symmetric_nondegenerate,
@@ -481,9 +482,9 @@ def test_isom_search_budget_cap():
 
 def test_isom_search_budget_checked_before_pool(monkeypatch):
     def no_pool(*args):
-        raise AssertionError("the entry pool was built")
+        raise AssertionError("the entry pool's vectors were built")
 
-    monkeypatch.setattr(forms, "_entry_pool", no_pool)
+    monkeypatch.setattr(forms, "_pool_vectors", no_pool)
     f = GramMatrix.identity(LINE5, 2)
     with pytest.raises(BudgetExceededError):
         isom_search(f, f, deg_x=4, budget=1)
@@ -492,6 +493,33 @@ def test_isom_search_budget_checked_before_pool(monkeypatch):
     g = GramMatrix.identity(EC, 2)
     with pytest.raises(BudgetExceededError):
         isom_search(g, g, deg_x=2, deg_y=1, budget=5**3 * 5**2 - 1)
+
+
+@pytest.mark.parametrize(
+    "curve, deg_x, deg_y",
+    [
+        (LINE5, -1, -1),
+        (LINE5, 0, -1),
+        (LINE5, 2, -1),
+        (CurveSpec.polyline(make_extension(3, 2)), 1, -1),
+        (EC, 0, -1),
+        (EC, 1, 0),
+        (EC, -1, 1),
+        (EC, 2, 1),
+        (CurveSpec.weierstrass(make_extension(3, 2), 1, 1), 1, 0),
+    ],
+)
+def test_pool_entries_follow_reference_pool(curve, deg_x, deg_y):
+    reference = entry_pool(curve, deg_x, deg_y)
+    coeffs = sorted(curve.field.elements(), key=lambda c: c.coeffs)
+    built = [forms._pool_entry(curve, deg_x, deg_y, coeffs, k) for k in range(len(reference))]
+    assert built == reference
+
+
+def test_isom_search_rejects_degree_bound_below_minus_one():
+    f = GramMatrix.identity(LINE5, 1)
+    with pytest.raises(ValueError, match="deg_x must be >= -1"):
+        isom_search(f, f, deg_x=-2)
 
 
 def test_isom_search_pool_at_budget_runs():
@@ -728,9 +756,9 @@ def test_isom_search_refuses_when_no_field_has_enough_points(monkeypatch):
     f = GramMatrix.diagonal(curve, [P(field, "x^200+1"), 1])
 
     def no_pool(*args):
-        raise AssertionError("the entry pool was built")
+        raise AssertionError("the entry pool's vectors were built")
 
-    monkeypatch.setattr(forms, "_entry_pool", no_pool)
+    monkeypatch.setattr(forms, "_pool_vectors", no_pool)
     with pytest.raises(ValueError, match="points with distinct x"):
         isom_search(f, f, deg_x=0)
 
