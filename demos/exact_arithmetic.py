@@ -3,15 +3,16 @@
 Everything downstream (point counts, witnesses, searches) reduces to
 these operations: finite fields with deterministic extensions,
 polynomial factorization by trial division, valuations at primes and
-at infinity, and residue-field reduction.
+at infinity, and residue-field reduction.  A rational function in
+F_q(x) is a fraction over the affine line's coordinate ring F_q[x].
 """
 
 from hasseforms import (
     CurveSpec,
     Poly,
     PrimePoly,
-    RatFunc,
     RingElement,
+    RingFraction,
     factor,
     is_square,
     make_extension,
@@ -39,10 +40,12 @@ pretty = " * ".join(f"({to_text(g)})^{e}" if e > 1 else f"({to_text(g)})" for g,
 print(f"  x^3+2x+3 = {pretty}")
 
 print("\nvaluations")
-r = RatFunc(Poly.from_text(F5, "x^2+2*x+1"), Poly.from_text(F5, "x+3"))
+line = CurveSpec.polyline(F5)
+r = RingFraction(line, RingElement(line, Poly.from_text(F5, "x^2+2*x+1")), Poly.from_text(F5, "x+3"))
 p = PrimePoly.finite(Poly.from_text(F5, "x+1"))
 print(f"  v_(x+1) of (x+1)^2/(x+3) = {valuation(r, p)}")
-print(f"  v_inf of x^3 = {valuation(RatFunc(Poly.from_text(F5, 'x^3')), PrimePoly.infinite(F5))}")
+x3 = RingFraction.from_ring(RingElement(line, Poly.from_text(F5, "x^3")))
+print(f"  v_inf of x^3 = {valuation(x3, PrimePoly.infinite(F5))}")
 
 print("\nresidue fields")
 print(f"  x^2 mod (x+1) over F_5 -> {residue_reduce(Poly.from_text(F5, 'x^2'), p)!r}")

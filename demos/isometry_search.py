@@ -1,9 +1,11 @@
 """Bounded search for integral unit-determinant isometries.
 
 The search enumerates candidate columns inside explicit degree bounds,
-pruning with the diagonal targets, the pairwise inner products, and a
-cheap evaluation filter at a few curve points.  A found witness is a
-proof; an exhausted search only says none-within-bounds.
+pruning with the diagonal targets and the pairwise inner products.  It
+compares inner products exactly, on their values at D + 1 curve points,
+where D bounds the pole order of every inner product within the bounds,
+so two that differ cannot agree at all of those points.  A found witness
+is a proof; an exhausted search only says none-within-bounds.
 
 The singular-cubic pair makes the caveat concrete: no isometry exists
 with entries of x-degree at most 2, yet one does exist at degree 3, so

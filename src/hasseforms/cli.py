@@ -132,13 +132,7 @@ def _cmd_form(args) -> int:
     det = matrix.det()
     symmetric = matrix.is_symmetric()
     integral = matrix.all_integral()
-    unimodular = (
-        symmetric
-        and integral
-        and det.is_integral()
-        and det.num.is_constant()
-        and not det.is_zero()
-    )
+    unimodular = symmetric and integral and det.is_integral() and det.as_ring_element().is_unit()
     payload = {
         "schema": 1,
         "rank": matrix.n,

@@ -453,9 +453,6 @@ class RingMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> RingFraction:
-        return self.rows[i][j]
-
     def transpose(self) -> RingMatrix:
         n = self.n
         return RingMatrix(self.curve, [[self.rows[j][i] for j in range(n)] for i in range(n)])

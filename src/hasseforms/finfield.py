@@ -475,6 +475,19 @@ def sqrt(a: FieldElement) -> FieldElement:
     return root if root.coeffs < other.coeffs else other
 
 
+def smallest_root(coeffs, field: FiniteField) -> FieldElement:
+    """The first element of field, in canonical order, at which the
+    polynomial with these ascending coefficients (elements of field)
+    vanishes."""
+    for r in field.elements():
+        acc = field.zero()
+        for c in reversed(coeffs):
+            acc = acc * r + c
+        if acc.is_zero():
+            return r
+    raise ValueError(f"polynomial has no root in F{field.q}")
+
+
 def embed(a: FieldElement, target: FiniteField) -> FieldElement:
     """Map a into an extension field along the canonical embedding.
 
@@ -490,16 +503,7 @@ def embed(a: FieldElement, target: FiniteField) -> FieldElement:
     key = (src.q, src.modulus)
     root = target._embed_roots.get(key)
     if root is None:
-        mod = src.modulus
-        for r in target.elements():
-            acc = target.zero()
-            for c in reversed(mod):
-                acc = acc * r + target.element(c)
-            if acc.is_zero():
-                root = r
-                break
-        if root is None:
-            raise AssertionError("modulus has no root in the extension")  # unreachable
+        root = smallest_root([target.element(c) for c in src.modulus], target)
         target._embed_roots[key] = root
     acc = target.zero()
     for c in reversed(a.coeffs):

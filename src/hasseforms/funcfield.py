@@ -1,15 +1,19 @@
-"""Univariate polynomials over F_q, rational functions, primes, valuations.
+"""Univariate polynomials over F_q, primes, valuations, residue fields.
 
 Polynomials are coefficient tuples in ascending order with no trailing
 zeros; the zero polynomial is the empty tuple and reports degree -1 as
-its sentinel.  Rational functions keep a monic denominator coprime to
-the numerator, so equality is structural.
+its sentinel.  There is no separate rational-function type: an element
+of F_q(x) is a line ``curvering.RingFraction``, a numerator over a monic
+denominator coprime to it.
 
 Primes of F_q(x) relative to the polynomial ring are the monic
 irreducible polynomials plus the distinguished infinite place, where
-the valuation of f is -deg(f).  Residue fields at finite primes are
-built through ``finfield.make_extension`` together with an explicit
-root of the prime, so reductions are reproducible.
+the valuation of num/den is deg(den) - deg(num).  ``valuation`` and
+``residue_reduce`` take a polynomial or a fraction with no y part.
+Residue fields at finite primes are built through
+``finfield.make_extension`` together with the smallest root of the
+prime there (``finfield.smallest_root``), so reductions are
+reproducible, and reducing is evaluating at that root.
 
 Monic irreducibles are found by a product sieve: every reducible monic
 of degree d is g*h with g irreducible of degree e <= d/2 and h monic of
@@ -28,7 +32,7 @@ import itertools
 import re
 from typing import Iterator, Optional
 
-from .finfield import FieldElement, FiniteField, embed, make_extension
+from .finfield import FieldElement, FiniteField, embed, make_extension, smallest_root
 
 FACTOR_DEGREE_BOUND = 24
 MAX_TEXT_DEGREE = 256  # largest exponent the text grammar accepts
@@ -202,9 +206,6 @@ class Poly:
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def divides(self, other: Poly) -> bool:
-        return (other % self).is_zero()
 
     def derivative(self) -> Poly:
         return Poly(self.field, [c * i for i, c in enumerate(self.coeffs) if i >= 1])
@@ -390,6 +391,16 @@ def monic_irreducibles(field: FiniteField, degree: int):
     return _irr_cache[key]
 
 
+def _multiplicity(f: Poly, prime: Poly):
+    """(m, f / prime^m) for the multiplicity m of prime in f != 0."""
+    mult = 0
+    while True:
+        quo, rem = divmod(f, prime)
+        if not rem.is_zero():
+            return mult, f
+        f, mult = quo, mult + 1
+
+
 def factor(f: Poly):
     """Factor into monic irreducibles by trial division.
 
@@ -412,10 +423,7 @@ def factor(f: Poly):
         for g in monic_irreducibles(f.field, d):
             if rem.degree < 2 * d:
                 break
-            mult = 0
-            while (rem % g).is_zero():
-                rem = rem // g
-                mult += 1
+            mult, rem = _multiplicity(rem, g)
             if mult:
                 factors.append((g, mult))
         d += 1
@@ -474,121 +482,26 @@ class PrimePoly:
         return "inf" if self.is_infinite else to_text(self.poly)
 
 
-class RatFunc:
-    """A rational function num/den with monic denominator and
-    gcd(num, den) = 1."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Optional[Poly] = None):
-        if den is None:
-            den = Poly.one(num.field)
-        if den.field != num.field:
-            raise ValueError("mismatched base fields")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = Poly.one(num.field)
-        else:
-            g = poly_gcd(num, den)
-            if g.degree >= 1:
-                num, den = num // g, den // g
-            lead_inv = den.leading_coeff().inverse()
-            if lead_inv != num.field.one():
-                num = num * lead_inv
-                den = den * lead_inv
-        self.num = num
-        self.den = den
-
-    @property
-    def field(self):
-        return self.num.field
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_poly(self) -> bool:
-        return self.den.degree == 0
-
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            if other.field != self.field:
-                raise ValueError("mismatched base fields")
-            return other
-        if isinstance(other, Poly):
-            return RatFunc(other)
-        if isinstance(other, (int, FieldElement)):
-            return RatFunc(Poly.constant(self.field, other))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((hash(self.num), hash(self.den)))
-
-    def __repr__(self):
-        if self.is_poly():
-            return f"RatFunc({to_text(self.num)!r})"
-        return f"RatFunc({to_text(self.num)!r} / {to_text(self.den)!r})"
-
-
-def _poly_multiplicity(f: Poly, prime: Poly) -> int:
-    mult = 0
-    while (f % prime).is_zero():
-        f = f // prime
-        mult += 1
-    return mult
+def _line_parts(r):
+    """(numerator, denominator) in F_q[x] of a polynomial, or of a
+    RingFraction with no y part, such as every fraction on the line."""
+    if isinstance(r, Poly):
+        return r, Poly.one(r.field)
+    if not r.num.b.is_zero():
+        raise ValueError("a fraction with a y part lives on a cubic, not on the line")
+    return r.num.a, r.den
 
 
 def valuation(r, p: PrimePoly) -> int:
-    """v_p of a nonzero rational function (or polynomial)."""
-    if isinstance(r, Poly):
-        r = RatFunc(r)
-    if r.is_zero():
+    """v_p of a nonzero polynomial or line fraction: at a finite prime,
+    its multiplicity in the numerator minus that in the denominator; at
+    infinity, deg den - deg num."""
+    num, den = _line_parts(r)
+    if num.is_zero():
         raise ValueError("valuation of zero is undefined")
     if p.is_infinite:
-        return r.den.degree - r.num.degree
-    return _poly_multiplicity(r.num, p.poly) - _poly_multiplicity(r.den, p.poly)
+        return den.degree - num.degree
+    return _multiplicity(num, p.poly)[0] - _multiplicity(den, p.poly)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -609,26 +522,21 @@ def residue_field(p: PrimePoly):
         raise ValueError("residue reduction applies to finite primes only")
     base = p.field
     key = (base.p, base.k, base.modulus, p.poly.coeffs)
-    if key in _residue_cache:
-        return _residue_cache[key]
-    target = make_extension(base.p, base.k * p.poly.degree)
-    root = None
-    for r in target.elements():
-        if p.poly.evaluate(r).is_zero():
-            root = r
-            break
-    if root is None:
-        raise AssertionError("irreducible prime has no root in its residue field")
-    _residue_cache[key] = (target, root)
-    return target, root
+    if key not in _residue_cache:
+        target = make_extension(base.p, base.k * p.poly.degree)
+        root = smallest_root([embed(c, target) for c in p.poly.coeffs], target)
+        _residue_cache[key] = (target, root)
+    return _residue_cache[key]
 
 
 def residue_reduce(r, p: PrimePoly) -> FieldElement:
-    """Image of an integral rational function in the residue field at p."""
-    if isinstance(r, Poly):
-        r = RatFunc(r)
-    if not r.is_zero() and valuation(r, p) < 0:
+    """Image of an integral polynomial or line fraction in the residue
+    field at p: its value at the prime's root.  A line fraction is
+    reduced, gcd(num, den) = 1, so its denominator vanishes there
+    exactly when v_p < 0."""
+    num, den = _line_parts(r)
+    root = residue_field(p)[1]
+    d = den.evaluate(root)
+    if d.is_zero():
         raise ValueError(f"not integral at {p.text()}")
-    _, root = residue_field(p)
-    den_val = r.den.evaluate(root)
-    return r.num.evaluate(root) / den_val
+    return num.evaluate(root) / d

@@ -15,8 +15,10 @@ Conventions (all schemas carry ``"schema": 1``):
   prime          its polynomial text, or "inf"
 
 On input a fraction denominator may also be a ring-element record; it
-is rationalized into F_q[x] on load.  Output is deterministic: sorted
-keys, fixed indentation, one trailing newline.
+is rationalized into F_q[x] on load.  Integers (field entries, element
+coefficients, degrees, bounds) must be JSON integers, never floats,
+strings or booleans.  Output is deterministic: sorted keys, fixed
+indentation, one trailing newline.
 """
 
 from __future__ import annotations
@@ -45,6 +47,14 @@ def require_key(data, key: str, what: str):
     return data[key]
 
 
+def require_int(value, what: str) -> int:
+    """value if it is a JSON integer; a float, a string or true is
+    refused with a ValueError naming ``what``, never rounded or read."""
+    if type(value) is not int:  # JSON true is not a number either
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # fields and elements
 
@@ -56,10 +66,8 @@ def field_to_json(field: FiniteField) -> dict:
 def field_from_json(data: dict) -> FiniteField:
     """A base field F_{p^k}: p and k are integers and p^k is at most
     MAX_FIELD_SIZE, checked before the primality test."""
-    p, k = require_key(data, "p", "field"), data.get("k", 1)
-    for name, value in (("p", p), ("k", k)):
-        if type(value) is not int:  # JSON true is not a number either
-            raise ValueError(f"field {name} must be an integer, got {json.dumps(value)}")
+    p = require_int(require_key(data, "p", "field"), "field p")
+    k = require_int(data.get("k", 1), "field k")
     if p >= 2 and capped_power(p, k, MAX_FIELD_SIZE) > MAX_FIELD_SIZE:
         raise ValueError(f"field size {p}^{k} exceeds desk-scale bound {MAX_FIELD_SIZE}")
     return make_extension(p, k)
@@ -69,10 +77,12 @@ def elem_to_json(e: FieldElement) -> list:
     return list(e.coeffs)
 
 
-def elem_from_json(field: FiniteField, data) -> FieldElement:
-    if isinstance(data, int):
-        return field.element(data)
-    return field.element(list(data))
+def elem_from_json(field: FiniteField, data, what: str = "field element") -> FieldElement:
+    """An element from a JSON integer or a list of JSON integers (its
+    coefficients, least significant first)."""
+    if isinstance(data, list):
+        return field.element([require_int(c, f"{what} coefficient") for c in data])
+    return field.element(require_int(data, what))
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +105,8 @@ def curve_from_json(data: dict) -> CurveSpec:
     if kind == "weierstrass":
         return CurveSpec.weierstrass(
             field,
-            elem_from_json(field, require_key(data, "a", "curve")),
-            elem_from_json(field, require_key(data, "b", "curve")),
+            elem_from_json(field, require_key(data, "a", "curve"), "curve a"),
+            elem_from_json(field, require_key(data, "b", "curve"), "curve b"),
         )
     raise ValueError(f"unknown curve type {kind!r}")
 
@@ -111,7 +121,7 @@ def ring_elem_to_json(e: RingElement) -> dict:
 
 def ring_elem_from_json(curve: CurveSpec, data) -> RingElement:
     field = curve.field
-    if isinstance(data, int):
+    if type(data) is int:  # JSON true is not the constant 1
         return RingElement.constant(curve, data)
     if isinstance(data, str):
         return RingElement(curve, Poly.from_text(field, data))
@@ -127,9 +137,7 @@ def fraction_to_json(e: RingFraction) -> dict:
 
 
 def fraction_from_json(curve: CurveSpec, data) -> RingFraction:
-    if isinstance(data, (int, str)):
-        return RingFraction.from_ring(ring_elem_from_json(curve, data))
-    if "num" not in data:
+    if not isinstance(data, dict) or "num" not in data:
         return RingFraction.from_ring(ring_elem_from_json(curve, data))
     num = ring_elem_from_json(curve, data["num"])
     den = data.get("den", "1")
@@ -255,9 +263,12 @@ def pair_from_json(data: dict, field: FiniteField | None = None) -> dict:
         )
         out["witness"] = GenusWitness(g, pairs)
     if "degree" in data:
-        out["degree"] = int(data["degree"])
+        out["degree"] = require_int(data["degree"], "degree")
     if "isom_bounds" in data:
-        out["bounds"] = {k: int(v) for k, v in data["isom_bounds"].items()}
+        bounds = data["isom_bounds"]
+        if not isinstance(bounds, dict):
+            raise ValueError("isom_bounds must be a JSON object")
+        out["bounds"] = {k: require_int(v, f"isom_bounds {k}") for k, v in bounds.items()}
     return out
 
 

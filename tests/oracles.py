@@ -13,7 +13,7 @@ import itertools
 
 from hasseforms.finfield import FiniteField, make_extension
 from hasseforms.curvering import RingElement
-from hasseforms.funcfield import Poly, RatFunc, factor, monic_polys, polys_up_to, valuation
+from hasseforms.funcfield import Poly, factor, monic_polys, polys_up_to
 
 
 def exhaustive_squares(field: FiniteField):
@@ -183,15 +183,29 @@ def denominators_divide_power_by_factoring(q, s) -> bool:
     return True
 
 
+def _multiplicity(f, prime) -> int:
+    """How often prime divides f != 0, by repeated division."""
+    m = 0
+    while (f % prime).is_zero():
+        f, m = f // prime, m + 1
+    return m
+
+
+def _line_valuation(e, prime) -> int:
+    """v_prime of a nonzero line fraction num/den, counted here rather
+    than by the library's valuation."""
+    return _multiplicity(e.num.a, prime.poly) - _multiplicity(e.den, prime.poly)
+
+
 def covers_prime_by_valuation(q, s, prime) -> bool:
     """Whether (q, s) reaches a finite prime of the line: v(s) = 0, every
     entry has v >= 0, and v(det q) = 0 for a nonzero determinant."""
-    if valuation(s.a, prime) > 0:
+    if _multiplicity(s.a, prime.poly) > 0:
         return False
-    if any(valuation(RatFunc(e.num.a, e.den), prime) < 0 for row in q.rows for e in row if not e.is_zero()):
+    if any(_line_valuation(e, prime) < 0 for row in q.rows for e in row if not e.is_zero()):
         return False
     d = leibniz_det(q.rows)
-    return not d.is_zero() and valuation(RatFunc(d.num.a, d.den), prime) == 0
+    return not d.is_zero() and _line_valuation(d, prime) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,21 @@ def test_form_non_unimodular(capsys):
     assert data["unimodular"] is False
 
 
+def test_form_determinant_y_is_not_a_unit(capsys):
+    payload = json.dumps(
+        {
+            "schema": 1,
+            "curve": {"type": "weierstrass", "field": {"p": 5, "k": 1}, "a": [2], "b": [3]},
+            "matrix": [[{"A": "0", "B": "1"}]],
+        }
+    )
+    code, data, _ = invoke_json(capsys, "form", "--json", payload)
+    assert code == 0
+    assert data["symmetric"] is True and data["integral"] is True
+    assert data["det"] == {"num": {"A": "0", "B": "1"}, "den": "1"}
+    assert data["unimodular"] is False  # N(y) = -(x^3+2x+3) is not constant either
+
+
 def test_form_missing_input(capsys):
     code, _, err = invoke(capsys, "form")
     assert code == 2 and "error" in err
@@ -332,6 +347,50 @@ def test_field_entries_must_be_integers(capsys):
         curve = {"type": "polyline", "field": field}
         code, _, err = invoke(capsys, "curve", "--json", json.dumps(curve))
         assert code == 2 and json.loads(err)["error"] == message
+
+
+def test_pair_integers_must_be_json_integers(capsys):
+    # these used to go through int(): 2.9 ran degree 2, true degree 1, "2" degree 2
+    with open(fixture_path("polyline_pair")) as handle:
+        pair = json.load(handle)
+    for key, value, message in [
+        ("degree", 2.9, "degree must be an integer, got 2.9"),
+        ("degree", True, "degree must be an integer, got true"),
+        ("degree", "2", 'degree must be an integer, got "2"'),
+        ("isom_bounds", {"deg_x": 1.9}, "isom_bounds deg_x must be an integer, got 1.9"),
+        ("isom_bounds", {"deg_x": 1, "deg_y": False}, "isom_bounds deg_y must be an integer, got false"),
+        ("isom_bounds", [1], "isom_bounds must be a JSON object"),
+    ]:
+        for command in ("genus-verify", "isom-search"):
+            code, out, err = invoke(capsys, command, "--json", json.dumps(dict(pair, **{key: value})))
+            assert (code, out) == (2, "") and json.loads(err)["error"] == message
+
+
+def test_element_coefficients_must_be_json_integers(capsys):
+    # "2" was read digit by digit, true taken as 1 and 2.7 truncated to 2
+    for a, message in [
+        ("2", 'curve a must be an integer, got "2"'),
+        (True, "curve a must be an integer, got true"),
+        (2.7, "curve a must be an integer, got 2.7"),
+        ({"c": 2}, 'curve a must be an integer, got {"c": 2}'),
+        ([2.7], "curve a coefficient must be an integer, got 2.7"),
+        ([True], "curve a coefficient must be an integer, got true"),
+        (["2"], 'curve a coefficient must be an integer, got "2"'),
+    ]:
+        curve = {"type": "weierstrass", "field": {"p": 5, "k": 1}, "a": a, "b": [3]}
+        code, out, err = invoke(capsys, "curve", "--json", json.dumps(curve))
+        assert (code, out) == (2, "") and json.loads(err)["error"] == message
+    reports = []
+    for a in (2, [2]):
+        curve = {"type": "weierstrass", "field": {"p": 5, "k": 1}, "a": a, "b": 3}
+        code, out, _ = invoke(capsys, "curve", "--json", json.dumps(curve))
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+    # a matrix entry true is not the constant 1
+    line = {"type": "polyline", "field": {"p": 3, "k": 1}}
+    code, _, err = invoke(capsys, "form", "--json", json.dumps({"schema": 1, "curve": line, "matrix": [[True]]}))
+    assert code == 2 and "ring element must be" in json.loads(err)["error"]
 
 
 def test_base_field_cap_stays_at_121(capsys):

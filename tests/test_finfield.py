@@ -11,6 +11,7 @@ from hasseforms.finfield import (
     embed,
     is_square,
     make_extension,
+    smallest_root,
     sqrt,
     square_class,
 )
@@ -173,6 +174,16 @@ def test_embed_is_a_field_homomorphism():
     F81 = make_extension(3, 4)
     x = F9.gen()
     assert embed(x * x, F81) == embed(x, F81) * embed(x, F81)
+
+
+def test_smallest_root_is_first_root_in_canonical_order():
+    F81 = make_extension(3, 4)
+    modulus = [F81.element(c) for c in F9.modulus]
+    roots = [r for r in F81.elements() if r * r * modulus[2] + r * modulus[1] + modulus[0] == 0]
+    assert len(roots) == 2
+    assert smallest_root(modulus, F81) == roots[0] == embed(F9.gen(), F81)
+    with pytest.raises(ValueError, match="no root"):
+        smallest_root([F5.element(2), F5.zero(), F5.one()], F5)  # -2 is not a square mod 5
 
 
 def test_embed_rejects_incompatible():

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
+from hasseforms.curvering import CurveSpec, RingElement, RingFraction
 from hasseforms.finfield import make_extension
 from hasseforms.funcfield import (
     MAX_TEXT_DEGREE,
     Poly,
     PrimePoly,
-    RatFunc,
     factor,
     is_irreducible,
     monic_irreducibles,
@@ -24,10 +24,16 @@ from oracles import monic_irreducibles_by_trial_division
 F3 = make_extension(3, 1)
 F5 = make_extension(5, 1)
 F9 = make_extension(3, 2)
+LINE5 = CurveSpec.polyline(F5)
 
 
 def P5(text):
     return Poly.from_text(F5, text)
+
+
+def frac(num, den=None):
+    """num/den in F_5(x), as a fraction over the line's ring F_5[x]."""
+    return RingFraction(LINE5, RingElement(LINE5, num), den)
 
 
 def rand_poly(rng, field, max_deg):
@@ -232,10 +238,11 @@ def prime(field, text):
 
 def test_valuation_examples():
     p = prime(F5, "x+1")
-    r = RatFunc(P5("x+1") * P5("x+1"), P5("x+3"))
+    r = frac(P5("x+1") * P5("x+1"), P5("x+3"))
     assert valuation(r, p) == 2
-    assert valuation(RatFunc(P5("x^3")), PrimePoly.infinite(F5)) == -3
-    assert valuation(RatFunc(Poly.one(F5), P5("x")), prime(F5, "x")) == -1
+    assert valuation(frac(P5("x^3")), PrimePoly.infinite(F5)) == -3
+    assert valuation(frac(Poly.one(F5), P5("x")), prime(F5, "x")) == -1
+    assert valuation(P5("x^3"), PrimePoly.infinite(F5)) == -3
 
 
 def test_valuation_additive_random():
@@ -246,15 +253,15 @@ def test_valuation_additive_random():
         parts = [rand_poly(rng, F5, 5), rand_poly(rng, F5, 4), rand_poly(rng, F5, 5), rand_poly(rng, F5, 4)]
         if any(f.is_zero() for f in parts):
             continue
-        r = RatFunc(parts[0], parts[1])
-        s = RatFunc(parts[2], parts[3])
+        r = frac(parts[0], parts[1])
+        s = frac(parts[2], parts[3])
         for place in (p, inf):
             assert valuation(r * s, place) == valuation(r, place) + valuation(s, place)
 
 
 def test_valuation_of_zero_rejected():
     with pytest.raises(ValueError):
-        valuation(RatFunc(Poly.zero(F5)), prime(F5, "x"))
+        valuation(frac(Poly.zero(F5)), prime(F5, "x"))
 
 
 def test_degree_formula_random():
@@ -281,14 +288,23 @@ def test_prime_validation():
 def test_residue_reduce_evaluation():
     p = prime(F5, "x+1")
     assert residue_reduce(P5("x^2"), p) == F5.one()  # (-1)^2
-    r = RatFunc(Poly.one(F5), P5("x+3"))
+    r = frac(Poly.one(F5), P5("x+3"))
     assert residue_reduce(r, p) == F5.element(3)  # ((-1)+3)^-1 = 2^-1
+    assert residue_reduce(frac(P5("x+1"), P5("x+1") * P5("x")), p) == F5.element(4)  # 1/(-1)
 
 
 def test_residue_reduce_rejects_poles():
     p = prime(F5, "x+1")
     with pytest.raises(ValueError):
-        residue_reduce(RatFunc(Poly.one(F5), P5("x+1")), p)
+        residue_reduce(frac(Poly.one(F5), P5("x+1")), p)
+
+
+def test_fractions_with_a_y_part_rejected():
+    y = RingFraction.from_ring(RingElement.y(CurveSpec.weierstrass(F5, 2, 3)))
+    p = prime(F5, "x+1")
+    for reduce in (valuation, residue_reduce):
+        with pytest.raises(ValueError, match="cubic"):
+            reduce(y, p)
 
 
 def test_residue_field_degree_two():
