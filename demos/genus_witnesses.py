@@ -33,5 +33,7 @@ def show(name, degree):
 show("polyline_pair", degree=3)
 
 # 1_2 vs [[0,2],[2,3y^2]] over F_5[x,y]/(y^2-x^3-2x-3): both witnesses
-# declare loci that contain the singular point, so coverage has a gap
+# declare loci that contain the singular point, so coverage has a gap;
+# the 14 covered places are 5 rational points and 9 closed points of
+# degree 2, each listed once by one point of its Frobenius orbit
 show("singular_cubic_pair", degree=2)

@@ -103,8 +103,10 @@ def _emit(payload: dict, fmt: str):
 
 
 def _search_budget():
-    raw = os.environ.get("HASSE_FORMS_BUDGET")
-    return int(raw) if raw else DEFAULT_SEARCH_BUDGET
+    raw = os.environ.get("HASSE_FORMS_BUDGET") or str(DEFAULT_SEARCH_BUDGET)
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"HASSE_FORMS_BUDGET must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Point counting is pure enumeration: scan x over the field, solve
 y^2 = x^3 + ax + b with an exhaustive square root.  At desk scale the
-brute force doubles as the oracle for everything downstream.
+brute force doubles as the oracle for everything downstream.  A closed
+point of degree d is one Frobenius orbit of d points, so a point's
+degree is the length of its orbit.
 
 For a smooth Weierstrass curve with its rational point at infinity
 removed, the Picard group of the affine curve is isomorphic to the
@@ -24,7 +26,6 @@ from typing import Optional, Union
 
 from .curvering import CurveSpec
 from .finfield import FieldElement, embed, is_square, make_extension, sqrt
-from .funcfield import poly_gcd
 from .records import Record
 
 
@@ -98,34 +99,30 @@ class PointCountReport(Record):
         self.warning = warning
 
 
-def _extension_of(curve: CurveSpec, degree: int):
-    field = curve.field
-    return make_extension(field.p, field.k * degree)
-
-
-def _element_degree(value: FieldElement, base_q: int, ambient_degree: int) -> int:
-    """Least e dividing the ambient degree with value fixed by the e-th
-    power of the base-field Frobenius."""
-    for e in range(1, ambient_degree + 1):
-        if ambient_degree % e:
-            continue
-        if value ** (base_q**e) == value:
-            return e
-    return ambient_degree
+def frobenius_orbit(q: int, x0: FieldElement, y0: FieldElement) -> list:
+    """The conjugates (x0^(q^i), y0^(q^i)), i = 0, 1, ..., of a point
+    over F_q, until they repeat: the geometric points of one closed
+    point, whose degree is the length of the orbit."""
+    orbit = [(x0, y0)]
+    x, y = x0**q, y0**q
+    while x != x0 or y != y0:
+        orbit.append((x, y))
+        x, y = x**q, y**q
+    return orbit
 
 
 def enumerate_points(curve: CurveSpec, degree: int = 1):
     """All affine points with coordinates in F_{q^degree}, by x-scan.
 
-    Points are tagged with the least extension degree containing both
-    coordinates, and returned in canonical coordinate order.
+    Points are tagged with the degree of their closed point, the length
+    of their Frobenius orbit, and returned in canonical coordinate order.
     """
     if curve.is_polyline:
         raise ValueError(
             "the affine line has no curve equation; its closed points are "
             "enumerated as monic irreducible polynomials"
         )
-    ext = _extension_of(curve, degree)
+    ext = make_extension(curve.field.p, curve.field.k * degree)
     a = embed(curve.a, ext)
     b = embed(curve.b, ext)
     base_q = curve.field.q
@@ -140,39 +137,37 @@ def enumerate_points(curve: CurveSpec, degree: int = 1):
         else:
             continue
         for y0 in ys:
-            d = max(
-                _element_degree(x0, base_q, degree),
-                _element_degree(y0, base_q, degree),
-            )
-            points.append(AffinePoint(x0, y0, d))
+            points.append(AffinePoint(x0, y0, len(frobenius_orbit(base_q, x0, y0))))
     return points
+
+
+def is_singular_point(curve: CurveSpec, x0: FieldElement, y0: FieldElement) -> bool:
+    """Whether (x0, y0) is a common zero of the equation and both
+    partials: y0 = 0, x0^3 + a x0 + b = 0 and 3 x0^2 + a = 0."""
+    if not y0.is_zero():
+        return False
+    a = embed(curve.a, x0.field)
+    b = embed(curve.b, x0.field)
+    return (x0 * x0 * x0 + a * x0 + b).is_zero() and (3 * x0 * x0 + a).is_zero()
 
 
 def is_smooth(curve: CurveSpec):
     """(smooth?, singular point list).
 
-    Singular points are the common zeros of the equation and both
-    partials: y = 0 together with a repeated root of the cubic.  A cubic
-    can only repeat a root rationally, so the list is complete.
+    Singular points are y = 0 together with a repeated root of the
+    cubic.  A cubic can only repeat a root rationally, so scanning the
+    base field finds them all.
     """
-    if curve.is_polyline:
+    if curve.is_smooth:  # the affine line included
         return True, ()
-    if curve.is_smooth:
-        return True, ()
-    cubic = curve.cubic()
-    rep = poly_gcd(cubic, cubic.derivative())
-    field = curve.field
+    zero = curve.field.zero()
     singular = tuple(
-        AffinePoint(x0, field.zero())
-        for x0 in field.elements()
-        if rep.evaluate(x0).is_zero()
+        AffinePoint(x0, zero) for x0 in curve.field.elements() if is_singular_point(curve, x0, zero)
     )
     return False, singular
 
 
 def _require_smooth(curve: CurveSpec, what: str):
-    if curve.is_polyline:
-        return
     if not curve.is_smooth:
         _, sing = is_smooth(curve)
         raise ValueError(
@@ -202,8 +197,7 @@ def ec_add(curve: CurveSpec, p1: Point, p2: Point) -> Point:
         slope = (p2.y - p1.y) / (p2.x - p1.x)
     x3 = slope * slope - p1.x - p2.x
     y3 = slope * (p1.x - x3) - p1.y
-    degree = max(p1.degree, p2.degree)
-    return AffinePoint(x3, y3, degree)
+    return AffinePoint(x3, y3, len(frobenius_orbit(curve.field.q, x3, y3)))
 
 
 def ec_multiply(curve: CurveSpec, n: int, point: Point) -> Point:
@@ -225,11 +219,7 @@ def picard_order(curve: CurveSpec) -> int:
     """
     if curve.is_polyline:
         return 1
-    if not curve.is_smooth:
-        raise ValueError(
-            "the Picard/point-group isomorphism requires smoothness; "
-            "this cubic has a repeated root"
-        )
+    _require_smooth(curve, "the Picard/point-group isomorphism")
     return len(enumerate_points(curve)) + 1
 
 

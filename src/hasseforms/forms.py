@@ -13,10 +13,11 @@ matrices.
 A genus witness is a finite list of fraction-field transition matrices
 Q, each with a declared bad locus given by a ring element s: away from
 the zero locus of s the matrix must be integral with unit determinant.
-Verification is point-based up to an inspection degree d (closed points
-of the curve, or monic irreducible polynomials for the affine line)
-rather than ideal-theoretic; whatever no witness reaches is reported as
-a gap.
+Verification is point-based up to an inspection degree d with
+q^d <= 14 641, rather than ideal-theoretic.  Each closed place is
+examined once: a monic irreducible polynomial on the affine line, one
+point of its Frobenius orbit on the cubic.  Whatever no witness reaches
+is reported as a gap.
 
 ``isom_search`` looks for an integral unit-determinant congruence
 between two Gram matrices by column-pruned enumeration inside explicit
@@ -30,7 +31,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .curvepoints import AffinePoint, enumerate_points, is_smooth
+from .curvepoints import AffinePoint, enumerate_points, frobenius_orbit, is_singular_point
 from .curvering import (
     CurveSpec,
     RingElement,
@@ -41,16 +42,13 @@ from .curvering import (
     matmul,
 )
 from .finfield import (
-    MAX_FIELD_SIZE,
     MAX_INSPECTION_SIZE,
     FieldElement,
     FiniteField,
     SquareClass,
     capped_power,
     embed,
-    is_square,
     make_extension,
-    sqrt,
     square_class,
 )
 from .funcfield import (
@@ -284,16 +282,11 @@ def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
 
 
 def _reject_singular_point(curve: CurveSpec, point: AffinePoint):
-    if curve.is_smooth:
-        return
-    _, singular = is_smooth(curve)
-    ext = point.x.field
-    for s in singular:
-        if embed(s.x, ext) == point.x and embed(s.y, ext) == point.y:
-            raise ValueError(
-                "reduction at the singular point is rejected: the local ring "
-                "there is not a discrete valuation ring"
-            )
+    if is_singular_point(curve, point.x, point.y):
+        raise ValueError(
+            "reduction at the singular point is rejected: the local ring "
+            "there is not a discrete valuation ring"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +359,12 @@ def verify_genus_witness(
     exactly over the fraction field (which certifies isomorphism over
     the function field), integrality and unit determinant of each Q away
     from its declared locus, and coverage: every closed point of degree
-    at most ``degree`` must be reached by some witness.  Points beyond
-    the inspection degree are not examined; a Certified verdict means
-    certified up to that degree.
+    at most ``degree`` must be reached by some witness.  Each closed
+    point is listed once, as a monic irreducible on the line and as one
+    point of its Frobenius orbit on the cubic.  q^degree must be at most
+    MAX_INSPECTION_SIZE on both, which is checked before any work.
+    Points beyond the inspection degree are not examined; a Certified
+    verdict means certified up to that degree.
     """
     if f.curve != g.curve:
         raise ValueError("forms live over different curves")
@@ -379,13 +375,12 @@ def verify_genus_witness(
     if degree < 1:
         raise ValueError("inspection degree must be >= 1")
     curve = f.curve
-    # the line enumerates up to q^degree candidate primes; the cubic lists
-    # each closed point once per conjugate, so it stays at the base cap
-    bound = MAX_INSPECTION_SIZE if curve.is_polyline else MAX_FIELD_SIZE
-    if capped_power(curve.field.q, degree, bound) > bound:
+    # the line sieves up to q^degree candidate primes, the cubic scans
+    # F_{q^degree}
+    if capped_power(curve.field.q, degree, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
         raise ValueError(
             f"inspection degree {degree} over F_{curve.field.q} exceeds the "
-            f"enumeration bound q^degree <= {bound}"
+            f"enumeration bound q^degree <= {MAX_INSPECTION_SIZE}"
         )
 
     identity_ok = tuple(congruence(q, f.matrix) == g.matrix for q, _ in witness.pairs)
@@ -410,11 +405,20 @@ def verify_genus_witness(
 
 
 def _closed_places(curve: CurveSpec, d: int):
-    """The closed places of degree d: monic irreducibles on the line,
-    points of exact degree d on the cubic."""
+    """The closed places of degree d: monic irreducibles on the line; on
+    the cubic, one point per Frobenius orbit of length d, the one first
+    in canonical order of (x.coeffs, y.coeffs).  s, Q and det Q are
+    defined over F_q, so they vanish at every point of an orbit or at
+    none, and one point decides for the whole closed point."""
     if curve.is_polyline:
         return [PrimePoly(curve.field, prime) for prime in monic_irreducibles(curve.field, d)]
-    return [point for point in enumerate_points(curve, d) if point.degree == d]
+    q = curve.field.q
+    return [
+        point for point in enumerate_points(curve, d)
+        if point.degree == d
+        and min((x.coeffs, y.coeffs) for x, y in frobenius_orbit(q, point.x, point.y))
+        == (point.x.coeffs, point.y.coeffs)
+    ]
 
 
 def _covers(q: RingMatrix, s: RingElement, det: RingFraction, place) -> bool:
@@ -652,17 +656,14 @@ def _evaluation_points(curve: CurveSpec, count: int):
             )
         if base.q**k < count:
             continue
-        ext = make_extension(base.p, base.k * k)
         if curve.is_polyline:
+            ext = make_extension(base.p, base.k * k)
             return [(x0, ext.zero()) for x0 in itertools.islice(ext.elements(), count)]
-        a, b = embed(curve.a, ext), embed(curve.b, ext)
-        points = []
-        for x0 in ext.elements():
-            rhs = x0 * x0 * x0 + a * x0 + b
-            if rhs.is_zero() or is_square(rhs):
-                points.append((x0, sqrt(rhs)))
-                if len(points) == count:
-                    return points
+        first = {}  # the first point per x, which has the smaller root
+        for point in enumerate_points(curve, k):
+            first.setdefault(point.x, point.y)
+        if len(first) >= count:
+            return list(first.items())[:count]
 
 
 class _Logs:

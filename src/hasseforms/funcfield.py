@@ -207,9 +207,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def derivative(self) -> Poly:
-        return Poly(self.field, [c * i for i, c in enumerate(self.coeffs) if i >= 1])
-
     def evaluate(self, x0: FieldElement) -> FieldElement:
         """Horner evaluation; coefficients are embedded if x0 lives in an
         extension of the base field."""

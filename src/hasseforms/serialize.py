@@ -151,12 +151,12 @@ def matrix_to_json(m: RingMatrix) -> list:
     return [[fraction_to_json(e) for e in row] for row in m.rows]
 
 
-def matrix_from_json(curve: CurveSpec, rows) -> RingMatrix:
+def matrix_from_json(curve: CurveSpec, rows, what: str = "matrix") -> RingMatrix:
+    """A matrix from a JSON list of rows, each a list of entries; any
+    other shape is refused with a ValueError naming ``what``."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"{what} must be a list of rows, each a list of entries")
     return RingMatrix(curve, [[fraction_from_json(curve, e) for e in row] for row in rows])
-
-
-def gram_from_json(curve: CurveSpec, rows) -> GramMatrix:
-    return GramMatrix(curve, matrix_from_json(curve, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +250,13 @@ def pair_from_json(data: dict, field: FiniteField | None = None) -> dict:
     if field is not None:
         curve_data["field"] = field_to_json(field)
     curve = curve_from_json(curve_data)
-    f = gram_from_json(curve, require_key(data, "F", "pair"))
-    g = gram_from_json(curve, require_key(data, "G", "pair"))
+    f = GramMatrix(curve, matrix_from_json(curve, require_key(data, "F", "pair"), "F"))
+    g = GramMatrix(curve, matrix_from_json(curve, require_key(data, "G", "pair"), "G"))
     out = {"curve": curve, "F": f, "G": g}
     if "witnesses" in data:
         pairs = tuple(
             (
-                matrix_from_json(curve, require_key(w, "Q", "witness")),
+                matrix_from_json(curve, require_key(w, "Q", "witness"), "witness Q"),
                 ring_elem_from_json(curve, require_key(w, "s", "witness")),
             )
             for w in data["witnesses"]
@@ -268,6 +268,9 @@ def pair_from_json(data: dict, field: FiniteField | None = None) -> dict:
         bounds = data["isom_bounds"]
         if not isinstance(bounds, dict):
             raise ValueError("isom_bounds must be a JSON object")
+        for key in bounds:
+            if key not in ("deg_x", "deg_y"):
+                raise ValueError(f"unknown key {key!r} in isom_bounds; allowed are deg_x and deg_y")
         out["bounds"] = {k: require_int(v, f"isom_bounds {k}") for k, v in bounds.items()}
     return out
 

@@ -38,6 +38,42 @@ def count_points_char_sum(p: int, a: int, b: int) -> int:
     return total
 
 
+def _mobius(n: int) -> int:
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def closed_point_counts(field: FiniteField, a, b, d_max: int) -> list[int]:
+    """The number of closed points of each degree 1..d_max on the smooth
+    affine curve y^2 = x^3 + ax + b over F_q, from its F_q count alone.
+
+    N_1 counts, for each x, the y with y^2 = x^3 + ax + b in a table built
+    by squaring every element.  With the trace t = q - N_1, the power sums
+    s_0 = 2, s_1 = t, s_e = t s_{e-1} - q s_{e-2} of the Frobenius
+    eigenvalues give the affine count N_e = q^e - s_e over F_{q^e}, and
+    Moebius inversion of N_e = sum over d | e of d P_d gives P_d."""
+    q = field.q
+    roots = {}
+    for y in field.elements():
+        roots[y * y] = roots.get(y * y, 0) + 1
+    t = q - sum(roots.get(x * x * x + a * x + b, 0) for x in field.elements())
+    s = [2, t]
+    for _ in range(2, d_max + 1):
+        s.append(t * s[-1] - q * s[-2])
+    counts = [None] + [q**e - s[e] for e in range(1, d_max + 1)]
+    return [
+        sum(_mobius(d // e) * counts[e] for e in range(1, d + 1) if d % e == 0) // d
+        for d in range(1, d_max + 1)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive congruence search over GL_n(F_p), on plain int matrices mod p.
 

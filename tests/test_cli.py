@@ -158,6 +158,16 @@ def test_genus_verify_gap(capsys):
     assert data["uncovered"] == [{"x": [4], "y": [0], "degree": 1}]
 
 
+def test_genus_verify_gap_lists_each_closed_point_once(capsys):
+    # 5 rational points and 9 closed points of degree 2 are covered; the
+    # conjugate of a degree-2 point is not listed again
+    code, data, _ = invoke_json(capsys, "genus-verify", "--input", fixture_path("singular_cubic_pair"))
+    assert code == 1
+    assert [p["degree"] for p in data["covered"]] == [1] * 5 + [2] * 9
+    assert len({(tuple(p["x"]), tuple(p["y"])) for p in data["covered"]}) == 14
+    assert data["uncovered"] == [{"x": [4], "y": [0], "degree": 1}]
+
+
 def test_genus_verify_inspection_degree_flag(capsys):
     code, data, _ = invoke_json(
         capsys, "genus-verify", "--input", fixture_path("polyline_pair"), "--inspection-degree", "1"
@@ -206,6 +216,14 @@ def test_isom_search_budget_env(capsys, monkeypatch):
     code, _, err = invoke(capsys, "isom-search", "--input", fixture_path("polyline_pair"))
     assert code == 2
     assert "exceeds budget 3" in err
+
+
+def test_isom_search_budget_env_must_be_positive_integer(capsys, monkeypatch):
+    for raw in ("abc", "1e6", "0", "-5", "2.5"):
+        monkeypatch.setenv("HASSE_FORMS_BUDGET", raw)
+        code, out, err = invoke(capsys, "isom-search", "--input", fixture_path("polyline_pair"))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == f"HASSE_FORMS_BUDGET must be a positive integer, got {raw!r}"
 
 
 # -- verify-paper ---------------------------------------------------------------
@@ -364,6 +382,35 @@ def test_pair_integers_must_be_json_integers(capsys):
         for command in ("genus-verify", "isom-search"):
             code, out, err = invoke(capsys, command, "--json", json.dumps(dict(pair, **{key: value})))
             assert (code, out) == (2, "") and json.loads(err)["error"] == message
+
+
+def test_unknown_isom_bounds_key_rejected(capsys):
+    # a misspelt "degy" used to be dropped: the search ran with deg_y = -1
+    with open(fixture_path("singular_cubic_pair")) as handle:
+        pair = json.load(handle)
+    payload = json.dumps(dict(pair, isom_bounds={"deg_x": 1, "degy": 1}))
+    for command in ("genus-verify", "isom-search"):
+        code, out, err = invoke(capsys, command, "--json", payload)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "unknown key 'degy' in isom_bounds; allowed are deg_x and deg_y"
+
+
+def test_matrix_must_be_a_list_of_rows(capsys):
+    # 5 and [5] failed with "'int' object is not iterable", a dict walked its keys
+    line = {"type": "polyline", "field": {"p": 3, "k": 1}}
+    shape = "must be a list of rows, each a list of entries"
+    with open(fixture_path("polyline_pair")) as handle:
+        pair = json.load(handle)
+    for bad in (5, [5], {"a": 1}):
+        for key in ("F", "G"):
+            payload = json.dumps({"schema": 1, "curve": line, "F": [[1]], "G": [[1]], key: bad})
+            code, out, err = invoke(capsys, "isom-search", "--json", payload, "--degree-bound", "0")
+            assert (code, out) == (2, "") and json.loads(err)["error"] == f"{key} {shape}"
+        witnesses = [dict(pair["witnesses"][0], Q=bad)]
+        code, out, err = invoke(capsys, "genus-verify", "--json", json.dumps(dict(pair, witnesses=witnesses)))
+        assert (code, out) == (2, "") and json.loads(err)["error"] == f"witness Q {shape}"
+        code, out, err = invoke(capsys, "form", "--json", json.dumps({"schema": 1, "curve": line, "matrix": bad}))
+        assert (code, out) == (2, "") and json.loads(err)["error"] == f"matrix {shape}"
 
 
 def test_element_coefficients_must_be_json_integers(capsys):

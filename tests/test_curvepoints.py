@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from hasseforms.curvepoints import (
     ec_add,
     ec_multiply,
     enumerate_points,
+    frobenius_orbit,
     has_two_torsion,
     is_smooth,
     picard_order,
@@ -16,7 +18,7 @@ from hasseforms.curvepoints import (
 from hasseforms.curvering import CurveSpec
 from hasseforms.finfield import make_extension
 
-from oracles import count_points_char_sum, smooth_weierstrass_pairs
+from oracles import closed_point_counts, count_points_char_sum, smooth_weierstrass_pairs
 
 F5 = make_extension(5, 1)
 SINGULAR = CurveSpec.weierstrass(F5, 2, 3)
@@ -77,6 +79,27 @@ def test_degree_two_enumeration():
         assert p.y * p.y == p.x**3 + a * p.x + b
 
 
+def test_point_degree_is_orbit_length():
+    # the degree of a point is the lcm of its coordinates' degrees, not
+    # the max: over F_3 at degree 6, six points have coordinates of
+    # degrees 2 and 3 and were tagged as degree 3 (750/27/6)
+    F3 = make_extension(3, 1)
+    curve = CurveSpec.weierstrass(F3, 2, 1)
+    degrees = Counter(p.degree for p in enumerate_points(curve, 6))
+    assert degrees == {6: 756, 3: 21, 1: 6}
+    counts = closed_point_counts(F3, F3.element(2), F3.one(), 6)
+    assert degrees == {d: d * n for d, n in enumerate(counts, 1) if n and 6 % d == 0}
+
+
+def test_frobenius_orbit_of_a_degree_two_point():
+    for p in enumerate_points(C511, 2):
+        orbit = frobenius_orbit(5, p.x, p.y)
+        assert len(orbit) == p.degree
+        assert orbit[0] == (p.x, p.y)
+        if p.degree == 2:
+            assert orbit[1] == (p.x**5, p.y**5) != orbit[0]
+
+
 # -- smoothness ----------------------------------------------------------------
 
 
@@ -89,6 +112,21 @@ def test_singular_locus_of_worked_cubic():
 def test_smooth_curves_have_empty_locus():
     assert is_smooth(C511) == (True, ())
     assert is_smooth(C510) == (True, ())
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_singular_locus_matches_integer_scan(p):
+    # y = 0 and x a common root of x^3 + ax + b and 3x^2 + a, in ints mod p
+    field = make_extension(p, 1)
+    for a in range(p):
+        for b in range(p):
+            curve = CurveSpec.weierstrass(field, a, b)
+            expected = [
+                x for x in range(p) if (x**3 + a * x + b) % p == 0 and (3 * x * x + a) % p == 0
+            ]
+            smooth, sing = is_smooth(curve)
+            assert smooth == (not expected) == curve.is_smooth
+            assert [(q.x.coeffs[0], q.y.coeffs[0]) for q in sing] == [(x, 0) for x in expected]
 
 
 def test_char3_smoothness():
@@ -125,6 +163,19 @@ def test_group_law_commutative_and_associative():
                 lhs = ec_add(C511, ec_add(C511, p, q), r)
                 rhs = ec_add(C511, p, ec_add(C511, q, r))
                 assert lhs == rhs
+
+
+def test_sum_of_conjugate_points_is_rational():
+    # P + Frob(P) is fixed by Frobenius, so it is a point of degree 1; the
+    # max of the summands' degrees tagged these 16 sums as degree 2
+    conjugate_sums = [
+        ec_add(C511, p, AffinePoint(p.x**5, p.y**5, 2))
+        for p in enumerate_points(C511, 2)
+        if p.degree == 2
+    ]
+    finite = [s for s in conjugate_sums if s is not INFINITY]
+    assert len(finite) == 16
+    assert all(s.degree == 1 and (s.x**5, s.y**5) == (s.x, s.y) for s in finite)
 
 
 def test_group_law_rejects_singular():

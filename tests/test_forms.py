@@ -26,6 +26,7 @@ from hasseforms.serialize import load_bundled_pair
 
 from oracles import (
     brute_force_congruent,
+    closed_point_counts,
     covers_prime_by_valuation,
     denominators_divide_power_by_factoring,
     entry_pool,
@@ -269,6 +270,18 @@ def test_local_isomorphic_rejects_singular_point():
         local_isomorphic(f, g, AffinePoint(F5.element(4), F5.zero()))
 
 
+def test_local_isomorphic_singular_test_is_pointwise():
+    # (4, 0) stays singular when embedded in F_25; (2, 0), the simple
+    # root of the cubic, is a smooth point with y = 0
+    f = GramMatrix.identity(EC, 2)
+    g = ec_g_matrix()
+    F25 = make_extension(5, 2)
+    with pytest.raises(ValueError, match="singular"):
+        local_isomorphic(f, g, AffinePoint(embed(F5.element(4), F25), F25.zero(), 1))
+    for field in (F5, F25):
+        assert local_isomorphic(f, g, AffinePoint(embed(F5.element(2), field), field.zero(), 1))
+
+
 def test_local_isomorphic_across_certified_genus():
     # two forms in one genus agree locally at every smooth rational point
     f = GramMatrix.identity(EC, 2)
@@ -301,6 +314,22 @@ def test_ec_witness_gap_at_singular_point():
     assert report.identity_ok == (True, True)
     assert report.verdict == "GapFound"
     assert [(p.x, p.y) for p in report.uncovered] == [(F5.element(4), F5.zero())]
+
+
+@pytest.mark.parametrize(
+    "p, k, a, b, d_max",
+    [(5, 1, 1, 1, 4), (3, 1, 2, 1, 6), (11, 1, 1, 3, 4), (7, 2, 1, 3, 2)],
+)
+def test_cubic_closed_places_one_per_orbit(p, k, a, b, d_max):
+    # one entry per closed point, counted against the oracle's count from
+    # the F_q point count alone; over F_11 at d = 4 that is 3645 places
+    field = make_extension(p, k)
+    curve = CurveSpec.weierstrass(field, a, b)
+    expected = closed_point_counts(field, field.element(a), field.element(b), d_max)
+    for d, count in enumerate(expected, 1):
+        places = forms._closed_places(curve, d)
+        assert len(places) == count
+        assert all(place.degree == d for place in places)
 
 
 def test_trivial_self_witness():
@@ -600,8 +629,9 @@ def test_inspection_degree_capped_before_any_work():
 
 
 def test_cubic_inspection_degree_capped_before_any_work(monkeypatch):
-    # cubic inspection stays at q^degree <= 121, so a cubic over F_5 is
-    # refused at degree 3 (125) before congruence or points
+    # the cubic lists each closed point once, so it shares the line's
+    # bound q^degree <= 121^2: over F_5 degree 6 (15625) is refused
+    # before congruence or points, and degree 5 (3125) runs
     pair = load_bundled_pair("singular_cubic_pair")
 
     def no_work(*args):
@@ -609,11 +639,11 @@ def test_cubic_inspection_degree_capped_before_any_work(monkeypatch):
 
     monkeypatch.setattr(forms, "congruence", no_work)
     monkeypatch.setattr(forms, "enumerate_points", no_work)
-    for degree in (3, 10**9):
+    for degree in (6, 10**9):
         with pytest.raises(ValueError, match="inspection degree"):
             verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=degree)
     monkeypatch.undo()
-    assert verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=2).degree == 2
+    assert verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=5).degree == 5
 
 
 def test_no_ring_product_before_first_determinant(monkeypatch):
