@@ -1,19 +1,22 @@
 """Point enumeration, smoothness, group law, and Picard order for curves.
 
-Point counting is pure enumeration: scan x over the field, solve
-y^2 = x^3 + ax + b with an exhaustive square root.  At desk scale the
-brute force doubles as the oracle for everything downstream.  A closed
-point of degree d is one Frobenius orbit of d points, so a point's
-degree is the length of its orbit.
+Points are counted and listed by one scan of x over the field.  The
+count needs no points: over F_q there are 1 + chi(x^3 + ax + b) of them
+above each x, with chi the quadratic character (chi(0) = 0).  Listing,
+for callers that need the points themselves, solves y^2 = x^3 + ax + b
+with the field's square root.  A closed point of degree d is one
+Frobenius orbit of d points, so a point's degree is the length of its
+orbit.
 
 For a smooth Weierstrass curve with its rational point at infinity
 removed, the Picard group of the affine curve is isomorphic to the
 group of rational points (P maps to the class of [P] - [infinity]), so
-the Picard order is the full projective point count.  For the affine
-line it is 1 (polynomial rings have trivial class group).  Singular
-cubics still get counted (the projective count includes the singular
-point), but the Picard-group and group-law routines refuse them, since
-the point-group isomorphism needs smoothness.
+the Picard order is the full projective point count,
+q + 1 + sum_x chi(x^3 + ax + b).  For the affine line it is 1
+(polynomial rings have trivial class group).  Singular cubics still get
+counted (the projective count includes the singular point), but the
+Picard-group and group-law routines refuse them, since the point-group
+isomorphism needs smoothness.
 
 The 2-torsion criterion: a point of order 2 is a rational point on the
 x-axis, so the group order is odd exactly when x^3 + ax + b has no root
@@ -141,14 +144,40 @@ def enumerate_points(curve: CurveSpec, degree: int = 1):
     return points
 
 
+def _count_scan(curve: CurveSpec):
+    """(affine point count over F_q, whether x^3 + ax + b has a root in
+    F_q), from one scan of x: the count is sum_x (1 + chi(x^3 + ax + b))
+    with chi(0) = 0 and otherwise the log-parity character ``is_square``."""
+    a, b = curve.a, curve.b
+    affine, root = 0, False
+    for x0 in curve.field.elements():
+        rhs = x0 * x0 * x0 + a * x0 + b
+        if rhs.is_zero():
+            affine += 1
+            root = True
+        elif is_square(rhs):
+            affine += 2
+    return affine, root
+
+
+def _cubic_at(curve: CurveSpec, x0: FieldElement) -> FieldElement:
+    """x0^3 + a x0 + b, with a and b embedded in the field of x0."""
+    return x0 * x0 * x0 + embed(curve.a, x0.field) * x0 + embed(curve.b, x0.field)
+
+
 def is_singular_point(curve: CurveSpec, x0: FieldElement, y0: FieldElement) -> bool:
     """Whether (x0, y0) is a common zero of the equation and both
     partials: y0 = 0, x0^3 + a x0 + b = 0 and 3 x0^2 + a = 0."""
     if not y0.is_zero():
         return False
-    a = embed(curve.a, x0.field)
-    b = embed(curve.b, x0.field)
-    return (x0 * x0 * x0 + a * x0 + b).is_zero() and (3 * x0 * x0 + a).is_zero()
+    return _cubic_at(curve, x0).is_zero() and (3 * x0 * x0 + embed(curve.a, x0.field)).is_zero()
+
+
+def require_on_curve(curve: CurveSpec, point: AffinePoint):
+    """Raise ValueError unless y^2 = x^3 + ax + b holds at the point, in
+    its own field."""
+    if point.y * point.y != _cubic_at(curve, point.x):
+        raise ValueError(f"point {point!r} is not on the curve {curve!r}")
 
 
 def is_smooth(curve: CurveSpec):
@@ -187,6 +216,8 @@ def ec_add(curve: CurveSpec, p1: Point, p2: Point) -> Point:
         return p1
     if p1.x.field != p2.x.field:
         raise ValueError("points must be rational over a common field")
+    require_on_curve(curve, p1)
+    require_on_curve(curve, p2)
     ext = p1.x.field
     a = embed(curve.a, ext)
     if p1.x == p2.x and p1.y == -p2.y:
@@ -213,30 +244,31 @@ def ec_multiply(curve: CurveSpec, n: int, point: Point) -> Point:
 def picard_order(curve: CurveSpec) -> int:
     """Order of the Picard group of the affine curve.
 
-    1 for the affine line; the projective point count for a smooth
-    Weierstrass curve (point group isomorphism).  Singular cubics are
+    1 for the affine line; for a smooth Weierstrass curve the projective
+    point count (point group isomorphism), q + 1 + sum_x chi(x^3 + ax + b)
+    by the character sum, with no point built.  Singular cubics are
     rejected: the isomorphism with the point group needs smoothness.
     """
     if curve.is_polyline:
         return 1
     _require_smooth(curve, "the Picard/point-group isomorphism")
-    return len(enumerate_points(curve)) + 1
+    return _count_scan(curve)[0] + 1
 
 
 def has_two_torsion(curve: CurveSpec) -> bool:
     """Whether the curve has a rational point on the x-axis, i.e. the
-    cubic has a root in F_q."""
+    cubic has a root in F_q; read off the same x-scan as the count."""
     if curve.is_polyline:
         raise ValueError("2-torsion applies to Weierstrass curves")
     _require_smooth(curve, "the 2-torsion test")
-    cubic = curve.cubic()
-    return any(cubic.evaluate(x0).is_zero() for x0 in curve.field.elements())
+    return _count_scan(curve)[1]
 
 
 def point_report(curve: CurveSpec) -> PointCountReport:
-    """Counting report; for singular cubics the count is still produced
-    (all projective points, singular one included) but the Picard fields
-    are left unset with a warning."""
+    """Counting report from one x-scan of the character sum, no point
+    built; for singular cubics the count is still produced (all
+    projective points, singular one included) but the Picard fields are
+    left unset with a warning."""
     if curve.is_polyline:
         q = curve.field.q
         return PointCountReport(
@@ -249,7 +281,7 @@ def point_report(curve: CurveSpec) -> PointCountReport:
             two_torsion=None,
         )
     smooth, singular = is_smooth(curve)
-    affine = len(enumerate_points(curve))
+    affine, root = _count_scan(curve)
     report = PointCountReport(
         affine=affine,
         total=affine + 1,
@@ -259,7 +291,7 @@ def point_report(curve: CurveSpec) -> PointCountReport:
     if smooth:
         report.pic_order = affine + 1
         report.pic_parity = "odd" if report.pic_order % 2 else "even"
-        report.two_torsion = has_two_torsion(curve)
+        report.two_torsion = root
     else:
         report.warning = (
             "curve is singular: Picard data omitted because the "

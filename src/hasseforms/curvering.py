@@ -403,12 +403,16 @@ class RingFraction:
 
 
 def _reduce_fraction(num: RingElement, den: Poly):
+    """num/den in lowest terms with den monic.  A constant denominator
+    shares no factor with anything, so only a denominator of degree >= 1
+    pays for the gcd; a constant one is only scaled to 1."""
     if num.is_zero():
         return num, Poly.one(den.field)
-    g = poly_gcd(poly_gcd(num.a, num.b), den)
-    if g.degree >= 1:
-        num = RingElement(num.curve, num.a // g, num.b // g)
-        den = den // g
+    if den.degree >= 1:
+        g = poly_gcd(poly_gcd(num.a, num.b), den)
+        if g.degree >= 1:
+            num = RingElement(num.curve, num.a // g, num.b // g)
+            den = den // g
     lead = den.leading_coeff()
     if lead != den.field.one():
         inv = lead.inverse()

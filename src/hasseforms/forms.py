@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .curvepoints import AffinePoint, enumerate_points, frobenius_orbit, is_singular_point
+from .curvepoints import AffinePoint, enumerate_points, frobenius_orbit, is_singular_point, require_on_curve
 from .curvering import (
     CurveSpec,
     RingElement,
@@ -196,7 +196,11 @@ def field_isomorphic(f: FieldForm, g: FieldForm) -> bool:
 
 class GramMatrix:
     """A nondegenerate symmetric matrix with entries in the coordinate
-    ring, representing an integral bilinear form."""
+    ring, representing an integral bilinear form.
+
+    Integrality is checked first, so the determinant is taken over the
+    ring (``det`` on the ring entries) and kept as a RingElement.
+    """
 
     __slots__ = ("curve", "matrix", "_det")
 
@@ -207,12 +211,12 @@ class GramMatrix:
             raise ValueError("integral forms are symmetric")
         if not matrix.all_integral():
             raise ValueError("integral forms have no denominators")
-        det = matrix.det()
-        if det.is_zero():
+        d = det([[e.num for e in row] for row in matrix.rows])
+        if d.is_zero():
             raise ValueError("integral forms are nondegenerate")
         self.curve = curve
         self.matrix = matrix
-        self._det = det
+        self._det = d
 
     @classmethod
     def from_rows(cls, curve, rows) -> GramMatrix:
@@ -231,7 +235,7 @@ class GramMatrix:
         return self.matrix.n
 
     def det(self) -> RingElement:
-        return self._det.as_ring_element()
+        return self._det
 
     def ring_rows(self):
         return tuple(tuple(e.as_ring_element() for e in row) for row in self.matrix.rows)
@@ -259,7 +263,8 @@ def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
     Both Gram matrices are reduced into the residue field by evaluation
     at the place (an affine point, or on the line a root of the monic
     irreducible), where unimodularity keeps them nondegenerate and the
-    Witt comparison applies.
+    Witt comparison applies.  A point off the curve or at its singular
+    point is rejected with ValueError.
     """
     if f.curve != g.curve:
         raise ValueError("forms live over different curves")
@@ -274,6 +279,7 @@ def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
     elif isinstance(at, AffinePoint):
         if curve.is_polyline:
             raise ValueError("affine-line forms reduce at primes, not curve points")
+        require_on_curve(curve, at)
         _reject_singular_point(curve, at)
         x0, y0 = at.x, at.y
     else:

@@ -38,6 +38,26 @@ def count_points_char_sum(p: int, a: int, b: int) -> int:
     return total
 
 
+def affine_count_by_squares(field: FiniteField, a, b) -> int:
+    """Affine point count of y^2 = x^3 + ax + b over F_q: one point above
+    each root of the cubic, two above each x where it lands in the set of
+    squares built by squaring every element."""
+    squares = exhaustive_squares(field)
+    total = 0
+    for x in field.elements():
+        rhs = x * x * x + a * x + b
+        if rhs.is_zero():
+            total += 1
+        elif rhs.coeffs in squares:
+            total += 2
+    return total
+
+
+def cubic_has_root(field: FiniteField, a, b) -> bool:
+    """Whether x^3 + ax + b vanishes somewhere in F_q, by trying every x."""
+    return any((x * x * x + a * x + b).is_zero() for x in field.elements())
+
+
 def _mobius(n: int) -> int:
     out, d = 1, 2
     while d * d <= n:

@@ -15,10 +15,18 @@ from hasseforms.curvepoints import (
     picard_order,
     point_report,
 )
+from hasseforms import curvepoints
 from hasseforms.curvering import CurveSpec
 from hasseforms.finfield import make_extension
+from hasseforms.hasse import hasse_principle
 
-from oracles import closed_point_counts, count_points_char_sum, smooth_weierstrass_pairs
+from oracles import (
+    affine_count_by_squares,
+    closed_point_counts,
+    count_points_char_sum,
+    cubic_has_root,
+    smooth_weierstrass_pairs,
+)
 
 F5 = make_extension(5, 1)
 SINGULAR = CurveSpec.weierstrass(F5, 2, 3)
@@ -183,6 +191,14 @@ def test_group_law_rejects_singular():
         ec_add(SINGULAR, pt(SINGULAR, 1, 1), pt(SINGULAR, 1, 1))
 
 
+def test_group_law_rejects_off_curve_point():
+    # (0, 0) is off y^2 = x^3 + x + 1; adding it to (1, 2) once gave (3, 4)
+    with pytest.raises(ValueError, match=r"\(F5\(0\), F5\(0\)\) is not on the curve"):
+        ec_add(C511, pt(C511, 0, 0), pt(C511, 1, 2))
+    with pytest.raises(ValueError, match="not on the curve"):
+        ec_add(C511, pt(C511, 1, 2), pt(C511, 0, 0))
+
+
 # -- picard order ---------------------------------------------------------------------
 
 
@@ -255,3 +271,42 @@ def test_report_polyline():
     rep = point_report(CurveSpec.polyline(F5))
     assert rep.affine == 5 and rep.total == 6
     assert rep.pic_order == 1 and rep.pic_parity == "odd"
+
+
+# -- counts against the squaring oracle -----------------------------------------------
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+def test_counts_match_squaring_oracle_on_every_cubic(p, k):
+    # every (a, b), singular cubics included; Picard data on the smooth ones
+    field = make_extension(p, k)
+    for a in field.elements():
+        for b in field.elements():
+            curve = CurveSpec.weierstrass(field, a, b)
+            affine = affine_count_by_squares(field, a, b)
+            report = point_report(curve)
+            assert (report.affine, report.total) == (affine, affine + 1)
+            if curve.is_smooth:
+                root = cubic_has_root(field, a, b)
+                assert picard_order(curve) == affine + 1
+                assert has_two_torsion(curve) is root
+                assert report.two_torsion is root
+
+
+def test_counting_builds_no_points(monkeypatch):
+    calls = []
+    listing = curvepoints.enumerate_points
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return listing(*args, **kwargs)
+
+    monkeypatch.setattr(curvepoints, "enumerate_points", counting)
+    for curve in (C511, C510, SINGULAR, CurveSpec.weierstrass(make_extension(11, 2), 1, 3)):
+        point_report(curve)
+        if curve.is_smooth:
+            picard_order(curve)
+            has_two_torsion(curve)
+            hasse_principle(curve, 2)
+            hasse_principle(curve, 3)
+    assert calls == []

@@ -174,6 +174,19 @@ def test_fraction_monic_canonicalization():
     assert f.num == RingElement.constant(LINE, 4)
 
 
+@pytest.mark.parametrize("curve", [LINE, EC], ids=["line", "cubic"])
+def test_constant_denominator_only_scales(curve):
+    # n / c is n * c^-1 over 1: the same fraction, the same hash
+    rng = random.Random(31)
+    for _ in range(10):
+        n = rand_entry(rng, curve, 2)
+        for c in F5.nonzero_elements():
+            f = RingFraction(curve, n, Poly.constant(F5, c))
+            g = RingFraction(curve, n * c.inverse())
+            assert f == g and hash(f) == hash(g)
+            assert f.den == Poly.one(F5) and f.num == n * c.inverse()
+
+
 def test_fraction_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         RingFraction(LINE, RingElement.one(LINE), Poly.zero(F5))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hasseforms import forms
+from hasseforms import curvering, forms
 from hasseforms.curvepoints import AffinePoint
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction, RingMatrix, congruence
 from hasseforms.finfield import SquareClass, embed, is_square, make_extension
@@ -32,6 +32,7 @@ from oracles import (
     entry_pool,
     field_matrix,
     first_isometry,
+    leibniz_det,
     symmetric_nondegenerate,
 )
 
@@ -94,6 +95,52 @@ def test_unimodular_rejects_nonconstant_det():
 
 def test_unimodular_identity():
     assert is_unimodular(GramMatrix.identity(EC, 3))
+
+
+def rand_symmetric_rows(rng, curve, n):
+    """Symmetric rows of ring elements with x- and y-parts of degree <= 1."""
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a = Poly(F5, [rng.randrange(5) for _ in range(2)])
+            b = Poly.zero(F5) if curve.is_polyline else Poly(F5, [rng.randrange(5) for _ in range(2)])
+            rows[i][j] = rows[j][i] = RingElement(curve, a, b)
+    return rows
+
+
+@pytest.mark.parametrize("curve", [LINE5, EC], ids=["line", "cubic"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gram_det_is_the_ring_determinant(curve, n):
+    rng = random.Random(f"gram-det:{n}:{curve.is_polyline}")
+    checked = 0
+    for _ in range(4):
+        rows = rand_symmetric_rows(rng, curve, n)
+        expected = leibniz_det(rows)
+        if expected.is_zero():
+            with pytest.raises(ValueError, match="nondegenerate"):
+                GramMatrix.from_rows(curve, rows)
+            continue
+        gram = GramMatrix.from_rows(curve, rows)
+        assert gram.det() == expected == gram.matrix.det().as_ring_element()
+        checked += 1
+    assert checked >= 2
+
+
+def test_unit_denominator_forms_run_no_gcd(monkeypatch):
+    calls = []
+    gcd = curvering.poly_gcd
+
+    def counting(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(curvering, "poly_gcd", counting)
+    monkeypatch.setattr(forms, "poly_gcd", counting)
+    for curve in (LINE5, EC):
+        GramMatrix.identity(curve, 5).det()
+        GramMatrix.diagonal(curve, [1, 2, P(F5, "x^2+1"), P(F5, "3*x+4")]).det()
+    GramMatrix.diagonal(EC, [RingElement.y(EC), P(F5, "x")]).det()
+    assert calls == []
 
 
 def test_gram_matrix_validation():
@@ -268,6 +315,14 @@ def test_local_isomorphic_rejects_singular_point():
     g = ec_g_matrix()
     with pytest.raises(ValueError, match="singular"):
         local_isomorphic(f, g, AffinePoint(F5.element(4), F5.zero()))
+
+
+def test_local_isomorphic_rejects_off_curve_point():
+    # 0 != 0^3 + 2*0 + 3, so (0, 0) is no place of the cubic
+    f = GramMatrix.identity(EC, 2)
+    g = ec_g_matrix()
+    with pytest.raises(ValueError, match=r"\(F5\(0\), F5\(0\)\) is not on the curve"):
+        local_isomorphic(f, g, AffinePoint(F5.element(0), F5.element(0)))
 
 
 def test_local_isomorphic_singular_test_is_pointwise():
