@@ -20,12 +20,13 @@ search evaluation cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from .curvepoints import point_report
-from .curvering import CurveSpec, congruence
+from .curvering import CurveSpec
 from .finfield import MAX_FIELD_SIZE, make_extension
 from .forms import (
     DEFAULT_SEARCH_BUDGET,
@@ -33,6 +34,7 @@ from .forms import (
     is_unimodular,
     isom_search,
     verify_genus_witness,
+    witness_identity,
 )
 from .hasse import hasse_principle
 from .serialize import (
@@ -193,12 +195,8 @@ def _verify_rows():
     rows.append(_row("singular locus", [(4, 0)], sing))
 
     (q, _), (p, _) = ec["witness"].pairs
-    rows.append(
-        _row("first transition identity Q^t Q = G", True, congruence(q, ec["F"].matrix) == ec["G"].matrix)
-    )
-    rows.append(
-        _row("second transition identity P^t P = G", True, congruence(p, ec["F"].matrix) == ec["G"].matrix)
-    )
+    rows.append(_row("first transition identity Q^t Q = G", True, witness_identity(q, ec["F"], ec["G"])[0]))
+    rows.append(_row("second transition identity P^t P = G", True, witness_identity(p, ec["F"], ec["G"])[0]))
 
     rows.append(_row("unimodularity of G", True, is_unimodular(ec["G"])))
 
@@ -299,9 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first run and reused: parsing leaves the parser unchanged
+_shared_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, TypeError, OSError, BudgetExceededError, json.JSONDecodeError) as exc:

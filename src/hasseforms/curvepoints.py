@@ -147,7 +147,10 @@ def enumerate_points(curve: CurveSpec, degree: int = 1):
 def _count_scan(curve: CurveSpec):
     """(affine point count over F_q, whether x^3 + ax + b has a root in
     F_q), from one scan of x: the count is sum_x (1 + chi(x^3 + ax + b))
-    with chi(0) = 0 and otherwise the log-parity character ``is_square``."""
+    with chi(0) = 0 and otherwise the log-parity character ``is_square``.
+    The result is kept on the curve, so one curve object is scanned once."""
+    if curve._scan is not None:
+        return curve._scan
     a, b = curve.a, curve.b
     affine, root = 0, False
     for x0 in curve.field.elements():
@@ -157,7 +160,8 @@ def _count_scan(curve: CurveSpec):
             root = True
         elif is_square(rhs):
             affine += 2
-    return affine, root
+    curve._scan = (affine, root)
+    return curve._scan
 
 
 def _cubic_at(curve: CurveSpec, x0: FieldElement) -> FieldElement:

@@ -10,7 +10,9 @@ Fractions are rationalized by conjugate multiplication, a + b*y into
 a - b*y, which forces denominators into F_q[x]; with the denominator
 monic and coprime to the content of the numerator this representation
 is unique, so fraction equality is structural too.  Divisibility and
-valuation questions thereby reduce to plain polynomial arithmetic.
+valuation questions thereby reduce to plain polynomial arithmetic.  An
+integral entry carries den = 1 with no gcd run; a witness identity is
+checked over the ring with one common denominator (forms.witness_identity).
 
 Singular Weierstrass cubics (discriminant zero) are accepted but the
 smoothness flag is carried on the curve and checked by the consumers
@@ -39,7 +41,7 @@ WEIERSTRASS = "weierstrass"
 class CurveSpec:
     """The base geometry: the affine line, or an affine Weierstrass cubic."""
 
-    __slots__ = ("kind", "field", "a", "b", "_cubic")
+    __slots__ = ("kind", "field", "a", "b", "_cubic", "_scan")
 
     def __init__(self, kind: str, field: FiniteField, a=None, b=None):
         if kind not in (POLYLINE, WEIERSTRASS):
@@ -51,6 +53,7 @@ class CurveSpec:
         self.a = field.element(a) if a is not None else None
         self.b = field.element(b) if b is not None else None
         self._cubic = None
+        self._scan = None  # curvepoints' one x-scan of F_q, kept once made
 
     @classmethod
     def polyline(cls, field: FiniteField) -> CurveSpec:
@@ -86,7 +89,7 @@ class CurveSpec:
         return self._cubic
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, CurveSpec)
             and self.kind == other.kind
             and self.field == other.field
@@ -295,7 +298,14 @@ class RingFraction:
 
     @classmethod
     def from_ring(cls, elem: RingElement) -> RingFraction:
-        return cls(elem.curve, elem)
+        """elem / 1.  A denominator of 1 is already in lowest terms, so an
+        integral entry carries den = 1 (the field's shared Poly.one) and
+        is built without a gcd or the reduction ``__init__`` runs."""
+        frac = object.__new__(cls)
+        frac.curve = elem.curve
+        frac.num = elem
+        frac.den = Poly.one(elem.curve.field)
+        return frac
 
     @classmethod
     def make(cls, num: RingElement, den) -> RingFraction:

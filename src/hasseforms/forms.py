@@ -37,7 +37,6 @@ from .curvering import (
     RingElement,
     RingFraction,
     RingMatrix,
-    congruence,
     det,
     matmul,
 )
@@ -362,13 +361,14 @@ def verify_genus_witness(
     """Check a genus witness and report coverage up to the given degree.
 
     Three things are verified: each congruence identity Q^t F Q = G
-    exactly over the fraction field (which certifies isomorphism over
-    the function field), integrality and unit determinant of each Q away
-    from its declared locus, and coverage: every closed point of degree
-    at most ``degree`` must be reached by some witness.  Each closed
-    point is listed once, as a monic irreducible on the line and as one
-    point of its Frobenius orbit on the cubic.  q^degree must be at most
-    MAX_INSPECTION_SIZE on both, which is checked before any work.
+    exactly, over the ring with one common denominator (which certifies
+    isomorphism over the function field), integrality and unit
+    determinant of each Q away from its declared locus, and coverage:
+    every closed point of degree at most ``degree`` must be reached by
+    some witness.  Each closed point is listed once, as a monic
+    irreducible on the line and as one point of its Frobenius orbit on
+    the cubic.  q^degree must be at most MAX_INSPECTION_SIZE on both,
+    which is checked before any work.
     Points beyond the inspection degree are not examined; a Certified
     verdict means certified up to that degree.
     """
@@ -389,13 +389,12 @@ def verify_genus_witness(
             f"enumeration bound q^degree <= {MAX_INSPECTION_SIZE}"
         )
 
-    identity_ok = tuple(congruence(q, f.matrix) == g.matrix for q, _ in witness.pairs)
-
-    dets = [q.det() for q, _ in witness.pairs]
+    checks = [witness_identity(q, f, g) for q, _ in witness.pairs]
+    identity_ok = tuple(ok for ok, _ in checks)
     covered, uncovered = [], []
     for d in range(1, degree + 1):
         for place in _closed_places(curve, d):
-            if any(_covers(q, s, det, place) for (q, s), det in zip(witness.pairs, dets)):
+            if any(_covers(q, s, det, place) for (q, s), (_, det) in zip(witness.pairs, checks)):
                 covered.append(place)
             else:
                 uncovered.append(place)
@@ -408,6 +407,26 @@ def verify_genus_witness(
         covered=tuple(covered),
         uncovered=tuple(uncovered),
     )
+
+
+def witness_identity(q: RingMatrix, f: GramMatrix, g: GramMatrix):
+    """(whether Q^t F Q = G, det Q), both over the ring with one common
+    denominator (fraction-free, as in von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, ch. 6).  With delta the lcm of Q's denominators,
+    P = delta Q is integral, Q^t F Q = G exactly when P^t F P = delta^2 G,
+    and det Q = det P / delta^n, reduced once."""
+    if not q.n == f.n == g.n:
+        raise ValueError("dimension mismatch")
+    delta = Poly.one(q.curve.field)
+    for row in q.rows:
+        for e in row:
+            if e.den.degree >= 1:
+                delta = delta // poly_gcd(delta, e.den) * e.den
+    p = [[e.num * (delta // e.den) for e in row] for row in q.rows]
+    lhs = matmul(tuple(zip(*p)), matmul(f.ring_rows(), p))
+    scale = delta * delta
+    ok = all(x == y * scale for lrow, grow in zip(lhs, g.ring_rows()) for x, y in zip(lrow, grow))
+    return ok, RingFraction(q.curve, det(p), delta**q.n)
 
 
 def _closed_places(curve: CurveSpec, d: int):

@@ -28,6 +28,7 @@ exponent above MAX_TEXT_DEGREE is refused before anything is allocated.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from typing import Iterator, Optional
@@ -65,11 +66,11 @@ class Poly:
 
     @classmethod
     def zero(cls, field) -> Poly:
-        return cls(field, ())
+        return _constants(field)[0]
 
     @classmethod
     def one(cls, field) -> Poly:
-        return cls(field, (1,))
+        return _constants(field)[1]
 
     @classmethod
     def x(cls, field) -> Poly:
@@ -246,6 +247,12 @@ class Poly:
         return to_text(self)
 
 
+@functools.cache
+def _constants(field: FiniteField):
+    """(0, 1) of F_q[x], one shared pair per field: no Poly changes after it is built."""
+    return Poly._raw(field, ()), Poly._raw(field, (field.one(),))
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) is the zero polynomial."""
     while not b.is_zero():
@@ -331,26 +338,14 @@ def to_text(f: Poly) -> str:
 # Irreducibles and factorization
 
 
-def _coefficient_vectors(field: FiniteField, length: int):
-    """All coefficient tuples of the length in canonical order: counted
-    base q, constant coefficient fastest."""
-    for digits in itertools.product(tuple(field.elements()), repeat=length):
-        yield digits[::-1]
-
-
-def polys_up_to(field: FiniteField, max_deg: int) -> Iterator[Poly]:
-    """All polynomials of degree <= max_deg, zero first, in canonical order."""
-    for coeffs in _coefficient_vectors(field, max_deg + 1):
-        yield Poly._raw(field, coeffs)
-
-
 def monic_polys(field: FiniteField, degree: int) -> Iterator[Poly]:
-    """All monic polynomials of the exact degree, in canonical order."""
+    """All monic polynomials of the exact degree, in canonical order:
+    the lower coefficients counted base q, constant coefficient fastest."""
     if degree < 0:
         return
     lead = (field.one(),)
-    for coeffs in _coefficient_vectors(field, degree):
-        yield Poly._raw(field, coeffs + lead)
+    for digits in itertools.product(tuple(field.elements()), repeat=degree):
+        yield Poly._raw(field, digits[::-1] + lead)
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -13,7 +13,14 @@ import itertools
 
 from hasseforms.finfield import FiniteField, make_extension
 from hasseforms.curvering import RingElement
-from hasseforms.funcfield import Poly, factor, monic_polys, polys_up_to
+from hasseforms.funcfield import Poly, factor, monic_polys
+
+
+def polys_up_to(field: FiniteField, max_deg: int):
+    """All polynomials of degree <= max_deg, zero first, in canonical
+    order: coefficient vectors counted base q, constant term fastest."""
+    for digits in itertools.product(tuple(field.elements()), repeat=max_deg + 1):
+        yield Poly(field, digits[::-1])
 
 
 def exhaustive_squares(field: FiniteField):

@@ -457,6 +457,32 @@ def test_bad_schema_rejected(capsys):
     assert code == 2 and "schema" in err
 
 
+def test_reused_parser_answers_as_fresh_processes(capsys, monkeypatch):
+    # run() builds its parser once per process; repeated in-process runs,
+    # including an exit-2 input error and an argparse usage error, must
+    # print and exit exactly as a fresh process does
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    cases = [
+        ("curve", "--q", "5", "--a", "1", "--b", "1"),
+        ("hasse", "--q", "7", "--polyline", "--rank", "2", "--format", "text"),
+        ("curve", "--q", "6", "--polyline"),  # not a prime power: exit 2
+        ("hasse", "--q", "5", "--polyline"),  # --rank missing: usage error
+    ]
+    fresh = []
+    for argv in cases:
+        proc = run_cli(*argv)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 2]
+    for _ in range(2):
+        for argv, want in zip(cases, fresh):
+            try:
+                code = run(list(argv))
+            except SystemExit as exc:  # argparse exits on a usage error
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == want
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hasseforms.cli", "hasse", "--polyline", "--q", "7", "--rank", "1"],

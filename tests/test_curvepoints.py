@@ -17,7 +17,7 @@ from hasseforms.curvepoints import (
 )
 from hasseforms import curvepoints
 from hasseforms.curvering import CurveSpec
-from hasseforms.finfield import make_extension
+from hasseforms.finfield import FiniteField, make_extension
 from hasseforms.hasse import hasse_principle
 
 from oracles import (
@@ -310,3 +310,26 @@ def test_counting_builds_no_points(monkeypatch):
             hasse_principle(curve, 2)
             hasse_principle(curve, 3)
     assert calls == []
+
+
+def test_one_scan_per_curve_object(monkeypatch):
+    # point_report, picard_order, has_two_torsion and hasse_principle share
+    # the curve object's one x-scan of F_q; a fresh CurveSpec scans again
+    scans = []
+    elements = FiniteField.elements
+
+    def counting(field):
+        scans.append(field)
+        return elements(field)
+
+    monkeypatch.setattr(FiniteField, "elements", counting)
+    field = make_extension(7, 2)
+    curve = CurveSpec.weierstrass(field, 1, 3)
+    report = point_report(curve)
+    decision = hasse_principle(curve, 3)
+    assert len(scans) == 1
+    assert decision.reason.pic_order == report.total == picard_order(curve)
+    assert has_two_torsion(curve) is report.two_torsion
+    assert len(scans) == 1
+    hasse_principle(CurveSpec.weierstrass(field, 1, 3), 2)
+    assert len(scans) == 2

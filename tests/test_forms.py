@@ -1,6 +1,9 @@
 import random
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hasseforms import curvering, forms
 from hasseforms.curvepoints import AffinePoint
@@ -20,8 +23,9 @@ from hasseforms.forms import (
     is_unimodular,
     local_isomorphic,
     verify_genus_witness,
+    witness_identity,
 )
-from hasseforms.funcfield import Poly, PrimePoly, monic_irreducibles, polys_up_to, residue_field, residue_reduce
+from hasseforms.funcfield import Poly, PrimePoly, monic_irreducibles, residue_field, residue_reduce
 from hasseforms.serialize import load_bundled_pair
 
 from oracles import (
@@ -33,6 +37,7 @@ from oracles import (
     field_matrix,
     first_isometry,
     leibniz_det,
+    polys_up_to,
     symmetric_nondegenerate,
 )
 
@@ -139,8 +144,29 @@ def test_unit_denominator_forms_run_no_gcd(monkeypatch):
     for curve in (LINE5, EC):
         GramMatrix.identity(curve, 5).det()
         GramMatrix.diagonal(curve, [1, 2, P(F5, "x^2+1"), P(F5, "3*x+4")]).det()
+        GramMatrix.from_rows(curve, [[1, P(F5, "x")], [P(F5, "x"), RingElement.one(curve)]]).det()
     GramMatrix.diagonal(EC, [RingElement.y(EC), P(F5, "x")]).det()
     assert calls == []
+
+
+def test_integral_entries_skip_fraction_normalisation(monkeypatch):
+    # an int, Poly or RingElement entry is num/1 from the start, so integral
+    # Gram matrices are built without RingFraction.__init__ and its reduction
+    calls = []
+    init = RingFraction.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(RingFraction, "__init__", counting)
+    for curve in (LINE5, EC):
+        x = RingElement.x(curve)
+        GramMatrix.identity(curve, 3)
+        GramMatrix.diagonal(curve, [1, P(F5, "x^2+1"), x])
+        GramMatrix.from_rows(curve, [[2, x], [x, P(F5, "x+3")]])
+    assert calls == []
+    assert RingFraction.from_ring(RingElement.x(EC)).den is Poly.one(F5)
 
 
 def test_gram_matrix_validation():
@@ -484,6 +510,92 @@ def test_line_coverage_matches_valuation_rule():
     assert checked == {True, False}
 
 
+def test_genus_verification_runs_no_fraction_congruence(monkeypatch):
+    # the identity and det Q are taken over the ring (P = delta Q), so
+    # neither the fraction-field congruence nor RingMatrix.det runs
+    calls = []
+    for owner, name in ((curvering, "congruence"), (RingMatrix, "det")):
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+        for module in [m for n, m in sys.modules.items() if n.startswith("hasseforms.")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    for fixture in ("polyline_pair", "singular_cubic_pair"):
+        pair = load_bundled_pair(fixture)
+        verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("fixture", ["polyline_pair", "singular_cubic_pair"])
+def test_fixture_identities_hold_over_the_ring(fixture):
+    pair = load_bundled_pair(fixture)
+    report = verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=1)
+    assert report.identity_ok == (True, True)
+    for q, _ in pair["witness"].pairs:
+        assert witness_identity(q, pair["F"], pair["G"]) == (True, q.det())
+
+
+def test_witness_identity_rejects_rank_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        witness_identity(RingMatrix.identity(LINE5, 1), GramMatrix.identity(LINE5, 2), GramMatrix.identity(LINE5, 2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        witness_identity(RingMatrix.identity(LINE5, 2), GramMatrix.identity(LINE5, 2), GramMatrix.identity(LINE5, 3))
+
+
+# denominators over F_5 sharing the factor x + 1, so that their lcm is a
+# proper divisor of their product
+SHARED_DENOMINATORS = ["1", "x+1", "x^2+2*x+1", "x^2+x", "x+2", "x^2+3*x+2"]
+
+
+@st.composite
+def witness_identity_cases(draw):
+    """(Q, F, G, perturbed): F = D^2 F0 with D the product of Q's distinct
+    denominators (``product``), so Q^t F Q is integral; G is that target, or it with
+    one symmetric pair of entries moved by a nonzero constant."""
+    curve = draw(st.sampled_from([LINE5, CurveSpec.weierstrass(F5, 1, 1), EC]))
+    n = draw(st.integers(1, 3))
+    coeffs = st.lists(st.integers(0, 4), max_size=3)
+
+    def elem():
+        b = () if curve.is_polyline else draw(coeffs)[:2]
+        return RingElement(curve, Poly(F5, draw(coeffs)), Poly(F5, b))
+
+    dens = [[draw(st.sampled_from(SHARED_DENOMINATORS)) for _ in range(n)] for _ in range(n)]
+    q = RingMatrix(curve, [[RingFraction(curve, elem(), P(F5, d)) for d in row] for row in dens])
+    product = RingElement.one(curve)
+    for text in {text for row in dens for text in row}:
+        product = product * P(F5, text)
+    f0 = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            f0[i][j] = f0[j][i] = elem()
+    try:
+        f = GramMatrix.from_rows(curve, [[product * product * e for e in row] for row in f0])
+        rows = [list(row) for row in congruence(q, f.matrix).rows]
+        perturbed = draw(st.booleans())
+        if perturbed:
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            rows[i][j] = rows[j][i] = rows[i][j] + draw(st.integers(1, 4))
+        g = GramMatrix.from_rows(curve, rows)
+    except ValueError:  # a degenerate F0 or Q
+        assume(False)
+    return q, f, g, perturbed
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(witness_identity_cases())
+def test_witness_identity_matches_fraction_field(case):
+    q, f, g, perturbed = case
+    ok, det_q = witness_identity(q, f, g)
+    assert ok is (congruence(q, f.matrix) == g.matrix) is (not perturbed)
+    assert det_q == q.det()
+
+
 def test_witness_identity_failure_reported():
     line, f, g, pairs = remark_fixture(F5)
     wrong = RingMatrix.identity(line, 2)
@@ -686,13 +798,13 @@ def test_inspection_degree_capped_before_any_work():
 def test_cubic_inspection_degree_capped_before_any_work(monkeypatch):
     # the cubic lists each closed point once, so it shares the line's
     # bound q^degree <= 121^2: over F_5 degree 6 (15625) is refused
-    # before congruence or points, and degree 5 (3125) runs
+    # before the identity check or points, and degree 5 (3125) runs
     pair = load_bundled_pair("singular_cubic_pair")
 
     def no_work(*args):
         raise AssertionError("verification started")
 
-    monkeypatch.setattr(forms, "congruence", no_work)
+    monkeypatch.setattr(forms, "witness_identity", no_work)
     monkeypatch.setattr(forms, "enumerate_points", no_work)
     for degree in (6, 10**9):
         with pytest.raises(ValueError, match="inspection degree"):
