@@ -147,18 +147,31 @@ def enumerate_points(curve: CurveSpec, degree: int = 1):
 def _count_scan(curve: CurveSpec):
     """(affine point count over F_q, whether x^3 + ax + b has a root in
     F_q), from one scan of x: the count is sum_x (1 + chi(x^3 + ax + b))
-    with chi(0) = 0 and otherwise the log-parity character ``is_square``.
-    The result is kept on the curve, so one curve object is scanned once."""
+    with chi(0) = 0 and otherwise the parity of the log.  The scan runs on
+    discrete logs with no field-element arithmetic: x^3 is g^(3 log x), ax
+    is g^(log a + log x), and a sum is one Zech-table lookup, g^i + g^j =
+    g^(i + Z(j - i)); logs stay unreduced, and q - 1 is even, so their
+    parity is chi.  The result is kept on the curve, so one curve object
+    is scanned once."""
     if curve._scan is not None:
         return curve._scan
-    a, b = curve.a, curve.b
+    field = curve.field
+    zech, m = field.zech_table(), field.q - 1
+    la, lb = curve.a.log, curve.b.log
     affine, root = 0, False
-    for x0 in curve.field.elements():
-        rhs = x0 * x0 * x0 + a * x0 + b
-        if rhs.is_zero():
+    for x0 in field.elements():
+        lx = x0._log
+        s = None if lx is None else 3 * lx % m  # log of x^3 + ax, None for 0
+        if s is not None and la is not None:
+            s = None if (z := zech[la + lx - s]) is None else s + z
+        if s is None or lb is None:
+            v = lb if s is None else s  # log of x^3 + ax + b
+        else:
+            v = None if (z := zech[lb - s]) is None else s + z
+        if v is None:
             affine += 1
             root = True
-        elif is_square(rhs):
+        elif v % 2 == 0:
             affine += 2
     curve._scan = (affine, root)
     return curve._scan

@@ -41,7 +41,7 @@ WEIERSTRASS = "weierstrass"
 class CurveSpec:
     """The base geometry: the affine line, or an affine Weierstrass cubic."""
 
-    __slots__ = ("kind", "field", "a", "b", "_cubic", "_scan")
+    __slots__ = ("kind", "field", "a", "b", "_cubic", "_scan", "_entries")
 
     def __init__(self, kind: str, field: FiniteField, a=None, b=None):
         if kind not in (POLYLINE, WEIERSTRASS):
@@ -54,6 +54,7 @@ class CurveSpec:
         self.b = field.element(b) if b is not None else None
         self._cubic = None
         self._scan = None  # curvepoints' one x-scan of F_q, kept once made
+        self._entries = {}  # constant matrix entries c/1 by c, shared and never changed
 
     @classmethod
     def polyline(cls, field: FiniteField) -> CurveSpec:
@@ -327,14 +328,8 @@ class RingFraction:
     # -- arithmetic -----------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, RingFraction):
-            if other.curve != self.curve:
-                raise ValueError("mismatched curves")
-            return other
-        if isinstance(other, RingElement):
-            return RingFraction.from_ring(other)
-        if isinstance(other, (int, FieldElement, Poly)):
-            return RingFraction.from_ring(RingElement.zero(self.curve)._coerce(other))
+        if isinstance(other, (RingFraction, RingElement, Poly, int, FieldElement)):
+            return _coerce_entry(self.curve, other)
         return NotImplemented
 
     def __add__(self, other):
@@ -392,6 +387,8 @@ class RingFraction:
         return self.num
 
     def evaluate(self, x0: FieldElement, y0: Optional[FieldElement] = None) -> FieldElement:
+        if self.den.degree < 1:  # the monic constant 1
+            return self.num.evaluate(x0, y0)
         d = self.den.evaluate(x0)
         if d.is_zero():
             raise ZeroDivisionError("denominator vanishes at the point")
@@ -519,7 +516,11 @@ def _coerce_entry(curve, e) -> RingFraction:
     if isinstance(e, Poly):
         return RingFraction.from_ring(RingElement(curve, e))
     if isinstance(e, (int, FieldElement)):
-        return RingFraction.from_ring(RingElement.constant(curve, e))
+        c = curve.field.element(e)
+        frac = curve._entries.get(c)
+        if frac is None:
+            frac = curve._entries[c] = RingFraction.from_ring(RingElement.constant(curve, c))
+        return frac
     raise TypeError(f"cannot place {e!r} in a matrix")
 
 
@@ -529,15 +530,28 @@ def _coerce_entry(curve, e) -> RingFraction:
 
 
 def matmul(a, b):
-    """The product of two square matrices given as rows."""
-    cols = tuple(zip(*b))
-    return [[reduce(add, (x * y for x, y in zip(row, col))) for col in cols] for row in a]
+    """The product of two square matrices given as rows, summing only the
+    products of two nonzero entries.  An entry with none is a zero entry
+    of its row of ``a`` or, when that row has none, of its column of ``b``
+    (then all zero), so it has the entries' type."""
+    cols = [(col, [k for k, y in enumerate(col) if not y.is_zero()]) for col in zip(*b)]
+    out = []
+    for row in a:
+        live = [not x.is_zero() for x in row]
+        zero = None if all(live) else row[live.index(False)]
+        out.append([
+            reduce(add, terms) if (terms := [row[k] * col[k] for k in support if live[k]])
+            else col[0] if zero is None else zero
+            for col, support in cols
+        ])
+    return out
 
 
 def det(rows):
     """Determinant of a square matrix given as rows.
 
-    Cofactor expansion along the first row, skipping its zero entries:
+    Cofactor expansion along the first row, skipping its zero entries,
+    down to a 2 x 2 base case that drops a product with a zero factor:
     at the ranks used here (n <= 3 in search and genus work, sparse Gram
     matrices beyond that) it beats fraction-free elimination, whose
     exact divisions cost more than the few products they save.
@@ -546,7 +560,10 @@ def det(rows):
     if n == 1:
         return rows[0][0]
     if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        (a, b), (c, d) = rows
+        if b.is_zero() or c.is_zero():  # no product b c: a d, or a zero entry
+            return a if a.is_zero() else d if d.is_zero() else a * d
+        return -(b * c) if a.is_zero() or d.is_zero() else a * d - b * c
     total = None
     for j, e in enumerate(rows[0]):
         if e.is_zero():

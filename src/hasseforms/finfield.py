@@ -61,17 +61,6 @@ def capped_power(base: int, exp: int, cap: int) -> int:
     return out
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Polynomials over F_p as int tuples, used only for modulus bookkeeping.
 # Coefficients ascending, no trailing zeros.
@@ -133,6 +122,8 @@ def _ip_pow_mod(a, e: int, m, p):
 
 
 def _prime_factors(n: int):
+    """The distinct primes dividing n, increasing; n is prime exactly
+    when this is [n]."""
     out, d = [], 2
     while d * d <= n:
         if n % d == 0:
@@ -163,7 +154,7 @@ class FiniteField:
     def __init__(self, p: int, k: int, modulus=None):
         if p > MAX_INSPECTION_SIZE:  # before the primality test, which costs sqrt(p)
             raise ValueError(f"field size {p}^{k} exceeds desk-scale bound {MAX_INSPECTION_SIZE}")
-        if not _is_prime(p) or p == 2:
+        if _prime_factors(p) != [p] or p == 2:
             raise ValueError(f"characteristic must be an odd prime, got {p}")
         if k < 1:
             raise ValueError("extension degree must be >= 1")

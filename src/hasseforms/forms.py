@@ -326,20 +326,37 @@ class GenusWitness(Record):
 def _check_denominators(q: RingMatrix, s: RingElement):
     """Every denominator must divide a power of s, equivalently of the
     norm N(s): dividing it by its gcd with N(s) until that gcd is 1 must
-    leave a constant (gcd saturation; no factoring needed)."""
+    leave a constant (gcd saturation; no factoring needed).  All do when
+    their lcm does, so it is saturated once; the entries are saturated
+    one by one only to name the first failing factor."""
     norm = s.norm()
+    if _saturate(_common_denominator(q), norm).degree < 1:
+        return
     for row in q.rows:
         for e in row:
-            rest = e.den
-            g = poly_gcd(rest, norm)
-            while g.degree >= 1:
-                rest = rest // g
-                g = poly_gcd(rest, norm)
+            rest = _saturate(e.den, norm)
             if rest.degree >= 1:
                 raise MalformedWitnessError(
                     f"denominator factor {rest} does not divide a power "
                     f"of the declared locus"
                 )
+
+
+def _saturate(den: Poly, norm: Poly) -> Poly:
+    """den with every factor it shares with norm divided out."""
+    while den.degree >= 1 and (g := poly_gcd(den, norm)).degree >= 1:
+        den = den // g
+    return den
+
+
+def _common_denominator(q: RingMatrix) -> Poly:
+    """delta, the monic lcm of the entry denominators of q."""
+    delta = Poly.one(q.curve.field)
+    for row in q.rows:
+        for e in row:
+            if e.den.degree >= 1:
+                delta = e.den if delta.degree < 1 else delta // poly_gcd(delta, e.den) * e.den
+    return delta
 
 
 class GenusReport(Record):
@@ -365,10 +382,11 @@ def verify_genus_witness(
     isomorphism over the function field), integrality and unit
     determinant of each Q away from its declared locus, and coverage:
     every closed point of degree at most ``degree`` must be reached by
-    some witness.  Each closed point is listed once, as a monic
-    irreducible on the line and as one point of its Frobenius orbit on
-    the cubic.  q^degree must be at most MAX_INSPECTION_SIZE on both,
-    which is checked before any work.
+    some witness, at which none of s, num(det Q) and the lcm of Q's
+    denominators vanishes (``_covers``).  Each closed point is listed
+    once, as a monic irreducible on the line and as one point of its
+    Frobenius orbit on the cubic.  q^degree must be at most
+    MAX_INSPECTION_SIZE on both, which is checked before any work.
     Points beyond the inspection degree are not examined; a Certified
     verdict means certified up to that degree.
     """
@@ -391,10 +409,11 @@ def verify_genus_witness(
 
     checks = [witness_identity(q, f, g) for q, _ in witness.pairs]
     identity_ok = tuple(ok for ok, _ in checks)
+    parts = [(s, det, _common_denominator(q)) for (q, s), (_, det) in zip(witness.pairs, checks)]
     covered, uncovered = [], []
     for d in range(1, degree + 1):
         for place in _closed_places(curve, d):
-            if any(_covers(q, s, det, place) for (q, s), (_, det) in zip(witness.pairs, checks)):
+            if any(_covers(*p, place) for p in parts):
                 covered.append(place)
             else:
                 uncovered.append(place)
@@ -417,12 +436,8 @@ def witness_identity(q: RingMatrix, f: GramMatrix, g: GramMatrix):
     and det Q = det P / delta^n, reduced once."""
     if not q.n == f.n == g.n:
         raise ValueError("dimension mismatch")
-    delta = Poly.one(q.curve.field)
-    for row in q.rows:
-        for e in row:
-            if e.den.degree >= 1:
-                delta = delta // poly_gcd(delta, e.den) * e.den
-    p = [[e.num * (delta // e.den) for e in row] for row in q.rows]
+    delta = _common_denominator(q)
+    p = [[e.num if e.is_zero() or e.den == delta else e.num * (delta // e.den) for e in row] for row in q.rows]
     lhs = matmul(tuple(zip(*p)), matmul(f.ring_rows(), p))
     scale = delta * delta
     ok = all(x == y * scale for lrow, grow in zip(lhs, g.ring_rows()) for x, y in zip(lrow, grow))
@@ -446,13 +461,14 @@ def _closed_places(curve: CurveSpec, d: int):
     ]
 
 
-def _covers(q: RingMatrix, s: RingElement, det: RingFraction, place) -> bool:
-    """Whether the witness (q, s) reaches the place: the place is off the
-    locus of s, q is integral there, and det q is a unit there.  det is a
-    reduced fraction, so it is a unit exactly when neither its numerator
-    nor its denominator vanishes."""
-    parts = (s, det.num, det.den, *(e.den for row in q.rows for e in row))
-    return not any(_vanishes(f, place) for f in parts)
+def _covers(s: RingElement, det: RingFraction, delta: Poly, place) -> bool:
+    """Whether the witness (q, s), with det = det q and delta the lcm of
+    q's denominators, reaches the place: the place is off the locus of s,
+    q is integral there, and det q is a unit there.  An entry's
+    denominator vanishes exactly where delta does, and den(det q),
+    reduced, divides delta^n, so that is: none of s, num(det q) and delta
+    vanishes.  A nonzero constant vanishes nowhere and is not tested."""
+    return not any(_vanishes(h, place) for h in (s, det.num, delta) if h.is_zero() or not h.is_constant())
 
 
 def _vanishes(f, place) -> bool:

@@ -211,6 +211,13 @@ def smooth_weierstrass_pairs(q: int):
 # sharing nothing with the library's cofactor expansion.
 
 
+def dense_product(a, b):
+    """The product of two square matrices given as rows, every one of the
+    n products of each entry summed, zero factors included."""
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(1, n)), a[i][0] * b[0][j]) for j in range(n)] for i in range(n)]
+
+
 def _inversions(perm) -> int:
     return sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
 
@@ -269,6 +276,29 @@ def covers_prime_by_valuation(q, s, prime) -> bool:
         return False
     d = leibniz_det(q.rows)
     return not d.is_zero() and _line_valuation(d, prime) == 0
+
+
+def _vanishes_at(h, place) -> bool:
+    """Whether a ring element or a polynomial in x vanishes at a closed
+    place: divisible by the prime on the line, zero at the point on a
+    cubic."""
+    a, b = (h.a, h.b) if isinstance(h, RingElement) else (h, None)
+    if hasattr(place, "poly"):  # a prime of the line, where b is 0
+        return (a % place.poly).is_zero()
+    value = a.evaluate(place.x)
+    if b is not None:
+        value = value + b.evaluate(place.x) * place.y
+    return value.is_zero()
+
+
+def covers_by_every_part(q, s, det, place) -> bool:
+    """Whether the witness (q, s) reaches a closed place by the rule
+    coverage used before it tested only s, num(det q) and the lcm of the
+    denominators: none of s, num(det q), den(det q) and the denominator
+    of every entry vanishes there.  det is det q, computed by the caller
+    (``leibniz_det``)."""
+    parts = [s, det.num, det.den] + [e.den for row in q.rows for e in row]
+    return not any(_vanishes_at(h, place) for h in parts)
 
 
 # ---------------------------------------------------------------------------

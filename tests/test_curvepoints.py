@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -17,7 +18,7 @@ from hasseforms.curvepoints import (
 )
 from hasseforms import curvepoints
 from hasseforms.curvering import CurveSpec
-from hasseforms.finfield import FiniteField, make_extension
+from hasseforms.finfield import FieldElement, FiniteField, make_extension
 from hasseforms.hasse import hasse_principle
 
 from oracles import (
@@ -291,6 +292,47 @@ def test_counts_match_squaring_oracle_on_every_cubic(p, k):
                 assert picard_order(curve) == affine + 1
                 assert has_two_torsion(curve) is root
                 assert report.two_torsion is root
+
+
+# fields beyond F_25, where every cubic is too many to try: F_49, F_81,
+# F_121 and the primes 61 to 113, each with seeded (a, b) samples and the
+# singular cubic y^2 = x^3
+SAMPLED_FIELDS = [(7, 2), (3, 4), (11, 2), (61, 1), (67, 1), (71, 1), (73, 1), (79, 1),
+                  (83, 1), (89, 1), (97, 1), (101, 1), (103, 1), (107, 1), (109, 1), (113, 1)]
+
+
+@pytest.mark.parametrize("p, k", SAMPLED_FIELDS)
+def test_counts_match_squaring_oracle_on_sampled_cubics(p, k):
+    field = make_extension(p, k)
+    rng = random.Random(f"count-scan:{p}:{k}")
+    elements = list(field.elements())
+    pairs = [(field.zero(), field.zero())] + [(rng.choice(elements), rng.choice(elements)) for _ in range(6)]
+    for a, b in pairs:
+        curve = CurveSpec.weierstrass(field, a, b)
+        affine = affine_count_by_squares(field, a, b)
+        report = point_report(curve)
+        assert (report.affine, report.total) == (affine, affine + 1)
+        assert curvepoints._count_scan(curve) == (affine, cubic_has_root(field, a, b))
+        if curve.is_smooth:
+            assert report.two_torsion is cubic_has_root(field, a, b)
+
+
+def test_count_scan_makes_no_field_element_arithmetic(monkeypatch):
+    # the scan adds and multiplies discrete logs through the Zech table
+    calls = []
+    for owner, name in ((FieldElement, "__mul__"), (FieldElement, "__add__"), (curvepoints, "is_square")):
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    for p, k in ((5, 1), (3, 2), (11, 2), (113, 1)):
+        field = make_extension(p, k)
+        for a, b in ((1, 3), (0, 1), (2, 0), (0, 0)):
+            curvepoints._count_scan(CurveSpec.weierstrass(field, a, b))
+    assert calls == []
 
 
 def test_counting_builds_no_points(monkeypatch):

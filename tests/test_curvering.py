@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hasseforms.curvering import (
     CurveSpec,
@@ -10,12 +12,14 @@ from hasseforms.curvering import (
     RingFraction,
     RingMatrix,
     congruence,
+    det,
+    matmul,
 )
 from hasseforms.finfield import make_extension
-from hasseforms.forms import FieldForm
+from hasseforms.forms import FieldForm, GramMatrix
 from hasseforms.funcfield import Poly
 
-from oracles import leibniz_det
+from oracles import dense_product, leibniz_det
 
 F5 = make_extension(5, 1)
 EC = CurveSpec.weierstrass(F5, 2, 3)  # y^2 = x^3 + 2x + 3, singular cubic
@@ -357,3 +361,114 @@ def test_matrix_flags():
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         congruence(RingMatrix.identity(EC, 2), RingMatrix.identity(EC, 3))
+
+
+# -- sparse products and determinants -------------------------------------------
+
+F9 = make_extension(3, 2)
+SMOOTH = CurveSpec.weierstrass(F5, 1, 1)
+
+
+def _zero_and_entry(kind, curve, field):
+    """(the ring's zero, a strategy for its nonzero entries) for one entry type."""
+    digits = st.integers(0, field.p - 1)
+    if kind == "field":
+        entry = st.lists(digits, min_size=field.k, max_size=field.k).map(field.element)
+        return field.zero(), entry.filter(lambda e: not e.is_zero())
+    ring = st.builds(
+        lambda a, b: RingElement(curve, Poly(field, a), Poly(field, [] if curve.is_polyline else b)),
+        st.lists(digits, min_size=1, max_size=3), st.lists(digits, max_size=2),
+    ).filter(lambda e: not e.is_zero())
+    if kind == "ring":
+        return RingElement.zero(curve), ring
+    dens = st.sampled_from(["1", "x", "x+1", "x^2+x", "x+2"]).map(lambda t: P(t, field))
+    return RingFraction.from_ring(RingElement.zero(curve)), st.builds(lambda e, d: RingFraction(curve, e, d), ring, dens)
+
+
+@st.composite
+def sparse_pairs(draw):
+    """(zero, a, b): two n x n matrices, n in 1..5, at least half of whose
+    entries are zero.  The shape is scattered entries that include one
+    permutation's positions (so determinants can be nonzero), a zero row
+    of a and a zero column of b, or a pair whose every product has a zero
+    factor (a's nonzero columns miss b's nonzero rows)."""
+    kind = draw(st.sampled_from(["field", "ring", "fraction"]))
+    curve = draw(st.sampled_from([LINE, SMOOTH, EC]))
+    field = F9 if kind == "field" and draw(st.booleans()) else F5
+    zero, entry = _zero_and_entry(kind, curve, field)
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["scattered", "zero lines", "disjoint"]))
+    k = draw(st.integers(0, n - 1))
+
+    def matrix(live, first=()):
+        cells = [(i, j) for i in range(n) for j in range(n) if live(i, j) and (i, j) not in first]
+        most = min(len(cells), n * n // 2 - len(first))
+        chosen = set(first) | set(draw(st.permutations(cells))[: draw(st.integers(most // 2, most))])
+        return [[draw(entry) if (i, j) in chosen else zero for j in range(n)] for i in range(n)]
+
+    if shape == "scattered":
+        def diagonal():
+            return tuple(enumerate(draw(st.permutations(range(n))))) if n > 1 else ()
+
+        return zero, matrix(lambda i, j: True, diagonal()), matrix(lambda i, j: True, diagonal())
+    if shape == "zero lines":
+        return zero, matrix(lambda i, j: i != k), matrix(lambda i, j: j != k)
+    return zero, matrix(lambda i, j: j <= k), matrix(lambda i, j: i > k)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(sparse_pairs())
+def test_sparse_matmul_and_det_match_dense_oracles(case):
+    zero, a, b = case
+    product = matmul(a, b)
+    assert product == dense_product(a, b)
+    for row in product:
+        for entry in row:
+            assert type(entry) is type(zero)
+            if entry.is_zero():
+                assert entry == zero
+    for m in (a, b, product):
+        d = det(m)
+        assert d == leibniz_det(m) and type(d) is type(zero)
+        if d.is_zero():
+            assert d == zero
+
+
+def test_constant_entries_are_shared_per_curve_and_never_change():
+    curve = CurveSpec.polyline(F5)
+    m1 = RingMatrix.identity(curve, 3)
+    m2 = RingMatrix(curve, [[0, 1, P("x")], [1, 0, 0], [P("x"), 0, 2]])
+    zero, one = m1.rows[0][1], m1.rows[0][0]
+    assert all(e is zero for e in (m1.rows[1][0], m2.rows[0][0], m2.rows[1][1], m2.rows[2][1]))
+    assert m2.rows[0][1] is one and m2.rows[1][0] is one
+    assert m2.rows[2][2] is RingMatrix(curve, [[F5.element(2)]]).rows[0][0]
+    before = [(hash(e), e.num.a.coeffs, e.den.coeffs) for e in (zero, one)]
+    product = m2 * m1 * m2
+    product.det()
+    m2.transpose().det()
+    congruence(m2, m1)
+    m2.evaluate(F5.element(3))
+    zero + one - one * 2
+    (one / 3).inverse()
+    -zero
+    GramMatrix.diagonal(curve, [1, P("x")]).det()
+    assert [(hash(e), e.num.a.coeffs, e.den.coeffs) for e in (zero, one)] == before
+    assert RingMatrix.identity(CurveSpec.polyline(F5), 3).rows[0][1] is not zero  # one set per curve object
+
+
+def test_diagonal_gram_builds_its_zero_entry_once(monkeypatch):
+    built = []
+    from_ring = RingFraction.from_ring.__func__
+
+    def counting(cls, elem):
+        built.append(elem)
+        return from_ring(cls, elem)
+
+    monkeypatch.setattr(RingFraction, "from_ring", classmethod(counting))
+    for curve in (CurveSpec.polyline(F5), CurveSpec.weierstrass(F5, 1, 1)):
+        entries = [P("x"), P("x+1"), P("x^2+2"), P("3*x"), P("x^3+1"), P("2*x+4")]
+        GramMatrix.diagonal(curve, entries)
+        assert sum(1 for e in built if e.is_zero()) == 1
+        GramMatrix.diagonal(curve, entries)
+        assert sum(1 for e in built if e.is_zero()) == 1
+        built.clear()

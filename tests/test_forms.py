@@ -1,5 +1,8 @@
+import importlib
+import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,11 +29,12 @@ from hasseforms.forms import (
     witness_identity,
 )
 from hasseforms.funcfield import Poly, PrimePoly, monic_irreducibles, residue_field, residue_reduce
-from hasseforms.serialize import load_bundled_pair
+from hasseforms.serialize import load_bundled_pair, pair_from_json
 
 from oracles import (
     brute_force_congruent,
     closed_point_counts,
+    covers_by_every_part,
     covers_prime_by_valuation,
     denominators_divide_power_by_factoring,
     entry_pool,
@@ -505,9 +509,136 @@ def test_line_coverage_matches_valuation_rule():
         det = q.det()
         for prime in rng.sample(primes, 6):
             expected = covers_prime_by_valuation(q, s, prime)
-            assert forms._covers(q, s, det, prime) == expected
+            assert forms._covers(s, det, forms._common_denominator(q), prime) == expected
             checked.add(expected)
     assert checked == {True, False}
+
+
+def _check_coverage_by_every_part(f, g, witness, degree):
+    """verify_genus_witness's coverage lists, each place checked against
+    the every-part rule; returns the report."""
+    report = verify_genus_witness(f, g, witness, degree=degree)
+    dets = [leibniz_det(q.rows) for q, _ in witness.pairs]
+    for places, expected in ((report.covered, True), (report.uncovered, False)):
+        for place in places:
+            got = any(covers_by_every_part(q, s, d, place) for (q, s), d in zip(witness.pairs, dets))
+            assert got is expected, place
+    return report
+
+
+@pytest.mark.parametrize("fixture", ["polyline_pair", "singular_cubic_pair"])
+def test_fixture_coverage_matches_every_part_rule(fixture):
+    pair = load_bundled_pair(fixture)
+    report = _check_coverage_by_every_part(pair["F"], pair["G"], pair["witness"], pair["degree"])
+    assert report.covered
+
+
+def _generated_genus_pairs(seeds):
+    """The input pairs of every generated benchmark genus job and set-up
+    probe of the seeds, parsed."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench))  # gen imports its sibling modules by name
+    try:
+        gen = importlib.import_module("gen")
+    finally:
+        sys.path.remove(str(bench))
+    fixtures = {n: json.loads((Path(forms.__file__).parent / "fixtures" / f"{n}.json").read_text()) for n in gen.FIXTURES}
+    jobs = [job for seed in seeds for job in gen.generate("genus", seed, fixtures) + gen.setup_probes()]
+    return [(job["id"], pair_from_json(job["input"])) for job in jobs if job["argv"][0] == "genus-verify"]
+
+
+def test_generated_genus_coverage_matches_every_part_rule():
+    pairs = _generated_genus_pairs((1, 2))
+    assert len(pairs) == 2 * (26 + 1)
+    for name, pair in pairs:
+        _check_coverage_by_every_part(pair["F"], pair["G"], pair["witness"], pair["degree"])
+
+
+@st.composite
+def shared_factor_witnesses(draw):
+    """(g, witness, degree): one or two pieces over the line, a smooth or
+    the singular cubic over F_5, ranks 1-3, denominators sharing factors
+    (so their lcm is not their product).  Each s has a factor whose norm
+    each denominator prime divides: the prime x - r itself or, on a cubic,
+    sometimes y - c with c^2 = r^3 + ar + b, which vanishes at (r, c) but
+    not at (r, -c) when c != 0."""
+    curve = draw(st.sampled_from([LINE5, CurveSpec.weierstrass(F5, 1, 1), EC]))
+    n = draw(st.integers(1, 3))
+    coeffs = st.lists(st.integers(0, 4), max_size=2)
+    nonzero = st.lists(st.integers(0, 4), min_size=1, max_size=2).filter(any)
+    primes = {"1": (), "x+1": ("x+1",), "x^2+2*x+1": ("x+1",), "x^2+x": ("x", "x+1"), "x+2": ("x+2",),
+              "x^2+3*x+2": ("x+1", "x+2")}
+    pieces = []
+    for _ in range(draw(st.integers(1, 2))):
+        dens = [[draw(st.sampled_from(SHARED_DENOMINATORS)) for _ in range(n)] for _ in range(n)]
+        q = RingMatrix(curve, [[RingFraction(curve, RingElement(
+            curve, Poly(F5, draw(nonzero)), Poly(F5, () if curve.is_polyline else draw(coeffs))), P(F5, d)) for d in row]
+            for row in dens])
+        s = RingElement(curve, P(F5, draw(st.sampled_from(["1", "x+3", "2*x^2+1"]))))
+        for prime in sorted({prime for row in dens for d in row for prime in primes[d]}):
+            factors = [RingElement(curve, P(F5, prime))]
+            if not curve.is_polyline:
+                r = -P(F5, prime).coeffs[0]
+                value = curve.cubic().evaluate(r)
+                factors += [RingElement.y(curve) - c for c in F5.elements() if c * c == value]
+            s = s * draw(st.sampled_from(factors))
+        pieces.append((q, s))
+    g = GramMatrix.identity(curve, n)
+    return g, GenusWitness(g, tuple(pieces)), draw(st.integers(1, 2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shared_factor_witnesses())
+def test_shared_factor_coverage_matches_every_part_rule(case):
+    g, witness, degree = case
+    _check_coverage_by_every_part(g, g, witness, degree)
+
+
+def test_coverage_keeps_the_false_gap_at_a_regular_point():
+    # (y - 1)/x = (x^2 + 1)/(y + 1) is regular at (0, 1) on y^2 = x^3 + x + 1
+    # over F_5 with value 3, but its denominator x vanishes there, so the
+    # place stays uncovered: a false gap that exact valuations would remove
+    curve = CurveSpec.weierstrass(F5, 1, 1)
+    y = RingElement.y(curve)
+    q = RingMatrix(curve, [[RingFraction(curve, y - 1, P(F5, "x"))]])
+    g = GramMatrix.identity(curve, 1)
+    witness = GenusWitness(g, ((q, y + 1),))
+    report = _check_coverage_by_every_part(g, g, witness, 1)
+    assert AffinePoint(F5.zero(), F5.one()) in report.uncovered
+    assert RingFraction.make(RingElement(curve, P(F5, "x^2+1")), y + 1) == q.rows[0][0]
+
+
+def test_coverage_tests_at_most_three_parts_per_witness_and_place(monkeypatch):
+    calls = []
+    vanishes = forms._vanishes
+
+    def counting(f, place):
+        calls.append(place)
+        return vanishes(f, place)
+
+    monkeypatch.setattr(forms, "_vanishes", counting)
+    d = RingFraction(LINE5, RingElement.one(LINE5), P(F5, "x^2+x"))
+    rank3 = RingMatrix(LINE5, [[d, d * 2, 0], [0, 1, d], [d * 3, 0, 1]])
+    cases = [load_bundled_pair(name) for name in ("polyline_pair", "singular_cubic_pair")]
+    cases.append({"F": GramMatrix.identity(LINE5, 3), "G": GramMatrix.identity(LINE5, 3), "degree": 2,
+                  "witness": GenusWitness(GramMatrix.identity(LINE5, 3), ((rank3, RingElement(LINE5, P(F5, "x^2+x"))),))})
+    for pair in cases:
+        calls.clear()
+        report = verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=pair["degree"])
+        places = len(report.covered) + len(report.uncovered)
+        assert 0 < len(calls) <= 3 * len(pair["witness"].pairs) * places
+
+
+def test_malformed_witness_names_the_first_failing_factor():
+    # both entries fail; the message names the part of the first entry's
+    # denominator that does not divide a power of N(s) = (x + 1)^2
+    q = RingMatrix(LINE5, [
+        [RingFraction(LINE5, RingElement.one(LINE5), P(F5, "x^2+x")), 0],
+        [0, RingFraction(LINE5, RingElement.one(LINE5), P(F5, "x+2"))],
+    ])
+    with pytest.raises(MalformedWitnessError) as error:
+        GenusWitness(GramMatrix.identity(LINE5, 2), ((q, RingElement(LINE5, P(F5, "x+1"))),))
+    assert str(error.value) == "denominator factor x does not divide a power of the declared locus"
 
 
 def test_genus_verification_runs_no_fraction_congruence(monkeypatch):
