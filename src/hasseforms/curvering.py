@@ -41,7 +41,7 @@ WEIERSTRASS = "weierstrass"
 class CurveSpec:
     """The base geometry: the affine line, or an affine Weierstrass cubic."""
 
-    __slots__ = ("kind", "field", "a", "b", "_cubic", "_scan", "_entries")
+    __slots__ = ("kind", "field", "a", "b", "_cubic", "_smooth", "_scan", "_entries")
 
     def __init__(self, kind: str, field: FiniteField, a=None, b=None):
         if kind not in (POLYLINE, WEIERSTRASS):
@@ -53,8 +53,9 @@ class CurveSpec:
         self.a = field.element(a) if a is not None else None
         self.b = field.element(b) if b is not None else None
         self._cubic = None
+        self._smooth = None  # the discriminant test, made once
         self._scan = None  # curvepoints' one x-scan of F_q, kept once made
-        self._entries = {}  # constant matrix entries c/1 by c, shared and never changed
+        self._entries = {}  # constant entries c/1 by c and by ints, shared and never changed
 
     @classmethod
     def polyline(cls, field: FiniteField) -> CurveSpec:
@@ -77,9 +78,9 @@ class CurveSpec:
 
     @property
     def is_smooth(self) -> bool:
-        if self.is_polyline:
-            return True
-        return not self.discriminant.is_zero()
+        if self._smooth is None:
+            self._smooth = self.is_polyline or not self.discriminant.is_zero()
+        return self._smooth
 
     def cubic(self) -> Poly:
         """x^3 + a*x + b, the right-hand side of the curve equation."""
@@ -482,8 +483,8 @@ class RingMatrix:
         return det(self.rows)
 
     def is_symmetric(self) -> bool:
-        n = self.n
-        return all(self.rows[i][j] == self.rows[j][i] for i in range(n) for j in range(i))
+        rows = self.rows  # shared constants make most equal pairs one object
+        return all(rows[i][j] is rows[j][i] or rows[i][j] == rows[j][i] for i in range(self.n) for j in range(i))
 
     def all_integral(self) -> bool:
         return all(e.is_integral() for row in self.rows for e in row)
@@ -516,10 +517,11 @@ def _coerce_entry(curve, e) -> RingFraction:
     if isinstance(e, Poly):
         return RingFraction.from_ring(RingElement(curve, e))
     if isinstance(e, (int, FieldElement)):
-        c = curve.field.element(e)
-        frac = curve._entries.get(c)
+        frac = curve._entries.get(e)  # a repeated int skips field.element
         if frac is None:
-            frac = curve._entries[c] = RingFraction.from_ring(RingElement.constant(curve, c))
+            c = curve.field.element(e)  # the value c owns the one shared c/1
+            frac = curve._entries.get(c) or RingFraction.from_ring(RingElement.constant(curve, c))
+            curve._entries[e] = curve._entries[c] = frac
         return frac
     raise TypeError(f"cannot place {e!r} in a matrix")
 

@@ -6,9 +6,9 @@ Classification over a finite field of odd order is rank plus the square
 class of the determinant, so ``field_isomorphic`` is a two-invariant
 comparison; the test suite pins it against exhaustive congruence search
 over the full general linear group.  Local isomorphism of unimodular
-forms at a prime with residue field k reduces to form isomorphism over
-k, which is what ``local_isomorphic`` computes after reducing both Gram
-matrices.
+forms at a closed place reduces to form isomorphism over its residue
+field F_{q^e}, which ``local_isomorphic`` reads off the constant Gram
+determinants and the place degree e, with no matrix evaluated.
 
 A genus witness is a finite list of fraction-field transition matrices
 Q, each with a declared bad locus given by a ring element s: away from
@@ -47,16 +47,11 @@ from .finfield import (
     SquareClass,
     capped_power,
     embed,
+    is_square,
     make_extension,
     square_class,
 )
-from .funcfield import (
-    Poly,
-    PrimePoly,
-    monic_irreducibles,
-    poly_gcd,
-    residue_field,
-)
+from .funcfield import Poly, PrimePoly, monic_irreducibles, poly_gcd
 from .records import Record
 
 DEFAULT_SEARCH_BUDGET = 10**8
@@ -75,9 +70,9 @@ class BudgetExceededError(RuntimeError):
 
 
 class FieldForm:
-    """A symmetric matrix of field elements."""
+    """A symmetric matrix of field elements; ``det()`` computes once."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "_det")
 
     def __init__(self, field: FiniteField, rows):
         coerced = tuple(tuple(field.element(v) for v in row) for row in rows)
@@ -90,6 +85,7 @@ class FieldForm:
                     raise ValueError("form matrix must be symmetric")
         self.field = field
         self.rows = coerced
+        self._det = None
 
     @classmethod
     def diagonal(cls, field, entries) -> FieldForm:
@@ -101,7 +97,9 @@ class FieldForm:
         return len(self.rows)
 
     def det(self) -> FieldElement:
-        return det(self.rows)
+        if self._det is None:
+            self._det = det(self.rows)
+        return self._det
 
     def is_degenerate(self) -> bool:
         return self.det().is_zero()
@@ -239,11 +237,6 @@ class GramMatrix:
     def ring_rows(self):
         return tuple(tuple(e.as_ring_element() for e in row) for row in self.matrix.rows)
 
-    def reduce_at(self, x0: FieldElement, y0: Optional[FieldElement] = None) -> FieldForm:
-        """The Gram matrix evaluated at (x0, y0); on the line y0 is None
-        and x0 is a root of the prime in its residue field."""
-        return FieldForm(x0.field, self.matrix.evaluate(x0, y0))
-
     def __eq__(self, other):
         return isinstance(other, GramMatrix) and self.matrix == other.matrix
 
@@ -257,13 +250,16 @@ def is_unimodular(form: GramMatrix) -> bool:
 
 
 def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
-    """Compare two unimodular forms at a closed point.
+    """Whether two unimodular forms agree over the residue field F_{q^e}
+    of a closed place: a monic irreducible of the line of degree e, or a
+    point of the cubic whose Frobenius orbit has its stated length e.
 
-    Both Gram matrices are reduced into the residue field by evaluation
-    at the place (an affine point, or on the line a root of the monic
-    irreducible), where unimodularity keeps them nondegenerate and the
-    Witt comparison applies.  A point off the curve or at its singular
-    point is rejected with ValueError.
+    Rank and the square class of the determinant classify forms there.
+    The determinants are constants c of F_q^x, and c^((q^e - 1)/2) =
+    chi(c)^(1 + q + ... + q^(e-1)): for even e every c is a square, for
+    odd e c keeps its class in F_q.  No matrix is evaluated.  ValueError
+    rejects a prime over another field or at infinity, and a point off
+    the curve, singular, or of a wrong stated degree.
     """
     if f.curve != g.curve:
         raise ValueError("forms live over different curves")
@@ -274,24 +270,25 @@ def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
     if isinstance(at, PrimePoly):
         if not curve.is_polyline:
             raise ValueError("prime reduction applies over the affine line")
-        x0, y0 = residue_field(at)[1], None
+        if at.field != curve.field or at.is_infinite:
+            raise ValueError(f"{at!r} is not a finite prime over the curve's field")
+        e = at.degree
     elif isinstance(at, AffinePoint):
         if curve.is_polyline:
             raise ValueError("affine-line forms reduce at primes, not curve points")
         require_on_curve(curve, at)
-        _reject_singular_point(curve, at)
-        x0, y0 = at.x, at.y
+        if is_singular_point(curve, at.x, at.y):
+            raise ValueError(
+                "reduction at the singular point is rejected: the local ring "
+                "there is not a discrete valuation ring"
+            )
+        e = len(frobenius_orbit(curve.field.q, at.x, at.y))
+        if e != at.degree:
+            raise ValueError(f"point {at!r} has degree {e}, not the stated {at.degree}")
     else:
         raise TypeError(f"cannot localize at {at!r}")
-    return field_isomorphic(f.reduce_at(x0, y0), g.reduce_at(x0, y0))
-
-
-def _reject_singular_point(curve: CurveSpec, point: AffinePoint):
-    if is_singular_point(curve, point.x, point.y):
-        raise ValueError(
-            "reduction at the singular point is rejected: the local ring "
-            "there is not a discrete valuation ring"
-        )
+    c_f, c_g = f.det().constant_value(), g.det().constant_value()
+    return f.n == g.n and (e % 2 == 0 or is_square(c_f) == is_square(c_g))
 
 
 # ---------------------------------------------------------------------------

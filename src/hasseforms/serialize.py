@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 
 from .curvepoints import AffinePoint, PointCountReport
-from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix
+from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _coerce_entry
 from .finfield import MAX_FIELD_SIZE, FieldElement, FiniteField, capped_power, make_extension
 from .forms import GenusReport, GenusWitness, GramMatrix
 from .funcfield import Poly, PrimePoly, to_text
@@ -138,7 +138,8 @@ def fraction_to_json(e: RingFraction) -> dict:
 
 def fraction_from_json(curve: CurveSpec, data) -> RingFraction:
     if not isinstance(data, dict) or "num" not in data:
-        return RingFraction.from_ring(ring_elem_from_json(curve, data))
+        # an int is the curve's shared c/1 (JSON true is no int)
+        return _coerce_entry(curve, data if type(data) is int else ring_elem_from_json(curve, data))
     num = ring_elem_from_json(curve, data["num"])
     den = data.get("den", "1")
     den = ring_elem_from_json(curve, den) if isinstance(den, dict) else Poly.from_text(curve.field, den)

@@ -13,7 +13,8 @@ import itertools
 
 from hasseforms.finfield import FiniteField, make_extension
 from hasseforms.curvering import RingElement
-from hasseforms.funcfield import Poly, factor, monic_polys
+from hasseforms.forms import FieldForm, field_isomorphic
+from hasseforms.funcfield import Poly, factor, monic_polys, residue_field
 
 
 def polys_up_to(field: FiniteField, max_deg: int):
@@ -188,6 +189,32 @@ def symmetric_nondegenerate(p: int, n: int):
 def field_matrix(field: FiniteField, rows):
     """Lift an int matrix into FieldElement rows."""
     return tuple(tuple(field.element(v) for v in row) for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# Local isomorphism by evaluation: both Gram matrices at a geometric
+# point of the place, with coordinates in its residue field, compared by
+# field_isomorphic (itself pinned against exhaustive congruence search).
+
+
+def reduce_at(form, x0, y0=None) -> FieldForm:
+    """The Gram matrix evaluated at (x0, y0), as a form over the field of
+    x0; on the line y0 is None and x0 is a root of the prime in its
+    residue field."""
+    return FieldForm(x0.field, form.matrix.evaluate(x0, y0))
+
+
+def local_isomorphic_by_evaluation(f, g, place) -> bool:
+    """local_isomorphic at a prime of the line (at the root of the prime
+    in its residue field) or at a point of the cubic, whose coordinates
+    must lie in F_{q^degree}, the residue field of its closed point."""
+    if hasattr(place, "poly"):
+        x0, y0 = residue_field(place)[1], None
+    else:
+        if place.x.field.q != f.curve.field.q**place.degree:
+            raise ValueError("point coordinates are not in its residue field")
+        x0, y0 = place.x, place.y
+    return field_isomorphic(reduce_at(f, x0, y0), reduce_at(g, x0, y0))
 
 
 def smooth_weierstrass_pairs(q: int):

@@ -456,6 +456,49 @@ def test_constant_entries_are_shared_per_curve_and_never_change():
     assert RingMatrix.identity(CurveSpec.polyline(F5), 3).rows[0][1] is not zero  # one set per curve object
 
 
+def test_repeated_int_entries_skip_field_element(monkeypatch):
+    curve = CurveSpec.polyline(F5)
+    zero, one = RingMatrix.identity(curve, 2).rows[0][1], RingMatrix.identity(curve, 2).rows[0][0]
+    calls = []
+    element = F5.element.__func__
+    monkeypatch.setattr(type(F5), "element", lambda self, v: calls.append(v) or element(self, v))
+    m = RingMatrix(curve, [[1, 0, 5], [0, 1, 0], [5, 0, 6]])
+    assert calls == [5, 6]  # 0 and 1 were seen; 5 and 6 are new ints
+    assert m.rows[0][2] is zero and m.rows[2][2] is one  # one object per field value
+    calls.clear()
+    RingMatrix(curve, [[6, 5], [5, -4]])
+    assert calls == [-4]
+    assert RingMatrix(curve, [[F5.element(1)]]).rows[0][0] is one
+
+
+def test_is_symmetric_compares_only_distinct_entries(monkeypatch):
+    calls = []
+    eq = RingFraction.__eq__
+    monkeypatch.setattr(RingFraction, "__eq__", lambda a, b: calls.append((a, b)) or eq(a, b))
+    assert RingMatrix.identity(LINE, 4).is_symmetric()
+    assert calls == []
+    assert RingMatrix(LINE, [[1, P("x")], [P("x"), 0]]).is_symmetric()
+    assert len(calls) == 1
+    assert not RingMatrix(LINE, [[1, P("x")], [P("x+1"), 0]]).is_symmetric()
+
+
+def test_smoothness_is_decided_once_per_curve(monkeypatch):
+    from hasseforms.curvepoints import point_report
+    from hasseforms.hasse import hasse_principle
+
+    calls = []
+    discriminant = CurveSpec.discriminant.fget
+    monkeypatch.setattr(CurveSpec, "discriminant", property(lambda c: calls.append(c) or discriminant(c)))
+    for a, b, smooth in ((1, 1, True), (2, 3, False)):
+        curve = CurveSpec.weierstrass(F5, a, b)
+        point_report(curve)
+        if smooth:
+            hasse_principle(curve, 3)
+        assert curve.is_smooth is smooth
+        assert calls == [curve]
+        calls.clear()
+
+
 def test_diagonal_gram_builds_its_zero_entry_once(monkeypatch):
     built = []
     from_ring = RingFraction.from_ring.__func__

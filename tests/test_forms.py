@@ -41,7 +41,9 @@ from oracles import (
     field_matrix,
     first_isometry,
     leibniz_det,
+    local_isomorphic_by_evaluation,
     polys_up_to,
+    reduce_at,
     symmetric_nondegenerate,
 )
 
@@ -377,6 +379,134 @@ def test_local_isomorphic_across_certified_genus():
         if pt.x == F5.element(4) and pt.y == F5.zero():
             continue
         assert local_isomorphic(f, g, pt)
+
+
+def test_local_isomorphic_answers_over_the_residue_field():
+    # 2 is a nonsquare of F_5, so 1_2 and diag(1, 2) differ at every place
+    # of odd degree, whatever field the point's coordinates are written in
+    from hasseforms.curvepoints import enumerate_points
+
+    curve = CurveSpec.weierstrass(F5, 1, 1)
+    f, g = GramMatrix.identity(curve, 2), GramMatrix.diagonal(curve, [1, 2])
+    rational = AffinePoint(F5.zero(), F5.one())
+    written_in_f25 = next(
+        pt for pt in enumerate_points(curve, 2) if pt.x == embed(F5.zero(), pt.x.field) and pt.y == embed(F5.one(), pt.y.field)
+    )
+    assert written_in_f25.x.field.q == 25 and written_in_f25.degree == 1
+    assert not local_isomorphic(f, g, rational)
+    assert not local_isomorphic(f, g, written_in_f25)
+    degree_two = next(pt for pt in enumerate_points(curve, 2) if pt.degree == 2)
+    assert local_isomorphic(f, g, degree_two)  # 2 is a square in F_25
+
+
+def _unimodular_gram(curve, rng, n, square_det):
+    """U^t diag(c) U for a random unipotent U (entries of degree <= 1 in x,
+    plus a constant y part on a cubic) and nonzero constants c whose
+    product is a square exactly when square_det is set."""
+    field = curve.field
+    nonzero = list(field.nonzero_elements())
+    cs = [rng.choice(nonzero) for _ in range(n)]
+    det = cs[0]
+    for c in cs[1:]:
+        det = det * c
+    if is_square(det) != square_det:
+        cs[-1] = cs[-1] * next(c for c in nonzero if not is_square(c))
+
+    def entry():
+        a = Poly(field, [rng.choice(list(field.elements())) for _ in range(2)])
+        b = Poly.zero(field) if curve.is_polyline else Poly(field, [rng.choice(list(field.elements()))])
+        return RingElement(curve, a, b)
+
+    u = RingMatrix(curve, [[1 if i == j else entry() if i < j else 0 for j in range(n)] for i in range(n)])
+    return GramMatrix(curve, congruence(u, RingMatrix.diagonal(curve, cs)))
+
+
+def _places_up_to_degree_two(curve):
+    """Every prime of degree 1 or 2 on the line; on a cubic every point of
+    degree e <= 2, with coordinates in F_{q^e}."""
+    from hasseforms.curvepoints import enumerate_points
+
+    if curve.is_polyline:
+        return [PrimePoly(curve.field, prime) for d in (1, 2) for prime in monic_irreducibles(curve.field, d)]
+    return [pt for e in (1, 2) for pt in enumerate_points(curve, e) if pt.degree == e]
+
+
+F9 = make_extension(3, 2)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        CurveSpec.polyline(F3),
+        LINE5,
+        CurveSpec.polyline(F9),
+        CurveSpec.weierstrass(F5, 1, 1),
+        CurveSpec.weierstrass(F9, [1, 1], [0, 1]),
+    ],
+    ids=["line-F3", "line-F5", "line-F9", "cubic-F5", "cubic-F9"],
+)
+def test_local_isomorphic_matches_evaluation_at_every_place(curve):
+    assert curve.is_smooth
+    rng = random.Random(curve.field.q * 10 + (not curve.is_polyline))
+    places = _places_up_to_degree_two(curve)
+    assert {1, 2} <= {place.degree for place in places}
+    answers = set()
+    for n in (1, 2, 3):
+        for square_f, square_g in ((True, True), (True, False), (False, True), (False, False)):
+            f = _unimodular_gram(curve, rng, n, square_f)
+            g = _unimodular_gram(curve, rng, n, square_g)
+            assert is_square(f.det().constant_value()) == square_f
+            for place in places:
+                answer = local_isomorphic(f, g, place)
+                assert answer == local_isomorphic_by_evaluation(f, g, place)
+                answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_local_isomorphic_rejects_a_stated_degree_off_the_orbit():
+    from hasseforms.curvepoints import enumerate_points
+
+    curve = CurveSpec.weierstrass(F5, 1, 1)
+    f = GramMatrix.identity(curve, 2)
+    rational = AffinePoint(F5.zero(), F5.one(), 2)
+    with pytest.raises(ValueError, match="has degree 1, not the stated 2"):
+        local_isomorphic(f, f, rational)
+    pt = next(pt for pt in enumerate_points(curve, 2) if pt.degree == 2)
+    with pytest.raises(ValueError, match="has degree 2, not the stated 1"):
+        local_isomorphic(f, f, AffinePoint(pt.x, pt.y))
+
+
+def test_local_isomorphic_rejects_foreign_and_infinite_primes():
+    f = GramMatrix.identity(LINE5, 2)
+    for at in (PrimePoly.finite(Poly.x(F3)), PrimePoly.infinite(F5)):
+        with pytest.raises(ValueError, match="is not a finite prime over the curve's field"):
+            local_isomorphic(f, f, at)
+
+
+def test_local_isomorphic_evaluates_nothing(monkeypatch):
+    calls = []
+    evaluate, init, det = RingFraction.evaluate, FieldForm.__init__, forms.det
+    monkeypatch.setattr(RingFraction, "evaluate", lambda *a: calls.append("evaluate") or evaluate(*a))
+    monkeypatch.setattr(FieldForm, "__init__", lambda *a: calls.append("FieldForm") or init(*a))
+    monkeypatch.setattr(forms, "det", lambda rows: calls.append("det") or det(rows))
+    for curve, at in ((LINE5, PrimePoly.finite(P(F5, "x^2+2"))), (EC, AffinePoint(F5.element(1), F5.element(1)))):
+        f = GramMatrix.identity(curve, 2)
+        g = GramMatrix.from_rows(curve, [[1, P(F5, "x")], [P(F5, "x"), P(F5, "x^2+2")]])
+        calls.clear()
+        local_isomorphic(f, g, at)
+        assert calls == []
+
+
+def test_field_isomorphic_computes_one_det_per_form(monkeypatch):
+    calls = []
+    det = forms.det
+    monkeypatch.setattr(forms, "det", lambda rows: calls.append(rows) or det(rows))
+    f = FieldForm(F5, [[1, 2], [2, 3]])
+    g = FieldForm.diagonal(F5, [1, 4])
+    assert field_isomorphic(f, g) == (disc_class(f) == disc_class(g))
+    assert calls == [f.rows, g.rows]
+    field_isomorphic(f, g)
+    assert len(calls) == 2
 
 
 # -- genus witnesses ----------------------------------------------------------------------
@@ -910,7 +1040,7 @@ def test_reduce_at_prime_root_matches_residue_reduce():
     for d in (1, 2, 3):
         for prime in monic_irreducibles(F3, d):
             at = PrimePoly(F3, prime)
-            reduced = g.reduce_at(residue_field(at)[1])
+            reduced = reduce_at(g, residue_field(at)[1])
             assert reduced.rows == tuple(
                 tuple(residue_reduce(e.as_ring_element().a, at) for e in row) for row in g.matrix.rows
             )

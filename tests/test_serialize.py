@@ -37,6 +37,16 @@ def test_ring_elem_round_trip():
     assert ring_elem_from_json(EC, "x+1") == RingElement(EC, Poly.from_text(F5, "x+1"))
 
 
+def test_int_entries_are_the_curves_shared_constants():
+    shared = RingMatrix.identity(EC, 2).rows
+    assert fraction_from_json(EC, 6) is shared[0][0]
+    assert fraction_from_json(EC, -5) is shared[0][1]
+    assert matrix_from_json(EC, [[1, 0], [0, 11]]).rows == shared
+    assert all(e is s for row, srow in zip(matrix_from_json(EC, [[1, 0], [0, 11]]).rows, shared) for e, s in zip(row, srow))
+    with pytest.raises(ValueError, match="ring element must be a JSON object, int or string"):
+        fraction_from_json(EC, True)
+
+
 def test_fraction_round_trip_and_rationalization():
     f = RingFraction(EC, RingElement.constant(EC, 3), Poly.from_text(F5, "x+1"))
     assert fraction_from_json(EC, fraction_to_json(f)) == f
