@@ -2,7 +2,7 @@
 
 Everything downstream (point counts, witnesses, searches) reduces to
 these operations: finite fields with deterministic extensions,
-polynomial factorization by trial division, valuations at primes and
+distinct-degree polynomial factorization, valuations at primes and
 at infinity, and residue-field reduction.  A rational function in
 F_q(x) is a fraction over the affine line's coordinate ring F_q[x].
 """

@@ -8,8 +8,9 @@ elements are plain residues).
 The modulus chosen by ``make_extension`` is deterministic: monic
 degree-k polynomials over F_p are scanned in increasing order of their
 coefficient vector read as a base-p integer (constant coefficient least
-significant), and the first irreducible one wins.  This keeps residue
-fields reproducible across runs.
+significant, ``funcfield.monic_polys`` order), and the first that
+``funcfield.is_irreducible`` accepts wins; an explicit modulus passes
+the same test.  This keeps residue fields reproducible across runs.
 
 Representation.  A field builds all q of its elements once, when it is
 constructed, as interned ``FieldElement`` objects: the element with
@@ -31,7 +32,7 @@ and negation, inverse and powers are single lookups as well.  For odd q
 the nonzero squares are the even powers of g, so the square class of a
 is the parity of its log; the test suite cross-checks this against
 exhaustive squaring.  The coefficient-vector arithmetic below (``_ip_*``)
-only finds the modulus and builds the tables.
+only finds the generator and builds the tables.
 
 Everything here is desk scale, because all downstream algorithms are
 enumerative.  Base fields, the fields curves and forms are defined over,
@@ -62,8 +63,8 @@ def capped_power(base: int, exp: int, cap: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over F_p as int tuples, used only for modulus bookkeeping.
-# Coefficients ascending, no trailing zeros.
+# Polynomials over F_p as int tuples, used only to find the generator and
+# walk its powers.  Coefficients ascending, no trailing zeros.
 
 
 def _ip_trim(c):
@@ -97,19 +98,6 @@ def _ip_mod(a, m, p):
     return _ip_trim(a)
 
 
-def _ip_is_irreducible(m, p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(m)/2."""
-    deg = len(m) - 1
-    if deg <= 0:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for n in range(p**d):
-            div = _divisor_from_index(n, d, p)
-            if _ip_mod(m, div, p) == ():
-                return False
-    return True
-
-
 def _ip_pow_mod(a, e: int, m, p):
     """a^e mod m by square and multiply, trimmed."""
     out, base = (1,), _ip_trim(a)
@@ -134,15 +122,6 @@ def _prime_factors(n: int):
     return out + [n] if n > 1 else out
 
 
-def _divisor_from_index(n: int, degree: int, p: int):
-    coeffs = []
-    for _ in range(degree):
-        n, r = divmod(n, p)
-        coeffs.append(r)
-    coeffs.append(1)
-    return tuple(coeffs)
-
-
 class FiniteField:
     """The field F_{p^k} presented as F_p[t]/(m), with its elements
     interned and its arithmetic on log and Zech tables."""
@@ -163,11 +142,14 @@ class FiniteField:
             raise ValueError(f"field size {p}^{k} exceeds desk-scale bound {MAX_INSPECTION_SIZE}")
         if modulus is None:
             modulus = _minimal_irreducible(p, k)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree k")
-        if k > 1 and not _ip_is_irreducible(modulus, p):
-            raise ValueError("modulus is reducible")
+        else:
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != k + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree k")
+            from .funcfield import Poly, is_irreducible  # funcfield imports this module
+
+            if not is_irreducible(Poly(make_extension(p, 1), modulus)):
+                raise ValueError("modulus is reducible")
         self.p = p
         self.k = k
         self.q = q
@@ -266,13 +248,13 @@ class FiniteField:
 
 
 def _minimal_irreducible(p: int, k: int):
+    """The first monic irreducible of degree k over F_p in canonical order."""
     if k == 1:
         return (0, 1)
-    for n in range(p**k):
-        cand = _divisor_from_index(n, k, p)
-        if _ip_is_irreducible(cand, p):
-            return cand
-    raise AssertionError("no irreducible modulus found")  # unreachable
+    from .funcfield import is_irreducible, monic_polys  # funcfield imports this module
+
+    modulus = next(f for f in monic_polys(make_extension(p, 1), k) if is_irreducible(f))
+    return tuple(c.coeffs[0] for c in modulus.coeffs)
 
 
 _field_cache: dict[tuple[int, int], FiniteField] = {}

@@ -379,8 +379,8 @@ def verify_genus_witness(
     isomorphism over the function field), integrality and unit
     determinant of each Q away from its declared locus, and coverage:
     every closed point of degree at most ``degree`` must be reached by
-    some witness, at which none of s, num(det Q) and the lcm of Q's
-    denominators vanishes (``_covers``).  Each closed point is listed
+    some witness, one whose support element s * num(det Q) * delta
+    (``_support``) does not vanish there.  Each closed point is listed
     once, as a monic irreducible on the line and as one point of its
     Frobenius orbit on the cubic.  q^degree must be at most
     MAX_INSPECTION_SIZE on both, which is checked before any work.
@@ -406,11 +406,11 @@ def verify_genus_witness(
 
     checks = [witness_identity(q, f, g) for q, _ in witness.pairs]
     identity_ok = tuple(ok for ok, _ in checks)
-    parts = [(s, det, _common_denominator(q)) for (q, s), (_, det) in zip(witness.pairs, checks)]
+    supports = [_support(q, s, det) for (q, s), (_, det) in zip(witness.pairs, checks)]
     covered, uncovered = [], []
     for d in range(1, degree + 1):
         for place in _closed_places(curve, d):
-            if any(_covers(*p, place) for p in parts):
+            if not all(_vanishes(h, place) for h in supports):
                 covered.append(place)
             else:
                 uncovered.append(place)
@@ -458,25 +458,23 @@ def _closed_places(curve: CurveSpec, d: int):
     ]
 
 
-def _covers(s: RingElement, det: RingFraction, delta: Poly, place) -> bool:
-    """Whether the witness (q, s), with det = det q and delta the lcm of
-    q's denominators, reaches the place: the place is off the locus of s,
-    q is integral there, and det q is a unit there.  An entry's
+def _support(q: RingMatrix, s: RingElement, det: RingFraction) -> RingElement:
+    """h = s * num(det q) * delta, delta the lcm of q's denominators.  The
+    witness (q, s) reaches a place when the place is off the locus of s,
+    q is integral there and det q is a unit there.  An entry's
     denominator vanishes exactly where delta does, and den(det q),
     reduced, divides delta^n, so that is: none of s, num(det q) and delta
-    vanishes.  A nonzero constant vanishes nowhere and is not tested."""
-    return not any(_vanishes(h, place) for h in (s, det.num, delta) if h.is_zero() or not h.is_constant())
+    vanishes, which holds exactly where h does not vanish, since the
+    residue ring at a closed place is a field."""
+    return s * det.num * _common_denominator(q)
 
 
-def _vanishes(f, place) -> bool:
-    """Whether a ring element or a polynomial in x vanishes at the place:
-    divisible by the prime on the line, zero at the point on the cubic."""
+def _vanishes(h: RingElement, place) -> bool:
+    """Whether h vanishes at the place: divisible by the prime on the
+    line (where h has no y part), zero at the point on the cubic."""
     if isinstance(place, PrimePoly):
-        poly = f.a if isinstance(f, RingElement) else f  # no y part on the line
-        return (poly % place.poly).is_zero()
-    if isinstance(f, RingElement):
-        return f.evaluate(place.x, place.y).is_zero()
-    return f.evaluate(place.x).is_zero()
+        return (h.a % place.poly).is_zero()
+    return h.evaluate(place.x, place.y).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,13 @@ Residue fields at finite primes are built through
 prime there (``finfield.smallest_root``), so reductions are
 reproducible, and reducing is evaluating at that root.
 
-Monic irreducibles are found by a product sieve: every reducible monic
-of degree d is g*h with g irreducible of degree e <= d/2 and h monic of
-degree d - e, so marking all those products leaves exactly the primes,
-in canonical order.  Factorization is trial division against these
-irreducibles in increasing degree, which is adequate at desk scale.
+Primality and factoring read the Frobenius powers x^(q^j) mod f,
+computed by ``pow(h, q, f)``, with no extension field and no candidate
+divisors (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 14).
+``is_irreducible`` is Ben-Or's test, and ``factor`` is distinct-degree
+factorization.  The product sieve ``monic_irreducibles`` lists the places
+of a degree in canonical order, for genus coverage, and splits a
+distinct-degree part that holds two or more primes.
 
 Text grammar for polynomials: integer coefficients, variable x,
 caret powers, e.g. ``x^3+2*x+3``; coefficients are read mod p.  An
@@ -33,7 +35,7 @@ import itertools
 import re
 from typing import Iterator, Optional
 
-from .finfield import FieldElement, FiniteField, embed, make_extension, smallest_root
+from .finfield import MAX_INSPECTION_SIZE, FieldElement, FiniteField, capped_power, embed, make_extension, smallest_root
 
 FACTOR_DEGREE_BOUND = 24
 MAX_TEXT_DEGREE = 256  # largest exponent the text grammar accepts
@@ -171,17 +173,19 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
+    def __pow__(self, e: int, modulus=None):
+        """self^e by square and multiply; ``pow(f, e, m)`` reduces every
+        product mod m."""
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one(self.field)
-        base = self
+        result, base = Poly.one(self.field), self
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = result * base if modulus is None else result * base % modulus
             e >>= 1
-        return result
+            if e:
+                base = base * base if modulus is None else base * base % modulus
+        return result if modulus is None else result % modulus
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -349,14 +353,15 @@ def monic_polys(field: FiniteField, degree: int) -> Iterator[Poly]:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
-    if f.degree < 1:
-        return False
-    for d in range(1, f.degree // 2 + 1):
-        for g in monic_polys(f.field, d):
-            if (f % g).is_zero():
-                return False
-    return True
+    """Ben-Or's test: f of degree d >= 1 is prime iff gcd(f, x^(q^j) - x)
+    is constant for every j <= d/2, since a reducible f has a prime
+    factor of degree j <= d/2 and that factor divides x^(q^j) - x."""
+    x = h = Poly.x(f.field)
+    for _ in range(f.degree // 2):
+        h = pow(h, f.field.q, f)  # x^(q^j) mod f
+        if poly_gcd(f, h - x).degree > 0:
+            return False
+    return f.degree >= 1
 
 
 _irr_cache: dict[tuple, tuple] = {}
@@ -368,10 +373,13 @@ def monic_irreducibles(field: FiniteField, degree: int):
     Product sieve: a reducible monic of degree d is g*h with g a cached
     irreducible of degree e <= d/2 and h any monic of degree d - e, so
     the monics left unmarked by those products are the irreducibles.
-    That costs about q^d / e products for each divisor degree e.
+    That costs about q^d / e products for each divisor degree e, so
+    q^d > MAX_INSPECTION_SIZE is refused before anything is allocated.
     """
     key = (field.p, field.k, field.modulus, degree)
     if key not in _irr_cache:
+        if capped_power(field.q, degree, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
+            raise ValueError(f"{field.q}^{degree} monics exceed the enumeration bound {MAX_INSPECTION_SIZE}")
         reducible = set()
         for e in range(1, degree // 2 + 1):
             cofactors = list(monic_polys(field, degree - e))
@@ -394,7 +402,13 @@ def _multiplicity(f: Poly, prime: Poly):
 
 
 def factor(f: Poly):
-    """Factor into monic irreducibles by trial division.
+    """Factor into monic irreducibles by distinct-degree factorization.
+
+    With every prime of degree < j divided out of rem, gcd(rem, x^(q^j) - x)
+    is the product of the distinct primes of degree j dividing rem.  A
+    product of degree j is one prime; a longer one is split by trial
+    division against ``monic_irreducibles(field, j)``.  Once rem has
+    degree < 2j it is itself prime.
 
     Returns (leading coefficient, [(prime, multiplicity), ...]) with the
     primes in increasing (degree, coefficient) order, so the product of
@@ -406,19 +420,21 @@ def factor(f: Poly):
         raise ValueError(f"degree {f.degree} exceeds factoring bound {FACTOR_DEGREE_BOUND}")
     lead = f.leading_coeff()
     rem = f.monic()
-    factors = []
-    d = 1
+    x = h = Poly.x(f.field)  # h = x^(q^j) modulo rem
+    factors, j = [], 0
     while rem.degree >= 1:
-        if rem.degree < 2 * d:
-            factors.append((rem, 1))  # remainder is itself irreducible
+        j += 1
+        if rem.degree < 2 * j:
+            factors.append((rem, 1))
             break
-        for g in monic_irreducibles(f.field, d):
-            if rem.degree < 2 * d:
-                break
-            mult, rem = _multiplicity(rem, g)
-            if mult:
-                factors.append((g, mult))
-        d += 1
+        h = pow(h, f.field.q, rem)
+        g = poly_gcd(rem, h - x)
+        if g.degree < 1:
+            continue
+        primes = [g] if g.degree == j else [p for p in monic_irreducibles(f.field, j) if (g % p).is_zero()]
+        for prime in primes:
+            mult, rem = _multiplicity(rem, prime)
+            factors.append((prime, mult))
     factors.sort(key=lambda fe: fe[0].sort_key())
     return lead, factors
 

@@ -502,3 +502,15 @@ class VectorField:
                 if sq not in self._roots or r < self._roots[sq]:
                     self._roots[sq] = r
         return self._roots.get(a)
+
+
+def reducible_monics_by_products(field: FiniteField, degree: int) -> set:
+    """Coefficient tuples of every reducible monic of the degree: each is
+    g*h with g, h monic of degrees e and degree - e for some 1 <= e <=
+    degree/2.  No bound on q^degree, and no gcd or power is taken."""
+    out = set()
+    for e in range(1, degree // 2 + 1):
+        cofactors = list(monic_polys(field, degree - e))
+        for g in monic_polys(field, e):
+            out.update((g * h).coeffs for h in cofactors)
+    return out

@@ -152,6 +152,31 @@ def test_capped_power():
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         FiniteField(3, 2, (0, 0, 1))  # t^2 has root 0
+    with pytest.raises(ValueError):
+        FiniteField(3, 4, (1, 0, 2, 0, 1))  # (t^2 + 1)^2
+    assert FiniteField(3, 2, (2, 1, 1)).modulus == (2, 1, 1)  # t^2 + t + 2 has no root
+
+
+# every (p, k) with k >= 2 and p^k <= 121^2: the extension fields
+EXTENSION_FIELDS = [
+    (p, k)
+    for p in range(3, 122, 2)
+    if all(p % d for d in range(2, p))
+    for k in range(2, 9)
+    if p**k <= 121**2
+]
+
+
+def test_moduli_are_first_irreducibles_by_sympy():
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    assert len(EXTENSION_FIELDS) == 46
+    for p, k in EXTENSION_FIELDS:
+        # monic degree-k polynomials counted base p, constant coefficient fastest
+        lower = ([n // p**i % p for i in range(k)] for n in range(p**k))
+        first = next(cs for cs in lower if galoistools.gf_irreducible_p([ZZ(1)] + [ZZ(c) for c in cs[::-1]], p, ZZ))
+        assert make_extension(p, k).modulus == tuple(first) + (1,), (p, k)
 
 
 def test_sqrt_exhaustive_consistency():

@@ -1,9 +1,13 @@
+import collections
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hasseforms import funcfield
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction
-from hasseforms.finfield import make_extension
+from hasseforms.finfield import MAX_INSPECTION_SIZE, make_extension
 from hasseforms.funcfield import (
     MAX_TEXT_DEGREE,
     Poly,
@@ -19,7 +23,7 @@ from hasseforms.funcfield import (
     valuation,
 )
 
-from oracles import monic_irreducibles_by_trial_division
+from oracles import monic_irreducibles_by_trial_division, reducible_monics_by_products
 
 F3 = make_extension(3, 1)
 F5 = make_extension(5, 1)
@@ -165,6 +169,122 @@ def test_factor_reassembly_random(field, max_deg, trials):
 def test_factor_degree_bound():
     with pytest.raises(ValueError):
         factor(Poly.x(F5) ** 30)
+
+
+def test_modular_power_matches_power_then_remainder():
+    rng = random.Random(7)
+    for _ in range(30):
+        f, m = rand_poly(rng, F9, 5), rand_poly(rng, F9, 4)
+        if m.is_zero():
+            continue
+        e = rng.randrange(0, 40)
+        assert pow(f, e, m) == f**e % m
+    assert pow(P5("x"), 5, P5("x^2+2")) == P5("x") ** 5 % P5("x^2+2")
+    assert pow(P5("x"), 0, Poly.one(F5)).is_zero()  # everything is 0 mod a unit
+
+
+# -- irreducibility and factoring against oracles that share no code ---------
+
+
+@pytest.mark.parametrize("p,k,max_deg", [(3, 2, 4), (5, 2, 3), (7, 2, 3), (11, 2, 2)])
+def test_is_irreducible_matches_product_sieve(p, k, max_deg):
+    field = make_extension(p, k)
+    for d in range(1, max_deg + 1):
+        reducible = reducible_monics_by_products(field, d)
+        for f in monic_polys(field, d):
+            assert is_irreducible(f) == (f.coeffs not in reducible), f
+
+
+def _dense(f):
+    """Descending int coefficients of a polynomial over a prime field."""
+    return [c.coeffs[0] for c in reversed(f.coeffs)]
+
+
+_prime_field_polys = st.sampled_from([3, 5, 7, 11, 13]).flatmap(
+    lambda p: st.lists(st.integers(0, p - 1), min_size=1, max_size=10).map(
+        lambda cs: Poly(make_extension(p, 1), cs)
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_prime_field_polys)
+def test_is_irreducible_matches_sympy(f):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    expected = f.degree >= 1 and galoistools.gf_irreducible_p([ZZ(c) for c in _dense(f)], f.field.p, ZZ)
+    assert is_irreducible(f) == bool(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_prime_field_polys.filter(lambda f: not f.is_zero()))
+def test_factor_matches_sympy(f):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    p = f.field.p
+    want_lead, want = galoistools.gf_factor([ZZ(c) for c in _dense(f)], p, ZZ)
+    per_degree = collections.Counter(len(g) - 1 for g, _ in want)
+    if any(n >= 2 and p**j > MAX_INSPECTION_SIZE for j, n in per_degree.items()):
+        # splitting two primes of degree j would list all p^j monics
+        with pytest.raises(ValueError, match="enumeration bound"):
+            factor(f)
+        return
+    lead, factors = factor(f)
+    assert lead == f.field.element(int(want_lead))
+    assert sorted((_dense(g), e) for g, e in factors) == sorted(([int(c) for c in g], e) for g, e in want)
+
+
+F121 = make_extension(11, 2)
+# a prime of degree 6 over F_121: trial division tried about 1.8 million divisors
+SEXTIC = Poly(F121, [F121.element(c) for c in ([3, 7], [8, 6], [7], [7, 6], [8, 6], [6, 4], [1])])
+
+
+def test_ben_or_work_is_bounded(monkeypatch):
+    calls = []
+    divmod_ = Poly.__divmod__
+    monkeypatch.setattr(Poly, "__divmod__", lambda a, b: calls.append(1) or divmod_(a, b))
+    assert PrimePoly.finite(SEXTIC).degree == 6
+    assert len(calls) <= 100
+
+
+def _record_enumerations(monkeypatch):
+    """Patch monic_polys and monic_irreducibles to log (name, degree)."""
+    seen = []
+    for name in ("monic_polys", "monic_irreducibles"):
+        original = getattr(funcfield, name)
+        monkeypatch.setattr(
+            funcfield, name, lambda field, d, _f=original, _n=name: seen.append((_n, d)) or _f(field, d)
+        )
+    return seen
+
+
+def test_factor_of_a_prime_square_lists_no_cubics(monkeypatch):
+    seen = _record_enumerations(monkeypatch)
+    cubic = Poly.from_text(F121, "x^3+x+4")
+    assert factor(cubic * cubic) == (F121.one(), [(cubic, 2)])
+    assert all(d < 3 for _, d in seen)
+
+
+def test_factor_splits_equal_degree_products():
+    # three linear and two quadratic primes: gcds of degree 3 and 4 are split
+    # against the degree-1 and degree-2 lists
+    f = P5("x") * P5("x+1") ** 2 * P5("x+3") * P5("x^2+2") * P5("x^2+3") ** 3
+    _, factors = factor(f)
+    assert factors == [(P5("x"), 1), (P5("x+1"), 2), (P5("x+3"), 1), (P5("x^2+2"), 1), (P5("x^2+3"), 3)]
+
+
+def test_enumerations_beyond_the_bound_are_refused(monkeypatch):
+    seen = _record_enumerations(monkeypatch)
+    with pytest.raises(ValueError, match="enumeration bound"):
+        funcfield.monic_irreducibles(F121, 3)
+    assert seen == [("monic_irreducibles", 3)]  # refused before listing anything
+    # two distinct cubic primes over F_121 share one distinct-degree part,
+    # which would need the 1.77 million monic cubics to split
+    cubics = [f for f in (Poly.from_text(F121, f"x^3+x+{c}") for c in range(11)) if is_irreducible(f)]
+    with pytest.raises(ValueError, match="enumeration bound"):
+        factor(cubics[0] * cubics[1])
 
 
 def test_monic_irreducible_counts():
