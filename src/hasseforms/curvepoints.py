@@ -3,8 +3,8 @@
 Points are counted and listed by one scan of x over the field.  The
 count needs no points: over F_q there are 1 + chi(x^3 + ax + b) of them
 above each x, with chi the quadratic character (chi(0) = 0).  Listing,
-for callers that need the points themselves, solves y^2 = x^3 + ax + b
-with the field's square root.  A closed point of degree d is one
+for callers that need the points themselves, reads the square roots of
+x^3 + ax + b off its log.  A closed point of degree d is one
 Frobenius orbit of d points, so a point's degree is the length of its
 orbit.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .curvering import CurveSpec
-from .finfield import FieldElement, embed, is_square, make_extension, sqrt
+from .finfield import FieldElement, embed, make_extension
 from .records import Record
 
 
@@ -115,65 +115,65 @@ def frobenius_orbit(q: int, x0: FieldElement, y0: FieldElement) -> list:
 
 
 def enumerate_points(curve: CurveSpec, degree: int = 1):
-    """All affine points with coordinates in F_{q^degree}, by x-scan.
-
-    Points are tagged with the degree of their closed point, the length
-    of their Frobenius orbit, and returned in canonical coordinate order.
-    """
+    """All affine points with coordinates in F_{q^degree}, by an x-scan on
+    logs (``_cubic_logs``): above x, none when x^3 + ax + b = g^v has odd
+    v, (x, 0) when it is zero, else y = g^(v/2) and g^(v/2 + (q - 1)/2),
+    smaller coefficient tuple first.  Points come in canonical coordinate
+    order, tagged with their Frobenius orbit's length (their closed
+    point's degree; 1 at degree 1, with no walk)."""
     if curve.is_polyline:
         raise ValueError(
             "the affine line has no curve equation; its closed points are "
             "enumerated as monic irreducible polynomials"
         )
     ext = make_extension(curve.field.p, curve.field.k * degree)
-    a = embed(curve.a, ext)
-    b = embed(curve.b, ext)
-    base_q = curve.field.q
-    points = []
-    for x0 in ext.elements():
-        rhs = x0 * x0 * x0 + a * x0 + b
-        if rhs.is_zero():
-            ys = [ext.zero()]
-        elif is_square(rhs):
-            r = sqrt(rhs)
-            ys = sorted({r, -r}, key=lambda v: v.coeffs)
-        else:
+    exp, half, base_q, points = ext._exp, ext._half, curve.field.q, []
+    logs = _cubic_logs(ext, embed(curve.a, ext).log, embed(curve.b, ext).log)
+    for x0, v in zip(ext.elements(), logs):
+        if v is None:
+            ys = (ext.zero(),)
+        elif v % 2:
             continue
+        else:
+            r, s = exp[v // 2], exp[v // 2 + half]
+            ys = (r, s) if r.coeffs < s.coeffs else (s, r)
         for y0 in ys:
-            points.append(AffinePoint(x0, y0, len(frobenius_orbit(base_q, x0, y0))))
+            points.append(AffinePoint(x0, y0, 1 if degree == 1 else len(frobenius_orbit(base_q, x0, y0))))
     return points
 
 
-def _count_scan(curve: CurveSpec):
-    """(affine point count over F_q, whether x^3 + ax + b has a root in
-    F_q), from one scan of x: the count is sum_x (1 + chi(x^3 + ax + b))
-    with chi(0) = 0 and otherwise the parity of the log.  The scan runs on
-    discrete logs with no field-element arithmetic: x^3 is g^(3 log x), ax
-    is g^(log a + log x), and a sum is one Zech-table lookup, g^i + g^j =
-    g^(i + Z(j - i)); logs stay unreduced, and q - 1 is even, so their
-    parity is chi.  The result is kept on the curve, so one curve object
-    is scanned once."""
-    if curve._scan is not None:
-        return curve._scan
-    field = curve.field
-    zech, m = field.zech_table(), field.q - 1
-    la, lb = curve.a.log, curve.b.log
-    affine, root = 0, False
-    for x0 in field.elements():
+def _cubic_logs(field, la, lb):
+    """The log of x^3 + ax + b for every x in canonical order (None for
+    zero), from la = log a and lb = log b, with no field-element
+    arithmetic: x^3 is g^(3 log x), ax is g^(log a + log x), and a sum is
+    one Zech lookup, g^i + g^j = g^(i + Z(j - i)).  Logs stay unreduced,
+    below 2(q - 1); q - 1 is even, so a log's parity is chi."""
+    zech, m, elements = field.zech_table(), field.q - 1, field.elements()
+    next(elements)
+    yield lb  # x = 0
+    for x0 in elements:
         lx = x0._log
-        s = None if lx is None else 3 * lx % m  # log of x^3 + ax, None for 0
-        if s is not None and la is not None:
-            s = None if (z := zech[la + lx - s]) is None else s + z
-        if s is None or lb is None:
-            v = lb if s is None else s  # log of x^3 + ax + b
-        else:
-            v = None if (z := zech[lb - s]) is None else s + z
-        if v is None:
-            affine += 1
-            root = True
-        elif v % 2 == 0:
-            affine += 2
-    curve._scan = (affine, root)
+        s = 3 * lx % m  # log of x^3, then of x^3 + ax
+        if la is not None:
+            if (z := zech[la + lx - s]) is None:
+                yield lb
+                continue
+            s += z
+        yield s if lb is None else None if (z := zech[lb - s]) is None else s + z
+
+
+def _count_scan(curve: CurveSpec):
+    """(affine point count sum_x (1 + chi(x^3 + ax + b)) over F_q, whether
+    the cubic has a root in F_q), from one ``_cubic_logs`` scan that is
+    kept on the curve, so one curve object is scanned once."""
+    if curve._scan is None:
+        affine, root = 0, False
+        for v in _cubic_logs(curve.field, curve.a.log, curve.b.log):
+            if v is None:
+                affine, root = affine + 1, True
+            elif v % 2 == 0:
+                affine += 2
+        curve._scan = (affine, root)
     return curve._scan
 
 

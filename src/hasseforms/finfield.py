@@ -45,6 +45,8 @@ evaluation fields of the isometry search, have q <= MAX_INSPECTION_SIZE
 from __future__ import annotations
 
 import enum
+import itertools
+import operator
 from typing import Iterator
 
 MAX_FIELD_SIZE = 121
@@ -160,7 +162,7 @@ class FiniteField:
 
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
-        vectors = [tuple(n // p**i % p for i in range(k)) for n in range(q)]
+        vectors = [v[::-1] for v in itertools.product(range(p), repeat=k)]  # canonical order
         one = vectors[1]
         # the first generator of F_q^x in canonical order: g has order
         # q - 1 iff g^((q - 1)/l) != 1 for every prime l dividing q - 1
@@ -169,13 +171,15 @@ class FiniteField:
             v for v in vectors[1:]
             if all(_ip_pow_mod(v, e, self.modulus, p) != (1,) for e in cofactors)
         )
-        powers = [one]
-        power = g
-        for _ in range(q - 2):
-            powers.append(power)
-            power = _ip_mod(_ip_mul(power, g, p), self.modulus, p)
-            power += (0,) * (k - len(power))
-        codes = [sum(c * p**i for i, c in enumerate(v)) for v in powers]
+        # multiplying by g is F_p-linear: row j of its matrix holds the
+        # t^j coefficients of g t^i, i < k, so each power is one product
+        columns = [(_ip_mod(_ip_mul(g, vectors[p**i], p), self.modulus, p) + vectors[0])[:k] for i in range(k)]
+        rows = list(zip(*columns))
+        weights = [p**j for j in range(k)]
+        codes, power = [], one
+        for _ in range(q - 1):
+            codes.append(sum(map(operator.mul, power, weights)))
+            power = [sum(map(operator.mul, row, power)) % p for row in rows]
         logs = [None] * q
         for n, code in enumerate(codes):
             logs[code] = n

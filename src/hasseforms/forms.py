@@ -449,13 +449,15 @@ def _closed_places(curve: CurveSpec, d: int):
     none, and one point decides for the whole closed point."""
     if curve.is_polyline:
         return [PrimePoly(curve.field, prime) for prime in monic_irreducibles(curve.field, d)]
-    q = curve.field.q
-    return [
-        point for point in enumerate_points(curve, d)
-        if point.degree == d
-        and min((x.coeffs, y.coeffs) for x, y in frobenius_orbit(q, point.x, point.y))
-        == (point.x.coeffs, point.y.coeffs)
-    ]
+    points = enumerate_points(curve, d)
+    if d == 1:
+        return points
+    q, reps = curve.field.q, {}  # each orbit of length d walked once, for its first point
+    for point in points:
+        if point.degree == d and (point.x, point.y) not in reps:
+            orbit = frobenius_orbit(q, point.x, point.y)
+            reps.update(dict.fromkeys(orbit, min(orbit, key=lambda xy: (xy[0].coeffs, xy[1].coeffs))))
+    return [point for point in points if reps.get((point.x, point.y)) == (point.x, point.y)]
 
 
 def _support(q: RingMatrix, s: RingElement, det: RingFraction) -> RingElement:
@@ -470,9 +472,12 @@ def _support(q: RingMatrix, s: RingElement, det: RingFraction) -> RingElement:
 
 
 def _vanishes(h: RingElement, place) -> bool:
-    """Whether h vanishes at the place: divisible by the prime on the
-    line (where h has no y part), zero at the point on the cubic."""
+    """Whether h vanishes at the place: on the line (where h has no y
+    part) h(r) = 0 at x - r, else divisibility by the prime; on the cubic
+    zero at the point."""
     if isinstance(place, PrimePoly):
+        if place.poly.degree == 1:
+            return h.a.evaluate(-place.poly.coeffs[0]).is_zero()
         return (h.a % place.poly).is_zero()
     return h.evaluate(place.x, place.y).is_zero()
 

@@ -17,13 +17,15 @@ Conventions (all schemas carry ``"schema": 1``):
 On input a fraction denominator may also be a ring-element record; it
 is rationalized into F_q[x] on load.  Integers (field entries, element
 coefficients, degrees, bounds) must be JSON integers, never floats,
-strings or booleans.  Output is deterministic: sorted keys, fixed
-indentation, one trailing newline.
+strings or booleans.  Output is deterministic: ``dumps(obj)`` is byte
+for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``, built by
+a recursive encoder (the standard one indents only in pure Python).
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .curvepoints import AffinePoint, PointCountReport
 from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _coerce_entry
@@ -34,7 +36,26 @@ from .hasse import HasseDecision
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(obj, newline: str) -> str:
+    """The JSON text of obj, indented as if its line began ``newline``."""
+    if type(obj) is str:
+        return _quote(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        body = ("," + inner).join([_encode(v, inner) for v in obj])
+        return f"[{inner}{body}{newline}]" if obj else "[]"
+    if isinstance(obj, dict):
+        body = ("," + inner).join(
+            [f"{_quote(k if isinstance(k, str) else json.dumps(k))}: {_encode(obj[k], inner)}" for k in sorted(obj)]
+        )
+        return f"{{{inner}{body}{newline}}}" if obj else "{}"
+    return json.dumps(obj)  # other scalars; a non-JSON type raises TypeError
 
 
 def require_key(data, key: str, what: str):

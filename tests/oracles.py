@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from hasseforms.finfield import FiniteField, make_extension
+from hasseforms.finfield import FiniteField, embed, make_extension
 from hasseforms.curvering import RingElement
 from hasseforms.forms import FieldForm, field_isomorphic
 from hasseforms.funcfield import Poly, factor, monic_polys, residue_field
@@ -64,6 +64,28 @@ def affine_count_by_squares(field: FiniteField, a, b) -> int:
 def cubic_has_root(field: FiniteField, a, b) -> bool:
     """Whether x^3 + ax + b vanishes somewhere in F_q, by trying every x."""
     return any((x * x * x + a * x + b).is_zero() for x in field.elements())
+
+
+def points_by_trying_every_y(curve, degree: int) -> list:
+    """(x.coeffs, y.coeffs, closed-point degree) of every affine point of a
+    Weierstrass curve with coordinates in F_{q^degree}: x in canonical
+    order, and above it every y whose square is x^3 + ax + b, smaller
+    coefficient tuple first.  Every y is squared once, with no square
+    root or log; the degree is the least e >= 1 with x^(q^e) = x and
+    y^(q^e) = y."""
+    ext = make_extension(curve.field.p, curve.field.k * degree)
+    a, b, q = embed(curve.a, ext), embed(curve.b, ext), curve.field.q
+    roots = {}
+    for y in ext.elements():
+        roots.setdefault((y * y).coeffs, []).append(y)
+    points = []
+    for x in ext.elements():
+        for y in sorted(roots.get((x * x * x + a * x + b).coeffs, []), key=lambda v: v.coeffs):
+            e, xe, ye = 1, x**q, y**q
+            while xe != x or ye != y:
+                e, xe, ye = e + 1, xe**q, ye**q
+            points.append((x.coeffs, y.coeffs, e))
+    return points
 
 
 def _mobius(n: int) -> int:
@@ -502,6 +524,24 @@ class VectorField:
                 if sq not in self._roots or r < self._roots[sq]:
                     self._roots[sq] = r
         return self._roots.get(a)
+
+
+def log_tables_by_walk(p: int, modulus):
+    """(exp, zech) for F_p[t]/(m) by repeated multiplication: g is the
+    first element in canonical order whose powers reach every nonzero
+    element, exp[n] is the coefficient tuple of g^n and zech[n] the log
+    of 1 + g^n (None where it is zero), for 0 <= n < q - 1."""
+    field = VectorField(p, modulus)
+    q = len(field.vectors)
+    for g in field.vectors[1:]:
+        exp, power = [field.one], g
+        while power != field.one:
+            exp.append(power)
+            power = field.mul(power, g)
+        if len(exp) == q - 1:
+            break
+    log = {v: n for n, v in enumerate(exp)}
+    return exp, [log.get(field.add(field.one, v)) for v in exp]
 
 
 def reducible_monics_by_products(field: FiniteField, degree: int) -> set:

@@ -16,7 +16,7 @@ from hasseforms.curvepoints import (
     picard_order,
     point_report,
 )
-from hasseforms import curvepoints
+from hasseforms import curvepoints, finfield
 from hasseforms.curvering import CurveSpec
 from hasseforms.finfield import FieldElement, FiniteField, make_extension
 from hasseforms.hasse import hasse_principle
@@ -26,6 +26,7 @@ from oracles import (
     closed_point_counts,
     count_points_char_sum,
     cubic_has_root,
+    points_by_trying_every_y,
     smooth_weierstrass_pairs,
 )
 
@@ -318,9 +319,13 @@ def test_counts_match_squaring_oracle_on_sampled_cubics(p, k):
 
 
 def test_count_scan_makes_no_field_element_arithmetic(monkeypatch):
-    # the scan adds and multiplies discrete logs through the Zech table
+    # the scan adds and multiplies discrete logs through the Zech table,
+    # and listing the rational points reads their y off the same logs
     calls = []
-    for owner, name in ((FieldElement, "__mul__"), (FieldElement, "__add__"), (curvepoints, "is_square")):
+    for owner, name in (
+        (FieldElement, "__mul__"), (FieldElement, "__add__"), (FieldElement, "__neg__"),
+        (finfield, "is_square"), (finfield, "sqrt"),
+    ):
         original = getattr(owner, name)
 
         def counting(*args, _name=name, _original=original):
@@ -332,6 +337,7 @@ def test_count_scan_makes_no_field_element_arithmetic(monkeypatch):
         field = make_extension(p, k)
         for a, b in ((1, 3), (0, 1), (2, 0), (0, 0)):
             curvepoints._count_scan(CurveSpec.weierstrass(field, a, b))
+            enumerate_points(CurveSpec.weierstrass(field, a, b), 1)
     assert calls == []
 
 
@@ -375,3 +381,23 @@ def test_one_scan_per_curve_object(monkeypatch):
     assert len(scans) == 1
     hasse_principle(CurveSpec.weierstrass(field, 1, 3), 2)
     assert len(scans) == 2
+
+
+# (p, k, a, b, top degree): a = 0 and b = 0 have no log, (0, 0) and
+# y^2 = x^3 + 2x + 3 over F_5 are singular; q^degree stays <= 729
+SCAN_CURVES = [
+    (3, 1, 2, 1, 3), (3, 1, 0, 1, 3), (3, 1, 1, 0, 3), (3, 1, 0, 0, 3),
+    (5, 1, 1, 1, 3), (5, 1, 0, 2, 3), (5, 1, 2, 0, 3), (5, 1, 2, 3, 3), (5, 1, 0, 0, 3),
+    (3, 2, (0, 1), (1, 1), 3), (3, 2, 0, (0, 1), 3), (3, 2, (2, 1), 0, 3),
+    (5, 2, (1, 1), (0, 3), 2), (5, 2, 0, (2, 1), 2), (5, 2, (0, 2), 0, 2), (5, 2, 0, 0, 2),
+]
+
+
+@pytest.mark.parametrize("p, k, a, b, top", SCAN_CURVES)
+def test_log_scan_matches_trying_every_y(p, k, a, b, top):
+    field = make_extension(p, k)
+    curve = CurveSpec.weierstrass(field, field.element(a), field.element(b))
+    for degree in range(1, top + 1):
+        points = enumerate_points(curve, degree)
+        assert [(pt.x.coeffs, pt.y.coeffs, pt.degree) for pt in points] == points_by_trying_every_y(curve, degree)
+        assert all(pt.degree == len(frobenius_orbit(field.q, pt.x, pt.y)) for pt in points)

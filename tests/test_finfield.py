@@ -16,7 +16,7 @@ from hasseforms.finfield import (
     square_class,
 )
 
-from oracles import VectorField, exhaustive_squares
+from oracles import VectorField, exhaustive_squares, log_tables_by_walk
 
 F5 = make_extension(5, 1)
 F9 = make_extension(3, 2)
@@ -319,6 +319,18 @@ def test_generator_is_first_primitive_element(p, k):
 
     first = next(v for v in oracle.vectors[1:] if order(v) == field.q - 1)
     assert field._exp[1].coeffs == first
+
+
+@pytest.mark.parametrize("p,k", ODD_FIELDS + [(3, 8), (11, 4)])
+def test_log_tables_match_power_walk(p, k):
+    # the tables come from one linear "multiply by g" step per power; the
+    # oracle multiplies coefficient vectors with long division instead
+    field = make_extension(p, k)
+    exp, zech = log_tables_by_walk(p, field.modulus)
+    assert [a.coeffs for a in field.elements()] == VectorField(p, field.modulus).vectors
+    assert [a.coeffs for a in field._exp] == exp * 2
+    assert field._zech == zech * 2
+    assert all(a.log is None if a.is_zero() else field._exp[a.log] is a for a in field.elements())
 
 
 def _field_and_elements(n):

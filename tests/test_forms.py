@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import random
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hasseforms import curvering, forms
-from hasseforms.curvepoints import AffinePoint
+from hasseforms.curvepoints import AffinePoint, enumerate_points, frobenius_orbit
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction, RingMatrix, congruence
 from hasseforms.finfield import SquareClass, embed, is_square, make_extension
 from hasseforms.forms import (
@@ -29,7 +30,7 @@ from hasseforms.forms import (
     witness_identity,
 )
 from hasseforms.funcfield import Poly, PrimePoly, monic_irreducibles, residue_field, residue_reduce
-from hasseforms.serialize import load_bundled_pair, pair_from_json
+from hasseforms.serialize import genus_report_to_json, load_bundled_pair, pair_from_json
 
 from oracles import (
     brute_force_congruent,
@@ -757,6 +758,60 @@ def test_coverage_tests_at_most_three_parts_per_witness_and_place(monkeypatch):
         report = verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=pair["degree"])
         places = len(report.covered) + len(report.uncovered)
         assert 0 < len(calls) <= 3 * len(pair["witness"].pairs) * places
+
+
+# prime and extension fields for the line, as (p, k)
+LINE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (11, 2), (3, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_degree_one_vanishing_by_evaluation_matches_division(data):
+    field = make_extension(*data.draw(st.sampled_from(LINE_FIELDS)))
+    line = CurveSpec.polyline(field)
+    element = st.sampled_from(list(field.elements()))
+    h = RingElement(line, Poly(field, data.draw(st.lists(element, max_size=7))))
+    r = data.draw(element)
+    prime = Poly(field, [-r, field.one()])
+    if data.draw(st.booleans()):  # a root at r, possibly repeated
+        h = h * RingElement(line, prime ** data.draw(st.integers(1, 3)))
+    assert forms._vanishes(h, PrimePoly.finite(prime)) == (h.a % prime).is_zero()
+
+
+@pytest.mark.parametrize("p, k, a, b", [(3, 1, 2, 1), (5, 1, 1, 1), (5, 1, 2, 3), (3, 2, (0, 1), (1, 1)), (7, 1, 0, 3)])
+@pytest.mark.parametrize("d", [2, 3])
+def test_closed_places_list_one_point_per_frobenius_orbit(p, k, a, b, d):
+    field = make_extension(p, k)
+    curve = CurveSpec.weierstrass(field, field.element(a), field.element(b))
+    points = [pt for pt in enumerate_points(curve, d) if pt.degree == d]
+    places = forms._closed_places(curve, d)
+    orbits = [frobenius_orbit(field.q, pt.x, pt.y) for pt in places]
+    key = lambda xy: (xy[0].coeffs, xy[1].coeffs)  # noqa: E731
+    # each place is the first point of its orbit, in enumeration order, and
+    # the orbits are disjoint and cover every point of degree d
+    assert [(pt.x, pt.y) for pt in places] == [min(orbit, key=key) for orbit in orbits]
+    listed = {(place.x, place.y) for place in places}
+    assert places == [pt for pt in points if (pt.x, pt.y) in listed]
+    assert all(len(orbit) == d for orbit in orbits)
+    assert sorted((xy for orbit in orbits for xy in orbit), key=key) == sorted(((pt.x, pt.y) for pt in points), key=key)
+
+
+# sha256 of json.dumps([covered, uncovered], sort_keys=True) from the
+# genus report of each bundled fixture at inspection degrees 1, 2 and 3
+FIXTURE_COVERAGE = {
+    "polyline_pair": [(5, 0, "f65f2f32736846ca"), (15, 0, "863c2317aaa3ae12"), (55, 0, "3102edc404a1f89e")],
+    "singular_cubic_pair": [(5, 1, "402add7d3ffa9436"), (14, 1, "c6b76fa6e4829a59"), (54, 1, "313ed51f442a0456")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_COVERAGE))
+def test_fixture_coverage_lists_are_pinned(name):
+    pair = load_bundled_pair(name)
+    for degree, (covered, uncovered, digest) in enumerate(FIXTURE_COVERAGE[name], start=1):
+        report = genus_report_to_json(verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=degree))
+        text = json.dumps([report["covered"], report["uncovered"]], sort_keys=True)
+        assert (len(report["covered"]), len(report["uncovered"])) == (covered, uncovered)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_malformed_witness_names_the_first_failing_factor():

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction, RingMatrix
 from hasseforms.finfield import make_extension
@@ -83,6 +85,47 @@ def test_pair_field_override():
 def test_schema_version_enforced():
     with pytest.raises(ValueError):
         pair_from_json({"schema": 2, "curve": {}, "F": [], "G": []})
+
+
+# JSON trees as the standard encoder sees them: tuples encode as lists,
+# strings carry quotes, backslashes, control characters and non-ASCII text
+JSON_TEXT = st.text(alphabet=st.characters(codec="utf-8") | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€😀'))
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | JSON_TEXT
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+def test_dumps_matches_standard_encoder(obj):
+    assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_matches_standard_encoder_on_other_keys_and_values():
+    for obj in (
+        {3: "a", -1: [], 10**30: {}},
+        {1.5: 1, -0.0: 2, 1e300: 3},
+        {True: None, False: 0},
+        [float("nan"), float("inf"), -float("inf"), 1e-320],
+    ):
+        assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    for bad in ({"a": {1, 2}}, [object()], {1: 1, "a": 2}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            dumps(bad)
 
 
 def test_dumps_deterministic():
