@@ -7,14 +7,13 @@ where D bounds the pole order of every inner product within the bounds,
 so two that differ cannot agree at all of those points.  A found witness
 is a proof; an exhausted search only says none-within-bounds.
 
-The singular-cubic pair makes the caveat concrete: no isometry exists
-with entries of x-degree at most 2, yet one does exist at degree 3, so
-the negative result below is genuinely a statement about its bounds.
+The singular-cubic pair makes the caveat concrete: the search finds no
+isometry with entries of x-degree at most 2, yet finds one at degree 3,
+so the negative result below is genuinely a statement about its bounds.
 """
 
-from hasseforms import GramMatrix, RingMatrix, congruence, isom_search, make_extension
+from hasseforms import GramMatrix, congruence, isom_search, make_extension
 from hasseforms.curvering import CurveSpec
-from hasseforms.funcfield import Poly
 from hasseforms.serialize import load_bundled_pair, matrix_to_json
 
 ec = load_bundled_pair("singular_cubic_pair")
@@ -32,14 +31,15 @@ print("\naffine-line pair, deg <= 2")
 found = isom_search(line["F"], line["G"], deg_x=2)
 print("  result:", "found" if found else "none-within-bounds (evidence, not proof)")
 
-# And here is why "evidence, not proof" matters: one degree higher, an
-# integral unit-determinant isometry between the same two forms exists.
-curve = ec["curve"]
-F5 = curve.field
-q = RingMatrix(curve, [
-    [1, Poly.from_text(F5, "2*x^3+4*x+2")],
-    [2, Poly.from_text(F5, "4*x^3+3*x")],
-])
-print("\na degree-3 isometry for the singular-cubic pair:")
-print("  Q^t Q == G:", congruence(q, ec["F"].matrix) == ec["G"].matrix)
-print("  det(Q):", q.det().as_ring_element().constant_value().coeffs[0])
+# And here is why "evidence, not proof" matters: one degree higher, the
+# same search finds an integral unit-determinant isometry between the
+# same two forms.
+print("\nsingular-cubic pair, deg_x <= 3, deg_y <= 1")
+q = isom_search(ec["F"], ec["G"], deg_x=3, deg_y=1)
+print("  found:", matrix_to_json(q))
+isometric = congruence(q, ec["F"].matrix) == ec["G"].matrix
+det = q.det().as_ring_element()
+print("  Q^t Q == G:", isometric)
+print("  det(Q):", det.constant_value().coeffs[0], "(a unit)" if det.is_unit() else "(not a unit)")
+if not (isometric and det.is_unit()):
+    raise SystemExit("the found matrix is not an integral unit-determinant isometry")

@@ -517,15 +517,27 @@ def isom_search(
     for columns within the bounds, also bounds u^t F v - G_ij, and a
     nonzero difference vanishes at no more than D of the x-values.  A
     G_ij of larger pole order is matched by nothing and needs no points.
-    The points are the first D + 1 x-values, in canonical order, of the
-    smallest F_{q^k} that has that many (on the cubic, each with the
-    smaller square root for y); when no field of at most
-    MAX_INSPECTION_SIZE elements has them, ValueError is raised before
-    the pool is built.  Only the final witness is built as a matrix over
-    the ring, for its determinant.
+    The points are the first D + 1 x-values (one if the bounds admit only
+    0), in canonical order, of the smallest F_{q^k} that has that many (on
+    the cubic, each with the smaller square root for y); when no field of
+    at most MAX_INSPECTION_SIZE elements has them, ValueError is raised
+    before the pool is built.  Only the final witness is built as a
+    matrix over the ring, for its determinant.
+
+    A later column's candidates are first filtered at the first point
+    alone: those that agree there with the first column, in order, are
+    kept per column and keyed by the first column's values at that point,
+    so the memo holds at most min(prefixes, q_e^n) lists per column, q_e
+    the evaluation field's size.  Only these survivors are checked
+    against every chosen column at every point (at the first one once).
 
     ``budget`` caps the estimated number of inner-product evaluations
-    (default 10^8); exceeding it raises BudgetExceededError.
+    (default 10^8); exceeding it raises BudgetExceededError.  A skipped
+    candidate costs one evaluation, the check it fails, but each run of
+    them is charged in one step: with the next survivor's first check, or
+    before the column gives up.  The totals are those of charging every
+    check in turn, so the same searches return and the same ones raise;
+    only the count in the error message can differ.
     """
     if f.curve != g.curve:
         raise ValueError("forms live over different curves")
@@ -552,10 +564,8 @@ def isom_search(
     f_rows = f.ring_rows()
     g_rows = g.ring_rows()
     reach = _reach(curve, f_rows, deg_x, deg_y)
-    points = _evaluation_points(curve, 0 if reach is None else reach + 1)
-    diagonal = all(
-        f_rows[i][j].is_zero() for i in range(n) for j in range(n) if i != j
-    )
+    points = _evaluation_points(curve, 1 if reach is None else reach + 1)
+    diagonal = all(f_rows[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
 
     # the scan for each distinct diagonal target is charged before any
     # value is computed; the scans themselves tick nothing
@@ -570,12 +580,12 @@ def isom_search(
 
     logs = _Logs(curve.field, points)
     coeffs = sorted(curve.field.elements(), key=lambda c: c.coeffs)
-    vectors = _pool_vectors(deg_x, deg_y, coeffs, logs)
+    pool = _pool_vectors(deg_x, deg_y, coeffs, logs)
     f_at = [[logs.values(e) for e in row] for row in f_rows]
-    f_cols = _columns(f_rows, f_at)
+    f_terms = [(r, s, f_at[r][s]) for r in range(n) for s in range(n) if not f_rows[r][s].is_zero()]
     # None marks a G entry beyond the reach of u^t F v, matched by nothing
     g_at = [[logs.values(e) if _reachable(e, reach) else None for e in row] for row in g_rows]
-    scan = _diagonal_scan(vectors, f_at, logs) if diagonal else _full_scan(vectors, f_cols, logs)
+    scan = _diagonal_scan(pool, f_at, logs) if diagonal else _full_scan(pool, n, f_terms, logs)
     targets = {}
     for j in range(n):
         t = g_rows[j][j]
@@ -591,14 +601,31 @@ def isom_search(
                 f"estimated candidate count {est} exceeds budget {budget}"
             )
 
-    cols, images = [], []
+    cols = []
+    first, rest, every = range(1), range(1, len(points)), range(len(points))
+    # per later column: its candidates (with indices) that agree with the
+    # first column at the first point, keyed by that column's values there
+    fits = [{} for _ in range(n)]
 
     def extend(j: int) -> Optional[RingMatrix]:
-        checks = [(images[i], g_at[i][j]) for i in range(j)]
-        for col in candidates[j]:
-            for image, target in checks:
-                counter.tick()
-                if target is None or not _agrees(image, col, vectors, target, logs):
+        picks = enumerate(candidates[j])
+        if j:
+            key = tuple(pool[0][k] for k in cols[0])
+            picks = fits[j].get(key)
+            if picks is None:
+                target = g_at[0][j]
+                picks = fits[j][key] = [] if target is None else [
+                    (t, col) for t, col in enumerate(candidates[j]) if _agrees(cols[0], col, pool, f_terms, target, logs, first)
+                ]
+        paid = 0  # candidates before this index are charged
+        for t, col in picks:
+            skipped, paid = t - paid, t + 1
+            for i in range(j):
+                # the first charge also pays for the skipped candidates
+                # before this one, each of which fails its first check
+                counter.tick(1 + skipped if i == 0 else 1)
+                target = g_at[i][j]
+                if target is None or not _agrees(cols[i], col, pool, f_terms, target, logs, every if i else rest):
                     break
             else:  # col agrees with every column chosen so far
                 cols.append(col)
@@ -610,12 +637,12 @@ def isom_search(
                     if det.is_integral() and det.as_ring_element().is_unit():
                         return q
                 else:
-                    images.append(_image([vectors[k] for k in col], f_cols, logs))
                     found = extend(j + 1)
                     if found is not None:
                         return found
-                    images.pop()
                 cols.pop()
+        if len(candidates[j]) > paid:
+            counter.tick(len(candidates[j]) - paid)
         return None
 
     return extend(0)
@@ -628,7 +655,7 @@ class _EvalCounter:
         self.count = 0
         self.budget = budget
 
-    def tick(self, amount: int = 1):
+    def tick(self, amount: int):
         self.count += amount
         if self.count > self.budget:
             raise BudgetExceededError(
@@ -686,8 +713,6 @@ def _evaluation_points(curve: CurveSpec, count: int):
     """``count`` points (x0, y0) of the curve with distinct x0: the first
     x-values in canonical order of the smallest F_{q^k} that has enough,
     with y0 = 0 on the line and the smallest square root on the cubic."""
-    if count == 0:
-        return []
     base = curve.field
     for k in itertools.count(1):
         if capped_power(base.q, k, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
@@ -708,19 +733,22 @@ def _evaluation_points(curve: CurveSpec, count: int):
 
 
 class _Logs:
-    """Values at the evaluation points, as tuples with one discrete log
-    per point and None for 0: a product is a sum of logs, and a sum is
-    one lookup in the evaluation field's Zech table."""
+    """Values at the evaluation points as discrete logs, None for 0: a
+    product is a sum of logs, and a sum is one lookup in the evaluation
+    field's Zech table.  An element's values are a tuple with one log per
+    point; the pool, and every array the scans compute from it, is one
+    flat list (or lazy sequence) per point, indexed by pool position, so
+    the kernels loop over positions inside one point's list."""
 
     __slots__ = ("points", "zech", "half", "wrap", "lift")
 
     def __init__(self, base: FiniteField, points):
-        ext = points[0][0].field if points else base
+        ext = points[0][0].field
         self.points = points
         self.zech = ext.zech_table()
         self.half = (ext.q - 1) // 2  # the log of -1
         # n mod (q - 1) for 0 <= n < 4(q - 1), as shared int objects, so
-        # vectors over a field with logs above 256 hold no int of their own
+        # lists over a field with logs above 256 hold no int of their own
         self.wrap = list(range(ext.q - 1)) * 4
         # each base coefficient embedded once, not once per point as
         # Poly.evaluate would for entries of degree up to MAX_TEXT_DEGREE
@@ -738,26 +766,24 @@ class _Logs:
             out.append((a + b * y0).log)
         return tuple(out)
 
-    def mul(self, us, vs) -> tuple:
-        wrap = self.wrap
-        return tuple([None if a is None or b is None else wrap[a + b] for a, b in zip(us, vs)])
-
-    def add(self, us, vs) -> tuple:
-        # g^a + g^b = g^(a + Z(b - a)), and None where that sum is 0
+    def plus(self, t, values):
+        """t + v for each log v in ``values`` (one point's), lazily:
+        g^t + g^v = g^(t + Z(v - t))."""
+        if t is None:
+            return values
         zech, wrap = self.zech, self.wrap
-        return tuple([
-            b if a is None else a if b is None else None if (z := zech[b - a]) is None else wrap[a + z]
-            for a, b in zip(us, vs)
-        ])
+        return (t if v is None else None if (z := zech[v - t]) is None else wrap[t + z] for v in values)
 
-    def times_square(self, fs, us, negate: bool = False) -> tuple:
-        """f u^2 at each point, or -f u^2."""
+    def squares(self, f, values, negate: bool = False):
+        """f v^2 for each log v in ``values`` (one point's), or -f v^2,
+        lazily."""
         wrap, shift = self.wrap, self.half if negate else 0
-        return tuple([None if a is None or c is None else wrap[c + 2 * a + shift] for c, a in zip(fs, us)])
+        return (None if v is None or f is None else wrap[f + 2 * v + shift] for v in values)
 
 
 def _pool_vectors(deg_x: int, deg_y: int, coeffs, logs: _Logs):
-    """The values at the points of every pool entry, by pool position.
+    """The values of every pool entry: one list per point, indexed by
+    pool position.
 
     An entry is the sum of its coefficients times the basis x^i (for A)
     and x^i y (for B).  Adding one coefficient position at a time, each
@@ -766,97 +792,79 @@ def _pool_vectors(deg_x: int, deg_y: int, coeffs, logs: _Logs):
     terms first; moving zero from first to last gives search order, the
     order ``_pool_entry`` indexes.
     """
-    points = logs.points
-    basis = [tuple((x0**i).log for x0, _ in points) for i in range(deg_x + 1)]
-    basis += [tuple((x0**i * y0).log for x0, y0 in points) for i in range(deg_y + 1)]
-    vectors = [(None,) * len(points)]
-    for values in basis:
-        steps = [logs.mul((logs.lift[c].log,) * len(points), values) for c in coeffs]
-        vectors = [logs.add(vec, step) for vec in vectors for step in steps]
-    return vectors[1:] + vectors[:1]
+    wrap = logs.wrap
+    lifted = [logs.lift[c].log for c in coeffs]
+    pool = []
+    for x0, y0 in logs.points:
+        values = [None]
+        for b in [(x0**i).log for i in range(deg_x + 1)] + [(x0**i * y0).log for i in range(deg_y + 1)]:
+            steps = [None if c is None or b is None else wrap[c + b] for c in lifted]
+            grown = [None] * (len(values) * len(steps))
+            for i, s in enumerate(steps):  # entry v + s goes to v's slot for s
+                grown[i :: len(steps)] = logs.plus(s, values)
+            values = grown
+        pool.append(values[1:] + values[:1])
+    return pool
 
 
-def _image(entries, f_cols, logs: _Logs):
-    """The row vector u^t F at the points, for a column u given by its
-    entries' values and F by ``_columns``; computed once per chosen
-    column."""
-    image = []
-    for terms in f_cols:
-        acc = None
-        for r, f in terms:
-            term = entries[r] if f is None else logs.mul(entries[r], f)
-            acc = term if acc is None else logs.add(acc, term)
-        image.append(acc)
-    return image
-
-
-def _columns(f_rows, f_at):
-    """For each column s of F, the pairs (r, values of F_rs) over its
-    nonzero entries, with None for the values of an entry equal to 1."""
-    n = len(f_rows)
-    return [
-        [(r, None if f_rows[r][s] == 1 else f_at[r][s]) for r in range(n) if not f_rows[r][s].is_zero()]
-        for s in range(n)
-    ]
-
-
-def _agrees(image, col, vectors, target, logs: _Logs) -> bool:
-    """Whether u^t F v equals the target at every point, for u given by
-    its image u^t F and v by its pool positions; stops at the first
-    point that disagrees."""
+def _agrees(u, v, pool, f_terms, target, logs: _Logs, points) -> bool:
+    """Whether u^t F v equals the target at each index in ``points``, for
+    columns u and v given by their pool positions and F by its nonzero
+    entries (r, s, values); stops at the first point that disagrees."""
     zech, wrap = logs.zech, logs.wrap
-    for m, t in enumerate(target):
+    for m in points:
+        values = pool[m]
         acc = None
-        for w, k in zip(image, col):
-            a, b = w[m], vectors[k][m]
-            if a is None or b is None:
-                continue
-            if acc is None:
-                acc = a + b
-            else:
-                z = zech[a + b - acc]
-                acc = None if z is None else wrap[acc + z]
-        if (acc if acc is None else wrap[acc]) != t:
+        for r, s, f in f_terms:
+            a, b, c = values[u[r]], values[v[s]], f[m]
+            if a is not None and b is not None and c is not None:
+                t = wrap[a + b + c]
+                acc = t if acc is None else None if (z := zech[t - acc]) is None else wrap[acc + z]
+        if acc != target[m]:
             return False
     return True
 
 
-def _diagonal_scan(vectors, f_at, logs: _Logs):
+def _diagonal_scan(pool, f_at, logs: _Logs):
     """For a diagonal F: a function from a target's values to all
     columns c with c^t F c equal to it, as increasing tuples of pool
-    positions.  It looks up f_00 c_0^2 by value and scans the other
-    n - 1 entries (for rank 1 there is nothing left to scan)."""
-    n = len(f_at)
+    positions.  It looks up f_00 c_0^2 by value.  Of the other entries it
+    fixes all but the last (the head), and takes the needs
+    target - sum f_rr c_r^2 over the last entry's positions as one lazy
+    sequence per point, zipped into lookup keys; rank 1 has a single
+    empty tail, worth 0."""
+    n, size = len(f_at), len(pool[0])
     first = {}
-    for k, vec in enumerate(vectors):
-        first.setdefault(logs.times_square(f_at[0][0], vec), []).append(k)
-    # -f_rr e^2 for r >= 1 and each pool position
-    minus = [[logs.times_square(f_at[r][r], vec, negate=True) for vec in vectors] for r in range(1, n)]
+    for k, key in enumerate(zip(*map(logs.squares, f_at[0][0], pool))):
+        first.setdefault(key, []).append(k)
+    minus = [[list(logs.squares(f, v, negate=True)) for f, v in zip(f_at[r][r], pool)] for r in range(1, n)]
+    *middle, last = minus or [[[None]] * len(pool)]
+    tails = [(k,) for k in range(size)] if minus else [()]
 
     def scan(target):
         out = []
-        for rest in itertools.product(range(len(vectors)), repeat=n - 1):
-            need = target
-            for r, k in enumerate(rest):
-                need = logs.add(need, minus[r][k])
-            out.extend((k, *rest) for k in first.get(need, ()))
+        heads = [[t] for t in target]  # per point, the needs over the heads
+        for values in middle:
+            heads = [[v for h in hs for v in logs.plus(h, vs)] for hs, vs in zip(heads, values)]
+        for h, head in enumerate(itertools.product(range(size), repeat=len(middle))):
+            keys = zip(*[logs.plus(hs[h], vs) for hs, vs in zip(heads, last)])
+            for tail, hits in zip(tails, map(first.get, keys)):
+                if hits:
+                    out.extend((k, *head, *tail) for k in hits)
         out.sort()
         return out
 
     return scan
 
 
-def _full_scan(vectors, f_cols, logs: _Logs):
+def _full_scan(pool, n, f_terms, logs: _Logs):
     """For any F: a function from a target's values to all columns c with
     c^t F c equal to it, each n-tuple of pool positions checked with
-    ``_agrees`` against its own image."""
-    n = len(f_cols)
+    ``_agrees``."""
+    every = range(len(pool))
 
     def scan(target):
-        return [
-            col
-            for col in itertools.product(range(len(vectors)), repeat=n)
-            if _agrees(_image([vectors[k] for k in col], f_cols, logs), col, vectors, target, logs)
-        ]
+        columns = itertools.product(range(len(pool[0])), repeat=n)
+        return [col for col in columns if _agrees(col, col, pool, f_terms, target, logs, every)]
 
     return scan

@@ -9,8 +9,10 @@ the oracle comparisons meaningful.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
+from hasseforms import forms
 from hasseforms.finfield import FiniteField, embed, make_extension
 from hasseforms.curvering import RingElement
 from hasseforms.forms import FieldForm, field_isomorphic
@@ -426,6 +428,24 @@ def first_isometry(f, g, deg_x: int, deg_y: int = -1):
         return None
 
     return extend(0)
+
+
+@contextlib.contextmanager
+def recorded_ticks():
+    """Inside the block, every budget charge an isometry search makes is
+    appended, in order, to the list this yields."""
+    ticks = []
+    tick = forms._EvalCounter.tick
+
+    def recording(self, amount):
+        ticks.append(amount)
+        return tick(self, amount)
+
+    forms._EvalCounter.tick = recording
+    try:
+        yield ticks
+    finally:
+        forms._EvalCounter.tick = tick
 
 
 # ---------------------------------------------------------------------------
