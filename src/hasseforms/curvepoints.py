@@ -114,13 +114,16 @@ def frobenius_orbit(q: int, x0: FieldElement, y0: FieldElement) -> list:
     return orbit
 
 
-def enumerate_points(curve: CurveSpec, degree: int = 1):
+def enumerate_points(curve: CurveSpec, degree: int = 1, closed: bool = False):
     """All affine points with coordinates in F_{q^degree}, by an x-scan on
     logs (``_cubic_logs``): above x, none when x^3 + ax + b = g^v has odd
     v, (x, 0) when it is zero, else y = g^(v/2) and g^(v/2 + (q - 1)/2),
     smaller coefficient tuple first.  Points come in canonical coordinate
     order, tagged with their Frobenius orbit's length (their closed
-    point's degree; 1 at degree 1, with no walk)."""
+    point's degree; 1 at degree 1, with no walk), one walk per orbit.
+    ``closed`` keeps only the first point of each orbit by (x.coeffs,
+    y.coeffs): one point per closed point, as ``forms._closed_places``
+    lists them."""
     if curve.is_polyline:
         raise ValueError(
             "the affine line has no curve equation; its closed points are "
@@ -129,6 +132,7 @@ def enumerate_points(curve: CurveSpec, degree: int = 1):
     ext = make_extension(curve.field.p, curve.field.k * degree)
     exp, half, base_q, points = ext._exp, ext._half, curve.field.q, []
     logs = _cubic_logs(ext, embed(curve.a, ext).log, embed(curve.b, ext).log)
+    walked = {}  # a point met in an earlier orbit -> (orbit length, first point of the orbit)
     for x0, v in zip(ext.elements(), logs):
         if v is None:
             ys = (ext.zero(),)
@@ -138,7 +142,12 @@ def enumerate_points(curve: CurveSpec, degree: int = 1):
             r, s = exp[v // 2], exp[v // 2 + half]
             ys = (r, s) if r.coeffs < s.coeffs else (s, r)
         for y0 in ys:
-            points.append(AffinePoint(x0, y0, 1 if degree == 1 else len(frobenius_orbit(base_q, x0, y0))))
+            if (tag := (1, (x0, y0)) if degree == 1 else walked.pop((x0, y0), None)) is None:
+                orbit = frobenius_orbit(base_q, x0, y0)
+                tag = (len(orbit), min(orbit, key=lambda xy: (xy[0].coeffs, xy[1].coeffs)))
+                walked.update(dict.fromkeys(orbit[1:], tag))
+            if not closed or tag[1] == (x0, y0):
+                points.append(AffinePoint(x0, y0, tag[0]))
     return points
 
 

@@ -11,13 +11,15 @@ field F_{q^e}, which ``local_isomorphic`` reads off the constant Gram
 determinants and the place degree e, with no matrix evaluated.
 
 A genus witness is a finite list of fraction-field transition matrices
-Q, each with a declared bad locus given by a ring element s: away from
-the zero locus of s the matrix must be integral with unit determinant.
-Verification is point-based up to an inspection degree d with
-q^d <= 14 641, rather than ideal-theoretic.  Each closed place is
-examined once: a monic irreducible polynomial on the affine line, one
-point of its Frobenius orbit on the cubic.  Whatever no witness reaches
-is reported as a gap.
+Q, each with a declared bad locus given by a ring element s.  Each
+entry (A + By)/D must lie in O[1/s], O the coordinate ring: D divides
+both parts of (A + By) s^k for k = 2 deg D, a test in O/(D) with no
+factoring.  Off the zeros of s, Q then lies in GL_n of the local ring
+exactly where s * s^k * det Q, with s^k det Q in O, does not vanish.
+Verification is point-based up to an inspection degree d with q^d <=
+14 641.  Each closed place is examined once: a monic irreducible on the
+line, one point of its Frobenius orbit on the cubic.  Whatever no
+witness reaches is reported as a gap.
 
 ``isom_search`` looks for an integral unit-determinant congruence
 between two Gram matrices by column-pruned enumeration inside explicit
@@ -58,7 +60,7 @@ DEFAULT_SEARCH_BUDGET = 10**8
 
 
 class MalformedWitnessError(ValueError):
-    """A witness denominator does not divide a power of its declared locus."""
+    """A witness entry is not in O[1/s]: it has a pole off its declared locus s."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -315,45 +317,34 @@ class GenusWitness(Record):
                 raise ValueError("witness pieces live over different curves")
             if s.is_zero():
                 raise MalformedWitnessError("declared locus must be nonzero")
-            _check_denominators(q, s)
+            for i, row in enumerate(q.rows, 1):  # every entry must lie in O[1/s]
+                for j, e in enumerate(row, 1):
+                    if not _times_power(e.num, s, 2 * e.den.degree, e.den).is_zero():
+                        raise MalformedWitnessError(f"entry ({i}, {j}) has a pole off the declared locus")
             pairs.append((q, s))
         self.pairs = tuple(pairs)
 
 
-def _check_denominators(q: RingMatrix, s: RingElement):
-    """Every denominator must divide a power of s, equivalently of the
-    norm N(s): dividing it by its gcd with N(s) until that gcd is 1 must
-    leave a constant (gcd saturation; no factoring needed).  All do when
-    their lcm does, so it is saturated once; the entries are saturated
-    one by one only to name the first failing factor."""
-    norm = s.norm()
-    if _saturate(_common_denominator(q), norm).degree < 1:
-        return
-    for row in q.rows:
-        for e in row:
-            rest = _saturate(e.den, norm)
-            if rest.degree >= 1:
-                raise MalformedWitnessError(
-                    f"denominator factor {rest} does not divide a power "
-                    f"of the declared locus"
-                )
+def _times_power(num: RingElement, s: RingElement, k: int, m: Poly) -> RingElement:
+    """num * s^k with both parts reduced mod m, by square and multiply in
+    O/(m).  With m = D and k = 2 deg D it is 0 iff num/D lies in O[1/s]:
+    the elements of O/(D) killed by s^j form a growing chain of subspaces
+    of F_q-dimension at most 2 deg D (O is free of rank 2 over F_q[x],
+    singular or not), so if any power of s clears num/D, s^(2 deg D) does."""
+    if m.degree < 1:  # O/(1) is 0
+        return RingElement.zero(num.curve)
 
+    def reduced(e):
+        return e if max(e.a.degree, e.b.degree) < m.degree else RingElement._raw(e.curve, e.a % m, e.b % m)
 
-def _saturate(den: Poly, norm: Poly) -> Poly:
-    """den with every factor it shares with norm divided out."""
-    while den.degree >= 1 and (g := poly_gcd(den, norm)).degree >= 1:
-        den = den // g
-    return den
-
-
-def _common_denominator(q: RingMatrix) -> Poly:
-    """delta, the monic lcm of the entry denominators of q."""
-    delta = Poly.one(q.curve.field)
-    for row in q.rows:
-        for e in row:
-            if e.den.degree >= 1:
-                delta = e.den if delta.degree < 1 else delta // poly_gcd(delta, e.den) * e.den
-    return delta
+    result, base = reduced(num), reduced(s)
+    while k and not result.is_zero():
+        if k & 1:
+            result = reduced(result * base)
+        k >>= 1
+        if k:
+            base = reduced(base * base)
+    return result
 
 
 class GenusReport(Record):
@@ -376,16 +367,16 @@ def verify_genus_witness(
 
     Three things are verified: each congruence identity Q^t F Q = G
     exactly, over the ring with one common denominator (which certifies
-    isomorphism over the function field), integrality and unit
-    determinant of each Q away from its declared locus, and coverage:
-    every closed point of degree at most ``degree`` must be reached by
-    some witness, one whose support element s * num(det Q) * delta
-    (``_support``) does not vanish there.  Each closed point is listed
-    once, as a monic irreducible on the line and as one point of its
-    Frobenius orbit on the cubic.  q^degree must be at most
-    MAX_INSPECTION_SIZE on both, which is checked before any work.
-    Points beyond the inspection degree are not examined; a Certified
-    verdict means certified up to that degree.
+    isomorphism over the function field), entries of each Q in O[1/s],
+    integral off its declared locus s (when the witness is built), and
+    coverage: every closed point of degree at most ``degree`` must be
+    reached by some witness, one whose support s * s^k * det Q
+    (``_support``) does not vanish there: s does not, and det Q is a
+    unit.  Each closed point is listed once, as a monic irreducible on
+    the line and as one point of its Frobenius orbit on the cubic.
+    q^degree must be at most MAX_INSPECTION_SIZE on both, which is
+    checked before any work.  Points beyond the inspection degree are
+    not examined; a Certified verdict means certified up to that degree.
     """
     if f.curve != g.curve:
         raise ValueError("forms live over different curves")
@@ -406,11 +397,12 @@ def verify_genus_witness(
 
     checks = [witness_identity(q, f, g) for q, _ in witness.pairs]
     identity_ok = tuple(ok for ok, _ in checks)
-    supports = [_support(q, s, det) for (q, s), (_, det) in zip(witness.pairs, checks)]
+    supports = [_support(s, det) for (_, s), (_, det) in zip(witness.pairs, checks)]
     covered, uncovered = [], []
     for d in range(1, degree + 1):
         for place in _closed_places(curve, d):
-            if not all(_vanishes(h, place) for h in supports):
+            if any(not _vanishes(far, place) or _vanishes(den, place) and not _vanishes(low, place)
+                   for far, den, low in supports):
                 covered.append(place)
             else:
                 uncovered.append(place)
@@ -433,7 +425,10 @@ def witness_identity(q: RingMatrix, f: GramMatrix, g: GramMatrix):
     and det Q = det P / delta^n, reduced once."""
     if not q.n == f.n == g.n:
         raise ValueError("dimension mismatch")
-    delta = _common_denominator(q)
+    delta = Poly.one(q.curve.field)
+    for e in itertools.chain.from_iterable(q.rows):
+        if e.den.degree >= 1:
+            delta = e.den if delta.degree < 1 else delta // poly_gcd(delta, e.den) * e.den
     p = [[e.num if e.is_zero() or e.den == delta else e.num * (delta // e.den) for e in row] for row in q.rows]
     lhs = matmul(tuple(zip(*p)), matmul(f.ring_rows(), p))
     scale = delta * delta
@@ -449,26 +444,21 @@ def _closed_places(curve: CurveSpec, d: int):
     none, and one point decides for the whole closed point."""
     if curve.is_polyline:
         return [PrimePoly(curve.field, prime) for prime in monic_irreducibles(curve.field, d)]
-    points = enumerate_points(curve, d)
-    if d == 1:
-        return points
-    q, reps = curve.field.q, {}  # each orbit of length d walked once, for its first point
-    for point in points:
-        if point.degree == d and (point.x, point.y) not in reps:
-            orbit = frobenius_orbit(q, point.x, point.y)
-            reps.update(dict.fromkeys(orbit, min(orbit, key=lambda xy: (xy[0].coeffs, xy[1].coeffs))))
-    return [point for point in points if reps.get((point.x, point.y)) == (point.x, point.y)]
+    return [point for point in enumerate_points(curve, d, closed=True) if point.degree == d]
 
 
-def _support(q: RingMatrix, s: RingElement, det: RingFraction) -> RingElement:
-    """h = s * num(det q) * delta, delta the lcm of q's denominators.  The
-    witness (q, s) reaches a place when the place is off the locus of s,
-    q is integral there and det q is a unit there.  An entry's
-    denominator vanishes exactly where delta does, and den(det q),
-    reduced, divides delta^n, so that is: none of s, num(det q) and delta
-    vanishes, which holds exactly where h does not vanish, since the
-    residue ring at a closed place is a field."""
-    return s * det.num * _common_denominator(q)
+def _support(s: RingElement, det: RingFraction) -> tuple:
+    """The support of a valid witness (q, s): h = s * c, c = s^k det q in
+    O, k = 2 deg D for det q = N/D (``_times_power``).  The entries of q
+    lie in O[1/s], so they are regular off the zeros of s, and the witness
+    reaches a place exactly when s does not vanish there and det q is a
+    unit there, that is, where h does not vanish: where s does not, c and
+    det q differ by a unit.  h, of degree about k deg s, is not formed; it
+    is returned as (s N, D, s low), low = (N s^k mod D^2) / D: where D
+    does not vanish, h vanishes with s N; where D does, so does s N, and h
+    vanishes with s low, since N s^k = D c makes low = c mod D."""
+    low, den = _times_power(det.num, s, 2 * det.den.degree, det.den * det.den), det.den
+    return s * det.num, RingElement(s.curve, den), s * RingElement._raw(s.curve, low.a // den, low.b // den)
 
 
 def _vanishes(h: RingElement, place) -> bool:

@@ -10,13 +10,34 @@ the oracle comparisons meaningful.
 from __future__ import annotations
 
 import contextlib
+import functools
+import importlib
 import itertools
+import json
+import math
+import sys
+from pathlib import Path
 
 from hasseforms import forms
 from hasseforms.finfield import FiniteField, embed, make_extension
-from hasseforms.curvering import RingElement
+from hasseforms.curvepoints import AffinePoint
+from hasseforms.curvering import RingElement, RingFraction
 from hasseforms.forms import FieldForm, field_isomorphic
-from hasseforms.funcfield import Poly, factor, monic_polys, residue_field
+from hasseforms.funcfield import Poly, PrimePoly, factor, monic_polys, residue_field
+
+
+def benchmark_jobs(workload: str, seeds) -> tuple:
+    """(bundled fixtures by name, every job perfbench's generator makes for
+    the workload and seeds), from the perfbench directory of this
+    checkout."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench))  # gen imports its sibling modules by name
+    try:
+        gen = importlib.import_module("gen")
+    finally:
+        sys.path.remove(str(bench))
+    fixtures = {n: json.loads((Path(forms.__file__).parent / "fixtures" / f"{n}.json").read_text()) for n in gen.FIXTURES}
+    return fixtures, [job for seed in seeds for job in gen.generate(workload, seed, fixtures) + gen.setup_probes()]
 
 
 def polys_up_to(field: FiniteField, max_deg: int):
@@ -286,22 +307,10 @@ def leibniz_det(rows):
 
 
 # ---------------------------------------------------------------------------
-# Witness checks by factoring and valuations: the rules genus verification
-# used before it switched to gcd saturation and divisibility tests.
-
-
-def denominators_divide_power_by_factoring(q, s) -> bool:
-    """Every irreducible factor of every entry denominator of q divides
-    the norm of s (trial-division factoring, degree <= 24)."""
-    norm = s.norm()
-    for row in q.rows:
-        for e in row:
-            if e.den.degree < 1:
-                continue
-            _, factors = factor(e.den)
-            if any(not (norm % prime).is_zero() for prime, _ in factors):
-                return False
-    return True
+# Witness checks by orders of vanishing at smooth places (Silverman, *The
+# Arithmetic of Elliptic Curves*, II.1), from root multiplicities over the
+# field of a geometric point; nothing from forms' divisibility tests.  A
+# place is a prime of the line or a point (x0, y0) of the cubic.
 
 
 def _multiplicity(f, prime) -> int:
@@ -312,21 +321,119 @@ def _multiplicity(f, prime) -> int:
     return m
 
 
-def _line_valuation(e, prime) -> int:
-    """v_prime of a nonzero line fraction num/den, counted here rather
-    than by the library's valuation."""
-    return _multiplicity(e.num.a, prime.poly) - _multiplicity(e.den, prime.poly)
+def _lifted(poly, field) -> list:
+    """The ascending coefficients of a polynomial in x, in field."""
+    return [embed(c, field) for c in poly.coeffs]
 
 
-def covers_prime_by_valuation(q, s, prime) -> bool:
-    """Whether (q, s) reaches a finite prime of the line: v(s) = 0, every
-    entry has v >= 0, and v(det q) = 0 for a nonzero determinant."""
-    if _multiplicity(s.a, prime.poly) > 0:
-        return False
-    if any(_line_valuation(e, prime) < 0 for row in q.rows for e in row if not e.is_zero()):
-        return False
-    d = leibniz_det(q.rows)
-    return not d.is_zero() and _line_valuation(d, prime) == 0
+def _value(coeffs, x0):
+    acc = x0.field.zero()
+    for c in reversed(coeffs):
+        acc = acc * x0 + c
+    return acc
+
+
+def _divided(coeffs, x0) -> list:
+    """The quotient by x - x0 of a polynomial with root x0, by synthetic
+    division; ascending coefficients in and out."""
+    acc, out = x0.field.zero(), []
+    for c in reversed(coeffs):
+        acc = acc * x0 + c
+        out.append(acc)
+    out.pop()  # the remainder, 0
+    return out[::-1]
+
+
+def _root_order(coeffs, x0) -> int:
+    """The multiplicity of x0 as a root of a nonzero polynomial."""
+    m = 0
+    while _value(coeffs, x0).is_zero():
+        coeffs, m = _divided(coeffs, x0), m + 1
+    return m
+
+
+def _is_singular(curve, place) -> bool:
+    """y0 = 0 and x0 a repeated root of x^3 + ax + b (3 x0^2 + a = 0)."""
+    x0 = place.x
+    return place.y.is_zero() and (3 * x0 * x0 + embed(curve.a, x0.field)).is_zero()
+
+
+def order_at(h, place) -> float:
+    """ord_P of a ring element or fraction at a smooth place, inf for 0.
+
+    On the line it is the multiplicity of the prime.  On the cubic, with
+    multiplicities of x0 counted over the point's field and P' = (x0, -y0):
+
+    - at y0 != 0, ord_P h is 0 if h(P) != 0; else ord_{x0} N(h) if h(P')
+      != 0, since N(h) = A^2 - B^2 (x^3 + ax + b) = h h'; else x - x0
+      divides both parts, with order 1 at P, so it is divided out, 1 is
+      added and the test repeats;
+    - at y0 = 0, where x - x0 has order 2 and y order 1, ord_P (A + By) =
+      min(2 ord A, 2 ord B + 1), the two of different parity;
+
+    and a denominator D(x) counts -e ord_{x0} D, e = 2 at y0 = 0, else 1.
+    ValueError at a singular point, which has no valuation."""
+    if h.is_zero():
+        return math.inf
+    num, den = (h.num, h.den) if hasattr(h, "den") else (h, None)
+    if hasattr(place, "poly"):
+        order = _multiplicity(num.a, place.poly)
+        return order if den is None else order - _multiplicity(den, place.poly)
+    if _is_singular(num.curve, place):
+        raise ValueError(f"no valuation at the singular point {place!r}")
+    x0, y0 = place.x, place.y
+    field = x0.field
+    a, b = _lifted(num.a, field), _lifted(num.b, field)
+    if y0.is_zero():
+        order = min(2 * _root_order(a, x0) if a else math.inf, 2 * _root_order(b, x0) + 1 if b else math.inf)
+    else:
+        order = 0
+        while (_value(a, x0) + _value(b, x0) * y0).is_zero():
+            if not (_value(a, x0) - _value(b, x0) * y0).is_zero():
+                pa, pb = Poly(field, a), Poly(field, b)
+                norm = pa * pa - pb * pb * Poly(field, _lifted(num.curve.cubic(), field))
+                order += _root_order(list(norm.coeffs), x0)
+                break
+            a, b, order = _divided(a, x0) if a else a, _divided(b, x0) if b else b, order + 1
+    if den is None:
+        return order
+    return order - (2 if y0.is_zero() else 1) * _root_order(_lifted(den, field), x0)
+
+
+@functools.lru_cache(maxsize=None)
+def _points_over(curve, prime) -> tuple:
+    """The geometric points of a cubic over one root x0 of a prime of
+    F_q[x], all in F_{q^(2 deg prime)}: x0 and every y with y^2 = x0^3 +
+    a x0 + b, each found by trying every element.  Every closed point over
+    the prime has one of them in its Frobenius orbit."""
+    field = make_extension(curve.field.p, curve.field.k * 2 * prime.degree)
+    m = _lifted(prime, field)
+    x0 = next(x for x in field.elements() if _value(m, x).is_zero())
+    rhs = _value(_lifted(curve.cubic(), field), x0)
+    return tuple(AffinePoint(x0, y) for y in field.elements() if y * y == rhs)
+
+
+def clearing_exponent(num, den, s):
+    """The least k >= 0 with num s^k / den in the coordinate ring of the
+    line or of a smooth cubic, or None when there is none.  The ring is the
+    intersection of the local rings at its places, and num/den has poles
+    only over the roots of den; at each such place with a pole of order m,
+    ord_P s = t must be positive and k at least m / t, rounded up.  The
+    places come from ``factor(den)``, on the cubic through
+    ``_points_over``."""
+    if den.degree < 1:
+        return 0
+    e, k = RingFraction(num.curve, num, den), 0
+    for prime, _ in factor(den)[1]:
+        places = [PrimePoly.finite(prime)] if num.curve.is_polyline else _points_over(num.curve, prime)
+        for place in places:
+            pole = -order_at(e, place)
+            if pole > 0:
+                step = order_at(s, place)
+                if step == 0:
+                    return None
+                k = max(k, -(-pole // step))
+    return k
 
 
 def _vanishes_at(h, place) -> bool:
@@ -342,14 +449,22 @@ def _vanishes_at(h, place) -> bool:
     return value.is_zero()
 
 
-def covers_by_every_part(q, s, det, place) -> bool:
-    """Whether the witness (q, s) reaches a closed place by the rule
-    coverage used before it tested only s, num(det q) and the lcm of the
-    denominators: none of s, num(det q), den(det q) and the denominator
-    of every entry vanishes there.  det is det q, computed by the caller
-    (``leibniz_det``)."""
-    parts = [s, det.num, det.den] + [e.den for row in q.rows for e in row]
-    return not any(_vanishes_at(h, place) for h in parts)
+def covers_by_valuations(q, s, det, place) -> bool:
+    """Whether the witness (q, s) reaches a closed place: s does not vanish
+    there, and q lies in GL_n of its local ring, i.e. every entry has order
+    >= 0 and det q order 0.  det is det q, computed by the caller
+    (``leibniz_det``).  At a singular point, where there are no orders, s
+    and every denominator must not vanish; q is then regular there, and
+    det q is a unit exactly when its numerator does not vanish.  A
+    singular point where s does not vanish but a denominator does is not
+    decided: ValueError."""
+    if _vanishes_at(s, place):
+        return False
+    if not hasattr(place, "poly") and _is_singular(s.curve, place):
+        if any(_vanishes_at(d, place) for d in [det.den] + [e.den for row in q.rows for e in row]):
+            raise ValueError(f"coverage at the singular point {place!r} is not decided here")
+        return not _vanishes_at(det.num, place)
+    return all(order_at(e, place) >= 0 for row in q.rows for e in row) and order_at(det, place) == 0
 
 
 # ---------------------------------------------------------------------------

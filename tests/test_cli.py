@@ -1,9 +1,10 @@
+import hashlib
 import json
 import subprocess
 import sys
 
-
 from hasseforms.cli import run
+from oracles import benchmark_jobs
 
 
 def invoke(capsys, *argv):
@@ -457,6 +458,27 @@ def test_bad_schema_rejected(capsys):
     assert code == 2 and "schema" in err
 
 
+def test_genus_verify_refuses_a_pole_off_the_locus(capsys):
+    # on y^2 = x^3 + x + 1 over F_5, (y - 1)/x has its pole at (0, 4),
+    # where s = y - 1 is 3: the witness is malformed, exit 2
+    pair = {
+        "schema": 1,
+        "curve": {"type": "weierstrass", "field": {"p": 5, "k": 1}, "a": [1], "b": [1]},
+        "F": [[1]],
+        "G": [[1]],
+        "witnesses": [{"Q": [[{"num": {"A": "4", "B": "1"}, "den": "x"}]], "s": {"A": "4", "B": "1"}}],
+        "degree": 1,
+    }
+    code, out, err = invoke(capsys, "genus-verify", "--json", json.dumps(pair))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "entry (1, 1) has a pole off the declared locus"}
+    pair["witnesses"][0]["s"] = {"A": "1", "B": "1"}  # s = y + 1 vanishes at the pole
+    code, data, _ = invoke_json(capsys, "genus-verify", "--json", json.dumps(pair))
+    assert code == 1
+    assert {"x": [0], "y": [1], "degree": 1} in data["covered"]
+    assert {"x": [0], "y": [4], "degree": 1} in data["uncovered"]
+
+
 def test_reused_parser_answers_as_fresh_processes(capsys, monkeypatch):
     # run() builds its parser once per process; repeated in-process runs,
     # including an exit-2 input error and an argparse usage error, must
@@ -506,3 +528,54 @@ def test_cli_import_loads_no_code_introspection_modules():
     loaded = set(json.loads(proc.stdout))
     assert "hasseforms.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
+
+
+def _pinned_cases():
+    """(name, argv) for every pinned run: verify-paper, then genus-verify
+    and isom-search on both bundled fixtures and on every generated genus
+    job and set-up probe of benchmark seed 1 (searched at --degree-bound
+    0), in json and text."""
+    fixtures, jobs = benchmark_jobs("genus", [1])
+    jobs = [job for job in jobs if job["argv"][0] == "genus-verify"]
+    cases = []
+    for fmt in ("json", "text"):
+        cases.append((f"verify-paper {fmt}", ["verify-paper", "--format", fmt]))
+        for name in sorted(fixtures):
+            text = json.dumps(fixtures[name])
+            for command in ("genus-verify", "isom-search"):
+                cases.append((f"{command} {fmt} {name}", [command, "--json", text, "--format", fmt]))
+        for job in jobs:
+            text = json.dumps(job["input"], sort_keys=True)
+            cases.append((f"genus-verify {fmt} {job['id']}", ["genus-verify", "--json", text, "--format", fmt]))
+            cases.append((f"isom-search {fmt} {job['id']}",
+                          ["isom-search", "--json", text, "--format", fmt, "--degree-bound", "0"]))
+    return cases
+
+
+# per command and format: (runs, exit codes seen, sha256 of the runs'
+# (name, sha256 of exit code, stdout and stderr) lines, in case order)
+PINNED_OUTPUTS = {
+    "genus-verify json": (29, [0, 1], "d42908f1b19f5eef"),
+    "genus-verify text": (29, [0, 1], "e6a39c0549b17c06"),
+    "isom-search json": (29, [1], "48e1fa8f8e6c5ea3"),
+    "isom-search text": (29, [1], "21c34bdfd6c10f03"),
+    "verify-paper json": (1, [0], "c98d21708beee367"),
+    "verify-paper text": (1, [0], "45f25fa0c0e7916b"),
+}
+
+
+def test_cli_outputs_pinned(capsys, monkeypatch):
+    # stdout, stderr and exit code of each run, byte for byte: a digest
+    # that moves means the CLI now prints something else for that input
+    monkeypatch.delenv("HASSE_FORMS_BUDGET", raising=False)
+    groups = {}
+    for name, argv in _pinned_cases():
+        code = run(argv)
+        captured = capsys.readouterr()
+        digest = hashlib.sha256(f"{code}\n{captured.out}\0{captured.err}".encode()).hexdigest()
+        groups.setdefault(" ".join(name.split()[:2]), []).append((code, f"{name} {digest}\n"))
+    got = {
+        group: (len(runs), sorted({code for code, _ in runs}), hashlib.sha256("".join(line for _, line in runs).encode()).hexdigest()[:16])
+        for group, runs in groups.items()
+    }
+    assert got == PINNED_OUTPUTS

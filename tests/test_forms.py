@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import json
 import os
 import random
@@ -35,11 +34,11 @@ from hasseforms.funcfield import Poly, PrimePoly, monic_irreducibles, residue_fi
 from hasseforms.serialize import genus_report_to_json, load_bundled_pair, pair_from_json
 
 from oracles import (
+    benchmark_jobs,
     brute_force_congruent,
     closed_point_counts,
-    covers_by_every_part,
-    covers_prime_by_valuation,
-    denominators_divide_power_by_factoring,
+    clearing_exponent,
+    covers_by_valuations,
     entry_pool,
     field_matrix,
     first_isometry,
@@ -572,7 +571,7 @@ def test_malformed_witness_rejected():
 
 def _accepts_denominators(q, s) -> bool:
     try:
-        forms._check_denominators(q, s)
+        GenusWitness(GramMatrix.identity(q.curve, q.n), ((q, s),))
     except MalformedWitnessError:
         return False
     return True
@@ -582,80 +581,205 @@ def _monic(rng, field, degree):
     return Poly(field, [rng.randrange(field.p) for _ in range(degree)] + [1])
 
 
-def _witness_piece(curve, den, s):
-    """A witness matrix with one entry 1/den, and its locus s."""
-    q = RingMatrix(curve, [[RingFraction(curve, RingElement.one(curve), den), 0], [0, 1]])
+def _witness_piece(curve, den, s, num=None):
+    """A witness matrix with one entry num/den (1/den by default), and
+    its locus s."""
+    num = RingElement.one(curve) if num is None else num
+    q = RingMatrix(curve, [[RingFraction(curve, num, den), 0], [0, 1]])
     return q, s
 
 
+# smooth cubics over F_5: y^2 = x^3 - x has y = 0 over x = 0, 1 and 4;
+# y^2 = x^3 + x + 1 has no point with y = 0
+CUBIC5 = CurveSpec.weierstrass(F5, 4, 0)
+EC11 = CurveSpec.weierstrass(F5, 1, 1)
+
+
+def _entries_clear(q, s) -> bool:
+    """Whether every entry of q lies in O[1/s], by orders at places."""
+    return all(clearing_exponent(e.num, e.den, s) is not None for row in q.rows for e in row)
+
+
 def test_denominator_check_matches_factoring_rule():
+    # the check against orders at every place over each factor of each
+    # denominator; a witness is valid iff s vanishes wherever an entry has
+    # a pole, so the y part of s and of the entry both count
     x1_line = RingElement(LINE5, P(F5, "x+1"))
+    y, y11 = RingElement.y(CUBIC5), RingElement.y(EC11)
     known = [
         (_witness_piece(LINE5, P(F5, "x^2+x"), x1_line), False),  # x is off the locus
         (_witness_piece(LINE5, P(F5, "x+1") ** 3, x1_line), True),
-        (_witness_piece(EC, P(F5, "x+1") ** 2, RingElement(EC, P(F5, "x+1"))), True),
-        (_witness_piece(EC, P(F5, "x^3+2*x+3"), RingElement.y(EC)), True),  # N(y) = -(x^3+2x+3)
-        (_witness_piece(EC, P(F5, "x"), RingElement.y(EC)), False),
+        (_witness_piece(CUBIC5, P(F5, "x+1") ** 2, RingElement(CUBIC5, P(F5, "x+1"))), True),
+        (_witness_piece(CUBIC5, P(F5, "x^3+4*x"), y), True),  # x^3 - x = y^2
+        (_witness_piece(CUBIC5, P(F5, "x"), y), True),  # y^2 = x (x^2 - 1), one zero over x = 0
+        (_witness_piece(CUBIC5, P(F5, "x+2"), y), False),  # y = ±2 over x = 3
+        (_witness_piece(CUBIC5, P(F5, "x+2"), y + 2, y - 2), True),  # the pole is at (3, 3) alone
+        (_witness_piece(CUBIC5, P(F5, "x+2"), y - 2, y - 2), False),
+        (_witness_piece(EC11, P(F5, "x"), y11 + 1, y11 - 1), True),  # (y - 1)/x = (x^2 + 1)/(y + 1)
+        (_witness_piece(EC11, P(F5, "x"), y11 - 1, y11 - 1), False),  # a pole at (0, 4), where y - 1 = 3
+        (_witness_piece(EC11, P(F5, "x"), y11 - 1), False),  # N(y - 1) = -(x^3 + x) vanishes at both
     ]
     for (q, s), accepted in known:
-        assert denominators_divide_power_by_factoring(q, s) == accepted
+        assert _entries_clear(q, s) == accepted
         assert _accepts_denominators(q, s) == accepted
     rng = random.Random(41)
     verdicts = set()
     for _ in range(60):
-        curve = rng.choice((LINE5, EC))
-        s = RingElement(curve, _monic(rng, F5, rng.randrange(1, 3)))
-        if not curve.is_polyline and rng.random() < 0.5:
-            s = s + RingElement(curve, Poly.zero(F5), _monic(rng, F5, rng.randrange(0, 2)))
-        # half of the denominators are built on N(s), so both verdicts occur
-        parts = [s.norm().monic()] if rng.random() < 0.5 else []
-        parts += [_monic(rng, F5, rng.randrange(0, 3)) for _ in range(rng.randrange(0, 2))]
+        curve = rng.choice((LINE5, CUBIC5, EC11))
+        roots = rng.sample(range(5), rng.randrange(1, 3))
+        # s vanishes over some of the roots, by x - r or, on a cubic, by
+        # y - c through a point (r, c); den has powers of x - r and
+        # sometimes a monic quadratic
+        s = RingElement.constant(curve, rng.randrange(1, 5))
+        for r in rng.sample(roots, rng.randrange(0, len(roots) + 1)):
+            options = [RingElement(curve, Poly(F5, [-r, 1]))]
+            if not curve.is_polyline:
+                value = curve.cubic().evaluate(F5.element(r))
+                options += [RingElement.y(curve) - c for c in F5.elements() if c * c == value]
+            s = s * rng.choice(options)
         den = Poly.one(F5)
-        for part in parts:
-            den = den * part ** rng.randrange(1, 3)
-        q, s = _witness_piece(curve, den, s)
-        expected = denominators_divide_power_by_factoring(q, s)
-        assert _accepts_denominators(q, s) == expected, (den, s)
+        for r in roots:
+            den = den * Poly(F5, [-r, 1]) ** rng.randrange(1, 3)
+        if rng.random() < 0.3:
+            den = den * _monic(rng, F5, 2)
+        b = [] if curve.is_polyline else [rng.randrange(5) for _ in range(2)]
+        num = RingElement(curve, Poly(F5, [rng.randrange(5) for _ in range(2)]), Poly(F5, b))
+        if num.is_zero():
+            continue
+        q, s = _witness_piece(curve, den, s, num)
+        expected = _entries_clear(q, s)
+        assert _accepts_denominators(q, s) == expected, (num, den, s)
         verdicts.add(expected)
     assert verdicts == {True, False}
 
 
 def test_denominator_check_beyond_factoring_degree_bound():
     # trial-division factoring refused denominators of degree above 24;
-    # gcd saturation needs no bound
+    # clearing by powers of s needs no factoring and no bound
     s = RingElement(LINE5, P(F5, "x+1"))
     assert _accepts_denominators(*_witness_piece(LINE5, P(F5, "x+1") ** 25, s))
     assert not _accepts_denominators(*_witness_piece(LINE5, P(F5, "x+1") ** 25 * P(F5, "x"), s))
 
 
+def test_clearing_needs_no_bound_on_the_power_of_s():
+    # 1/(x + 1)^128 clears by s = x^127 (x + 1) only at k = 128, and 1/x^256
+    # by no power of x^256 + 1; both are decided on residues mod the
+    # denominator, with no power of s formed
+    s = RingElement(LINE5, P(F5, "x^128+x^127"))
+    assert _accepts_denominators(*_witness_piece(LINE5, P(F5, "x+1") ** 128, s))
+    s = RingElement(LINE5, P(F5, "x^256+1"))
+    assert not _accepts_denominators(*_witness_piece(LINE5, P(F5, "x^256"), s))
+
+
+def test_support_clears_det_q_beyond_every_entry():
+    # each entry 1/x^128 clears by s = x^2 + x at k = 128, det Q = 1/x^384
+    # only at k = 384; the witness is valid, so its support never refuses
+    # it, and it reaches every place off x (x + 1)
+    f = GramMatrix(LINE5, RingMatrix.diagonal(LINE5, [RingElement(LINE5, P(F5, "x^256"))] * 3))
+    e = RingFraction(LINE5, RingElement.one(LINE5), P(F5, "x^128"))
+    q = RingMatrix(LINE5, [[e if i == j else 0 for j in range(3)] for i in range(3)])
+    g = GramMatrix.identity(LINE5, 3)
+    witness = GenusWitness(g, ((q, RingElement(LINE5, P(F5, "x^2+x"))),))
+    report = _check_coverage_by_every_part(f, g, witness, 2)
+    assert report.identity_ok == (True,)
+    assert [place.poly for place in report.uncovered] == [P(F5, "x"), P(F5, "x+1")]
+    assert len(report.covered) == 13
+
+
+# the line and two smooth cubics over F_5 and F_9, both cubics with points
+# at y = 0: y^2 = x^3 - x over x = 0, 1, 4, and y^2 = x^3 + x over x = 0, ±i
+CLEARING_CURVES = [LINE5, CurveSpec.polyline(F9), CUBIC5, CurveSpec.weierstrass(F9, 1, 0)]
+
+
+@st.composite
+def clearing_cases(draw):
+    """(num, den, s) in lowest terms: den a product of powers of x - r
+    and perhaps a monic quadratic; s a nonzero constant times factors
+    that vanish over some r, x - r or, on a cubic, y - c with c^2 = r^3 +
+    ar + b (c = 0 included); num small, or one such factor."""
+    curve = draw(st.sampled_from(CLEARING_CURVES))
+    field = curve.field
+    elements = list(field.elements())
+    element = st.sampled_from(elements)
+    roots = draw(st.lists(element, min_size=1, max_size=3, unique=True))
+
+    def through(r):
+        options = [RingElement(curve, Poly(field, [-r, field.one()]))]
+        if not curve.is_polyline:
+            value = curve.cubic().evaluate(r)
+            options += [RingElement.y(curve) - c for c in elements if c * c == value]
+        return draw(st.sampled_from(options))
+
+    s = RingElement.constant(curve, draw(element.filter(lambda c: not c.is_zero())))
+    for r in draw(st.lists(st.sampled_from(roots), max_size=4)):
+        s = s * through(r)
+    den = Poly.one(field)
+    for r in roots:
+        den = den * Poly(field, [-r, field.one()]) ** draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        den = den * Poly(field, [draw(element), draw(element), field.one()])
+    if not curve.is_polyline and draw(st.booleans()):
+        num = through(draw(st.sampled_from(roots)))
+    else:
+        parts = st.lists(element, max_size=3)
+        num = RingElement(curve, Poly(field, draw(parts)), Poly(field, () if curve.is_polyline else draw(parts)))
+    assume(not num.is_zero())
+    e = RingFraction(curve, num, den)
+    return e.num, e.den, s
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(clearing_cases())
+def test_clearing_matches_orders_at_smooth_places(case):
+    # num s^(2 deg den) is 0 mod den exactly when orders at the places over
+    # den's roots say some num s^k / den lies in the ring, and then the
+    # support's residue mod den^2, divided by den, is that element mod den
+    num, den, s = case
+    k = clearing_exponent(num, den, s)
+    top = 2 * den.degree
+    assert forms._times_power(num, s, top, den).is_zero() == (k is not None)
+    if k is not None:
+        assert k <= top
+        c = num * s**top
+        c = RingElement(num.curve, c.a // den, c.b // den)
+        assert c * RingElement(num.curve, den) == num * s**top
+        _, _, low = forms._support(s, RingFraction.make(num, RingElement(num.curve, den)))
+        assert low.a % den == (s * c).a % den and low.b % den == (s * c).b % den
+
+
 def test_line_coverage_matches_valuation_rule():
+    # valid witnesses only: every denominator is built from factors of s
     rng = random.Random(43)
-    primes = [PrimePoly(F5, p) for d in (1, 2) for p in monic_irreducibles(F5, d)]
     checked = set()
     for _ in range(25):
-        s = RingElement(LINE5, _monic(rng, F5, rng.randrange(0, 3)))
+        factors = [_monic(rng, F5, rng.randrange(1, 3)) for _ in range(rng.randrange(0, 3))]
+        s = RingElement.constant(LINE5, rng.randrange(1, 5))
+        for factor in factors:
+            s = s * factor
         entries = []
         for _ in range(4):
             num = RingElement(LINE5, Poly(F5, [rng.randrange(5) for _ in range(3)]))
-            den = _monic(rng, F5, rng.randrange(0, 2))
+            den = Poly.one(F5)
+            for factor in factors:
+                den = den * factor ** rng.randrange(0, 3)
             entries.append(RingFraction(LINE5, num, den))
         q = RingMatrix(LINE5, [entries[:2], entries[2:]])
-        det = q.det()
-        for prime in rng.sample(primes, 6):
-            expected = covers_prime_by_valuation(q, s, prime)
-            assert (not forms._vanishes(forms._support(q, s, det), prime)) == expected
-            checked.add(expected)
+        assert _accepts_denominators(q, s)
+        g = GramMatrix.identity(LINE5, 2)
+        report = _check_coverage_by_every_part(g, g, GenusWitness(g, ((q, s),)), 2)
+        checked.update((bool(report.covered), not report.uncovered))
     assert checked == {True, False}
 
 
 def _check_coverage_by_every_part(f, g, witness, degree):
     """verify_genus_witness's coverage lists, each place checked against
-    the every-part rule; returns the report."""
+    the every-part rule: s, every entry and det Q, each judged by its
+    order at the place (``covers_by_valuations``); returns the report."""
     report = verify_genus_witness(f, g, witness, degree=degree)
     dets = [leibniz_det(q.rows) for q, _ in witness.pairs]
     for places, expected in ((report.covered, True), (report.uncovered, False)):
         for place in places:
-            got = any(covers_by_every_part(q, s, d, place) for (q, s), d in zip(witness.pairs, dets))
+            got = any(covers_by_valuations(q, s, d, place) for (q, s), d in zip(witness.pairs, dets))
             assert got is expected, place
     return report
 
@@ -670,14 +794,7 @@ def test_fixture_coverage_matches_every_part_rule(fixture):
 def _generated_genus_pairs(seeds):
     """The input pairs of every generated benchmark genus job and set-up
     probe of the seeds, parsed."""
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
-    sys.path.insert(0, str(bench))  # gen imports its sibling modules by name
-    try:
-        gen = importlib.import_module("gen")
-    finally:
-        sys.path.remove(str(bench))
-    fixtures = {n: json.loads((Path(forms.__file__).parent / "fixtures" / f"{n}.json").read_text()) for n in gen.FIXTURES}
-    jobs = [job for seed in seeds for job in gen.generate("genus", seed, fixtures) + gen.setup_probes()]
+    _, jobs = benchmark_jobs("genus", seeds)
     return [(job["id"], pair_from_json(job["input"])) for job in jobs if job["argv"][0] == "genus-verify"]
 
 
@@ -690,13 +807,15 @@ def test_generated_genus_coverage_matches_every_part_rule():
 
 @st.composite
 def shared_factor_witnesses(draw):
-    """(g, witness, degree): one or two pieces over the line, a smooth or
-    the singular cubic over F_5, ranks 1-3, denominators sharing factors
-    (so their lcm is not their product).  Each s has a factor whose norm
-    each denominator prime divides: the prime x - r itself or, on a cubic,
-    sometimes y - c with c^2 = r^3 + ar + b, which vanishes at (r, c) but
-    not at (r, -c) when c != 0."""
-    curve = draw(st.sampled_from([LINE5, CurveSpec.weierstrass(F5, 1, 1), EC]))
+    """(g, witness, degree): valid witnesses of one or two pieces over the
+    line, two smooth cubics and the singular cubic over F_5, ranks 1-3,
+    denominators sharing factors (so their lcm is not their product).
+    On a cubic an entry over x + 1 or x + 2 is sometimes (y - c)/(x - r),
+    c^2 = r^3 + ar + b, whose only pole over r is at (r, -c) (c = 0
+    included).  s takes one factor per denominator prime x - r: y + c,
+    which vanishes there and at no other point over r, when every entry
+    over r is that one, and otherwise x - r itself."""
+    curve = draw(st.sampled_from([LINE5, EC11, CUBIC5, EC]))
     n = draw(st.integers(1, 3))
     coeffs = st.lists(st.integers(0, 4), max_size=2)
     nonzero = st.lists(st.integers(0, 4), min_size=1, max_size=2).filter(any)
@@ -704,19 +823,29 @@ def shared_factor_witnesses(draw):
               "x^2+3*x+2": ("x+1", "x+2")}
     pieces = []
     for _ in range(draw(st.integers(1, 2))):
-        dens = [[draw(st.sampled_from(SHARED_DENOMINATORS)) for _ in range(n)] for _ in range(n)]
-        q = RingMatrix(curve, [[RingFraction(curve, RingElement(
-            curve, Poly(F5, draw(nonzero)), Poly(F5, () if curve.is_polyline else draw(coeffs))), P(F5, d)) for d in row]
-            for row in dens])
+        rows, over = [], {}  # over: per prime, the c of each entry (y - c)/(x - r), None for the others
+        for _ in range(n):
+            row = []
+            for _ in range(n):
+                d = draw(st.sampled_from(SHARED_DENOMINATORS))
+                r = -P(F5, d).coeffs[0]
+                roots = [] if curve.is_polyline or d not in ("x+1", "x+2") else [
+                    c for c in F5.elements() if c * c == curve.cubic().evaluate(r)]
+                if roots and draw(st.booleans()):
+                    c = draw(st.sampled_from(roots))
+                    num = RingElement.y(curve) - c
+                else:
+                    c = None
+                    num = RingElement(curve, Poly(F5, draw(nonzero)), Poly(F5, () if curve.is_polyline else draw(coeffs)))
+                for prime in primes[d]:
+                    over.setdefault(prime, set()).add(c)
+                row.append(RingFraction(curve, num, P(F5, d)))
+            rows.append(row)
         s = RingElement(curve, P(F5, draw(st.sampled_from(["1", "x+3", "2*x^2+1"]))))
-        for prime in sorted({prime for row in dens for d in row for prime in primes[d]}):
-            factors = [RingElement(curve, P(F5, prime))]
-            if not curve.is_polyline:
-                r = -P(F5, prime).coeffs[0]
-                value = curve.cubic().evaluate(r)
-                factors += [RingElement.y(curve) - c for c in F5.elements() if c * c == value]
-            s = s * draw(st.sampled_from(factors))
-        pieces.append((q, s))
+        for prime, cs in sorted(over.items()):
+            (c,) = cs if len(cs) == 1 else (None,)
+            s = s * (RingElement(curve, P(F5, prime)) if c is None else RingElement.y(curve) + c)
+        pieces.append((RingMatrix(curve, rows), s))
     g = GramMatrix.identity(curve, n)
     return g, GenusWitness(g, tuple(pieces)), draw(st.integers(1, 2))
 
@@ -728,18 +857,19 @@ def test_shared_factor_coverage_matches_every_part_rule(case):
     _check_coverage_by_every_part(g, g, witness, degree)
 
 
-def test_coverage_keeps_the_false_gap_at_a_regular_point():
+def test_coverage_has_no_false_gap_at_a_regular_point():
     # (y - 1)/x = (x^2 + 1)/(y + 1) is regular at (0, 1) on y^2 = x^3 + x + 1
-    # over F_5 with value 3, but its denominator x vanishes there, so the
-    # place stays uncovered: a false gap that exact valuations would remove
-    curve = CurveSpec.weierstrass(F5, 1, 1)
-    y = RingElement.y(curve)
-    q = RingMatrix(curve, [[RingFraction(curve, y - 1, P(F5, "x"))]])
-    g = GramMatrix.identity(curve, 1)
+    # over F_5, with value 3, and y + 1 = 2 there, so the witness covers
+    # (0, 1) although the denominator x vanishes there; its pole at
+    # (0, 4), where y + 1 vanishes, is on the declared locus
+    y = RingElement.y(EC11)
+    q = RingMatrix(EC11, [[RingFraction(EC11, y - 1, P(F5, "x"))]])
+    g = GramMatrix.identity(EC11, 1)
     witness = GenusWitness(g, ((q, y + 1),))
     report = _check_coverage_by_every_part(g, g, witness, 1)
-    assert AffinePoint(F5.zero(), F5.one()) in report.uncovered
-    assert RingFraction.make(RingElement(curve, P(F5, "x^2+1")), y + 1) == q.rows[0][0]
+    assert AffinePoint(F5.zero(), F5.one()) in report.covered
+    assert AffinePoint(F5.zero(), F5.element(4)) in report.uncovered
+    assert RingFraction.make(RingElement(EC11, P(F5, "x^2+1")), y + 1) == q.rows[0][0]
 
 
 def test_coverage_tests_at_most_three_parts_per_witness_and_place(monkeypatch):
@@ -817,16 +947,16 @@ def test_fixture_coverage_lists_are_pinned(name):
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
-def test_malformed_witness_names_the_first_failing_factor():
-    # both entries fail; the message names the part of the first entry's
-    # denominator that does not divide a power of N(s) = (x + 1)^2
+def test_malformed_witness_names_the_first_failing_entry():
+    # both off-diagonal entries have a pole off the locus x + 1; the
+    # message names the first in row order, by row and column from 1
     q = RingMatrix(LINE5, [
-        [RingFraction(LINE5, RingElement.one(LINE5), P(F5, "x^2+x")), 0],
-        [0, RingFraction(LINE5, RingElement.one(LINE5), P(F5, "x+2"))],
+        [1, RingFraction(LINE5, RingElement.one(LINE5), P(F5, "x^2+x"))],
+        [RingFraction(LINE5, RingElement.one(LINE5), P(F5, "x+2")), 1],
     ])
     with pytest.raises(MalformedWitnessError) as error:
         GenusWitness(GramMatrix.identity(LINE5, 2), ((q, RingElement(LINE5, P(F5, "x+1"))),))
-    assert str(error.value) == "denominator factor x does not divide a power of the declared locus"
+    assert str(error.value) == "entry (1, 2) has a pole off the declared locus"
 
 
 def test_genus_verification_runs_no_fraction_congruence(monkeypatch):
