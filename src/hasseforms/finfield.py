@@ -9,8 +9,14 @@ The modulus chosen by ``make_extension`` is deterministic: monic
 degree-k polynomials over F_p are scanned in increasing order of their
 coefficient vector read as a base-p integer (constant coefficient least
 significant, ``funcfield.monic_polys`` order), and the first that
-``funcfield.is_irreducible`` accepts wins; an explicit modulus passes
-the same test.  This keeps residue fields reproducible across runs.
+``funcfield.is_irreducible`` accepts wins.  This keeps residue fields
+reproducible across runs.
+
+There is one field object per (p, k): ``FiniteField(p, k)`` and
+``make_extension(p, k)`` both return it, building it on first use, so
+fields, and the elements they intern, compare and hash by identity.
+An element of F_{p^k} maps into F_{p^K} (k dividing K) through one
+embedding table per field pair, which the larger field builds once.
 
 Representation.  A field builds all q of its elements once, when it is
 constructed, as interned ``FieldElement`` objects: the element with
@@ -19,7 +25,7 @@ c_{k-1} p^(k-1), which is its index in the canonical order.  No element
 is allocated afterwards; every operation returns one of these objects.
 
 Logarithms.  The generator g is the first element in canonical order
-whose powers reach all of F_q^x, so it depends only on (p, k, modulus).
+whose powers reach all of F_q^x, so it depends only on (p, k).
 Each nonzero element a = g^l carries l = log a.  The field keeps the
 table exp (n -> g^n, stored twice over so that a sum of two logs needs
 no reduction) and, as in FLINT's fq_zech, the Zech logarithms
@@ -126,13 +132,18 @@ def _prime_factors(n: int):
 
 class FiniteField:
     """The field F_{p^k} presented as F_p[t]/(m), with its elements
-    interned and its arithmetic on log and Zech tables."""
+    interned and its arithmetic on log and Zech tables.  The constructor
+    returns the one object for (p, k), so a field is equal only to
+    itself; a refused (p, k) leaves nothing cached."""
 
     __slots__ = (
-        "p", "k", "q", "modulus", "_half", "_elements", "_exp", "_zech", "_embed_roots"
+        "p", "k", "q", "modulus", "_half", "_elements", "_exp", "_zech", "_embeddings"
     )
 
-    def __init__(self, p: int, k: int, modulus=None):
+    def __new__(cls, p: int, k: int):
+        field = _field_cache.get((p, k))
+        if field is not None:
+            return field
         if p > MAX_INSPECTION_SIZE:  # before the primality test, which costs sqrt(p)
             raise ValueError(f"field size {p}^{k} exceeds desk-scale bound {MAX_INSPECTION_SIZE}")
         if _prime_factors(p) != [p] or p == 2:
@@ -142,26 +153,7 @@ class FiniteField:
         q = capped_power(p, k, MAX_INSPECTION_SIZE)
         if q > MAX_INSPECTION_SIZE:
             raise ValueError(f"field size {p}^{k} exceeds desk-scale bound {MAX_INSPECTION_SIZE}")
-        if modulus is None:
-            modulus = _minimal_irreducible(p, k)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree k")
-            from .funcfield import Poly, is_irreducible  # funcfield imports this module
-
-            if not is_irreducible(Poly(make_extension(p, 1), modulus)):
-                raise ValueError("modulus is reducible")
-        self.p = p
-        self.k = k
-        self.q = q
-        self.modulus = modulus
-        self._half = (q - 1) // 2  # log of -1
-        self._embed_roots = {}
-        self._build_tables()
-
-    def _build_tables(self):
-        p, k, q = self.p, self.k, self.q
+        modulus = _minimal_irreducible(p, k)
         vectors = [v[::-1] for v in itertools.product(range(p), repeat=k)]  # canonical order
         one = vectors[1]
         # the first generator of F_q^x in canonical order: g has order
@@ -169,11 +161,11 @@ class FiniteField:
         cofactors = [(q - 1) // l for l in _prime_factors(q - 1)]
         g = next(
             v for v in vectors[1:]
-            if all(_ip_pow_mod(v, e, self.modulus, p) != (1,) for e in cofactors)
+            if all(_ip_pow_mod(v, e, modulus, p) != (1,) for e in cofactors)
         )
         # multiplying by g is F_p-linear: row j of its matrix holds the
         # t^j coefficients of g t^i, i < k, so each power is one product
-        columns = [(_ip_mod(_ip_mul(g, vectors[p**i], p), self.modulus, p) + vectors[0])[:k] for i in range(k)]
+        columns = [(_ip_mod(_ip_mul(g, vectors[p**i], p), modulus, p) + vectors[0])[:k] for i in range(k)]
         rows = list(zip(*columns))
         weights = [p**j for j in range(k)]
         codes, power = [], one
@@ -183,13 +175,22 @@ class FiniteField:
         logs = [None] * q
         for n, code in enumerate(codes):
             logs[code] = n
-        self._elements = [FieldElement(self, v, n, logs[n]) for n, v in enumerate(vectors)]
+        field = super().__new__(cls)
+        field.p = p
+        field.k = k
+        field.q = q
+        field.modulus = modulus
+        field._half = (q - 1) // 2  # log of -1
+        field._embeddings = {}  # source field -> image of each of its elements
+        field._elements = [FieldElement(field, v, n, logs[n]) for n, v in enumerate(vectors)]
         # exp and Z twice over: a sum of two logs, or a difference of two
         # (as a negative index), then needs no reduction mod q - 1
-        self._exp = [self._elements[code] for code in codes] * 2
+        field._exp = [field._elements[code] for code in codes] * 2
         # 1 + g^n: add one to the constant coefficient of g^n's code
         zech = [logs[code - code % p + (code + 1) % p] for code in codes]
-        self._zech = zech * 2
+        field._zech = zech * 2
+        _field_cache[p, k] = field
+        return field
 
     def zech_table(self) -> list:
         """Z(n) = log(1 + g^n), None where 1 + g^n = 0, for every n with
@@ -201,9 +202,9 @@ class FiniteField:
     def element(self, value) -> FieldElement:
         """Coerce an int (constant) or coefficient sequence into the field."""
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self:
                 raise ValueError("element belongs to a different field")
-            return self._elements[value._code]
+            return value
         if isinstance(value, int):
             return self._elements[value % self.p]
         coeffs = list(value)
@@ -234,19 +235,6 @@ class FiniteField:
     def nonzero_elements(self) -> Iterator[FieldElement]:
         return iter(self._elements[1:])
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, FiniteField)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
-
     def __repr__(self):
         return f"F{self.q}"
 
@@ -265,11 +253,9 @@ _field_cache: dict[tuple[int, int], FiniteField] = {}
 
 
 def make_extension(p: int, k: int) -> FiniteField:
-    """F_{p^k} with the deterministic minimal modulus, cached."""
-    key = (p, k)
-    if key not in _field_cache:
-        _field_cache[key] = FiniteField(p, k)
-    return _field_cache[key]
+    """F_{p^k} with the deterministic minimal modulus: the one field
+    object for (p, k), the same one ``FiniteField(p, k)`` returns."""
+    return FiniteField(p, k)
 
 
 class FieldElement:
@@ -278,9 +264,10 @@ class FieldElement:
 
     ``coeffs`` is the coefficient vector, ``_code`` its index in the
     canonical order and ``_log`` its discrete log to the field's
-    generator (None for zero).  Equality is coefficient-wise and holds
-    across separately built copies of one field; arithmetic with an
-    element of such a copy answers in this element's field.
+    generator (None for zero).  As each (p, k) has one field and each
+    field one object per element, two elements are equal exactly when
+    they are the same object; an int equals the constant it reduces to.
+    Arithmetic with an element of another field raises ValueError.
     """
 
     __slots__ = ("field", "coeffs", "_code", "_log", "_hash")
@@ -301,11 +288,7 @@ class FieldElement:
         return self._log
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("mismatched fields")
-            return self.field._elements[other._code]
-        if isinstance(other, int):
+        if isinstance(other, (int, FieldElement)):
             return self.field.element(other)
         return NotImplemented
 
@@ -390,7 +373,7 @@ class FieldElement:
 
     def __eq__(self, other):
         if type(other) is FieldElement:
-            return self is other or (self._code == other._code and self.field == other.field)
+            return self is other
         if isinstance(other, int):
             return self._code == other % self.field.p
         return NotImplemented
@@ -468,21 +451,25 @@ def smallest_root(coeffs, field: FiniteField) -> FieldElement:
 def embed(a: FieldElement, target: FiniteField) -> FieldElement:
     """Map a into an extension field along the canonical embedding.
 
-    The embedding sends the generator of a's field to the smallest root
+    The embedding sends the class of t in a's field to the smallest root
     of its modulus inside ``target`` (smallest in the canonical element
-    order), which is cached per field pair.
+    order).  ``target`` keeps one table per source field, the image of
+    each source element by Horner's rule on that root, built on first
+    use; every later call is one lookup.
     """
     src = a.field
-    if src == target:
+    if src is target:
         return a
-    if src.p != target.p or target.k % src.k != 0:
-        raise ValueError(f"no embedding of F{src.q} into F{target.q}")
-    key = (src.q, src.modulus)
-    root = target._embed_roots.get(key)
-    if root is None:
+    table = target._embeddings.get(src)
+    if table is None:
+        if src.p != target.p or target.k % src.k != 0:
+            raise ValueError(f"no embedding of F{src.q} into F{target.q}")
         root = smallest_root([target.element(c) for c in src.modulus], target)
-        target._embed_roots[key] = root
-    acc = target.zero()
-    for c in reversed(a.coeffs):
-        acc = acc * root + target.element(c)
-    return acc
+        table = []
+        for b in src.elements():
+            acc = target.zero()
+            for c in reversed(b.coeffs):
+                acc = acc * root + c
+            table.append(acc)
+        target._embeddings[src] = table
+    return table[a._code]

@@ -568,7 +568,7 @@ def isom_search(
         else:
             counter.tick(size ** n)
 
-    logs = _Logs(curve.field, points)
+    logs = _Logs(points)
     coeffs = sorted(curve.field.elements(), key=lambda c: c.coeffs)
     pool = _pool_vectors(deg_x, deg_y, coeffs, logs)
     f_at = [[logs.values(e) for e in row] for row in f_rows]
@@ -728,11 +728,13 @@ class _Logs:
     field's Zech table.  An element's values are a tuple with one log per
     point; the pool, and every array the scans compute from it, is one
     flat list (or lazy sequence) per point, indexed by pool position, so
-    the kernels loop over positions inside one point's list."""
+    the kernels loop over positions inside one point's list.  Base field
+    coefficients reach the evaluation field through ``embed``, whose
+    table for the pair is built once."""
 
-    __slots__ = ("points", "zech", "half", "wrap", "lift")
+    __slots__ = ("points", "zech", "half", "wrap")
 
-    def __init__(self, base: FiniteField, points):
+    def __init__(self, points):
         ext = points[0][0].field
         self.points = points
         self.zech = ext.zech_table()
@@ -740,21 +742,10 @@ class _Logs:
         # n mod (q - 1) for 0 <= n < 4(q - 1), as shared int objects, so
         # lists over a field with logs above 256 hold no int of their own
         self.wrap = list(range(ext.q - 1)) * 4
-        # each base coefficient embedded once, not once per point as
-        # Poly.evaluate would for entries of degree up to MAX_TEXT_DEGREE
-        self.lift = {c: embed(c, ext) for c in base.elements()}
 
     def values(self, e: RingElement) -> tuple:
-        """e at each point, by Horner's rule on the lifted coefficients."""
-        out = []
-        for x0, y0 in self.points:
-            a = b = x0 - x0
-            for c in reversed(e.a.coeffs):
-                a = a * x0 + self.lift[c]
-            for c in reversed(e.b.coeffs):
-                b = b * x0 + self.lift[c]
-            out.append((a + b * y0).log)
-        return tuple(out)
+        """The log of e at each point."""
+        return tuple(e.evaluate(x0, y0).log for x0, y0 in self.points)
 
     def plus(self, t, values):
         """t + v for each log v in ``values`` (one point's), lazily:
@@ -783,7 +774,8 @@ def _pool_vectors(deg_x: int, deg_y: int, coeffs, logs: _Logs):
     order ``_pool_entry`` indexes.
     """
     wrap = logs.wrap
-    lifted = [logs.lift[c].log for c in coeffs]
+    ext = logs.points[0][0].field
+    lifted = [embed(c, ext).log for c in coeffs]
     pool = []
     for x0, y0 in logs.points:
         values = [None]

@@ -216,7 +216,7 @@ class Poly:
         """Horner evaluation; coefficients are embedded if x0 lives in an
         extension of the base field."""
         target = x0.field
-        if target == self.field:
+        if target is self.field:
             coeffs = self.coeffs
         else:
             coeffs = tuple(embed(c, target) for c in self.coeffs)
@@ -364,7 +364,7 @@ def is_irreducible(f: Poly) -> bool:
     return f.degree >= 1
 
 
-_irr_cache: dict[tuple, tuple] = {}
+_irr_cache: dict[tuple[FiniteField, int], tuple] = {}
 
 
 def monic_irreducibles(field: FiniteField, degree: int):
@@ -376,7 +376,7 @@ def monic_irreducibles(field: FiniteField, degree: int):
     That costs about q^d / e products for each divisor degree e, so
     q^d > MAX_INSPECTION_SIZE is refused before anything is allocated.
     """
-    key = (field.p, field.k, field.modulus, degree)
+    key = (field, degree)
     if key not in _irr_cache:
         if capped_power(field.q, degree, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
             raise ValueError(f"{field.q}^{degree} monics exceed the enumeration bound {MAX_INSPECTION_SIZE}")
@@ -516,7 +516,7 @@ def valuation(r, p: PrimePoly) -> int:
 # Residue fields
 
 
-_residue_cache: dict[tuple, tuple] = {}
+_residue_cache: dict[tuple[FiniteField, tuple], tuple] = {}
 
 
 def residue_field(p: PrimePoly):
@@ -529,7 +529,7 @@ def residue_field(p: PrimePoly):
     if p.is_infinite:
         raise ValueError("residue reduction applies to finite primes only")
     base = p.field
-    key = (base.p, base.k, base.modulus, p.poly.coeffs)
+    key = (base, p.poly.coeffs)
     if key not in _residue_cache:
         target = make_extension(base.p, base.k * p.poly.degree)
         root = smallest_root([embed(c, target) for c in p.poly.coeffs], target)

@@ -259,23 +259,23 @@ def pair_to_json(curve, f: GramMatrix, g: GramMatrix, witness=None, degree=None,
     return out
 
 
-def pair_from_json(data: dict, field: FiniteField | None = None) -> dict:
+def pair_from_json(data: dict) -> dict:
     """Load a pair file: curve, forms F and G, optional witnesses,
     inspection degree, and search bounds.
 
-    ``field`` overrides the bundled base field, which lets one fixture
-    be replayed over several primes (polynomial texts are re-read mod p).
+    The curve must be a JSON object and the witnesses a JSON list; to
+    replay a pair over another base field, edit ``curve.field`` in the
+    JSON (polynomial texts are read mod p).
     """
     if data.get("schema") != 1:
         raise ValueError("unsupported or missing schema version")
-    curve_data = dict(require_key(data, "curve", "pair"))
-    if field is not None:
-        curve_data["field"] = field_to_json(field)
-    curve = curve_from_json(curve_data)
+    curve = curve_from_json(require_key(data, "curve", "pair"))
     f = GramMatrix(curve, matrix_from_json(curve, require_key(data, "F", "pair"), "F"))
     g = GramMatrix(curve, matrix_from_json(curve, require_key(data, "G", "pair"), "G"))
     out = {"curve": curve, "F": f, "G": g}
     if "witnesses" in data:
+        if not isinstance(data["witnesses"], list):
+            raise ValueError("witnesses must be a JSON list")
         pairs = tuple(
             (
                 matrix_from_json(curve, require_key(w, "Q", "witness"), "witness Q"),
@@ -297,12 +297,12 @@ def pair_from_json(data: dict, field: FiniteField | None = None) -> dict:
     return out
 
 
-def load_bundled_pair(name: str, field: FiniteField | None = None) -> dict:
+def load_bundled_pair(name: str) -> dict:
     """Load one of the worked-example pair files shipped with the package."""
     from importlib import resources
 
     path = resources.files("hasseforms") / "fixtures" / f"{name}.json"
-    return pair_from_json(json.loads(path.read_text()), field=field)
+    return pair_from_json(json.loads(path.read_text()))
 
 
 # ---------------------------------------------------------------------------

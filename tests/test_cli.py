@@ -356,6 +356,22 @@ def test_missing_key_names_the_object(capsys):
     assert code == 2 and json.loads(err)["error"] == "missing key 'matrix' in input"
 
 
+def test_pair_curve_and_witnesses_must_have_json_shapes(capsys):
+    # a curve that is not a JSON object (a list of pairs included) and witnesses
+    # that are not a JSON list exit 2 with a message naming which
+    line = {"type": "polyline", "field": {"p": 5}}
+    cases = [
+        ({"curve": [["field", {"p": 5}], ["type", "polyline"]]}, "curve must be a JSON object"),
+        ({"curve": 7}, "curve must be a JSON object"),
+        ({"curve": "abc"}, "curve must be a JSON object"),
+        ({"curve": line, "witnesses": 5}, "witnesses must be a JSON list"),
+    ]
+    for fields, message in cases:
+        payload = {"schema": 1, "F": [[1]], "G": [[1]], **fields}
+        code, out, err = invoke(capsys, "isom-search", "--degree-bound", "0", "--json", json.dumps(payload))
+        assert code == 2 and out == "" and json.loads(err)["error"] == message
+
+
 def test_field_entries_must_be_integers(capsys):
     for field, message in [
         ({"p": None}, "field p must be an integer, got null"),

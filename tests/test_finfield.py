@@ -57,7 +57,7 @@ def test_division_by_zero_rejected():
 
 @pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (3, 3), (11, 2)])
 def test_inverse_cold_and_warm(p, k):
-    field = FiniteField(p, k)  # a fresh field: the first inverse of each element is cold
+    field = FiniteField(p, k)
     with pytest.raises(ZeroDivisionError):
         field.zero().inverse()
     nonzero = list(field.nonzero_elements())
@@ -150,11 +150,48 @@ def test_capped_power():
 
 
 def test_reducible_modulus_rejected():
-    with pytest.raises(ValueError):
+    # no modulus can be passed in, so only the scanned irreducible one is used
+    with pytest.raises(TypeError):
         FiniteField(3, 2, (0, 0, 1))  # t^2 has root 0
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         FiniteField(3, 4, (1, 0, 2, 0, 1))  # (t^2 + 1)^2
-    assert FiniteField(3, 2, (2, 1, 1)).modulus == (2, 1, 1)  # t^2 + t + 2 has no root
+    assert make_extension(3, 4).modulus != (1, 0, 2, 0, 1)
+
+
+def test_one_field_object_per_p_k():
+    from hasseforms.cli import _field_from_q
+    from hasseforms.curvepoints import enumerate_points
+    from hasseforms.curvering import CurveSpec
+    from hasseforms.finfield import _field_cache
+    from hasseforms.forms import _evaluation_points
+    from hasseforms.funcfield import Poly, PrimePoly, residue_field
+    from hasseforms.serialize import field_from_json
+
+    F3, F27 = make_extension(3, 1), make_extension(3, 3)
+    assert FiniteField(3, 2) is make_extension(3, 2) is F9
+    assert field_from_json({"p": 3, "k": 2}) is F9
+    assert _field_from_q(9) is F9
+    prime = PrimePoly.finite(Poly(F3, [1, 0, 1]))  # x^2 + 1
+    assert residue_field(prime)[0] is F9
+    cubic = CurveSpec.weierstrass(F3, 2, 1)
+    assert {point.x.field for point in enumerate_points(cubic, 3)} == {F27}
+    assert {x0.field for x0, _ in _evaluation_points(CurveSpec.polyline(F3), 4)} == {F9}
+    assert {x0.field for x0, _ in _evaluation_points(CurveSpec.polyline(F3), 10)} == {F27}
+    assert F9 != make_extension(3, 4) and F9 == FiniteField(3, 2)
+    with pytest.raises(TypeError):
+        FiniteField(3, 2, (2, 1, 1))  # t^2 + t + 2 is irreducible, but no modulus is taken
+    F81 = make_extension(3, 4)
+    with pytest.raises(ValueError):
+        F9.one() + F81.one()
+    with pytest.raises(ValueError):
+        F81.gen() * F9.gen()
+    with pytest.raises(ValueError):
+        F81.element(F9.one())
+    assert F9.one() != F81.one() and F9.one() == 1 == F81.one()
+    for p, k in ((5, 6), (9, 1), (3, 0)):  # a refused (p, k) leaves nothing cached
+        with pytest.raises(ValueError):
+            FiniteField(p, k)
+        assert (p, k) not in _field_cache
 
 
 # every (p, k) with k >= 2 and p^k <= 121^2: the extension fields
@@ -188,17 +225,44 @@ def test_sqrt_exhaustive_consistency():
     assert sqrt(F5.zero()) == F5.zero()
 
 
+# every pair F_{p^k} in F_{p^K}, k < K dividing K, with p^K <= 729
+EMBEDDING_PAIRS = [
+    (p, k, K)
+    for p in range(3, 28, 2)
+    if all(p % d for d in range(2, p))
+    for K in range(2, 7)
+    if p**K <= 729
+    for k in range(1, K)
+    if K % k == 0
+]
+
+
 def test_embed_is_a_field_homomorphism():
-    F3 = make_extension(3, 1)
-    for a in F3.elements():
-        for b in F3.elements():
-            assert embed(a + b, F9) == embed(a, F9) + embed(b, F9)
-            assert embed(a * b, F9) == embed(a, F9) * embed(b, F9)
-    assert embed(F3.one(), F9) == F9.one()
-    # F_9 into F_81 as well
-    F81 = make_extension(3, 4)
-    x = F9.gen()
-    assert embed(x * x, F81) == embed(x, F81) * embed(x, F81)
+    assert len(EMBEDDING_PAIRS) == 19
+    for p, k, K in [(3, 1, 2), (3, 2, 4), (3, 3, 6), (5, 2, 4), (7, 1, 3), (23, 1, 2)]:
+        src, target = make_extension(p, k), make_extension(p, K)
+        for a in src.elements():
+            for b in itertools.islice(src.elements(), 0, None, max(1, src.q // 9)):
+                assert embed(a + b, target) is embed(a, target) + embed(b, target)
+                assert embed(a * b, target) is embed(a, target) * embed(b, target)
+        assert embed(src.one(), target) is target.one()
+
+
+@pytest.mark.parametrize("p,k,K", EMBEDDING_PAIRS)
+def test_embed_table_is_horner_on_smallest_root(p, k, K):
+    src, target = make_extension(p, k), make_extension(p, K)
+
+    def horner(coeffs, x):
+        acc = target.zero()
+        for c in reversed(coeffs):
+            acc = acc * x + target.element(c)
+        return acc
+
+    root = next(r for r in target.elements() if horner(src.modulus, r).is_zero())
+    images = [embed(a, target) for a in src.elements()]
+    assert images == [horner(a.coeffs, root) for a in src.elements()]
+    assert [embed(a, target) for a in src.elements()] == images  # the table, read again
+    assert all(image.field is target for image in images)
 
 
 def test_smallest_root_is_first_root_in_canonical_order():
@@ -213,7 +277,9 @@ def test_smallest_root_is_first_root_in_canonical_order():
 
 def test_embed_rejects_incompatible():
     with pytest.raises(ValueError):
-        embed(F5.one(), F9)
+        embed(F5.one(), F9)  # another characteristic
+    with pytest.raises(ValueError):
+        embed(F9.gen(), make_extension(3, 3))  # 2 does not divide 3
 
 
 def test_element_coercion_and_equality():
@@ -284,26 +350,6 @@ def test_tables_match_vector_oracle(p, k):
                 sqrt(a)
         else:
             assert sqrt(a) is by_coeffs[root]
-
-
-@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 4), (11, 2)])
-def test_separately_built_fields_interoperate(p, k):
-    f1, f2 = FiniteField(p, k), FiniteField(p, k)
-    assert f1 is not f2 and f1 == f2 and hash(f1) == hash(f2)
-    oracle = VectorField(p, f1.modulus)
-    for a in f1.elements():
-        twin = f2.element(a.coeffs)
-        assert twin is not a and twin == a and hash(twin) == hash(a)
-        assert f1.element(twin) is a
-        for b in itertools.islice(f2.elements(), 0, None, max(1, f2.q // 7)):
-            assert (a + b).field is f1 and (b + a).field is f2
-            assert (a + b).coeffs == (b + a).coeffs == oracle.add(a.coeffs, b.coeffs)
-            assert (a - b).coeffs == oracle.sub(a.coeffs, b.coeffs)
-            assert (a * b).coeffs == (b * a).coeffs == oracle.mul(a.coeffs, b.coeffs)
-            if not b.is_zero():
-                assert (a / b).coeffs == oracle.mul(a.coeffs, oracle.inverse(b.coeffs))
-    # the generator depends only on (p, k, modulus)
-    assert [g.coeffs for g in f1._exp] == [g.coeffs for g in f2._exp]
 
 
 @pytest.mark.parametrize("p,k", ODD_FIELDS + [(13, 2), (3, 8)])

@@ -76,12 +76,6 @@ def test_pair_round_trip():
         assert q1 == q2 and s1 == s2
 
 
-def test_pair_field_override():
-    pair3 = load_bundled_pair("polyline_pair", field=make_extension(3, 1))
-    assert pair3["curve"].field.q == 3
-    assert pair3["F"].n == 2
-
-
 def test_schema_version_enforced():
     with pytest.raises(ValueError):
         pair_from_json({"schema": 2, "curve": {}, "F": [], "G": []})
