@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -32,7 +33,6 @@ from .forms import (
     DEFAULT_SEARCH_BUDGET,
     BudgetExceededError,
     is_unimodular,
-    isom_search,
     verify_genus_witness,
     witness_identity,
 )
@@ -160,6 +160,8 @@ def _cmd_genus_verify(args) -> int:
 
 
 def _cmd_isom_search(args) -> int:
+    from .forms import isom_search  # compiles the search on first use
+
     pair = pair_from_json(_load_input(args))
     bounds = pair.get("bounds", {})
     deg_x = args.degree_bound if args.degree_bound is not None else bounds.get("deg_x")
@@ -184,6 +186,8 @@ def _row(check: str, expected, got) -> dict:
 
 
 def _verify_rows():
+    from .forms import isom_search
+
     ec = load_bundled_pair("singular_cubic_pair")
     line = load_bundled_pair("polyline_pair")
     rows = []
@@ -321,6 +325,9 @@ def _error_text(exc: Exception) -> str:
 
 
 def main() -> None:
+    # the process ends after one command: the objects made at start-up
+    # are exempted from every collection, the final ones at exit included
+    gc.freeze()
     sys.exit(run())
 
 

@@ -18,7 +18,7 @@ import math
 import sys
 from pathlib import Path
 
-from hasseforms import forms
+from hasseforms import forms, search
 from hasseforms.finfield import FiniteField, embed, make_extension
 from hasseforms.curvepoints import AffinePoint
 from hasseforms.curvering import RingElement, RingFraction
@@ -469,7 +469,7 @@ def covers_by_valuations(q, s, det, place) -> bool:
 
 # ---------------------------------------------------------------------------
 # First isometry by exhaustive depth-first search over columns, with its
-# own entry list, order and inner product; nothing from forms' search.
+# own entry list, order and inner product; nothing from the library's search.
 
 
 def _search_entries(curve, deg_x: int, deg_y: int):
@@ -491,7 +491,7 @@ def entry_pool(curve, deg_x: int, deg_y: int):
     """Every search entry in search order, over any field: nonzero before
     zero, then by the padded coefficient vectors of A and B, constant
     terms first, each coefficient by its own base-p digits; built whole
-    and sorted, as the reference for ``forms._pool_entry``."""
+    and sorted, as the reference for ``search._pool_entry``."""
     field = curve.field
     zero = field.zero()
     b_polys = [Poly.zero(field)] if deg_y < 0 else list(polys_up_to(field, deg_y))
@@ -550,17 +550,17 @@ def recorded_ticks():
     """Inside the block, every budget charge an isometry search makes is
     appended, in order, to the list this yields."""
     ticks = []
-    tick = forms._EvalCounter.tick
+    tick = search._EvalCounter.tick
 
     def recording(self, amount):
         ticks.append(amount)
         return tick(self, amount)
 
-    forms._EvalCounter.tick = recording
+    search._EvalCounter.tick = recording
     try:
         yield ticks
     finally:
-        forms._EvalCounter.tick = tick
+        search._EvalCounter.tick = tick
 
 
 # ---------------------------------------------------------------------------

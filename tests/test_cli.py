@@ -5,6 +5,7 @@ import sys
 
 from hasseforms.cli import run
 from oracles import benchmark_jobs
+from test_traced_names import _traced_names
 
 
 def invoke(capsys, *argv):
@@ -544,6 +545,54 @@ def test_cli_import_loads_no_code_introspection_modules():
     loaded = set(json.loads(proc.stdout))
     assert "hasseforms.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
+
+
+def _package_modules_after(code):
+    """The hasseforms modules a fresh interpreter holds after ``code``,
+    whose own stdout is discarded."""
+    probe = (
+        "import contextlib, io, json, sys\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    {code}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'hasseforms')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_package_import_loads_no_submodule():
+    assert _package_modules_after("import hasseforms") == {"hasseforms"}
+
+
+def test_cli_import_loads_every_traced_module_but_not_the_search():
+    # the benchmark's tracer looks each traced module up in sys.modules
+    # right after importing the CLI
+    loaded = _package_modules_after("import hasseforms.cli")
+    assert {f"hasseforms.{module}" for module, _ in _traced_names()} <= loaded
+    assert "hasseforms.search" not in loaded
+
+
+def test_only_a_search_loads_the_search():
+    for command, searched in (("genus-verify", False), ("isom-search", True)):
+        argv = [command, "--input", fixture_path("polyline_pair")]
+        loaded = _package_modules_after(f"from hasseforms.cli import run; run({argv!r})")
+        assert ("hasseforms.search" in loaded) == searched, command
+
+
+def test_console_entry_matches_run_byte_for_byte(capsys, monkeypatch):
+    # main() freezes the start-up heap before it runs the command, and
+    # must print exactly what run() prints
+    monkeypatch.delenv("HASSE_FORMS_BUDGET", raising=False)
+    cases = [
+        (["verify-paper", "--format", "text"], 0),
+        (["genus-verify", "--input", fixture_path("singular_cubic_pair")], 1),
+        (["genus-verify", "--json", "{}"], 2),
+    ]
+    for argv, code in cases:
+        proc = run_cli(*argv)
+        assert run(argv) == proc.returncode == code, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (proc.stdout, proc.stderr), argv
 
 
 def _pinned_cases():

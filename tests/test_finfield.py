@@ -163,7 +163,7 @@ def test_one_field_object_per_p_k():
     from hasseforms.curvepoints import enumerate_points
     from hasseforms.curvering import CurveSpec
     from hasseforms.finfield import _field_cache
-    from hasseforms.forms import _evaluation_points
+    from hasseforms.search import _evaluation_points
     from hasseforms.funcfield import Poly, PrimePoly, residue_field
     from hasseforms.serialize import field_from_json
 

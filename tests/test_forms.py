@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hasseforms import curvering, forms
+from hasseforms import curvering, forms, search
 from hasseforms.curvepoints import AffinePoint, enumerate_points, frobenius_orbit
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction, RingMatrix, congruence
 from hasseforms.finfield import SquareClass, embed, is_square, make_extension
@@ -1129,7 +1129,7 @@ def test_isom_search_budget_checked_before_pool(monkeypatch):
     def no_pool(*args):
         raise AssertionError("the entry pool's vectors were built")
 
-    monkeypatch.setattr(forms, "_pool_vectors", no_pool)
+    monkeypatch.setattr(search, "_pool_vectors", no_pool)
     f = GramMatrix.identity(LINE5, 2)
     with pytest.raises(BudgetExceededError):
         isom_search(f, f, deg_x=4, budget=1)
@@ -1157,7 +1157,7 @@ def test_isom_search_budget_checked_before_pool(monkeypatch):
 def test_pool_entries_follow_reference_pool(curve, deg_x, deg_y):
     reference = entry_pool(curve, deg_x, deg_y)
     coeffs = sorted(curve.field.elements(), key=lambda c: c.coeffs)
-    built = [forms._pool_entry(curve, deg_x, deg_y, coeffs, k) for k in range(len(reference))]
+    built = [search._pool_entry(curve, deg_x, deg_y, coeffs, k) for k in range(len(reference))]
     assert built == reference
 
 
@@ -1477,14 +1477,14 @@ def _bounded_elements(curve, bound):
     ],
 )
 def test_evaluation_points_separate_bounded_elements(curve, bound):
-    points = forms._evaluation_points(curve, bound + 1)
+    points = search._evaluation_points(curve, bound + 1)
     assert len({x0 for x0, _ in points}) == bound + 1
     ext = points[0][0].field
     for x0, y0 in points:
         if not curve.is_polyline:
             assert y0 * y0 == x0**3 + embed(curve.a, ext) * x0 + embed(curve.b, ext)
     elements = _bounded_elements(curve, bound)
-    assert max(forms._pole_order(h) for h in elements if not h.is_zero()) == bound
+    assert max(search._pole_order(h) for h in elements if not h.is_zero()) == bound
     for h in elements:
         values = [h.evaluate(x0, y0) for x0, y0 in points]
         assert any(not v.is_zero() for v in values) == (not h.is_zero())
@@ -1496,7 +1496,7 @@ def test_isom_search_exact_where_one_point_fewer_matches():
     # would accept c = 1; but no linear c has c^2 = x^2 - x + 1 over F_5
     f = GramMatrix.diagonal(LINE5, [1])
     g = GramMatrix.diagonal(LINE5, [P(F5, "x^2-x+1")])
-    assert [x0 for x0, _ in forms._evaluation_points(LINE5, 3)] == [0, 1, 2]
+    assert [x0 for x0, _ in search._evaluation_points(LINE5, 3)] == [0, 1, 2]
     assert isom_search(f, g, deg_x=1) is None
     assert first_isometry(f, g, 1) is None
 
@@ -1507,8 +1507,8 @@ def test_isom_search_evaluation_field_above_base_cap():
     field = make_extension(13, 1)
     line = CurveSpec.polyline(field)
     f = GramMatrix.diagonal(line, [P(field, "x^14+1"), 1])
-    assert forms._reach(line, f.ring_rows(), 0, -1) == 14
-    assert forms._evaluation_points(line, 15)[0][0].field.q == 169
+    assert search._reach(line, f.ring_rows(), 0, -1) == 14
+    assert search._evaluation_points(line, 15)[0][0].field.q == 169
     q0 = RingMatrix(line, [[1, 2], [0, 1]])
     g = GramMatrix(line, congruence(q0, f.matrix))
     found = isom_search(f, g, deg_x=0)
@@ -1530,7 +1530,7 @@ def test_isom_search_refuses_when_no_field_has_enough_points(monkeypatch):
     def no_pool(*args):
         raise AssertionError("the entry pool's vectors were built")
 
-    monkeypatch.setattr(forms, "_pool_vectors", no_pool)
+    monkeypatch.setattr(search, "_pool_vectors", no_pool)
     with pytest.raises(ValueError, match="points with distinct x"):
         isom_search(f, f, deg_x=0)
 

@@ -5,6 +5,9 @@ deleted one would crash a benchmark run."""
 import ast
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +75,21 @@ def test_session_chain_resolves(path, called):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner) or not called
+
+
+FIXTURE = Path(__file__).resolve().parents[1] / "src" / "hasseforms" / "fixtures" / "polyline_pair.json"
+
+
+@pytest.mark.parametrize(
+    "command, code, span",
+    [("isom-search", 1, "forms.isom_search"), ("genus-verify", 0, "forms.verify_genus_witness")],
+)
+def test_traced_run_records_its_command_span(tmp_path, command, code, span):
+    # the tracer wraps forms.isom_search, so the CLI must reach the search
+    # through forms for its span to be recorded
+    out = tmp_path / "spans.json"
+    argv = [sys.executable, str(PERFBENCH / "traced_cli.py"), "spans", str(out), "job", "--", command, "--input", str(FIXTURE)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    names = [name for _id, _parent, _job, name, _start, _end in json.loads(out.read_text())["spans"]]
+    assert names.count(span) == 1
