@@ -25,10 +25,11 @@ in F_q.  ``point_report`` carries both facts side by side.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Union
 
 from .curvering import CurveSpec
-from .finfield import FieldElement, embed, make_extension
+from .finfield import FieldElement, embed, make_extension, square_and_multiply
 from .records import Record
 
 
@@ -258,13 +259,9 @@ def ec_add(curve: CurveSpec, p1: Point, p2: Point) -> Point:
 
 
 def ec_multiply(curve: CurveSpec, n: int, point: Point) -> Point:
-    """n-fold sum of a point under the group law (n >= 0)."""
-    if n < 0:
-        raise ValueError("negative multiples not supported")
-    acc: Point = INFINITY
-    for _ in range(n):
-        acc = ec_add(curve, acc, point)
-    return acc
+    """n-fold sum of a point under the group law (n >= 0), by double and
+    add: ``finfield.square_and_multiply`` with ``ec_add`` as product."""
+    return square_and_multiply(INFINITY, point, n, functools.partial(ec_add, curve))
 
 
 def picard_order(curve: CurveSpec) -> int:

@@ -31,7 +31,7 @@ from functools import reduce
 from operator import add
 from typing import Optional
 
-from .finfield import FieldElement, FiniteField
+from .finfield import FieldElement, FieldOps, FiniteField, RingOps, square_and_multiply
 from .funcfield import Poly, poly_gcd, to_text
 
 POLYLINE = "polyline"
@@ -108,7 +108,7 @@ class CurveSpec:
         return f"CurveSpec(y^2=x^3+{self.a.coeffs[0] if self.field.k==1 else self.a}*x+{self.b.coeffs[0] if self.field.k==1 else self.b}/F{self.field.q})"
 
 
-class RingElement:
+class RingElement(RingOps):
     """A(x) + B(x)*y in the coordinate ring (B identically 0 on the line)."""
 
     __slots__ = ("curve", "a", "b")
@@ -182,15 +182,6 @@ class RingElement:
     def __neg__(self):
         return RingElement._raw(self.curve, -self.a, -self.b)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if type(other) is not RingElement or other.curve is not self.curve:
             other = self._coerce(other)
@@ -209,16 +200,7 @@ class RingElement:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative ring power")
-        result = RingElement.one(self.curve)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return square_and_multiply(RingElement.one(self.curve), self, e)
 
     def conj(self) -> RingElement:
         """The quadratic-ring conjugate a + b*y -> a - b*y."""
@@ -281,7 +263,7 @@ class RingElement:
         return (self.a.sort_key(), self.b.sort_key())
 
 
-class RingFraction:
+class RingFraction(FieldOps):
     """num / den with num a RingElement and den monic in F_q[x]."""
 
     __slots__ = ("curve", "num", "den")
@@ -345,15 +327,6 @@ class RingFraction:
     def __neg__(self):
         return RingFraction(self.curve, -self.num, self.den)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -367,12 +340,6 @@ class RingFraction:
             raise ZeroDivisionError("inverting zero")
         # 1 / (n/d) = d * conj(n) / N(n)
         return RingFraction(self.curve, self.num.conj() * self.den, self.num.norm())
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
 
     # -- structure ---------------------------------------------------------------
 
@@ -448,18 +415,11 @@ class RingMatrix:
 
     @classmethod
     def identity(cls, curve, n: int) -> RingMatrix:
-        return cls(
-            curve,
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)],
-        )
+        return cls(curve, diagonal_rows([1] * n))
 
     @classmethod
     def diagonal(cls, curve, entries) -> RingMatrix:
-        n = len(entries)
-        return cls(
-            curve,
-            [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)],
-        )
+        return cls(curve, diagonal_rows(entries))
 
     @property
     def n(self) -> int:
@@ -483,8 +443,7 @@ class RingMatrix:
         return det(self.rows)
 
     def is_symmetric(self) -> bool:
-        rows = self.rows  # shared constants make most equal pairs one object
-        return all(rows[i][j] is rows[j][i] or rows[i][j] == rows[j][i] for i in range(self.n) for j in range(i))
+        return is_symmetric(self.rows)
 
     def all_integral(self) -> bool:
         return all(e.is_integral() for row in self.rows for e in row)
@@ -527,8 +486,22 @@ def _coerce_entry(curve, e) -> RingFraction:
 
 
 # Row-level matrix algebra, shared by matrices over the fraction field
-# (RingFraction entries) and forms over a finite field (FieldElement
-# entries).
+# (RingFraction entries), over the ring (RingElement entries) and forms
+# over a finite field (FieldElement entries): ``diagonal_rows``,
+# ``is_symmetric``, ``matmul``, ``det`` and ``congruence_rows``.
+
+
+def diagonal_rows(entries, zero=0):
+    """The rows, as lists, of the square matrix with this diagonal."""
+    n = len(entries)
+    return [[entries[i] if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def is_symmetric(rows) -> bool:
+    """Whether a square matrix given as rows is symmetric.  Shared
+    constants make most equal pairs one object, so identity is tried
+    before equality."""
+    return all(rows[i][j] is rows[j][i] or rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
 
 
 def matmul(a, b):
@@ -577,10 +550,16 @@ def det(rows):
     return rows[0][0] if total is None else total
 
 
+def congruence_rows(t, m):
+    """T^t M T for matrices given as rows, M square; ValueError unless T
+    has a row for each row of M."""
+    if len(t) != len(m):
+        raise ValueError("dimension mismatch")
+    return matmul(tuple(zip(*t)), matmul(m, t))
+
+
 def congruence(q: RingMatrix, f: RingMatrix) -> RingMatrix:
     """The congruence action Q^t F Q, exact over the fraction field."""
     if q.curve != f.curve:
         raise ValueError("mismatched curves")
-    if q.n != f.n:
-        raise ValueError("dimension mismatch")
-    return q.transpose() * f * q
+    return RingMatrix(q.curve, congruence_rows(q.rows, f.rows))

@@ -37,8 +37,10 @@ Z(n) = log(1 + g^n).  Then
 and negation, inverse and powers are single lookups as well.  For odd q
 the nonzero squares are the even powers of g, so the square class of a
 is the parity of its log; the test suite cross-checks this against
-exhaustive squaring.  The coefficient-vector arithmetic below (``_ip_*``)
-only finds the generator and builds the tables.
+exhaustive squaring.  Coefficient vectors are multiplied mod m
+(``_ip_mulmod``) only while a field is built: to test generator
+candidates by ``square_and_multiply`` and to write down the matrix of
+multiplication by g.
 
 Everything here is desk scale, because all downstream algorithms are
 enumerative.  Base fields, the fields curves and forms are defined over,
@@ -70,51 +72,82 @@ def capped_power(base: int, exp: int, cap: int) -> int:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Polynomials over F_p as int tuples, used only to find the generator and
-# walk its powers.  Coefficients ascending, no trailing zeros.
-
-
-def _ip_trim(c):
-    while c and c[-1] == 0:
-        c = c[:-1]
-    return tuple(c)
-
-
-def _ip_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ip_trim(out)
-
-
-def _ip_mod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        a.pop()
-    return _ip_trim(a)
-
-
-def _ip_pow_mod(a, e: int, m, p):
-    """a^e mod m by square and multiply, trimmed."""
-    out, base = (1,), _ip_trim(a)
+def square_and_multiply(start, base, e: int, mul=operator.mul):
+    """start * base^e by square and multiply (von zur Gathen and Gerhard,
+    *Modern Computer Algebra*, ch. 4), in any monoid whose product is
+    ``mul``, which may reduce its result.  The package's one such loop."""
+    if e < 0:
+        raise ValueError(f"negative power {e}")
     while e:
         if e & 1:
-            out = _ip_mod(_ip_mul(out, base, p), m, p)
-        base = _ip_mod(_ip_mul(base, base, p), m, p)
+            start = mul(start, base)
         e >>= 1
-    return out
+        if e:
+            base = mul(base, base)
+    return start
+
+
+class RingOps:
+    """Subtraction derived from ``_coerce``, ``+`` and unary ``-``, for
+    the arithmetic types: ``FieldElement``, ``Poly``, ``RingElement`` and
+    ``RingFraction``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+
+class FieldOps(RingOps):
+    """Division derived from ``*`` and ``inverse``, for the two types that
+    have an inverse: ``FieldElement`` and ``RingFraction``."""
+
+    __slots__ = ()
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+
+def t_poly_text(coeffs) -> str:
+    """The t-polynomial with these ascending int coefficients as text,
+    lowest degree first, e.g. "1+2*t+t^2"; "0" if all are zero."""
+    terms = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        else:
+            t = "t" if i == 1 else f"t^{i}"
+            terms.append(t if c == 1 else f"{c}*{t}")
+    return "+".join(terms) or "0"
+
+
+def _ip_mulmod(a, b, m, p):
+    """a * b mod m over F_p, m monic, for polynomials as int tuples with
+    ascending coefficients; trimmed.  Used only while a field is built."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    while len(out) >= len(m):
+        shift = len(out) - len(m)
+        lead = out.pop()  # cancelled by m's leading 1
+        for i, mi in enumerate(m[:-1]):
+            out[shift + i] -= lead * mi
+    out = [c % p for c in out]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def _prime_factors(n: int):
@@ -156,16 +189,20 @@ class FiniteField:
         modulus = _minimal_irreducible(p, k)
         vectors = [v[::-1] for v in itertools.product(range(p), repeat=k)]  # canonical order
         one = vectors[1]
+
+        def mulmod(a, b):
+            return _ip_mulmod(a, b, modulus, p)
+
         # the first generator of F_q^x in canonical order: g has order
         # q - 1 iff g^((q - 1)/l) != 1 for every prime l dividing q - 1
         cofactors = [(q - 1) // l for l in _prime_factors(q - 1)]
         g = next(
             v for v in vectors[1:]
-            if all(_ip_pow_mod(v, e, modulus, p) != (1,) for e in cofactors)
+            if all(square_and_multiply((1,), v, e, mulmod) != (1,) for e in cofactors)
         )
         # multiplying by g is F_p-linear: row j of its matrix holds the
         # t^j coefficients of g t^i, i < k, so each power is one product
-        columns = [(_ip_mod(_ip_mul(g, vectors[p**i], p), modulus, p) + vectors[0])[:k] for i in range(k)]
+        columns = [(mulmod(g, vectors[p**i]) + vectors[0])[:k] for i in range(k)]
         rows = list(zip(*columns))
         weights = [p**j for j in range(k)]
         codes, power = [], one
@@ -258,7 +295,7 @@ def make_extension(p: int, k: int) -> FiniteField:
     return FiniteField(p, k)
 
 
-class FieldElement:
+class FieldElement(FieldOps):
     """An element of a FiniteField: one of the q objects the field
     interned when it was built.
 
@@ -268,6 +305,7 @@ class FieldElement:
     field one object per element, two elements are equal exactly when
     they are the same object; an int equals the constant it reduces to.
     Arithmetic with an element of another field raises ValueError.
+    ``__sub__`` is written out on the logs, for speed.
     """
 
     __slots__ = ("field", "coeffs", "_code", "_log", "_hash")
@@ -334,9 +372,6 @@ class FieldElement:
             return field._elements[0]
         return field._exp[la + z]
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if type(other) is not FieldElement or other.field is not self.field:
             other = self._coerce(other)
@@ -353,12 +388,6 @@ class FieldElement:
         if self._log is None:
             raise ZeroDivisionError("division by zero field element")
         return self.field._exp[self.field.q - 1 - self._log]
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return self.field.element(other) / self
@@ -382,19 +411,7 @@ class FieldElement:
         return self._hash
 
     def __repr__(self):
-        if self.field.k == 1:
-            return f"F{self.field.q}({self.coeffs[0]})"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                t = "t" if i == 1 else f"t^{i}"
-                terms.append(t if c == 1 else f"{c}*{t}")
-        body = "+".join(terms) if terms else "0"
-        return f"F{self.field.q}({body})"
+        return f"F{self.field.q}({t_poly_text(self.coeffs)})"
 
 
 class SquareClass(enum.Enum):
@@ -435,15 +452,22 @@ def sqrt(a: FieldElement) -> FieldElement:
     return root if root.coeffs < other.coeffs else other
 
 
+def _horner(coeffs, x: FieldElement) -> FieldElement:
+    """The polynomial with these ascending coefficients (ints, or elements
+    of x's field) at x, by Horner's rule.  ``Poly.evaluate`` keeps its
+    own copy: it is hot, and on short polynomials an extra call shows."""
+    acc = x.field.zero()
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def smallest_root(coeffs, field: FiniteField) -> FieldElement:
     """The first element of field, in canonical order, at which the
     polynomial with these ascending coefficients (elements of field)
     vanishes."""
     for r in field.elements():
-        acc = field.zero()
-        for c in reversed(coeffs):
-            acc = acc * r + c
-        if acc.is_zero():
+        if _horner(coeffs, r).is_zero():
             return r
     raise ValueError(f"polynomial has no root in F{field.q}")
 
@@ -465,11 +489,6 @@ def embed(a: FieldElement, target: FiniteField) -> FieldElement:
         if src.p != target.p or target.k % src.k != 0:
             raise ValueError(f"no embedding of F{src.q} into F{target.q}")
         root = smallest_root([target.element(c) for c in src.modulus], target)
-        table = []
-        for b in src.elements():
-            acc = target.zero()
-            for c in reversed(b.coeffs):
-                acc = acc * root + c
-            table.append(acc)
+        table = [_horner(b.coeffs, root) for b in src.elements()]
         target._embeddings[src] = table
     return table[a._code]

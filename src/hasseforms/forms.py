@@ -27,14 +27,7 @@ from __future__ import annotations
 import itertools
 
 from .curvepoints import AffinePoint, enumerate_points, frobenius_orbit, is_singular_point, require_on_curve
-from .curvering import (
-    CurveSpec,
-    RingElement,
-    RingFraction,
-    RingMatrix,
-    det,
-    matmul,
-)
+from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, congruence_rows, det, diagonal_rows, is_symmetric
 from .finfield import (
     MAX_INSPECTION_SIZE,
     FieldElement,
@@ -42,6 +35,7 @@ from .finfield import (
     SquareClass,
     capped_power,
     is_square,
+    square_and_multiply,
     square_class,
 )
 from .funcfield import Poly, PrimePoly, monic_irreducibles, poly_gcd
@@ -80,21 +74,19 @@ class FieldForm:
 
     def __init__(self, field: FiniteField, rows):
         coerced = tuple(tuple(field.element(v) for v in row) for row in rows)
-        n = len(coerced)
-        if any(len(row) != n for row in coerced):
+        if not coerced:
+            raise ValueError("form matrix must have at least one row")
+        if any(len(row) != len(coerced) for row in coerced):
             raise ValueError("form matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if coerced[i][j] != coerced[j][i]:
-                    raise ValueError("form matrix must be symmetric")
+        if not is_symmetric(coerced):
+            raise ValueError("form matrix must be symmetric")
         self.field = field
         self.rows = coerced
         self._det = None
 
     @classmethod
     def diagonal(cls, field, entries) -> FieldForm:
-        n = len(entries)
-        return cls(field, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(field, diagonal_rows(entries))
 
     @property
     def n(self) -> int:
@@ -129,7 +121,7 @@ class FieldForm:
 
 def field_congruence(t_rows, form: FieldForm) -> FieldForm:
     """T^t F T over the field, for plain row-tuple transition matrices."""
-    return FieldForm(form.field, matmul(tuple(zip(*t_rows)), matmul(form.rows, t_rows)))
+    return FieldForm(form.field, congruence_rows(t_rows, form.rows))
 
 
 def diagonalize(form: FieldForm):
@@ -146,7 +138,7 @@ def diagonalize(form: FieldForm):
     field = form.field
     n = form.n
     m = [list(row) for row in form.rows]
-    t = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
+    t = diagonal_rows([field.one()] * n, field.zero())
 
     def add_basis(i, j, c):
         # e_i <- e_i + c * e_j
@@ -329,24 +321,18 @@ class GenusWitness(Record):
 
 def _times_power(num: RingElement, s: RingElement, k: int, m: Poly) -> RingElement:
     """num * s^k with both parts reduced mod m, by square and multiply in
-    O/(m).  With m = D and k = 2 deg D it is 0 iff num/D lies in O[1/s]:
-    the elements of O/(D) killed by s^j form a growing chain of subspaces
-    of F_q-dimension at most 2 deg D (O is free of rank 2 over F_q[x],
-    singular or not), so if any power of s clears num/D, s^(2 deg D) does."""
+    O/(m) (``finfield.square_and_multiply``).  With m = D and k = 2 deg D
+    it is 0 iff num/D lies in O[1/s]: the elements of O/(D) killed by s^j
+    form a growing chain of subspaces of F_q-dimension at most 2 deg D (O
+    is free of rank 2 over F_q[x], singular or not), so if any power of s
+    clears num/D, s^(2 deg D) does."""
     if m.degree < 1:  # O/(1) is 0
         return RingElement.zero(num.curve)
 
     def reduced(e):
         return e if max(e.a.degree, e.b.degree) < m.degree else RingElement._raw(e.curve, e.a % m, e.b % m)
 
-    result, base = reduced(num), reduced(s)
-    while k and not result.is_zero():
-        if k & 1:
-            result = reduced(result * base)
-        k >>= 1
-        if k:
-            base = reduced(base * base)
-    return result
+    return square_and_multiply(reduced(num), reduced(s), k, lambda a, b: reduced(a * b))
 
 
 class GenusReport(Record):
@@ -432,7 +418,7 @@ def witness_identity(q: RingMatrix, f: GramMatrix, g: GramMatrix):
         if e.den.degree >= 1:
             delta = e.den if delta.degree < 1 else delta // poly_gcd(delta, e.den) * e.den
     p = [[e.num if e.is_zero() or e.den == delta else e.num * (delta // e.den) for e in row] for row in q.rows]
-    lhs = matmul(tuple(zip(*p)), matmul(f.ring_rows(), p))
+    lhs = congruence_rows(p, f.ring_rows())
     scale = delta * delta
     ok = all(x == y * scale for lrow, grow in zip(lhs, g.ring_rows()) for x, y in zip(lrow, grow))
     return ok, RingFraction(q.curve, det(p), delta**q.n)

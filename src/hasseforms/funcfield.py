@@ -35,13 +35,13 @@ import itertools
 import re
 from typing import Iterator, Optional
 
-from .finfield import MAX_INSPECTION_SIZE, FieldElement, FiniteField, capped_power, embed, make_extension, smallest_root
+from .finfield import MAX_INSPECTION_SIZE, FieldElement, FiniteField, RingOps, capped_power, embed, make_extension, smallest_root, square_and_multiply, t_poly_text
 
 FACTOR_DEGREE_BOUND = 24
 MAX_TEXT_DEGREE = 256  # largest exponent the text grammar accepts
 
 
-class Poly:
+class Poly(RingOps):
     """A polynomial in F_q[x]."""
 
     __slots__ = ("field", "coeffs")
@@ -147,15 +147,6 @@ class Poly:
     def __neg__(self):
         return Poly._raw(self.field, [-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if type(other) is not Poly or other.field is not self.field:
             other = self._coerce(other)
@@ -174,18 +165,12 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int, modulus=None):
-        """self^e by square and multiply; ``pow(f, e, m)`` reduces every
-        product mod m."""
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result, base = Poly.one(self.field), self
-        while e:
-            if e & 1:
-                result = result * base if modulus is None else result * base % modulus
-            e >>= 1
-            if e:
-                base = base * base if modulus is None else base * base % modulus
-        return result if modulus is None else result % modulus
+        """self^e for e >= 0 by ``finfield.square_and_multiply``;
+        ``pow(f, e, m)`` reduces every product mod m, and the result once
+        more, so that pow(f, 0, m) is 1 mod m."""
+        if modulus is None:
+            return square_and_multiply(Poly.one(self.field), self, e)
+        return square_and_multiply(Poly.one(self.field), self, e, lambda a, b: a * b % modulus) % modulus
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -306,19 +291,9 @@ def _parse_poly(field: FiniteField, text: str) -> Poly:
 
 
 def _coeff_text(c: FieldElement) -> str:
-    if c.field.k == 1 or all(v == 0 for v in c.coeffs[1:]):
-        return str(c.coeffs[0])
-    # extension-field coefficient: render as a parenthesized t-polynomial
-    terms = []
-    for i, v in enumerate(c.coeffs):
-        if v == 0:
-            continue
-        if i == 0:
-            terms.append(str(v))
-        else:
-            t = "t" if i == 1 else f"t^{i}"
-            terms.append(t if v == 1 else f"{v}*{t}")
-    return "(" + "+".join(terms) + ")"
+    """A coefficient as a t-polynomial, parenthesized when it has a t term."""
+    text = t_poly_text(c.coeffs)
+    return f"({text})" if any(c.coeffs[1:]) else text
 
 
 def to_text(f: Poly) -> str:

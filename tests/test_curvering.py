@@ -15,7 +15,7 @@ from hasseforms.curvering import (
     det,
     matmul,
 )
-from hasseforms.finfield import make_extension
+from hasseforms.finfield import FieldElement, make_extension
 from hasseforms.forms import FieldForm, GramMatrix
 from hasseforms.funcfield import Poly
 
@@ -194,6 +194,46 @@ def test_constant_denominator_only_scales(curve):
 def test_fraction_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         RingFraction(LINE, RingElement.one(LINE), Poly.zero(F5))
+
+
+# -- the operator surface of the four arithmetic types -----------------------
+
+OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__", "__pow__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
+    "__divmod__", "__rdivmod__", "__rpow__",
+)
+RING_OPERATORS = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"}
+
+
+@pytest.mark.parametrize("cls, extra", [
+    (FieldElement, {"__pow__", "__truediv__", "__rtruediv__"}),
+    (Poly, {"__pow__", "__divmod__", "__floordiv__", "__mod__"}),
+    (RingElement, {"__pow__"}),
+    (RingFraction, {"__truediv__"}),
+], ids=["FieldElement", "Poly", "RingElement", "RingFraction"])
+def test_operator_surface_is_pinned(cls, extra):
+    assert {name for name in OPERATORS if getattr(cls, name, None) is not None} == RING_OPERATORS | extra
+
+
+def test_mixed_operands_and_derived_operators():
+    poly, fe = P("x+2"), F5.element(2)
+    ring = relem(EC, "x", "1")
+    frac = RingFraction.make(relem(EC, "1", "1"), P("x+1"))
+    assert 2 - poly == P("-x") and (2 - poly).field is F5
+    assert ring - poly == relem(EC, "3", "1")
+    assert 3 - fe == F5.element(1)
+    assert 1 / fe == F5.element(3) and fe / 2 == F5.one()
+    assert frac / 2 == frac * F5.element(3)
+    assert frac - ring == frac + (-ring) and ring - frac == -(frac - ring)
+    assert isinstance(frac - ring, RingFraction) and isinstance(ring - frac, RingFraction)
+    for bad in (lambda: poly / poly, lambda: ring / ring, lambda: 2 / frac):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(ValueError, match="negative"):
+        poly**-1
+    with pytest.raises(ValueError, match="negative"):
+        ring**-1
 
 
 # -- matrices ----------------------------------------------------------------

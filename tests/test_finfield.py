@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from hasseforms.finfield import (
     sqrt,
     square_class,
 )
+
+from hasseforms.funcfield import _coeff_text
 
 from oracles import VectorField, exhaustive_squares, log_tables_by_walk
 
@@ -297,6 +300,49 @@ def test_canonical_element_order():
     assert elems[1] == F9.one()
     assert elems[3] == F9.gen()
     assert len(elems) == 9
+
+
+def test_extension_reprs():
+    F25, F27 = make_extension(5, 2), make_extension(3, 3)
+    assert repr(F25.element([1, 2])) == "F25(1+2*t)"
+    assert repr(F25.element([0, 3])) == "F25(3*t)"
+    assert repr(F25.element([4])) == "F25(4)"
+    assert repr(F25.zero()) == "F25(0)"
+    assert repr(F27.element([0, 0, 1])) == "F27(t^2)"
+    assert repr(F27.element([2, 1, 2])) == "F27(2+t+2*t^2)"
+    assert repr(F5.element(3)) == "F5(3)"
+
+
+@pytest.mark.parametrize("p,k", [(5, 2), (3, 3)])
+def test_every_extension_repr_reads_back(p, k):
+    """Each repr body is a t-polynomial with its nonzero terms in
+    ascending degree and no coefficient 1 written out, or "0"; read back,
+    it gives the element's coefficient vector.  It is also
+    ``funcfield._coeff_text`` of the element without the parentheses
+    that function puts around a value with a t term."""
+    field = make_extension(p, k)
+    prefix = f"F{field.q}("
+    for a in field.elements():
+        text = repr(a)
+        assert text.startswith(prefix) and text.endswith(")")
+        body = text[len(prefix) : -1]
+        coeffs, degrees = [0] * k, []
+        for term in body.split("+"):
+            m = re.fullmatch(r"(?:(\d+)\*)?t(?:\^(\d+))?|(\d+)", term)
+            assert m, text
+            if m.group(3) is not None:
+                degree, c = 0, int(m.group(3))
+            else:
+                degree, c = int(m.group(2) or 1), int(m.group(1) or 1)
+                assert m.group(1) is None or c >= 2
+                assert m.group(2) is None or degree >= 2
+            assert c != 0 or body == "0"
+            coeffs[degree] = c
+            degrees.append(degree)
+        assert degrees == sorted(set(degrees))
+        assert tuple(coeffs) == a.coeffs
+        wrapped = "t" in body
+        assert _coeff_text(a) == (f"({body})" if wrapped else body)
 
 
 # every odd prime power q <= 121, as (p, k)

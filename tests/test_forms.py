@@ -185,6 +185,20 @@ def test_gram_matrix_validation():
         GramMatrix.from_rows(LINE5, [[1, 1], [1, 1]])  # degenerate
 
 
+def test_field_congruence_refuses_a_transition_of_another_size():
+    # a 2 x 2 T against a 3 x 3 F used to be truncated to a 2 x 2 form
+    one, zero = F5.one(), F5.zero()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        field_congruence(((one, zero), (zero, one)), FieldForm.diagonal(F5, [1, 2, 3]))
+
+
+def test_field_form_refuses_an_empty_matrix():
+    with pytest.raises(ValueError, match="at least one row"):
+        FieldForm(F5, [])
+    with pytest.raises(ValueError, match="square"):
+        FieldForm(F5, [[1, 2]])
+
+
 # -- diagonalization ----------------------------------------------------------
 
 

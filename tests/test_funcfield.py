@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hasseforms import funcfield
+from hasseforms.curvepoints import INFINITY, ec_add, ec_multiply, enumerate_points
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction
 from hasseforms.finfield import MAX_INSPECTION_SIZE, make_extension
+from hasseforms.forms import _times_power
 from hasseforms.funcfield import (
     MAX_TEXT_DEGREE,
     Poly,
@@ -130,6 +132,17 @@ def test_text_round_trip():
         assert Poly.from_text(F5, to_text(f)) == f
 
 
+def test_text_with_extension_coefficients():
+    F25, F27 = make_extension(5, 2), make_extension(3, 3)
+    t = F25.gen()
+    f = Poly(F25, [2 * t, 1, 3 + t])
+    assert to_text(f) == "(3+t)*x^2+x+(2*t)"
+    assert repr(f) == "Poly('(3+t)*x^2+x+(2*t)')"
+    assert to_text(Poly(F25, [4, 0, 2])) == "2*x^2+4"  # constants of F_25 print bare
+    assert to_text(Poly(F25, [0, t])) == "(t)*x"
+    assert to_text(Poly(F27, [F27.element([0, 0, 1]), F27.element([1, 2, 1])])) == "(1+2*t+t^2)*x+(t^2)"
+
+
 # -- factorization --------------------------------------------------------
 
 
@@ -181,6 +194,44 @@ def test_modular_power_matches_power_then_remainder():
         assert pow(f, e, m) == f**e % m
     assert pow(P5("x"), 5, P5("x^2+2")) == P5("x") ** 5 % P5("x^2+2")
     assert pow(P5("x"), 0, Poly.one(F5)).is_zero()  # everything is 0 mod a unit
+
+
+CUBIC5 = CurveSpec.weierstrass(F5, 1, 1)
+
+
+def _repeated(start, base, e, reduce=lambda v: v):
+    for _ in range(e):
+        start = reduce(start * base)
+    return start
+
+
+def _rand_ring(rng, curve):
+    return RingElement(curve, rand_poly(rng, curve.field, 3), rand_poly(rng, curve.field, 2))
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 5, 8, 13])
+@pytest.mark.parametrize("kind", ["poly", "poly-mod", "ring", "times-power", "ec-multiply"])
+def test_square_and_multiply_matches_repeated_products(kind, e):
+    """Every integer power in the package, with or without a reduction
+    after each product, agrees with e plain products."""
+    rng = random.Random(e)
+    f, m = rand_poly(rng, F5, 4), Poly.from_text(F5, "x^3+2*x+1") * Poly(F5, [rng.randrange(5), 1])
+    if kind == "poly":
+        assert f**e == _repeated(Poly.one(F5), f, e)
+    elif kind == "poly-mod":
+        assert pow(f, e, m) == _repeated(Poly.one(F5), f, e) % m
+    elif kind == "ring":
+        u = _rand_ring(rng, CUBIC5)
+        assert u**e == _repeated(RingElement.one(CUBIC5), u, e)
+    elif kind == "times-power":
+        num, s = _rand_ring(rng, CUBIC5), _rand_ring(rng, CUBIC5)
+        expected = _repeated(num, s, e, lambda v: RingElement(CUBIC5, v.a % m, v.b % m))
+        assert _times_power(num, s, e, m) == RingElement(CUBIC5, expected.a % m, expected.b % m)
+    else:
+        point, total = rng.choice(enumerate_points(CUBIC5, 1)), INFINITY
+        for _ in range(e):
+            total = ec_add(CUBIC5, total, point)
+        assert ec_multiply(CUBIC5, e, point) == total
 
 
 # -- irreducibility and factoring against oracles that share no code ---------
