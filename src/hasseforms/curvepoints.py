@@ -4,9 +4,9 @@ Points are counted and listed by one scan of x over the field.  The
 count needs no points: over F_q there are 1 + chi(x^3 + ax + b) of them
 above each x, with chi the quadratic character (chi(0) = 0).  Listing,
 for callers that need the points themselves, reads the square roots of
-x^3 + ax + b off its log.  A closed point of degree d is one
-Frobenius orbit of d points, so a point's degree is the length of its
-orbit.
+x^3 + ax + b off its log; on the line every x is a point, with no y.  A
+closed point of degree d is one Frobenius orbit of d points, so a point's
+degree is its orbit's length; on the line it is also a prime of F_q[x].
 
 For a smooth Weierstrass curve with its rational point at infinity
 removed, the Picard group of the affine curve is isomorphic to the
@@ -29,7 +29,8 @@ import functools
 from typing import Optional, Union
 
 from .curvering import CurveSpec
-from .finfield import FieldElement, embed, make_extension, square_and_multiply
+from .finfield import FieldElement, embed, make_extension, pullback, square_and_multiply
+from .funcfield import Poly, monic_rank
 from .records import Record
 
 
@@ -51,15 +52,17 @@ INFINITY = PointAtInfinity()
 
 
 class AffinePoint(Record):
-    """A solution (x, y) of the curve equation over F_{q^d}; frozen, and
-    hashable by value."""
+    """A solution (x, y) of a cubic over F_{q^d}, or an x of the line with
+    y = None, with its closed point's degree (its Frobenius orbit's length)
+    and, on the line, prime (else None); frozen, and hashable by value."""
 
-    __slots__ = ("x", "y", "degree")
+    __slots__ = ("x", "y", "degree", "prime")
 
-    def __init__(self, x: FieldElement, y: FieldElement, degree: int = 1):
+    def __init__(self, x: FieldElement, y: Optional[FieldElement], degree: int, *, prime: Optional[Poly] = None):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "prime", prime)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -103,53 +106,72 @@ class PointCountReport(Record):
         self.warning = warning
 
 
-def frobenius_orbit(q: int, x0: FieldElement, y0: FieldElement) -> list:
+def frobenius_orbit(q: int, x0: FieldElement, y0: Optional[FieldElement]) -> list:
     """The conjugates (x0^(q^i), y0^(q^i)), i = 0, 1, ..., of a point
     over F_q, until they repeat: the geometric points of one closed
-    point, whose degree is the length of the orbit."""
-    orbit = [(x0, y0)]
-    x, y = x0**q, y0**q
-    while x != x0 or y != y0:
+    point, whose degree is the length of the orbit (y0 None on the line)."""
+    orbit, x, y = [], x0, y0
+    while not orbit or x != x0 or y != y0:
         orbit.append((x, y))
-        x, y = x**q, y**q
+        x, y = x**q, y if y is None else y**q
     return orbit
 
 
+def _coordinates(xy) -> tuple:
+    """The canonical sort key of a point: (x.coeffs, y.coeffs)."""
+    x, y = xy
+    return x.coeffs, () if y is None else y.coeffs
+
+
 def enumerate_points(curve: CurveSpec, degree: int = 1, closed: bool = False):
-    """All affine points with coordinates in F_{q^degree}, by an x-scan on
-    logs (``_cubic_logs``): above x, none when x^3 + ax + b = g^v has odd
-    v, (x, 0) when it is zero, else y = g^(v/2) and g^(v/2 + (q - 1)/2),
-    smaller coefficient tuple first.  Points come in canonical coordinate
-    order, tagged with their Frobenius orbit's length (their closed
-    point's degree; 1 at degree 1, with no walk), one walk per orbit.
-    ``closed`` keeps only the first point of each orbit by (x.coeffs,
-    y.coeffs): one point per closed point, as ``forms._closed_places``
-    lists them."""
-    if curve.is_polyline:
-        raise ValueError(
-            "the affine line has no curve equation; its closed points are "
-            "enumerated as monic irreducible polynomials"
-        )
-    ext = make_extension(curve.field.p, curve.field.k * degree)
-    exp, half, base_q, points = ext._exp, ext._half, curve.field.q, []
-    logs = _cubic_logs(ext, embed(curve.a, ext).log, embed(curve.b, ext).log)
-    walked = {}  # a point met in an earlier orbit -> (orbit length, first point of the orbit)
-    for x0, v in zip(ext.elements(), logs):
-        if v is None:
-            ys = (ext.zero(),)
-        elif v % 2:
-            continue
-        else:
-            r, s = exp[v // 2], exp[v // 2 + half]
-            ys = (r, s) if r.coeffs < s.coeffs else (s, r)
-        for y0 in ys:
-            if (tag := (1, (x0, y0)) if degree == 1 else walked.pop((x0, y0), None)) is None:
-                orbit = frobenius_orbit(base_q, x0, y0)
-                tag = (len(orbit), min(orbit, key=lambda xy: (xy[0].coeffs, xy[1].coeffs)))
-                walked.update(dict.fromkeys(orbit[1:], tag))
-            if not closed or tag[1] == (x0, y0):
-                points.append(AffinePoint(x0, y0, tag[0]))
+    """All affine points with coordinates in F_{q^degree} in canonical
+    coordinate order: every x of the line, with y = None, or the points of
+    a cubic (``_cubic_points``), each tagged with its Frobenius orbit's
+    length, its closed point's degree (1 at degree 1, with no walk), and
+    on the line with its closed point's prime; one walk per orbit.
+    ``closed`` keeps the first point of each orbit by ``_coordinates``, one
+    per closed point, and lists the line's in ``monic_polys`` order."""
+    base, line = curve.field, curve.is_polyline
+    ext = make_extension(base.p, base.k * degree)
+    coordinates = ((x0, None) for x0 in ext.elements()) if line else _cubic_points(curve, ext)
+    walked, points = {}, []  # a point met in an earlier orbit -> (length, first point, prime)
+    for x0, y0 in coordinates:
+        if degree == 1:  # each point is its own orbit, and on the line its prime is x - x0
+            tag = (1, (x0, y0), Poly._raw(base, (-x0, base.one())) if line else None)
+        elif (tag := walked.pop((x0, y0), None)) is None:
+            orbit = frobenius_orbit(base.q, x0, y0)
+            prime = _minimal_polynomial([x for x, _ in orbit], base) if line else None
+            tag = (len(orbit), min(orbit, key=_coordinates), prime)
+            walked.update(dict.fromkeys(orbit[1:], tag))
+        if not closed or tag[1] == (x0, y0):
+            points.append(AffinePoint(x0, y0, tag[0], prime=tag[2]))
+    if closed and line:
+        points.sort(key=lambda point: monic_rank(point.prime))
     return points
+
+
+def _cubic_points(curve: CurveSpec, ext):
+    """The points of a cubic over ext in canonical order, by ``_cubic_logs``:
+    above x none if x^3 + ax + b = g^v has odd v, (x, 0) if it is zero,
+    else y = g^(v/2) and g^(v/2 + (q - 1)/2), smaller coefficients first."""
+    exp, half = ext._exp, ext._half
+    for x0, v in zip(ext.elements(), _cubic_logs(ext, embed(curve.a, ext).log, embed(curve.b, ext).log)):
+        if v is None:
+            yield x0, ext.zero()
+        elif v % 2 == 0:
+            r, s = exp[v // 2], exp[v // 2 + half]
+            yield from ((x0, r), (x0, s)) if r.coeffs < s.coeffs else ((x0, s), (x0, r))
+
+
+def _minimal_polynomial(roots: list, base) -> Poly:
+    """The prime of a closed point of the line: the product of x - r over
+    the roots r of its Frobenius orbit, whose coefficients lie in base
+    and are pulled back there (``finfield.pullback``)."""
+    ext = roots[0].field
+    zero, coeffs = [ext.zero()], [ext.one()]
+    for r in roots:  # c_i becomes c_(i-1) - r c_i
+        coeffs = [a - r * b for a, b in zip(zero + coeffs, coeffs + zero)]
+    return Poly._raw(base, coeffs if ext is base else pullback(coeffs, base))
 
 
 def _cubic_logs(field, la, lb):
@@ -218,7 +240,7 @@ def is_smooth(curve: CurveSpec):
         return True, ()
     zero = curve.field.zero()
     singular = tuple(
-        AffinePoint(x0, zero) for x0 in curve.field.elements() if is_singular_point(curve, x0, zero)
+        AffinePoint(x0, zero, 1) for x0 in curve.field.elements() if is_singular_point(curve, x0, zero)
     )
     return False, singular
 

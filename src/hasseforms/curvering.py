@@ -32,7 +32,7 @@ from operator import add
 from typing import Optional
 
 from .finfield import FieldElement, FieldOps, FiniteField, RingOps, square_and_multiply
-from .funcfield import Poly, poly_gcd, to_text
+from .funcfield import Poly, _coeff_text, poly_gcd, to_text
 
 POLYLINE = "polyline"
 WEIERSTRASS = "weierstrass"
@@ -105,7 +105,7 @@ class CurveSpec:
     def __repr__(self):
         if self.is_polyline:
             return f"CurveSpec(line/F{self.field.q})"
-        return f"CurveSpec(y^2=x^3+{self.a.coeffs[0] if self.field.k==1 else self.a}*x+{self.b.coeffs[0] if self.field.k==1 else self.b}/F{self.field.q})"
+        return f"CurveSpec(y^2=x^3+{_coeff_text(self.a)}*x+{_coeff_text(self.b)}/F{self.field.q})"
 
 
 class RingElement(RingOps):
@@ -424,19 +424,6 @@ class RingMatrix:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def transpose(self) -> RingMatrix:
-        n = self.n
-        return RingMatrix(self.curve, [[self.rows[j][i] for j in range(n)] for i in range(n)])
-
-    def __mul__(self, other):
-        if not isinstance(other, RingMatrix):
-            return NotImplemented
-        if other.curve != self.curve:
-            raise ValueError("mismatched curves")
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        return RingMatrix(self.curve, matmul(self.rows, other.rows))
 
     def det(self) -> RingFraction:
         """Determinant, exact over the fraction field."""

@@ -16,7 +16,8 @@ There is one field object per (p, k): ``FiniteField(p, k)`` and
 ``make_extension(p, k)`` both return it, building it on first use, so
 fields, and the elements they intern, compare and hash by identity.
 An element of F_{p^k} maps into F_{p^K} (k dividing K) through one
-embedding table per field pair, which the larger field builds once.
+embedding table per field pair, which the larger field builds once
+with its inverse, the ``pullback`` table.
 
 Representation.  A field builds all q of its elements once, when it is
 constructed, as interned ``FieldElement`` objects: the element with
@@ -170,7 +171,7 @@ class FiniteField:
     itself; a refused (p, k) leaves nothing cached."""
 
     __slots__ = (
-        "p", "k", "q", "modulus", "_half", "_elements", "_exp", "_zech", "_embeddings"
+        "p", "k", "q", "modulus", "_half", "_elements", "_exp", "_zech", "_embeddings", "_pullbacks"
     )
 
     def __new__(cls, p: int, k: int):
@@ -219,6 +220,7 @@ class FiniteField:
         field.modulus = modulus
         field._half = (q - 1) // 2  # log of -1
         field._embeddings = {}  # source field -> image of each of its elements
+        field._pullbacks = {}  # source field -> {image: element} for the same embedding
         field._elements = [FieldElement(field, v, n, logs[n]) for n, v in enumerate(vectors)]
         # exp and Z twice over: a sum of two logs, or a difference of two
         # (as a negative index), then needs no reduction mod q - 1
@@ -492,3 +494,14 @@ def embed(a: FieldElement, target: FiniteField) -> FieldElement:
         table = [_horner(b.coeffs, root) for b in src.elements()]
         target._embeddings[src] = table
     return table[a._code]
+
+
+def pullback(elements, base: FiniteField) -> list:
+    """The elements of ``base`` that ``embed`` maps to these elements of
+    one field, by one table per field pair that the field keeps beside
+    the embedding table; KeyError for an element outside the image."""
+    field = elements[0].field
+    table = field._pullbacks.get(base)
+    if table is None:
+        table = field._pullbacks[base] = {embed(b, field): b for b in base.elements()}
+    return [table[a] for a in elements]

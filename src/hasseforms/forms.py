@@ -17,9 +17,9 @@ both parts of (A + By) s^k for k = 2 deg D, a test in O/(D) with no
 factoring.  Off the zeros of s, Q then lies in GL_n of the local ring
 exactly where s * s^k * det Q, with s^k det Q in O, does not vanish.
 Verification is point-based up to an inspection degree d with q^d <=
-14 641.  Each closed place is examined once: a monic irreducible on the
-line, one point of its Frobenius orbit on the cubic.  Whatever no
-witness reaches is reported as a gap.
+14 641.  Each closed place is examined once, on the line as on the
+cubic, at one point of its Frobenius orbit, by one evaluation.  Whatever
+no witness reaches is reported as a gap.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .finfield import (
     square_and_multiply,
     square_class,
 )
-from .funcfield import Poly, PrimePoly, monic_irreducibles, poly_gcd
+from .funcfield import Poly, PrimePoly, _coeff_text, poly_gcd
 from .records import Record
 
 DEFAULT_SEARCH_BUDGET = 10**8
@@ -116,7 +116,7 @@ class FieldForm:
         return hash((self.field.q, self.rows))
 
     def __repr__(self):
-        return f"FieldForm({[[c.coeffs[0] if self.field.k == 1 else c.coeffs for c in row] for row in self.rows]})"
+        return "FieldForm([" + ", ".join("[" + ", ".join(map(_coeff_text, row)) + "]" for row in self.rows) + "])"
 
 
 def field_congruence(t_rows, form: FieldForm) -> FieldForm:
@@ -360,11 +360,11 @@ def verify_genus_witness(
     coverage: every closed point of degree at most ``degree`` must be
     reached by some witness, one whose support s * s^k * det Q
     (``_support``) does not vanish there: s does not, and det Q is a
-    unit.  Each closed point is listed once, as a monic irreducible on
-    the line and as one point of its Frobenius orbit on the cubic.
-    q^degree must be at most MAX_INSPECTION_SIZE on both, which is
-    checked before any work.  Points beyond the inspection degree are
-    not examined; a Certified verdict means certified up to that degree.
+    unit.  Each closed point is listed once, as one point of its
+    Frobenius orbit (``_closed_places``).  q^degree must be at most
+    MAX_INSPECTION_SIZE, which is checked before any work.  Points beyond
+    the inspection degree are not examined; a Certified verdict means
+    certified up to that degree.
     """
     if f.curve != g.curve:
         raise ValueError("forms live over different curves")
@@ -375,8 +375,7 @@ def verify_genus_witness(
     if degree < 1:
         raise ValueError("inspection degree must be >= 1")
     curve = f.curve
-    # the line sieves up to q^degree candidate primes, the cubic scans
-    # F_{q^degree}
+    # the places of both curves are walked in F_{q^degree}
     if capped_power(curve.field.q, degree, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
         raise ValueError(
             f"inspection degree {degree} over F_{curve.field.q} exceeds the "
@@ -425,13 +424,10 @@ def witness_identity(q: RingMatrix, f: GramMatrix, g: GramMatrix):
 
 
 def _closed_places(curve: CurveSpec, d: int):
-    """The closed places of degree d: monic irreducibles on the line; on
-    the cubic, one point per Frobenius orbit of length d, the one first
-    in canonical order of (x.coeffs, y.coeffs).  s, Q and det Q are
-    defined over F_q, so they vanish at every point of an orbit or at
-    none, and one point decides for the whole closed point."""
-    if curve.is_polyline:
-        return [PrimePoly(curve.field, prime) for prime in monic_irreducibles(curve.field, d)]
+    """The closed places of degree d, on the line as on the cubic: one
+    point per Frobenius orbit of length d (``enumerate_points``).  s, Q
+    and det Q are defined over F_q, so they vanish at every point of an
+    orbit or at none, and one point decides for the whole closed place."""
     return [point for point in enumerate_points(curve, d, closed=True) if point.degree == d]
 
 
@@ -450,11 +446,6 @@ def _support(s: RingElement, det: RingFraction) -> tuple:
 
 
 def _vanishes(h: RingElement, place) -> bool:
-    """Whether h vanishes at the place: on the line (where h has no y
-    part) h(r) = 0 at x - r, else divisibility by the prime; on the cubic
-    zero at the point."""
-    if isinstance(place, PrimePoly):
-        if place.poly.degree == 1:
-            return h.a.evaluate(-place.poly.coeffs[0]).is_zero()
-        return (h.a % place.poly).is_zero()
+    """Whether h vanishes at the closed place: its value at the place's
+    point, on the line (y = None) as on the cubic."""
     return h.evaluate(place.x, place.y).is_zero()

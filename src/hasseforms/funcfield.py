@@ -19,9 +19,9 @@ Primality and factoring read the Frobenius powers x^(q^j) mod f,
 computed by ``pow(h, q, f)``, with no extension field and no candidate
 divisors (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 14).
 ``is_irreducible`` is Ben-Or's test, and ``factor`` is distinct-degree
-factorization.  The product sieve ``monic_irreducibles`` lists the places
-of a degree in canonical order, for genus coverage, and splits a
-distinct-degree part that holds two or more primes.
+factorization.  ``monic_irreducibles`` lists the primes of a degree d,
+the minimal polynomials of the line's Frobenius orbits of length d, and
+splits a distinct-degree part that holds two or more primes.
 
 Text grammar for polynomials: integer coefficients, variable x,
 caret powers, e.g. ``x^3+2*x+3``; coefficients are read mod p.  An
@@ -36,6 +36,7 @@ import re
 from typing import Iterator, Optional
 
 from .finfield import MAX_INSPECTION_SIZE, FieldElement, FiniteField, RingOps, capped_power, embed, make_extension, smallest_root, square_and_multiply, t_poly_text
+from .records import Record
 
 FACTOR_DEGREE_BOUND = 24
 MAX_TEXT_DEGREE = 256  # largest exponent the text grammar accepts
@@ -339,31 +340,27 @@ def is_irreducible(f: Poly) -> bool:
     return f.degree >= 1
 
 
-_irr_cache: dict[tuple[FiniteField, int], tuple] = {}
+def monic_rank(f: Poly) -> int:
+    """f's coefficient codes as one base-q number, constant coefficient
+    least significant: ``monic_polys`` order, lower degrees first."""
+    q, rank = f.field.q, 0
+    for c in reversed(f.coeffs):
+        rank = rank * q + c._code
+    return rank
 
 
 def monic_irreducibles(field: FiniteField, degree: int):
-    """All monic irreducibles of the degree in canonical order, cached.
+    """All monic irreducibles of the degree in ``monic_polys`` order: the
+    primes of the line's Frobenius orbits of that length in F_{q^degree}
+    (``curvepoints.enumerate_points``).  The walk scans F_{q^degree}, so
+    q^degree > MAX_INSPECTION_SIZE is refused before anything is built."""
+    if capped_power(field.q, degree, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
+        raise ValueError(f"{field.q}^{degree} monics exceed the enumeration bound {MAX_INSPECTION_SIZE}")
+    from .curvepoints import enumerate_points  # curvepoints imports this module
+    from .curvering import CurveSpec
 
-    Product sieve: a reducible monic of degree d is g*h with g a cached
-    irreducible of degree e <= d/2 and h any monic of degree d - e, so
-    the monics left unmarked by those products are the irreducibles.
-    That costs about q^d / e products for each divisor degree e, so
-    q^d > MAX_INSPECTION_SIZE is refused before anything is allocated.
-    """
-    key = (field, degree)
-    if key not in _irr_cache:
-        if capped_power(field.q, degree, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
-            raise ValueError(f"{field.q}^{degree} monics exceed the enumeration bound {MAX_INSPECTION_SIZE}")
-        reducible = set()
-        for e in range(1, degree // 2 + 1):
-            cofactors = list(monic_polys(field, degree - e))
-            for g in monic_irreducibles(field, e):
-                reducible.update((g * h).coeffs for h in cofactors)
-        _irr_cache[key] = tuple(
-            f for f in monic_polys(field, degree) if f.coeffs not in reducible
-        )
-    return _irr_cache[key]
+    line = CurveSpec.polyline(field)
+    return tuple(place.prime for place in enumerate_points(line, degree, closed=True) if place.degree == degree)
 
 
 def _multiplicity(f: Poly, prime: Poly):
@@ -418,7 +415,7 @@ def factor(f: Poly):
 # Primes and valuations
 
 
-class PrimePoly:
+class PrimePoly(Record):
     """A prime of F_q(x) relative to F_q[x]: a monic irreducible
     polynomial, or the distinguished infinite place."""
 
@@ -448,21 +445,11 @@ class PrimePoly:
     def degree(self) -> int:
         return 1 if self.poly is None else self.poly.degree
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PrimePoly)
-            and self.field == other.field
-            and self.poly == other.poly
-        )
-
     def __hash__(self):
         return hash((self.field.q, None if self.poly is None else self.poly.coeffs))
 
     def __repr__(self):
         return "PrimePoly(inf)" if self.is_infinite else f"PrimePoly({to_text(self.poly)!r})"
-
-    def text(self) -> str:
-        return "inf" if self.is_infinite else to_text(self.poly)
 
 
 def _line_parts(r):
@@ -521,5 +508,5 @@ def residue_reduce(r, p: PrimePoly) -> FieldElement:
     root = residue_field(p)[1]
     d = den.evaluate(root)
     if d.is_zero():
-        raise ValueError(f"not integral at {p.text()}")
+        raise ValueError(f"not integral at {to_text(p.poly)}")
     return num.evaluate(root) / d

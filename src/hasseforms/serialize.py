@@ -12,7 +12,7 @@ Conventions (all schemas carry ``"schema": 1``):
                  string, or a plain integer
   curve          {"type": "polyline"|"weierstrass", "field": ..., "a": [...], "b": [...]}
   point          {"x": [...], "y": [...], "degree": d}
-  prime          its polynomial text, or "inf"
+  place          its point on a cubic, its prime's text on the line
 
 On input a fraction denominator may also be a ring-element record; it
 is rationalized into F_q[x] on load.  Integers (field entries, element
@@ -31,7 +31,7 @@ from .curvepoints import AffinePoint, PointCountReport
 from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _coerce_entry
 from .finfield import MAX_FIELD_SIZE, FieldElement, FiniteField, capped_power, make_extension
 from .forms import GenusReport, GenusWitness, GramMatrix
-from .funcfield import Poly, PrimePoly, to_text
+from .funcfield import Poly, to_text
 from .hasse import HasseDecision
 
 
@@ -182,17 +182,16 @@ def matrix_from_json(curve: CurveSpec, rows, what: str = "matrix") -> RingMatrix
 
 
 # ---------------------------------------------------------------------------
-# points and primes
+# points and places
 
 
 def point_to_json(p: AffinePoint) -> dict:
     return {"x": elem_to_json(p.x), "y": elem_to_json(p.y), "degree": p.degree}
 
 
-def place_to_json(place) -> object:
-    if isinstance(place, PrimePoly):
-        return place.text()
-    return point_to_json(place)
+def place_to_json(place: AffinePoint) -> object:
+    """A closed place: its prime's text on the line, its point on a cubic."""
+    return point_to_json(place) if place.prime is None else to_text(place.prime)
 
 
 # ---------------------------------------------------------------------------

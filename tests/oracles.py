@@ -376,9 +376,10 @@ def order_at(h, place) -> float:
     if h.is_zero():
         return math.inf
     num, den = (h.num, h.den) if hasattr(h, "den") else (h, None)
-    if hasattr(place, "poly"):
-        order = _multiplicity(num.a, place.poly)
-        return order if den is None else order - _multiplicity(den, place.poly)
+    prime = _line_prime(place)
+    if prime is not None:
+        order = _multiplicity(num.a, prime)
+        return order if den is None else order - _multiplicity(den, prime)
     if _is_singular(num.curve, place):
         raise ValueError(f"no valuation at the singular point {place!r}")
     x0, y0 = place.x, place.y
@@ -410,7 +411,21 @@ def _points_over(curve, prime) -> tuple:
     m = _lifted(prime, field)
     x0 = next(x for x in field.elements() if _value(m, x).is_zero())
     rhs = _value(_lifted(curve.cubic(), field), x0)
-    return tuple(AffinePoint(x0, y) for y in field.elements() if y * y == rhs)
+    return tuple(AffinePoint(x0, y, _orbit_length(curve.field.q, x0, y)) for y in field.elements() if y * y == rhs)
+
+
+def _orbit_length(q, x0, y0) -> int:
+    """The least e >= 1 with x0^(q^e) = x0 and y0^(q^e) = y0."""
+    e, x, y = 1, x0**q, y0**q
+    while x != x0 or y != y0:
+        e, x, y = e + 1, x**q, y**q
+    return e
+
+
+def _line_prime(place):
+    """The prime of a place of the line, None at a point of a cubic: a
+    PrimePoly's polynomial, or the prime a point of the line carries."""
+    return place.poly if hasattr(place, "poly") else place.prime
 
 
 def clearing_exponent(num, den, s):
@@ -441,8 +456,9 @@ def _vanishes_at(h, place) -> bool:
     place: divisible by the prime on the line, zero at the point on a
     cubic."""
     a, b = (h.a, h.b) if isinstance(h, RingElement) else (h, None)
-    if hasattr(place, "poly"):  # a prime of the line, where b is 0
-        return (a % place.poly).is_zero()
+    prime = _line_prime(place)
+    if prime is not None:  # a place of the line, where b is 0
+        return (a % prime).is_zero()
     value = a.evaluate(place.x)
     if b is not None:
         value = value + b.evaluate(place.x) * place.y
@@ -460,7 +476,7 @@ def covers_by_valuations(q, s, det, place) -> bool:
     decided: ValueError."""
     if _vanishes_at(s, place):
         return False
-    if not hasattr(place, "poly") and _is_singular(s.curve, place):
+    if _line_prime(place) is None and _is_singular(s.curve, place):
         if any(_vanishes_at(d, place) for d in [det.den] + [e.den for row in q.rows for e in row]):
             raise ValueError(f"coverage at the singular point {place!r} is not decided here")
         return not _vanishes_at(det.num, place)

@@ -37,7 +37,7 @@ C510 = CurveSpec.weierstrass(F5, -1, 0)
 
 
 def pt(curve, x, y):
-    return AffinePoint(curve.field.element(x), curve.field.element(y))
+    return AffinePoint(curve.field.element(x), curve.field.element(y), 1)
 
 
 # -- counting ----------------------------------------------------------------
@@ -61,9 +61,19 @@ def test_point_counts_match_char_sum_oracle(curve, affine, total):
     assert point_report(curve).total == total
 
 
-def test_enumerate_rejects_polyline():
-    with pytest.raises(ValueError):
-        enumerate_points(CurveSpec.polyline(F5))
+def test_enumerate_lists_every_x_of_the_line():
+    # over F_{q^d} the line has q^d points, one per x in canonical order,
+    # with no y; each carries its orbit's length and its prime, whose
+    # degree that length is and whose root it is
+    for p, k, d in ((5, 1, 1), (5, 1, 3), (3, 2, 2), (3, 1, 4), (11, 1, 2)):
+        field = make_extension(p, k)
+        points = enumerate_points(CurveSpec.polyline(field), d)
+        ext = make_extension(p, k * d)
+        assert len(points) == field.q**d == ext.q
+        assert [point.x for point in points] == list(ext.elements())
+        for point in points:
+            assert point.y is None and d % point.degree == 0 and point.prime.degree == point.degree
+            assert point.prime.evaluate(point.x).is_zero()
 
 
 def test_enumerate_respects_size_bound():

@@ -44,6 +44,7 @@ from oracles import (
     first_isometry,
     leibniz_det,
     local_isomorphic_by_evaluation,
+    monic_irreducibles_by_trial_division,
     polys_up_to,
     recorded_ticks,
     reduce_at,
@@ -342,7 +343,7 @@ def test_local_isomorphic_at_degree_two_prime_over_f13():
 def test_local_isomorphic_at_curve_point():
     f = GramMatrix.identity(EC, 2)
     g = ec_g_matrix()
-    pt = AffinePoint(F5.element(1), F5.element(1))
+    pt = AffinePoint(F5.element(1), F5.element(1), 1)
     assert local_isomorphic(f, g, pt)  # disc 1 vs -4 = 1, both square
 
 
@@ -363,7 +364,7 @@ def test_local_isomorphic_rejects_singular_point():
     f = GramMatrix.identity(EC, 2)
     g = ec_g_matrix()
     with pytest.raises(ValueError, match="singular"):
-        local_isomorphic(f, g, AffinePoint(F5.element(4), F5.zero()))
+        local_isomorphic(f, g, AffinePoint(F5.element(4), F5.zero(), 1))
 
 
 def test_local_isomorphic_rejects_off_curve_point():
@@ -371,7 +372,7 @@ def test_local_isomorphic_rejects_off_curve_point():
     f = GramMatrix.identity(EC, 2)
     g = ec_g_matrix()
     with pytest.raises(ValueError, match=r"\(F5\(0\), F5\(0\)\) is not on the curve"):
-        local_isomorphic(f, g, AffinePoint(F5.element(0), F5.element(0)))
+        local_isomorphic(f, g, AffinePoint(F5.element(0), F5.element(0), 1))
 
 
 def test_local_isomorphic_singular_test_is_pointwise():
@@ -405,7 +406,7 @@ def test_local_isomorphic_answers_over_the_residue_field():
 
     curve = CurveSpec.weierstrass(F5, 1, 1)
     f, g = GramMatrix.identity(curve, 2), GramMatrix.diagonal(curve, [1, 2])
-    rational = AffinePoint(F5.zero(), F5.one())
+    rational = AffinePoint(F5.zero(), F5.one(), 1)
     written_in_f25 = next(
         pt for pt in enumerate_points(curve, 2) if pt.x == embed(F5.zero(), pt.x.field) and pt.y == embed(F5.one(), pt.y.field)
     )
@@ -490,7 +491,7 @@ def test_local_isomorphic_rejects_a_stated_degree_off_the_orbit():
         local_isomorphic(f, f, rational)
     pt = next(pt for pt in enumerate_points(curve, 2) if pt.degree == 2)
     with pytest.raises(ValueError, match="has degree 2, not the stated 1"):
-        local_isomorphic(f, f, AffinePoint(pt.x, pt.y))
+        local_isomorphic(f, f, AffinePoint(pt.x, pt.y, 1))
 
 
 def test_local_isomorphic_rejects_foreign_and_infinite_primes():
@@ -506,7 +507,7 @@ def test_local_isomorphic_evaluates_nothing(monkeypatch):
     monkeypatch.setattr(RingFraction, "evaluate", lambda *a: calls.append("evaluate") or evaluate(*a))
     monkeypatch.setattr(FieldForm, "__init__", lambda *a: calls.append("FieldForm") or init(*a))
     monkeypatch.setattr(forms, "det", lambda rows: calls.append("det") or det(rows))
-    for curve, at in ((LINE5, PrimePoly.finite(P(F5, "x^2+2"))), (EC, AffinePoint(F5.element(1), F5.element(1)))):
+    for curve, at in ((LINE5, PrimePoly.finite(P(F5, "x^2+2"))), (EC, AffinePoint(F5.element(1), F5.element(1), 1))):
         f = GramMatrix.identity(curve, 2)
         g = GramMatrix.from_rows(curve, [[1, P(F5, "x")], [P(F5, "x"), P(F5, "x^2+2")]])
         calls.clear()
@@ -696,7 +697,7 @@ def test_support_clears_det_q_beyond_every_entry():
     witness = GenusWitness(g, ((q, RingElement(LINE5, P(F5, "x^2+x"))),))
     report = _check_coverage_by_every_part(f, g, witness, 2)
     assert report.identity_ok == (True,)
-    assert [place.poly for place in report.uncovered] == [P(F5, "x"), P(F5, "x+1")]
+    assert [place.prime for place in report.uncovered] == [P(F5, "x"), P(F5, "x+1")]
     assert len(report.covered) == 13
 
 
@@ -881,8 +882,8 @@ def test_coverage_has_no_false_gap_at_a_regular_point():
     g = GramMatrix.identity(EC11, 1)
     witness = GenusWitness(g, ((q, y + 1),))
     report = _check_coverage_by_every_part(g, g, witness, 1)
-    assert AffinePoint(F5.zero(), F5.one()) in report.covered
-    assert AffinePoint(F5.zero(), F5.element(4)) in report.uncovered
+    assert AffinePoint(F5.zero(), F5.one(), 1) in report.covered
+    assert AffinePoint(F5.zero(), F5.element(4), 1) in report.uncovered
     assert RingFraction.make(RingElement(EC11, P(F5, "x^2+1")), y + 1) == q.rows[0][0]
 
 
@@ -907,22 +908,53 @@ def test_coverage_tests_at_most_three_parts_per_witness_and_place(monkeypatch):
         assert 0 < len(calls) <= 3 * len(pair["witness"].pairs) * places
 
 
-# prime and extension fields for the line, as (p, k)
+# prime and extension fields for the line, as (p, k), each with the
+# inspection degrees up to 3 that keep q^d <= 121^2
 LINE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (11, 2), (3, 3)]
+LINE_PLACES = {}  # (p, k, d) -> forms._closed_places of the line, listed once
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_degree_one_vanishing_by_evaluation_matches_division(data):
-    field = make_extension(*data.draw(st.sampled_from(LINE_FIELDS)))
+def test_vanishing_by_evaluation_matches_division(data):
+    p, k = data.draw(st.sampled_from(LINE_FIELDS))
+    field = make_extension(p, k)
+    d = data.draw(st.sampled_from([d for d in (1, 2, 3) if field.q**d <= 121**2]))
     line = CurveSpec.polyline(field)
+    if (p, k, d) not in LINE_PLACES:
+        LINE_PLACES[p, k, d] = forms._closed_places(line, d)
+    place = data.draw(st.sampled_from(LINE_PLACES[p, k, d]))
     element = st.sampled_from(list(field.elements()))
     h = RingElement(line, Poly(field, data.draw(st.lists(element, max_size=7))))
-    r = data.draw(element)
-    prime = Poly(field, [-r, field.one()])
-    if data.draw(st.booleans()):  # a root at r, possibly repeated
-        h = h * RingElement(line, prime ** data.draw(st.integers(1, 3)))
-    assert forms._vanishes(h, PrimePoly.finite(prime)) == (h.a % prime).is_zero()
+    if data.draw(st.booleans()):  # a root at the place, possibly repeated
+        h = h * RingElement(line, place.prime ** data.draw(st.integers(1, 3)))
+    assert forms._vanishes(h, place) == (h.a % place.prime).is_zero()
+
+
+@pytest.mark.parametrize("p, k, d", [(3, 1, 1), (3, 1, 4), (5, 1, 3), (7, 1, 2), (11, 1, 3), (3, 2, 2), (5, 2, 2), (3, 3, 2)])
+def test_line_places_are_frobenius_orbits_named_by_their_primes(p, k, d):
+    # a closed place of the line is one orbit of length d in F_{q^d}, a
+    # root x of its prime with y = None; the primes come in the order of
+    # the trial-division oracle, which shares no code with the orbit walk
+    field = make_extension(p, k)
+    places = forms._closed_places(CurveSpec.polyline(field), d)
+    assert [place.prime for place in places] == list(monic_irreducibles_by_trial_division(field, d))
+    for place in places:
+        assert place.y is None and place.x.field.q == field.q**d
+        orbit = frobenius_orbit(field.q, place.x, place.y)
+        assert len(orbit) == place.degree == d
+        assert all(place.prime.evaluate(x).is_zero() for x, _ in orbit)
+
+
+def test_curve_and_form_reprs_write_coefficients_as_text():
+    # extension-field coefficients print as t-polynomials, as in to_text;
+    # prime-field ones as before
+    F25 = make_extension(5, 2)
+    t = F25.gen()
+    assert repr(CurveSpec.weierstrass(F25, t, 1)) == "CurveSpec(y^2=x^3+(t)*x+1/F25)"
+    assert repr(FieldForm(F25, [[t, 1], [1, 2]])) == "FieldForm([[(t), 1], [1, 2]])"
+    assert repr(CurveSpec.weierstrass(F5, 2, 3)) == "CurveSpec(y^2=x^3+2*x+3/F5)"
+    assert repr(FieldForm(F5, [[1, 2], [2, 3]])) == "FieldForm([[1, 2], [2, 3]])"
 
 
 @pytest.mark.parametrize("p, k, a, b", [(3, 1, 2, 1), (5, 1, 1, 1), (5, 1, 2, 3), (3, 2, (0, 1), (1, 1)), (7, 1, 0, 3)])

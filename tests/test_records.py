@@ -42,12 +42,14 @@ CASES = [
 
 def test_affine_point_constructor():
     x, y = F5.element(1), F5.element(2)
-    for p in (AffinePoint(x, y), AffinePoint(x, y, 1), AffinePoint(x=x, y=y), AffinePoint(y=y, x=x, degree=1)):
-        assert (p.x, p.y, p.degree) == (x, y, 1)
+    for p in (AffinePoint(x, y, 1), AffinePoint(x=x, y=y, degree=1), AffinePoint(y=y, x=x, degree=1)):
+        assert (p.x, p.y, p.degree, p.prime) == (x, y, 1, None)
     assert AffinePoint(x, y, 3).degree == 3
     with pytest.raises(TypeError):
         AffinePoint(x)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError):  # the degree has no default
+        AffinePoint(x, y)
+    with pytest.raises(TypeError):  # the prime is passed by name only
         AffinePoint(x, y, 1, 2)
     with pytest.raises(TypeError):
         AffinePoint(x, y, colour=1)

@@ -1,7 +1,9 @@
 """Rules the library source keeps, read from its syntax trees: invariants
 are enforced by exceptions, which ``python -O`` keeps, never by
-``assert``, which it strips; and no module imports a name it does not
-use, so a deletion cannot leave a dead import behind."""
+``assert``, which it strips; no module imports a name it does not use,
+so a deletion cannot leave a dead import behind; and only
+``forms.local_isomorphic`` tells the two kinds of closed place apart by
+type."""
 
 import ast
 from pathlib import Path
@@ -40,3 +42,31 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert unused == [], f"{path.name} imports names it does not use: {unused}"
+
+
+# the two public names of a closed place: a prime of the line, or a point
+PLACE_TYPES = {"PrimePoly", "AffinePoint"}
+
+
+def _place_type_tests(node, scope=()):
+    """(enclosing function or class path, line) of each isinstance call
+    that names a place type, under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope + (child.name,) if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "isinstance":
+            kinds = child.args[1].elts if isinstance(child.args[1], ast.Tuple) else child.args[1:]
+            if any(isinstance(kind, ast.Name) and kind.id in PLACE_TYPES for kind in kinds):
+                yield ".".join(inner), child.lineno
+        yield from _place_type_tests(child, inner)
+
+
+def test_place_kinds_are_told_apart_only_at_the_public_boundary():
+    # a closed place is one point of its Frobenius orbit on both curves,
+    # read through x, y, degree and prime; only local_isomorphic, which
+    # also takes a place by its prime, tells the two types apart
+    sites = [
+        (f"{path.stem}.{scope}", line)
+        for path in MODULES
+        for scope, line in _place_type_tests(_tree(path))
+    ]
+    assert {scope for scope, _ in sites} == {"forms.local_isomorphic"}, sites
