@@ -54,7 +54,8 @@ INFINITY = PointAtInfinity()
 class AffinePoint(Record):
     """A solution (x, y) of a cubic over F_{q^d}, or an x of the line with
     y = None, with its closed point's degree (its Frobenius orbit's length)
-    and, on the line, prime (else None); frozen, and hashable by value."""
+    and, on the line, prime (else None); frozen, and compared and hashed by
+    (x, y, degree), since x fixes the prime."""
 
     __slots__ = ("x", "y", "degree", "prime")
 
@@ -69,6 +70,11 @@ class AffinePoint(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y, self.degree) == (other.x, other.y, other.degree)
 
     def __hash__(self):
         return hash((self.x, self.y, self.degree))

@@ -175,6 +175,8 @@ class RingElement(RingOps):
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        if other.is_zero():
+            return self
         return RingElement._raw(self.curve, self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
@@ -182,20 +184,25 @@ class RingElement(RingOps):
     def __neg__(self):
         return RingElement._raw(self.curve, -self.a, -self.b)
 
+    def __sub__(self, other):
+        if type(other) is not RingElement or other.curve is not self.curve:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return RingElement._raw(self.curve, self.a - other.a, self.b - other.b)
+
     def __mul__(self, other):
         if type(other) is not RingElement or other.curve is not self.curve:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        if not (b1.coeffs or b2.coeffs):  # no y part: the A parts only
+            return RingElement._raw(self.curve, a1 * a2, b1)
         a_part = a1 * a2
-        if not (b1.is_zero() or b2.is_zero()):
+        if b1.coeffs and b2.coeffs:
             a_part = a_part + b1 * b2 * self.curve.cubic()  # y^2 rewritten
-        if b1.is_zero() and b2.is_zero():
-            b_part = b1
-        else:
-            b_part = a1 * b2 + a2 * b1
-        return RingElement._raw(self.curve, a_part, b_part)
+        return RingElement._raw(self.curve, a_part, a1 * b2 + a2 * b1)
 
     __rmul__ = __mul__
 
@@ -215,7 +222,7 @@ class RingElement(RingOps):
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
+        return not (self.a.coeffs or self.b.coeffs)
 
     def is_constant(self) -> bool:
         return self.a.is_constant() and self.b.is_zero()
@@ -246,9 +253,10 @@ class RingElement(RingOps):
     # -- misc -----------------------------------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RingElement or other.curve is not self.curve:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
@@ -281,15 +289,20 @@ class RingFraction(FieldOps):
         self.den = den
 
     @classmethod
+    def _raw(cls, curve, num, den):
+        # internal: num/den already in lowest terms, den monic
+        frac = object.__new__(cls)
+        frac.curve = curve
+        frac.num = num
+        frac.den = den
+        return frac
+
+    @classmethod
     def from_ring(cls, elem: RingElement) -> RingFraction:
         """elem / 1.  A denominator of 1 is already in lowest terms, so an
         integral entry carries den = 1 (the field's shared Poly.one) and
         is built without a gcd or the reduction ``__init__`` runs."""
-        frac = object.__new__(cls)
-        frac.curve = elem.curve
-        frac.num = elem
-        frac.den = Poly.one(elem.curve.field)
-        return frac
+        return cls._raw(elem.curve, elem, Poly.one(elem.curve.field))
 
     @classmethod
     def make(cls, num: RingElement, den) -> RingFraction:
@@ -316,21 +329,27 @@ class RingFraction(FieldOps):
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RingFraction or other.curve is not self.curve:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         num = self.num * other.den + other.num * self.den
         return RingFraction(self.curve, num, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingFraction(self.curve, -self.num, self.den)
+        return RingFraction._raw(self.curve, -self.num, self.den)  # in lowest terms as self is
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RingFraction or other.curve is not self.curve:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return RingFraction(self.curve, self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -363,9 +382,10 @@ class RingFraction(FieldOps):
         return self.num.evaluate(x0, y0) / d
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RingFraction or other.curve is not self.curve:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -409,17 +429,17 @@ class RingMatrix:
         for row in rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            coerced.append(tuple(_coerce_entry(curve, e) for e in row))
+            coerced.append(tuple([_coerce_entry(curve, e) for e in row]))
         self.curve = curve
         self.rows = tuple(coerced)
 
     @classmethod
     def identity(cls, curve, n: int) -> RingMatrix:
-        return cls(curve, diagonal_rows([1] * n))
+        return cls.diagonal(curve, [_coerce_entry(curve, 1)] * n)
 
     @classmethod
     def diagonal(cls, curve, entries) -> RingMatrix:
-        return cls(curve, diagonal_rows(entries))
+        return cls(curve, diagonal_rows(entries, _coerce_entry(curve, 0)))
 
     @property
     def n(self) -> int:
@@ -454,21 +474,32 @@ class RingMatrix:
 
 
 def _coerce_entry(curve, e) -> RingFraction:
-    if isinstance(e, RingFraction):
-        if e.curve != curve:
-            raise ValueError("mismatched curves")
-        return e
-    if isinstance(e, RingElement):
-        return RingFraction.from_ring(e)
-    if isinstance(e, Poly):
-        return RingFraction.from_ring(RingElement(curve, e))
+    """e as a matrix entry over the curve: a constant as the curve's
+    shared c/1, a fraction of the curve as itself, and a polynomial or
+    ring element as e/1, each type with one check.  A repeated constant
+    is one dict lookup."""
     if isinstance(e, (int, FieldElement)):
         frac = curve._entries.get(e)  # a repeated int skips field.element
         if frac is None:
-            c = curve.field.element(e)  # the value c owns the one shared c/1
-            frac = curve._entries.get(c) or RingFraction.from_ring(RingElement.constant(curve, c))
+            field = curve.field
+            c = field.element(e)  # the value c owns the one shared c/1
+            frac = curve._entries.get(c)
+            if frac is None:
+                frac = RingFraction.from_ring(RingElement._raw(curve, Poly._raw(field, (c,)), Poly.zero(field)))
             curve._entries[e] = curve._entries[c] = frac
         return frac
+    if isinstance(e, RingFraction):
+        if e.curve is not curve and e.curve != curve:
+            raise ValueError("mismatched curves")
+        return e
+    if isinstance(e, Poly):
+        if e.field is not curve.field:
+            raise ValueError("polynomial parts must live over the curve's field")
+        return RingFraction.from_ring(RingElement._raw(curve, e, Poly.zero(e.field)))
+    if isinstance(e, RingElement):
+        if e.curve is not curve and e.curve != curve:
+            raise ValueError("mismatched curves")
+        return RingFraction.from_ring(e)
     raise TypeError(f"cannot place {e!r} in a matrix")
 
 

@@ -91,7 +91,8 @@ def square_and_multiply(start, base, e: int, mul=operator.mul):
 class RingOps:
     """Subtraction derived from ``_coerce``, ``+`` and unary ``-``, for
     the arithmetic types: ``FieldElement``, ``Poly``, ``RingElement`` and
-    ``RingFraction``."""
+    ``RingFraction``.  All four use ``__rsub__``; only ``RingFraction``
+    uses ``__sub__``, as the other three write theirs out in one pass."""
 
     __slots__ = ()
 

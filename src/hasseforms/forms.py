@@ -73,7 +73,9 @@ class FieldForm:
     __slots__ = ("field", "rows", "_det")
 
     def __init__(self, field: FiniteField, rows):
-        coerced = tuple(tuple(field.element(v) for v in row) for row in rows)
+        coerced = tuple(
+            tuple([v if type(v) is FieldElement and v.field is field else field.element(v) for v in row]) for row in rows
+        )
         if not coerced:
             raise ValueError("form matrix must have at least one row")
         if any(len(row) != len(coerced) for row in coerced):
@@ -248,14 +250,15 @@ def is_unimodular(form: GramMatrix) -> bool:
 def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
     """Whether two unimodular forms agree over the residue field F_{q^e}
     of a closed place: a monic irreducible of the line of degree e, or a
-    point of the cubic whose Frobenius orbit has its stated length e.
+    point of the line (y = None, as ``_closed_places`` reports it) or of
+    the cubic whose Frobenius orbit has its stated length e.
 
     Rank and the square class of the determinant classify forms there.
     The determinants are constants c of F_q^x, and c^((q^e - 1)/2) =
     chi(c)^(1 + q + ... + q^(e-1)): for even e every c is a square, for
     odd e c keeps its class in F_q.  No matrix is evaluated.  ValueError
     rejects a prime over another field or at infinity, and a point off
-    the curve, singular, or of a wrong stated degree.
+    the curve, over another field, singular, or of a wrong stated degree.
     """
     if f.curve != g.curve:
         raise ValueError("forms live over different curves")
@@ -271,13 +274,17 @@ def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
         e = at.degree
     elif isinstance(at, AffinePoint):
         if curve.is_polyline:
-            raise ValueError("affine-line forms reduce at primes, not curve points")
-        require_on_curve(curve, at)
-        if is_singular_point(curve, at.x, at.y):
-            raise ValueError(
-                "reduction at the singular point is rejected: the local ring "
-                "there is not a discrete valuation ring"
-            )
+            if at.y is not None:
+                raise ValueError(f"point {at!r} has a y coordinate, which the affine line has not")
+            if at.x.field.p != curve.field.p or at.x.field.k % curve.field.k:
+                raise ValueError(f"point {at!r} does not lie over the curve's field")
+        else:
+            require_on_curve(curve, at)
+            if is_singular_point(curve, at.x, at.y):
+                raise ValueError(
+                    "reduction at the singular point is rejected: the local ring "
+                    "there is not a discrete valuation ring"
+                )
         e = len(frobenius_orbit(curve.field.q, at.x, at.y))
         if e != at.degree:
             raise ValueError(f"point {at!r} has degree {e}, not the stated {at.degree}")

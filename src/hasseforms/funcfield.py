@@ -48,7 +48,7 @@ class Poly(RingOps):
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FiniteField, coeffs=()):
-        normalized = [field.element(c) for c in coeffs]
+        normalized = [c if type(c) is FieldElement and c.field is field else field.element(c) for c in coeffs]
         while normalized and normalized[-1].is_zero():
             normalized.pop()
         self.field = field
@@ -136,6 +136,10 @@ class Poly(RingOps):
             if other is NotImplemented:
                 return NotImplemented
         a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -148,19 +152,40 @@ class Poly(RingOps):
     def __neg__(self):
         return Poly._raw(self.field, [-c for c in self.coeffs])
 
-    def __mul__(self, other):
+    def __sub__(self, other):
         if type(other) is not Poly or other.field is not self.field:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.is_zero() or other.is_zero():
+        a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        out = list(a) + [self.field.zero()] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = out[i] - c
+        return Poly._raw(self.field, out)
+
+    def __mul__(self, other):
+        """The product; a constant factor scales the other one, and 1
+        returns it."""
+        if type(other) is not Poly or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(b) < len(a):
+            a, b, other = b, a, self  # the shorter factor first
+        if not a:
             return Poly.zero(self.field)
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+        if len(a) == 1:  # a constant scales the other factor
+            c = a[0]
+            return other if c is self.field.one() else Poly._raw(self.field, [c * y for y in b])
+        out = [self.field.zero()] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
         return Poly._raw(self.field, out)
 
     __rmul__ = __mul__
@@ -174,9 +199,10 @@ class Poly(RingOps):
         return square_and_multiply(Poly.one(self.field), self, e, lambda a, b: a * b % modulus) % modulus
 
     def __divmod__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Poly or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         quo = [self.field.zero()] * max(len(self.coeffs) - len(other.coeffs) + 1, 1)
@@ -216,6 +242,8 @@ class Poly(RingOps):
     # -- misc ------------------------------------------------------------
 
     def __eq__(self, other):
+        if type(other) is Poly and other.field is self.field:
+            return self.coeffs == other.coeffs
         if isinstance(other, (int, FieldElement)):
             other = Poly.constant(self.field, other)
         return (

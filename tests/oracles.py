@@ -677,6 +677,22 @@ class VectorField:
         return self._roots.get(a)
 
 
+def poly_product_by_vectors(a, b) -> list:
+    """The coefficient vectors of a * b for two library polynomials over
+    one field, by the full convolution in ``VectorField``: every pair of
+    coefficients is multiplied, zero and constant factors included, and
+    trailing zero vectors are dropped."""
+    field = a.field
+    vf = VectorField(field.p, field.modulus)
+    out = [vf.zero] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = vf.add(out[i + j], vf.mul(x.coeffs, y.coeffs))
+    while out and out[-1] == vf.zero:
+        out.pop()
+    return out
+
+
 def log_tables_by_walk(p: int, modulus):
     """(exp, zech) for F_p[t]/(m) by repeated multiplication: g is the
     first element in canonical order whose powers reach every nonzero

@@ -111,6 +111,19 @@ def test_point_degree_is_orbit_length():
     assert degrees == {d: d * n for d, n in enumerate(counts, 1) if n and 6 % d == 0}
 
 
+def test_points_compare_by_coordinates_and_degree():
+    # equality reads (x, y, degree), the fields the hash reads: a line
+    # place written without its prime is the same place
+    place = enumerate_points(CurveSpec.polyline(F5))[1]
+    assert place.prime is not None
+    bare = AffinePoint(place.x, None, 1)
+    assert bare == place and hash(bare) == hash(place) and len({bare, place}) == 1
+    assert AffinePoint(place.x, None, 2) != place and AffinePoint(place.x, F5.zero(), 1) != place
+    point = next(p for p in enumerate_points(C511, 2) if p.degree == 2)
+    assert AffinePoint(point.x, point.y, 2) == point and AffinePoint(point.x, -point.y, 2) != point
+    assert point != (point.x, point.y)
+
+
 def test_frobenius_orbit_of_a_degree_two_point():
     for p in enumerate_points(C511, 2):
         orbit = frobenius_orbit(5, p.x, p.y)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hasseforms import curvering
 from hasseforms.curvering import (
     CurveSpec,
     RingElement,
@@ -19,7 +20,7 @@ from hasseforms.finfield import FieldElement, make_extension
 from hasseforms.forms import FieldForm, GramMatrix
 from hasseforms.funcfield import Poly
 
-from oracles import dense_product, leibniz_det
+from oracles import dense_product, leibniz_det, poly_product_by_vectors
 
 F5 = make_extension(5, 1)
 EC = CurveSpec.weierstrass(F5, 2, 3)  # y^2 = x^3 + 2x + 3, singular cubic
@@ -554,3 +555,126 @@ def test_diagonal_gram_builds_its_zero_entry_once(monkeypatch):
         GramMatrix.diagonal(curve, entries)
         assert sum(1 for e in built if e.is_zero()) == 1
         built.clear()
+
+
+# -- arithmetic fast paths against the general path ------------------------------
+# Same-type operands over the same curve object skip coercion, a
+# difference takes one pass, and a product of two y-free elements
+# multiplies their A parts only; each must agree with the general rule.
+
+ARITH_CURVES = (LINE, SMOOTH, EC, CurveSpec.polyline(F9), CurveSpec.weierstrass(F9, [1, 1], [0, 1]))
+
+
+def _ring_elements(curve, y_free):
+    elems = st.sampled_from(tuple(curve.field.elements()))
+    parts = st.lists(elems, max_size=3).map(lambda cs: Poly(curve.field, cs))
+    if curve.is_polyline or y_free:
+        return parts.map(lambda a: RingElement(curve, a))
+    return st.builds(lambda a, b: RingElement(curve, a, b), parts, parts)
+
+
+@st.composite
+def ring_pairs(draw, y_free=None):
+    curve = draw(st.sampled_from(ARITH_CURVES))
+    free = draw(st.booleans()) if y_free is None else y_free
+    return curve, draw(_ring_elements(curve, free)), draw(_ring_elements(curve, free and draw(st.booleans())))
+
+
+def _product_formula(u, v):
+    """(A1 + B1 y)(A2 + B2 y) = A1 A2 + B1 B2 (x^3 + ax + b) + (A1 B2 + A2 B1) y."""
+    cubic = Poly.zero(u.curve.field) if u.curve.is_polyline else u.curve.cubic()
+    return RingElement(u.curve, u.a * v.a + u.b * v.b * cubic, u.a * v.b + u.b * v.a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ring_pairs())
+def test_ring_difference_is_sum_with_negation(case):
+    curve, u, v = case
+    for x, y in ((u, v), (v, u), (u, v.a), (u, 3)):
+        assert x - y == x + (-y)
+    assert u - u == RingElement.zero(curve) and (u - u).is_zero()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ring_pairs())
+def test_ring_products_match_the_product_formula(case):
+    curve, u, v = case
+    want = _product_formula(u, v)
+    assert u * v == want and v * u == want
+    assert u * v.a == _product_formula(u, RingElement(curve, v.a))
+    if u.b.is_zero() and v.b.is_zero():
+        assert (u * v).b.is_zero()
+        assert [c.coeffs for c in (u * v).a.coeffs] == poly_product_by_vectors(u.a, v.a)
+        if not curve.is_polyline:  # through a y part, by the general path
+            y = RingElement.y(curve)
+            assert (u + y) * v - y * v == u * v
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ring_pairs(), st.integers(-12, 12))
+def test_mixed_type_equality_is_unchanged(case, n):
+    curve, u, v = case
+    assert (u == v) == (u.a.coeffs == v.a.coeffs and u.b.coeffs == v.b.coeffs)
+    assert (u == v.a) == (u.b.is_zero() and u.a.coeffs == v.a.coeffs)
+    assert (u == n) == (u.b.is_zero() and u.a == Poly.constant(curve.field, n))
+    frac = RingFraction.from_ring(u)
+    assert frac == u and frac == RingFraction(curve, u) and (frac == v) == (u == v)
+    den = P("x+1", curve.field)
+    assert (RingFraction(curve, u, den) == u) == u.is_zero()
+    assert (RingFraction(curve, u * den, den) == u) and (-frac == -u)
+
+
+def test_equal_curves_compare_by_value_and_different_ones_raise():
+    twin = CurveSpec.weierstrass(F5, 1, 1)
+    assert twin is not SMOOTH and twin == SMOOTH
+    other = CurveSpec.weierstrass(F5, 1, 2)
+    u, v = relem(SMOOTH, "x+1", "2"), relem(twin, "x+1", "2")
+    assert u == v and not u != v and u - v == 0 and u + v == u * 2 and u * v == u * u
+    fu, fv = RingFraction(SMOOTH, u, P("x")), RingFraction(twin, v, P("x"))
+    assert fu == fv and fu - fv == 0 and fu * fv == fu * fu and fu == RingFraction.from_ring(u) / P("x")
+    w = relem(other, "x+1", "2")
+    fw = RingFraction(other, w, P("x"))
+    for bad in (lambda: u == w, lambda: u + w, lambda: u - w, lambda: u * w,
+                lambda: fu == fw, lambda: fu + fw, lambda: fu - fw, lambda: fu * fw, lambda: fu == w):
+        with pytest.raises(ValueError, match="mismatched curves"):
+            bad()
+
+
+def test_zero_and_one_operands_return_the_other_operand():
+    for curve in ARITH_CURVES:
+        u = RingElement(curve, P("x+1", curve.field))
+        zero = RingElement.zero(curve)
+        assert u + zero is u
+        frac = RingFraction(curve, u, P("x^2+2", curve.field))
+        fzero = RingFraction.from_ring(zero)
+        assert frac + fzero is frac and fzero + frac is frac and frac - fzero is frac
+
+
+def test_fraction_negation_runs_no_gcd(monkeypatch):
+    calls = []
+    gcd = curvering.poly_gcd
+    monkeypatch.setattr(curvering, "poly_gcd", lambda *a: calls.append(a) or gcd(*a))
+    f = RingFraction(EC, relem(EC, "x+2", "1"), P("x^2+1"))
+    calls.clear()
+    g = -f
+    assert calls == []
+    assert g == RingFraction(EC, -f.num, f.den) and -g == f and (g + f).is_zero()
+    assert g.den is f.den
+
+
+def test_matrix_entries_keep_their_curve():
+    other = CurveSpec.weierstrass(F5, 1, 2)
+    with pytest.raises(ValueError, match="mismatched curves"):
+        RingMatrix(SMOOTH, [[relem(other, "x")]])
+    with pytest.raises(ValueError, match="curve's field"):
+        RingMatrix(SMOOTH, [[P("x", F9)]])
+    twin = CurveSpec.weierstrass(F5, 1, 1)
+    assert RingMatrix(SMOOTH, [[relem(twin, "x")]]).rows[0][0] == relem(SMOOTH, "x")
+
+
+def test_identity_and_diagonal_share_the_constant_entries():
+    curve = CurveSpec.polyline(F5)
+    one, zero = RingMatrix.identity(curve, 2).rows[0]
+    m = RingMatrix.diagonal(curve, [P("x"), 1, RingElement.x(curve)])
+    assert m.rows[1][1] is one and all(m.rows[i][j] is zero for i in range(3) for j in range(3) if i != j)
+    assert RingMatrix(curve, [[1, 0], [0, 1]]).rows == RingMatrix.identity(curve, 2).rows

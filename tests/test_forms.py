@@ -481,6 +481,38 @@ def test_local_isomorphic_matches_evaluation_at_every_place(curve):
     assert answers == {True, False}
 
 
+@pytest.mark.parametrize("field", [F5, F9], ids=["F5", "F9"])
+def test_local_isomorphic_at_line_places_matches_their_primes(field):
+    # verify_genus_witness reports a line place as one x of its Frobenius
+    # orbit, y = None; localizing there answers as at its prime
+    line = CurveSpec.polyline(field)
+    rng = random.Random(field.q)
+    grams = [_unimodular_gram(line, rng, n, square) for n in (1, 2) for square in (True, False)]
+    answers = set()
+    for d in (1, 2):
+        places = forms._closed_places(line, d)
+        assert places and all(place.y is None and place.degree == d for place in places)
+        for place in places:
+            prime = PrimePoly.finite(place.prime)
+            for f in grams:
+                for g in grams:
+                    answer = local_isomorphic(f, g, place)
+                    assert answer == local_isomorphic(f, g, prime)
+                    answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_local_isomorphic_rejects_malformed_line_points():
+    f = GramMatrix.identity(LINE5, 2)
+    place = forms._closed_places(LINE5, 2)[0]
+    with pytest.raises(ValueError, match="has degree 2, not the stated 1"):
+        local_isomorphic(f, f, AffinePoint(place.x, None, 1))
+    with pytest.raises(ValueError, match="y coordinate"):
+        local_isomorphic(f, f, AffinePoint(F5.one(), F5.one(), 1))
+    with pytest.raises(ValueError, match="does not lie over the curve's field"):
+        local_isomorphic(f, f, AffinePoint(F3.one(), None, 1))
+
+
 def test_local_isomorphic_rejects_a_stated_degree_off_the_orbit():
     from hasseforms.curvepoints import enumerate_points
 
@@ -513,6 +545,16 @@ def test_local_isomorphic_evaluates_nothing(monkeypatch):
         calls.clear()
         local_isomorphic(f, g, at)
         assert calls == []
+
+
+def test_field_form_keeps_elements_of_its_field():
+    F25 = make_extension(5, 2)
+    t = F25.gen()
+    form = FieldForm(F25, [[t, 1], [F25.one(), 3]])
+    assert form.rows[0][0] is t and form.rows[0][1] is form.rows[1][0]
+    assert form == FieldForm(F25, [[t.coeffs, 1], [1, 3]])
+    with pytest.raises(ValueError, match="different field"):
+        FieldForm(F25, [[F5.one()]])
 
 
 def test_field_isomorphic_computes_one_det_per_form(monkeypatch):

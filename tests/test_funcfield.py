@@ -25,7 +25,7 @@ from hasseforms.funcfield import (
     valuation,
 )
 
-from oracles import monic_irreducibles_by_trial_division, reducible_monics_by_products
+from oracles import monic_irreducibles_by_trial_division, poly_product_by_vectors, reducible_monics_by_products
 
 F3 = make_extension(3, 1)
 F5 = make_extension(5, 1)
@@ -491,3 +491,80 @@ def test_residue_field_degree_two():
 def test_residue_field_infinite_prime_rejected():
     with pytest.raises(ValueError):
         residue_field(PrimePoly.infinite(F5))
+
+
+# -- arithmetic fast paths against the general path ---------------------------
+# A difference is taken in one pass, a constant factor scales the other
+# one, 1 and 0 return the other operand, and a Poly of the same field
+# skips coercion; each must agree with the general definition.
+
+ARITH_FIELDS = (F5, make_extension(7, 1), F9, make_extension(5, 2))
+
+
+def _polys(field, max_size=5):
+    return st.lists(st.sampled_from(tuple(field.elements())), max_size=max_size).map(lambda cs: Poly(field, cs))
+
+
+# the second operand is a constant (or zero) about half the time
+_poly_pairs = st.sampled_from(ARITH_FIELDS).flatmap(
+    lambda field: st.tuples(_polys(field), st.one_of(_polys(field, 1), _polys(field)))
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_poly_pairs)
+def test_poly_difference_is_sum_with_negation(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        diff = x - y
+        assert diff == x + (-y)
+        assert diff.coeffs == Poly(x.field, diff.coeffs).coeffs  # no trailing zeros
+    assert a - a == Poly.zero(a.field)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_poly_pairs)
+def test_poly_products_match_the_full_convolution(pair):
+    a, b = pair
+    want = poly_product_by_vectors(a, b)
+    for product in (a * b, b * a):
+        assert [c.coeffs for c in product.coeffs] == want
+    if b.is_constant() and not b.is_zero():
+        assert a * b == Poly(a.field, [c * b.coeffs[0] for c in a.coeffs])
+        assert a * b.coeffs[0] == a * b
+
+
+def test_poly_unit_and_zero_operands_return_the_other_operand():
+    for field in ARITH_FIELDS:
+        f = Poly(field, [field.gen(), 0, 1])
+        one, zero = Poly.one(field), Poly.zero(field)
+        assert f * one is f and one * f is f and f * 1 is f and 1 * f is f
+        assert f + zero is f and zero + f is f and f - zero is f
+        assert (f * zero).is_zero() and (zero - f) == -f
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_poly_pairs, st.integers(-20, 20))
+def test_poly_equality_across_types_is_unchanged(pair, n):
+    a, b = pair
+    field = a.field
+    assert (a == b) == (a.coeffs == b.coeffs)
+    assert (a == n) == (a.coeffs == Poly.constant(field, n).coeffs)
+    c = field.element(n)
+    assert (a == c) == (a.is_constant() and a.constant_value() is c)
+    other = F3 if field.p != 3 else F5
+    assert a != Poly.zero(other) and a != Poly.one(other)
+    with pytest.raises(ValueError, match="mismatched base fields"):
+        a + Poly.one(other)
+
+
+def test_poly_keeps_elements_of_its_field():
+    F25 = make_extension(5, 2)
+    elems = [F25.gen(), F25.element(3), F25.zero(), F25.one()]
+    f = Poly(F25, elems)
+    assert all(c is e for c, e in zip(f.coeffs, elems))
+    assert f == Poly(F25, [e.coeffs for e in elems])
+    with pytest.raises(ValueError, match="different field"):
+        Poly(F5, [F25.gen()])
+    with pytest.raises(ValueError, match="different field"):
+        Poly(F25, [F5.one()])
