@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in {
-        "curvepoints": "INFINITY AffinePoint PointCountReport ec_add ec_multiply enumerate_points "
-        "has_two_torsion is_smooth picard_order point_report",
+        "curvepoints": "AffinePoint PointCountReport enumerate_points has_two_torsion is_smooth picard_order "
+        "point_report",
         "curvering": "CurveSpec RingElement RingFraction RingMatrix congruence",
         "finfield": "FieldElement FiniteField SquareClass embed is_square make_extension sqrt square_class",
         "forms": "BudgetExceededError FieldForm GenusReport GenusWitness GramMatrix MalformedWitnessError "

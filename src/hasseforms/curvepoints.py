@@ -1,4 +1,4 @@
-"""Point enumeration, smoothness, group law, and Picard order for curves.
+"""Point enumeration, smoothness and Picard order for curves.
 
 Points are counted and listed by one scan of x over the field.  The
 count needs no points: over F_q there are 1 + chi(x^3 + ax + b) of them
@@ -8,6 +8,14 @@ x^3 + ax + b off its log; on the line every x is a point, with no y.  A
 closed point of degree d is one Frobenius orbit of d points, so a point's
 degree is its orbit's length; on the line it is also a prime of F_q[x].
 
+Orbits are walked on discrete logs: in F_{q^d} with generator g, the
+Frobenius x -> x^q sends g^n to g^(nq mod (q^d - 1)), so the orbit of a
+point is the cycle of its coordinates' logs under n -> nq, and no field
+element is raised to a power.  The prime of a line place is the product
+of x - r over the roots r of its orbit (Lidl and Niederreiter, *Finite
+Fields*, section 2.2), formed on logs with Zech sums and pulled back to
+F_q once per coefficient.
+
 For a smooth Weierstrass curve with its rational point at infinity
 removed, the Picard group of the affine curve is isomorphic to the
 group of rational points (P maps to the class of [P] - [infinity]), so
@@ -15,8 +23,8 @@ the Picard order is the full projective point count,
 q + 1 + sum_x chi(x^3 + ax + b).  For the affine line it is 1
 (polynomial rings have trivial class group).  Singular cubics still get
 counted (the projective count includes the singular point), but the
-Picard-group and group-law routines refuse them, since the point-group
-isomorphism needs smoothness.
+Picard-group routines refuse them, since the point-group isomorphism
+needs smoothness.
 
 The 2-torsion criterion: a point of order 2 is a rational point on the
 x-axis, so the group order is odd exactly when x^3 + ax + b has no root
@@ -25,30 +33,13 @@ in F_q.  ``point_report`` carries both facts side by side.
 
 from __future__ import annotations
 
-import functools
-from typing import Optional, Union
+import math
+from typing import Optional
 
 from .curvering import CurveSpec
-from .finfield import FieldElement, embed, make_extension, pullback, square_and_multiply
+from .finfield import FieldElement, embed, make_extension, pullback_table
 from .funcfield import Poly, monic_rank
 from .records import Record
-
-
-class PointAtInfinity:
-    """The distinguished infinite point, the identity of the group law."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = PointAtInfinity()
 
 
 class AffinePoint(Record):
@@ -83,9 +74,6 @@ class AffinePoint(Record):
         return f"({self.x!r}, {self.y!r})"
 
 
-Point = Union[AffinePoint, PointAtInfinity]
-
-
 class PointCountReport(Record):
     """Counting summary; Picard data is present only for smooth curves."""
 
@@ -112,48 +100,136 @@ class PointCountReport(Record):
         self.warning = warning
 
 
-def frobenius_orbit(q: int, x0: FieldElement, y0: Optional[FieldElement]) -> list:
-    """The conjugates (x0^(q^i), y0^(q^i)), i = 0, 1, ..., of a point
-    over F_q, until they repeat: the geometric points of one closed
-    point, whose degree is the length of the orbit (y0 None on the line)."""
-    orbit, x, y = [], x0, y0
-    while not orbit or x != x0 or y != y0:
-        orbit.append((x, y))
-        x, y = x**q, y if y is None else y**q
+def _cycle(q: int, m: int, n) -> list:
+    """The Frobenius orbit of g^n in a field of order m + 1 with generator
+    g, as logs: the cycle n, nq, nq^2, ... mod m, which x -> x^q walks.
+    None, the zero element, is its own orbit."""
+    if n is None:
+        return [None]
+    orbit, r = [n], n * q % m
+    while r != n:
+        orbit.append(r)
+        r = r * q % m
     return orbit
 
 
-def _coordinates(xy) -> tuple:
-    """The canonical sort key of a point: (x.coeffs, y.coeffs)."""
-    x, y = xy
-    return x.coeffs, () if y is None else y.coeffs
+def _conjugates(q: int, m: int, lx, ly) -> list:
+    """The Frobenius orbit of a point with coordinate logs (lx, ly), as
+    log pairs: the cycles of x and of y (``_cycle``) run side by side
+    until both close, so its length, the closed point's degree, is the
+    lcm of theirs."""
+    xs, ys = _cycle(q, m, lx), _cycle(q, m, ly)
+    if len(xs) == len(ys):
+        return list(zip(xs, ys))
+    return [(xs[i % len(xs)], ys[i % len(ys)]) for i in range(math.lcm(len(xs), len(ys)))]
+
+
+def orbit_degree(q: int, x0: FieldElement, y0: Optional[FieldElement]) -> int:
+    """The degree of the closed point of (x0, y0) over F_q (y0 None on
+    the line): the length of its Frobenius orbit, the lcm of its
+    coordinates' cycles on logs (``_cycle``), with no point built."""
+    m = x0.field.q - 1
+    return math.lcm(len(_cycle(q, m, x0._log)), 1 if y0 is None else len(_cycle(q, m, y0._log)))
+
+
+def frobenius_orbit(q: int, x0: FieldElement, y0: Optional[FieldElement]) -> list:
+    """The conjugates (x0^(q^i), y0^(q^i)), i = 0, 1, ..., of a point
+    over F_q, until they repeat: the geometric points of one closed
+    point, whose degree is the length of the orbit (y0 None on the line).
+    Walked on logs (``_conjugates``)."""
+    field = x0.field
+    exp, zero = field._exp, field.zero()
+    ly = None if y0 is None else y0._log
+    return [
+        (zero if a is None else exp[a], None if y0 is None else zero if b is None else exp[b])
+        for a, b in _conjugates(q, field.q - 1, x0._log, ly)
+    ]
 
 
 def enumerate_points(curve: CurveSpec, degree: int = 1, closed: bool = False):
     """All affine points with coordinates in F_{q^degree} in canonical
     coordinate order: every x of the line, with y = None, or the points of
     a cubic (``_cubic_points``), each tagged with its Frobenius orbit's
-    length, its closed point's degree (1 at degree 1, with no walk), and
-    on the line with its closed point's prime; one walk per orbit.
-    ``closed`` keeps the first point of each orbit by ``_coordinates``, one
-    per closed point, and lists the line's in ``monic_polys`` order."""
+    length, its closed point's degree, and on the line with its closed
+    point's prime.  ``closed`` keeps the point of each orbit with the
+    least coordinates (x.coeffs, y.coeffs), one per closed point, and
+    lists the line's in ``monic_polys`` order.
+
+    At degree 1 every point is its own orbit and the line's prime is
+    x - x0, so nothing is walked.  Above it each orbit is walked once, on
+    logs: on the line, the cycle of every log not yet met (``_cycle``),
+    with its prime formed on logs too (``_orbit_prime``); on the cubic,
+    the orbit of every point not yet met (``_conjugates``)."""
     base, line = curve.field, curve.is_polyline
     ext = make_extension(base.p, base.k * degree)
-    coordinates = ((x0, None) for x0 in ext.elements()) if line else _cubic_points(curve, ext)
-    walked, points = {}, []  # a point met in an earlier orbit -> (length, first point, prime)
-    for x0, y0 in coordinates:
-        if degree == 1:  # each point is its own orbit, and on the line its prime is x - x0
-            tag = (1, (x0, y0), Poly._raw(base, (-x0, base.one())) if line else None)
-        elif (tag := walked.pop((x0, y0), None)) is None:
-            orbit = frobenius_orbit(base.q, x0, y0)
-            prime = _minimal_polynomial([x for x, _ in orbit], base) if line else None
-            tag = (len(orbit), min(orbit, key=_coordinates), prime)
+    if degree == 1:
+        if not line:
+            return [AffinePoint(x0, y0, 1) for x0, y0 in _cubic_points(curve, ext)]
+        # the prime of x0 is x + c, c = -x0; monic_polys order is c's order
+        one = base.one()
+        roots = ((-c, c) for c in base.elements()) if closed else ((x0, -x0) for x0 in base.elements())
+        return [AffinePoint(x0, None, 1, prime=Poly._raw(base, (c, one))) for x0, c in roots]
+    q, m, exp, zero = base.q, ext.q - 1, ext._exp, ext.zero()
+    if line:
+        orbits = [(1, zero, Poly._raw(base, (base.zero(), base.one())))]  # x = 0, whose prime is x
+        tags = [None] * m  # log -> (length, least x, prime) of its orbit
+        for n in range(m):
+            if tags[n] is None:
+                orbit = _cycle(q, m, n)
+                least = exp[min(orbit, key=lambda r: exp[r].coeffs)]
+                tag = (len(orbit), least, _orbit_prime(orbit, base, ext))
+                orbits.append(tag)
+                for r in orbit:
+                    tags[r] = tag
+        if closed:
+            orbits.sort(key=lambda tag: monic_rank(tag[2]))
+            return [AffinePoint(x0, None, length, prime=prime) for length, x0, prime in orbits]
+        points = []
+        for x0 in ext.elements():
+            length, _, prime = orbits[0] if x0._log is None else tags[x0._log]
+            points.append(AffinePoint(x0, None, length, prime=prime))
+        return points
+
+    def coordinates(logs):
+        lx, ly = logs
+        return (zero if lx is None else exp[lx]).coeffs, (zero if ly is None else exp[ly]).coeffs
+
+    walked, points = {}, []  # logs of a point met in an earlier orbit -> (length, least logs)
+    for x0, y0 in _cubic_points(curve, ext):
+        logs = (x0._log, y0._log)
+        if (tag := walked.pop(logs, None)) is None:
+            orbit = _conjugates(q, m, *logs)
+            tag = (len(orbit), min(orbit, key=coordinates))
             walked.update(dict.fromkeys(orbit[1:], tag))
-        if not closed or tag[1] == (x0, y0):
-            points.append(AffinePoint(x0, y0, tag[0], prime=tag[2]))
-    if closed and line:
-        points.sort(key=lambda point: monic_rank(point.prime))
+        if not closed or tag[1] == logs:
+            points.append(AffinePoint(x0, y0, tag[0]))
     return points
+
+
+def _orbit_prime(roots: list, base, ext) -> Poly:
+    """The prime of a closed point of the line: the product of x - g^r
+    over the logs r of its orbit's nonzero roots, formed on logs with
+    Zech sums; its coefficients lie in base, and each is pulled back there
+    once (``finfield.pullback_table``)."""
+    m, half, zech = ext.q - 1, ext._half, ext._zech
+    coeffs = [0]  # logs (None for 0), lowest degree first, of the product so far: 1
+    for r in roots:  # c_i becomes c_(i-1) - g^r c_i
+        r += half  # the log of -g^r
+        out, low = [], None
+        for c in coeffs:
+            t = None if c is None else (c + r) % m
+            if low is not None:
+                if t is None:
+                    t = low
+                else:
+                    z = zech[t - low]
+                    t = None if z is None else (low + z) % m
+            out.append(t)
+            low = c
+        out.append(low)
+        coeffs = out
+    pull, zero = pullback_table(ext, base), base.zero()
+    return Poly._raw(base, [zero if c is None else pull[c] for c in coeffs])
 
 
 def _cubic_points(curve: CurveSpec, ext):
@@ -167,17 +243,6 @@ def _cubic_points(curve: CurveSpec, ext):
         elif v % 2 == 0:
             r, s = exp[v // 2], exp[v // 2 + half]
             yield from ((x0, r), (x0, s)) if r.coeffs < s.coeffs else ((x0, s), (x0, r))
-
-
-def _minimal_polynomial(roots: list, base) -> Poly:
-    """The prime of a closed point of the line: the product of x - r over
-    the roots r of its Frobenius orbit, whose coefficients lie in base
-    and are pulled back there (``finfield.pullback``)."""
-    ext = roots[0].field
-    zero, coeffs = [ext.zero()], [ext.one()]
-    for r in roots:  # c_i becomes c_(i-1) - r c_i
-        coeffs = [a - r * b for a, b in zip(zero + coeffs, coeffs + zero)]
-    return Poly._raw(base, coeffs if ext is base else pullback(coeffs, base))
 
 
 def _cubic_logs(field, la, lb):
@@ -258,38 +323,6 @@ def _require_smooth(curve: CurveSpec, what: str):
             f"{what} requires a smooth curve; discriminant is zero "
             f"(singular at {tuple((p.x, p.y) for p in sing)})"
         )
-
-
-def ec_add(curve: CurveSpec, p1: Point, p2: Point) -> Point:
-    """Chord-tangent addition with the infinite point as identity."""
-    if curve.is_polyline:
-        raise ValueError("group law applies to Weierstrass curves")
-    _require_smooth(curve, "the group law")
-    if isinstance(p1, PointAtInfinity):
-        return p2
-    if isinstance(p2, PointAtInfinity):
-        return p1
-    if p1.x.field != p2.x.field:
-        raise ValueError("points must be rational over a common field")
-    require_on_curve(curve, p1)
-    require_on_curve(curve, p2)
-    ext = p1.x.field
-    a = embed(curve.a, ext)
-    if p1.x == p2.x and p1.y == -p2.y:
-        return INFINITY
-    if p1.x == p2.x:
-        slope = (ext.element(3) * p1.x * p1.x + a) / (ext.element(2) * p1.y)
-    else:
-        slope = (p2.y - p1.y) / (p2.x - p1.x)
-    x3 = slope * slope - p1.x - p2.x
-    y3 = slope * (p1.x - x3) - p1.y
-    return AffinePoint(x3, y3, len(frobenius_orbit(curve.field.q, x3, y3)))
-
-
-def ec_multiply(curve: CurveSpec, n: int, point: Point) -> Point:
-    """n-fold sum of a point under the group law (n >= 0), by double and
-    add: ``finfield.square_and_multiply`` with ``ec_add`` as product."""
-    return square_and_multiply(INFINITY, point, n, functools.partial(ec_add, curve))
 
 
 def picard_order(curve: CurveSpec) -> int:

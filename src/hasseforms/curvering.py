@@ -59,7 +59,15 @@ class CurveSpec:
 
     @classmethod
     def polyline(cls, field: FiniteField) -> CurveSpec:
-        return cls(POLYLINE, field)
+        """The affine line over field: one object per field, as there is
+        one field per (p, k), so its shared constant entries and the
+        identity fast paths of ring arithmetic hold across calls.  A line
+        built directly, ``CurveSpec("polyline", field)``, is another
+        object that compares equal."""
+        line = _lines.get(field)
+        if line is None:
+            line = _lines[field] = cls(POLYLINE, field)
+        return line
 
     @classmethod
     def weierstrass(cls, field: FiniteField, a, b) -> CurveSpec:
@@ -106,6 +114,9 @@ class CurveSpec:
         if self.is_polyline:
             return f"CurveSpec(line/F{self.field.q})"
         return f"CurveSpec(y^2=x^3+{_coeff_text(self.a)}*x+{_coeff_text(self.b)}/F{self.field.q})"
+
+
+_lines: dict[FiniteField, CurveSpec] = {}
 
 
 class RingElement(RingOps):
@@ -398,20 +409,21 @@ class RingFraction(FieldOps):
 
 
 def _reduce_fraction(num: RingElement, den: Poly):
-    """num/den in lowest terms with den monic.  A constant denominator
-    shares no factor with anything, so only a denominator of degree >= 1
-    pays for the gcd; a constant one is only scaled to 1."""
+    """num/den in lowest terms with den monic.  A constant denominator,
+    or a nonzero constant numerator, shares no factor with the other
+    part, so only a fraction with both of degree >= 1 pays for the gcd;
+    the rest is scaling by the inverse of den's leading coefficient."""
     if num.is_zero():
         return num, Poly.one(den.field)
-    if den.degree >= 1:
-        g = poly_gcd(poly_gcd(num.a, num.b), den)
+    if den.degree >= 1 and not num.is_constant():
+        g = poly_gcd(poly_gcd(num.a, num.b) if num.b.coeffs else num.a, den)
         if g.degree >= 1:
             num = RingElement(num.curve, num.a // g, num.b // g)
             den = den // g
-    lead = den.leading_coeff()
-    if lead != den.field.one():
-        inv = lead.inverse()
-        num = num * inv
+    lead = den.coeffs[-1]
+    if lead is not den.field.one():
+        inv = Poly._raw(den.field, (lead.inverse(),))
+        num = RingElement._raw(num.curve, num.a * inv, num.b * inv)
         den = den * inv
     return num, den
 
@@ -485,8 +497,11 @@ def _coerce_entry(curve, e) -> RingFraction:
             c = field.element(e)  # the value c owns the one shared c/1
             frac = curve._entries.get(c)
             if frac is None:
-                frac = RingFraction.from_ring(RingElement._raw(curve, Poly._raw(field, (c,)), Poly.zero(field)))
-            curve._entries[e] = curve._entries[c] = frac
+                frac = curve._entries[c] = RingFraction.from_ring(
+                    RingElement._raw(curve, Poly._raw(field, (c,)), Poly.zero(field))
+                )
+            if type(e) is int and len(curve._entries) < 4 * field.q:  # few int keys on a long-lived line
+                curve._entries[e] = frac
         return frac
     if isinstance(e, RingFraction):
         if e.curve is not curve and e.curve != curve:

@@ -17,7 +17,7 @@ There is one field object per (p, k): ``FiniteField(p, k)`` and
 fields, and the elements they intern, compare and hash by identity.
 An element of F_{p^k} maps into F_{p^K} (k dividing K) through one
 embedding table per field pair, which the larger field builds once
-with its inverse, the ``pullback`` table.
+with its inverse, the ``pullback_table`` indexed by logs.
 
 Representation.  A field builds all q of its elements once, when it is
 constructed, as interned ``FieldElement`` objects: the element with
@@ -221,7 +221,7 @@ class FiniteField:
         field.modulus = modulus
         field._half = (q - 1) // 2  # log of -1
         field._embeddings = {}  # source field -> image of each of its elements
-        field._pullbacks = {}  # source field -> {image: element} for the same embedding
+        field._pullbacks = {}  # source field -> its element at each log of the image
         field._elements = [FieldElement(field, v, n, logs[n]) for n, v in enumerate(vectors)]
         # exp and Z twice over: a sum of two logs, or a difference of two
         # (as a negative index), then needs no reduction mod q - 1
@@ -497,12 +497,15 @@ def embed(a: FieldElement, target: FiniteField) -> FieldElement:
     return table[a._code]
 
 
-def pullback(elements, base: FiniteField) -> list:
-    """The elements of ``base`` that ``embed`` maps to these elements of
-    one field, by one table per field pair that the field keeps beside
-    the embedding table; KeyError for an element outside the image."""
-    field = elements[0].field
+def pullback_table(field: FiniteField, base: FiniteField) -> list:
+    """The element of ``base`` that ``embed`` maps to g^n, indexed by the
+    log n (None off the image): one table per field pair, which the field
+    keeps beside the embedding table, so pulling an element back is one
+    lookup by its log."""
     table = field._pullbacks.get(base)
     if table is None:
-        table = field._pullbacks[base] = {embed(b, field): b for b in base.elements()}
-    return [table[a] for a in elements]
+        table = [None] * (field.q - 1)
+        for b in base.nonzero_elements():
+            table[embed(b, field)._log] = b
+        field._pullbacks[base] = table
+    return table

@@ -18,15 +18,16 @@ factoring.  Off the zeros of s, Q then lies in GL_n of the local ring
 exactly where s * s^k * det Q, with s^k det Q in O, does not vanish.
 Verification is point-based up to an inspection degree d with q^d <=
 14 641.  Each closed place is examined once, on the line as on the
-cubic, at one point of its Frobenius orbit, by one evaluation.  Whatever
-no witness reaches is reported as a gap.
+cubic, at one point of its Frobenius orbit, by one zero test per witness
+on the logs of its coordinates.  Whatever no witness reaches is reported
+as a gap.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .curvepoints import AffinePoint, enumerate_points, frobenius_orbit, is_singular_point, require_on_curve
+from .curvepoints import AffinePoint, enumerate_points, is_singular_point, orbit_degree, require_on_curve
 from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, congruence_rows, det, diagonal_rows, is_symmetric
 from .finfield import (
     MAX_INSPECTION_SIZE,
@@ -34,7 +35,9 @@ from .finfield import (
     FiniteField,
     SquareClass,
     capped_power,
+    embed,
     is_square,
+    make_extension,
     square_and_multiply,
     square_class,
 )
@@ -285,7 +288,7 @@ def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
                     "reduction at the singular point is rejected: the local ring "
                     "there is not a discrete valuation ring"
                 )
-        e = len(frobenius_orbit(curve.field.q, at.x, at.y))
+        e = orbit_degree(curve.field.q, at.x, at.y)
         if e != at.degree:
             raise ValueError(f"point {at!r} has degree {e}, not the stated {at.degree}")
     else:
@@ -368,10 +371,13 @@ def verify_genus_witness(
     reached by some witness, one whose support s * s^k * det Q
     (``_support``) does not vanish there: s does not, and det Q is a
     unit.  Each closed point is listed once, as one point of its
-    Frobenius orbit (``_closed_places``).  q^degree must be at most
-    MAX_INSPECTION_SIZE, which is checked before any work.  Points beyond
-    the inspection degree are not examined; a Certified verdict means
-    certified up to that degree.
+    Frobenius orbit (``_closed_places``), walked on discrete logs.  For
+    each degree d, each support becomes one test on the logs of a point
+    of F_{q^d} (``_reaches``), its coefficients embedded in F_{q^d} once,
+    so a place costs a few Horner steps on logs and no field element.
+    q^degree must be at most MAX_INSPECTION_SIZE, which is checked before
+    any work.  Points beyond the inspection degree are not examined; a
+    Certified verdict means certified up to that degree.
     """
     if f.curve != g.curve:
         raise ValueError("forms live over different curves")
@@ -382,10 +388,11 @@ def verify_genus_witness(
     if degree < 1:
         raise ValueError("inspection degree must be >= 1")
     curve = f.curve
+    base = curve.field
     # the places of both curves are walked in F_{q^degree}
-    if capped_power(curve.field.q, degree, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
+    if capped_power(base.q, degree, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
         raise ValueError(
-            f"inspection degree {degree} over F_{curve.field.q} exceeds the "
+            f"inspection degree {degree} over F_{base.q} exceeds the "
             f"enumeration bound q^degree <= {MAX_INSPECTION_SIZE}"
         )
 
@@ -394,10 +401,14 @@ def verify_genus_witness(
     supports = [_support(s, det) for (_, s), (_, det) in zip(witness.pairs, checks)]
     covered, uncovered = [], []
     for d in range(1, degree + 1):
+        ext = make_extension(base.p, base.k * d)
+        tests = [_reaches(support, ext) for support in supports]
         for place in _closed_places(curve, d):
-            if any(not _vanishes(far, place) or _vanishes(den, place) and not _vanishes(low, place)
-                   for far, den, low in supports):
-                covered.append(place)
+            lx, ly = place.x._log, None if place.y is None else place.y._log
+            for reaches in tests:
+                if reaches(lx, ly):
+                    covered.append(place)
+                    break
             else:
                 uncovered.append(place)
 
@@ -432,9 +443,10 @@ def witness_identity(q: RingMatrix, f: GramMatrix, g: GramMatrix):
 
 def _closed_places(curve: CurveSpec, d: int):
     """The closed places of degree d, on the line as on the cubic: one
-    point per Frobenius orbit of length d (``enumerate_points``).  s, Q
-    and det Q are defined over F_q, so they vanish at every point of an
-    orbit or at none, and one point decides for the whole closed place."""
+    point per Frobenius orbit of length d in F_{q^d}, each orbit walked
+    once on the logs of its coordinates (``enumerate_points``).  s, Q and
+    det Q are defined over F_q, so they vanish at every point of an orbit
+    or at none, and one point decides for the whole closed place."""
     return [point for point in enumerate_points(curve, d, closed=True) if point.degree == d]
 
 
@@ -452,7 +464,55 @@ def _support(s: RingElement, det: RingFraction) -> tuple:
     return s * det.num, RingElement(s.curve, den), s * RingElement._raw(s.curve, low.a // den, low.b // den)
 
 
-def _vanishes(h: RingElement, place) -> bool:
-    """Whether h vanishes at the closed place: its value at the place's
-    point, on the line (y = None) as on the cubic."""
-    return h.evaluate(place.x, place.y).is_zero()
+def _zero_test(h: RingElement, ext: FiniteField):
+    """Whether h vanishes at a point with coordinates in ext = F_{q^d},
+    as a function of their logs (lx, ly): None for a zero coordinate, and
+    ly None on the line.  h's coefficients are embedded in ext once, here;
+    each call then runs Horner's rule on logs, a product being a sum of
+    logs and a sum one Zech lookup, g^i + g^j = g^(i + Z(j - i))."""
+    m, zech = ext.q - 1, ext.zech_table()
+
+    def logs(poly):  # of the coefficients in ext, highest degree first
+        return [(c if c.field is ext else embed(c, ext))._log for c in reversed(poly.coeffs)]
+
+    a, b = logs(h.a), logs(h.b)
+
+    def value(coeffs, lx):
+        # the log of the polynomial with these coefficient logs, highest
+        # degree first, at g^lx, by acc -> acc x + c
+        if lx is None:
+            return coeffs[-1] if coeffs else None
+        acc = None
+        for c in coeffs:
+            if acc is None:
+                acc = c
+            elif c is None:
+                acc = (acc + lx) % m
+            else:
+                acc += lx
+                z = zech[c - acc]
+                acc = None if z is None else (acc + z) % m
+        return acc
+
+    if not b:
+        return lambda lx, ly: value(a, lx) is None
+
+    def vanishes(lx, ly):
+        va = value(a, lx)
+        vb = None if ly is None else value(b, lx)
+        if vb is None:
+            return va is None
+        if va is None:
+            return False
+        return zech[vb + ly - va] is None  # g^va + g^(vb + ly) = 0
+
+    return vanishes
+
+
+def _reaches(support: tuple, ext: FiniteField):
+    """Whether a witness with this support (far, den, low) (``_support``)
+    reaches a point of ext = F_{q^d}, given by its coordinate logs: far
+    does not vanish there, or den does and low does not.  One test per
+    support and place field, from the parts' ``_zero_test``s."""
+    far, den, low = (_zero_test(h, ext) for h in support)
+    return lambda lx, ly: not far(lx, ly) or den(lx, ly) and not low(lx, ly)

@@ -284,54 +284,74 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # Text grammar
 
 
-_TERM_RE = re.compile(r"^([+-]?)(\d+)?(?:\*?(x)(?:\^(\d+))?)?$")
+# a term is a coefficient, x to a power, or both, after an optional sign,
+# and is followed by the next term's sign or the end.  Text is checked
+# against the whole grammar once, then read term by term with no check
+_POLY_RE = re.compile(r"(?:[+-]?(?:\d+(?:\*?x(?:\^\d+)?)?|\*?x(?:\^\d+)?)(?=[+-]|\Z))+")
+_TERM_RE = re.compile(r"([+-]?)(\d*)(?:\*?(x)(?:\^(\d+))?)?")
 
 
 def _parse_poly(field: FiniteField, text: str) -> Poly:
+    """The polynomial a text of the grammar names, with its coefficients
+    read mod p straight into element codes.  A plain integer, the most
+    common entry, costs one ``int``."""
     if not isinstance(text, str):
         raise ValueError(f"polynomial text must be a string, got {text!r}")
     compact = text.replace(" ", "")
-    if not compact:
-        raise ValueError("empty polynomial text")
-    # split keeping signs attached to each term
-    pieces = re.findall(r"[+-]?[^+-]+", compact)
-    if "".join(pieces) != compact:
-        raise ValueError(f"cannot parse polynomial text {text!r}")
+    if compact.isdecimal():  # exactly what \d+ matches, and what int() reads
+        c = int(compact) % field.p
+        return _constants(field)[c] if c < 2 else Poly._raw(field, (field._elements[c],))
+    if not _POLY_RE.fullmatch(compact):
+        raise _refusal(text, compact)
     coeffs: dict[int, int] = {}
+    for sign, digits, x, exp in _TERM_RE.findall(compact):
+        if digits or x:  # not the empty match at the end
+            e = _exponent(x, exp)
+            c = int(digits) if digits else 1
+            coeffs[e] = coeffs.get(e, 0) + (-c if sign == "-" else c)
+    codes = [0] * (max(coeffs) + 1)
+    for e, c in coeffs.items():
+        codes[e] = c % field.p
+    return Poly._raw(field, [field._elements[c] for c in codes])
+
+
+def _exponent(x: str, exp: str) -> int:
+    """A term's power of x; one above MAX_TEXT_DEGREE is refused."""
+    e = (int(exp) if exp else 1) if x else 0
+    if e > MAX_TEXT_DEGREE:
+        raise ValueError(f"exponent {e} exceeds the text grammar's bound {MAX_TEXT_DEGREE}")
+    return e
+
+
+def _refusal(text: str, compact: str) -> ValueError:
+    """The error for text outside the grammar: an empty text, a stray
+    sign, or else the first term, reading left to right, that is not one
+    or has too large an exponent (raised here)."""
+    if not compact:
+        return ValueError("empty polynomial text")
+    pieces = re.findall(r"[+-]?[^+-]+", compact)  # signed runs, compiled only on this error path
+    if "".join(pieces) != compact:
+        return ValueError(f"cannot parse polynomial text {text!r}")
     for piece in pieces:
-        m = _TERM_RE.match(piece)
-        if not m or (m.group(2) is None and m.group(3) is None):
-            raise ValueError(f"bad term {piece!r} in polynomial text {text!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        coeff = int(m.group(2)) if m.group(2) is not None else 1
-        if m.group(3) is None:
-            exp = 0
-        else:
-            exp = int(m.group(4)) if m.group(4) is not None else 1
-            if exp > MAX_TEXT_DEGREE:
-                raise ValueError(
-                    f"exponent {exp} exceeds the text grammar's bound {MAX_TEXT_DEGREE}"
-                )
-        coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
-    out = [0] * (max(coeffs) + 1)
-    for exp, c in coeffs.items():
-        out[exp] = c
-    return Poly(field, out)
+        if not _POLY_RE.fullmatch(piece):
+            return ValueError(f"bad term {piece!r} in polynomial text {text!r}")
+        _exponent(*_TERM_RE.match(piece).group(3, 4))
+    return ValueError(f"cannot parse polynomial text {text!r}")
 
 
+@functools.cache
 def _coeff_text(c: FieldElement) -> str:
-    """A coefficient as a t-polynomial, parenthesized when it has a t term."""
+    """A coefficient as a t-polynomial, parenthesized when it has a t term;
+    kept per element, so text is written from its coefficients' texts."""
     text = t_poly_text(c.coeffs)
     return f"({text})" if any(c.coeffs[1:]) else text
 
 
 def to_text(f: Poly) -> str:
-    if f.is_zero():
-        return "0"
     parts = []
     for i in range(f.degree, -1, -1):
         c = f.coeffs[i]
-        if c.is_zero():
+        if c._log is None:
             continue
         ct = _coeff_text(c)
         if i == 0:
@@ -339,7 +359,7 @@ def to_text(f: Poly) -> str:
         else:
             xp = "x" if i == 1 else f"x^{i}"
             parts.append(xp if ct == "1" else f"{ct}*{xp}")
-    return "+".join(parts)
+    return "+".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ import sys
 from pathlib import Path
 
 from hasseforms import forms, search
-from hasseforms.finfield import FiniteField, embed, make_extension
-from hasseforms.curvepoints import AffinePoint
+from hasseforms.finfield import FiniteField, embed, make_extension, square_and_multiply
+from hasseforms.curvepoints import AffinePoint, require_on_curve
 from hasseforms.curvering import RingElement, RingFraction
 from hasseforms.forms import FieldForm, field_isomorphic
 from hasseforms.funcfield import Poly, PrimePoly, factor, monic_polys, residue_field
@@ -89,13 +89,14 @@ def cubic_has_root(field: FiniteField, a, b) -> bool:
     return any((x * x * x + a * x + b).is_zero() for x in field.elements())
 
 
-def points_by_trying_every_y(curve, degree: int) -> list:
+def points_by_trying_every_y(curve, degree: int, closed: bool = False) -> list:
     """(x.coeffs, y.coeffs, closed-point degree) of every affine point of a
     Weierstrass curve with coordinates in F_{q^degree}: x in canonical
     order, and above it every y whose square is x^3 + ax + b, smaller
     coefficient tuple first.  Every y is squared once, with no square
     root or log; the degree is the least e >= 1 with x^(q^e) = x and
-    y^(q^e) = y."""
+    y^(q^e) = y.  ``closed`` keeps only the point of each Frobenius orbit
+    whose coordinates are least, as (x.coeffs, y.coeffs)."""
     ext = make_extension(curve.field.p, curve.field.k * degree)
     a, b, q = embed(curve.a, ext), embed(curve.b, ext), curve.field.q
     roots = {}
@@ -104,10 +105,12 @@ def points_by_trying_every_y(curve, degree: int) -> list:
     points = []
     for x in ext.elements():
         for y in sorted(roots.get((x * x * x + a * x + b).coeffs, []), key=lambda v: v.coeffs):
-            e, xe, ye = 1, x**q, y**q
+            orbit, xe, ye = [(x.coeffs, y.coeffs)], x**q, y**q
             while xe != x or ye != y:
-                e, xe, ye = e + 1, xe**q, ye**q
-            points.append((x.coeffs, y.coeffs, e))
+                orbit.append((xe.coeffs, ye.coeffs))
+                xe, ye = xe**q, ye**q
+            if not closed or min(orbit) == orbit[0]:
+                points.append((x.coeffs, y.coeffs, len(orbit)))
     return points
 
 
@@ -420,6 +423,63 @@ def _orbit_length(q, x0, y0) -> int:
     while x != x0 or y != y0:
         e, x, y = e + 1, x**q, y**q
     return e
+
+
+# ---------------------------------------------------------------------------
+# The chord-tangent group law of a smooth cubic, with the infinite point as
+# identity: the tests' check on point counts and Picard orders (Lagrange),
+# which nothing in the library needs.
+
+
+class PointAtInfinity:
+    """The distinguished infinite point, the identity of the group law."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "INFINITY"
+
+
+INFINITY = PointAtInfinity()
+
+
+def ec_add(curve, p1, p2):
+    """Chord-tangent addition with the infinite point as identity; the sum
+    is tagged with its closed point's degree (``_orbit_length``)."""
+    if curve.is_polyline:
+        raise ValueError("group law applies to Weierstrass curves")
+    if not curve.is_smooth:
+        raise ValueError("the group law requires a smooth curve; discriminant is zero")
+    if isinstance(p1, PointAtInfinity):
+        return p2
+    if isinstance(p2, PointAtInfinity):
+        return p1
+    if p1.x.field != p2.x.field:
+        raise ValueError("points must be rational over a common field")
+    require_on_curve(curve, p1)
+    require_on_curve(curve, p2)
+    ext = p1.x.field
+    a = embed(curve.a, ext)
+    if p1.x == p2.x and p1.y == -p2.y:
+        return INFINITY
+    if p1.x == p2.x:
+        slope = (ext.element(3) * p1.x * p1.x + a) / (ext.element(2) * p1.y)
+    else:
+        slope = (p2.y - p1.y) / (p2.x - p1.x)
+    x3 = slope * slope - p1.x - p2.x
+    y3 = slope * (p1.x - x3) - p1.y
+    return AffinePoint(x3, y3, _orbit_length(curve.field.q, x3, y3))
+
+
+def ec_multiply(curve, n: int, point):
+    """n-fold sum of a point under the group law (n >= 0), by double and
+    add: ``finfield.square_and_multiply`` with ``ec_add`` as product."""
+    return square_and_multiply(INFINITY, point, n, functools.partial(ec_add, curve))
 
 
 def _line_prime(place):

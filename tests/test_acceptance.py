@@ -13,8 +13,6 @@ from importlib import resources
 import pytest
 
 from hasseforms.curvepoints import (
-    INFINITY,
-    ec_multiply,
     enumerate_points,
     is_smooth,
     picard_order,
@@ -33,7 +31,7 @@ from hasseforms.funcfield import Poly
 from hasseforms.hasse import FAILS, HOLDS, hasse_principle
 from hasseforms.serialize import load_bundled_pair, pair_from_json
 
-from oracles import brute_force_congruent, smooth_weierstrass_pairs, symmetric_nondegenerate
+from oracles import INFINITY, brute_force_congruent, ec_multiply, smooth_weierstrass_pairs, symmetric_nondegenerate
 
 F5 = make_extension(5, 1)
 

@@ -337,6 +337,8 @@ def test_malformed_shapes_exit_2(capsys):
         ("form", {"schema": 1, "curve": line, "matrix": [[{"num": "1", "den": "0"}]]}, "zero denominator"),
         ("form", {"schema": 1, "curve": line, "matrix": [[{"num": "1", "den": {"A": "3"}}]]}, "zero denominator"),
     ]
+    for text, message in (("", "empty"), ("1.5", "bad term"), ("--1", "cannot parse"), ("x^257", "exceeds")):
+        cases.append(("genus-verify", {"schema": 1, "curve": line, "F": [[text]], "G": [[1]], "witnesses": []}, message))
     for command, payload, message in cases:
         code, _, err = invoke(capsys, command, "--json", json.dumps(payload))
         assert code == 2 and message in json.loads(err)["error"]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hasseforms import curvering, forms, search
+from hasseforms import curvepoints, curvering, finfield, forms, funcfield, search
 from hasseforms.curvepoints import AffinePoint, enumerate_points, frobenius_orbit
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction, RingMatrix, congruence
 from hasseforms.finfield import SquareClass, embed, is_square, make_extension
@@ -34,6 +34,7 @@ from hasseforms.funcfield import Poly, PrimePoly, monic_irreducibles, residue_fi
 from hasseforms.serialize import genus_report_to_json, load_bundled_pair, pair_from_json
 
 from oracles import (
+    _vanishes_at,
     benchmark_jobs,
     brute_force_congruent,
     closed_point_counts,
@@ -931,13 +932,13 @@ def test_coverage_has_no_false_gap_at_a_regular_point():
 
 def test_coverage_tests_at_most_three_parts_per_witness_and_place(monkeypatch):
     calls = []
-    vanishes = forms._vanishes
+    zero_test = forms._zero_test
 
-    def counting(f, place):
-        calls.append(place)
-        return vanishes(f, place)
+    def counting(h, ext):
+        vanishes = zero_test(h, ext)
+        return lambda lx, ly: calls.append((lx, ly)) or vanishes(lx, ly)
 
-    monkeypatch.setattr(forms, "_vanishes", counting)
+    monkeypatch.setattr(forms, "_zero_test", counting)
     d = RingFraction(LINE5, RingElement.one(LINE5), P(F5, "x^2+x"))
     rank3 = RingMatrix(LINE5, [[d, d * 2, 0], [0, 1, d], [d * 3, 0, 1]])
     cases = [load_bundled_pair(name) for name in ("polyline_pair", "singular_cubic_pair")]
@@ -970,7 +971,73 @@ def test_vanishing_by_evaluation_matches_division(data):
     h = RingElement(line, Poly(field, data.draw(st.lists(element, max_size=7))))
     if data.draw(st.booleans()):  # a root at the place, possibly repeated
         h = h * RingElement(line, place.prime ** data.draw(st.integers(1, 3)))
-    assert forms._vanishes(h, place) == (h.a % place.prime).is_zero()
+    assert forms._zero_test(h, place.x.field)(place.x.log, None) == (h.a % place.prime).is_zero()
+
+
+# the line and cubics over F_5, F_9 and F_25, the singular cubic
+# y^2 = x^3 + 2x + 3 over F_5 (EC) included; their places of degree <= 2
+F25 = make_extension(5, 2)
+ZERO_TEST_CURVES = {
+    "line-F5": LINE5,
+    "line-F9": CurveSpec.polyline(F9),
+    "line-F25": CurveSpec.polyline(F25),
+    "cubic-F5": EC11,
+    "singular-F5": EC,
+    "cubic-F9": CurveSpec.weierstrass(F9, [1, 1], [0, 1]),
+    "cubic-F25": CurveSpec.weierstrass(F25, [1, 1], [0, 3]),
+}
+ZERO_TEST_PLACES = {}  # (name, d) -> forms._closed_places
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_TEST_CURVES))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_zero_tests_match_the_vanishing_oracle(name, data):
+    # each part of a support, and the support's coverage rule, read on the
+    # logs of a place's coordinates, against oracles._vanishes_at, which
+    # divides by the prime on the line and evaluates on the cubic
+    curve = ZERO_TEST_CURVES[name]
+    field = curve.field
+    element = st.sampled_from(tuple(field.elements()))
+
+    def part():
+        a = Poly(field, data.draw(st.lists(element, max_size=4)))
+        if data.draw(st.booleans()):  # vanish above a rational x
+            a = a * Poly(field, [data.draw(element), 1])
+        b = Poly.zero(field) if curve.is_polyline else Poly(field, data.draw(st.lists(element, max_size=3)))
+        return RingElement(curve, a, b)
+
+    support = (part(), part(), part())
+    for d in (1, 2):
+        ext = make_extension(field.p, field.k * d)
+        if (name, d) not in ZERO_TEST_PLACES:
+            ZERO_TEST_PLACES[name, d] = forms._closed_places(curve, d)
+        tests, reaches = [forms._zero_test(h, ext) for h in support], forms._reaches(support, ext)
+        for place in ZERO_TEST_PLACES[name, d]:
+            lx, ly = place.x.log, None if place.y is None else place.y.log
+            far, den, low = [_vanishes_at(h, place) for h in support]
+            assert [test(lx, ly) for test in tests] == [far, den, low]
+            assert reaches(lx, ly) == (not far or den and not low)
+
+
+def test_coverage_embeds_each_coefficient_once_per_place_field(monkeypatch):
+    # the supports' coefficients are embedded once per place field above
+    # F_q and never per place: on the line fixture the places go 5, 15, 55
+    # as the degree goes 1, 2, 3, and finfield.embed runs 0, C, 2C times
+    pair = load_bundled_pair("polyline_pair")
+    verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=3)  # fields and tables built
+    real, calls = finfield.embed, []
+    for module in (finfield, funcfield, curvepoints, forms):
+        if getattr(module, "embed", None) is real:
+            monkeypatch.setattr(module, "embed", lambda a, target: calls.append(a) or real(a, target))
+    counts, places = [], []
+    for d in (1, 2, 3):
+        calls.clear()
+        report = verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=d)
+        counts.append(len(calls))
+        places.append(len(report.covered) + len(report.uncovered))
+    assert places == [5, 15, 55]
+    assert counts[1] > 0 and counts == [0, counts[1], 2 * counts[1]]
 
 
 @pytest.mark.parametrize("p, k, d", [(3, 1, 1), (3, 1, 4), (5, 1, 3), (7, 1, 2), (11, 1, 3), (3, 2, 2), (5, 2, 2), (3, 3, 2)])

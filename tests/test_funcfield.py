@@ -2,11 +2,11 @@ import collections
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hasseforms import funcfield
-from hasseforms.curvepoints import INFINITY, ec_add, ec_multiply, enumerate_points
+from hasseforms.curvepoints import enumerate_points
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction
 from hasseforms.finfield import MAX_INSPECTION_SIZE, make_extension
 from hasseforms.forms import _times_power
@@ -25,7 +25,14 @@ from hasseforms.funcfield import (
     valuation,
 )
 
-from oracles import monic_irreducibles_by_trial_division, poly_product_by_vectors, reducible_monics_by_products
+from oracles import (
+    INFINITY,
+    ec_add,
+    ec_multiply,
+    monic_irreducibles_by_trial_division,
+    poly_product_by_vectors,
+    reducible_monics_by_products,
+)
 
 F3 = make_extension(3, 1)
 F5 = make_extension(5, 1)
@@ -107,9 +114,22 @@ def test_parse_poly(text, coeffs):
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x+", "y^2", "x**2", "++1"):
+    for bad in ("", "x+", "y^2", "x**2", "++1", "1.5", "--1", "3\n"):
         with pytest.raises(ValueError):
             Poly.from_text(F5, bad)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([F3, F5, F9, make_extension(53, 1)]), st.from_regex(r" ?[0-9]{1,6} ?", fullmatch=True))
+@example(F5, "0")
+@example(F5, "7")
+@example(F5, "007")
+@example(F5, " 12 ")
+def test_integer_text_reads_as_the_term_grammar_does(field, text):
+    # a plain integer skips the term grammar; "+n" and "n*x^0" go through it
+    f = Poly.from_text(field, text)
+    assert f == Poly.from_text(field, "+" + text) == Poly.from_text(field, text.strip() + "*x^0")
+    assert f == Poly(field, [int(text)])
 
 
 def test_parse_refuses_huge_exponent_before_allocating():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hasseforms import curvering, serialize
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction, RingMatrix
 from hasseforms.finfield import make_extension
 from hasseforms.funcfield import Poly
@@ -113,6 +114,15 @@ def test_dumps_matches_standard_encoder_on_other_keys_and_values():
         {1.5: 1, -0.0: 2, 1e300: 3},
         {True: None, False: 0},
         [float("nan"), float("inf"), -float("inf"), 1e-320],
+        # lists of point records, rendered in one pass, and near misses
+        [{"degree": 2, "x": [1, 2], "y": [0, 4]}, {"degree": 1, "x": [3], "y": [-1]}],
+        ({"degree": 1, "x": [7], "y": [8]},),
+        [{"degree": 1, "x": [], "y": [2]}],
+        [{"degree": 1, "x": [True], "y": [2]}],
+        [{"degree": 1.0, "x": [1], "y": [2]}],
+        [{"degree": 1, "x": (1,), "y": [2]}],
+        [{"degree": 1, "x": {1: 2}, "y": [2]}],
+        [{"degree": 1, "x": [1], "y": [2]}, {"x": [1], "y": [2]}, 3],
     ):
         assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
     for bad in ({"a": {1, 2}}, [object()], {1: 1, "a": 2}):
@@ -134,3 +144,25 @@ def test_render_text_mirrors_structure():
     assert "identity_ok[0]: true" in text
     assert "identity_ok[1]: false" in text
     assert "n: 2" in text
+
+
+def test_loading_runs_no_gcd_for_a_constant_numerator(monkeypatch):
+    # a nonzero constant numerator shares no factor with its denominator,
+    # so an entry such as {"num": "1", "den": "1+x"} is only made monic
+    calls, entries = [], []
+    gcd, load = curvering.poly_gcd, serialize.fraction_from_json
+    monkeypatch.setattr(curvering, "poly_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+
+    def loading(curve, data):  # each entry with the gcds its loading ran
+        before = len(calls)
+        entry = load(curve, data)
+        entries.append((entry, len(calls) - before))
+        return entry
+
+    monkeypatch.setattr(serialize, "fraction_from_json", loading)
+    for name in ("polyline_pair", "singular_cubic_pair"):
+        load_bundled_pair(name)
+    fractions = [(e, n) for e, n in entries if e.den.degree >= 1]
+    assert [n for e, n in fractions if e.num.is_constant()] == [0] * 4  # 1/(1+x), 1/(1-x), 3/(x+1), 1/(x+1)
+    paying = [n for e, n in fractions if not e.num.is_constant()]  # the cubic pair's 1/y and 2/y: -y, -2y over a cubic
+    assert len(paying) == 2 and all(n > 0 for n in paying)
