@@ -434,16 +434,8 @@ class RingMatrix:
     __slots__ = ("curve", "rows")
 
     def __init__(self, curve: CurveSpec, rows):
-        n = len(rows)
-        if n == 0:
-            raise ValueError("matrix must have at least one row")
-        coerced = []
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            coerced.append(tuple([_coerce_entry(curve, e) for e in row]))
         self.curve = curve
-        self.rows = tuple(coerced)
+        self.rows = square_rows(curve, rows, _coerce_entry)
 
     @classmethod
     def identity(cls, curve, n: int) -> RingMatrix:
@@ -488,8 +480,8 @@ class RingMatrix:
 def _coerce_entry(curve, e) -> RingFraction:
     """e as a matrix entry over the curve: a constant as the curve's
     shared c/1, a fraction of the curve as itself, and a polynomial or
-    ring element as e/1, each type with one check.  A repeated constant
-    is one dict lookup."""
+    ring element as e/1 (``_ring_entry``).  A repeated constant is one
+    dict lookup."""
     if isinstance(e, (int, FieldElement)):
         frac = curve._entries.get(e)  # a repeated int skips field.element
         if frac is None:
@@ -507,21 +499,50 @@ def _coerce_entry(curve, e) -> RingFraction:
         if e.curve is not curve and e.curve != curve:
             raise ValueError("mismatched curves")
         return e
+    return RingFraction.from_ring(_ring_entry(curve, e))
+
+
+def _ring_entry(curve, e):
+    """e as an entry of an integral matrix over the curve: a ring element
+    of the curve as itself, a constant as the numerator of the curve's
+    shared c/1, a polynomial as a y-free ring element, and a fraction as
+    its numerator when its denominator is 1.  A fraction with a
+    denominator is returned as it is, for the caller to refuse.  Each
+    type takes one check."""
+    if type(e) is RingElement and e.curve is curve:
+        return e
+    if isinstance(e, (int, FieldElement)):
+        return _coerce_entry(curve, e).num
     if isinstance(e, Poly):
         if e.field is not curve.field:
             raise ValueError("polynomial parts must live over the curve's field")
-        return RingFraction.from_ring(RingElement._raw(curve, e, Poly.zero(e.field)))
-    if isinstance(e, RingElement):
-        if e.curve is not curve and e.curve != curve:
+        return RingElement._raw(curve, e, Poly.zero(e.field))
+    if isinstance(e, (RingElement, RingFraction)):
+        if e.curve != curve:
             raise ValueError("mismatched curves")
-        return RingFraction.from_ring(e)
+        return e.num if type(e) is RingFraction and e.den.degree < 1 else e
     raise TypeError(f"cannot place {e!r} in a matrix")
 
 
 # Row-level matrix algebra, shared by matrices over the fraction field
 # (RingFraction entries), over the ring (RingElement entries) and forms
-# over a finite field (FieldElement entries): ``diagonal_rows``,
-# ``is_symmetric``, ``matmul``, ``det`` and ``congruence_rows``.
+# over a finite field (FieldElement entries): ``square_rows``,
+# ``diagonal_rows``, ``is_symmetric``, ``matmul``, ``det`` and
+# ``congruence_rows``.
+
+
+def square_rows(curve, rows, entry):
+    """The rows of a square matrix as tuples of ``entry(curve, e)``, row
+    by row; ValueError for no rows or a row of another length."""
+    n = len(rows)
+    if n == 0:
+        raise ValueError("matrix must have at least one row")
+    out = []
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        out.append(tuple([entry(curve, e) for e in row]))
+    return tuple(out)
 
 
 def diagonal_rows(entries, zero=0):
@@ -558,9 +579,13 @@ def matmul(a, b):
 def det(rows):
     """Determinant of a square matrix given as rows.
 
-    Cofactor expansion along the first row, skipping its zero entries,
-    down to a 2 x 2 base case that drops a product with a zero factor:
-    at the ranks used here (n <= 3 in search and genus work, sparse Gram
+    Rows of field elements with n >= 3 are reduced by Gaussian
+    elimination (``_field_det``): over F_q a pivot's inverse is one log
+    lookup, so elimination costs O(n^3) products against the cofactor
+    expansion's O(n!).  Ring and fraction entries take cofactor
+    expansion along the first row, skipping its zero entries, down to a
+    2 x 2 base case that drops a product with a zero factor: at the
+    ranks used here (n <= 3 in search and genus work, sparse Gram
     matrices beyond that) it beats fraction-free elimination, whose
     exact divisions cost more than the few products they save.
     """
@@ -572,6 +597,8 @@ def det(rows):
         if b.is_zero() or c.is_zero():  # no product b c: a d, or a zero entry
             return a if a.is_zero() else d if d.is_zero() else a * d
         return -(b * c) if a.is_zero() or d.is_zero() else a * d - b * c
+    if type(rows[0][0]) is FieldElement:
+        return _field_det(rows)
     total = None
     for j, e in enumerate(rows[0]):
         if e.is_zero():
@@ -581,6 +608,39 @@ def det(rows):
             cof = -cof
         total = cof if total is None else total + cof
     return rows[0][0] if total is None else total
+
+
+def _field_det(rows) -> FieldElement:
+    """Determinant of rows of field elements by Gaussian elimination
+    (Cohen, *A Course in Computational Algebraic Number Theory*, ch. 2):
+    in column i the first row at or below i with a nonzero entry is the
+    pivot, swapped up with a change of sign; the rows below lose their
+    multiple of it, over the pivot row's nonzero columns only.  The
+    determinant is the signed product of the pivots, or 0 at a column
+    with no pivot."""
+    field = rows[0][0].field
+    m = [list(row) for row in rows]
+    n = len(m)
+    d = field.one()
+    for i in range(n):
+        k = next((r for r in range(i, n) if not m[r][i].is_zero()), None)
+        if k is None:
+            return field.zero()
+        pivot_row = m[k]
+        if k != i:  # row i is not read again
+            m[k] = m[i]
+            d = -d
+        pivot = pivot_row[i]
+        d = d * pivot
+        inv = pivot.inverse()
+        live = [j for j in range(i + 1, n) if not pivot_row[j].is_zero()]
+        for row in m[i + 1 :]:
+            if row[i].is_zero():
+                continue
+            c = row[i] * inv
+            for j in live:
+                row[j] = row[j] - c * pivot_row[j]
+    return d
 
 
 def congruence_rows(t, m):

@@ -240,7 +240,13 @@ class FiniteField:
         return self._zech
 
     def element(self, value) -> FieldElement:
-        """Coerce an int (constant) or coefficient sequence into the field."""
+        """Coerce an int (constant) or coefficient sequence into the field.
+        An int, or a list holding one int, is one table lookup."""
+        kind = type(value)
+        if kind is int:
+            return self._elements[value % self.p]
+        if kind is list and len(value) == 1 and type(value[0]) is int:
+            return self._elements[value[0] % self.p]
         if isinstance(value, FieldElement):
             if value.field is not self:
                 raise ValueError("element belongs to a different field")

@@ -28,7 +28,19 @@ from __future__ import annotations
 import itertools
 
 from .curvepoints import AffinePoint, enumerate_points, is_singular_point, orbit_degree, require_on_curve
-from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, congruence_rows, det, diagonal_rows, is_symmetric
+from .curvering import (
+    CurveSpec,
+    RingElement,
+    RingFraction,
+    RingMatrix,
+    _coerce_entry,
+    _ring_entry,
+    congruence_rows,
+    det,
+    diagonal_rows,
+    is_symmetric,
+    square_rows,
+)
 from .finfield import (
     MAX_INSPECTION_SIZE,
     FieldElement,
@@ -124,11 +136,6 @@ class FieldForm:
         return "FieldForm([" + ", ".join("[" + ", ".join(map(_coeff_text, row)) + "]" for row in self.rows) + "])"
 
 
-def field_congruence(t_rows, form: FieldForm) -> FieldForm:
-    """T^t F T over the field, for plain row-tuple transition matrices."""
-    return FieldForm(form.field, congruence_rows(t_rows, form.rows))
-
-
 def diagonalize(form: FieldForm):
     """Congruence diagonalization over a field of odd characteristic.
 
@@ -196,50 +203,63 @@ class GramMatrix:
     """A nondegenerate symmetric matrix with entries in the coordinate
     ring, representing an integral bilinear form.
 
-    Integrality is checked first, so the determinant is taken over the
-    ring (``det`` on the ring entries) and kept as a RingElement.
+    ``rows`` holds the entries as RingElements, built in one pass from
+    ints, field elements, polynomials, ring elements or fractions with
+    denominator 1 (``curvering._ring_entry``); a RingMatrix is read the
+    same way.  The curve, symmetry, integrality and nondegeneracy are
+    checked in that order, and the determinant is taken over the ring
+    once and kept.  ``matrix`` is the form as a RingMatrix over the
+    fraction field, built when a caller asks for it.
     """
 
-    __slots__ = ("curve", "matrix", "_det")
+    __slots__ = ("curve", "rows", "_det", "_matrix")
 
-    def __init__(self, curve: CurveSpec, matrix: RingMatrix):
-        if matrix.curve != curve:
-            raise ValueError("matrix lives over a different curve")
-        if not matrix.is_symmetric():
+    def __init__(self, curve: CurveSpec, rows):
+        matrix = None
+        if isinstance(rows, RingMatrix):
+            if rows.curve != curve:
+                raise ValueError("matrix lives over a different curve")
+            matrix, rows = rows, rows.rows
+        rows = square_rows(curve, rows, _ring_entry)
+        if not is_symmetric(rows):
             raise ValueError("integral forms are symmetric")
-        if not matrix.all_integral():
+        if any(type(e) is RingFraction for row in rows for e in row):
             raise ValueError("integral forms have no denominators")
-        d = det([[e.num for e in row] for row in matrix.rows])
+        d = det(rows)
         if d.is_zero():
             raise ValueError("integral forms are nondegenerate")
         self.curve = curve
-        self.matrix = matrix
+        self.rows = rows
         self._det = d
+        self._matrix = matrix
 
     @classmethod
     def from_rows(cls, curve, rows) -> GramMatrix:
-        return cls(curve, RingMatrix(curve, rows))
+        return cls(curve, rows)
 
     @classmethod
     def identity(cls, curve, n: int) -> GramMatrix:
-        return cls(curve, RingMatrix.identity(curve, n))
+        return cls.diagonal(curve, [_ring_entry(curve, 1)] * n)
 
     @classmethod
     def diagonal(cls, curve, entries) -> GramMatrix:
-        return cls(curve, RingMatrix.diagonal(curve, entries))
+        return cls(curve, diagonal_rows(entries, _ring_entry(curve, 0)))
 
     @property
     def n(self) -> int:
-        return self.matrix.n
+        return len(self.rows)
+
+    @property
+    def matrix(self) -> RingMatrix:
+        if self._matrix is None:
+            self._matrix = RingMatrix(self.curve, self.rows)
+        return self._matrix
 
     def det(self) -> RingElement:
         return self._det
 
-    def ring_rows(self):
-        return tuple(tuple(e.as_ring_element() for e in row) for row in self.matrix.rows)
-
     def __eq__(self, other):
-        return isinstance(other, GramMatrix) and self.matrix == other.matrix
+        return isinstance(other, GramMatrix) and self.curve == other.curve and self.rows == other.rows
 
     def __repr__(self):
         return f"GramMatrix({self.matrix.rows!r})"
@@ -383,7 +403,7 @@ def verify_genus_witness(
         raise ValueError("forms live over different curves")
     if f.n != g.n:
         raise ValueError("forms have different ranks")
-    if witness.target.matrix != g.matrix:
+    if witness.target != g:
         raise ValueError("witness targets a different form")
     if degree < 1:
         raise ValueError("inspection degree must be >= 1")
@@ -427,18 +447,30 @@ def witness_identity(q: RingMatrix, f: GramMatrix, g: GramMatrix):
     denominator (fraction-free, as in von zur Gathen and Gerhard, *Modern
     Computer Algebra*, ch. 6).  With delta the lcm of Q's denominators,
     P = delta Q is integral, Q^t F Q = G exactly when P^t F P = delta^2 G,
-    and det Q = det P / delta^n, reduced once."""
+    and det Q = det P / delta^n, reduced once (``_quotient``: with no gcd
+    when det P is a constant times delta^n)."""
     if not q.n == f.n == g.n:
         raise ValueError("dimension mismatch")
     delta = Poly.one(q.curve.field)
     for e in itertools.chain.from_iterable(q.rows):
-        if e.den.degree >= 1:
+        if e.den.degree >= 1 and e.den != delta:
             delta = e.den if delta.degree < 1 else delta // poly_gcd(delta, e.den) * e.den
     p = [[e.num if e.is_zero() or e.den == delta else e.num * (delta // e.den) for e in row] for row in q.rows]
-    lhs = congruence_rows(p, f.ring_rows())
+    lhs = congruence_rows(p, f.rows)
     scale = delta * delta
-    ok = all(x == y * scale for lrow, grow in zip(lhs, g.ring_rows()) for x, y in zip(lrow, grow))
-    return ok, RingFraction(q.curve, det(p), delta**q.n)
+    ok = all(x == y * scale for lrow, grow in zip(lhs, g.rows) for x, y in zip(lrow, grow))
+    return ok, _quotient(det(p), delta**q.n)
+
+
+def _quotient(num: RingElement, den: Poly) -> RingFraction:
+    """num / den, den monic: the curve's shared c/1 when num = c den for a
+    constant c, read off den's leading coefficient with no gcd or exact
+    division, else the fraction in lowest terms."""
+    if not num.b.coeffs and num.a.degree == den.degree:
+        c = num.a.coeffs[-1]
+        if num.a == den * Poly._raw(den.field, (c,)):
+            return _coerce_entry(num.curve, c)
+    return RingFraction(num.curve, num, den)
 
 
 def _closed_places(curve: CurveSpec, d: int):

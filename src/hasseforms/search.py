@@ -98,8 +98,7 @@ def isom_search(
         size *= capped_power(curve.field.q, deg_y + 1, budget)
     if size > budget:
         raise BudgetExceededError(f"entry pool size exceeds budget {budget}")
-    f_rows = f.ring_rows()
-    g_rows = g.ring_rows()
+    f_rows, g_rows = f.rows, g.rows
     reach = _reach(curve, f_rows, deg_x, deg_y)
     points = _evaluation_points(curve, 1 if reach is None else reach + 1)
     diagonal = all(f_rows[i][j].is_zero() for i in range(n) for j in range(n) if i != j)

@@ -28,7 +28,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from .curvepoints import AffinePoint, PointCountReport
-from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _coerce_entry
+from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _coerce_entry, _ring_entry
 from .finfield import MAX_FIELD_SIZE, FieldElement, FiniteField, capped_power, make_extension
 from .forms import GenusReport, GenusWitness, GramMatrix
 from .funcfield import Poly, to_text
@@ -184,28 +184,45 @@ def fraction_to_json(e: RingFraction) -> dict:
     return {"num": ring_elem_to_json(e.num), "den": to_text(e.den)}
 
 
-def fraction_from_json(curve: CurveSpec, data) -> RingFraction:
+def entry_from_json(curve: CurveSpec, data):
+    """A matrix entry as written: a RingElement when it is integral on its
+    face (an int, a polynomial text, a ring-element record, or a fraction
+    over a nonzero constant, scaled by its inverse), else a RingFraction
+    in lowest terms, its denominator rationalized into F_q[x]."""
     if not isinstance(data, dict) or "num" not in data:
-        # an int is the curve's shared c/1 (JSON true is no int)
-        return _coerce_entry(curve, data if type(data) is int else ring_elem_from_json(curve, data))
+        # an int is the curve's shared constant (JSON true is no int)
+        return _ring_entry(curve, data) if type(data) is int else ring_elem_from_json(curve, data)
     num = ring_elem_from_json(curve, data["num"])
     den = data.get("den", "1")
     den = ring_elem_from_json(curve, den) if isinstance(den, dict) else Poly.from_text(curve.field, den)
     if den.is_zero():
         raise ValueError("fraction has a zero denominator")
+    if den.is_constant():
+        return num * den.constant_value().inverse()
     return RingFraction.make(num, den)
+
+
+def fraction_from_json(curve: CurveSpec, data) -> RingFraction:
+    # an int is the curve's shared c/1 (JSON true is no int)
+    return _coerce_entry(curve, data if type(data) is int else entry_from_json(curve, data))
 
 
 def matrix_to_json(m: RingMatrix) -> list:
     return [[fraction_to_json(e) for e in row] for row in m.rows]
 
 
-def matrix_from_json(curve: CurveSpec, rows, what: str = "matrix") -> RingMatrix:
-    """A matrix from a JSON list of rows, each a list of entries; any
-    other shape is refused with a ValueError naming ``what``."""
+def _rows_from_json(curve: CurveSpec, rows, what: str, entry):
+    """``entry(curve, e)`` for each entry of a JSON list of rows, each a
+    list of entries; any other shape is refused with a ValueError naming
+    ``what``."""
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"{what} must be a list of rows, each a list of entries")
-    return RingMatrix(curve, [[fraction_from_json(curve, e) for e in row] for row in rows])
+    return [[entry(curve, e) for e in row] for row in rows]
+
+
+def matrix_from_json(curve: CurveSpec, rows, what: str = "matrix") -> RingMatrix:
+    """A matrix over the fraction field from a JSON list of rows."""
+    return RingMatrix(curve, _rows_from_json(curve, rows, what, fraction_from_json))
 
 
 # ---------------------------------------------------------------------------
@@ -267,24 +284,6 @@ def genus_report_to_json(report: GenusReport) -> dict:
 # witness / search pair files
 
 
-def pair_to_json(curve, f: GramMatrix, g: GramMatrix, witness=None, degree=None, bounds=None) -> dict:
-    out = {
-        "schema": 1,
-        "curve": curve_to_json(curve),
-        "F": matrix_to_json(f.matrix),
-        "G": matrix_to_json(g.matrix),
-    }
-    if witness is not None:
-        out["witnesses"] = [
-            {"Q": matrix_to_json(q), "s": ring_elem_to_json(s)} for q, s in witness.pairs
-        ]
-    if degree is not None:
-        out["degree"] = degree
-    if bounds is not None:
-        out["isom_bounds"] = dict(bounds)
-    return out
-
-
 def pair_from_json(data: dict) -> dict:
     """Load a pair file: curve, forms F and G, optional witnesses,
     inspection degree, and search bounds.
@@ -296,8 +295,12 @@ def pair_from_json(data: dict) -> dict:
     if data.get("schema") != 1:
         raise ValueError("unsupported or missing schema version")
     curve = curve_from_json(require_key(data, "curve", "pair"))
-    f = GramMatrix(curve, matrix_from_json(curve, require_key(data, "F", "pair"), "F"))
-    g = GramMatrix(curve, matrix_from_json(curve, require_key(data, "G", "pair"), "G"))
+    # the forms' entries load as ring elements: no fraction for an entry
+    # that is integral as written
+    f, g = (
+        GramMatrix(curve, _rows_from_json(curve, require_key(data, key, "pair"), key, entry_from_json))
+        for key in "FG"
+    )
     out = {"curve": curve, "F": f, "G": g}
     if "witnesses" in data:
         if not isinstance(data["witnesses"], list):

@@ -21,9 +21,10 @@ from pathlib import Path
 from hasseforms import forms, search
 from hasseforms.finfield import FiniteField, embed, make_extension, square_and_multiply
 from hasseforms.curvepoints import AffinePoint, require_on_curve
-from hasseforms.curvering import RingElement, RingFraction
+from hasseforms.curvering import RingElement, RingFraction, congruence_rows
 from hasseforms.forms import FieldForm, field_isomorphic
 from hasseforms.funcfield import Poly, PrimePoly, factor, monic_polys, residue_field
+from hasseforms.serialize import curve_to_json, matrix_to_json, ring_elem_to_json
 
 
 def benchmark_jobs(workload: str, seeds) -> tuple:
@@ -237,6 +238,11 @@ def symmetric_nondegenerate(p: int, n: int):
 def field_matrix(field: FiniteField, rows):
     """Lift an int matrix into FieldElement rows."""
     return tuple(tuple(field.element(v) for v in row) for row in rows)
+
+
+def field_congruence(t_rows, form: FieldForm) -> FieldForm:
+    """T^t F T over the field, for plain row-tuple transition matrices."""
+    return FieldForm(form.field, congruence_rows(t_rows, form.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -780,4 +786,27 @@ def reducible_monics_by_products(field: FiniteField, degree: int) -> set:
         cofactors = list(monic_polys(field, degree - e))
         for g in monic_polys(field, e):
             out.update((g * h).coeffs for h in cofactors)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Pair files, written back: the tests' round trip through pair_from_json,
+# which no command needs.
+
+
+def pair_to_json(curve, f, g, witness=None, degree=None, bounds=None) -> dict:
+    out = {
+        "schema": 1,
+        "curve": curve_to_json(curve),
+        "F": matrix_to_json(f.matrix),
+        "G": matrix_to_json(g.matrix),
+    }
+    if witness is not None:
+        out["witnesses"] = [
+            {"Q": matrix_to_json(q), "s": ring_elem_to_json(s)} for q, s in witness.pairs
+        ]
+    if degree is not None:
+        out["degree"] = degree
+    if bounds is not None:
+        out["isom_bounds"] = dict(bounds)
     return out

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hasseforms import curvering
+from hasseforms import curvering, serialize
 from hasseforms.curvering import (
     CurveSpec,
     RingElement,
     RingFraction,
     RingMatrix,
     congruence,
+    congruence_rows,
     det,
+    diagonal_rows,
     matmul,
 )
 from hasseforms.finfield import FieldElement, make_extension
@@ -319,13 +321,22 @@ def rand_field_elem(rng, field, zero_share):
     return field.element([rng.randrange(field.p) for _ in range(field.k)])
 
 
-def rand_field_form(rng, field, n, zero_share=0.3, zero_first_row=False):
+def rand_field_form(rng, field, n, zero_share=0.3, zero_first_row=False, zero_diagonal=False):
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = field.zero() if zero_first_row and i == 0 else rand_field_elem(rng, field, zero_share)
+            zero = zero_first_row and i == 0 or zero_diagonal and i == j
+            v = field.zero() if zero else rand_field_elem(rng, field, zero_share)
             rows[i][j] = rows[j][i] = v
     return FieldForm(field, rows)
+
+
+def rand_low_rank_form(rng, field, n, rank):
+    """T^t D T with D diagonal of the given rank: a symmetric form of rank
+    at most ``rank``."""
+    d = [rand_field_elem(rng, field, 0) if i < rank else field.zero() for i in range(n)]
+    t = [[rand_field_elem(rng, field, 0.3) for _ in range(n)] for _ in range(n)]
+    return FieldForm(field, congruence_rows(t, diagonal_rows(d, field.zero())))
 
 
 def rand_entry(rng, curve, max_deg):
@@ -348,6 +359,8 @@ def rand_diagonal(rng, curve, n):
 
 
 F9 = make_extension(3, 2)
+F49 = make_extension(7, 2)
+F121 = make_extension(11, 2)
 
 
 @pytest.mark.parametrize(
@@ -358,6 +371,14 @@ F9 = make_extension(3, 2)
         pytest.param(lambda rng: rand_field_form(rng, F5, 5), id="field-5x5-F5"),
         pytest.param(lambda rng: rand_field_form(rng, F9, 5, zero_share=0.6), id="field-5x5-F9-sparse"),
         pytest.param(lambda rng: rand_field_form(rng, F5, 4, zero_first_row=True), id="field-4x4-F5-zero-row"),
+        pytest.param(lambda rng: rand_field_form(rng, F5, 4, zero_diagonal=True), id="field-4x4-F5-zero-diagonal"),
+        pytest.param(lambda rng: rand_field_form(rng, F9, 5, zero_diagonal=True), id="field-5x5-F9-zero-diagonal"),
+        pytest.param(lambda rng: rand_low_rank_form(rng, F5, 4, 2), id="field-4x4-F5-rank2"),
+        pytest.param(lambda rng: rand_low_rank_form(rng, F9, 5, 4), id="field-5x5-F9-rank4"),
+        pytest.param(lambda rng: rand_field_form(rng, F49, 3), id="field-3x3-F49"),
+        pytest.param(lambda rng: rand_field_form(rng, F49, 6), id="field-6x6-F49"),
+        pytest.param(lambda rng: rand_field_form(rng, F121, 3), id="field-3x3-F121"),
+        pytest.param(lambda rng: rand_field_form(rng, F121, 6, zero_share=0.5), id="field-6x6-F121-sparse"),
         pytest.param(lambda rng: rand_diagonal(rng, LINE, 4), id="ring-diag4-line"),
         pytest.param(lambda rng: rand_diagonal(rng, EC, 5), id="ring-diag5-cubic"),
         pytest.param(lambda rng: rand_diagonal(rng, LINE, 6), id="ring-diag6-line"),
@@ -370,6 +391,19 @@ def test_det_against_leibniz(build):
     for _ in range(3):
         m = build(rng)
         assert m.det() == leibniz_det(m.rows)
+
+
+def test_field_det_swaps_rows_and_finds_rank_deficiency():
+    # a zero diagonal makes every column's first pivot a row swap; a
+    # repeated row leaves a column with no pivot
+    for field in (F5, F9, F49):
+        one, two = field.one(), field.element(2)
+        hyperbolic = FieldForm(field, [[0, one, 0, 0], [one, 0, 0, 0], [0, 0, 0, two], [0, 0, two, 0]])
+        assert hyperbolic.det() == leibniz_det(hyperbolic.rows) == two * two
+        swap = FieldForm(field, [[0, one, two], [one, 0, one], [two, one, 0]])
+        assert swap.det() == leibniz_det(swap.rows) == (one + one) * two
+        assert FieldForm(field, [[one, two, one], [two, one, two], [one, two, one]]).det().is_zero()
+        assert FieldForm.diagonal(field, [one, two, 0, one]).det().is_zero()
 
 
 def test_is_unit_invariant_survives_optimize():
@@ -560,6 +594,48 @@ def test_diagonal_gram_builds_its_zero_entry_once(monkeypatch):
     GramMatrix.diagonal(CurveSpec.polyline(F5), entries)
     GramMatrix.diagonal(CurveSpec.polyline(F5), entries)
     assert sum(1 for e in built if e.is_zero()) <= 1
+
+
+def test_integral_forms_build_fractions_only_for_shared_constants(monkeypatch):
+    # a Gram matrix holds ring elements: from_rows, diagonal, identity and
+    # pair_from_json make no fraction but the curve's shared constants c/1
+    made = []
+    raw, init = RingFraction._raw.__func__, RingFraction.__init__
+
+    def counting_raw(cls, *args):
+        made.append(raw(cls, *args))
+        return made[-1]
+
+    def counting_init(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(RingFraction, "_raw", classmethod(counting_raw))
+    monkeypatch.setattr(RingFraction, "__init__", counting_init)
+
+    def only_shared(curve):
+        shared = list(curve._entries.values())
+        return all(any(frac is c for c in shared) for frac in made)
+
+    for curve in (CurveSpec("polyline", F5), CurveSpec.weierstrass(F5, 1, 1), CurveSpec.polyline(F5)):
+        fresh = not curve._entries  # the field's one line may have built its constants before
+        x = RingElement.x(curve)
+        GramMatrix.identity(curve, 3)
+        GramMatrix.diagonal(curve, [P("x"), 2, x, F5.element(3)])
+        GramMatrix.from_rows(curve, [[1, x], [x, P("x^2+2")]])
+        assert only_shared(curve) and (made or not fresh)
+        made.clear()
+    pair = {
+        "schema": 1,
+        "curve": {"type": "weierstrass", "field": {"p": 5, "k": 1}, "a": [1], "b": [1]},
+        "F": [[1, "x"], ["x", {"A": "x^2+2", "B": "1"}]],
+        "G": [[{"num": "1", "den": "1"}, {"num": {"A": "x"}, "den": "2"}], [{"num": "3*x"}, 0]],
+    }
+    loaded = serialize.pair_from_json(pair)
+    curve = loaded["curve"]
+    assert made and only_shared(curve)
+    for key in ("F", "G"):
+        assert loaded[key] == GramMatrix(curve, serialize.matrix_from_json(curve, pair[key]))
 
 
 # -- arithmetic fast paths against the general path ------------------------------

@@ -454,3 +454,52 @@ def test_field_axioms_hypothesis(elems, e1, e2):
         if not b.is_zero():
             assert (a * b) ** e1 == a**e1 * b**e1
             assert is_square(a * b) == (is_square(a) == is_square(b))
+
+
+# -- element coercion: an int, or a list holding one int, is one lookup ----------
+
+
+def _element_by_coefficients(field, value):
+    """The element with these coefficients, least significant first, each
+    read mod p: its index in the canonical order, counted base p."""
+    coeffs = [value] if isinstance(value, int) else list(value)
+    if len(coeffs) > field.k:
+        raise ValueError("coefficient vector longer than extension degree")
+    code = 0
+    for c in reversed(coeffs):
+        code = code * field.p + int(c) % field.p
+    return list(field.elements())[code]
+
+
+def _coercion_cases(pk):
+    field = make_extension(*pk)
+    ints = st.integers(-(10**6), 10**6)
+    return st.tuples(
+        st.just(field),
+        st.one_of(
+            ints,
+            st.lists(ints, min_size=1, max_size=1),
+            st.lists(ints, min_size=0, max_size=field.k + 1),
+            st.lists(ints, min_size=1, max_size=field.k + 1).map(tuple),
+            st.booleans(),
+            st.lists(st.booleans(), min_size=1, max_size=1),
+            st.integers(0, field.q - 1).map(lambda code: list(field.elements())[code]),
+        ),
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(ODD_FIELDS).flatmap(_coercion_cases))
+def test_element_fast_path_matches_the_general_path(case):
+    field, value = case
+    try:
+        expected = value if hasattr(value, "field") else _element_by_coefficients(field, value)
+    except ValueError:
+        with pytest.raises(ValueError, match="longer than extension degree"):
+            field.element(value)
+        return
+    assert field.element(value) is expected
+    if isinstance(value, list):  # a tuple takes the general path
+        assert field.element(tuple(value)) is expected
+    elif type(value) is int:
+        assert field.element((value,)) is expected

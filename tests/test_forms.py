@@ -22,7 +22,6 @@ from hasseforms.forms import (
     MalformedWitnessError,
     diagonalize,
     disc_class,
-    field_congruence,
     field_isomorphic,
     isom_search,
     is_unimodular,
@@ -41,6 +40,7 @@ from oracles import (
     clearing_exponent,
     covers_by_valuations,
     entry_pool,
+    field_congruence,
     field_matrix,
     first_isometry,
     leibniz_det,
@@ -185,6 +185,54 @@ def test_gram_matrix_validation():
         GramMatrix.from_rows(LINE5, [[1, 2], [3, 4]])  # not symmetric
     with pytest.raises(ValueError):
         GramMatrix.from_rows(LINE5, [[1, 1], [1, 1]])  # degenerate
+
+
+def test_gram_refusals_keep_their_order():
+    # the curve, then symmetry, then integrality, then nondegeneracy: a
+    # matrix both non-symmetric and fractional reads as non-symmetric
+    inv_x = RingFraction(LINE5, RingElement.one(LINE5), P(F5, "x"))
+    with pytest.raises(ValueError, match="^integral forms are symmetric$"):
+        GramMatrix.from_rows(LINE5, [[1, inv_x], [2, 1]])
+    with pytest.raises(ValueError, match="^integral forms are symmetric$"):
+        GramMatrix(LINE5, RingMatrix(LINE5, [[inv_x, 0], [1, inv_x]]))
+    with pytest.raises(ValueError, match="^integral forms have no denominators$"):
+        GramMatrix.from_rows(LINE5, [[inv_x, 0], [0, 0]])  # degenerate too
+    with pytest.raises(ValueError, match="^integral forms are nondegenerate$"):
+        GramMatrix.from_rows(LINE5, [[1, 1], [1, 1]])
+    with pytest.raises(ValueError, match="^matrix lives over a different curve$"):
+        GramMatrix(EC, RingMatrix(LINE5, [[inv_x, 1], [0, 0]]))
+    with pytest.raises(ValueError, match="at least one row"):
+        GramMatrix.from_rows(LINE5, [])
+    with pytest.raises(ValueError, match="must be square"):
+        GramMatrix.from_rows(LINE5, [[1, 0], [0]])
+    with pytest.raises(TypeError, match="cannot place"):
+        GramMatrix.from_rows(LINE5, [[1.5]])
+    with pytest.raises(ValueError, match="mismatched curves"):
+        GramMatrix.from_rows(LINE5, [[RingElement.one(EC)]])
+    with pytest.raises(ValueError, match="mismatched curves"):
+        GramMatrix.from_rows(LINE5, [[RingFraction.from_ring(RingElement.one(EC))]])
+    with pytest.raises(ValueError, match="curve's field"):
+        GramMatrix.from_rows(LINE5, [[Poly.one(F3)]])
+
+
+def test_gram_rows_hold_ring_elements():
+    y = RingElement.y(EC)
+    twin = CurveSpec.weierstrass(F5, 2, 3)  # equal to EC, another object
+    entries = [
+        [1, F5.element(2), P(F5, "x")],
+        [2, RingFraction(EC, y * 2, P(F5, "2")), RingElement(twin, Poly.zero(F5), Poly.one(F5))],
+        [RingElement.x(EC), RingFraction.from_ring(y), RingFraction.from_ring(RingElement.constant(twin, 4))],
+    ]
+    m = RingMatrix(EC, entries)
+    g = GramMatrix.from_rows(EC, entries)
+    assert all(type(e) is RingElement for row in g.rows for e in row)
+    assert g.rows == tuple(tuple(e.as_ring_element() for e in row) for row in m.rows)
+    assert g.matrix == m and g.n == 3
+    assert g.det() == m.det().as_ring_element() == leibniz_det(g.rows)
+    from_matrix = GramMatrix(EC, m)
+    assert from_matrix.matrix is m and from_matrix == g and from_matrix.rows == g.rows
+    assert GramMatrix(twin, m) == g
+    assert g != GramMatrix.identity(EC, 3) and g != GramMatrix.identity(LINE5, 3)
 
 
 def test_field_congruence_refuses_a_transition_of_another_size():
@@ -556,6 +604,43 @@ def test_field_form_keeps_elements_of_its_field():
     assert form == FieldForm(F25, [[t.coeffs, 1], [1, 3]])
     with pytest.raises(ValueError, match="different field"):
         FieldForm(F25, [[F5.one()]])
+
+
+def test_witness_determinant_skips_the_gcd_for_a_constant_quotient(monkeypatch):
+    calls = []
+    gcd = curvering.poly_gcd
+    monkeypatch.setattr(curvering, "poly_gcd", lambda *a: calls.append(a) or gcd(*a))
+    monkeypatch.setattr(forms, "poly_gcd", lambda *a: calls.append(a) or gcd(*a))
+    delta = P(F5, "x^2+3*x+1")
+    for curve in (LINE5, EC):
+        for n in (0, 1, 2, 3):
+            den = delta**n
+            for c in (1, 2, 4):  # det P = c delta^n: det Q = c/1, no gcd
+                num = RingElement(curve, den * Poly.constant(F5, c))
+                calls.clear()
+                got = forms._quotient(num, den)
+                assert calls == [] and got.is_integral()
+                assert got == RingFraction(curve, num, den) == RingFraction.from_ring(RingElement.constant(curve, c))
+            others = [den * P(F5, "x+1"), den + Poly.one(F5), P(F5, "2*x+1"), Poly.zero(F5)]
+            for a in others:  # not a constant times delta^n: reduced as before
+                num = RingElement(curve, a)
+                assert forms._quotient(num, den) == RingFraction(curve, num, den)
+            if not curve.is_polyline:  # a y part never takes the shortcut
+                num = RingElement(curve, den * Poly.constant(F5, 2), den)
+                assert forms._quotient(num, den) == RingFraction(curve, num, den)
+    # the witnesses of both fixtures have constant det Q and run no gcd
+    for f, g, pairs in (remark_fixture(F5)[1:], (GramMatrix.identity(EC, 2), ec_g_matrix(), ec_witness_pairs())):
+        for q, _ in pairs:
+            calls.clear()
+            ok, det_q = witness_identity(q, f, g)
+            assert ok and det_q.is_integral() and calls == []
+            assert det_q == q.det()
+    # a non-constant det Q still runs the gcd
+    q = RingMatrix(LINE5, [[RingFraction(LINE5, RingElement.one(LINE5), P(F5, "x+1")), 0], [0, 1]])
+    calls.clear()
+    ok, det_q = witness_identity(q, GramMatrix.identity(LINE5, 2), GramMatrix.identity(LINE5, 2))
+    assert not ok and calls
+    assert det_q == q.det() == RingFraction(LINE5, RingElement.one(LINE5), P(F5, "x+1"))
 
 
 def test_field_isomorphic_computes_one_det_per_form(monkeypatch):
@@ -1662,7 +1747,7 @@ def test_isom_search_evaluation_field_above_base_cap():
     field = make_extension(13, 1)
     line = CurveSpec.polyline(field)
     f = GramMatrix.diagonal(line, [P(field, "x^14+1"), 1])
-    assert search._reach(line, f.ring_rows(), 0, -1) == 14
+    assert search._reach(line, f.rows, 0, -1) == 14
     assert search._evaluation_points(line, 15)[0][0].field.q == 169
     q0 = RingMatrix(line, [[1, 2], [0, 1]])
     g = GramMatrix(line, congruence(q0, f.matrix))

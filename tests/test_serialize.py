@@ -18,11 +18,12 @@ from hasseforms.serialize import (
     matrix_from_json,
     matrix_to_json,
     pair_from_json,
-    pair_to_json,
     render_text,
     ring_elem_from_json,
     ring_elem_to_json,
 )
+
+from oracles import pair_to_json
 
 F5 = make_extension(5, 1)
 EC = CurveSpec.weierstrass(F5, 2, 3)
@@ -166,3 +167,24 @@ def test_loading_runs_no_gcd_for_a_constant_numerator(monkeypatch):
     assert [n for e, n in fractions if e.num.is_constant()] == [0] * 4  # 1/(1+x), 1/(1-x), 3/(x+1), 1/(x+1)
     paying = [n for e, n in fractions if not e.num.is_constant()]  # the cubic pair's 1/y and 2/y: -y, -2y over a cubic
     assert len(paying) == 2 and all(n > 0 for n in paying)
+
+
+def test_constant_denominators_scale_the_numerator():
+    # an entry over a nonzero constant is integral as written: it loads as
+    # the ring element RingFraction.make would reduce it to, with no fraction
+    line = CurveSpec.polyline(F5)
+    for curve, nums in ((EC, ["x+1", 0, 3, {"A": "x^2+3", "B": "2*x"}, {"B": "1"}]), (line, ["x+1", 0, 3, {"A": "x^2"}])):
+        for num in nums:
+            for den in ("1", "2", "4", {"A": "3"}, {"A": "2", "B": "0"}):
+                entry = {"num": num, "den": den}
+                parsed = ring_elem_from_json(curve, den) if isinstance(den, dict) else Poly.from_text(F5, den)
+                expected = RingFraction.make(ring_elem_from_json(curve, num), parsed)
+                got = serialize.entry_from_json(curve, entry)
+                assert type(got) is RingElement and got == expected.as_ring_element()
+                assert fraction_from_json(curve, entry) == expected
+        # a denominator of positive degree leaves a fraction in lowest terms
+        cancels = serialize.entry_from_json(curve, {"num": "x^2+x", "den": "x"})
+        assert type(cancels) is RingFraction and cancels.as_ring_element() == ring_elem_from_json(curve, "x+1")
+        assert not serialize.entry_from_json(curve, {"num": "1", "den": "x"}).is_integral()
+        with pytest.raises(ValueError, match="zero denominator"):
+            serialize.entry_from_json(curve, {"num": "1", "den": {"A": "0"}})
