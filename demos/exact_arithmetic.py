@@ -15,10 +15,11 @@ from hasseforms import (
     RingFraction,
     factor,
     is_square,
+    embed,
     make_extension,
-    residue_reduce,
     valuation,
 )
+from hasseforms.finfield import smallest_root
 from hasseforms.funcfield import to_text
 
 F5 = make_extension(5, 1)
@@ -47,10 +48,19 @@ print(f"  v_(x+1) of (x+1)^2/(x+3) = {valuation(r, p)}")
 x3 = RingFraction.from_ring(RingElement(line, Poly.from_text(F5, "x^3")))
 print(f"  v_inf of x^3 = {valuation(x3, PrimePoly.infinite(F5))}")
 
+
+def reduce_at(poly, prime):
+    """poly mod prime: its value at the smallest root of the prime in the
+    residue field F_{q^deg}, built as make_extension(p, k * deg)."""
+    field = prime.field
+    residue = make_extension(field.p, field.k * prime.degree)
+    return poly.evaluate(smallest_root([embed(c, residue) for c in prime.poly.coeffs], residue))
+
+
 print("\nresidue fields")
-print(f"  x^2 mod (x+1) over F_5 -> {residue_reduce(Poly.from_text(F5, 'x^2'), p)!r}")
+print(f"  x^2 mod (x+1) over F_5 -> {reduce_at(Poly.from_text(F5, 'x^2'), p)!r}")
 quad = PrimePoly.finite(Poly.from_text(make_extension(3, 1), "x^2+1"))
-print(f"  x mod (x^2+1) over F_3 -> {residue_reduce(Poly.x(make_extension(3, 1)), quad)!r} (a generator of F_9)")
+print(f"  x mod (x^2+1) over F_3 -> {reduce_at(Poly.x(make_extension(3, 1)), quad)!r} (a generator of F_9)")
 
 print("\ncoordinate rings")
 curve = CurveSpec.weierstrass(F5, 2, 3)

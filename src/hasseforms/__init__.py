@@ -21,7 +21,7 @@ _HOME = {
         "finfield": "FieldElement FiniteField SquareClass embed is_square make_extension sqrt square_class",
         "forms": "BudgetExceededError FieldForm GenusReport GenusWitness GramMatrix MalformedWitnessError "
         "diagonalize disc_class field_isomorphic is_unimodular isom_search local_isomorphic verify_genus_witness",
-        "funcfield": "Poly PrimePoly factor residue_reduce valuation",
+        "funcfield": "Poly PrimePoly factor valuation",
         "hasse": "FAILS HOLDS HasseDecision HasseReason binary_genus_lower_bound hasse_principle is_ufd",
     }.items()
     for name in names.split()

@@ -132,20 +132,6 @@ def orbit_degree(q: int, x0: FieldElement, y0: Optional[FieldElement]) -> int:
     return math.lcm(len(_cycle(q, m, x0._log)), 1 if y0 is None else len(_cycle(q, m, y0._log)))
 
 
-def frobenius_orbit(q: int, x0: FieldElement, y0: Optional[FieldElement]) -> list:
-    """The conjugates (x0^(q^i), y0^(q^i)), i = 0, 1, ..., of a point
-    over F_q, until they repeat: the geometric points of one closed
-    point, whose degree is the length of the orbit (y0 None on the line).
-    Walked on logs (``_conjugates``)."""
-    field = x0.field
-    exp, zero = field._exp, field.zero()
-    ly = None if y0 is None else y0._log
-    return [
-        (zero if a is None else exp[a], None if y0 is None else zero if b is None else exp[b])
-        for a, b in _conjugates(q, field.q - 1, x0._log, ly)
-    ]
-
-
 def enumerate_points(curve: CurveSpec, degree: int = 1, closed: bool = False):
     """All affine points with coordinates in F_{q^degree} in canonical
     coordinate order: every x of the line, with y = None, or the points of

@@ -278,9 +278,6 @@ class RingElement(RingOps):
             return f"RingElement({to_text(self.a)!r})"
         return f"RingElement({to_text(self.a)!r} + ({to_text(self.b)!r})*y)"
 
-    def sort_key(self):
-        return (self.a.sort_key(), self.b.sort_key())
-
 
 class RingFraction(FieldOps):
     """num / den with num a RingElement and den monic in F_q[x]."""
@@ -384,14 +381,6 @@ class RingFraction(FieldOps):
             raise ValueError("fraction has a nontrivial denominator")
         return self.num
 
-    def evaluate(self, x0: FieldElement, y0: Optional[FieldElement] = None) -> FieldElement:
-        if self.den.degree < 1:  # the monic constant 1
-            return self.num.evaluate(x0, y0)
-        d = self.den.evaluate(x0)
-        if d.is_zero():
-            raise ZeroDivisionError("denominator vanishes at the point")
-        return self.num.evaluate(x0, y0) / d
-
     def __eq__(self, other):
         if type(other) is not RingFraction or other.curve is not self.curve:
             other = self._coerce(other)
@@ -437,14 +426,6 @@ class RingMatrix:
         self.curve = curve
         self.rows = square_rows(curve, rows, _coerce_entry)
 
-    @classmethod
-    def identity(cls, curve, n: int) -> RingMatrix:
-        return cls.diagonal(curve, [_coerce_entry(curve, 1)] * n)
-
-    @classmethod
-    def diagonal(cls, curve, entries) -> RingMatrix:
-        return cls(curve, diagonal_rows(entries, _coerce_entry(curve, 0)))
-
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -458,10 +439,6 @@ class RingMatrix:
 
     def all_integral(self) -> bool:
         return all(e.is_integral() for row in self.rows for e in row)
-
-    def evaluate(self, x0, y0=None):
-        """Entry-wise value at a point, as rows of field elements."""
-        return tuple(tuple(e.evaluate(x0, y0) for e in row) for row in self.rows)
 
     def __eq__(self, other):
         return (

@@ -463,8 +463,7 @@ def sqrt(a: FieldElement) -> FieldElement:
 
 def _horner(coeffs, x: FieldElement) -> FieldElement:
     """The polynomial with these ascending coefficients (ints, or elements
-    of x's field) at x, by Horner's rule.  ``Poly.evaluate`` keeps its
-    own copy: it is hot, and on short polynomials an extra call shows."""
+    of x's field) at x, by Horner's rule."""
     acc = x.field.zero()
     for c in reversed(coeffs):
         acc = acc * x + c

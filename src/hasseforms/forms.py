@@ -204,22 +204,18 @@ class GramMatrix:
     ring, representing an integral bilinear form.
 
     ``rows`` holds the entries as RingElements, built in one pass from
-    ints, field elements, polynomials, ring elements or fractions with
-    denominator 1 (``curvering._ring_entry``); a RingMatrix is read the
-    same way.  The curve, symmetry, integrality and nondegeneracy are
-    checked in that order, and the determinant is taken over the ring
-    once and kept.  ``matrix`` is the form as a RingMatrix over the
-    fraction field, built when a caller asks for it.
+    rows of ints, field elements, polynomials, ring elements or fractions
+    with denominator 1 (``curvering._ring_entry``); a RingMatrix is
+    passed as its ``rows``.  The curve of each entry, symmetry,
+    integrality and nondegeneracy are checked in that order, and the
+    determinant is taken over the ring once and kept.  ``matrix`` is the
+    form as a RingMatrix over the fraction field, built when a caller
+    asks for it.
     """
 
     __slots__ = ("curve", "rows", "_det", "_matrix")
 
     def __init__(self, curve: CurveSpec, rows):
-        matrix = None
-        if isinstance(rows, RingMatrix):
-            if rows.curve != curve:
-                raise ValueError("matrix lives over a different curve")
-            matrix, rows = rows, rows.rows
         rows = square_rows(curve, rows, _ring_entry)
         if not is_symmetric(rows):
             raise ValueError("integral forms are symmetric")
@@ -231,7 +227,7 @@ class GramMatrix:
         self.curve = curve
         self.rows = rows
         self._det = d
-        self._matrix = matrix
+        self._matrix = None
 
     @classmethod
     def from_rows(cls, curve, rows) -> GramMatrix:

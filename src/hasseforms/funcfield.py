@@ -1,4 +1,4 @@
-"""Univariate polynomials over F_q, primes, valuations, residue fields.
+"""Univariate polynomials over F_q, primes and valuations.
 
 Polynomials are coefficient tuples in ascending order with no trailing
 zeros; the zero polynomial is the empty tuple and reports degree -1 as
@@ -8,12 +8,11 @@ denominator coprime to it.
 
 Primes of F_q(x) relative to the polynomial ring are the monic
 irreducible polynomials plus the distinguished infinite place, where
-the valuation of num/den is deg(den) - deg(num).  ``valuation`` and
-``residue_reduce`` take a polynomial or a fraction with no y part.
-Residue fields at finite primes are built through
-``finfield.make_extension`` together with the smallest root of the
-prime there (``finfield.smallest_root``), so reductions are
-reproducible, and reducing is evaluating at that root.
+the valuation of num/den is deg(den) - deg(num).  ``valuation`` takes a
+polynomial or a fraction with no y part.  The residue field at a finite
+prime of degree d is F_{q^d}, where the prime's closed place is a
+Frobenius orbit (``curvepoints.enumerate_points``); reducing there is
+evaluating at a root.
 
 Primality and factoring read the Frobenius powers x^(q^j) mod f,
 computed by ``pow(h, q, f)``, with no extension field and no candidate
@@ -35,7 +34,7 @@ import itertools
 import re
 from typing import Iterator, Optional
 
-from .finfield import MAX_INSPECTION_SIZE, FieldElement, FiniteField, RingOps, capped_power, embed, make_extension, smallest_root, square_and_multiply, t_poly_text
+from .finfield import MAX_INSPECTION_SIZE, FieldElement, FiniteField, RingOps, _horner, capped_power, embed, square_and_multiply, t_poly_text
 from .records import Record
 
 FACTOR_DEGREE_BOUND = 24
@@ -225,17 +224,10 @@ class Poly(RingOps):
         return divmod(self, other)[1]
 
     def evaluate(self, x0: FieldElement) -> FieldElement:
-        """Horner evaluation; coefficients are embedded if x0 lives in an
-        extension of the base field."""
+        """Horner evaluation (``finfield._horner``); coefficients are
+        embedded if x0 lives in an extension of the base field."""
         target = x0.field
-        if target is self.field:
-            coeffs = self.coeffs
-        else:
-            coeffs = tuple(embed(c, target) for c in self.coeffs)
-        acc = target.zero()
-        for c in reversed(coeffs):
-            acc = acc * x0 + c
-        return acc
+        return _horner(self.coeffs if target is self.field else [embed(c, target) for c in self.coeffs], x0)
 
     __call__ = evaluate
 
@@ -520,41 +512,3 @@ def valuation(r, p: PrimePoly) -> int:
     if p.is_infinite:
         return den.degree - num.degree
     return _multiplicity(num, p.poly)[0] - _multiplicity(den, p.poly)[0]
-
-
-# ---------------------------------------------------------------------------
-# Residue fields
-
-
-_residue_cache: dict[tuple[FiniteField, tuple], tuple] = {}
-
-
-def residue_field(p: PrimePoly):
-    """(residue field, image of x) for a finite prime.
-
-    The residue field F_q[x]/(pi) is realized as the deterministic
-    extension of degree k*deg(pi) over the prime field, with x mapped to
-    the smallest root of pi there.
-    """
-    if p.is_infinite:
-        raise ValueError("residue reduction applies to finite primes only")
-    base = p.field
-    key = (base, p.poly.coeffs)
-    if key not in _residue_cache:
-        target = make_extension(base.p, base.k * p.poly.degree)
-        root = smallest_root([embed(c, target) for c in p.poly.coeffs], target)
-        _residue_cache[key] = (target, root)
-    return _residue_cache[key]
-
-
-def residue_reduce(r, p: PrimePoly) -> FieldElement:
-    """Image of an integral polynomial or line fraction in the residue
-    field at p: its value at the prime's root.  A line fraction is
-    reduced, gcd(num, den) = 1, so its denominator vanishes there
-    exactly when v_p < 0."""
-    num, den = _line_parts(r)
-    root = residue_field(p)[1]
-    d = den.evaluate(root)
-    if d.is_zero():
-        raise ValueError(f"not integral at {to_text(p.poly)}")
-    return num.evaluate(root) / d

@@ -23,7 +23,7 @@ from hasseforms.finfield import FiniteField, embed, make_extension, square_and_m
 from hasseforms.curvepoints import AffinePoint, require_on_curve
 from hasseforms.curvering import RingElement, RingFraction, congruence_rows
 from hasseforms.forms import FieldForm, field_isomorphic
-from hasseforms.funcfield import Poly, PrimePoly, factor, monic_polys, residue_field
+from hasseforms.funcfield import Poly, PrimePoly, factor, monic_polys
 from hasseforms.serialize import curve_to_json, matrix_to_json, ring_elem_to_json
 
 
@@ -253,17 +253,20 @@ def field_congruence(t_rows, form: FieldForm) -> FieldForm:
 
 def reduce_at(form, x0, y0=None) -> FieldForm:
     """The Gram matrix evaluated at (x0, y0), as a form over the field of
-    x0; on the line y0 is None and x0 is a root of the prime in its
-    residue field."""
-    return FieldForm(x0.field, form.matrix.evaluate(x0, y0))
+    x0: each entry's numerator at the point over its denominator at x0.
+    On the line y0 is None and x0 is a root of the prime in its residue
+    field."""
+    return FieldForm(x0.field, [[e.num.evaluate(x0, y0) / e.den.evaluate(x0) for e in row] for row in form.matrix.rows])
 
 
 def local_isomorphic_by_evaluation(f, g, place) -> bool:
-    """local_isomorphic at a prime of the line (at the root of the prime
-    in its residue field) or at a point of the cubic, whose coordinates
-    must lie in F_{q^degree}, the residue field of its closed point."""
+    """local_isomorphic at a prime of the line (at a root of the prime in
+    its residue field F_{q^degree}, found by scanning that field) or at a
+    point of the cubic, whose coordinates must lie in F_{q^degree}, the
+    residue field of its closed point."""
     if hasattr(place, "poly"):
-        x0, y0 = residue_field(place)[1], None
+        residue = make_extension(place.field.p, place.field.k * place.degree)
+        x0, y0 = next(x for x in residue.elements() if place.poly.evaluate(x).is_zero()), None
     else:
         if place.x.field.q != f.curve.field.q**place.degree:
             raise ValueError("point coordinates are not in its residue field")
@@ -423,12 +426,20 @@ def _points_over(curve, prime) -> tuple:
     return tuple(AffinePoint(x0, y, _orbit_length(curve.field.q, x0, y)) for y in field.elements() if y * y == rhs)
 
 
+def frobenius_orbit_by_powering(q, x0, y0=None) -> list:
+    """The conjugates (x0^(q^i), y0^(q^i)), i = 0, 1, ..., of a point over
+    F_q until they repeat, each raised to the q-th power in turn (y0 None
+    on the line)."""
+    orbit, x, y = [(x0, y0)], x0**q, None if y0 is None else y0**q
+    while (x, y) != (x0, y0):
+        orbit.append((x, y))
+        x, y = x**q, None if y is None else y**q
+    return orbit
+
+
 def _orbit_length(q, x0, y0) -> int:
     """The least e >= 1 with x0^(q^e) = x0 and y0^(q^e) = y0."""
-    e, x, y = 1, x0**q, y0**q
-    while x != x0 or y != y0:
-        e, x, y = e + 1, x**q, y**q
-    return e
+    return len(frobenius_orbit_by_powering(q, x0, y0))
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def test_one_field_object_per_p_k():
     from hasseforms.curvering import CurveSpec
     from hasseforms.finfield import _field_cache
     from hasseforms.search import _evaluation_points
-    from hasseforms.funcfield import Poly, PrimePoly, residue_field
+    from hasseforms.funcfield import Poly, PrimePoly
     from hasseforms.serialize import field_from_json
 
     F3, F27 = make_extension(3, 1), make_extension(3, 3)
@@ -175,7 +175,7 @@ def test_one_field_object_per_p_k():
     assert field_from_json({"p": 3, "k": 2}) is F9
     assert _field_from_q(9) is F9
     prime = PrimePoly.finite(Poly(F3, [1, 0, 1]))  # x^2 + 1
-    assert residue_field(prime)[0] is F9
+    assert make_extension(prime.field.p, prime.field.k * prime.degree) is F9  # its residue field
     cubic = CurveSpec.weierstrass(F3, 2, 1)
     assert {point.x.field for point in enumerate_points(cubic, 3)} == {F27}
     assert {x0.field for x0, _ in _evaluation_points(CurveSpec.polyline(F3), 4)} == {F9}

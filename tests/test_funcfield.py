@@ -19,8 +19,6 @@ from hasseforms.funcfield import (
     monic_irreducibles,
     monic_polys,
     poly_gcd,
-    residue_field,
-    residue_reduce,
     to_text,
     valuation,
 )
@@ -473,44 +471,11 @@ def test_prime_validation():
         PrimePoly.finite(P5("2*x+1"))  # not monic
 
 
-# -- residue fields -------------------------------------------------------
-
-
-def test_residue_reduce_evaluation():
-    p = prime(F5, "x+1")
-    assert residue_reduce(P5("x^2"), p) == F5.one()  # (-1)^2
-    r = frac(Poly.one(F5), P5("x+3"))
-    assert residue_reduce(r, p) == F5.element(3)  # ((-1)+3)^-1 = 2^-1
-    assert residue_reduce(frac(P5("x+1"), P5("x+1") * P5("x")), p) == F5.element(4)  # 1/(-1)
-
-
-def test_residue_reduce_rejects_poles():
-    p = prime(F5, "x+1")
-    with pytest.raises(ValueError):
-        residue_reduce(frac(Poly.one(F5), P5("x+1")), p)
-
-
 def test_fractions_with_a_y_part_rejected():
     y = RingFraction.from_ring(RingElement.y(CurveSpec.weierstrass(F5, 2, 3)))
     p = prime(F5, "x+1")
-    for reduce in (valuation, residue_reduce):
-        with pytest.raises(ValueError, match="cubic"):
-            reduce(y, p)
-
-
-def test_residue_field_degree_two():
-    p = prime(F3, "x^2+1")
-    target, root = residue_field(p)
-    assert target.q == 9
-    assert root == target.gen()  # t itself is the smallest root of t^2+1
-    img = residue_reduce(Poly.x(F3), p)
-    assert img == target.gen()
-    assert img * img == target.element(-1)
-
-
-def test_residue_field_infinite_prime_rejected():
-    with pytest.raises(ValueError):
-        residue_field(PrimePoly.infinite(F5))
+    with pytest.raises(ValueError, match="cubic"):
+        valuation(y, p)
 
 
 # -- arithmetic fast paths against the general path ---------------------------

@@ -4,7 +4,7 @@ points, repr text and witness validation."""
 import pytest
 
 from hasseforms.curvepoints import AffinePoint, PointCountReport, point_report
-from hasseforms.curvering import CurveSpec, RingElement, RingFraction, RingMatrix
+from hasseforms.curvering import CurveSpec, RingElement, RingFraction, RingMatrix, diagonal_rows
 from hasseforms.finfield import make_extension
 from hasseforms.forms import GenusReport, GenusWitness, GramMatrix, MalformedWitnessError
 from hasseforms.funcfield import Poly
@@ -26,7 +26,7 @@ def reason(**changes):
 
 
 def identity_witness(gram):
-    return GenusWitness(gram, ((RingMatrix.identity(gram.curve, gram.n), RingElement.one(gram.curve)),))
+    return GenusWitness(gram, ((RingMatrix(gram.curve, diagonal_rows([1] * gram.n)), RingElement.one(gram.curve)),))
 
 
 # one equal pair and one differing value per record type
@@ -98,7 +98,7 @@ def test_hasse_records_constructor():
 
 def test_genus_witness_constructor():
     g = GramMatrix.identity(LINE5, 2)
-    pair = (RingMatrix.identity(LINE5, 2), RingElement.one(LINE5))
+    pair = (RingMatrix(LINE5, diagonal_rows([1, 1])), RingElement.one(LINE5))
     # a list of pairs is validated into a tuple
     witness = GenusWitness(g, [pair])
     assert witness.target is g and witness.pairs == (pair,)
@@ -179,7 +179,7 @@ def test_record_reprs():
     )
     gram = GramMatrix.identity(EC, 1)
     assert repr(identity_witness(gram)) == (
-        f"GenusWitness(target={gram!r}, pairs=(({RingMatrix.identity(EC, 1)!r}, {RingElement.one(EC)!r}),))"
+        f"GenusWitness(target={gram!r}, pairs=(({RingMatrix(EC, [[1]])!r}, {RingElement.one(EC)!r}),))"
     )
 
 
@@ -197,7 +197,7 @@ def test_point_report_repr_of_line_and_singular_cubic():
 def test_genus_witness_rejects_bad_pairs():
     g = GramMatrix.identity(LINE5, 1)
     one = RingElement.one(LINE5)
-    q = RingMatrix.identity(LINE5, 1)
+    q = RingMatrix(LINE5, [[1]])
     with pytest.raises(TypeError):
         GenusWitness(g, ((one, one),))
     with pytest.raises(TypeError):
@@ -211,7 +211,7 @@ def test_genus_witness_rejects_bad_pairs():
     # the same denominator is fine when the locus vanishes there
     assert GenusWitness(g, ((bad, RingElement(LINE5, x)),)).pairs[0][0] is bad
     with pytest.raises(ValueError):
-        GenusWitness(g, ((RingMatrix.identity(EC, 1), RingElement.one(EC)),))
+        GenusWitness(g, ((RingMatrix(EC, [[1]]), RingElement.one(EC)),))
 
 
 def test_genus_witness_validates_through_post_init(monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hasseforms import curvering, serialize
-from hasseforms.curvering import CurveSpec, RingElement, RingFraction, RingMatrix
+from hasseforms.curvering import CurveSpec, RingElement, RingFraction, RingMatrix, diagonal_rows
 from hasseforms.finfield import make_extension
 from hasseforms.funcfield import Poly
 from hasseforms.serialize import (
@@ -42,7 +42,7 @@ def test_ring_elem_round_trip():
 
 
 def test_int_entries_are_the_curves_shared_constants():
-    shared = RingMatrix.identity(EC, 2).rows
+    shared = RingMatrix(EC, diagonal_rows([1, 1])).rows
     assert fraction_from_json(EC, 6) is shared[0][0]
     assert fraction_from_json(EC, -5) is shared[0][1]
     assert matrix_from_json(EC, [[1, 0], [0, 11]]).rows == shared

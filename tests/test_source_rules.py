@@ -1,7 +1,8 @@
 """Rules the library source keeps, read from its syntax trees: invariants
 are enforced by exceptions, which ``python -O`` keeps, never by
 ``assert``, which it strips; no module imports a name it does not use,
-so a deletion cannot leave a dead import behind; and only
+so a deletion cannot leave a dead import behind; every private function,
+method or class has a caller in the library; and only
 ``forms.local_isomorphic`` tells the two kinds of closed place apart by
 type."""
 
@@ -42,6 +43,41 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert unused == [], f"{path.name} imports names it does not use: {unused}"
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(node, scope=()):
+    """(name, enclosing definitions) of each name or attribute read under
+    node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name):
+            yield child.id, scope
+        elif isinstance(child, ast.Attribute):
+            yield child.attr, scope
+        yield from _references(child, scope + (child,) if isinstance(child, DEFINITIONS) else scope)
+
+
+def test_every_private_definition_has_a_caller():
+    # a private name is referenced somewhere in the library outside its own
+    # body, so code that only tests reach is deleted rather than kept;
+    # dunder methods are called by the language
+    trees = {path.name: _tree(path) for path in MODULES}
+    callers = {}
+    for tree in trees.values():
+        for name, scope in _references(tree):
+            callers.setdefault(name, []).append(scope)
+    unused = [
+        (module, node.lineno, node.name)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, DEFINITIONS)
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and all(node in scope for scope in callers.get(node.name, ()))
+    ]
+    assert unused == [], f"private definitions nothing in the library references: {unused}"
 
 
 # the two public names of a closed place: a prime of the line, or a point
