@@ -30,12 +30,23 @@ _HOME = {
 __all__ = sorted(_HOME)
 
 
-def __getattr__(name):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    globals()[name] = value
-    return value
+def _lazy_names(namespace: dict, homes: dict):
+    """A module ``__getattr__`` for names that live in other modules of the
+    package: a name of ``homes`` is imported from its module there on first
+    access and then bound in ``namespace``, the module's globals, like any
+    other attribute; any other name raises AttributeError."""
+
+    def __getattr__(name):
+        if name not in homes:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{__name__}.{homes[name]}"), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy_names(globals(), _HOME)
 
 
 def __dir__():

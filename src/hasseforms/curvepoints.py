@@ -1,12 +1,11 @@
-"""Point enumeration, smoothness and Picard order for curves.
+"""Point enumeration for curves: affine points, closed points and their
+Frobenius orbits.
 
-Points are counted and listed by one scan of x over the field.  The
-count needs no points: over F_q there are 1 + chi(x^3 + ax + b) of them
-above each x, with chi the quadratic character (chi(0) = 0).  Listing,
-for callers that need the points themselves, reads the square roots of
-x^3 + ax + b off its log; on the line every x is a point, with no y.  A
-closed point of degree d is one Frobenius orbit of d points, so a point's
-degree is its orbit's length; on the line it is also a prime of F_q[x].
+Points are listed by one scan of x over the field: above each x of a
+cubic, the square roots of x^3 + ax + b are read off its log
+(``_cubic_logs``); on the line every x is a point, with no y.  A closed
+point of degree d is one Frobenius orbit of d points, so a point's degree
+is its orbit's length; on the line it is also a prime of F_q[x].
 
 Orbits are walked on discrete logs: in F_{q^d} with generator g, the
 Frobenius x -> x^q sends g^n to g^(nq mod (q^d - 1)), so the orbit of a
@@ -16,19 +15,11 @@ of x - r over the roots r of its orbit (Lidl and Niederreiter, *Finite
 Fields*, section 2.2), formed on logs with Zech sums and pulled back to
 F_q once per coefficient.
 
-For a smooth Weierstrass curve with its rational point at infinity
-removed, the Picard group of the affine curve is isomorphic to the
-group of rational points (P maps to the class of [P] - [infinity]), so
-the Picard order is the full projective point count,
-q + 1 + sum_x chi(x^3 + ax + b).  For the affine line it is 1
-(polynomial rings have trivial class group).  Singular cubics still get
-counted (the projective count includes the singular point), but the
-Picard-group routines refuse them, since the point-group isomorphism
-needs smoothness.
-
-The 2-torsion criterion: a point of order 2 is a rational point on the
-x-axis, so the group order is odd exactly when x^3 + ax + b has no root
-in F_q.  ``point_report`` carries both facts side by side.
+Point counting, smoothness and the Picard data (``PointCountReport``,
+``is_smooth``, ``picard_order``, ``has_two_torsion``, ``point_report``)
+live in ``picard``, which only the ``curve``, ``hasse`` and
+``verify-paper`` commands load; they are reached through this module,
+which imports ``picard`` on first use (``__getattr__``).
 """
 
 from __future__ import annotations
@@ -36,10 +27,16 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from . import _lazy_names
 from .curvering import CurveSpec
 from .finfield import FieldElement, embed, make_extension, pullback_table
 from .funcfield import Poly, monic_rank
 from .records import Record
+
+__getattr__ = _lazy_names(
+    globals(),
+    dict.fromkeys(("PointCountReport", "is_smooth", "picard_order", "has_two_torsion", "point_report"), "picard"),
+)
 
 
 class AffinePoint(Record):
@@ -72,32 +69,6 @@ class AffinePoint(Record):
 
     def __repr__(self):
         return f"({self.x!r}, {self.y!r})"
-
-
-class PointCountReport(Record):
-    """Counting summary; Picard data is present only for smooth curves."""
-
-    __slots__ = ("affine", "total", "smooth", "singular_points", "pic_order", "pic_parity", "two_torsion", "warning")
-
-    def __init__(
-        self,
-        affine: int,
-        total: int,
-        smooth: bool,
-        singular_points: tuple,
-        pic_order: Optional[int] = None,
-        pic_parity: Optional[str] = None,
-        two_torsion: Optional[bool] = None,
-        warning: Optional[str] = None,
-    ):
-        self.affine = affine
-        self.total = total
-        self.smooth = smooth
-        self.singular_points = singular_points
-        self.pic_order = pic_order
-        self.pic_parity = pic_parity
-        self.two_torsion = two_torsion
-        self.warning = warning
 
 
 def _cycle(q: int, m: int, n) -> list:
@@ -251,21 +222,6 @@ def _cubic_logs(field, la, lb):
         yield s if lb is None else None if (z := zech[lb - s]) is None else s + z
 
 
-def _count_scan(curve: CurveSpec):
-    """(affine point count sum_x (1 + chi(x^3 + ax + b)) over F_q, whether
-    the cubic has a root in F_q), from one ``_cubic_logs`` scan that is
-    kept on the curve, so one curve object is scanned once."""
-    if curve._scan is None:
-        affine, root = 0, False
-        for v in _cubic_logs(curve.field, curve.a.log, curve.b.log):
-            if v is None:
-                affine, root = affine + 1, True
-            elif v % 2 == 0:
-                affine += 2
-        curve._scan = (affine, root)
-    return curve._scan
-
-
 def _cubic_at(curve: CurveSpec, x0: FieldElement) -> FieldElement:
     """x0^3 + a x0 + b, with a and b embedded in the field of x0."""
     return x0 * x0 * x0 + embed(curve.a, x0.field) * x0 + embed(curve.b, x0.field)
@@ -284,87 +240,3 @@ def require_on_curve(curve: CurveSpec, point: AffinePoint):
     its own field."""
     if point.y * point.y != _cubic_at(curve, point.x):
         raise ValueError(f"point {point!r} is not on the curve {curve!r}")
-
-
-def is_smooth(curve: CurveSpec):
-    """(smooth?, singular point list).
-
-    Singular points are y = 0 together with a repeated root of the
-    cubic.  A cubic can only repeat a root rationally, so scanning the
-    base field finds them all.
-    """
-    if curve.is_smooth:  # the affine line included
-        return True, ()
-    zero = curve.field.zero()
-    singular = tuple(
-        AffinePoint(x0, zero, 1) for x0 in curve.field.elements() if is_singular_point(curve, x0, zero)
-    )
-    return False, singular
-
-
-def _require_smooth(curve: CurveSpec, what: str):
-    if not curve.is_smooth:
-        _, sing = is_smooth(curve)
-        raise ValueError(
-            f"{what} requires a smooth curve; discriminant is zero "
-            f"(singular at {tuple((p.x, p.y) for p in sing)})"
-        )
-
-
-def picard_order(curve: CurveSpec) -> int:
-    """Order of the Picard group of the affine curve.
-
-    1 for the affine line; for a smooth Weierstrass curve the projective
-    point count (point group isomorphism), q + 1 + sum_x chi(x^3 + ax + b)
-    by the character sum, with no point built.  Singular cubics are
-    rejected: the isomorphism with the point group needs smoothness.
-    """
-    if curve.is_polyline:
-        return 1
-    _require_smooth(curve, "the Picard/point-group isomorphism")
-    return _count_scan(curve)[0] + 1
-
-
-def has_two_torsion(curve: CurveSpec) -> bool:
-    """Whether the curve has a rational point on the x-axis, i.e. the
-    cubic has a root in F_q; read off the same x-scan as the count."""
-    if curve.is_polyline:
-        raise ValueError("2-torsion applies to Weierstrass curves")
-    _require_smooth(curve, "the 2-torsion test")
-    return _count_scan(curve)[1]
-
-
-def point_report(curve: CurveSpec) -> PointCountReport:
-    """Counting report from one x-scan of the character sum, no point
-    built; for singular cubics the count is still produced (all
-    projective points, singular one included) but the Picard fields are
-    left unset with a warning."""
-    if curve.is_polyline:
-        q = curve.field.q
-        return PointCountReport(
-            affine=q,
-            total=q + 1,
-            smooth=True,
-            singular_points=(),
-            pic_order=1,
-            pic_parity="odd",
-            two_torsion=None,
-        )
-    smooth, singular = is_smooth(curve)
-    affine, root = _count_scan(curve)
-    report = PointCountReport(
-        affine=affine,
-        total=affine + 1,
-        smooth=smooth,
-        singular_points=singular,
-    )
-    if smooth:
-        report.pic_order = affine + 1
-        report.pic_parity = "odd" if report.pic_order % 2 else "even"
-        report.two_torsion = root
-    else:
-        report.warning = (
-            "curve is singular: Picard data omitted because the "
-            "point-group isomorphism requires smoothness"
-        )
-    return report

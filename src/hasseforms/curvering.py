@@ -12,7 +12,7 @@ monic and coprime to the content of the numerator this representation
 is unique, so fraction equality is structural too.  Divisibility and
 valuation questions thereby reduce to plain polynomial arithmetic.  An
 integral entry carries den = 1 with no gcd run; a witness identity is
-checked over the ring with one common denominator (forms.witness_identity).
+checked over the ring with one common denominator (genus.witness_identity).
 
 Singular Weierstrass cubics (discriminant zero) are accepted but the
 smoothness flag is carried on the curve and checked by the consumers

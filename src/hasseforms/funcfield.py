@@ -1,4 +1,4 @@
-"""Univariate polynomials over F_q, primes and valuations.
+"""Univariate polynomials over F_q, their text grammar and primality.
 
 Polynomials are coefficient tuples in ascending order with no trailing
 zeros; the zero polynomial is the empty tuple and reports degree -1 as
@@ -6,21 +6,15 @@ its sentinel.  There is no separate rational-function type: an element
 of F_q(x) is a line ``curvering.RingFraction``, a numerator over a monic
 denominator coprime to it.
 
-Primes of F_q(x) relative to the polynomial ring are the monic
-irreducible polynomials plus the distinguished infinite place, where
-the valuation of num/den is deg(den) - deg(num).  ``valuation`` takes a
-polynomial or a fraction with no y part.  The residue field at a finite
-prime of degree d is F_{q^d}, where the prime's closed place is a
-Frobenius orbit (``curvepoints.enumerate_points``); reducing there is
-evaluating at a root.
+Primality reads the Frobenius powers x^(q^j) mod f, computed by
+``pow(h, q, f)``, with no extension field and no candidate divisors (von
+zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 14):
+``is_irreducible`` is Ben-Or's test.
 
-Primality and factoring read the Frobenius powers x^(q^j) mod f,
-computed by ``pow(h, q, f)``, with no extension field and no candidate
-divisors (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 14).
-``is_irreducible`` is Ben-Or's test, and ``factor`` is distinct-degree
-factorization.  ``monic_irreducibles`` lists the primes of a degree d,
-the minimal polynomials of the line's Frobenius orbits of length d, and
-splits a distinct-degree part that holds two or more primes.
+The primes of the line (``PrimePoly``, ``monic_irreducibles``,
+``factor``, ``valuation`` and ``FACTOR_DEGREE_BOUND``) live in ``local``,
+which no CLI command loads; they are reached through this module, which
+imports ``local`` on first use (``__getattr__``).
 
 Text grammar for polynomials: integer coefficients, variable x,
 caret powers, e.g. ``x^3+2*x+3``; coefficients are read mod p.  An
@@ -32,13 +26,17 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .finfield import MAX_INSPECTION_SIZE, FieldElement, FiniteField, RingOps, _horner, capped_power, embed, square_and_multiply, t_poly_text
-from .records import Record
+from . import _lazy_names
+from .finfield import FieldElement, FiniteField, RingOps, _horner, embed, square_and_multiply, t_poly_text
 
-FACTOR_DEGREE_BOUND = 24
 MAX_TEXT_DEGREE = 256  # largest exponent the text grammar accepts
+
+__getattr__ = _lazy_names(
+    globals(),
+    dict.fromkeys(("PrimePoly", "monic_irreducibles", "factor", "valuation", "FACTOR_DEGREE_BOUND"), "local"),
+)
 
 
 class Poly(RingOps):
@@ -355,7 +353,7 @@ def to_text(f: Poly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Irreducibles and factorization
+# Monic polynomials and primality
 
 
 def monic_polys(field: FiniteField, degree: int) -> Iterator[Poly]:
@@ -387,128 +385,3 @@ def monic_rank(f: Poly) -> int:
     for c in reversed(f.coeffs):
         rank = rank * q + c._code
     return rank
-
-
-def monic_irreducibles(field: FiniteField, degree: int):
-    """All monic irreducibles of the degree in ``monic_polys`` order: the
-    primes of the line's Frobenius orbits of that length in F_{q^degree}
-    (``curvepoints.enumerate_points``).  The walk scans F_{q^degree}, so
-    q^degree > MAX_INSPECTION_SIZE is refused before anything is built."""
-    if capped_power(field.q, degree, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
-        raise ValueError(f"{field.q}^{degree} monics exceed the enumeration bound {MAX_INSPECTION_SIZE}")
-    from .curvepoints import enumerate_points  # curvepoints imports this module
-    from .curvering import CurveSpec
-
-    line = CurveSpec.polyline(field)
-    return tuple(place.prime for place in enumerate_points(line, degree, closed=True) if place.degree == degree)
-
-
-def _multiplicity(f: Poly, prime: Poly):
-    """(m, f / prime^m) for the multiplicity m of prime in f != 0."""
-    mult = 0
-    while True:
-        quo, rem = divmod(f, prime)
-        if not rem.is_zero():
-            return mult, f
-        f, mult = quo, mult + 1
-
-
-def factor(f: Poly):
-    """Factor into monic irreducibles by distinct-degree factorization.
-
-    With every prime of degree < j divided out of rem, gcd(rem, x^(q^j) - x)
-    is the product of the distinct primes of degree j dividing rem.  A
-    product of degree j is one prime; a longer one is split by trial
-    division against ``monic_irreducibles(field, j)``.  Once rem has
-    degree < 2j it is itself prime.
-
-    Returns (leading coefficient, [(prime, multiplicity), ...]) with the
-    primes in increasing (degree, coefficient) order, so the product of
-    the prime powers times the leading coefficient reassembles f.
-    """
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    if f.degree > FACTOR_DEGREE_BOUND:
-        raise ValueError(f"degree {f.degree} exceeds factoring bound {FACTOR_DEGREE_BOUND}")
-    lead = f.leading_coeff()
-    rem = f.monic()
-    x = h = Poly.x(f.field)  # h = x^(q^j) modulo rem
-    factors, j = [], 0
-    while rem.degree >= 1:
-        j += 1
-        if rem.degree < 2 * j:
-            factors.append((rem, 1))
-            break
-        h = pow(h, f.field.q, rem)
-        g = poly_gcd(rem, h - x)
-        if g.degree < 1:
-            continue
-        primes = [g] if g.degree == j else [p for p in monic_irreducibles(f.field, j) if (g % p).is_zero()]
-        for prime in primes:
-            mult, rem = _multiplicity(rem, prime)
-            factors.append((prime, mult))
-    factors.sort(key=lambda fe: fe[0].sort_key())
-    return lead, factors
-
-
-# ---------------------------------------------------------------------------
-# Primes and valuations
-
-
-class PrimePoly(Record):
-    """A prime of F_q(x) relative to F_q[x]: a monic irreducible
-    polynomial, or the distinguished infinite place."""
-
-    __slots__ = ("field", "poly")
-
-    def __init__(self, field: FiniteField, poly: Optional[Poly]):
-        self.field = field
-        self.poly = poly
-
-    @classmethod
-    def finite(cls, poly: Poly) -> PrimePoly:
-        if not poly.is_monic():
-            raise ValueError("finite primes must be monic")
-        if not is_irreducible(poly):
-            raise ValueError(f"{to_text(poly)} is reducible")
-        return cls(poly.field, poly)
-
-    @classmethod
-    def infinite(cls, field: FiniteField) -> PrimePoly:
-        return cls(field, None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.poly is None
-
-    @property
-    def degree(self) -> int:
-        return 1 if self.poly is None else self.poly.degree
-
-    def __hash__(self):
-        return hash((self.field.q, None if self.poly is None else self.poly.coeffs))
-
-    def __repr__(self):
-        return "PrimePoly(inf)" if self.is_infinite else f"PrimePoly({to_text(self.poly)!r})"
-
-
-def _line_parts(r):
-    """(numerator, denominator) in F_q[x] of a polynomial, or of a
-    RingFraction with no y part, such as every fraction on the line."""
-    if isinstance(r, Poly):
-        return r, Poly.one(r.field)
-    if not r.num.b.is_zero():
-        raise ValueError("a fraction with a y part lives on a cubic, not on the line")
-    return r.num.a, r.den
-
-
-def valuation(r, p: PrimePoly) -> int:
-    """v_p of a nonzero polynomial or line fraction: at a finite prime,
-    its multiplicity in the numerator minus that in the denominator; at
-    infinity, deg den - deg num."""
-    num, den = _line_parts(r)
-    if num.is_zero():
-        raise ValueError("valuation of zero is undefined")
-    if p.is_infinite:
-        return den.degree - num.degree
-    return _multiplicity(num, p.poly)[0] - _multiplicity(den, p.poly)[0]

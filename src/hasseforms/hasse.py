@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .curvepoints import has_two_torsion, picard_order
 from .curvering import CurveSpec
 from .finfield import is_square
 from .records import Record
@@ -53,12 +52,10 @@ class HasseDecision(Record):
         self.rank = rank
         self.reason = reason
 
-    @property
-    def holds(self) -> bool:
-        return self.verdict == HOLDS
-
 
 def _picard_data(curve: CurveSpec):
+    from .curvepoints import has_two_torsion, picard_order  # compiles point counting on first use
+
     if not curve.is_smooth:
         raise ValueError(
             "Hasse verdicts need a smooth curve; this cubic has a repeated root"

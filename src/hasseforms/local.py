@@ -1,0 +1,341 @@
+"""Forms over F_q and at the closed places of a curve, and the primes of
+the line.
+
+Classification over a finite field of odd order is rank plus the square
+class of the determinant, so ``field_isomorphic`` is a two-invariant
+comparison; the test suite pins it against exhaustive congruence search
+over the full general linear group.  Local isomorphism of unimodular
+forms at a closed place reduces to form isomorphism over its residue
+field F_{q^e}, which ``local_isomorphic`` reads off the constant Gram
+determinants and the place degree e, with no matrix evaluated.
+
+Primes of F_q(x) relative to the polynomial ring are the monic
+irreducible polynomials plus the distinguished infinite place, where
+the valuation of num/den is deg(den) - deg(num).  ``valuation`` takes a
+polynomial or a fraction with no y part.  The residue field at a finite
+prime of degree d is F_{q^d}, where the prime's closed place is a
+Frobenius orbit (``curvepoints.enumerate_points``); reducing there is
+evaluating at a root.  ``monic_irreducibles`` lists the primes of a
+degree d, the minimal polynomials of the line's Frobenius orbits of
+length d, and ``factor`` is distinct-degree factorization on the
+Frobenius powers x^(q^j) mod f (von zur Gathen and Gerhard, *Modern
+Computer Algebra*, ch. 14), splitting a part that holds two or more
+primes by those lists.
+
+No CLI command runs this code.  Its public names are reached through
+``forms`` and ``funcfield``, which import this module on first use.
+perfbench's tracer wraps each traced name in the modules loaded before
+it starts, and its own lookup of ``monic_irreducibles`` loads this module
+before it wraps that name, ``enumerate_points`` and ``diagonalize``; so
+the code here calls those three through their home modules, imported at
+call time.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from .curvepoints import AffinePoint, is_singular_point, orbit_degree, require_on_curve
+from .curvering import CurveSpec, det, diagonal_rows, is_symmetric
+from .finfield import MAX_INSPECTION_SIZE, FieldElement, FiniteField, SquareClass, capped_power, is_square, square_class
+from .forms import GramMatrix, is_unimodular
+from .funcfield import Poly, _coeff_text, is_irreducible, poly_gcd, to_text
+from .records import Record
+
+FACTOR_DEGREE_BOUND = 24
+
+
+# ---------------------------------------------------------------------------
+# Primes of the line
+
+
+def monic_irreducibles(field: FiniteField, degree: int):
+    """All monic irreducibles of the degree in ``monic_polys`` order: the
+    primes of the line's Frobenius orbits of that length in F_{q^degree}
+    (``curvepoints.enumerate_points``).  The walk scans F_{q^degree}, so
+    q^degree > MAX_INSPECTION_SIZE is refused before anything is built."""
+    if capped_power(field.q, degree, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
+        raise ValueError(f"{field.q}^{degree} monics exceed the enumeration bound {MAX_INSPECTION_SIZE}")
+    from .curvepoints import enumerate_points  # the traced name (module docstring)
+
+    line = CurveSpec.polyline(field)
+    return tuple(place.prime for place in enumerate_points(line, degree, closed=True) if place.degree == degree)
+
+
+def _multiplicity(f: Poly, prime: Poly):
+    """(m, f / prime^m) for the multiplicity m of prime in f != 0."""
+    mult = 0
+    while True:
+        quo, rem = divmod(f, prime)
+        if not rem.is_zero():
+            return mult, f
+        f, mult = quo, mult + 1
+
+
+def factor(f: Poly):
+    """Factor into monic irreducibles by distinct-degree factorization.
+
+    With every prime of degree < j divided out of rem, gcd(rem, x^(q^j) - x)
+    is the product of the distinct primes of degree j dividing rem.  A
+    product of degree j is one prime; a longer one is split by trial
+    division against ``monic_irreducibles(field, j)``.  Once rem has
+    degree < 2j it is itself prime.
+
+    Returns (leading coefficient, [(prime, multiplicity), ...]) with the
+    primes in increasing (degree, coefficient) order, so the product of
+    the prime powers times the leading coefficient reassembles f.
+    """
+    from .funcfield import monic_irreducibles  # the traced name (module docstring)
+
+    if f.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
+    if f.degree > FACTOR_DEGREE_BOUND:
+        raise ValueError(f"degree {f.degree} exceeds factoring bound {FACTOR_DEGREE_BOUND}")
+    lead = f.leading_coeff()
+    rem = f.monic()
+    x = h = Poly.x(f.field)  # h = x^(q^j) modulo rem
+    factors, j = [], 0
+    while rem.degree >= 1:
+        j += 1
+        if rem.degree < 2 * j:
+            factors.append((rem, 1))
+            break
+        h = pow(h, f.field.q, rem)
+        g = poly_gcd(rem, h - x)
+        if g.degree < 1:
+            continue
+        primes = [g] if g.degree == j else [p for p in monic_irreducibles(f.field, j) if (g % p).is_zero()]
+        for prime in primes:
+            mult, rem = _multiplicity(rem, prime)
+            factors.append((prime, mult))
+    factors.sort(key=lambda fe: fe[0].sort_key())
+    return lead, factors
+
+
+class PrimePoly(Record):
+    """A prime of F_q(x) relative to F_q[x]: a monic irreducible
+    polynomial, or the distinguished infinite place."""
+
+    __slots__ = ("field", "poly")
+
+    def __init__(self, field: FiniteField, poly: Optional[Poly]):
+        self.field = field
+        self.poly = poly
+
+    @classmethod
+    def finite(cls, poly: Poly) -> PrimePoly:
+        if not poly.is_monic():
+            raise ValueError("finite primes must be monic")
+        if not is_irreducible(poly):
+            raise ValueError(f"{to_text(poly)} is reducible")
+        return cls(poly.field, poly)
+
+    @classmethod
+    def infinite(cls, field: FiniteField) -> PrimePoly:
+        return cls(field, None)
+
+    @property
+    def is_infinite(self) -> bool:
+        return self.poly is None
+
+    @property
+    def degree(self) -> int:
+        return 1 if self.poly is None else self.poly.degree
+
+    def __hash__(self):
+        return hash((self.field.q, None if self.poly is None else self.poly.coeffs))
+
+    def __repr__(self):
+        return "PrimePoly(inf)" if self.is_infinite else f"PrimePoly({to_text(self.poly)!r})"
+
+
+def _line_parts(r):
+    """(numerator, denominator) in F_q[x] of a polynomial, or of a
+    RingFraction with no y part, such as every fraction on the line."""
+    if isinstance(r, Poly):
+        return r, Poly.one(r.field)
+    if not r.num.b.is_zero():
+        raise ValueError("a fraction with a y part lives on a cubic, not on the line")
+    return r.num.a, r.den
+
+
+def valuation(r, p: PrimePoly) -> int:
+    """v_p of a nonzero polynomial or line fraction: at a finite prime,
+    its multiplicity in the numerator minus that in the denominator; at
+    infinity, deg den - deg num."""
+    num, den = _line_parts(r)
+    if num.is_zero():
+        raise ValueError("valuation of zero is undefined")
+    if p.is_infinite:
+        return den.degree - num.degree
+    return _multiplicity(num, p.poly)[0] - _multiplicity(den, p.poly)[0]
+
+
+# ---------------------------------------------------------------------------
+# Forms over finite fields
+
+
+class FieldForm:
+    """A symmetric matrix of field elements; ``det()`` computes once."""
+
+    __slots__ = ("field", "rows", "_det")
+
+    def __init__(self, field: FiniteField, rows):
+        coerced = tuple(
+            tuple([v if type(v) is FieldElement and v.field is field else field.element(v) for v in row]) for row in rows
+        )
+        if not coerced:
+            raise ValueError("form matrix must have at least one row")
+        if any(len(row) != len(coerced) for row in coerced):
+            raise ValueError("form matrix must be square")
+        if not is_symmetric(coerced):
+            raise ValueError("form matrix must be symmetric")
+        self.field = field
+        self.rows = coerced
+        self._det = None
+
+    @classmethod
+    def diagonal(cls, field, entries) -> FieldForm:
+        return cls(field, diagonal_rows(entries))
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    def det(self) -> FieldElement:
+        if self._det is None:
+            self._det = det(self.rows)
+        return self._det
+
+    def is_degenerate(self) -> bool:
+        return self.det().is_zero()
+
+    @property
+    def rank(self) -> int:
+        from .forms import diagonalize  # the traced name (module docstring)
+
+        diag, _ = diagonalize(self)
+        return sum(1 for d in diag if not d.is_zero())
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FieldForm)
+            and self.field == other.field
+            and self.rows == other.rows
+        )
+
+    def __hash__(self):
+        return hash((self.field.q, self.rows))
+
+    def __repr__(self):
+        return "FieldForm([" + ", ".join("[" + ", ".join(map(_coeff_text, row)) + "]" for row in self.rows) + "])"
+
+
+def diagonalize(form: FieldForm):
+    """Congruence diagonalization over a field of odd characteristic.
+
+    Returns (diagonal entries, T) with T^t F T diagonal.  A zero pivot
+    with a nonzero off-diagonal partner j is repaired by the basis
+    substitution e_i <- e_i + e_j (falling back to e_i - e_j when the
+    characteristic-independent cancellation 2F_ij + F_jj = 0 strikes);
+    pivots and partners are always taken at the lowest index.
+    Degenerate forms simply keep zeros on the diagonal, so the rank is
+    preserved.
+    """
+    field = form.field
+    n = form.n
+    m = [list(row) for row in form.rows]
+    t = diagonal_rows([field.one()] * n, field.zero())
+
+    def add_basis(i, j, c):
+        # e_i <- e_i + c * e_j
+        for r in range(n):
+            t[r][i] = t[r][i] + c * t[r][j]
+        for r in range(n):
+            m[r][i] = m[r][i] + c * m[r][j]
+        for r in range(n):
+            m[i][r] = m[i][r] + c * m[j][r]
+
+    for i in range(n):
+        if m[i][i].is_zero():
+            j = next((k for k in range(i + 1, n) if not m[i][k].is_zero()), None)
+            if j is None:
+                continue  # e_i lies in the radical of the trailing block
+            add_basis(i, j, field.one())
+            if m[i][i].is_zero():
+                add_basis(i, j, field.element(-2))
+        inv = m[i][i].inverse()
+        for j in range(i + 1, n):
+            if not m[i][j].is_zero():
+                add_basis(j, i, -(m[i][j] * inv))
+    diag = tuple(m[i][i] for i in range(n))
+    return diag, tuple(tuple(row) for row in t)
+
+
+def disc_class(form: FieldForm) -> SquareClass:
+    """Square class of the determinant, a congruence invariant."""
+    d = form.det()
+    if d.is_zero():
+        raise ValueError("discriminant class of a degenerate form is undefined")
+    return square_class(d)
+
+
+def field_isomorphic(f: FieldForm, g: FieldForm) -> bool:
+    """Rank plus discriminant class decide isomorphism over a finite
+    field of odd order (Witt classification)."""
+    if f.field != g.field:
+        raise ValueError("forms live over different fields")
+    if f.is_degenerate() or g.is_degenerate():
+        raise ValueError("isomorphism test requires nondegenerate forms")
+    return f.n == g.n and disc_class(f) == disc_class(g)
+
+
+# ---------------------------------------------------------------------------
+# Forms at a closed place
+
+
+def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
+    """Whether two unimodular forms agree over the residue field F_{q^e}
+    of a closed place: a monic irreducible of the line of degree e, or a
+    point of the line (y = None, as ``_closed_places`` reports it) or of
+    the cubic whose Frobenius orbit has its stated length e.
+
+    Rank and the square class of the determinant classify forms there.
+    The determinants are constants c of F_q^x, and c^((q^e - 1)/2) =
+    chi(c)^(1 + q + ... + q^(e-1)): for even e every c is a square, for
+    odd e c keeps its class in F_q.  No matrix is evaluated.  ValueError
+    rejects a prime over another field or at infinity, and a point off
+    the curve, over another field, singular, or of a wrong stated degree.
+    """
+    if f.curve != g.curve:
+        raise ValueError("forms live over different curves")
+    for name, form in (("first", f), ("second", g)):
+        if not is_unimodular(form):
+            raise ValueError(f"{name} form is not unimodular; its reduction may degenerate")
+    curve = f.curve
+    if isinstance(at, PrimePoly):
+        if not curve.is_polyline:
+            raise ValueError("prime reduction applies over the affine line")
+        if at.field != curve.field or at.is_infinite:
+            raise ValueError(f"{at!r} is not a finite prime over the curve's field")
+        e = at.degree
+    elif isinstance(at, AffinePoint):
+        if curve.is_polyline:
+            if at.y is not None:
+                raise ValueError(f"point {at!r} has a y coordinate, which the affine line has not")
+            if at.x.field.p != curve.field.p or at.x.field.k % curve.field.k:
+                raise ValueError(f"point {at!r} does not lie over the curve's field")
+        else:
+            require_on_curve(curve, at)
+            if is_singular_point(curve, at.x, at.y):
+                raise ValueError(
+                    "reduction at the singular point is rejected: the local ring "
+                    "there is not a discrete valuation ring"
+                )
+        e = orbit_degree(curve.field.q, at.x, at.y)
+        if e != at.degree:
+            raise ValueError(f"point {at!r} has degree {e}, not the stated {at.degree}")
+    else:
+        raise TypeError(f"cannot localize at {at!r}")
+    c_f, c_g = f.det().constant_value(), g.det().constant_value()
+    return f.n == g.n and (e % 2 == 0 or is_square(c_f) == is_square(c_g))

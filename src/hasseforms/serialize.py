@@ -20,6 +20,11 @@ coefficients, degrees, bounds) must be JSON integers, never floats,
 strings or booleans.  Output is deterministic: ``dumps(obj)`` is byte
 for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``, built by
 a recursive encoder (the standard one indents only in pure Python).
+
+The reports' encoders live next to the code that builds the reports and
+load with it: ``point_report_to_json`` and ``decision_to_json`` in
+``picard``, ``genus_report_to_json`` in ``genus``.  They are reached
+through this module (``__getattr__``).
 """
 
 from __future__ import annotations
@@ -27,12 +32,17 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from .curvepoints import AffinePoint, PointCountReport
+from . import _lazy_names
+from .curvepoints import AffinePoint
 from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _coerce_entry, _ring_entry
 from .finfield import MAX_FIELD_SIZE, FieldElement, FiniteField, capped_power, make_extension
-from .forms import GenusReport, GenusWitness, GramMatrix
+from .forms import GramMatrix
 from .funcfield import Poly, to_text
-from .hasse import HasseDecision
+
+__getattr__ = _lazy_names(
+    globals(),
+    {"point_report_to_json": "picard", "decision_to_json": "picard", "genus_report_to_json": "genus"},
+)
 
 
 def dumps(obj) -> str:
@@ -137,14 +147,6 @@ def elem_from_json(field: FiniteField, data, what: str = "field element") -> Fie
 # curves
 
 
-def curve_to_json(curve: CurveSpec) -> dict:
-    out = {"type": curve.kind, "field": field_to_json(curve.field)}
-    if not curve.is_polyline:
-        out["a"] = elem_to_json(curve.a)
-        out["b"] = elem_to_json(curve.b)
-    return out
-
-
 def curve_from_json(data: dict) -> CurveSpec:
     field = field_from_json(require_key(data, "field", "curve"))
     kind = require_key(data, "type", "curve")
@@ -226,58 +228,11 @@ def matrix_from_json(curve: CurveSpec, rows, what: str = "matrix") -> RingMatrix
 
 
 # ---------------------------------------------------------------------------
-# points and places
+# points
 
 
 def point_to_json(p: AffinePoint) -> dict:
     return {"x": elem_to_json(p.x), "y": elem_to_json(p.y), "degree": p.degree}
-
-
-def place_to_json(place: AffinePoint) -> object:
-    """A closed place: its prime's text on the line, its point on a cubic."""
-    return point_to_json(place) if place.prime is None else to_text(place.prime)
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-def point_report_to_json(report: PointCountReport) -> dict:
-    out = {
-        "schema": 1,
-        "affine": report.affine,
-        "total": report.total,
-        "smooth": report.smooth,
-        "singular_points": [point_to_json(p) for p in report.singular_points],
-    }
-    for key in ("pic_order", "pic_parity", "two_torsion", "warning"):
-        value = getattr(report, key)
-        if value is not None:
-            out[key] = value
-    return out
-
-
-def decision_to_json(decision: HasseDecision) -> dict:
-    reason = {
-        "pic_order": decision.reason.pic_order,
-        "pic_parity": decision.reason.pic_parity,
-        "ufd": decision.reason.ufd,
-        "criterion": decision.reason.criterion,
-    }
-    if decision.reason.two_torsion is not None:
-        reason["two_torsion"] = decision.reason.two_torsion
-    return {"schema": 1, "verdict": decision.verdict, "rank": decision.rank, "reason": reason}
-
-
-def genus_report_to_json(report: GenusReport) -> dict:
-    return {
-        "schema": 1,
-        "verdict": report.verdict,
-        "degree": report.degree,
-        "identity_ok": list(report.identity_ok),
-        "covered": [place_to_json(p) for p in report.covered],
-        "uncovered": [place_to_json(p) for p in report.uncovered],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +267,8 @@ def pair_from_json(data: dict) -> dict:
             )
             for w in data["witnesses"]
         )
+        from .forms import GenusWitness  # compiles genus verification on first use
+
         out["witness"] = GenusWitness(g, pairs)
     if "degree" in data:
         out["degree"] = require_int(data["degree"], "degree")

@@ -2,8 +2,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
-from hasseforms.cli import run
+import pytest
+
+from hasseforms.cli import _COMMANDS as COMMANDS
+from hasseforms.cli import build_parser, run
 from oracles import benchmark_jobs
 from test_traced_names import _traced_names
 
@@ -566,19 +570,78 @@ def test_package_import_loads_no_submodule():
     assert _package_modules_after("import hasseforms") == {"hasseforms"}
 
 
+# modules loaded on first use, by the commands that run their code
+LAZY_MODULES = {"genus", "local", "paper", "picard", "search"}
+
+
 def test_cli_import_loads_every_traced_module_but_not_the_search():
     # the benchmark's tracer looks each traced module up in sys.modules
-    # right after importing the CLI
+    # right after importing the CLI; no module loaded on first use is there
     loaded = _package_modules_after("import hasseforms.cli")
     assert {f"hasseforms.{module}" for module, _ in _traced_names()} <= loaded
-    assert "hasseforms.search" not in loaded
+    assert loaded.isdisjoint(f"hasseforms.{module}" for module in LAZY_MODULES)
 
 
-def test_only_a_search_loads_the_search():
-    for command, searched in (("genus-verify", False), ("isom-search", True)):
-        argv = [command, "--input", fixture_path("polyline_pair")]
+# a pair file without witnesses: loading it builds no GenusWitness
+BARE_PAIR = json.dumps({"schema": 1, "curve": {"type": "polyline", "field": {"p": 3, "k": 1}}, "F": [[1]], "G": [[1]]})
+
+COMMAND_MODULES = [
+    (["curve", "--q", "5", "--polyline"], {"picard"}),
+    (["hasse", "--q", "5", "--a", "1", "--b", "1", "--rank", "2"], {"picard"}),
+    (["form", "--json", form_payload("1")], set()),
+    (["genus-verify", "--input", fixture_path("polyline_pair")], {"genus"}),
+    (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], {"search"}),
+    (["isom-search", "--input", fixture_path("polyline_pair")], {"genus", "search"}),  # carries witnesses
+    (["verify-paper"], {"genus", "paper", "picard", "search"}),
+]
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    for argv, lazy in COMMAND_MODULES:
         loaded = _package_modules_after(f"from hasseforms.cli import run; run({argv!r})")
-        assert ("hasseforms.search" in loaded) == searched, command
+        assert {m.split(".")[-1] for m in loaded} & LAZY_MODULES == lazy, argv
+
+
+def _loaded_lines(argv):
+    """The ``wc -l`` lines of the hasseforms modules a process holds after
+    running ``argv``: what a CLI process compiles, with no bytecode cache."""
+    src = Path(__file__).resolve().parents[1] / "src" / "hasseforms"
+    names = _package_modules_after(f"from hasseforms.cli import run; run({argv!r})")
+    files = [src / ("__init__.py" if name == "hasseforms" else f"{name.split('.')[-1]}.py") for name in names]
+    return sum(path.read_bytes().count(b"\n") for path in files)
+
+
+def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
+    # with every module loaded up front, genus-verify compiled 3 468 lines
+    # and isom-search 3 866; a command compiles only what it runs, and
+    # these ceilings catch regrowth
+    assert _loaded_lines(["genus-verify", "--input", fixture_path("polyline_pair")]) <= 3100
+    assert _loaded_lines(["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"]) <= 3300
+
+
+PARSER_CASES = [
+    ["--help"],
+    *([command, "--help"] for command in COMMANDS),
+    [],  # no command
+    ["bogus"],  # an unknown command
+    ["genus-verify", "--bogus", "1"],  # unrecognised arguments
+    ["genus-verify", "--inspection-degree", "two"],  # an invalid int value
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-command")
+def test_one_command_parser_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
+    # run() builds the parser for the command it is given, or the full
+    # parser when argv names none; help, usage and errors stay the same
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(parse):
+        with pytest.raises(SystemExit) as stop:
+            parse(argv)
+        captured = capsys.readouterr()
+        return stop.value.code, captured.out, captured.err
+
+    assert outcome(run) == outcome(build_parser().parse_args)
 
 
 def test_console_entry_matches_run_byte_for_byte(capsys, monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hasseforms import curvepoints, curvering, finfield, forms, funcfield, search
+from hasseforms import curvepoints, curvering, finfield, forms, funcfield, genus, local, search
 from hasseforms.curvepoints import AffinePoint, enumerate_points
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction, RingMatrix, congruence, diagonal_rows
 from hasseforms.finfield import SquareClass, embed, is_square, make_extension
@@ -151,7 +151,6 @@ def test_unit_denominator_forms_run_no_gcd(monkeypatch):
         return gcd(*args)
 
     monkeypatch.setattr(curvering, "poly_gcd", counting)
-    monkeypatch.setattr(forms, "poly_gcd", counting)
     for curve in (LINE5, EC):
         GramMatrix.identity(curve, 5).det()
         GramMatrix.diagonal(curve, [1, 2, P(F5, "x^2+1"), P(F5, "3*x+4")]).det()
@@ -539,7 +538,7 @@ def test_local_isomorphic_at_line_places_matches_their_primes(field):
     grams = [_unimodular_gram(line, rng, n, square) for n in (1, 2) for square in (True, False)]
     answers = set()
     for d in (1, 2):
-        places = forms._closed_places(line, d)
+        places = genus._closed_places(line, d)
         assert places and all(place.y is None and place.degree == d for place in places)
         for place in places:
             prime = PrimePoly.finite(place.prime)
@@ -553,7 +552,7 @@ def test_local_isomorphic_at_line_places_matches_their_primes(field):
 
 def test_local_isomorphic_rejects_malformed_line_points():
     f = GramMatrix.identity(LINE5, 2)
-    place = forms._closed_places(LINE5, 2)[0]
+    place = genus._closed_places(LINE5, 2)[0]
     with pytest.raises(ValueError, match="has degree 2, not the stated 1"):
         local_isomorphic(f, f, AffinePoint(place.x, None, 1))
     with pytest.raises(ValueError, match="y coordinate"):
@@ -584,10 +583,10 @@ def test_local_isomorphic_rejects_foreign_and_infinite_primes():
 
 def test_local_isomorphic_evaluates_nothing(monkeypatch):
     calls = []
-    evaluate, init, det = Poly.evaluate, FieldForm.__init__, forms.det
+    evaluate, init, det = Poly.evaluate, FieldForm.__init__, local.det
     monkeypatch.setattr(Poly, "evaluate", lambda *a: calls.append("evaluate") or evaluate(*a))
     monkeypatch.setattr(FieldForm, "__init__", lambda *a: calls.append("FieldForm") or init(*a))
-    monkeypatch.setattr(forms, "det", lambda rows: calls.append("det") or det(rows))
+    monkeypatch.setattr(local, "det", lambda rows: calls.append("det") or det(rows))
     for curve, at in ((LINE5, PrimePoly.finite(P(F5, "x^2+2"))), (EC, AffinePoint(F5.element(1), F5.element(1), 1))):
         f = GramMatrix.identity(curve, 2)
         g = GramMatrix.from_rows(curve, [[1, P(F5, "x")], [P(F5, "x"), P(F5, "x^2+2")]])
@@ -610,7 +609,7 @@ def test_witness_determinant_skips_the_gcd_for_a_constant_quotient(monkeypatch):
     calls = []
     gcd = curvering.poly_gcd
     monkeypatch.setattr(curvering, "poly_gcd", lambda *a: calls.append(a) or gcd(*a))
-    monkeypatch.setattr(forms, "poly_gcd", lambda *a: calls.append(a) or gcd(*a))
+    monkeypatch.setattr(genus, "poly_gcd", lambda *a: calls.append(a) or gcd(*a))
     delta = P(F5, "x^2+3*x+1")
     for curve in (LINE5, EC):
         for n in (0, 1, 2, 3):
@@ -618,16 +617,16 @@ def test_witness_determinant_skips_the_gcd_for_a_constant_quotient(monkeypatch):
             for c in (1, 2, 4):  # det P = c delta^n: det Q = c/1, no gcd
                 num = RingElement(curve, den * Poly.constant(F5, c))
                 calls.clear()
-                got = forms._quotient(num, den)
+                got = genus._quotient(num, den)
                 assert calls == [] and got.is_integral()
                 assert got == RingFraction(curve, num, den) == RingFraction.from_ring(RingElement.constant(curve, c))
             others = [den * P(F5, "x+1"), den + Poly.one(F5), P(F5, "2*x+1"), Poly.zero(F5)]
             for a in others:  # not a constant times delta^n: reduced as before
                 num = RingElement(curve, a)
-                assert forms._quotient(num, den) == RingFraction(curve, num, den)
+                assert genus._quotient(num, den) == RingFraction(curve, num, den)
             if not curve.is_polyline:  # a y part never takes the shortcut
                 num = RingElement(curve, den * Poly.constant(F5, 2), den)
-                assert forms._quotient(num, den) == RingFraction(curve, num, den)
+                assert genus._quotient(num, den) == RingFraction(curve, num, den)
     # the witnesses of both fixtures have constant det Q and run no gcd
     for f, g, pairs in (remark_fixture(F5)[1:], (GramMatrix.identity(EC, 2), ec_g_matrix(), ec_witness_pairs())):
         for q, _ in pairs:
@@ -645,8 +644,8 @@ def test_witness_determinant_skips_the_gcd_for_a_constant_quotient(monkeypatch):
 
 def test_field_isomorphic_computes_one_det_per_form(monkeypatch):
     calls = []
-    det = forms.det
-    monkeypatch.setattr(forms, "det", lambda rows: calls.append(rows) or det(rows))
+    det = local.det
+    monkeypatch.setattr(local, "det", lambda rows: calls.append(rows) or det(rows))
     f = FieldForm(F5, [[1, 2], [2, 3]])
     g = FieldForm.diagonal(F5, [1, 4])
     assert field_isomorphic(f, g) == (disc_class(f) == disc_class(g))
@@ -688,7 +687,7 @@ def test_cubic_closed_places_one_per_orbit(p, k, a, b, d_max):
     curve = CurveSpec.weierstrass(field, a, b)
     expected = closed_point_counts(field, field.element(a), field.element(b), d_max)
     for d, count in enumerate(expected, 1):
-        places = forms._closed_places(curve, d)
+        places = genus._closed_places(curve, d)
         assert len(places) == count
         assert all(place.degree == d for place in places)
 
@@ -880,13 +879,13 @@ def test_clearing_matches_orders_at_smooth_places(case):
     num, den, s = case
     k = clearing_exponent(num, den, s)
     top = 2 * den.degree
-    assert forms._times_power(num, s, top, den).is_zero() == (k is not None)
+    assert genus._times_power(num, s, top, den).is_zero() == (k is not None)
     if k is not None:
         assert k <= top
         c = num * s**top
         c = RingElement(num.curve, c.a // den, c.b // den)
         assert c * RingElement(num.curve, den) == num * s**top
-        _, _, low = forms._support(s, RingFraction.make(num, RingElement(num.curve, den)))
+        _, _, low = genus._support(s, RingFraction.make(num, RingElement(num.curve, den)))
         assert low.a % den == (s * c).a % den and low.b % den == (s * c).b % den
 
 
@@ -1017,13 +1016,13 @@ def test_coverage_has_no_false_gap_at_a_regular_point():
 
 def test_coverage_tests_at_most_three_parts_per_witness_and_place(monkeypatch):
     calls = []
-    zero_test = forms._zero_test
+    zero_test = genus._zero_test
 
     def counting(h, ext):
         vanishes = zero_test(h, ext)
         return lambda lx, ly: calls.append((lx, ly)) or vanishes(lx, ly)
 
-    monkeypatch.setattr(forms, "_zero_test", counting)
+    monkeypatch.setattr(genus, "_zero_test", counting)
     d = RingFraction(LINE5, RingElement.one(LINE5), P(F5, "x^2+x"))
     rank3 = RingMatrix(LINE5, [[d, d * 2, 0], [0, 1, d], [d * 3, 0, 1]])
     cases = [load_bundled_pair(name) for name in ("polyline_pair", "singular_cubic_pair")]
@@ -1039,7 +1038,7 @@ def test_coverage_tests_at_most_three_parts_per_witness_and_place(monkeypatch):
 # prime and extension fields for the line, as (p, k), each with the
 # inspection degrees up to 3 that keep q^d <= 121^2
 LINE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (11, 2), (3, 3)]
-LINE_PLACES = {}  # (p, k, d) -> forms._closed_places of the line, listed once
+LINE_PLACES = {}  # (p, k, d) -> genus._closed_places of the line, listed once
 
 
 @settings(max_examples=200, deadline=None)
@@ -1050,13 +1049,13 @@ def test_vanishing_by_evaluation_matches_division(data):
     d = data.draw(st.sampled_from([d for d in (1, 2, 3) if field.q**d <= 121**2]))
     line = CurveSpec.polyline(field)
     if (p, k, d) not in LINE_PLACES:
-        LINE_PLACES[p, k, d] = forms._closed_places(line, d)
+        LINE_PLACES[p, k, d] = genus._closed_places(line, d)
     place = data.draw(st.sampled_from(LINE_PLACES[p, k, d]))
     element = st.sampled_from(list(field.elements()))
     h = RingElement(line, Poly(field, data.draw(st.lists(element, max_size=7))))
     if data.draw(st.booleans()):  # a root at the place, possibly repeated
         h = h * RingElement(line, place.prime ** data.draw(st.integers(1, 3)))
-    assert forms._zero_test(h, place.x.field)(place.x.log, None) == (h.a % place.prime).is_zero()
+    assert genus._zero_test(h, place.x.field)(place.x.log, None) == (h.a % place.prime).is_zero()
 
 
 # the line and cubics over F_5, F_9 and F_25, the singular cubic
@@ -1071,7 +1070,7 @@ ZERO_TEST_CURVES = {
     "cubic-F9": CurveSpec.weierstrass(F9, [1, 1], [0, 1]),
     "cubic-F25": CurveSpec.weierstrass(F25, [1, 1], [0, 3]),
 }
-ZERO_TEST_PLACES = {}  # (name, d) -> forms._closed_places
+ZERO_TEST_PLACES = {}  # (name, d) -> genus._closed_places
 
 
 @pytest.mark.parametrize("name", sorted(ZERO_TEST_CURVES))
@@ -1096,8 +1095,8 @@ def test_zero_tests_match_the_vanishing_oracle(name, data):
     for d in (1, 2):
         ext = make_extension(field.p, field.k * d)
         if (name, d) not in ZERO_TEST_PLACES:
-            ZERO_TEST_PLACES[name, d] = forms._closed_places(curve, d)
-        tests, reaches = [forms._zero_test(h, ext) for h in support], forms._reaches(support, ext)
+            ZERO_TEST_PLACES[name, d] = genus._closed_places(curve, d)
+        tests, reaches = [genus._zero_test(h, ext) for h in support], genus._reaches(support, ext)
         for place in ZERO_TEST_PLACES[name, d]:
             lx, ly = place.x.log, None if place.y is None else place.y.log
             far, den, low = [_vanishes_at(h, place) for h in support]
@@ -1112,7 +1111,7 @@ def test_coverage_embeds_each_coefficient_once_per_place_field(monkeypatch):
     pair = load_bundled_pair("polyline_pair")
     verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=3)  # fields and tables built
     real, calls = finfield.embed, []
-    for module in (finfield, funcfield, curvepoints, forms):
+    for module in (finfield, funcfield, curvepoints, genus):
         if getattr(module, "embed", None) is real:
             monkeypatch.setattr(module, "embed", lambda a, target: calls.append(a) or real(a, target))
     counts, places = [], []
@@ -1131,7 +1130,7 @@ def test_line_places_are_frobenius_orbits_named_by_their_primes(p, k, d):
     # root x of its prime with y = None; the primes come in the order of
     # the trial-division oracle, which shares no code with the orbit walk
     field = make_extension(p, k)
-    places = forms._closed_places(CurveSpec.polyline(field), d)
+    places = genus._closed_places(CurveSpec.polyline(field), d)
     assert [place.prime for place in places] == list(monic_irreducibles_by_trial_division(field, d))
     for place in places:
         assert place.y is None and place.x.field.q == field.q**d
@@ -1157,7 +1156,7 @@ def test_closed_places_list_one_point_per_frobenius_orbit(p, k, a, b, d):
     field = make_extension(p, k)
     curve = CurveSpec.weierstrass(field, field.element(a), field.element(b))
     points = [pt for pt in enumerate_points(curve, d) if pt.degree == d]
-    places = forms._closed_places(curve, d)
+    places = genus._closed_places(curve, d)
     orbits = [frobenius_orbit_by_powering(field.q, pt.x, pt.y) for pt in places]
     key = lambda xy: (xy[0].coeffs, xy[1].coeffs)  # noqa: E731
     # each place is the first point of its orbit, in enumeration order, and
@@ -1481,8 +1480,8 @@ def test_cubic_inspection_degree_capped_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("verification started")
 
-    monkeypatch.setattr(forms, "witness_identity", no_work)
-    monkeypatch.setattr(forms, "enumerate_points", no_work)
+    monkeypatch.setattr(genus, "witness_identity", no_work)
+    monkeypatch.setattr(genus, "enumerate_points", no_work)
     for degree in (6, 10**9):
         with pytest.raises(ValueError, match="inspection degree"):
             verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=degree)

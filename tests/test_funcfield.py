@@ -9,7 +9,7 @@ from hasseforms import funcfield
 from hasseforms.curvepoints import enumerate_points
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction
 from hasseforms.finfield import MAX_INSPECTION_SIZE, make_extension
-from hasseforms.forms import _times_power
+from hasseforms.genus import _times_power
 from hasseforms.funcfield import (
     MAX_TEXT_DEGREE,
     Poly,

@@ -20,7 +20,10 @@ def test_search_is_one_object_under_three_names():
     assert hasseforms.isom_search is forms.isom_search is search.isom_search
 
 
-@pytest.mark.parametrize("module", ["hasseforms", "hasseforms.forms"])
+@pytest.mark.parametrize(
+    "module",
+    ["hasseforms", "hasseforms.forms", "hasseforms.funcfield", "hasseforms.curvepoints", "hasseforms.serialize"],
+)
 def test_unknown_attribute_raises_attribute_error(module):
     owner = importlib.import_module(module)
     with pytest.raises(AttributeError, match="no_such_name"):

@@ -88,8 +88,7 @@ def test_hasse_records_constructor():
     assert (r.pic_order, r.pic_parity, r.ufd, r.two_torsion, r.criterion) == (1, "odd", True, None, "c")
     d = HasseDecision("Fails", 2, r)
     assert d == HasseDecision(verdict="Fails", rank=2, reason=r)
-    assert (d.verdict, d.rank, d.reason, d.holds) == ("Fails", 2, r, False)
-    assert HasseDecision("Holds", 3, r).holds
+    assert (d.verdict, d.rank, d.reason) == ("Fails", 2, r)
     with pytest.raises(TypeError):
         HasseReason(1, "odd", True, None)
     with pytest.raises(TypeError):

@@ -10,7 +10,6 @@ from hasseforms.finfield import make_extension
 from hasseforms.funcfield import Poly
 from hasseforms.serialize import (
     curve_from_json,
-    curve_to_json,
     dumps,
     fraction_from_json,
     fraction_to_json,
@@ -23,7 +22,7 @@ from hasseforms.serialize import (
     ring_elem_to_json,
 )
 
-from oracles import pair_to_json
+from oracles import curve_to_json, pair_to_json
 
 F5 = make_extension(5, 1)
 EC = CurveSpec.weierstrass(F5, 2, 3)

@@ -3,7 +3,7 @@ are enforced by exceptions, which ``python -O`` keeps, never by
 ``assert``, which it strips; no module imports a name it does not use,
 so a deletion cannot leave a dead import behind; every private function,
 method or class has a caller in the library; and only
-``forms.local_isomorphic`` tells the two kinds of closed place apart by
+``local.local_isomorphic`` tells the two kinds of closed place apart by
 type."""
 
 import ast
@@ -105,4 +105,4 @@ def test_place_kinds_are_told_apart_only_at_the_public_boundary():
         for path in MODULES
         for scope, line in _place_type_tests(_tree(path))
     ]
-    assert {scope for scope, _ in sites} == {"forms.local_isomorphic"}, sites
+    assert {scope for scope, _ in sites} == {"local.local_isomorphic"}, sites

@@ -93,3 +93,69 @@ def test_traced_run_records_its_command_span(tmp_path, command, code, span):
     assert proc.returncode == code, proc.stderr
     names = [name for _id, _parent, _job, name, _start, _end in json.loads(out.read_text())["spans"]]
     assert names.count(span) == 1
+
+
+# Calls the session worker makes after it has imported the CLI and the
+# serializer and installed the tracer: each name reached through the
+# package resolves from its home module, where the tracer wrapped it,
+# though the module that defines it loads only at the lookup.
+SESSION_ORDER_CALLS = f"""
+import json, sys
+sys.path.insert(0, {str(PERFBENCH)!r})
+import hasseforms as hf
+import hasseforms.cli
+import hasseforms.serialize
+from tracing import Tracer, install
+
+tracer = Tracer("job")
+install(tracer, sys.argv[1])
+field = hf.make_extension(5, 1)
+line = hf.CurveSpec.polyline(field)
+form = hf.FieldForm(field, [[1, 2], [2, 3]])
+hf.diagonalize(form)
+form.rank  # diagonalizes once more
+hf.factor(hf.Poly(field, [0, 1, 1]))  # x(x + 1): lists the primes of degree 1
+f = hf.GramMatrix.identity(line, 2)
+hf.local_isomorphic(f, f, hf.PrimePoly.finite(hf.Poly(field, [2, 0, 1])))
+hf.point_report(hf.CurveSpec.weierstrass(field, 1, 1))
+with open({str(FIXTURE)!r}) as handle:
+    pair = hf.serialize.pair_from_json(json.load(handle))  # builds one GenusWitness
+hf.verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=1)
+hf.GenusWitness(pair["G"], pair["witness"].pairs)
+names = [span[3] for span in tracer.spans]
+print(json.dumps({{"counts": tracer.counts, "spans": {{name: names.count(name) for name in names}}}}))
+"""
+
+
+@pytest.mark.parametrize(
+    "mode, want",
+    [
+        (
+            "counts",
+            {
+                "forms.diagonalize.calls": 2,
+                "funcfield.factor.calls": 1,
+                "funcfield.monic_irreducibles.calls": 1,
+                "curvepoints.enumerate_points.calls": 2,  # by the primes of degree 1 and by the genus check
+                "forms.local_isomorphic.calls": 1,
+                "forms.verify_genus_witness.calls": 1,
+            },
+        ),
+        (
+            "spans",
+            {
+                "funcfield.factor": 1,
+                "funcfield.monic_irreducibles": 1,
+                "curvepoints.enumerate_points": 2,
+                "curvepoints.point_report": 1,
+                "forms.verify_genus_witness": 1,
+                "forms.genus_witness_init": 2,
+            },
+        ),
+    ],
+)
+def test_tracer_sees_names_whose_modules_load_on_first_use(mode, want):
+    proc = subprocess.run([sys.executable, "-c", SESSION_ORDER_CALLS, mode], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)[mode]
+    assert {name: got.get(name, 0) for name in want} == want
