@@ -189,10 +189,6 @@ def _cmd_verify_paper(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_format(p):
-    p.add_argument("--format", choices=("json", "text"), default="json")
-
-
 def _add_io(p):
     p.add_argument("--input", help="path to a JSON input file")
     p.add_argument("--json", help="inline JSON input")
@@ -206,43 +202,30 @@ def _add_curve_flags(p):
     _add_io(p)  # a curve JSON may replace the flags
 
 
-def _curve_args(p):
-    _add_curve_flags(p)
-    _add_format(p)
-
-
 def _hasse_args(p):
     _add_curve_flags(p)
     p.add_argument("--rank", type=int, required=True)
-    _add_format(p)
-
-
-def _form_args(p):
-    _add_io(p)
-    _add_format(p)
 
 
 def _genus_verify_args(p):
     _add_io(p)
     p.add_argument("--inspection-degree", type=int)
-    _add_format(p)
 
 
 def _isom_search_args(p):
     _add_io(p)
     p.add_argument("--degree-bound", type=int, help="max x-degree of entries")
     p.add_argument("--degree-bound-y", type=int, help="max x-degree of the y part")
-    _add_format(p)
 
 
 # each subcommand: its help line, what adds its arguments, and its handler
 _COMMANDS = {
-    "curve": ("point count and smoothness report", _curve_args, _cmd_curve),
+    "curve": ("point count and smoothness report", _add_curve_flags, _cmd_curve),
     "hasse": ("local-global verdict for a rank", _hasse_args, _cmd_hasse),
-    "form": ("inspect a matrix over a coordinate ring", _form_args, _cmd_form),
+    "form": ("inspect a matrix over a coordinate ring", _add_io, _cmd_form),
     "genus-verify": ("verify a genus-witness pair file", _genus_verify_args, _cmd_genus_verify),
     "isom-search": ("bounded integral isometry search", _isom_search_args, _cmd_isom_search),
-    "verify-paper": ("re-run the bundled worked examples", _add_format, _cmd_verify_paper),
+    "verify-paper": ("re-run the bundled worked examples", lambda p: None, _cmd_verify_paper),
 }
 
 
@@ -260,6 +243,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         help_text, add_arguments, handler = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)
+        p.add_argument("--format", choices=("json", "text"), default="json")
         p.set_defaults(func=handler)
     return parser
 

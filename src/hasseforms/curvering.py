@@ -508,9 +508,9 @@ def _ring_entry(curve, e):
 # ``congruence_rows``.
 
 
-def square_rows(curve, rows, entry):
-    """The rows of a square matrix as tuples of ``entry(curve, e)``, row
-    by row; ValueError for no rows or a row of another length."""
+def square_rows(owner, rows, entry):
+    """The rows of a square matrix as tuples of ``entry(owner, e)``, owner
+    a curve or field; ValueError for no rows or a row of another length."""
     n = len(rows)
     if n == 0:
         raise ValueError("matrix must have at least one row")
@@ -518,7 +518,7 @@ def square_rows(curve, rows, entry):
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix must be square")
-        out.append(tuple([entry(curve, e) for e in row]))
+        out.append(tuple([entry(owner, e) for e in row]))
     return tuple(out)
 
 

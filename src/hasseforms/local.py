@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .curvepoints import AffinePoint, is_singular_point, orbit_degree, require_on_curve
-from .curvering import CurveSpec, det, diagonal_rows, is_symmetric
+from .curvering import CurveSpec, det, diagonal_rows, is_symmetric, square_rows
 from .finfield import MAX_INSPECTION_SIZE, FieldElement, FiniteField, SquareClass, capped_power, is_square, square_class
 from .forms import GramMatrix, is_unimodular
 from .funcfield import Poly, _coeff_text, is_irreducible, poly_gcd, to_text
@@ -176,18 +176,13 @@ def valuation(r, p: PrimePoly) -> int:
 
 
 class FieldForm:
-    """A symmetric matrix of field elements; ``det()`` computes once."""
+    """A symmetric matrix of field elements, its rows checked and coerced
+    by ``square_rows``, as a ring matrix's are; ``det()`` computes once."""
 
     __slots__ = ("field", "rows", "_det")
 
     def __init__(self, field: FiniteField, rows):
-        coerced = tuple(
-            tuple([v if type(v) is FieldElement and v.field is field else field.element(v) for v in row]) for row in rows
-        )
-        if not coerced:
-            raise ValueError("form matrix must have at least one row")
-        if any(len(row) != len(coerced) for row in coerced):
-            raise ValueError("form matrix must be square")
+        coerced = square_rows(field, rows, FiniteField.element)
         if not is_symmetric(coerced):
             raise ValueError("form matrix must be symmetric")
         self.field = field

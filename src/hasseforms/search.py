@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .curvepoints import enumerate_points
+from .curvepoints import _cubic_points
 from .curvering import CurveSpec, RingElement, RingMatrix
 from .finfield import MAX_INSPECTION_SIZE, capped_power, embed, make_extension
 from .forms import DEFAULT_SEARCH_BUDGET, BudgetExceededError, GramMatrix
@@ -248,7 +248,8 @@ def _reachable(target: RingElement, reach: Optional[int]) -> bool:
 def _evaluation_points(curve: CurveSpec, count: int):
     """``count`` points (x0, y0) of the curve with distinct x0: the first
     x-values in canonical order of the smallest F_{q^k} that has enough,
-    with y0 = 0 on the line and the smallest square root on the cubic."""
+    with y0 = 0 on the line and, on the cubic, the first point above x0 of
+    the root scan (``curvepoints._cubic_points``)."""
     base = curve.field
     for k in itertools.count(1):
         if capped_power(base.q, k, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
@@ -258,14 +259,14 @@ def _evaluation_points(curve: CurveSpec, count: int):
             )
         if base.q**k < count:
             continue
+        ext = make_extension(base.p, base.k * k)
         if curve.is_polyline:
-            ext = make_extension(base.p, base.k * k)
             return [(x0, ext.zero()) for x0 in itertools.islice(ext.elements(), count)]
         first = {}  # the first point per x, which has the smaller root
-        for point in enumerate_points(curve, k):
-            first.setdefault(point.x, point.y)
-        if len(first) >= count:
-            return list(first.items())[:count]
+        for x0, y0 in _cubic_points(curve, ext):
+            first.setdefault(x0, y0)
+            if len(first) == count:
+                return list(first.items())
 
 
 class _Logs:

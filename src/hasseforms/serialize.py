@@ -117,10 +117,6 @@ def require_int(value, what: str) -> int:
 # fields and elements
 
 
-def field_to_json(field: FiniteField) -> dict:
-    return {"p": field.p, "k": field.k}
-
-
 def field_from_json(data: dict) -> FiniteField:
     """A base field F_{p^k}: p and k are integers and p^k is at most
     MAX_FIELD_SIZE, checked before the primality test."""

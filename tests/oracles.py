@@ -24,7 +24,7 @@ from hasseforms.curvepoints import AffinePoint, require_on_curve
 from hasseforms.curvering import RingElement, RingFraction, congruence_rows
 from hasseforms.forms import FieldForm, field_isomorphic
 from hasseforms.funcfield import Poly, PrimePoly, factor, monic_polys
-from hasseforms.serialize import elem_to_json, field_to_json, matrix_to_json, ring_elem_to_json
+from hasseforms.serialize import elem_to_json, matrix_to_json, ring_elem_to_json
 
 
 def benchmark_jobs(workload: str, seeds) -> tuple:
@@ -803,6 +803,10 @@ def reducible_monics_by_products(field: FiniteField, degree: int) -> set:
 # ---------------------------------------------------------------------------
 # Pair files, written back: the tests' round trip through pair_from_json,
 # which no command needs.
+
+
+def field_to_json(field) -> dict:
+    return {"p": field.p, "k": field.k}
 
 
 def curve_to_json(curve) -> dict:

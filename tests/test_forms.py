@@ -1462,8 +1462,16 @@ def test_isom_search_diagonal_matches_brute_force(f, g, deg_x, deg_y):
 
 
 def test_inspection_degree_capped_before_any_work():
-    _, f, g, pairs = remark_fixture(F5)
+    line, f, g, pairs = remark_fixture(F5)
     witness = GenusWitness(g, pairs)
+    # mismatched arguments are refused before the degree is read
+    for args, message in (
+        ((GramMatrix.identity(EC, 2), g, witness), "forms live over different curves"),
+        ((GramMatrix.identity(line, 3), g, witness), "forms have different ranks"),
+        ((f, g, GenusWitness(f, pairs)), "witness targets a different form"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_genus_witness(*args, degree=1)
     with pytest.raises(ValueError, match="inspection degree"):
         verify_genus_witness(f, g, witness, degree=6)  # 5^6 = 15625 > 121^2
     with pytest.raises(ValueError, match="inspection degree"):
@@ -1717,6 +1725,41 @@ def test_evaluation_points_separate_bounded_elements(curve, bound):
         assert any(not v.is_zero() for v in values) == (not h.is_zero())
 
 
+SMOOTH11 = CurveSpec.weierstrass(make_extension(11, 1), 1, 1)
+
+
+def _first_point_per_x(curve, k):
+    """(x, y) for the first point of ``enumerate_points(curve, k)`` above
+    each x, in its order, with y = 0 on the line: the rule the search's
+    evaluation points followed before they were read off the root scan."""
+    first = {}
+    for point in enumerate_points(curve, k):
+        first.setdefault(point.x, point.x.field.zero() if point.y is None else point.y)
+    return list(first.items())
+
+
+@pytest.mark.parametrize(
+    "curve,count,k",
+    [
+        (CurveSpec.polyline(F3), 3, 1),
+        (CurveSpec.polyline(F3), 4, 2),
+        (CurveSpec.polyline(F3), 10, 3),
+        (EC, 4, 1),  # x = 1, 2, 3, 4 carry points over F_5
+        (EC, 13, 2),
+        (EC, 14, 3),
+        (SMOOTH11, 7, 1),
+        (SMOOTH11, 8, 2),
+        (SMOOTH11, 150, 3),
+    ],
+)
+def test_evaluation_points_are_the_first_point_per_x(curve, count, k):
+    # F_{q^k} is the smallest extension with count x-values carrying a point
+    assert len(_first_point_per_x(curve, k)) >= count
+    if k > 1:
+        assert len(_first_point_per_x(curve, k - 1)) < count
+    assert search._evaluation_points(curve, count) == _first_point_per_x(curve, k)[:count]
+
+
 def test_isom_search_exact_where_one_point_fewer_matches():
     # F = [1] and deg_x = 1 give D = 2, so the points are x = 0, 1, 2.
     # G = 1 + x(x - 1) agrees with 1^2 at x = 0 and x = 1, so two points
@@ -1766,3 +1809,8 @@ def test_isom_search_rejects_large_rank():
     f = GramMatrix.identity(LINE5, 4)
     with pytest.raises(ValueError):
         isom_search(f, f, deg_x=1)
+    one = GramMatrix.identity(LINE5, 1)
+    with pytest.raises(ValueError, match="^forms live over different curves$"):
+        isom_search(one, GramMatrix.identity(EC, 1), deg_x=1)
+    with pytest.raises(ValueError, match="^forms have different ranks$"):
+        isom_search(one, GramMatrix.identity(LINE5, 2), deg_x=1)
