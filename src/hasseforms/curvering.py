@@ -22,7 +22,8 @@ working on singular inputs.
 Units: a + b*y is a unit iff its norm a^2 - b^2*(x^3+ax+b) is a nonzero
 constant, which for a monic cubic happens exactly when the element is a
 nonzero constant of F_q.  ``is_unit`` computes both characterizations
-and insists they agree.
+and insists they agree.  Curves, like fields, are interned and live for
+the process (``CurveSpec``), so operands share a curve by identity.
 """
 
 from __future__ import annotations
@@ -39,35 +40,37 @@ WEIERSTRASS = "weierstrass"
 
 
 class CurveSpec:
-    """The base geometry: the affine line, or an affine Weierstrass cubic."""
+    """The base geometry: the affine line, or an affine Weierstrass cubic.
+    The constructor, ``polyline`` and ``weierstrass`` return the one
+    object for (kind, field, a, b), with a and b coerced into the field,
+    building it on first use; so a curve is equal only to itself, and
+    its cubic, smoothness, point scan and shared constant entries are
+    made once per process.  A refused curve leaves nothing cached."""
 
     __slots__ = ("kind", "field", "a", "b", "_cubic", "_smooth", "_scan", "_entries")
 
-    def __init__(self, kind: str, field: FiniteField, a=None, b=None):
+    def __new__(cls, kind: str, field: FiniteField, a=None, b=None):
         if kind not in (POLYLINE, WEIERSTRASS):
             raise ValueError(f"unknown curve kind {kind!r}")
         if kind == WEIERSTRASS and (a is None or b is None):
             raise ValueError("weierstrass curves need coefficients a and b")
-        self.kind = kind
-        self.field = field
-        self.a = field.element(a) if a is not None else None
-        self.b = field.element(b) if b is not None else None
-        self._cubic = None
-        self._smooth = None  # the discriminant test, made once
-        self._scan = None  # curvepoints' one x-scan of F_q, kept once made
-        self._entries = {}  # constant entries c/1 by c and by ints, shared and never changed
+        key = (kind, field, None if a is None else field.element(a), None if b is None else field.element(b))
+        curve = _curves.get(key)
+        if curve is None:
+            curve = _curves[key] = super().__new__(cls)
+            curve.kind, curve.field, curve.a, curve.b = key
+            # made on first use: the cubic, the discriminant test and curvepoints' x-scan of F_q
+            curve._cubic = curve._smooth = curve._scan = None
+            curve._entries = {}  # constant entries c/1 by c and by ints, shared and never changed
+        return curve
+
+    def __reduce__(self):
+        return CurveSpec, (self.kind, self.field, self.a, self.b)
 
     @classmethod
     def polyline(cls, field: FiniteField) -> CurveSpec:
-        """The affine line over field: one object per field, as there is
-        one field per (p, k), so its shared constant entries and the
-        identity fast paths of ring arithmetic hold across calls.  A line
-        built directly, ``CurveSpec("polyline", field)``, is another
-        object that compares equal."""
-        line = _lines.get(field)
-        if line is None:
-            line = _lines[field] = cls(POLYLINE, field)
-        return line
+        """The affine line over field."""
+        return cls(POLYLINE, field)
 
     @classmethod
     def weierstrass(cls, field: FiniteField, a, b) -> CurveSpec:
@@ -98,25 +101,13 @@ class CurveSpec:
             self._cubic = Poly(self.field, [self.b, self.a, self.field.zero(), self.field.one()])
         return self._cubic
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, CurveSpec)
-            and self.kind == other.kind
-            and self.field == other.field
-            and self.a == other.a
-            and self.b == other.b
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.field.q, self.a, self.b))
-
     def __repr__(self):
         if self.is_polyline:
             return f"CurveSpec(line/F{self.field.q})"
         return f"CurveSpec(y^2=x^3+{_coeff_text(self.a)}*x+{_coeff_text(self.b)}/F{self.field.q})"
 
 
-_lines: dict[FiniteField, CurveSpec] = {}
+_curves: dict[tuple, CurveSpec] = {}
 
 
 class RingElement(RingOps):
@@ -172,7 +163,7 @@ class RingElement(RingOps):
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
-            if other.curve != self.curve:
+            if other.curve is not self.curve:
                 raise ValueError("mismatched curves")
             return other
         if isinstance(other, Poly):
@@ -287,7 +278,7 @@ class RingFraction(FieldOps):
     def __init__(self, curve: CurveSpec, num: RingElement, den: Optional[Poly] = None):
         if den is None:
             den = Poly.one(curve.field)
-        if num.curve != curve or den.field != curve.field:
+        if num.curve is not curve or den.field != curve.field:
             raise ValueError("mismatched curves")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
@@ -443,7 +434,7 @@ class RingMatrix:
     def __eq__(self, other):
         return (
             isinstance(other, RingMatrix)
-            and self.curve == other.curve
+            and self.curve is other.curve
             and self.rows == other.rows
         )
 
@@ -469,11 +460,11 @@ def _coerce_entry(curve, e) -> RingFraction:
                 frac = curve._entries[c] = RingFraction.from_ring(
                     RingElement._raw(curve, Poly._raw(field, (c,)), Poly.zero(field))
                 )
-            if type(e) is int and len(curve._entries) < 4 * field.q:  # few int keys on a long-lived line
+            if type(e) is int and len(curve._entries) < 4 * field.q:  # few int keys: the curve lives for the process
                 curve._entries[e] = frac
         return frac
     if isinstance(e, RingFraction):
-        if e.curve is not curve and e.curve != curve:
+        if e.curve is not curve:
             raise ValueError("mismatched curves")
         return e
     return RingFraction.from_ring(_ring_entry(curve, e))
@@ -495,7 +486,7 @@ def _ring_entry(curve, e):
             raise ValueError("polynomial parts must live over the curve's field")
         return RingElement._raw(curve, e, Poly.zero(e.field))
     if isinstance(e, (RingElement, RingFraction)):
-        if e.curve != curve:
+        if e.curve is not curve:
             raise ValueError("mismatched curves")
         return e.num if type(e) is RingFraction and e.den.degree < 1 else e
     raise TypeError(f"cannot place {e!r} in a matrix")
@@ -630,6 +621,6 @@ def congruence_rows(t, m):
 
 def congruence(q: RingMatrix, f: RingMatrix) -> RingMatrix:
     """The congruence action Q^t F Q, exact over the fraction field."""
-    if q.curve != f.curve:
+    if q.curve is not f.curve:
         raise ValueError("mismatched curves")
     return RingMatrix(q.curve, congruence_rows(q.rows, f.rows))

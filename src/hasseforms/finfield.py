@@ -169,7 +169,8 @@ class FiniteField:
     """The field F_{p^k} presented as F_p[t]/(m), with its elements
     interned and its arithmetic on log and Zech tables.  The constructor
     returns the one object for (p, k), so a field is equal only to
-    itself; a refused (p, k) leaves nothing cached."""
+    itself, and a copy or unpickled field is that object; a refused
+    (p, k) leaves nothing cached."""
 
     __slots__ = (
         "p", "k", "q", "modulus", "_half", "_elements", "_exp", "_zech", "_embeddings", "_pullbacks"
@@ -231,6 +232,9 @@ class FiniteField:
         field._zech = zech * 2
         _field_cache[p, k] = field
         return field
+
+    def __reduce__(self):
+        return FiniteField, (self.p, self.k)
 
     def zech_table(self) -> list:
         """Z(n) = log(1 + g^n), None where 1 + g^n = 0, for every n with
@@ -325,6 +329,9 @@ class FieldElement(FieldOps):
         self._code = code
         self._log = log
         self._hash = hash((field.q, coeffs))
+
+    def __reduce__(self):
+        return self.field.element, (self.coeffs,)
 
     def is_zero(self) -> bool:
         return self._log is None

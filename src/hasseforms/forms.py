@@ -94,7 +94,7 @@ class GramMatrix:
         return self._det
 
     def __eq__(self, other):
-        return isinstance(other, GramMatrix) and self.curve == other.curve and self.rows == other.rows
+        return isinstance(other, GramMatrix) and self.curve is other.curve and self.rows == other.rows
 
     def __repr__(self):
         return f"GramMatrix({self.matrix.rows!r})"

@@ -47,7 +47,7 @@ class GenusWitness(Record):
         for q, s in self.pairs:
             if not isinstance(q, RingMatrix) or not isinstance(s, RingElement):
                 raise TypeError("witness pairs are (matrix, ring element)")
-            if q.curve != self.target.curve or s.curve != self.target.curve:
+            if q.curve is not self.target.curve or s.curve is not self.target.curve:
                 raise ValueError("witness pieces live over different curves")
             if s.is_zero():
                 raise MalformedWitnessError("declared locus must be nonzero")
@@ -109,7 +109,7 @@ def verify_genus_witness(
     any work.  Points beyond the inspection degree are not examined; a
     Certified verdict means certified up to that degree.
     """
-    if f.curve != g.curve:
+    if f.curve is not g.curve:
         raise ValueError("forms live over different curves")
     if f.n != g.n:
         raise ValueError("forms have different ranks")

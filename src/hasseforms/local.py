@@ -302,7 +302,7 @@ def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
     rejects a prime over another field or at infinity, and a point off
     the curve, over another field, singular, or of a wrong stated degree.
     """
-    if f.curve != g.curve:
+    if f.curve is not g.curve:
         raise ValueError("forms live over different curves")
     for name, form in (("first", f), ("second", g)):
         if not is_unimodular(form):

@@ -65,7 +65,7 @@ class PointCountReport(Record):
 def _count_scan(curve: CurveSpec):
     """(affine point count sum_x (1 + chi(x^3 + ax + b)) over F_q, whether
     the cubic has a root in F_q), from one ``_cubic_logs`` scan that is
-    kept on the curve, so one curve object is scanned once."""
+    kept on the curve, so each curve is scanned once per process."""
     if curve._scan is None:
         affine, root = 0, False
         for v in _cubic_logs(curve.field, curve.a.log, curve.b.log):

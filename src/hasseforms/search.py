@@ -76,7 +76,7 @@ def isom_search(
     check in turn, so the same searches return and the same ones raise;
     only the count in the error message can differ.
     """
-    if f.curve != g.curve:
+    if f.curve is not g.curve:
         raise ValueError("forms live over different curves")
     if f.n != g.n:
         raise ValueError("forms have different ranks")

@@ -620,8 +620,8 @@ def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # and isom-search 3 866; a command compiles only what it runs, and
     # these ceilings, the counts measured when they were last lowered,
     # catch regrowth
-    assert _loaded_lines(["genus-verify", "--input", fixture_path("polyline_pair")]) <= 2958
-    assert _loaded_lines(["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"]) <= 3081
+    assert _loaded_lines(["genus-verify", "--input", fixture_path("polyline_pair")]) <= 2956
+    assert _loaded_lines(["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"]) <= 3079
 
 
 PARSER_CASES = [

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import subprocess
 import sys
@@ -60,6 +62,24 @@ def test_smooth_cubic():
 
 def test_polyline_is_smooth():
     assert LINE.is_smooth
+
+
+def test_one_curve_object_per_kind_field_and_coefficients():
+    F9 = make_extension(3, 2)
+    assert CurveSpec.weierstrass(F5, 1, 1) is CurveSpec("weierstrass", F5, [1], F5.element(1))
+    assert CurveSpec.polyline(F5) is CurveSpec("polyline", F5) is LINE
+    assert CurveSpec.weierstrass(F5, 7, -2) is EC and CurveSpec.polyline(F9) is not LINE
+    assert CurveSpec.weierstrass(F5, 1, 2) is not CurveSpec.weierstrass(F5, 2, 1)
+    refused = [
+        (("conic", F5), "unknown curve kind 'conic'"),
+        (("weierstrass", F5, 1), "weierstrass curves need coefficients a and b"),
+        (("weierstrass", F5, 1, F9.one()), "element belongs to a different field"),
+    ]
+    for args, message in refused:  # a refused curve leaves nothing cached
+        before = dict(curvering._curves)
+        with pytest.raises(ValueError, match=message):
+            CurveSpec(*args)
+        assert curvering._curves == before
 
 
 # -- ring arithmetic ------------------------------------------------------
@@ -527,12 +547,13 @@ def test_constant_entries_are_shared_per_curve_and_never_change():
     -zero
     GramMatrix.diagonal(curve, [1, P("x")]).det()
     assert [(hash(e), e.num.a.coeffs, e.den.coeffs) for e in (zero, one)] == before
-    assert RingMatrix(CurveSpec.polyline(F5), diagonal_rows([1, 1, 1])).rows[0][1] is zero  # one line, so one set, per field
-    assert RingMatrix(CurveSpec("polyline", F5), diagonal_rows([1, 1, 1])).rows[0][1] is not zero  # one set per curve object
+    assert RingMatrix(CurveSpec("polyline", F5), diagonal_rows([1, 1, 1])).rows[0][1] is zero  # one line, so one set, per field
+    assert RingMatrix(CurveSpec.weierstrass(F5, 1, 1), diagonal_rows([1, 1, 1])).rows[0][1] is not zero  # one set per curve
 
 
 def test_repeated_int_entries_skip_field_element(monkeypatch):
-    curve = CurveSpec("polyline", F5)  # a new curve object, whose entries no other caller made
+    curve = CurveSpec.polyline(F5)
+    monkeypatch.setattr(curve, "_entries", {})  # empty, as when the curve was first built
     zero, one = RingMatrix(curve, diagonal_rows([1, 1])).rows[0][1], RingMatrix(curve, diagonal_rows([1, 1])).rows[0][0]
     calls = []
     element = F5.element.__func__
@@ -564,13 +585,17 @@ def test_smoothness_is_decided_once_per_curve(monkeypatch):
     calls = []
     discriminant = CurveSpec.discriminant.fget
     monkeypatch.setattr(CurveSpec, "discriminant", property(lambda c: calls.append(c) or discriminant(c)))
-    for a, b, smooth in ((1, 1, True), (2, 3, False)):
-        curve = CurveSpec.weierstrass(F5, a, b)
+    F13 = make_extension(13, 1)
+    for a, b, smooth in ((1, 1, True), (10, 2, False)):  # x^3 - 3x + 2 = (x - 1)^2 (x + 2)
+        curve = CurveSpec.weierstrass(F13, a, b)
+        fresh = curve._smooth is None  # curves live for the process: another test may have decided it
         point_report(curve)
         if smooth:
             hasse_principle(curve, 3)
         assert curve.is_smooth is smooth
-        assert calls == [curve]
+        assert calls == [curve] * fresh
+        point_report(CurveSpec.weierstrass(F13, a, b))  # the same object, decided already
+        assert calls == [curve] * fresh
         calls.clear()
 
 
@@ -584,16 +609,13 @@ def test_diagonal_gram_builds_its_zero_entry_once(monkeypatch):
 
     monkeypatch.setattr(RingFraction, "from_ring", classmethod(counting))
     entries = [P("x"), P("x+1"), P("x^2+2"), P("3*x"), P("x^3+1"), P("2*x+4")]
-    for curve in (CurveSpec("polyline", F5), CurveSpec.weierstrass(F5, 1, 1)):  # new curve objects
+    for curve in (CurveSpec.polyline(F5), CurveSpec.weierstrass(F5, 1, 1)):
+        fresh = F5.zero() not in curve._entries  # curves live for the process: another test may have built it
         GramMatrix.diagonal(curve, entries)
-        assert sum(1 for e in built if e.is_zero()) == 1
+        assert sum(1 for e in built if e.is_zero()) == fresh
         GramMatrix.diagonal(curve, entries)
-        assert sum(1 for e in built if e.is_zero()) == 1
+        assert sum(1 for e in built if e.is_zero()) == fresh
         built.clear()
-    # the field's one line may have built its zero entry for an earlier caller
-    GramMatrix.diagonal(CurveSpec.polyline(F5), entries)
-    GramMatrix.diagonal(CurveSpec.polyline(F5), entries)
-    assert sum(1 for e in built if e.is_zero()) <= 1
 
 
 def test_integral_forms_build_fractions_only_for_shared_constants(monkeypatch):
@@ -617,23 +639,24 @@ def test_integral_forms_build_fractions_only_for_shared_constants(monkeypatch):
         shared = list(curve._entries.values())
         return all(any(frac is c for c in shared) for frac in made)
 
-    for curve in (CurveSpec("polyline", F5), CurveSpec.weierstrass(F5, 1, 1), CurveSpec.polyline(F5)):
-        fresh = not curve._entries  # the field's one line may have built its constants before
+    for curve in (CurveSpec.polyline(F5), CurveSpec.weierstrass(F5, 1, 1)):
+        fresh = not curve._entries  # curves live for the process: another test may have built its constants
         x = RingElement.x(curve)
         GramMatrix.identity(curve, 3)
         GramMatrix.diagonal(curve, [P("x"), 2, x, F5.element(3)])
         GramMatrix.from_rows(curve, [[1, x], [x, P("x^2+2")]])
         assert only_shared(curve) and (made or not fresh)
         made.clear()
+    fresh = not CurveSpec.weierstrass(F5, 2, 1)._entries
     pair = {
         "schema": 1,
-        "curve": {"type": "weierstrass", "field": {"p": 5, "k": 1}, "a": [1], "b": [1]},
+        "curve": {"type": "weierstrass", "field": {"p": 5, "k": 1}, "a": [2], "b": [1]},
         "F": [[1, "x"], ["x", {"A": "x^2+2", "B": "1"}]],
         "G": [[{"num": "1", "den": "1"}, {"num": {"A": "x"}, "den": "2"}], [{"num": "3*x"}, 0]],
     }
     loaded = serialize.pair_from_json(pair)
     curve = loaded["curve"]
-    assert made and only_shared(curve)
+    assert only_shared(curve) and (made or not fresh)
     for key in ("F", "G"):
         assert loaded[key] == GramMatrix(curve, serialize.matrix_from_json(curve, pair[key]).rows)
 
@@ -707,7 +730,7 @@ def test_mixed_type_equality_is_unchanged(case, n):
 
 def test_equal_curves_compare_by_value_and_different_ones_raise():
     twin = CurveSpec.weierstrass(F5, 1, 1)
-    assert twin is not SMOOTH and twin == SMOOTH
+    assert twin is SMOOTH
     other = CurveSpec.weierstrass(F5, 1, 2)
     u, v = relem(SMOOTH, "x+1", "2"), relem(twin, "x+1", "2")
     assert u == v and not u != v and u - v == 0 and u + v == u * 2 and u * v == u * u
@@ -719,6 +742,17 @@ def test_equal_curves_compare_by_value_and_different_ones_raise():
                 lambda: fu == fw, lambda: fu + fw, lambda: fu - fw, lambda: fu * fw, lambda: fu == w):
         with pytest.raises(ValueError, match="mismatched curves"):
             bad()
+
+
+def test_curves_copy_and_pickle_as_themselves_and_forms_as_equals():
+    for curve in ARITH_CURVES:
+        copies = [copy.copy(curve), copy.deepcopy(curve)]
+        copies += [pickle.loads(pickle.dumps(curve, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        assert all(c is curve for c in copies)
+    x, y = RingElement.x(SMOOTH), RingElement.y(SMOOTH)
+    g = GramMatrix.from_rows(SMOOTH, [[1, x], [x, y + 2]])
+    for copied in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert copied == g and copied.curve is SMOOTH and copied.det() == g.det()
 
 
 def test_zero_and_one_operands_return_the_other_operand():

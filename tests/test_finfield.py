@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import re
 
 import pytest
@@ -195,6 +197,16 @@ def test_one_field_object_per_p_k():
         with pytest.raises(ValueError):
             FiniteField(p, k)
         assert (p, k) not in _field_cache
+
+
+def test_fields_and_elements_copy_and_pickle_as_themselves():
+    F25 = make_extension(5, 2)
+    for value in (F5, F25, F5.zero(), F5.element(3), F25.gen(), F25.element([4, 2])):
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        assert all(c is value for c in copies)
+    assert copy.copy(F5.element(3)) == F5.element(3)
+    assert copy.deepcopy({F5.element(3): [F25, F25.gen()]}) == {F5.element(3): [F25, F25.gen()]}
 
 
 # every (p, k) with k >= 2 and p^k <= 121^2: the extension fields

@@ -2,7 +2,8 @@
 are enforced by exceptions, which ``python -O`` keeps, never by
 ``assert``, which it strips; no module imports a name it does not use,
 so a deletion cannot leave a dead import behind; every private function,
-method or class has a caller in the library; and only
+method or class has a caller in the library; every class that interns
+its values in ``__new__`` defines ``__reduce__``; and only
 ``local.local_isomorphic`` tells the two kinds of closed place apart by
 type."""
 
@@ -94,6 +95,21 @@ def _place_type_tests(node, scope=()):
             if any(isinstance(kind, ast.Name) and kind.id in PLACE_TYPES for kind in kinds):
                 yield ".".join(inner), child.lineno
         yield from _place_type_tests(child, inner)
+
+
+def test_every_interned_class_pickles_as_itself():
+    # a class whose __new__ returns a shared object also defines
+    # __reduce__, so a copied or unpickled value is that object rather
+    # than a second one built without __new__'s arguments
+    missing = [
+        (path.name, node.name)
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef)
+        and "__new__" in (names := {f.name for f in node.body if isinstance(f, ast.FunctionDef)})
+        and "__reduce__" not in names
+    ]
+    assert missing == [], f"classes defining __new__ without __reduce__: {missing}"
 
 
 def test_place_kinds_are_told_apart_only_at_the_public_boundary():
