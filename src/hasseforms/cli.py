@@ -27,7 +27,7 @@ import os
 import sys
 
 from .curvering import CurveSpec
-from .finfield import MAX_FIELD_SIZE, make_extension
+from .finfield import MAX_FIELD_SIZE, _prime_factors, make_extension
 from .forms import DEFAULT_SEARCH_BUDGET, BudgetExceededError
 from .hasse import hasse_principle
 from .serialize import (
@@ -49,15 +49,11 @@ def _parse_coeffs(text: str):
 def _field_from_q(q: int):
     if q > MAX_FIELD_SIZE:  # before the scan for a prime factor
         raise ValueError(f"field size {q} exceeds desk-scale bound {MAX_FIELD_SIZE}")
-    # the smallest factor above 1 is prime; q is a prime power only of it
-    p = next((d for d in range(2, q + 1) if q % d == 0), None)
-    k, n = 0, q
-    while p is not None and n % p == 0:
-        n //= p
-        k += 1
-    if p is None or n != 1:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
-    return make_extension(p, k)
+    p = primes[0]
+    return make_extension(p, next(k for k in range(1, q) if p**k == q))
 
 
 def _curve_from_args(args) -> CurveSpec:

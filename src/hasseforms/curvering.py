@@ -45,7 +45,8 @@ class CurveSpec:
     object for (kind, field, a, b), with a and b coerced into the field,
     building it on first use; so a curve is equal only to itself, and
     its cubic, smoothness, point scan and shared constant entries are
-    made once per process.  A refused curve leaves nothing cached."""
+    made once per process.  The line takes no coefficients, so each
+    field has one line.  A refused curve leaves nothing cached."""
 
     __slots__ = ("kind", "field", "a", "b", "_cubic", "_smooth", "_scan", "_entries")
 
@@ -54,6 +55,8 @@ class CurveSpec:
             raise ValueError(f"unknown curve kind {kind!r}")
         if kind == WEIERSTRASS and (a is None or b is None):
             raise ValueError("weierstrass curves need coefficients a and b")
+        if kind == POLYLINE and (a is not None or b is not None):
+            raise ValueError("the affine line takes no coefficients")
         key = (kind, field, None if a is None else field.element(a), None if b is None else field.element(b))
         curve = _curves.get(key)
         if curve is None:
@@ -118,7 +121,7 @@ class RingElement(RingOps):
     def __init__(self, curve: CurveSpec, a: Poly, b: Optional[Poly] = None):
         if b is None:
             b = Poly.zero(curve.field)
-        if a.field != curve.field or b.field != curve.field:
+        if a.field is not curve.field or b.field is not curve.field:
             raise ValueError("polynomial parts must live over the curve's field")
         if curve.is_polyline and not b.is_zero():
             raise ValueError("the affine line has no y coordinate")
@@ -139,15 +142,18 @@ class RingElement(RingOps):
 
     @classmethod
     def zero(cls, curve) -> RingElement:
-        return cls(curve, Poly.zero(curve.field))
+        """The curve's shared 0, the numerator of its shared 0/1."""
+        return _coerce_entry(curve, 0).num
 
     @classmethod
     def one(cls, curve) -> RingElement:
-        return cls(curve, Poly.one(curve.field))
+        """The curve's shared 1, the numerator of its shared 1/1."""
+        return _coerce_entry(curve, 1).num
 
     @classmethod
     def constant(cls, curve, c) -> RingElement:
-        return cls(curve, Poly.constant(curve.field, c))
+        """The curve's shared c, for anything ``field.element`` takes."""
+        return _coerce_entry(curve, curve.field.element(c)).num
 
     @classmethod
     def x(cls, curve) -> RingElement:
@@ -162,10 +168,8 @@ class RingElement(RingOps):
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, RingElement):
-            if other.curve is not self.curve:
-                raise ValueError("mismatched curves")
-            return other
+        if isinstance(other, RingElement):  # operands of this curve take the fast path
+            raise ValueError("mismatched curves")
         if isinstance(other, Poly):
             return RingElement(self.curve, other)
         if isinstance(other, (int, FieldElement)):
@@ -278,7 +282,7 @@ class RingFraction(FieldOps):
     def __init__(self, curve: CurveSpec, num: RingElement, den: Optional[Poly] = None):
         if den is None:
             den = Poly.one(curve.field)
-        if num.curve is not curve or den.field != curve.field:
+        if num.curve is not curve or den.field is not curve.field:
             raise ValueError("mismatched curves")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")

@@ -316,19 +316,19 @@ class FieldElement(FieldOps):
     canonical order and ``_log`` its discrete log to the field's
     generator (None for zero).  As each (p, k) has one field and each
     field one object per element, two elements are equal exactly when
-    they are the same object; an int equals the constant it reduces to.
+    they are the same object, and an element hashes by identity, as
+    fields and curves do; an int equals the constant it reduces to.
     Arithmetic with an element of another field raises ValueError.
     ``__sub__`` is written out on the logs, for speed.
     """
 
-    __slots__ = ("field", "coeffs", "_code", "_log", "_hash")
+    __slots__ = ("field", "coeffs", "_code", "_log")
 
     def __init__(self, field: FiniteField, coeffs: tuple, code: int, log):
         self.field = field
         self.coeffs = coeffs
         self._code = code
         self._log = log
-        self._hash = hash((field.q, coeffs))
 
     def __reduce__(self):
         return self.field.element, (self.coeffs,)
@@ -423,8 +423,7 @@ class FieldElement(FieldOps):
             return self._code == other % self.field.p
         return NotImplemented
 
-    def __hash__(self):
-        return self._hash
+    __hash__ = object.__hash__  # interned: the same object exactly when equal
 
     def __repr__(self):
         return f"F{self.field.q}({t_poly_text(self.coeffs)})"

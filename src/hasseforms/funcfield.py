@@ -119,10 +119,8 @@ class Poly(RingOps):
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Poly):
-            if other.field != self.field:
-                raise ValueError("mismatched base fields")
-            return other
+        if isinstance(other, Poly):  # operands over this field take the fast path
+            raise ValueError("mismatched base fields")
         if isinstance(other, (int, FieldElement)):
             return Poly.constant(self.field, other)
         return NotImplemented
@@ -238,12 +236,12 @@ class Poly(RingOps):
             other = Poly.constant(self.field, other)
         return (
             isinstance(other, Poly)
-            and self.field == other.field
+            and self.field is other.field
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.field.q, tuple(c.coeffs for c in self.coeffs)))
+        return hash(self.coeffs)
 
     def sort_key(self):
         return (self.degree, tuple(c.coeffs for c in self.coeffs))

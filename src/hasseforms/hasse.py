@@ -54,12 +54,11 @@ class HasseDecision(Record):
 
 
 def _picard_data(curve: CurveSpec):
+    """(Picard order, 2-torsion or None on the line), cross-checked.
+    ``picard_order`` refuses a singular cubic, naming its singular point;
+    that is the one smoothness refusal of every verdict here."""
     from .curvepoints import has_two_torsion, picard_order  # compiles point counting on first use
 
-    if not curve.is_smooth:
-        raise ValueError(
-            "Hasse verdicts need a smooth curve; this cubic has a repeated root"
-        )
     order = picard_order(curve)
     torsion = None
     if not curve.is_polyline:

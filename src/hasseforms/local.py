@@ -215,7 +215,7 @@ class FieldForm:
     def __eq__(self, other):
         return (
             isinstance(other, FieldForm)
-            and self.field == other.field
+            and self.field is other.field
             and self.rows == other.rows
         )
 
@@ -278,7 +278,7 @@ def disc_class(form: FieldForm) -> SquareClass:
 def field_isomorphic(f: FieldForm, g: FieldForm) -> bool:
     """Rank plus discriminant class decide isomorphism over a finite
     field of odd order (Witt classification)."""
-    if f.field != g.field:
+    if f.field is not g.field:
         raise ValueError("forms live over different fields")
     if f.is_degenerate() or g.is_degenerate():
         raise ValueError("isomorphism test requires nondegenerate forms")
@@ -311,7 +311,7 @@ def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
     if isinstance(at, PrimePoly):
         if not curve.is_polyline:
             raise ValueError("prime reduction applies over the affine line")
-        if at.field != curve.field or at.is_infinite:
+        if at.field is not curve.field or at.is_infinite:
             raise ValueError(f"{at!r} is not a finite prime over the curve's field")
         e = at.degree
     elif isinstance(at, AffinePoint):

@@ -111,6 +111,23 @@ def test_point_degree_is_orbit_length():
     assert degrees == {d: d * n for d, n in enumerate(counts, 1) if n and 6 % d == 0}
 
 
+def test_orbit_prime_carries_a_zero_coefficient():
+    # the roots a = g^r and -a = g^(r + (q - 1)/2) multiply to x^2 - a^2,
+    # whose x-coefficient is zero: the next root must read its log as None.
+    # With base = ext the pullback is the identity, so any logs will do
+    from hasseforms.funcfield import Poly
+
+    ext = make_extension(7, 2)
+    r, half = 5, (ext.q - 1) // 2
+    for roots in ([r, r + half], [r, r + half, 11], [r + half, 11, r]):
+        want = Poly.one(ext)
+        for root in roots:
+            want = want * Poly(ext, [-ext._exp[root], 1])
+        got = curvepoints._orbit_prime(roots, ext, ext)
+        assert got == want and got.degree == len(roots)
+    assert curvepoints._orbit_prime([r, r + half], ext, ext).coeffs[1].is_zero()
+
+
 def test_points_compare_by_coordinates_and_degree():
     # equality reads (x, y, degree), the fields the hash reads: a line
     # place written without its prime is the same place
@@ -230,6 +247,8 @@ def test_two_torsion_examples():
     assert has_two_torsion(C510) is True
     c = CurveSpec.weierstrass(make_extension(7, 1), 1, 1)
     assert has_two_torsion(c) == (picard_order(c) % 2 == 0)
+    with pytest.raises(ValueError, match="2-torsion applies to Weierstrass curves"):
+        has_two_torsion(CurveSpec.polyline(F5))
 
 
 # -- global invariants --------------------------------------------------------------

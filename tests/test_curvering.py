@@ -74,6 +74,8 @@ def test_one_curve_object_per_kind_field_and_coefficients():
         (("conic", F5), "unknown curve kind 'conic'"),
         (("weierstrass", F5, 1), "weierstrass curves need coefficients a and b"),
         (("weierstrass", F5, 1, F9.one()), "element belongs to a different field"),
+        (("polyline", F5, 1, 2), "the affine line takes no coefficients"),  # a second line over F5
+        (("polyline", F5, None, 2), "the affine line takes no coefficients"),
     ]
     for args, message in refused:  # a refused curve leaves nothing cached
         before = dict(curvering._curves)
@@ -146,12 +148,22 @@ def test_polyline_rejects_y():
         RingElement.y(LINE)
     with pytest.raises(ValueError):
         relem(LINE, "0", "1")
+    with pytest.raises(ValueError, match="the affine line has no discriminant"):
+        LINE.discriminant
+    with pytest.raises(ValueError, match="the affine line has no cubic"):
+        LINE.cubic()
 
 
 def test_mismatched_curves_rejected():
     other = CurveSpec.weierstrass(F5, 1, 1)
     with pytest.raises(ValueError):
         relem(EC, "x") + relem(other, "x")
+    F9 = make_extension(3, 2)
+    for a, b in ((P("x", F9), None), (P("x"), P("1", F9))):
+        with pytest.raises(ValueError, match="polynomial parts must live over the curve's field"):
+            RingElement(EC, a, b)
+    with pytest.raises(ValueError, match="mismatched curves"):
+        congruence(RingMatrix(EC, diagonal_rows([1, 1])), RingMatrix(other, diagonal_rows([1, 1])))
 
 
 def test_canonical_form_idempotent():
@@ -164,6 +176,11 @@ def test_canonical_form_idempotent():
 def test_evaluate_ring_element():
     u = relem(EC, "x^2", "2")  # x^2 + 2y
     assert u.evaluate(F5.element(1), F5.element(1)) == F5.element(3)
+    with pytest.raises(ValueError, match="evaluation on a curve needs a y coordinate"):
+        u.evaluate(F5.element(1))
+    for v in (u, relem(LINE, "x")):
+        with pytest.raises(ValueError, match="ring element is not constant"):
+            v.constant_value()
 
 
 # -- fractions -------------------------------------------------------------
@@ -217,6 +234,17 @@ def test_constant_denominator_only_scales(curve):
 def test_fraction_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         RingFraction(LINE, RingElement.one(LINE), Poly.zero(F5))
+    one = RingElement.one(EC)
+    assert RingFraction.make(one, 2) == RingElement.constant(EC, 3)  # an int denominator is a constant
+    for den in (0, F5.zero(), RingElement.zero(EC)):
+        with pytest.raises(ZeroDivisionError, match="zero denominator"):
+            RingFraction.make(one, den)
+    with pytest.raises(TypeError, match="cannot use 'x' as a denominator"):
+        RingFraction.make(one, "x")
+    with pytest.raises(ZeroDivisionError, match="inverting zero"):
+        RingFraction.from_ring(RingElement.zero(EC)).inverse()
+    with pytest.raises(ValueError, match="fraction has a nontrivial denominator"):
+        RingFraction(EC, one, P("x")).as_ring_element()
 
 
 # -- the operator surface of the four arithmetic types -----------------------
@@ -790,6 +818,12 @@ def test_matrix_entries_keep_their_curve():
 def test_identity_and_diagonal_share_the_constant_entries():
     curve = CurveSpec.polyline(F5)
     one, zero = RingMatrix(curve, diagonal_rows([1, 1])).rows[0]
+    # the constant constructors hand out the numerators of the shared entries
+    assert RingElement.one(curve) is RingElement.one(curve) is one.num
+    assert RingElement.zero(curve) is zero.num and RingElement.constant(curve, F5.one()) is one.num
+    assert RingElement.constant(curve, 7) is RingMatrix(curve, [[2]]).rows[0][0].num
+    line9 = CurveSpec.polyline(make_extension(3, 2))
+    assert RingElement.constant(line9, [0, 1]).a == Poly.constant(line9.field, line9.field.gen())  # a coefficient vector
     m = RingMatrix(curve, diagonal_rows([P("x"), 1, RingElement.x(curve)]))
     assert m.rows[1][1] is one and all(m.rows[i][j] is zero for i in range(3) for j in range(3) if i != j)
     assert RingMatrix(curve, [[1, 0], [0, 1]]).rows == RingMatrix(curve, diagonal_rows([1, 1])).rows

@@ -246,6 +246,8 @@ def test_field_form_refuses_an_empty_matrix():
         FieldForm(F5, [])
     with pytest.raises(ValueError, match="square"):
         FieldForm(F5, [[1, 2]])
+    with pytest.raises(ValueError, match="form matrix must be symmetric"):
+        FieldForm(F5, [[1, 2], [3, 1]])
 
 
 # -- diagonalization ----------------------------------------------------------
@@ -361,6 +363,10 @@ def test_field_isomorphic_oracle_sampled_f3_rank3():
 def test_field_isomorphic_rejects_mixed_fields():
     with pytest.raises(ValueError):
         field_isomorphic(FieldForm.diagonal(F5, [1]), FieldForm.diagonal(F3, [1]))
+    one, degenerate = FieldForm.diagonal(F5, [1, 1]), FieldForm(F5, [[1, 2], [2, 4]])
+    for f, g in ((one, degenerate), (degenerate, one)):
+        with pytest.raises(ValueError, match="isomorphism test requires nondegenerate forms"):
+            field_isomorphic(f, g)
 
 
 # -- local isomorphism ---------------------------------------------------------------
@@ -579,6 +585,13 @@ def test_local_isomorphic_rejects_foreign_and_infinite_primes():
     for at in (PrimePoly.finite(Poly.x(F3)), PrimePoly.infinite(F5)):
         with pytest.raises(ValueError, match="is not a finite prime over the curve's field"):
             local_isomorphic(f, f, at)
+    at, cubic = PrimePoly.finite(Poly.x(F5)), GramMatrix.identity(EC, 2)
+    with pytest.raises(ValueError, match="forms live over different curves"):
+        local_isomorphic(f, cubic, at)
+    with pytest.raises(ValueError, match="prime reduction applies over the affine line"):
+        local_isomorphic(cubic, cubic, at)
+    with pytest.raises(TypeError, match="cannot localize at"):
+        local_isomorphic(f, f, Poly.x(F5))
 
 
 def test_local_isomorphic_evaluates_nothing(monkeypatch):

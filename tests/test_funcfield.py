@@ -86,6 +86,12 @@ def test_divmod_reassembly_random():
 def test_division_by_zero_poly():
     with pytest.raises(ZeroDivisionError):
         divmod(P5("x"), Poly.zero(F5))
+    with pytest.raises(ValueError, match="zero polynomial has no leading coefficient"):
+        Poly.zero(F5).leading_coeff()
+    with pytest.raises(ValueError, match="cannot normalize the zero polynomial"):
+        Poly.zero(F5).monic()
+    with pytest.raises(ValueError, match="polynomial is not constant"):
+        P5("x+1").constant_value()
 
 
 def test_zero_degree_sentinel():
@@ -200,6 +206,8 @@ def test_factor_reassembly_random(field, max_deg, trials):
 def test_factor_degree_bound():
     with pytest.raises(ValueError):
         factor(Poly.x(F5) ** 30)
+    with pytest.raises(ValueError, match="cannot factor the zero polynomial"):
+        factor(Poly.zero(F5))
 
 
 def test_modular_power_matches_power_then_remainder():

@@ -3,7 +3,8 @@ are enforced by exceptions, which ``python -O`` keeps, never by
 ``assert``, which it strips; no module imports a name it does not use,
 so a deletion cannot leave a dead import behind; every private function,
 method or class has a caller in the library; every class that interns
-its values in ``__new__`` defines ``__reduce__``; and only
+its values in ``__new__`` defines ``__reduce__``; interned fields and
+curves are compared with ``is``, never ``==``; and only
 ``local.local_isomorphic`` tells the two kinds of closed place apart by
 type."""
 
@@ -110,6 +111,25 @@ def test_every_interned_class_pickles_as_itself():
         and "__reduce__" not in names
     ]
     assert missing == [], f"classes defining __new__ without __reduce__: {missing}"
+
+
+# attributes that hold an interned FiniteField or CurveSpec
+INTERNED_ATTRIBUTES = {"field", "curve"}
+
+
+def test_interned_fields_and_curves_compare_by_identity():
+    # one object per field and per curve, so ``is`` is the comparison;
+    # ``==`` and ``!=`` on them only hide a second owner of the rule
+    sites = [
+        (path.name, node.lineno)
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Compare)
+        for op, left, right in zip(node.ops, [node.left, *node.comparators], node.comparators)
+        if isinstance(op, (ast.Eq, ast.NotEq))
+        and any(isinstance(side, ast.Attribute) and side.attr in INTERNED_ATTRIBUTES for side in (left, right))
+    ]
+    assert sites == [], f"fields or curves compared with == or !=: {sites}"
 
 
 def test_place_kinds_are_told_apart_only_at_the_public_boundary():
