@@ -19,12 +19,11 @@ search evaluation cap.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .curvering import CurveSpec
 from .finfield import MAX_FIELD_SIZE, _prime_factors, make_extension
@@ -185,72 +184,91 @@ def _cmd_verify_paper(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_io(p):
-    p.add_argument("--input", help="path to a JSON input file")
-    p.add_argument("--json", help="inline JSON input")
+# every flag once, in argparse's keywords: an int type or none (a str),
+# a switch (store_true), or --format's choices; and a help text
+_FLAGS = {
+    "--q": {"type": int, "help": "field size (prime power)"},
+    "--a": {"help": "cubic coefficient a (int or comma-separated coefficients)"},
+    "--b": {"help": "cubic coefficient b"},
+    "--polyline": {"action": "store_true", "help": "use the affine line F_q[x]"},
+    "--input": {"help": "path to a JSON input file"},
+    "--json": {"help": "inline JSON input"},
+    "--rank": {"type": int, "required": True},
+    "--inspection-degree": {"type": int},
+    "--degree-bound": {"type": int, "help": "max x-degree of entries"},
+    "--degree-bound-y": {"type": int, "help": "max x-degree of the y part"},
+    "--format": {"choices": ("json", "text"), "default": "json"},
+}
 
+_IO = ("--input", "--json")
+_CURVE = ("--q", "--a", "--b", "--polyline", *_IO)  # a curve JSON may replace the flags
 
-def _add_curve_flags(p):
-    p.add_argument("--q", type=int, help="field size (prime power)")
-    p.add_argument("--a", help="cubic coefficient a (int or comma-separated coefficients)")
-    p.add_argument("--b", help="cubic coefficient b")
-    p.add_argument("--polyline", action="store_true", help="use the affine line F_q[x]")
-    _add_io(p)  # a curve JSON may replace the flags
-
-
-def _hasse_args(p):
-    _add_curve_flags(p)
-    p.add_argument("--rank", type=int, required=True)
-
-
-def _genus_verify_args(p):
-    _add_io(p)
-    p.add_argument("--inspection-degree", type=int)
-
-
-def _isom_search_args(p):
-    _add_io(p)
-    p.add_argument("--degree-bound", type=int, help="max x-degree of entries")
-    p.add_argument("--degree-bound-y", type=int, help="max x-degree of the y part")
-
-
-# each subcommand: its help line, what adds its arguments, and its handler
+# each subcommand: its help line, its flags in help order (every command
+# also takes --format, last), and its handler
 _COMMANDS = {
-    "curve": ("point count and smoothness report", _add_curve_flags, _cmd_curve),
-    "hasse": ("local-global verdict for a rank", _hasse_args, _cmd_hasse),
-    "form": ("inspect a matrix over a coordinate ring", _add_io, _cmd_form),
-    "genus-verify": ("verify a genus-witness pair file", _genus_verify_args, _cmd_genus_verify),
-    "isom-search": ("bounded integral isometry search", _isom_search_args, _cmd_isom_search),
-    "verify-paper": ("re-run the bundled worked examples", lambda p: None, _cmd_verify_paper),
+    "curve": ("point count and smoothness report", _CURVE, _cmd_curve),
+    "hasse": ("local-global verdict for a rank", (*_CURVE, "--rank"), _cmd_hasse),
+    "form": ("inspect a matrix over a coordinate ring", _IO, _cmd_form),
+    "genus-verify": ("verify a genus-witness pair file", (*_IO, "--inspection-degree"), _cmd_genus_verify),
+    "isom-search": ("bounded integral isometry search", (*_IO, "--degree-bound", "--degree-bound-y"), _cmd_isom_search),
+    "verify-paper": ("re-run the bundled worked examples", (), _cmd_verify_paper),
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with ``command``'s alone: a
-    process parses one command line, and the other subparsers are only
-    start-up.  On a line that starts with ``command`` both print the same
-    help, usage and errors.  The one-command parser spells out every
-    command in its usage; the full parser keeps the default metavar, which
-    also names the argument ``command`` in its own errors."""
+def _read_args(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, read off
+    the flag table, or None for a line this reader declines.  It takes a
+    command followed by its flags spelled exactly, each value a word of
+    its own that does not start with ``-`` and that the flag's type or
+    choices accept.  Help, abbreviations, ``--flag=value``, negative
+    numbers and every error are left to argparse, which prints them."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, names, handler = _COMMANDS[argv[0]]
+    flags = {flag: _FLAGS[flag] for flag in (*names, "--format")}
+    values = {flag: False if "action" in options else options.get("default") for flag, options in flags.items()}
+    words = iter(argv[1:])
+    for flag in words:
+        options = flags.get(flag)
+        if options is None:
+            return None
+        if "action" in options:  # a switch
+            values[flag] = True
+            continue
+        value = next(words, "-")  # a flag with no value is declined
+        if value.startswith("-") or "choices" in options and value not in options["choices"]:
+            return None
+        if options.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[flag] = value
+    if any(value is None and flags[flag].get("required") for flag, value in values.items()):
+        return None
+    return SimpleNamespace(command=argv[0], func=handler, **{flag[2:].replace("-", "_"): value for flag, value in values.items()})
+
+
+def build_parser():
+    """The argparse parser of every subcommand, from the flag table.  A
+    process builds it, and loads argparse, only for a line that
+    ``_read_args`` declines: to print help, usage or an error, or to
+    parse a spelling that only argparse accepts."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="hasseforms", description=__doc__)
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, add_arguments, handler = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.add_argument("--format", choices=("json", "text"), default="json")
+        for flag in (*flags, "--format"):
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=handler)
     return parser
 
 
-# built on the first run and reused: parsing leaves the parser unchanged
-_shared_parser = functools.cache(build_parser)
-
-
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _shared_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = _read_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, TypeError, OSError, BudgetExceededError, json.JSONDecodeError) as exc:

@@ -95,14 +95,6 @@ def _conjugates(q: int, m: int, lx, ly) -> list:
     return [(xs[i % len(xs)], ys[i % len(ys)]) for i in range(math.lcm(len(xs), len(ys)))]
 
 
-def orbit_degree(q: int, x0: FieldElement, y0: Optional[FieldElement]) -> int:
-    """The degree of the closed point of (x0, y0) over F_q (y0 None on
-    the line): the length of its Frobenius orbit, the lcm of its
-    coordinates' cycles on logs (``_cycle``), with no point built."""
-    m = x0.field.q - 1
-    return math.lcm(len(_cycle(q, m, x0._log)), 1 if y0 is None else len(_cycle(q, m, y0._log)))
-
-
 def enumerate_points(curve: CurveSpec, degree: int = 1, closed: bool = False):
     """All affine points with coordinates in F_{q^degree} in canonical
     coordinate order: every x of the line, with y = None, or the points of

@@ -33,9 +33,10 @@ call time.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
-from .curvepoints import AffinePoint, is_singular_point, orbit_degree, require_on_curve
+from .curvepoints import AffinePoint, _cycle, is_singular_point, require_on_curve
 from .curvering import CurveSpec, det, diagonal_rows, is_symmetric, square_rows
 from .finfield import MAX_INSPECTION_SIZE, FieldElement, FiniteField, SquareClass, capped_power, is_square, square_class
 from .forms import GramMatrix, is_unimodular
@@ -289,6 +290,15 @@ def field_isomorphic(f: FieldForm, g: FieldForm) -> bool:
 # Forms at a closed place
 
 
+def _orbit_degree(q: int, x0: FieldElement, y0: Optional[FieldElement]) -> int:
+    """The degree of the closed point of (x0, y0) over F_q (y0 None on
+    the line): the length of its Frobenius orbit, the lcm of its
+    coordinates' cycles on logs (``curvepoints._cycle``), with no point
+    built."""
+    m = x0.field.q - 1
+    return math.lcm(len(_cycle(q, m, x0._log)), 1 if y0 is None else len(_cycle(q, m, y0._log)))
+
+
 def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
     """Whether two unimodular forms agree over the residue field F_{q^e}
     of a closed place: a monic irreducible of the line of degree e, or a
@@ -327,7 +337,7 @@ def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
                     "reduction at the singular point is rejected: the local ring "
                     "there is not a discrete valuation ring"
                 )
-        e = orbit_degree(curve.field.q, at.x, at.y)
+        e = _orbit_degree(curve.field.q, at.x, at.y)
         if e != at.degree:
             raise ValueError(f"point {at!r} has degree {e}, not the stated {at.degree}")
     else:

@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hasseforms.cli import _COMMANDS as COMMANDS
-from hasseforms.cli import build_parser, run
+from hasseforms.cli import _FLAGS as FLAGS
+from hasseforms.cli import _read_args, build_parser, run
 from oracles import benchmark_jobs
 from test_traced_names import _traced_names
 
@@ -510,9 +515,9 @@ def test_genus_verify_refuses_a_pole_off_the_locus(capsys):
 
 
 def test_reused_parser_answers_as_fresh_processes(capsys, monkeypatch):
-    # run() builds its parser once per process; repeated in-process runs,
-    # including an exit-2 input error and an argparse usage error, must
-    # print and exit exactly as a fresh process does
+    # run() keeps no parser or other state between lines; repeated
+    # in-process runs, including an exit-2 input error and an argparse
+    # usage error, must print and exit exactly as a fresh process does
     monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
     cases = [
         ("curve", "--q", "5", "--a", "1", "--b", "1"),
@@ -560,17 +565,25 @@ def test_cli_import_loads_no_code_introspection_modules():
     assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
 
 
-def _package_modules_after(code):
-    """The hasseforms modules a fresh interpreter holds after ``code``,
-    whose own stdout is discarded."""
+def _modules_after(code):
+    """The modules a fresh interpreter holds after ``code`` that it did not
+    hold before it; the code's own stdout and stderr are discarded, and a
+    SystemExit it raises (argparse's, on help or a usage error) ends it."""
     probe = (
         "import contextlib, io, json, sys\n"
-        f"with contextlib.redirect_stdout(io.StringIO()):\n    {code}\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'hasseforms')))"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    try:\n        {code}\n    except SystemExit:\n        pass\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout))
+
+
+def _package_modules_after(code):
+    """The hasseforms modules a fresh interpreter holds after ``code``."""
+    return {module for module in _modules_after(code) if module.split(".")[0] == "hasseforms"}
 
 
 def test_package_import_loads_no_submodule():
@@ -603,10 +616,18 @@ COMMAND_MODULES = [
 ]
 
 
+# what argparse loads: a well-formed line is read off the flag table
+# without it, and only help, usage and errors build the argparse parser
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
 def test_each_command_loads_only_the_modules_it_runs():
     for argv, lazy in COMMAND_MODULES:
-        loaded = _package_modules_after(f"from hasseforms.cli import run; run({argv!r})")
-        assert {m.split(".")[-1] for m in loaded} & LAZY_MODULES == lazy, argv
+        loaded = _modules_after(f"from hasseforms.cli import run; run({argv!r})")
+        assert {m.split(".")[-1] for m in loaded if m.startswith("hasseforms.")} & LAZY_MODULES == lazy, argv
+        assert loaded.isdisjoint(PARSER_MODULES), argv
+    for argv in (["curve", "--help"], ["hasse", "--q", "5", "--polyline"]):  # help; --rank missing
+        assert "argparse" in _modules_after(f"from hasseforms.cli import run; run({argv!r})"), argv
 
 
 def _loaded_lines(argv):
@@ -621,10 +642,11 @@ def _loaded_lines(argv):
 def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # with every module loaded up front, genus-verify compiled 3 468 lines
     # and isom-search 3 866; a command compiles only what it runs, and
-    # these ceilings, the counts measured when they were last lowered,
-    # catch regrowth
-    assert _loaded_lines(["genus-verify", "--input", fixture_path("polyline_pair")]) <= 2952
-    assert _loaded_lines(["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"]) <= 3075
+    # these ceilings, the counts measured when they were last set, catch
+    # regrowth; they rose by 10 lines for cli's flag-table reader, which
+    # keeps argparse, gettext and locale out of every well-formed command
+    assert _loaded_lines(["genus-verify", "--input", fixture_path("polyline_pair")]) <= 2962
+    assert _loaded_lines(["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"]) <= 3085
 
 
 PARSER_CASES = [
@@ -637,10 +659,142 @@ PARSER_CASES = [
 ]
 
 
+# (exit code, stdout, stderr) of each line, at COLUMNS=80, byte for byte
+# as argparse printed them before the flag table's reader existed
+PARSER_OUTPUTS = {
+    "--help": (0, (
+        "usage: hasseforms [-h]\n"
+        "                  {curve,hasse,form,genus-verify,isom-search,verify-paper} ...\n"
+        "\n"
+        "Command-line surface. Subcommands: curve point-count / smoothness report for a\n"
+        "curve hasse local-global verdict for a given rank form flags and determinant\n"
+        "of a matrix over a coordinate ring genus-verify check a genus-witness pair\n"
+        "file, report coverage isom-search bounded search for an integral unit-\n"
+        "determinant isometry verify-paper re-run every bundled worked example, print a\n"
+        "pass/fail table Exit codes: 0 verdict produced (Certified / witness found /\n"
+        "all table rows pass), 1 verification failure (GapFound / none-within-bounds /\n"
+        "a table row failed), 2 malformed input. JSON output is byte-identical across\n"
+        "runs on identical input; text output mirrors the JSON field for field. The\n"
+        "environment variable HASSE_FORMS_BUDGET overrides the search evaluation cap.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {curve,hasse,form,genus-verify,isom-search,verify-paper}\n"
+        "    curve               point count and smoothness report\n"
+        "    hasse               local-global verdict for a rank\n"
+        "    form                inspect a matrix over a coordinate ring\n"
+        "    genus-verify        verify a genus-witness pair file\n"
+        "    isom-search         bounded integral isometry search\n"
+        "    verify-paper        re-run the bundled worked examples\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ), ""),
+    "curve --help": (0, (
+        "usage: hasseforms curve [-h] [--q Q] [--a A] [--b B] [--polyline]\n"
+        "                        [--input INPUT] [--json JSON] [--format {json,text}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --q Q                 field size (prime power)\n"
+        "  --a A                 cubic coefficient a (int or comma-separated\n"
+        "                        coefficients)\n"
+        "  --b B                 cubic coefficient b\n"
+        "  --polyline            use the affine line F_q[x]\n"
+        "  --input INPUT         path to a JSON input file\n"
+        "  --json JSON           inline JSON input\n"
+        "  --format {json,text}\n"
+    ), ""),
+    "hasse --help": (0, (
+        "usage: hasseforms hasse [-h] [--q Q] [--a A] [--b B] [--polyline]\n"
+        "                        [--input INPUT] [--json JSON] --rank RANK\n"
+        "                        [--format {json,text}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --q Q                 field size (prime power)\n"
+        "  --a A                 cubic coefficient a (int or comma-separated\n"
+        "                        coefficients)\n"
+        "  --b B                 cubic coefficient b\n"
+        "  --polyline            use the affine line F_q[x]\n"
+        "  --input INPUT         path to a JSON input file\n"
+        "  --json JSON           inline JSON input\n"
+        "  --rank RANK\n"
+        "  --format {json,text}\n"
+    ), ""),
+    "form --help": (0, (
+        "usage: hasseforms form [-h] [--input INPUT] [--json JSON]\n"
+        "                       [--format {json,text}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --input INPUT         path to a JSON input file\n"
+        "  --json JSON           inline JSON input\n"
+        "  --format {json,text}\n"
+    ), ""),
+    "genus-verify --help": (0, (
+        "usage: hasseforms genus-verify [-h] [--input INPUT] [--json JSON]\n"
+        "                               [--inspection-degree INSPECTION_DEGREE]\n"
+        "                               [--format {json,text}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --input INPUT         path to a JSON input file\n"
+        "  --json JSON           inline JSON input\n"
+        "  --inspection-degree INSPECTION_DEGREE\n"
+        "  --format {json,text}\n"
+    ), ""),
+    "isom-search --help": (0, (
+        "usage: hasseforms isom-search [-h] [--input INPUT] [--json JSON]\n"
+        "                              [--degree-bound DEGREE_BOUND]\n"
+        "                              [--degree-bound-y DEGREE_BOUND_Y]\n"
+        "                              [--format {json,text}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --input INPUT         path to a JSON input file\n"
+        "  --json JSON           inline JSON input\n"
+        "  --degree-bound DEGREE_BOUND\n"
+        "                        max x-degree of entries\n"
+        "  --degree-bound-y DEGREE_BOUND_Y\n"
+        "                        max x-degree of the y part\n"
+        "  --format {json,text}\n"
+    ), ""),
+    "verify-paper --help": (0, (
+        "usage: hasseforms verify-paper [-h] [--format {json,text}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {json,text}\n"
+    ), ""),
+    "no-command": (2, "", (
+        "usage: hasseforms [-h]\n"
+        "                  {curve,hasse,form,genus-verify,isom-search,verify-paper} ...\n"
+        "hasseforms: error: the following arguments are required: command\n"
+    )),
+    "bogus": (2, "", (
+        "usage: hasseforms [-h]\n"
+        "                  {curve,hasse,form,genus-verify,isom-search,verify-paper} ...\n"
+        "hasseforms: error: argument command: invalid choice: 'bogus' (choose from 'curve', 'hasse', 'form', 'genus-verify', 'isom-search', 'verify-paper')\n"
+    )),
+    "genus-verify --bogus 1": (2, "", (
+        "usage: hasseforms [-h]\n"
+        "                  {curve,hasse,form,genus-verify,isom-search,verify-paper} ...\n"
+        "hasseforms: error: unrecognized arguments: --bogus 1\n"
+    )),
+    "genus-verify --inspection-degree two": (2, "", (
+        "usage: hasseforms genus-verify [-h] [--input INPUT] [--json JSON]\n"
+        "                               [--inspection-degree INSPECTION_DEGREE]\n"
+        "                               [--format {json,text}]\n"
+        "hasseforms genus-verify: error: argument --inspection-degree: invalid int value: 'two'\n"
+    )),
+}
+
+
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-command")
 def test_one_command_parser_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
-    # run() builds the parser for the command it is given, or the full
-    # parser when argv names none; help, usage and errors stay the same
+    # the flag table's reader declines these lines, and run() gives them to
+    # the full parser, which prints the same help, usage and errors as the
+    # parser of the line's command alone printed before the reader existed
     monkeypatch.setenv("COLUMNS", "80")
 
     def outcome(parse):
@@ -649,7 +803,80 @@ def test_one_command_parser_prints_what_the_full_parser_prints(argv, capsys, mon
         captured = capsys.readouterr()
         return stop.value.code, captured.out, captured.err
 
-    assert outcome(run) == outcome(build_parser().parse_args)
+    assert outcome(run) == outcome(build_parser().parse_args) == PARSER_OUTPUTS[" ".join(argv) or "no-command"]
+
+
+VALUES = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["json", "text", "xml", "", "two", "-", "--", "-x", "--q", " 5", "+5", "1_0", "٣", "a,b", "1,2"]),
+    st.text(max_size=3),
+)
+# any word: commands, every command's flags, help, abbreviations,
+# --flag=value and values
+WORDS = st.one_of(
+    st.sampled_from([*COMMANDS, "bogus", "-h", "--help", *FLAGS]),
+    st.sampled_from(sorted({flag[:n] for flag in FLAGS for n in range(3, len(flag))})),
+    st.builds("{}={}".format, st.sampled_from(sorted(FLAGS)), VALUES),
+    VALUES,
+)
+
+
+def _valued(flag):
+    """``flag`` with a value it takes: a switch alone, digits after an int
+    flag, a choice after --format, any value after the others."""
+    options = FLAGS[flag]
+    if "action" in options:
+        return st.just((flag,))
+    if options.get("type") is int:
+        return st.tuples(st.just(flag), st.integers(0, 12).map(str))
+    return st.tuples(st.just(flag), st.sampled_from(options["choices"]) if "choices" in options else VALUES)
+
+
+def _command_lines(command):
+    """Lines of ``command`` made of its own flags, each with a value it
+    takes, and at most one stray chunk among them: a flag with no value
+    or any value, or any word."""
+    own = st.sampled_from([*COMMANDS[command][1], "--format"])
+    stray = st.lists(st.one_of(st.tuples(own, VALUES), st.tuples(own), st.tuples(WORDS)), max_size=1)
+
+    def line(chunks, extra, at):
+        chunks[at:at] = extra
+        return [command, *(word for words in chunks for word in words)]
+
+    return st.builds(line, st.lists(own.flatmap(_valued), max_size=5), stray, st.integers(0, 5))
+
+
+LINES = st.one_of(st.sampled_from(list(COMMANDS)).flatmap(_command_lines), st.lists(WORDS, max_size=6))
+
+
+def _parsed(parser, argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=LINES)
+def test_flag_table_reader_agrees_with_argparse(argv):
+    # the reader declines a line, or reads it exactly as argparse does
+    read = _read_args(argv)
+    assert read is None or vars(read) == _parsed(build_parser(), argv), argv
+
+
+def test_flag_table_reader_takes_every_well_formed_line():
+    # the lines the tests and the benchmark run take the fast path
+    jobs = [job for workload in ("search", "genus") for job in benchmark_jobs(workload, [1])[1]]
+    lines = [argv for argv, _ in COMMAND_MODULES]
+    lines += [[word.replace("{input}", "F") for word in job["argv"]] for job in jobs]
+    lines += [["curve", "--q", "9", "--a", "1,2", "--b", "0,1", "--format", "text"]]
+    assert {"isom-search --input F", "genus-verify --input F"} <= {" ".join(argv) for argv in lines}
+    parser = build_parser()
+    for argv in lines:
+        read = _read_args(argv)
+        assert read is not None and vars(read) == _parsed(parser, argv), argv
 
 
 def test_console_entry_matches_run_byte_for_byte(capsys, monkeypatch):

@@ -4,9 +4,9 @@ are enforced by exceptions, which ``python -O`` keeps, never by
 so a deletion cannot leave a dead import behind; every private function,
 method or class has a caller in the library; every class that interns
 its values in ``__new__`` defines ``__reduce__``; interned fields and
-curves are compared with ``is``, never ``==``; and only
+curves are compared with ``is``, never ``==``; only
 ``local.local_isomorphic`` tells the two kinds of closed place apart by
-type."""
+type; and only ``cli.build_parser`` imports argparse."""
 
 import ast
 from pathlib import Path
@@ -142,3 +142,25 @@ def test_place_kinds_are_told_apart_only_at_the_public_boundary():
         for scope, line in _place_type_tests(_tree(path))
     ]
     assert {scope for scope, _ in sites} == {"local.local_isomorphic"}, sites
+
+
+def _argparse_imports(node, scope=()):
+    """(enclosing function or class path, line) of each import of argparse
+    under node; the path is empty at module level."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope + (child.name,) if isinstance(child, DEFINITIONS) else scope
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        else:
+            modules = [child.module or ""] if isinstance(child, ast.ImportFrom) else []
+        if any(module.split(".")[0] == "argparse" for module in modules):
+            yield ".".join(inner), child.lineno
+        yield from _argparse_imports(child, inner)
+
+
+def test_argparse_is_imported_only_to_build_the_parser():
+    # a well-formed command line is read off cli's flag table, so no module
+    # imports argparse at start-up; it loads only where the parser is
+    # built, to print help, usage or an error
+    sites = [(f"{path.stem}.{scope}", line) for path in MODULES for scope, line in _argparse_imports(_tree(path))]
+    assert {scope for scope, _ in sites} == {"cli.build_parser"}, sites
