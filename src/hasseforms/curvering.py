@@ -11,8 +11,10 @@ a - b*y, which forces denominators into F_q[x]; with the denominator
 monic and coprime to the content of the numerator this representation
 is unique, so fraction equality is structural too.  Divisibility and
 valuation questions thereby reduce to plain polynomial arithmetic.  An
-integral entry carries den = 1 with no gcd run; a witness identity is
-checked over the ring with one common denominator (genus.witness_identity).
+integral entry carries den = 1 with no gcd run.  A matrix of fractions
+clears its denominators once (``_cleared``): its determinant, like a
+witness identity (genus.witness_identity), is taken over the ring with
+one common denominator, and no determinant multiplies fractions.
 
 Singular Weierstrass cubics (discriminant zero) are accepted but the
 smoothness flag is carried on the curve and checked by the consumers
@@ -426,8 +428,9 @@ class RingMatrix:
         return len(self.rows)
 
     def det(self) -> RingFraction:
-        """Determinant, exact over the fraction field."""
-        return det(self.rows)
+        """Determinant, exact over the fraction field, taken over the ring
+        once the denominators are cleared (``_cleared``)."""
+        return _cleared(self.rows)[2]
 
     def is_symmetric(self) -> bool:
         return is_symmetric(self.rows)
@@ -499,8 +502,10 @@ def _ring_entry(curve, e):
 # Row-level matrix algebra, shared by matrices over the fraction field
 # (RingFraction entries), over the ring (RingElement entries) and forms
 # over a finite field (FieldElement entries): ``square_rows``,
-# ``diagonal_rows``, ``is_symmetric``, ``matmul``, ``det`` and
-# ``congruence_rows``.
+# ``diagonal_rows``, ``is_symmetric``, ``matmul`` and ``congruence_rows``.
+# ``det`` takes ring entries; a fraction matrix clears its denominators
+# first (``_cleared``), and a form over F_q reads its determinant off its
+# diagonalization (``local.diagonalize``).
 
 
 def square_rows(owner, rows, entry):
@@ -549,17 +554,12 @@ def matmul(a, b):
 
 
 def det(rows):
-    """Determinant of a square matrix given as rows.
-
-    Rows of field elements with n >= 3 are reduced by Gaussian
-    elimination (``_field_det``): over F_q a pivot's inverse is one log
-    lookup, so elimination costs O(n^3) products against the cofactor
-    expansion's O(n!).  Ring and fraction entries take cofactor
-    expansion along the first row, skipping its zero entries, down to a
-    2 x 2 base case that drops a product with a zero factor: at the
-    ranks used here (n <= 3 in search and genus work, sparse Gram
-    matrices beyond that) it beats fraction-free elimination, whose
-    exact divisions cost more than the few products they save.
+    """Determinant of a square matrix of ring elements given as rows, by
+    cofactor expansion along the first row, skipping its zero entries,
+    down to a 2 x 2 base case that drops a product with a zero factor: at
+    the ranks used here (n <= 3 in search and genus work, sparse Gram
+    matrices beyond that) it beats fraction-free elimination, whose exact
+    divisions cost more than the few products they save.
     """
     n = len(rows)
     if n == 1:
@@ -569,8 +569,6 @@ def det(rows):
         if b.is_zero() or c.is_zero():  # no product b c: a d, or a zero entry
             return a if a.is_zero() else d if d.is_zero() else a * d
         return -(b * c) if a.is_zero() or d.is_zero() else a * d - b * c
-    if type(rows[0][0]) is FieldElement:
-        return _field_det(rows)
     total = None
     for j, e in enumerate(rows[0]):
         if e.is_zero():
@@ -582,37 +580,30 @@ def det(rows):
     return rows[0][0] if total is None else total
 
 
-def _field_det(rows) -> FieldElement:
-    """Determinant of rows of field elements by Gaussian elimination
-    (Cohen, *A Course in Computational Algebraic Number Theory*, ch. 2):
-    in column i the first row at or below i with a nonzero entry is the
-    pivot, swapped up with a change of sign; the rows below lose their
-    multiple of it, over the pivot row's nonzero columns only.  The
-    determinant is the signed product of the pivots, or 0 at a column
-    with no pivot."""
-    field = rows[0][0].field
-    m = [list(row) for row in rows]
-    n = len(m)
-    d = field.one()
-    for i in range(n):
-        k = next((r for r in range(i, n) if not m[r][i].is_zero()), None)
-        if k is None:
-            return field.zero()
-        pivot_row = m[k]
-        if k != i:  # row i is not read again
-            m[k] = m[i]
-            d = -d
-        pivot = pivot_row[i]
-        d = d * pivot
-        inv = pivot.inverse()
-        live = [j for j in range(i + 1, n) if not pivot_row[j].is_zero()]
-        for row in m[i + 1 :]:
-            if row[i].is_zero():
-                continue
-            c = row[i] * inv
-            for j in live:
-                row[j] = row[j] - c * pivot_row[j]
-    return d
+def _cleared(rows):
+    """(P, delta, det Q) for a square matrix Q of fractions given as rows,
+    fraction-free (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+    ch. 6): delta is the monic lcm of the denominators, P = delta Q has
+    ring entries, and det Q = det P / delta^n, reduced once
+    (``_quotient``).  No product of two fractions is formed."""
+    delta = Poly.one(rows[0][0].curve.field)
+    for row in rows:
+        for e in row:
+            if e.den.degree >= 1 and e.den != delta:
+                delta = e.den if delta.degree < 1 else delta // poly_gcd(delta, e.den) * e.den
+    p = [[e.num if e.is_zero() or e.den == delta else e.num * (delta // e.den) for e in row] for row in rows]
+    return p, delta, _quotient(det(p), delta ** len(rows))
+
+
+def _quotient(num: RingElement, den: Poly) -> RingFraction:
+    """num / den, den monic: the curve's shared c/1 when num = c den for a
+    constant c, read off den's leading coefficient with no gcd or exact
+    division, else the fraction in lowest terms."""
+    if not num.b.coeffs and num.a.degree == den.degree:
+        c = num.a.coeffs[-1]
+        if num.a == den * Poly._raw(den.field, (c,)):
+            return _coerce_entry(num.curve, c)
+    return RingFraction(num.curve, num, den)
 
 
 def congruence_rows(t, m):

@@ -243,9 +243,6 @@ class Poly(RingOps):
     def __hash__(self):
         return hash(self.coeffs)
 
-    def sort_key(self):
-        return (self.degree, tuple(c.coeffs for c in self.coeffs))
-
     def __repr__(self):
         return f"Poly({to_text(self)!r})"
 

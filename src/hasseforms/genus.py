@@ -20,13 +20,11 @@ first use.
 
 from __future__ import annotations
 
-import itertools
-
 from .curvepoints import AffinePoint, enumerate_points
-from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _coerce_entry, congruence_rows, det
+from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _cleared, congruence_rows
 from .finfield import MAX_INSPECTION_SIZE, FiniteField, capped_power, embed, make_extension, square_and_multiply
 from .forms import GramMatrix, MalformedWitnessError
-from .funcfield import Poly, poly_gcd, to_text
+from .funcfield import Poly, to_text
 from .records import Record
 from .serialize import point_to_json
 
@@ -154,33 +152,16 @@ def verify_genus_witness(
 
 def witness_identity(q: RingMatrix, f: GramMatrix, g: GramMatrix):
     """(whether Q^t F Q = G, det Q), both over the ring with one common
-    denominator (fraction-free, as in von zur Gathen and Gerhard, *Modern
-    Computer Algebra*, ch. 6).  With delta the lcm of Q's denominators,
-    P = delta Q is integral, Q^t F Q = G exactly when P^t F P = delta^2 G,
-    and det Q = det P / delta^n, reduced once (``_quotient``: with no gcd
-    when det P is a constant times delta^n)."""
+    denominator (``curvering._cleared``): with delta the lcm of Q's
+    denominators, P = delta Q is integral, and Q^t F Q = G exactly when
+    P^t F P = delta^2 G."""
     if not q.n == f.n == g.n:
         raise ValueError("dimension mismatch")
-    delta = Poly.one(q.curve.field)
-    for e in itertools.chain.from_iterable(q.rows):
-        if e.den.degree >= 1 and e.den != delta:
-            delta = e.den if delta.degree < 1 else delta // poly_gcd(delta, e.den) * e.den
-    p = [[e.num if e.is_zero() or e.den == delta else e.num * (delta // e.den) for e in row] for row in q.rows]
+    p, delta, det_q = _cleared(q.rows)
     lhs = congruence_rows(p, f.rows)
     scale = delta * delta
     ok = all(x == y * scale for lrow, grow in zip(lhs, g.rows) for x, y in zip(lrow, grow))
-    return ok, _quotient(det(p), delta**q.n)
-
-
-def _quotient(num: RingElement, den: Poly) -> RingFraction:
-    """num / den, den monic: the curve's shared c/1 when num = c den for a
-    constant c, read off den's leading coefficient with no gcd or exact
-    division, else the fraction in lowest terms."""
-    if not num.b.coeffs and num.a.degree == den.degree:
-        c = num.a.coeffs[-1]
-        if num.a == den * Poly._raw(den.field, (c,)):
-            return _coerce_entry(num.curve, c)
-    return RingFraction(num.curve, num, den)
+    return ok, det_q
 
 
 def _closed_places(curve: CurveSpec, d: int):

@@ -4,10 +4,13 @@ the line.
 Classification over a finite field of odd order is rank plus the square
 class of the determinant, so ``field_isomorphic`` is a two-invariant
 comparison; the test suite pins it against exhaustive congruence search
-over the full general linear group.  Local isomorphism of unimodular
-forms at a closed place reduces to form isomorphism over its residue
-field F_{q^e}, which ``local_isomorphic`` reads off the constant Gram
-determinants and the place degree e, with no matrix evaluated.
+over the full general linear group.  Both invariants are read off one
+congruence diagonalization (``diagonalize``), kept on the form: the
+rank counts its nonzero entries and the determinant is their product.
+Local isomorphism of unimodular forms at a closed place reduces to form
+isomorphism over its residue field F_{q^e}, which ``local_isomorphic``
+reads off the constant Gram determinants and the place degree e, with
+no matrix evaluated.
 
 Primes of F_q(x) relative to the polynomial ring are the monic
 irreducible polynomials plus the distinguished infinite place, where
@@ -33,14 +36,15 @@ call time.
 
 from __future__ import annotations
 
-import math
+from functools import reduce
+from operator import mul
 from typing import Optional
 
-from .curvepoints import AffinePoint, _cycle, is_singular_point, require_on_curve
-from .curvering import CurveSpec, det, diagonal_rows, is_symmetric, square_rows
+from .curvepoints import AffinePoint, _conjugates, is_singular_point, require_on_curve
+from .curvering import CurveSpec, diagonal_rows, is_symmetric, square_rows
 from .finfield import MAX_INSPECTION_SIZE, FieldElement, FiniteField, SquareClass, capped_power, is_square, square_class
 from .forms import GramMatrix, is_unimodular
-from .funcfield import Poly, _coeff_text, is_irreducible, poly_gcd, to_text
+from .funcfield import Poly, _coeff_text, is_irreducible, monic_rank, poly_gcd, to_text
 from .records import Record
 
 FACTOR_DEGREE_BOUND = 24
@@ -83,8 +87,9 @@ def factor(f: Poly):
     degree < 2j it is itself prime.
 
     Returns (leading coefficient, [(prime, multiplicity), ...]) with the
-    primes in increasing (degree, coefficient) order, so the product of
-    the prime powers times the leading coefficient reassembles f.
+    primes in ``monic_polys`` order (``monic_rank``), the order of
+    ``monic_irreducibles``, so the product of the prime powers times the
+    leading coefficient reassembles f.
     """
     from .funcfield import monic_irreducibles  # the traced name (module docstring)
 
@@ -109,7 +114,7 @@ def factor(f: Poly):
         for prime in primes:
             mult, rem = _multiplicity(rem, prime)
             factors.append((prime, mult))
-    factors.sort(key=lambda fe: fe[0].sort_key())
+    factors.sort(key=lambda fe: monic_rank(fe[0]))
     return lead, factors
 
 
@@ -150,21 +155,16 @@ class PrimePoly(Record):
         return "PrimePoly(inf)" if self.is_infinite else f"PrimePoly({to_text(self.poly)!r})"
 
 
-def _line_parts(r):
-    """(numerator, denominator) in F_q[x] of a polynomial, or of a
-    RingFraction with no y part, such as every fraction on the line."""
-    if isinstance(r, Poly):
-        return r, Poly.one(r.field)
-    if not r.num.b.is_zero():
-        raise ValueError("a fraction with a y part lives on a cubic, not on the line")
-    return r.num.a, r.den
-
-
 def valuation(r, p: PrimePoly) -> int:
-    """v_p of a nonzero polynomial or line fraction: at a finite prime,
-    its multiplicity in the numerator minus that in the denominator; at
-    infinity, deg den - deg num."""
-    num, den = _line_parts(r)
+    """v_p of a nonzero polynomial or line fraction (a RingFraction with
+    no y part): at a finite prime, its multiplicity in the numerator minus
+    that in the denominator; at infinity, deg den - deg num."""
+    if isinstance(r, Poly):
+        num, den = r, Poly.one(r.field)
+    elif r.num.b.is_zero():
+        num, den = r.num.a, r.den
+    else:
+        raise ValueError("a fraction with a y part lives on a cubic, not on the line")
     if num.is_zero():
         raise ValueError("valuation of zero is undefined")
     if p.is_infinite:
@@ -178,9 +178,11 @@ def valuation(r, p: PrimePoly) -> int:
 
 class FieldForm:
     """A symmetric matrix of field elements, its rows checked and coerced
-    by ``square_rows``, as a ring matrix's are; ``det()`` computes once."""
+    by ``square_rows``, as a ring matrix's are.  Its determinant and rank
+    are read off one diagonalization (``diagonalize``), made on first use
+    and kept."""
 
-    __slots__ = ("field", "rows", "_det")
+    __slots__ = ("field", "rows", "_reduced")
 
     def __init__(self, field: FiniteField, rows):
         coerced = square_rows(field, rows, FiniteField.element)
@@ -188,7 +190,7 @@ class FieldForm:
             raise ValueError("form matrix must be symmetric")
         self.field = field
         self.rows = coerced
-        self._det = None
+        self._reduced = None  # diagonalize's (diag, T), made on first use
 
     @classmethod
     def diagonal(cls, field, entries) -> FieldForm:
@@ -199,9 +201,11 @@ class FieldForm:
         return len(self.rows)
 
     def det(self) -> FieldElement:
-        if self._det is None:
-            self._det = det(self.rows)
-        return self._det
+        """The product of the diagonal: T is a product of transvections
+        e_i <- e_i + c e_j, so det T = 1 and det F = det(T^t F T)."""
+        from .forms import diagonalize  # the traced name (module docstring)
+
+        return reduce(mul, diagonalize(self)[0])
 
     def is_degenerate(self) -> bool:
         return self.det().is_zero()
@@ -230,27 +234,33 @@ class FieldForm:
 def diagonalize(form: FieldForm):
     """Congruence diagonalization over a field of odd characteristic.
 
-    Returns (diagonal entries, T) with T^t F T diagonal.  A zero pivot
-    with a nonzero off-diagonal partner j is repaired by the basis
-    substitution e_i <- e_i + e_j (falling back to e_i - e_j when the
-    characteristic-independent cancellation 2F_ij + F_jj = 0 strikes);
-    pivots and partners are always taken at the lowest index.
-    Degenerate forms simply keep zeros on the diagonal, so the rank is
-    preserved.
+    Returns (diagonal entries, T) with T^t F T diagonal, kept on the form
+    and returned again on a later call.  A zero pivot with a nonzero
+    off-diagonal partner j is repaired by the basis substitution e_i <-
+    e_i + e_j (falling back to e_i - e_j when the characteristic-
+    independent cancellation 2F_ij + F_jj = 0 strikes); pivots and
+    partners are always taken at the lowest index.  Degenerate forms
+    simply keep zeros on the diagonal, so the rank is preserved.
     """
+    if form._reduced is not None:
+        return form._reduced
     field = form.field
     n = form.n
     m = [list(row) for row in form.rows]
     t = diagonal_rows([field.one()] * n, field.zero())
 
     def add_basis(i, j, c):
-        # e_i <- e_i + c * e_j
+        # e_i <- e_i + c * e_j; a zero entry of e_j's column or row adds nothing
+        for row in t:
+            if not row[j].is_zero():
+                row[i] = row[i] + c * row[j]
+        for row in m:
+            if not row[j].is_zero():
+                row[i] = row[i] + c * row[j]
+        mi, mj = m[i], m[j]
         for r in range(n):
-            t[r][i] = t[r][i] + c * t[r][j]
-        for r in range(n):
-            m[r][i] = m[r][i] + c * m[r][j]
-        for r in range(n):
-            m[i][r] = m[i][r] + c * m[j][r]
+            if not mj[r].is_zero():
+                mi[r] = mi[r] + c * mj[r]
 
     for i in range(n):
         if m[i][i].is_zero():
@@ -264,8 +274,8 @@ def diagonalize(form: FieldForm):
         for j in range(i + 1, n):
             if not m[i][j].is_zero():
                 add_basis(j, i, -(m[i][j] * inv))
-    diag = tuple(m[i][i] for i in range(n))
-    return diag, tuple(tuple(row) for row in t)
+    form._reduced = tuple(m[i][i] for i in range(n)), tuple(tuple(row) for row in t)
+    return form._reduced
 
 
 def disc_class(form: FieldForm) -> SquareClass:
@@ -288,15 +298,6 @@ def field_isomorphic(f: FieldForm, g: FieldForm) -> bool:
 
 # ---------------------------------------------------------------------------
 # Forms at a closed place
-
-
-def _orbit_degree(q: int, x0: FieldElement, y0: Optional[FieldElement]) -> int:
-    """The degree of the closed point of (x0, y0) over F_q (y0 None on
-    the line): the length of its Frobenius orbit, the lcm of its
-    coordinates' cycles on logs (``curvepoints._cycle``), with no point
-    built."""
-    m = x0.field.q - 1
-    return math.lcm(len(_cycle(q, m, x0._log)), 1 if y0 is None else len(_cycle(q, m, y0._log)))
 
 
 def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
@@ -337,7 +338,8 @@ def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
                     "reduction at the singular point is rejected: the local ring "
                     "there is not a discrete valuation ring"
                 )
-        e = _orbit_degree(curve.field.q, at.x, at.y)
+        # the closed point's degree: its Frobenius orbit's length, walked on logs
+        e = len(_conjugates(curve.field.q, at.x.field.q - 1, at.x._log, None if at.y is None else at.y._log))
         if e != at.degree:
             raise ValueError(f"point {at!r} has degree {e}, not the stated {at.degree}")
     else:

@@ -402,6 +402,24 @@ def rand_dense(rng, curve, n):
     return RingMatrix(curve, [[rand_fraction(rng, curve) for _ in range(n)] for _ in range(n)])
 
 
+def rand_loaded(rng, curve, n):
+    """A matrix as the pair parser loads it (``serialize.matrix_from_json``):
+    constants, ring elements and fractions, whose denominators on the cubic
+    carry a y part that loading rationalizes by conjugate multiplication."""
+
+    def entry():
+        roll = rng.random()
+        if roll < 0.2:
+            return rng.randrange(5)
+        num = serialize.ring_elem_to_json(rand_entry(rng, curve, 1))
+        den = rand_entry(rng, curve, 1)
+        if roll < 0.4 or den.is_zero():
+            return num
+        return {"num": num, "den": serialize.ring_elem_to_json(den)}
+
+    return serialize.matrix_from_json(curve, [[entry() for _ in range(n)] for _ in range(n)])
+
+
 def rand_diagonal(rng, curve, n):
     return RingMatrix(curve, diagonal_rows([rand_entry(rng, curve, 2) for _ in range(n)]))
 
@@ -432,6 +450,12 @@ F121 = make_extension(11, 2)
         pytest.param(lambda rng: rand_diagonal(rng, LINE, 6), id="ring-diag6-line"),
         pytest.param(lambda rng: rand_dense(rng, LINE, 4), id="ring-dense4-line"),
         pytest.param(lambda rng: rand_dense(rng, EC, 4), id="ring-dense4-cubic"),
+        pytest.param(lambda rng: rand_dense(rng, LINE, 3), id="fraction-3x3-line"),
+        pytest.param(lambda rng: rand_dense(rng, EC, 3), id="fraction-3x3-cubic"),
+        pytest.param(lambda rng: rand_loaded(rng, LINE, 3), id="fraction-3x3-line-loaded"),
+        pytest.param(lambda rng: rand_loaded(rng, LINE, 4), id="fraction-4x4-line-loaded"),
+        pytest.param(lambda rng: rand_loaded(rng, EC, 3), id="fraction-3x3-cubic-y-denominators"),
+        pytest.param(lambda rng: rand_loaded(rng, EC, 4), id="fraction-4x4-cubic-y-denominators"),
     ],
 )
 def test_det_against_leibniz(build):

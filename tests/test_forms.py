@@ -596,10 +596,11 @@ def test_local_isomorphic_rejects_foreign_and_infinite_primes():
 
 def test_local_isomorphic_evaluates_nothing(monkeypatch):
     calls = []
-    evaluate, init, det = Poly.evaluate, FieldForm.__init__, local.det
+    evaluate, init, diagonalize = Poly.evaluate, FieldForm.__init__, local.diagonalize
     monkeypatch.setattr(Poly, "evaluate", lambda *a: calls.append("evaluate") or evaluate(*a))
     monkeypatch.setattr(FieldForm, "__init__", lambda *a: calls.append("FieldForm") or init(*a))
-    monkeypatch.setattr(local, "det", lambda rows: calls.append("det") or det(rows))
+    for owner in (local, forms):  # a form's det and rank reduce through forms (local's docstring)
+        monkeypatch.setattr(owner, "diagonalize", lambda form: calls.append("diagonalize") or diagonalize(form))
     for curve, at in ((LINE5, PrimePoly.finite(P(F5, "x^2+2"))), (EC, AffinePoint(F5.element(1), F5.element(1), 1))):
         f = GramMatrix.identity(curve, 2)
         g = GramMatrix.from_rows(curve, [[1, P(F5, "x")], [P(F5, "x"), P(F5, "x^2+2")]])
@@ -622,7 +623,6 @@ def test_witness_determinant_skips_the_gcd_for_a_constant_quotient(monkeypatch):
     calls = []
     gcd = curvering.poly_gcd
     monkeypatch.setattr(curvering, "poly_gcd", lambda *a: calls.append(a) or gcd(*a))
-    monkeypatch.setattr(genus, "poly_gcd", lambda *a: calls.append(a) or gcd(*a))
     delta = P(F5, "x^2+3*x+1")
     for curve in (LINE5, EC):
         for n in (0, 1, 2, 3):
@@ -630,41 +630,48 @@ def test_witness_determinant_skips_the_gcd_for_a_constant_quotient(monkeypatch):
             for c in (1, 2, 4):  # det P = c delta^n: det Q = c/1, no gcd
                 num = RingElement(curve, den * Poly.constant(F5, c))
                 calls.clear()
-                got = genus._quotient(num, den)
+                got = curvering._quotient(num, den)
                 assert calls == [] and got.is_integral()
                 assert got == RingFraction(curve, num, den) == RingFraction.from_ring(RingElement.constant(curve, c))
             others = [den * P(F5, "x+1"), den + Poly.one(F5), P(F5, "2*x+1"), Poly.zero(F5)]
             for a in others:  # not a constant times delta^n: reduced as before
                 num = RingElement(curve, a)
-                assert genus._quotient(num, den) == RingFraction(curve, num, den)
+                assert curvering._quotient(num, den) == RingFraction(curve, num, den)
             if not curve.is_polyline:  # a y part never takes the shortcut
                 num = RingElement(curve, den * Poly.constant(F5, 2), den)
-                assert genus._quotient(num, den) == RingFraction(curve, num, den)
+                assert curvering._quotient(num, den) == RingFraction(curve, num, den)
     # the witnesses of both fixtures have constant det Q and run no gcd
     for f, g, pairs in (remark_fixture(F5)[1:], (GramMatrix.identity(EC, 2), ec_g_matrix(), ec_witness_pairs())):
         for q, _ in pairs:
             calls.clear()
             ok, det_q = witness_identity(q, f, g)
             assert ok and det_q.is_integral() and calls == []
-            assert det_q == q.det()
+            assert det_q == q.det() == leibniz_det(q.rows)
     # a non-constant det Q still runs the gcd
     q = RingMatrix(LINE5, [[RingFraction(LINE5, RingElement.one(LINE5), P(F5, "x+1")), 0], [0, 1]])
     calls.clear()
     ok, det_q = witness_identity(q, GramMatrix.identity(LINE5, 2), GramMatrix.identity(LINE5, 2))
     assert not ok and calls
-    assert det_q == q.det() == RingFraction(LINE5, RingElement.one(LINE5), P(F5, "x+1"))
+    assert det_q == q.det() == leibniz_det(q.rows) == RingFraction(LINE5, RingElement.one(LINE5), P(F5, "x+1"))
 
 
 def test_field_isomorphic_computes_one_det_per_form(monkeypatch):
-    calls = []
-    det = local.det
-    monkeypatch.setattr(local, "det", lambda rows: calls.append(rows) or det(rows))
+    # det, rank and the discriminant class read one reduction per form
+    reductions = []
+    diagonalize = local.diagonalize
+
+    def counted(form):
+        if form._reduced is None:  # a kept reduction is returned, not redone
+            reductions.append(form.rows)
+        return diagonalize(form)
+
+    monkeypatch.setattr(forms, "diagonalize", counted)  # the binding FieldForm.det calls
     f = FieldForm(F5, [[1, 2], [2, 3]])
     g = FieldForm.diagonal(F5, [1, 4])
     assert field_isomorphic(f, g) == (disc_class(f) == disc_class(g))
-    assert calls == [f.rows, g.rows]
+    assert reductions == [f.rows, g.rows]
     field_isomorphic(f, g)
-    assert len(calls) == 2
+    assert f.rank == g.rank == 2 and len(reductions) == 2
 
 
 # -- genus witnesses ----------------------------------------------------------------------

@@ -352,6 +352,24 @@ def test_factor_splits_equal_degree_products():
     assert factors == [(P5("x"), 1), (P5("x+1"), 2), (P5("x+3"), 1), (P5("x^2+2"), 1), (P5("x^2+3"), 3)]
 
 
+def test_factor_lists_primes_in_the_order_of_monic_irreducibles():
+    # one order on polynomials, monic_polys order: over F_5 it puts x^2+2
+    # before x^2+x+1, in factor's list as in monic_irreducibles'
+    _, factors = factor(P5("x^2+x+1") * P5("x^2+2"))
+    assert [g for g, _ in factors] == [g for g in monic_irreducibles(F5, 2) if g in (P5("x^2+2"), P5("x^2+x+1"))]
+    assert factors == [(P5("x^2+2"), 1), (P5("x^2+x+1"), 1)]
+    for field in (F3, F5, F9):
+        rng = random.Random(field.q)
+        listed = [g for d in (1, 2, 3) for g in monic_irreducibles(field, d)]
+        for _ in range(10):
+            primes = rng.sample(listed, 4)
+            f = Poly.one(field)
+            for g in primes:
+                f = f * g ** rng.randrange(1, 3)
+            _, factors = factor(f)
+            assert [g for g, _ in factors] == sorted(primes, key=listed.index)
+
+
 def test_enumerations_beyond_the_bound_are_refused(monkeypatch):
     seen = _record_enumerations(monkeypatch)
     with pytest.raises(ValueError, match="enumeration bound"):
