@@ -25,7 +25,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .curvering import CurveSpec
+from .curvering import POLYLINE, CurveSpec
 from .finfield import MAX_FIELD_SIZE, _prime_factors, make_extension
 from .forms import DEFAULT_SEARCH_BUDGET, BudgetExceededError
 from .hasse import hasse_principle
@@ -62,7 +62,7 @@ def _curve_from_args(args) -> CurveSpec:
         raise ValueError("pass --q (with --a/--b or --polyline), or a curve JSON")
     field = _field_from_q(args.q)
     if args.polyline:
-        return CurveSpec.polyline(field)
+        return CurveSpec(POLYLINE, field, args.a, args.b)  # which refuses --a and --b
     if args.a is None or args.b is None:
         raise ValueError("weierstrass curves need --a and --b (or pass --polyline)")
     return CurveSpec.weierstrass(field, _parse_coeffs(args.a), _parse_coeffs(args.b))
@@ -96,14 +96,15 @@ def _search_budget():
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each imports what only it runs when it runs, taking a moved
-# name from its home module (``forms``, ``curvepoints``, ``serialize``), so
-# that perfbench's tracer, which wraps names there, sees the call
+# subcommands: each imports what only it runs when it runs, taking a name
+# that perfbench's tracer wraps from the module it wraps the name on
+# (``forms``, ``curvepoints``), so that the tracer sees the call, and any
+# other name from its home
 
 
 def _cmd_curve(args) -> int:
     from .curvepoints import point_report
-    from .serialize import point_report_to_json
+    from .picard import point_report_to_json
 
     report = point_report(_curve_from_args(args))
     _emit(point_report_to_json(report), args.format)
@@ -111,7 +112,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_hasse(args) -> int:
-    from .serialize import decision_to_json
+    from .picard import decision_to_json
 
     decision = hasse_principle(_curve_from_args(args), args.rank)
     _emit(decision_to_json(decision), args.format)
@@ -142,7 +143,7 @@ def _cmd_form(args) -> int:
 
 def _cmd_genus_verify(args) -> int:
     from .forms import verify_genus_witness
-    from .serialize import genus_report_to_json
+    from .genus import genus_report_to_json
 
     pair = pair_from_json(_load_input(args))
     if "witness" not in pair:

@@ -15,11 +15,11 @@ of x - r over the roots r of its orbit (Lidl and Niederreiter, *Finite
 Fields*, section 2.2), formed on logs with Zech sums and pulled back to
 F_q once per coefficient.
 
-Point counting, smoothness and the Picard data (``PointCountReport``,
-``is_smooth``, ``picard_order``, ``has_two_torsion``, ``point_report``)
-live in ``picard``, which only the ``curve``, ``hasse`` and
-``verify-paper`` commands load; they are reached through this module,
-which imports ``picard`` on first use (``__getattr__``).
+Point counting, smoothness and the Picard data live in ``picard``,
+which only the ``curve``, ``hasse`` and ``verify-paper`` commands load.
+``point_report``, which perfbench's tracer wraps here, is also reached
+through this module, which imports ``picard`` on first use
+(``__getattr__``).
 """
 
 from __future__ import annotations
@@ -33,10 +33,7 @@ from .finfield import FieldElement, embed, make_extension, pullback_table
 from .funcfield import Poly, monic_rank
 from .records import Record
 
-__getattr__ = _lazy_names(
-    globals(),
-    dict.fromkeys(("PointCountReport", "is_smooth", "picard_order", "has_two_torsion", "point_report"), "picard"),
-)
+__getattr__ = _lazy_names(globals(), {"point_report": "picard"})
 
 
 class AffinePoint(Record):

@@ -36,12 +36,12 @@ Z(n) = log(1 + g^n).  Then
     g^i + g^j = g^(i + Z(j - i)), which is zero when 1 + g^(j - i) = 0,
 
 and negation, inverse and powers are single lookups as well.  For odd q
-the nonzero squares are the even powers of g, so the square class of a
-is the parity of its log; the test suite cross-checks this against
-exhaustive squaring.  Coefficient vectors are multiplied mod m
-(``_ip_mulmod``) only while a field is built: to test generator
-candidates by ``square_and_multiply`` and to write down the matrix of
-multiplication by g.
+the nonzero squares are the even powers of g, so ``is_square`` reads
+the square class of a off the parity of its log; the test suite
+cross-checks this against exhaustive squaring.  Coefficient vectors
+are multiplied mod m (``_ip_mulmod``) only while a field is built: to
+test generator candidates by ``square_and_multiply`` and to write down
+the matrix of multiplication by g.
 
 Everything here is desk scale, because all downstream algorithms are
 enumerative.  Base fields, the fields curves and forms are defined over,
@@ -53,7 +53,6 @@ evaluation fields of the isometry search, have q <= MAX_INSPECTION_SIZE
 
 from __future__ import annotations
 
-import enum
 import itertools
 import operator
 from typing import Iterator
@@ -429,29 +428,11 @@ class FieldElement(FieldOps):
         return f"F{self.field.q}({t_poly_text(self.coeffs)})"
 
 
-class SquareClass(enum.Enum):
-    """An element of the order-2 group F_q^x / (F_q^x)^2."""
-
-    SQUARE = "square"
-    NONSQUARE = "nonsquare"
-
-    def __mul__(self, other):
-        if not isinstance(other, SquareClass):
-            return NotImplemented
-        if self is other:
-            return SquareClass.SQUARE
-        return SquareClass.NONSQUARE
-
-
 def is_square(a: FieldElement) -> bool:
     """Whether log a is even.  Zero is rejected: square classes live in F_q^x."""
     if a.is_zero():
         raise ValueError("square class of zero is undefined")
     return a._log % 2 == 0
-
-
-def square_class(a: FieldElement) -> SquareClass:
-    return SquareClass.SQUARE if is_square(a) else SquareClass.NONSQUARE
 
 
 def sqrt(a: FieldElement) -> FieldElement:

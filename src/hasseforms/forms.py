@@ -1,15 +1,15 @@
 """Integral forms as Gram matrices: nondegenerate symmetric matrices over
 a coordinate ring, and unimodularity.
 
-The rest of the forms API is reached through this module but compiled
-only when a process first asks for it (``__getattr__``): forms over
-F_q and at a closed place (``FieldForm``, ``diagonalize``,
-``disc_class``, ``field_isomorphic``, ``local_isomorphic``) live in
-``local``, genus witnesses and their verification (``GenusWitness``,
-``GenusReport``, ``verify_genus_witness``, ``witness_identity``) in
-``genus``, and the bounded isometry search (``isom_search``) in
-``search``.  Callers in the package import these names from here, at
-call time, so each command compiles only what it runs.
+The rest of the forms API lives in modules compiled only by the
+processes that run them: forms over F_q and at a closed place in
+``local``, genus witnesses and their verification in ``genus``, and the
+bounded isometry search in ``search``.  The five of those names that
+perfbench's tracer wraps here (``diagonalize``, ``local_isomorphic``,
+``GenusWitness``, ``verify_genus_witness``, ``isom_search``) are also
+reached through this module, which imports their home on first use
+(``__getattr__``); callers in the package import those five from here,
+at call time, and every other name from its home.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class BudgetExceededError(RuntimeError):
 __getattr__ = _lazy_names(
     globals(),
     {
-        **dict.fromkeys(("FieldForm", "diagonalize", "disc_class", "field_isomorphic", "local_isomorphic"), "local"),
-        **dict.fromkeys(("GenusWitness", "GenusReport", "verify_genus_witness", "witness_identity"), "genus"),
+        **dict.fromkeys(("diagonalize", "local_isomorphic"), "local"),
+        **dict.fromkeys(("GenusWitness", "verify_genus_witness"), "genus"),
         "isom_search": "search",
     },
 )

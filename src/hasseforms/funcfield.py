@@ -12,9 +12,11 @@ zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 14):
 ``is_irreducible`` is Ben-Or's test.
 
 The primes of the line (``PrimePoly``, ``monic_irreducibles``,
-``factor``, ``valuation`` and ``FACTOR_DEGREE_BOUND``) live in ``local``,
-which no CLI command loads; they are reached through this module, which
-imports ``local`` on first use (``__getattr__``).
+``factor``, ``valuation``) live in ``local``, which no CLI command
+loads.  The three that perfbench's tracer wraps here
+(``monic_irreducibles``, ``factor``, ``valuation``) are also reached
+through this module, which imports ``local`` on first use
+(``__getattr__``).
 
 Text grammar for polynomials: integer coefficients, variable x,
 caret powers, e.g. ``x^3+2*x+3``; coefficients are read mod p.  An
@@ -35,7 +37,7 @@ MAX_TEXT_DEGREE = 256  # largest exponent the text grammar accepts
 
 __getattr__ = _lazy_names(
     globals(),
-    dict.fromkeys(("PrimePoly", "monic_irreducibles", "factor", "valuation", "FACTOR_DEGREE_BOUND"), "local"),
+    dict.fromkeys(("monic_irreducibles", "factor", "valuation"), "local"),
 )
 
 

@@ -13,9 +13,11 @@ on the logs of its coordinates.  Whatever no witness reaches is reported
 as a gap.
 
 Only ``genus-verify``, ``verify-paper`` and pair files that carry
-witnesses load this module; its public names are reached through
-``forms`` (the report's JSON through ``serialize``), which import it on
-first use.
+witnesses load this module.  Its public names are imported from here,
+except those that perfbench looks up elsewhere: ``GenusWitness`` and
+``verify_genus_witness`` are reached through ``forms``, and
+``genus_report_to_json`` through ``serialize``, which import this
+module on first use.
 """
 
 from __future__ import annotations

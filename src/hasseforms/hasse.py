@@ -57,7 +57,7 @@ def _picard_data(curve: CurveSpec):
     """(Picard order, 2-torsion or None on the line), cross-checked.
     ``picard_order`` refuses a singular cubic, naming its singular point;
     that is the one smoothness refusal of every verdict here."""
-    from .curvepoints import has_two_torsion, picard_order  # compiles point counting on first use
+    from .picard import has_two_torsion, picard_order  # compiles point counting on first use
 
     order = picard_order(curve)
     torsion = None

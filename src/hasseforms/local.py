@@ -25,12 +25,15 @@ Frobenius powers x^(q^j) mod f (von zur Gathen and Gerhard, *Modern
 Computer Algebra*, ch. 14), splitting a part that holds two or more
 primes by those lists.
 
-No CLI command runs this code.  Its public names are reached through
-``forms`` and ``funcfield``, which import this module on first use.
-perfbench's tracer wraps each traced name in the modules loaded before
-it starts, and its own lookup of ``monic_irreducibles`` loads this module
-before it wraps that name, ``enumerate_points`` and ``diagonalize``; so
-the code here calls those three through their home modules, imported at
+No CLI command runs this code.  Its public names are imported from
+here, except the five that perfbench's tracer wraps on ``forms`` and
+``funcfield`` (``diagonalize``, ``local_isomorphic``,
+``monic_irreducibles``, ``factor``, ``valuation``), which are reached
+there; those modules import this one on first use.  The tracer wraps
+each traced name in the modules loaded before it starts, and its own
+lookup of ``monic_irreducibles`` loads this module before it wraps that
+name, ``enumerate_points`` and ``diagonalize``; so the code here calls
+those three through the modules the tracer wraps them on, imported at
 call time.
 """
 
@@ -42,7 +45,7 @@ from typing import Optional
 
 from .curvepoints import AffinePoint, _conjugates, is_singular_point, require_on_curve
 from .curvering import CurveSpec, diagonal_rows, is_symmetric, square_rows
-from .finfield import MAX_INSPECTION_SIZE, FieldElement, FiniteField, SquareClass, capped_power, is_square, square_class
+from .finfield import MAX_INSPECTION_SIZE, FieldElement, FiniteField, capped_power, is_square
 from .forms import GramMatrix, is_unimodular
 from .funcfield import Poly, _coeff_text, is_irreducible, monic_rank, poly_gcd, to_text
 from .records import Record
@@ -278,22 +281,14 @@ def diagonalize(form: FieldForm):
     return form._reduced
 
 
-def disc_class(form: FieldForm) -> SquareClass:
-    """Square class of the determinant, a congruence invariant."""
-    d = form.det()
-    if d.is_zero():
-        raise ValueError("discriminant class of a degenerate form is undefined")
-    return square_class(d)
-
-
 def field_isomorphic(f: FieldForm, g: FieldForm) -> bool:
-    """Rank plus discriminant class decide isomorphism over a finite
-    field of odd order (Witt classification)."""
+    """Rank plus the square class of the determinant decide isomorphism
+    over a finite field of odd order (Witt classification)."""
     if f.field is not g.field:
         raise ValueError("forms live over different fields")
     if f.is_degenerate() or g.is_degenerate():
         raise ValueError("isomorphism test requires nondegenerate forms")
-    return f.n == g.n and disc_class(f) == disc_class(g)
+    return f.n == g.n and is_square(f.det()) == is_square(g.det())
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 print a pass/fail table.
 
 Only ``verify-paper`` loads this module.  Its rows need point counting,
-genus verification and the search, so it imports them through their
-home modules (``curvepoints``, ``forms``) like every other caller.
+genus verification and the search; like every other caller, it imports
+the names perfbench's tracer wraps from the modules it wraps them on
+(``curvepoints``, ``forms``) and every other name from its home.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import sys
 from .curvepoints import point_report
 from .curvering import CurveSpec
 from .finfield import make_extension
-from .forms import is_unimodular, isom_search, verify_genus_witness, witness_identity
+from .forms import is_unimodular, isom_search, verify_genus_witness
+from .genus import witness_identity
 from .hasse import hasse_principle
 from .serialize import dumps, load_bundled_pair
 

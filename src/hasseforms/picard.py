@@ -21,8 +21,9 @@ x-axis, so the group order is odd exactly when x^3 + ax + b has no root
 in F_q.  ``point_report`` carries both facts side by side.
 
 Only the ``curve``, ``hasse`` and ``verify-paper`` commands load this
-module.  Its public names are reached through ``curvepoints`` (and the
-two encoders through ``serialize``), which import it on first use.
+module, and its public names are imported from here, except
+``point_report``, which perfbench's tracer wraps on ``curvepoints`` and
+is reached there; ``curvepoints`` imports this module on first use.
 """
 
 from __future__ import annotations

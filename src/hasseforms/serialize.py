@@ -23,8 +23,9 @@ a recursive encoder (the standard one indents only in pure Python).
 
 The reports' encoders live next to the code that builds the reports and
 load with it: ``point_report_to_json`` and ``decision_to_json`` in
-``picard``, ``genus_report_to_json`` in ``genus``.  They are reached
-through this module (``__getattr__``).
+``picard``, ``genus_report_to_json`` in ``genus``.  The last, which
+perfbench's session worker looks up here, is also reached through this
+module (``__getattr__``).
 """
 
 from __future__ import annotations
@@ -39,10 +40,7 @@ from .finfield import MAX_FIELD_SIZE, FieldElement, FiniteField, capped_power, m
 from .forms import GramMatrix
 from .funcfield import Poly, to_text
 
-__getattr__ = _lazy_names(
-    globals(),
-    {"point_report_to_json": "picard", "decision_to_json": "picard", "genus_report_to_json": "genus"},
-)
+__getattr__ = _lazy_names(globals(), {"genus_report_to_json": "genus"})
 
 
 def dumps(obj) -> str:
@@ -147,7 +145,7 @@ def curve_from_json(data: dict) -> CurveSpec:
     field = field_from_json(require_key(data, "field", "curve"))
     kind = require_key(data, "type", "curve")
     if kind == "polyline":
-        return CurveSpec.polyline(field)
+        return CurveSpec(kind, field, data.get("a"), data.get("b"))  # which refuses coefficients
     if kind == "weierstrass":
         return CurveSpec.weierstrass(
             field,

@@ -22,8 +22,8 @@ from hasseforms import forms, search
 from hasseforms.finfield import FiniteField, embed, make_extension, square_and_multiply
 from hasseforms.curvepoints import AffinePoint, require_on_curve
 from hasseforms.curvering import RingElement, RingFraction, congruence_rows
-from hasseforms.forms import FieldForm, field_isomorphic
-from hasseforms.funcfield import Poly, PrimePoly, factor, monic_polys
+from hasseforms.funcfield import Poly, factor, monic_polys
+from hasseforms.local import FieldForm, PrimePoly, field_isomorphic
 from hasseforms.serialize import elem_to_json, matrix_to_json, ring_elem_to_json
 
 

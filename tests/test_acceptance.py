@@ -14,21 +14,19 @@ import pytest
 
 from hasseforms.curvepoints import (
     enumerate_points,
-    is_smooth,
-    picard_order,
     point_report,
 )
 from hasseforms.curvering import CurveSpec, RingElement, RingMatrix, congruence, diagonal_rows
 from hasseforms.finfield import make_extension
 from hasseforms.forms import (
-    FieldForm,
     GramMatrix,
-    field_isomorphic,
     isom_search,
     verify_genus_witness,
 )
 from hasseforms.funcfield import Poly
 from hasseforms.hasse import FAILS, HOLDS, hasse_principle
+from hasseforms.local import FieldForm, field_isomorphic
+from hasseforms.picard import is_smooth, picard_order
 from hasseforms.serialize import load_bundled_pair, pair_from_json
 
 from oracles import INFINITY, brute_force_congruent, ec_multiply, smooth_weierstrass_pairs, symmetric_nondegenerate

@@ -4,18 +4,12 @@ from collections import Counter
 
 import pytest
 
-from hasseforms.curvepoints import (
-    AffinePoint,
-    enumerate_points,
-    has_two_torsion,
-    is_smooth,
-    picard_order,
-    point_report,
-)
+from hasseforms.curvepoints import AffinePoint, enumerate_points, point_report
 from hasseforms import curvepoints, finfield, picard
 from hasseforms.curvering import CurveSpec
 from hasseforms.finfield import FieldElement, FiniteField, make_extension
 from hasseforms.hasse import hasse_principle
+from hasseforms.picard import has_two_torsion, is_smooth, picard_order
 
 from oracles import (
     INFINITY,

@@ -21,8 +21,9 @@ from hasseforms.curvering import (
     matmul,
 )
 from hasseforms.finfield import FieldElement, make_extension
-from hasseforms.forms import FieldForm, GramMatrix
+from hasseforms.forms import GramMatrix
 from hasseforms.funcfield import Poly
+from hasseforms.local import FieldForm
 
 from oracles import dense_product, leibniz_det, poly_product_by_vectors
 

@@ -13,23 +13,21 @@ from hypothesis import strategies as st
 from hasseforms import curvepoints, curvering, finfield, forms, funcfield, genus, local, search
 from hasseforms.curvepoints import AffinePoint, enumerate_points
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction, RingMatrix, congruence, diagonal_rows
-from hasseforms.finfield import SquareClass, embed, is_square, make_extension
+from hasseforms.finfield import embed, is_square, make_extension
 from hasseforms.forms import (
     BudgetExceededError,
-    FieldForm,
     GenusWitness,
     GramMatrix,
     MalformedWitnessError,
     diagonalize,
-    disc_class,
-    field_isomorphic,
     isom_search,
     is_unimodular,
     local_isomorphic,
     verify_genus_witness,
-    witness_identity,
 )
-from hasseforms.funcfield import Poly, PrimePoly, monic_irreducibles
+from hasseforms.funcfield import Poly, monic_irreducibles
+from hasseforms.genus import witness_identity
+from hasseforms.local import FieldForm, PrimePoly, field_isomorphic
 from hasseforms.serialize import genus_report_to_json, load_bundled_pair, pair_from_json
 
 from oracles import (
@@ -296,15 +294,15 @@ def test_diagonalize_random_forms():
 
 
 def test_disc_class_examples():
-    assert disc_class(FieldForm.diagonal(F5, [1, 1])) is SquareClass.SQUARE
-    assert disc_class(FieldForm.diagonal(F5, [1, 2])) is SquareClass.NONSQUARE
+    assert is_square(FieldForm.diagonal(F5, [1, 1]).det())
+    assert not is_square(FieldForm.diagonal(F5, [1, 2]).det())
     # det of the hyperbolic plane is -1 = 2, a nonsquare mod 3
-    assert disc_class(FieldForm(F3, [[0, 1], [1, 0]])) is SquareClass.NONSQUARE
+    assert not is_square(FieldForm(F3, [[0, 1], [1, 0]]).det())
 
 
 def test_disc_class_rejects_degenerate():
-    with pytest.raises(ValueError):
-        disc_class(FieldForm(F5, [[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="square class of zero"):
+        is_square(FieldForm(F5, [[1, 2], [2, 4]]).det())
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -314,10 +312,10 @@ def test_disc_class_congruence_invariant_exhaustive_rank2(p):
     field = make_extension(p, 1)
     for f_int in symmetric_nondegenerate(p, 2):
         form = FieldForm(field, f_int)
-        cls = disc_class(form)
+        square = is_square(form.det())
         for t_int in general_linear_group(p, 2):
             moved = field_congruence(field_matrix(field, t_int), form)
-            assert disc_class(moved) is cls
+            assert is_square(moved.det()) == square
 
 
 def test_disc_class_congruence_invariant_sampled_rank3():
@@ -328,9 +326,9 @@ def test_disc_class_congruence_invariant_sampled_rank3():
     gl = general_linear_group(3, 3)
     for _ in range(40):
         form = FieldForm(F3, rng.choice(pool))
-        cls = disc_class(form)
+        square = is_square(form.det())
         moved = field_congruence(field_matrix(F3, rng.choice(gl)), form)
-        assert disc_class(moved) is cls
+        assert is_square(moved.det()) == square
 
 
 # -- field isomorphism ------------------------------------------------------------
@@ -656,7 +654,7 @@ def test_witness_determinant_skips_the_gcd_for_a_constant_quotient(monkeypatch):
 
 
 def test_field_isomorphic_computes_one_det_per_form(monkeypatch):
-    # det, rank and the discriminant class read one reduction per form
+    # det, rank and the square class of det read one reduction per form
     reductions = []
     diagonalize = local.diagonalize
 
@@ -668,7 +666,7 @@ def test_field_isomorphic_computes_one_det_per_form(monkeypatch):
     monkeypatch.setattr(forms, "diagonalize", counted)  # the binding FieldForm.det calls
     f = FieldForm(F5, [[1, 2], [2, 3]])
     g = FieldForm.diagonal(F5, [1, 4])
-    assert field_isomorphic(f, g) == (disc_class(f) == disc_class(g))
+    assert field_isomorphic(f, g) == (is_square(f.det()) == is_square(g.det()))
     assert reductions == [f.rows, g.rows]
     field_isomorphic(f, g)
     assert f.rank == g.rank == 2 and len(reductions) == 2

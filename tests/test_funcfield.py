@@ -10,10 +10,10 @@ from hasseforms.curvepoints import enumerate_points
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction
 from hasseforms.finfield import MAX_INSPECTION_SIZE, make_extension
 from hasseforms.genus import _times_power
+from hasseforms.local import PrimePoly
 from hasseforms.funcfield import (
     MAX_TEXT_DEGREE,
     Poly,
-    PrimePoly,
     factor,
     is_irreducible,
     monic_irreducibles,

@@ -3,7 +3,6 @@ import sys
 
 import pytest
 
-from hasseforms.curvepoints import has_two_torsion
 from hasseforms.curvering import CurveSpec
 from hasseforms.finfield import make_extension
 from hasseforms.hasse import (
@@ -13,6 +12,7 @@ from hasseforms.hasse import (
     hasse_principle,
     is_ufd,
 )
+from hasseforms.picard import has_two_torsion
 
 from oracles import smooth_weierstrass_pairs
 
@@ -134,10 +134,10 @@ def test_parity_invariant_survives_optimize():
     # the parity/2-torsion cross-check must not vanish under python -O,
     # which strips assert statements
     script = (
-        "from hasseforms import curvepoints, hasse\n"
+        "from hasseforms import hasse, picard\n"
         "from hasseforms.curvering import CurveSpec\n"
         "from hasseforms.finfield import make_extension\n"
-        "curvepoints.has_two_torsion = lambda curve: True\n"
+        "picard.has_two_torsion = lambda curve: True\n"
         "try:\n"
         "    hasse.hasse_principle(CurveSpec.weierstrass(make_extension(5, 1), 1, 1), 3)\n"
         "except AssertionError:\n"

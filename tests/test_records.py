@@ -3,12 +3,14 @@ points, repr text and witness validation."""
 
 import pytest
 
-from hasseforms.curvepoints import AffinePoint, PointCountReport, point_report
+from hasseforms.curvepoints import AffinePoint, point_report
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction, RingMatrix, diagonal_rows
 from hasseforms.finfield import make_extension
-from hasseforms.forms import GenusReport, GenusWitness, GramMatrix, MalformedWitnessError
+from hasseforms.forms import GenusWitness, GramMatrix, MalformedWitnessError
 from hasseforms.funcfield import Poly
+from hasseforms.genus import GenusReport
 from hasseforms.hasse import HasseDecision, HasseReason
+from hasseforms.picard import PointCountReport
 
 F5 = make_extension(5, 1)
 LINE5 = CurveSpec.polyline(F5)

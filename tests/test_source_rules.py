@@ -6,12 +6,18 @@ method or class has a caller in the library; every class that interns
 its values in ``__new__`` defines ``__reduce__``; interned fields and
 curves are compared with ``is``, never ``==``; only
 ``local.local_isomorphic`` tells the two kinds of closed place apart by
-type; and only ``cli.build_parser`` imports argparse."""
+type; only ``cli.build_parser`` imports argparse; and a public name
+defined in a module loaded on first use resolves from a second module
+exactly when perfbench looks it up there."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import hasseforms
+from test_traced_names import SESSION_CHAINS, _traced_names
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hasseforms"
 MODULES = sorted(SRC.glob("*.py"))
@@ -164,3 +170,39 @@ def test_argparse_is_imported_only_to_build_the_parser():
     # built, to print help, usage or an error
     sites = [(f"{path.stem}.{scope}", line) for path in MODULES for scope, line in _argparse_imports(_tree(path))]
     assert {scope for scope, _ in sites} == {"cli.build_parser"}, sites
+
+
+# modules that forward names defined in the modules loaded on first use
+FORWARDING = ("forms", "funcfield", "curvepoints", "serialize")
+LAZY_HOMES = ("local", "genus", "search", "picard")
+
+
+def _public_definitions(path):
+    """The public names a module defines at top level: its functions,
+    classes and assigned constants."""
+    names = set()
+    for node in _tree(path).body:
+        if isinstance(node, DEFINITIONS):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_a_name_is_forwarded_exactly_where_perfbench_looks_it_up():
+    # every name has one home; a second module forwards it only because
+    # perfbench's tracer wraps it there or its session worker reads
+    # hf.<module>.<name>, and the package reads a traced name where the
+    # tracer wrapped it, so a traced session call reaches the wrapper
+    traced = {(module, path.split(".")[0]) for module, path in _traced_names()}
+    read = {tuple(path.split(".")[:2]) for path, _ in SESSION_CHAINS if "." in path}
+    defined = set().union(*(_public_definitions(SRC / f"{home}.py") for home in LAZY_HOMES))
+    forwarded = {
+        (module, name)
+        for module in FORWARDING
+        for name in defined
+        if hasattr(importlib.import_module(f"hasseforms.{module}"), name)
+    }
+    assert forwarded == {(module, name) for module, name in traced | read if module in FORWARDING and name in defined}
+    homes = {name: module for module, name in traced if name in hasseforms._HOME}
+    assert homes == {name: hasseforms._HOME[name] for name in homes}
