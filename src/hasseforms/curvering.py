@@ -163,8 +163,6 @@ class RingElement(RingOps):
 
     @classmethod
     def y(cls, curve) -> RingElement:
-        if curve.is_polyline:
-            raise ValueError("the affine line has no y coordinate")
         return cls(curve, Poly.zero(curve.field), Poly.one(curve.field))
 
     # -- arithmetic -------------------------------------------------------

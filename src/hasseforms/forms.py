@@ -14,6 +14,8 @@ at call time, and every other name from its home.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from . import _lazy_names
 from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _ring_entry, det, diagonal_rows, is_symmetric, square_rows
 
@@ -47,12 +49,13 @@ class GramMatrix:
     with denominator 1 (``curvering._ring_entry``); a RingMatrix is
     passed as its ``rows``.  The curve of each entry, symmetry,
     integrality and nondegeneracy are checked in that order, and the
-    determinant is taken over the ring once and kept.  ``matrix`` is the
-    form as a RingMatrix over the fraction field, built when a caller
-    asks for it.
+    determinant is taken over the ring once and kept.  A diagonal form
+    checks each entry once and takes the product of its diagonal as its
+    determinant.  ``matrix`` is the form as a RingMatrix over the
+    fraction field, built on each call.
     """
 
-    __slots__ = ("curve", "rows", "_det", "_matrix")
+    __slots__ = ("curve", "rows", "_det")
 
     def __init__(self, curve: CurveSpec, rows):
         rows = square_rows(curve, rows, _ring_entry)
@@ -63,10 +66,13 @@ class GramMatrix:
         d = det(rows)
         if d.is_zero():
             raise ValueError("integral forms are nondegenerate")
+        self._set(curve, rows, d)
+
+    def _set(self, curve, rows, d) -> GramMatrix:
         self.curve = curve
         self.rows = rows
         self._det = d
-        self._matrix = None
+        return self
 
     @classmethod
     def from_rows(cls, curve, rows) -> GramMatrix:
@@ -78,7 +84,12 @@ class GramMatrix:
 
     @classmethod
     def diagonal(cls, curve, entries) -> GramMatrix:
-        return cls(curve, diagonal_rows(entries, _ring_entry(curve, 0)))
+        diag = [_ring_entry(curve, e) for e in entries]
+        rows = tuple(map(tuple, diagonal_rows(diag, _ring_entry(curve, 0))))
+        if not diag or any(type(e) is RingFraction or e.is_zero() for e in diag):
+            return cls(curve, rows)  # refused by __init__, with its message
+        # by Leibniz only the identity permutation survives, and the ring is a domain
+        return object.__new__(cls)._set(curve, rows, reduce(RingElement.__mul__, diag))
 
     @property
     def n(self) -> int:
@@ -86,9 +97,7 @@ class GramMatrix:
 
     @property
     def matrix(self) -> RingMatrix:
-        if self._matrix is None:
-            self._matrix = RingMatrix(self.curve, self.rows)
-        return self._matrix
+        return RingMatrix(self.curve, self.rows)
 
     def det(self) -> RingElement:
         return self._det

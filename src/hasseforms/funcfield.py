@@ -84,7 +84,27 @@ class Poly(RingOps):
 
     @classmethod
     def from_text(cls, field, text: str) -> Poly:
-        return _parse_poly(field, text)
+        """The polynomial a text of the grammar names, with its coefficients
+        read mod p straight into element codes.  A plain integer, the most
+        common entry, costs one ``int``."""
+        if not isinstance(text, str):
+            raise ValueError(f"polynomial text must be a string, got {text!r}")
+        compact = text.replace(" ", "")
+        if compact.isdecimal():  # exactly what \d+ matches, and what int() reads
+            c = int(compact) % field.p
+            return _constants(field)[c] if c < 2 else Poly._raw(field, (field._elements[c],))
+        if not _POLY_RE.fullmatch(compact):
+            raise _refusal(text, compact)
+        coeffs: dict[int, int] = {}
+        for sign, digits, x, exp in _TERM_RE.findall(compact):
+            if digits or x:  # not the empty match at the end
+                e = _exponent(x, exp)
+                c = int(digits) if digits else 1
+                coeffs[e] = coeffs.get(e, 0) + (-c if sign == "-" else c)
+        codes = [0] * (max(coeffs) + 1)
+        for e, c in coeffs.items():
+            codes[e] = c % field.p
+        return Poly._raw(field, [field._elements[c] for c in codes])
 
     # -- structure ----------------------------------------------------
 
@@ -234,13 +254,9 @@ class Poly(RingOps):
     def __eq__(self, other):
         if type(other) is Poly and other.field is self.field:
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, FieldElement)):
-            other = Poly.constant(self.field, other)
-        return (
-            isinstance(other, Poly)
-            and self.field is other.field
-            and self.coeffs == other.coeffs
-        )
+        if isinstance(other, (int, FieldElement)):  # the constant it names
+            return self.coeffs == Poly.constant(self.field, other).coeffs
+        return False  # a polynomial over another field, or no polynomial
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -276,30 +292,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # against the whole grammar once, then read term by term with no check
 _POLY_RE = re.compile(r"(?:[+-]?(?:\d+(?:\*?x(?:\^\d+)?)?|\*?x(?:\^\d+)?)(?=[+-]|\Z))+")
 _TERM_RE = re.compile(r"([+-]?)(\d*)(?:\*?(x)(?:\^(\d+))?)?")
-
-
-def _parse_poly(field: FiniteField, text: str) -> Poly:
-    """The polynomial a text of the grammar names, with its coefficients
-    read mod p straight into element codes.  A plain integer, the most
-    common entry, costs one ``int``."""
-    if not isinstance(text, str):
-        raise ValueError(f"polynomial text must be a string, got {text!r}")
-    compact = text.replace(" ", "")
-    if compact.isdecimal():  # exactly what \d+ matches, and what int() reads
-        c = int(compact) % field.p
-        return _constants(field)[c] if c < 2 else Poly._raw(field, (field._elements[c],))
-    if not _POLY_RE.fullmatch(compact):
-        raise _refusal(text, compact)
-    coeffs: dict[int, int] = {}
-    for sign, digits, x, exp in _TERM_RE.findall(compact):
-        if digits or x:  # not the empty match at the end
-            e = _exponent(x, exp)
-            c = int(digits) if digits else 1
-            coeffs[e] = coeffs.get(e, 0) + (-c if sign == "-" else c)
-    codes = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        codes[e] = c % field.p
-    return Poly._raw(field, [field._elements[c] for c in codes])
 
 
 def _exponent(x: str, exp: str) -> int:

@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import _lazy_names
 from .curvepoints import AffinePoint
-from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _coerce_entry, _ring_entry
+from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _coerce_entry
 from .finfield import MAX_FIELD_SIZE, FieldElement, FiniteField, capped_power, make_extension
 from .forms import GramMatrix
 from .funcfield import Poly, to_text
@@ -186,8 +186,7 @@ def entry_from_json(curve: CurveSpec, data):
     over a nonzero constant, scaled by its inverse), else a RingFraction
     in lowest terms, its denominator rationalized into F_q[x]."""
     if not isinstance(data, dict) or "num" not in data:
-        # an int is the curve's shared constant (JSON true is no int)
-        return _ring_entry(curve, data) if type(data) is int else ring_elem_from_json(curve, data)
+        return ring_elem_from_json(curve, data)  # an int is the curve's shared constant
     num = ring_elem_from_json(curve, data["num"])
     den = data.get("den", "1")
     den = ring_elem_from_json(curve, den) if isinstance(den, dict) else Poly.from_text(curve.field, den)

@@ -145,7 +145,7 @@ def test_is_unit_exhaustive_small_degree():
 
 
 def test_polyline_rejects_y():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the affine line has no y coordinate"):
         RingElement.y(LINE)
     with pytest.raises(ValueError):
         relem(LINE, "0", "1")

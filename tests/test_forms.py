@@ -232,6 +232,82 @@ def test_gram_rows_hold_ring_elements():
     assert g != GramMatrix.identity(EC, 3) and g != GramMatrix.identity(LINE5, 3)
 
 
+# the line and a cubic over each of F_3, F_5, F_9 and F_25
+SHAPE_CURVES = [
+    curve
+    for field in (F3, F5, make_extension(3, 2), make_extension(5, 2))
+    for curve in (CurveSpec.polyline(field), CurveSpec.weierstrass(field, 1, 2))
+]
+
+
+@st.composite
+def diagonal_entries(draw):
+    """(curve, entries): one to six diagonal entries, each an int, a field
+    element, a polynomial, a ring element (with a y part on the cubic) or
+    a fraction over 1; any of them may be zero."""
+    curve = draw(st.sampled_from(SHAPE_CURVES))
+    field = curve.field
+    coeff = st.sampled_from(list(field.elements()))
+    poly = st.lists(coeff, max_size=3).map(lambda cs: Poly(field, cs))
+    ring = st.builds(lambda a, b: RingElement(curve, a, b), poly, st.just(Poly.zero(field)) if curve.is_polyline else poly)
+    entry = st.one_of(st.integers(-3, 3), coeff, poly, ring, ring.map(RingFraction.from_ring))
+    return curve, draw(st.lists(entry, min_size=1, max_size=6))
+
+
+def _built(make):
+    """The rows and determinant of the form ``make`` builds, or the type
+    and message of its refusal."""
+    try:
+        form = make()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return form.rows, form.det()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(diagonal_entries())
+def test_diagonal_form_matches_the_generic_constructor(case):
+    curve, entries = case
+    built = _built(lambda: GramMatrix.diagonal(curve, entries))
+    assert built == _built(lambda: GramMatrix.from_rows(curve, diagonal_rows(entries, 0)))
+    if type(built[0]) is tuple:  # a form, with the curve's shared zero off its diagonal
+        zero = RingElement.zero(curve)
+        assert all(e is zero for i, row in enumerate(built[0]) for j, e in enumerate(row) if i != j)
+
+
+def test_diagonal_form_refuses_as_the_generic_constructor():
+    # each entry is coerced in order, then denominators, then zeros are
+    # refused: the order and the messages of GramMatrix.__init__
+    inv_x = RingFraction(LINE5, RingElement.one(LINE5), P(F5, "x"))
+    cases = [
+        ([], ValueError, "matrix must have at least one row"),
+        ([P(F5, "x"), 0], ValueError, "integral forms are nondegenerate"),
+        ([inv_x], ValueError, "integral forms have no denominators"),
+        ([0, inv_x], ValueError, "integral forms have no denominators"),
+        ([1, Poly.one(F3)], ValueError, "polynomial parts must live over the curve's field"),
+        ([inv_x, RingElement.one(EC)], ValueError, "mismatched curves"),
+        ([1.5], TypeError, "cannot place 1.5 in a matrix"),
+    ]
+    for entries, kind, message in cases:
+        assert _built(lambda: GramMatrix.diagonal(LINE5, entries)) == (kind, message)
+        assert _built(lambda: GramMatrix.from_rows(LINE5, diagonal_rows(entries, 0))) == (kind, message)
+
+
+def test_diagonal_and_identity_forms_run_no_generic_check(monkeypatch):
+    # a diagonal form is built from its shape: no pass over n^2 entries,
+    # no symmetry test and no cofactor expansion
+    calls = []
+    for name in ("square_rows", "is_symmetric", "det"):
+        real = getattr(forms, name)
+        monkeypatch.setattr(forms, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    for curve in (LINE5, EC):
+        GramMatrix.diagonal(curve, [1, P(F5, "x^2+1"), RingElement.x(curve), 3, F5.element(2)])
+        GramMatrix.identity(curve, 4)
+    assert calls == []
+    GramMatrix.from_rows(LINE5, [[1, 0], [0, 2]])
+    assert calls == ["square_rows", "is_symmetric", "det"]
+
+
 def test_field_congruence_refuses_a_transition_of_another_size():
     # a 2 x 2 T against a 3 x 3 F used to be truncated to a 2 x 2 form
     one, zero = F5.one(), F5.zero()
