@@ -69,13 +69,16 @@ def _curve_from_args(args) -> CurveSpec:
 
 
 def _load_input(args) -> dict:
-    if args.input:
-        with open(args.input) as handle:
-            data = json.load(handle)
-    elif args.json:
-        data = json.loads(args.json)
-    else:
-        raise ValueError("provide --input FILE or --json TEXT")
+    try:
+        if args.input:
+            with open(args.input) as handle:
+                data = json.load(handle)
+        elif args.json:
+            data = json.loads(args.json)
+        else:
+            raise ValueError("provide --input FILE or --json TEXT")
+    except RecursionError:  # the decoder's, on arrays or objects nested too deep
+        raise ValueError("input JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("input must be a JSON object")
     return data
@@ -145,9 +148,10 @@ def _cmd_genus_verify(args) -> int:
     from .forms import verify_genus_witness
     from .genus import genus_report_to_json
 
-    pair = pair_from_json(_load_input(args))
-    if "witness" not in pair:
+    data = _load_input(args)
+    if "witnesses" not in data:  # refused before any form is built
         raise ValueError("pair file carries no witnesses")
+    pair = pair_from_json(data)
     degree = args.inspection_degree if args.inspection_degree is not None else pair.get("degree", 2)
     report = verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=degree)
     _emit(genus_report_to_json(report), args.format)
@@ -157,11 +161,13 @@ def _cmd_genus_verify(args) -> int:
 def _cmd_isom_search(args) -> int:
     from .forms import isom_search
 
-    pair = pair_from_json(_load_input(args))
-    bounds = pair.get("bounds", {})
-    deg_x = args.degree_bound if args.degree_bound is not None else bounds.get("deg_x")
-    if deg_x is None:
+    data = _load_input(args)
+    bounds = data.get("isom_bounds", {})  # one that is no JSON object is refused by pair_from_json
+    if args.degree_bound is None and isinstance(bounds, dict) and "deg_x" not in bounds:  # before any form is built
         raise ValueError("no degree bound: pass --degree-bound or put isom_bounds in the file")
+    pair = pair_from_json(data)
+    bounds = pair.get("bounds", {})
+    deg_x = args.degree_bound if args.degree_bound is not None else bounds["deg_x"]
     deg_y = args.degree_bound_y if args.degree_bound_y is not None else bounds.get("deg_y", -1)
     witness = isom_search(pair["F"], pair["G"], deg_x=deg_x, deg_y=deg_y, budget=_search_budget())
     payload = {

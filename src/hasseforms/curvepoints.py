@@ -87,8 +87,6 @@ def _conjugates(q: int, m: int, lx, ly) -> list:
     until both close, so its length, the closed point's degree, is the
     lcm of theirs."""
     xs, ys = _cycle(q, m, lx), _cycle(q, m, ly)
-    if len(xs) == len(ys):
-        return list(zip(xs, ys))
     return [(xs[i % len(xs)], ys[i % len(ys)]) for i in range(math.lcm(len(xs), len(ys)))]
 
 

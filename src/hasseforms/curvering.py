@@ -66,7 +66,7 @@ class CurveSpec:
             curve.kind, curve.field, curve.a, curve.b = key
             # made on first use: the cubic, the discriminant test and curvepoints' x-scan of F_q
             curve._cubic = curve._smooth = curve._scan = None
-            curve._entries = {}  # constant entries c/1 by c and by ints, shared and never changed
+            curve._entries = {}  # constant entries c/1 by c, shared and never changed
         return curve
 
     def __reduce__(self):
@@ -181,8 +181,6 @@ class RingElement(RingOps):
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if other.is_zero():
-            return self
         return RingElement._raw(self.curve, self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
@@ -319,8 +317,6 @@ class RingFraction(FieldOps):
         if isinstance(den, RingElement):
             if den.is_zero():
                 raise ZeroDivisionError("zero denominator")
-            if den.b.is_zero():
-                return cls(curve, num, den.a)  # may be non-monic; reduced below
             return cls(curve, num * den.conj(), den.norm())
         raise TypeError(f"cannot use {den!r} as a denominator")
 
@@ -336,10 +332,6 @@ class RingFraction(FieldOps):
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
         num = self.num * other.den + other.num * self.den
         return RingFraction(self.curve, num, self.den * other.den)
 
@@ -404,12 +396,9 @@ def _reduce_fraction(num: RingElement, den: Poly):
         if g.degree >= 1:
             num = RingElement(num.curve, num.a // g, num.b // g)
             den = den // g
-    lead = den.coeffs[-1]
-    if lead is not den.field.one():
-        inv = Poly._raw(den.field, (lead.inverse(),))
-        num = RingElement._raw(num.curve, num.a * inv, num.b * inv)
-        den = den * inv
-    return num, den
+    inv = Poly._raw(den.field, (den.coeffs[-1].inverse(),))
+    num = RingElement._raw(num.curve, num.a * inv, num.b * inv)
+    return num, den * inv
 
 
 class RingMatrix:
@@ -453,20 +442,15 @@ class RingMatrix:
 def _coerce_entry(curve, e) -> RingFraction:
     """e as a matrix entry over the curve: a constant as the curve's
     shared c/1, a fraction of the curve as itself, and a polynomial or
-    ring element as e/1 (``_ring_entry``).  A repeated constant is one
-    dict lookup."""
+    ring element as e/1 (``_ring_entry``)."""
     if isinstance(e, (int, FieldElement)):
-        frac = curve._entries.get(e)  # a repeated int skips field.element
+        field = curve.field
+        c = field.element(e)  # the value c owns the one shared c/1
+        frac = curve._entries.get(c)
         if frac is None:
-            field = curve.field
-            c = field.element(e)  # the value c owns the one shared c/1
-            frac = curve._entries.get(c)
-            if frac is None:
-                frac = curve._entries[c] = RingFraction.from_ring(
-                    RingElement._raw(curve, Poly._raw(field, (c,)), Poly.zero(field))
-                )
-            if type(e) is int and len(curve._entries) < 4 * field.q:  # few int keys: the curve lives for the process
-                curve._entries[e] = frac
+            frac = curve._entries[c] = RingFraction.from_ring(
+                RingElement._raw(curve, Poly._raw(field, (c,)), Poly.zero(field))
+            )
         return frac
     if isinstance(e, RingFraction):
         if e.curve is not curve:

@@ -153,10 +153,6 @@ class Poly(RingOps):
             if other is NotImplemented:
                 return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if not b:
-            return self
-        if not a:
-            return other
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -199,8 +195,6 @@ class Poly(RingOps):
             return other if c is self.field.one() else Poly._raw(self.field, [c * y for y in b])
         out = [self.field.zero()] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if x.is_zero():
-                continue
             for j, y in enumerate(b):
                 out[i + j] = out[i + j] + x * y
         return Poly._raw(self.field, out)

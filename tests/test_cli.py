@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -344,7 +346,8 @@ def test_malformed_shapes_exit_2(capsys):
     cases = [
         ("isom-search", None, "input must be a JSON object"),
         ("form", [1], "input must be a JSON object"),
-        ("isom-search", {"schema": 1, "curve": line, "F": [], "G": []}, "at least one row"),
+        ("isom-search", {"schema": 1, "curve": line, "F": [], "G": [], "isom_bounds": {"deg_x": 0}}, "at least one row"),
+        ("isom-search", {"schema": 1, "curve": line, "F": [], "G": []}, "no degree bound"),  # refused first
         ("form", {"schema": 1, "curve": line, "matrix": []}, "at least one row"),
         ("form", {"schema": 1, "curve": line, "matrix": [[{"A": 7}]]}, "must be a string"),
         ("form", {"schema": 1, "curve": line, "matrix": [[[1]]]}, "ring element must be"),
@@ -362,6 +365,48 @@ def test_malformed_shapes_exit_2(capsys):
     for flags in (["--a", "1", "--b", "1"], ["--b", "0"]):  # once dropped by the flag reader
         code, _, err = invoke(capsys, "curve", "--q", "5", "--polyline", *flags)
         assert code == 2 and json.loads(err)["error"] == "the affine line takes no coefficients"
+
+
+DEEP_JSON = "[" * 2000 + "]" * 2000  # beyond the decoder's recursion limit
+
+
+def test_deeply_nested_json_text_exits_2(capsys):
+    # the decoder's RecursionError once escaped run: a traceback and exit 1
+    for command in ("isom-search", "genus-verify", "form", "curve"):
+        code, out, err = invoke(capsys, command, "--json", DEEP_JSON)
+        assert (code, out) == (2, "") and json.loads(err)["error"] == "input JSON is nested too deeply"
+
+
+def test_deeply_nested_json_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    for command in ("isom-search", "genus-verify", "form", "curve"):
+        code, out, err = invoke(capsys, command, "--input", str(path))
+        assert (code, out) == (2, "") and json.loads(err)["error"] == "input JSON is nested too deeply"
+
+
+def test_missing_bound_or_witnesses_is_refused_before_any_determinant(capsys, monkeypatch):
+    # a dense rank-7 pair over F_5 with degree-1 entries: its two
+    # determinants took 0.26 s before either refusal
+    import hasseforms.forms
+
+    taken = []
+    det = hasseforms.forms.det
+    monkeypatch.setattr(hasseforms.forms, "det", lambda rows: taken.append(len(rows)) or det(rows))
+    rng = random.Random(7)
+    cells = {(i, j): f"{rng.randint(1, 4)}*x+{rng.randint(0, 4)}" for i in range(7) for j in range(i + 1)}
+    gram = [[cells[max(i, j), min(i, j)] for j in range(7)] for i in range(7)]  # nondegenerate
+    pair = {"schema": 1, "curve": {"type": "polyline", "field": {"p": 5, "k": 1}}, "F": gram, "G": gram}
+    for command, extra, message in [
+        ("isom-search", {}, "no degree bound: pass --degree-bound or put isom_bounds in the file"),
+        ("isom-search", {"isom_bounds": {"deg_y": 0}}, "no degree bound: pass --degree-bound or put isom_bounds in the file"),
+        ("genus-verify", {}, "pair file carries no witnesses"),
+    ]:
+        code, out, err = invoke(capsys, command, "--json", json.dumps({**pair, **extra}))
+        assert (code, out, json.loads(err)["error"], taken) == (2, "", message, [])
+    small = dict(pair, F=[[1]], G=[[1]])
+    invoke(capsys, "isom-search", "--json", json.dumps(small), "--degree-bound", "0")
+    assert taken == [1, 1]  # the binding counted is the one the forms are built with
 
 
 def test_missing_key_names_the_object(capsys):
@@ -634,25 +679,32 @@ def test_each_command_loads_only_the_modules_it_runs():
         assert "argparse" in _modules_after(f"from hasseforms.cli import run; run({argv!r})"), argv
 
 
-def _loaded_lines(argv):
-    """The ``wc -l`` lines of the hasseforms modules a process holds after
-    running ``argv``: what a CLI process compiles, with no bytecode cache."""
+def _loaded_size(argv):
+    """(lines, nodes) of the hasseforms modules a process holds after
+    running ``argv``, what a CLI process compiles with no bytecode cache:
+    their ``wc -l`` lines, and the nodes ``ast.walk`` meets in their
+    syntax trees, which compile time follows more closely than lines."""
     src = Path(__file__).resolve().parents[1] / "src" / "hasseforms"
     names = _package_modules_after(f"from hasseforms.cli import run; run({argv!r})")
     files = [src / ("__init__.py" if name == "hasseforms" else f"{name.split('.')[-1]}.py") for name in names]
-    return sum(path.read_bytes().count(b"\n") for path in files)
+    sources = [path.read_bytes() for path in files]
+    return sum(text.count(b"\n") for text in sources), sum(sum(1 for _ in ast.walk(ast.parse(text))) for text in sources)
 
 
 def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # with every module loaded up front, genus-verify compiled 3 468 lines
     # and isom-search 3 866; a command compiles only what it runs, and
-    # these ceilings, the counts measured when they were last set, catch
-    # regrowth; curve and form load little beyond the modules every
+    # these ceilings on lines and on syntax-tree nodes, the counts measured
+    # when they were last set, catch regrowth; curve and form load little beyond the modules every
     # command loads, so growth there shows in their rows too
-    assert _loaded_lines(["genus-verify", "--input", fixture_path("polyline_pair")]) <= 2913
-    assert _loaded_lines(["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"]) <= 3053
-    assert _loaded_lines(["curve", "--q", "5", "--polyline"]) <= 2847
-    assert _loaded_lines(["form", "--json", form_payload("1")]) <= 2654
+    for argv, lines, nodes in [
+        (["genus-verify", "--input", fixture_path("polyline_pair")], 2895, 17502),
+        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 3035, 18890),
+        (["curve", "--q", "5", "--polyline"], 2829, 16717),
+        (["form", "--json", form_payload("1")], 2636, 15990),
+    ]:
+        size = _loaded_size(argv)
+        assert size[0] <= lines and size[1] <= nodes, (argv[0], size)
 
 
 PARSER_CASES = [

@@ -582,6 +582,40 @@ def test_sparse_matmul_and_det_match_dense_oracles(case):
             assert d == zero
 
 
+def _zero_and_nonzeros(kind):
+    """(the zero, three nonzero entries) of field, ring or fraction matrices:
+    over F_9, and on the smooth cubic with y parts and denominators."""
+    if kind == "field":
+        return F9.zero(), [F9.element([1, 2]), F9.element([0, 1]), F9.element(2)]
+    ring = [relem(SMOOTH, "x+1", "2"), relem(SMOOTH, "3"), relem(SMOOTH, "x^2", "x")]
+    if kind == "ring":
+        return RingElement.zero(SMOOTH), ring
+    return RingFraction.from_ring(RingElement.zero(SMOOTH)), [RingFraction(SMOOTH, e, P(d)) for e, d in zip(ring, ("x", "1", "x+2"))]
+
+
+def _masked(n, entries, zero, live):
+    return [[entries[(i + 2 * j) % len(entries)] if live(i, j) else zero for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["field", "ring", "fraction"])
+def test_plain_products_and_determinants_match_dense_oracles_on_zero_patterns(kind):
+    # every zero pattern of a 2 x 2 matrix, and 3 x 3 matrices with an
+    # all-zero row, an all-zero column, both, or no nonzero entry at all:
+    # each entry of a product, an all-zero one too, has the entries' type
+    zero, entries = _zero_and_nonzeros(kind)
+    two = [_masked(2, entries, zero, lambda i, j, m=m: m >> (2 * i + j) & 1) for m in range(16)]
+    three = [_masked(3, entries, zero, lambda i, j, r=r, c=c: i != r and j != c) for r in range(4) for c in range(4)]
+    three.append(_masked(3, entries, zero, lambda i, j: False))
+    for mats in (two, three):
+        for a in mats:
+            d = det(a)
+            assert d == leibniz_det(a) and type(d) is type(zero)
+            for b in mats[:: 3 if len(a) == 3 else 1]:
+                product = matmul(a, b)
+                assert product == dense_product(a, b)
+                assert all(type(e) is type(zero) and (e == zero) == e.is_zero() for row in product for e in row)
+
+
 def test_constant_entries_are_shared_per_curve_and_never_change():
     curve = CurveSpec.polyline(F5)
     m1 = RingMatrix(curve, diagonal_rows([1, 1, 1]))
@@ -604,20 +638,15 @@ def test_constant_entries_are_shared_per_curve_and_never_change():
     assert RingMatrix(CurveSpec.weierstrass(F5, 1, 1), diagonal_rows([1, 1, 1])).rows[0][1] is not zero  # one set per curve
 
 
-def test_repeated_int_entries_skip_field_element(monkeypatch):
+def test_int_entries_share_one_fraction_per_field_value(monkeypatch):
     curve = CurveSpec.polyline(F5)
     monkeypatch.setattr(curve, "_entries", {})  # empty, as when the curve was first built
     zero, one = RingMatrix(curve, diagonal_rows([1, 1])).rows[0][1], RingMatrix(curve, diagonal_rows([1, 1])).rows[0][0]
-    calls = []
-    element = F5.element.__func__
-    monkeypatch.setattr(type(F5), "element", lambda self, v: calls.append(v) or element(self, v))
     m = RingMatrix(curve, [[1, 0, 5], [0, 1, 0], [5, 0, 6]])
-    assert calls == [5, 6]  # 0 and 1 were seen; 5 and 6 are new ints
     assert m.rows[0][2] is zero and m.rows[2][2] is one  # one object per field value
-    calls.clear()
-    RingMatrix(curve, [[6, 5], [5, -4]])
-    assert calls == [-4]
+    assert RingMatrix(curve, [[6, 5], [5, -4]]).rows[1][1] is one
     assert RingMatrix(curve, [[F5.element(1)]]).rows[0][0] is one
+    assert set(curve._entries) == {F5.zero(), F5.one()}  # keyed by the value only, never by an int
 
 
 def test_is_symmetric_compares_only_distinct_entries(monkeypatch):
@@ -808,14 +837,18 @@ def test_curves_copy_and_pickle_as_themselves_and_forms_as_equals():
         assert copied == g and copied.curve is SMOOTH and copied.det() == g.det()
 
 
-def test_zero_and_one_operands_return_the_other_operand():
+def test_zero_operands_add_to_the_other_operand():
+    # a sum with zero takes the general path: it equals the other operand,
+    # and a fraction stays in lowest terms
     for curve in ARITH_CURVES:
         u = RingElement(curve, P("x+1", curve.field))
         zero = RingElement.zero(curve)
-        assert u + zero is u
+        assert u + zero == u and zero + u == u and u - zero == u
         frac = RingFraction(curve, u, P("x^2+2", curve.field))
         fzero = RingFraction.from_ring(zero)
-        assert frac + fzero is frac and fzero + frac is frac and frac - fzero is frac
+        for got in (frac + fzero, fzero + frac, frac - fzero):
+            assert got == frac and got.den == frac.den
+        assert (fzero + fzero).is_zero() and (fzero + fzero).den == Poly.one(curve.field)
 
 
 def test_fraction_negation_runs_no_gcd(monkeypatch):

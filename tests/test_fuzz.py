@@ -7,7 +7,8 @@ Inputs are mostly well formed (small fields, short polynomials, the
 bundled pair files with a few leaves replaced) so that they reach the
 search and the verification, with some arbitrary JSON and text mixed in.
 A separate isom-search strategy draws well-formed pairs whose entries
-reach the text-degree cap, for the search's evaluation points.
+reach the text-degree cap, for the search's evaluation points, and a
+deep-nesting one draws JSON nested past the decoder's recursion limit.
 """
 
 import contextlib
@@ -184,6 +185,38 @@ def test_isom_search_exit_codes_on_high_degree_entries(pair):
     with mock.patch.dict(os.environ, {"HASSE_FORMS_BUDGET": "3000"}):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(["isom-search", f"--json={json.dumps(pair)}"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error" in json.loads(err.getvalue())
+
+
+# JSON text nested up to 3 000 arrays or objects deep, beyond the decoder's
+# recursion limit: alone, or in place of one leaf of a bundled pair file
+_DEEP = "deep-nesting-marker"
+
+
+def _nested(depth, kind):
+    return "[" * depth + "]" * depth if kind == "array" else '{"a": ' * depth + "0" + "}" * depth
+
+
+def _leaf_slots(pair):
+    return st.sampled_from(list(_leaf_paths(pair))).map(lambda path: json.dumps(_replaced(pair, [(path, _DEEP)])))
+
+
+deep_payloads = st.tuples(
+    st.just(json.dumps(_DEEP)) | st.sampled_from([_bundled("polyline_pair"), _cubic]).flatmap(_leaf_slots),
+    st.integers(1, 3000),
+    st.sampled_from(["array", "object"]),
+).map(lambda t: t[0].replace(json.dumps(_DEEP), _nested(t[1], t[2])))
+
+
+@settings(FUZZ, max_examples=60)
+@given(st.sampled_from(sorted(payloads)), deep_payloads)
+def test_cli_exit_codes_on_deeply_nested_json(command, payload):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"HASSE_FORMS_BUDGET": "20000"}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, f"--json={payload}"])
     assert code in (0, 1, 2)
     if code == 2:
         assert "error" in json.loads(err.getvalue())
