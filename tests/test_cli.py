@@ -367,21 +367,14 @@ def test_malformed_shapes_exit_2(capsys):
         assert code == 2 and json.loads(err)["error"] == "the affine line takes no coefficients"
 
 
-DEEP_JSON = "[" * 2000 + "]" * 2000  # beyond the decoder's recursion limit
-
-
-def test_deeply_nested_json_text_exits_2(capsys):
+@pytest.mark.parametrize("route", ["--json", "--input"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, route):
     # the decoder's RecursionError once escaped run: a traceback and exit 1
-    for command in ("isom-search", "genus-verify", "form", "curve"):
-        code, out, err = invoke(capsys, command, "--json", DEEP_JSON)
-        assert (code, out) == (2, "") and json.loads(err)["error"] == "input JSON is nested too deeply"
-
-
-def test_deeply_nested_json_file_exits_2(capsys, tmp_path):
+    text = "[" * 2000 + "]" * 2000  # beyond the decoder's recursion limit
     path = tmp_path / "deep.json"
-    path.write_text(DEEP_JSON)
+    path.write_text(text)
     for command in ("isom-search", "genus-verify", "form", "curve"):
-        code, out, err = invoke(capsys, command, "--input", str(path))
+        code, out, err = invoke(capsys, command, route, text if route == "--json" else str(path))
         assert (code, out) == (2, "") and json.loads(err)["error"] == "input JSON is nested too deeply"
 
 
@@ -688,15 +681,17 @@ def _loaded_size(argv):
     names = _package_modules_after(f"from hasseforms.cli import run; run({argv!r})")
     files = [src / ("__init__.py" if name == "hasseforms" else f"{name.split('.')[-1]}.py") for name in names]
     sources = [path.read_bytes() for path in files]
-    return sum(text.count(b"\n") for text in sources), sum(sum(1 for _ in ast.walk(ast.parse(text))) for text in sources)
+    nodes = sum(sum(1 for _ in ast.walk(ast.parse(text))) for text in sources)
+    return sum(text.count(b"\n") for text in sources), nodes
 
 
 def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # with every module loaded up front, genus-verify compiled 3 468 lines
     # and isom-search 3 866; a command compiles only what it runs, and
     # these ceilings on lines and on syntax-tree nodes, the counts measured
-    # when they were last set, catch regrowth; curve and form load little beyond the modules every
-    # command loads, so growth there shows in their rows too
+    # when they were last set, catch regrowth; curve and form load little
+    # beyond the modules every command loads, so growth there shows in
+    # their rows too
     for argv, lines, nodes in [
         (["genus-verify", "--input", fixture_path("polyline_pair")], 2895, 17502),
         (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 3035, 18890),
