@@ -38,10 +38,11 @@ Z(n) = log(1 + g^n).  Then
 and negation, inverse and powers are single lookups as well.  For odd q
 the nonzero squares are the even powers of g, so ``is_square`` reads
 the square class of a off the parity of its log; the test suite
-cross-checks this against exhaustive squaring.  Coefficient vectors
-are multiplied mod m (``_ip_mulmod``) only while a field is built: to
-test generator candidates by ``square_and_multiply`` and to write down
-the matrix of multiplication by g.
+cross-checks this against exhaustive squaring.  A field is built with
+arithmetic the package already has: generator candidates are tested by
+``pow`` on ints (k = 1) or on ``funcfield.Poly`` mod m (k >= 2), k
+``Poly`` products give g t^j mod m, and from those the map "multiply
+by g" is written down once on element codes and walked from 1.
 
 Everything here is desk scale, because all downstream algorithms are
 enumerative.  Base fields, the fields curves and forms are defined over,
@@ -133,24 +134,6 @@ def t_poly_text(coeffs) -> str:
     return "+".join(terms) or "0"
 
 
-def _ip_mulmod(a, b, m, p):
-    """a * b mod m over F_p, m monic, for polynomials as int tuples with
-    ascending coefficients; trimmed.  Used only while a field is built."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    while len(out) >= len(m):
-        shift = len(out) - len(m)
-        lead = out.pop()  # cancelled by m's leading 1
-        for i, mi in enumerate(m[:-1]):
-            out[shift + i] -= lead * mi
-    out = [c % p for c in out]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def _prime_factors(n: int):
     """The distinct primes dividing n, increasing; n is prime exactly
     when this is [n]."""
@@ -188,29 +171,23 @@ class FiniteField:
         q = capped_power(p, k, MAX_INSPECTION_SIZE)
         if q > MAX_INSPECTION_SIZE:
             raise ValueError(f"field size {p}^{k} exceeds desk-scale bound {MAX_INSPECTION_SIZE}")
-        modulus = _minimal_irreducible(p, k)
-        vectors = [v[::-1] for v in itertools.product(range(p), repeat=k)]  # canonical order
-        one = vectors[1]
-
-        def mulmod(a, b):
-            return _ip_mulmod(a, b, modulus, p)
-
-        # the first generator of F_q^x in canonical order: g has order
-        # q - 1 iff g^((q - 1)/l) != 1 for every prime l dividing q - 1
         cofactors = [(q - 1) // l for l in _prime_factors(q - 1)]
-        g = next(
-            v for v in vectors[1:]
-            if all(square_and_multiply((1,), v, e, mulmod) != (1,) for e in cofactors)
-        )
-        # multiplying by g is F_p-linear: row j of its matrix holds the
-        # t^j coefficients of g t^i, i < k, so each power is one product
-        columns = [(mulmod(g, vectors[p**i]) + vectors[0])[:k] for i in range(k)]
-        rows = list(zip(*columns))
-        weights = [p**j for j in range(k)]
-        codes, power = [], one
+        modulus, columns = _modulus_and_columns(p, k, cofactors)
+        # multiplying by g is F_p-linear: digit i of g x is the sum over j
+        # of (g t^j)_i x_j mod p, so that digit of the image of every code
+        # takes one list comprehension per input digit
+        step, weight = [0] * q, 1
+        for i in range(k):
+            digit = [0]
+            for column in columns:
+                entry = column[i]
+                digit = [d + c * entry for c in range(p) for d in digit]
+            step = [s + d % p * weight for s, d in zip(step, digit)]
+            weight *= p
+        codes, code = [], 1  # the powers of g: the walk of that map from 1
         for _ in range(q - 1):
-            codes.append(sum(map(operator.mul, power, weights)))
-            power = [sum(map(operator.mul, row, power)) % p for row in rows]
+            codes.append(code)
+            code = step[code]
         logs = [None] * q
         for n, code in enumerate(codes):
             logs[code] = n
@@ -222,6 +199,7 @@ class FiniteField:
         field._half = (q - 1) // 2  # log of -1
         field._embeddings = {}  # source field -> image of each of its elements
         field._pullbacks = {}  # source field -> its element at each log of the image
+        vectors = [v[::-1] for v in itertools.product(range(p), repeat=k)]  # canonical order
         field._elements = [FieldElement(field, v, n, logs[n]) for n, v in enumerate(vectors)]
         # exp and Z twice over: a sum of two logs, or a difference of two
         # (as a negative index), then needs no reduction mod q - 1
@@ -288,14 +266,27 @@ class FiniteField:
         return f"F{self.q}"
 
 
-def _minimal_irreducible(p: int, k: int):
-    """The first monic irreducible of degree k over F_p in canonical order."""
+def _modulus_and_columns(p: int, k: int, cofactors):
+    """The modulus m of F_{p^k}, the first monic irreducible of degree k
+    over F_p in canonical order, and the coefficient codes of g t^j mod m
+    for j < k.  The generator g is the first element in canonical order
+    of order q - 1: g^e != 1 for every cofactor e = (q - 1)/l."""
     if k == 1:
-        return (0, 1)
-    from .funcfield import is_irreducible, monic_polys  # funcfield imports this module
+        g = next(c for c in range(1, p) if all(pow(c, e, p) != 1 for e in cofactors))
+        return (0, 1), [[g]]
+    from .funcfield import Poly, is_irreducible, monic_polys  # funcfield imports this module
 
-    modulus = next(f for f in monic_polys(make_extension(p, 1), k) if is_irreducible(f))
-    return tuple(c.coeffs[0] for c in modulus.coeffs)
+    base = make_extension(p, 1)
+    m = next(f for f in monic_polys(base, k) if is_irreducible(f))
+    one = Poly.one(base)
+    candidates = (Poly._raw(base, v[::-1]) for v in itertools.product(base._elements, repeat=k))
+    # the constants lie in F_p^x, whose order p - 1 is less than q - 1
+    g = next(f for f in candidates if f.degree > 0 and all(pow(f, e, m) != one for e in cofactors))
+    columns, t = [], Poly.x(base)
+    for _ in range(k):
+        columns.append([c._code for c in g.coeffs] + [0] * (k - len(g.coeffs)))
+        g = g * t % m
+    return tuple(c._code for c in m.coeffs), columns
 
 
 _field_cache: dict[tuple[int, int], FiniteField] = {}

@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import _lazy_names
 from .curvepoints import AffinePoint
-from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _coerce_entry
+from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _coerce_entry, square_rows
 from .finfield import MAX_FIELD_SIZE, FieldElement, FiniteField, capped_power, make_extension
 from .forms import GramMatrix
 from .funcfield import Poly, to_text
@@ -181,10 +181,9 @@ def fraction_to_json(e: RingFraction) -> dict:
 
 
 def entry_from_json(curve: CurveSpec, data):
-    """A matrix entry as written: a RingElement when it is integral on its
-    face (an int, a polynomial text, a ring-element record, or a fraction
-    over a nonzero constant, scaled by its inverse), else a RingFraction
-    in lowest terms, its denominator rationalized into F_q[x]."""
+    """A matrix entry as written: a RingElement for an int, a polynomial
+    text or a ring-element record, else a RingFraction in lowest terms,
+    its denominator rationalized into F_q[x]."""
     if not isinstance(data, dict) or "num" not in data:
         return ring_elem_from_json(curve, data)  # an int is the curve's shared constant
     num = ring_elem_from_json(curve, data["num"])
@@ -192,8 +191,6 @@ def entry_from_json(curve: CurveSpec, data):
     den = ring_elem_from_json(curve, den) if isinstance(den, dict) else Poly.from_text(curve.field, den)
     if den.is_zero():
         raise ValueError("fraction has a zero denominator")
-    if den.is_constant():
-        return num * den.constant_value().inverse()
     return RingFraction.make(num, den)
 
 
@@ -207,12 +204,12 @@ def matrix_to_json(m: RingMatrix) -> list:
 
 
 def _rows_from_json(curve: CurveSpec, rows, what: str, entry):
-    """``entry(curve, e)`` for each entry of a JSON list of rows, each a
-    list of entries; any other shape is refused with a ValueError naming
-    ``what``."""
+    """``curvering.square_rows(curve, rows, entry)`` for a JSON list of
+    rows, each a list of entries; any other shape is refused with a
+    ValueError naming ``what``."""
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"{what} must be a list of rows, each a list of entries")
-    return [[entry(curve, e) for e in row] for row in rows]
+    return square_rows(curve, rows, entry)
 
 
 def matrix_from_json(curve: CurveSpec, rows, what: str = "matrix") -> RingMatrix:
@@ -243,13 +240,13 @@ def pair_from_json(data: dict) -> dict:
     if data.get("schema") != 1:
         raise ValueError("unsupported or missing schema version")
     curve = curve_from_json(require_key(data, "curve", "pair"))
-    # the forms' entries load as ring elements: no fraction for an entry
-    # that is integral as written
-    f, g = (
-        GramMatrix(curve, _rows_from_json(curve, require_key(data, key, "pair"), key, entry_from_json))
-        for key in "FG"
-    )
-    out = {"curve": curve, "F": f, "G": g}
+    # the entries load by entry_from_json, a fraction only for a fraction
+    # record, and both shapes are checked before either form is built
+    # with its determinant
+    f, g = (_rows_from_json(curve, require_key(data, key, "pair"), key, entry_from_json) for key in "FG")
+    if len(f) != len(g):
+        raise ValueError("forms have different ranks")
+    out = {"curve": curve, "F": GramMatrix(curve, f), "G": GramMatrix(curve, g)}
     if "witnesses" in data:
         if not isinstance(data["witnesses"], list):
             raise ValueError("witnesses must be a JSON list")
@@ -262,7 +259,7 @@ def pair_from_json(data: dict) -> dict:
         )
         from .forms import GenusWitness  # compiles genus verification on first use
 
-        out["witness"] = GenusWitness(g, pairs)
+        out["witness"] = GenusWitness(out["G"], pairs)
     if "degree" in data:
         out["degree"] = require_int(data["degree"], "degree")
     if "isom_bounds" in data:

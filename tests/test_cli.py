@@ -402,6 +402,31 @@ def test_missing_bound_or_witnesses_is_refused_before_any_determinant(capsys, mo
     assert taken == [1, 1]  # the binding counted is the one the forms are built with
 
 
+def test_malformed_pair_shape_is_refused_before_any_determinant(capsys, monkeypatch):
+    # F's determinant, 0.46 s for a dense rank-8 F over F_5, once came
+    # before G was read
+    import hasseforms.forms
+
+    taken = []
+    det = hasseforms.forms.det
+    monkeypatch.setattr(hasseforms.forms, "det", lambda rows: taken.append(len(rows)) or det(rows))
+    rng = random.Random(8)
+    cells = {(i, j): f"{rng.randint(1, 4)}*x+{rng.randint(0, 4)}" for i in range(8) for j in range(i + 1)}
+    gram = [[cells[max(i, j), min(i, j)] for j in range(8)] for i in range(8)]
+    pair = {"schema": 1, "curve": {"type": "polyline", "field": {"p": 5, "k": 1}}, "F": gram}
+    for g, message in [
+        ([], "matrix must have at least one row"),
+        ([[1, 0], [0]], "matrix must be square"),
+        ([row[:7] for row in gram], "matrix must be square"),
+        ([[1]], "forms have different ranks"),
+        ([[1, 0], [0, 1]], "forms have different ranks"),
+    ]:
+        for command, flags in (("isom-search", ["--degree-bound", "0"]), ("genus-verify", [])):
+            payload = {**pair, "G": g, "witnesses": []}
+            code, out, err = invoke(capsys, command, "--json", json.dumps(payload), *flags)
+            assert (code, out, json.loads(err)["error"], taken) == (2, "", message, [])
+
+
 def test_missing_key_names_the_object(capsys):
     line = {"type": "polyline", "field": {"p": 3, "k": 1}}
     cases = [
@@ -693,10 +718,10 @@ def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # beyond the modules every command loads, so growth there shows in
     # their rows too
     for argv, lines, nodes in [
-        (["genus-verify", "--input", fixture_path("polyline_pair")], 2895, 17502),
-        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 3035, 18890),
-        (["curve", "--q", "5", "--polyline"], 2829, 16717),
-        (["form", "--json", form_payload("1")], 2636, 15990),
+        (["genus-verify", "--input", fixture_path("polyline_pair")], 2883, 17479),
+        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 3023, 18867),
+        (["curve", "--q", "5", "--polyline"], 2817, 16694),
+        (["form", "--json", form_payload("1")], 2624, 15967),
     ]:
         size = _loaded_size(argv)
         assert size[0] <= lines and size[1] <= nodes, (argv[0], size)

@@ -701,8 +701,8 @@ def test_diagonal_gram_builds_its_zero_entry_once(monkeypatch):
 
 
 def test_integral_forms_build_fractions_only_for_shared_constants(monkeypatch):
-    # a Gram matrix holds ring elements: from_rows, diagonal, identity and
-    # pair_from_json make no fraction but the curve's shared constants c/1
+    # a Gram matrix holds ring elements: from_rows, diagonal and identity
+    # make no fraction but the curve's shared constants c/1
     made = []
     raw, init = RingFraction._raw.__func__, RingFraction.__init__
 
@@ -738,7 +738,11 @@ def test_integral_forms_build_fractions_only_for_shared_constants(monkeypatch):
     }
     loaded = serialize.pair_from_json(pair)
     curve = loaded["curve"]
-    assert only_shared(curve) and (made or not fresh)
+    # G's fraction records, each over a constant, load through
+    # RingFraction.make as fractions over 1; the forms keep ring elements
+    shared = list(curve._entries.values())
+    assert all(any(frac is c for c in shared) or frac.is_integral() for frac in made) and (made or not fresh)
+    assert all(type(e) is RingElement for key in ("F", "G") for row in loaded[key].rows for e in row)
     for key in ("F", "G"):
         assert loaded[key] == GramMatrix(curve, serialize.matrix_from_json(curve, pair[key]).rows)
 
