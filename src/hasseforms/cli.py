@@ -25,9 +25,10 @@ import os
 import sys
 from types import SimpleNamespace
 
+from . import curvepoints, forms
 from .curvering import POLYLINE, CurveSpec
 from .finfield import MAX_FIELD_SIZE, _prime_factors, make_extension
-from .forms import DEFAULT_SEARCH_BUDGET, BudgetExceededError
+from .forms import DEFAULT_SEARCH_BUDGET, MAX_SEARCH_RANK, BudgetExceededError
 from .hasse import hasse_principle
 from .serialize import (
     curve_from_json,
@@ -99,17 +100,16 @@ def _search_budget():
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each imports what only it runs when it runs, taking a name
-# that perfbench's tracer wraps from the module it wraps the name on
-# (``forms``, ``curvepoints``), so that the tracer sees the call, and any
-# other name from its home
+# subcommands: each imports what only it runs when it runs, and reads a
+# name that perfbench's tracer wraps as an attribute of the module it
+# wraps the name on (``forms``, ``curvepoints``), so that the tracer sees
+# the call and no call runs an import statement for it
 
 
 def _cmd_curve(args) -> int:
-    from .curvepoints import point_report
     from .picard import point_report_to_json
 
-    report = point_report(_curve_from_args(args))
+    report = curvepoints.point_report(_curve_from_args(args))
     _emit(point_report_to_json(report), args.format)
     return 0
 
@@ -145,7 +145,6 @@ def _cmd_form(args) -> int:
 
 
 def _cmd_genus_verify(args) -> int:
-    from .forms import verify_genus_witness
     from .genus import genus_report_to_json
 
     data = _load_input(args)
@@ -153,23 +152,20 @@ def _cmd_genus_verify(args) -> int:
         raise ValueError("pair file carries no witnesses")
     pair = pair_from_json(data)
     degree = args.inspection_degree if args.inspection_degree is not None else pair.get("degree", 2)
-    report = verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=degree)
+    report = forms.verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=degree)
     _emit(genus_report_to_json(report), args.format)
     return 0 if report.verdict == "Certified" else 1
 
 
 def _cmd_isom_search(args) -> int:
-    from .forms import isom_search
-
     data = _load_input(args)
     bounds = data.get("isom_bounds", {})  # one that is no JSON object is refused by pair_from_json
     if args.degree_bound is None and isinstance(bounds, dict) and "deg_x" not in bounds:  # before any form is built
         raise ValueError("no degree bound: pass --degree-bound or put isom_bounds in the file")
-    pair = pair_from_json(data)
-    bounds = pair.get("bounds", {})
+    pair = pair_from_json(data, max_rank=MAX_SEARCH_RANK)  # which also checks ``bounds``
     deg_x = args.degree_bound if args.degree_bound is not None else bounds["deg_x"]
     deg_y = args.degree_bound_y if args.degree_bound_y is not None else bounds.get("deg_y", -1)
-    witness = isom_search(pair["F"], pair["G"], deg_x=deg_x, deg_y=deg_y, budget=_search_budget())
+    witness = forms.isom_search(pair["F"], pair["G"], deg_x=deg_x, deg_y=deg_y, budget=_search_budget())
     payload = {
         "schema": 1,
         "found": witness is not None,

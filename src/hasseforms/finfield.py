@@ -213,13 +213,6 @@ class FiniteField:
     def __reduce__(self):
         return FiniteField, (self.p, self.k)
 
-    def zech_table(self) -> list:
-        """Z(n) = log(1 + g^n), None where 1 + g^n = 0, for every n with
-        -2(q - 1) <= n < 2(q - 1) as a list index.  A kernel that holds
-        elements as their logs adds g^a + g^b as g^(a + Z(b - a)).
-        Read only."""
-        return self._zech
-
     def element(self, value) -> FieldElement:
         """Coerce an int (constant) or coefficient sequence into the field.
         An int, or a list holding one int, is one table lookup."""

@@ -8,8 +8,9 @@ bounded isometry search in ``search``.  The five of those names that
 perfbench's tracer wraps here (``diagonalize``, ``local_isomorphic``,
 ``GenusWitness``, ``verify_genus_witness``, ``isom_search``) are also
 reached through this module, which imports their home on first use
-(``__getattr__``); callers in the package import those five from here,
-at call time, and every other name from its home.
+(``__getattr__``).  Callers in the package (``cli``, ``local``,
+``serialize``) read those five as attributes of this module, where the
+tracer sees the call, and every other name from its home.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from . import _lazy_names
 from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _ring_entry, det, diagonal_rows, is_symmetric, square_rows
 
 DEFAULT_SEARCH_BUDGET = 10**8
+MAX_SEARCH_RANK = 3  # the largest rank isom_search takes
 
 
 class MalformedWitnessError(ValueError):

@@ -195,7 +195,7 @@ def _zero_test(h: RingElement, ext: FiniteField):
     ly None on the line.  h's coefficients are embedded in ext once, here;
     each call then runs Horner's rule on logs, a product being a sum of
     logs and a sum one Zech lookup, g^i + g^j = g^(i + Z(j - i))."""
-    m, zech = ext.q - 1, ext.zech_table()
+    m, zech = ext.q - 1, ext._zech
 
     def logs(poly):  # of the coefficients in ext, highest degree first
         return [(c if c.field is ext else embed(c, ext))._log for c in reversed(poly.coeffs)]

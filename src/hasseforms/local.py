@@ -29,12 +29,10 @@ No CLI command runs this code.  Its public names are imported from
 here, except the five that perfbench's tracer wraps on ``forms`` and
 ``funcfield`` (``diagonalize``, ``local_isomorphic``,
 ``monic_irreducibles``, ``factor``, ``valuation``), which are reached
-there; those modules import this one on first use.  The tracer wraps
-each traced name in the modules loaded before it starts, and its own
-lookup of ``monic_irreducibles`` loads this module before it wraps that
-name, ``enumerate_points`` and ``diagonalize``; so the code here calls
-those three through the modules the tracer wraps them on, imported at
-call time.
+there; those modules import this one on first use.  The code here calls
+``diagonalize``, ``monic_irreducibles`` and ``enumerate_points`` as
+attributes of the modules the tracer wraps them on, so that the tracer
+sees each call.
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ from functools import reduce
 from operator import mul
 from typing import Optional
 
+from . import curvepoints, forms, funcfield
 from .curvepoints import AffinePoint, _conjugates, is_singular_point, require_on_curve
 from .curvering import CurveSpec, diagonal_rows, is_symmetric, square_rows
 from .finfield import MAX_INSPECTION_SIZE, FieldElement, FiniteField, capped_power, is_square
@@ -64,10 +63,8 @@ def monic_irreducibles(field: FiniteField, degree: int):
     q^degree > MAX_INSPECTION_SIZE is refused before anything is built."""
     if capped_power(field.q, degree, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
         raise ValueError(f"{field.q}^{degree} monics exceed the enumeration bound {MAX_INSPECTION_SIZE}")
-    from .curvepoints import enumerate_points  # the traced name (module docstring)
-
     line = CurveSpec.polyline(field)
-    return tuple(place.prime for place in enumerate_points(line, degree, closed=True) if place.degree == degree)
+    return tuple(place.prime for place in curvepoints.enumerate_points(line, degree, closed=True) if place.degree == degree)
 
 
 def _multiplicity(f: Poly, prime: Poly):
@@ -94,8 +91,6 @@ def factor(f: Poly):
     ``monic_irreducibles``, so the product of the prime powers times the
     leading coefficient reassembles f.
     """
-    from .funcfield import monic_irreducibles  # the traced name (module docstring)
-
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.degree > FACTOR_DEGREE_BOUND:
@@ -113,7 +108,7 @@ def factor(f: Poly):
         g = poly_gcd(rem, h - x)
         if g.degree < 1:
             continue
-        primes = [g] if g.degree == j else [p for p in monic_irreducibles(f.field, j) if (g % p).is_zero()]
+        primes = [g] if g.degree == j else [p for p in funcfield.monic_irreducibles(f.field, j) if (g % p).is_zero()]
         for prime in primes:
             mult, rem = _multiplicity(rem, prime)
             factors.append((prime, mult))
@@ -206,18 +201,14 @@ class FieldForm:
     def det(self) -> FieldElement:
         """The product of the diagonal: T is a product of transvections
         e_i <- e_i + c e_j, so det T = 1 and det F = det(T^t F T)."""
-        from .forms import diagonalize  # the traced name (module docstring)
-
-        return reduce(mul, diagonalize(self)[0])
+        return reduce(mul, forms.diagonalize(self)[0])
 
     def is_degenerate(self) -> bool:
         return self.det().is_zero()
 
     @property
     def rank(self) -> int:
-        from .forms import diagonalize  # the traced name (module docstring)
-
-        diag, _ = diagonalize(self)
+        diag, _ = forms.diagonalize(self)
         return sum(1 for d in diag if not d.is_zero())
 
     def __eq__(self, other):

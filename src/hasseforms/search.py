@@ -18,9 +18,11 @@ from typing import Optional
 from .curvepoints import _cubic_points
 from .curvering import CurveSpec, RingElement, RingMatrix
 from .finfield import MAX_INSPECTION_SIZE, capped_power, embed, make_extension
-from .forms import DEFAULT_SEARCH_BUDGET, BudgetExceededError, GramMatrix
+from .forms import DEFAULT_SEARCH_BUDGET, MAX_SEARCH_RANK, BudgetExceededError, GramMatrix
 from .funcfield import Poly
 
+# the most values _pool_vectors may hold, at about 17 bytes each
+MAX_POOL_VALUES = 50_000_000
 
 
 def isom_search(
@@ -59,7 +61,9 @@ def isom_search(
     the cubic, each with the smaller square root for y); when no field of
     at most MAX_INSPECTION_SIZE elements has them, ValueError is raised
     before the pool is built.  Only the final witness is built as a
-    matrix over the ring, for its determinant.
+    matrix over the ring, for its determinant.  A pool of more than
+    MAX_POOL_VALUES values, one per entry and point, is refused with
+    ValueError before any point is found.
 
     A later column's candidates are first filtered at the first point
     alone: those that agree there with the first column, in order, are
@@ -81,10 +85,12 @@ def isom_search(
     if f.n != g.n:
         raise ValueError("forms have different ranks")
     n = f.n
-    if n > 3:
-        raise ValueError("search supports rank <= 3")
+    if n > MAX_SEARCH_RANK:
+        raise ValueError(f"search supports rank <= {MAX_SEARCH_RANK}")
     if deg_x < -1:
         raise ValueError("degree bound deg_x must be >= -1")
+    if deg_y < -1:
+        raise ValueError("degree bound deg_y must be >= -1")
     if budget is None:
         budget = DEFAULT_SEARCH_BUDGET
     curve = f.curve
@@ -93,14 +99,15 @@ def isom_search(
 
     # every search path ticks at least the pool size, so refuse before
     # allocating a pool the budget could never pay for
-    size = capped_power(curve.field.q, deg_x + 1, budget)
-    if deg_y >= 0:
-        size *= capped_power(curve.field.q, deg_y + 1, budget)
+    size = capped_power(curve.field.q, deg_x + 1 + max(deg_y + 1, 0), budget)
     if size > budget:
         raise BudgetExceededError(f"entry pool size exceeds budget {budget}")
     f_rows, g_rows = f.rows, g.rows
     reach = _reach(curve, f_rows, deg_x, deg_y)
-    points = _evaluation_points(curve, 1 if reach is None else reach + 1)
+    count = 1 if reach is None else reach + 1
+    if size * count > MAX_POOL_VALUES:  # the pool's values, one per entry and point
+        raise ValueError(f"entry pool of {size} entries at {count} points exceeds {MAX_POOL_VALUES} values")
+    points = _evaluation_points(curve, count)
     diagonal = all(f_rows[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
 
     # the scan for each distinct diagonal target is charged before any
@@ -122,12 +129,12 @@ def isom_search(
     # None marks a G entry beyond the reach of u^t F v, matched by nothing
     g_at = [[logs.values(e) if _reachable(e, reach) else None for e in row] for row in g_rows]
     scan = _diagonal_scan(pool, f_at, logs) if diagonal else _full_scan(pool, n, f_terms, logs)
-    targets = {}
+    targets = {}  # scans by target values, which tell reachable targets apart
     for j in range(n):
-        t = g_rows[j][j]
+        t = g_at[j][j]
         if t not in targets:
-            targets[t] = [] if g_at[j][j] is None else scan(g_at[j][j])
-    candidates = [targets[g_rows[j][j]] for j in range(n)]
+            targets[t] = [] if t is None else scan(t)
+    candidates = [targets[g_at[j][j]] for j in range(n)]
 
     est = 1
     for cand in candidates:
@@ -210,11 +217,7 @@ def _pool_entry(curve: CurveSpec, deg_x: int, deg_y: int, coeffs, k: int) -> Rin
     field = curve.field
     places = deg_x + 1 + max(deg_y + 1, 0)
     number = (k + 1) % field.q**places
-    digits = []
-    for _ in range(places):
-        number, d = divmod(number, field.q)
-        digits.append(coeffs[d])
-    digits.reverse()
+    digits = [coeffs[number // field.q**i % field.q] for i in reversed(range(places))]
     return RingElement(curve, Poly._raw(field, digits[: deg_x + 1]), Poly._raw(field, digits[deg_x + 1 :]))
 
 
@@ -230,14 +233,10 @@ def _pole_order(e: RingElement) -> Optional[int]:
 def _reach(curve: CurveSpec, f_rows, deg_x: int, deg_y: int) -> Optional[int]:
     """The largest pole order of u^t F v over columns within the bounds,
     or None when the bounds admit only the zero entry."""
-    entry = []
-    if deg_x >= 0:
-        entry.append(deg_x if curve.is_polyline else 2 * deg_x)
-    if deg_y >= 0:
-        entry.append(2 * deg_y + 3)
-    if not entry:
+    entry = max(deg_x if curve.is_polyline else 2 * deg_x, 2 * deg_y + 3 if deg_y >= 0 else -1)
+    if entry < 0:  # the bounds admit only 0
         return None
-    return 2 * max(entry) + max(_pole_order(e) for row in f_rows for e in row if not e.is_zero())
+    return 2 * entry + max(_pole_order(e) for row in f_rows for e in row if not e.is_zero())
 
 
 def _reachable(target: RingElement, reach: Optional[int]) -> bool:
@@ -284,8 +283,8 @@ class _Logs:
     def __init__(self, points):
         ext = points[0][0].field
         self.points = points
-        self.zech = ext.zech_table()
-        self.half = (ext.q - 1) // 2  # the log of -1
+        self.zech = ext._zech
+        self.half = ext._half  # the log of -1
         # n mod (q - 1) for 0 <= n < 4(q - 1), as shared int objects, so
         # lists over a field with logs above 256 hold no int of their own
         self.wrap = list(range(ext.q - 1)) * 4

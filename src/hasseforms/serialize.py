@@ -33,11 +33,10 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import _lazy_names
+from . import _lazy_names, forms
 from .curvepoints import AffinePoint
 from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _coerce_entry, square_rows
 from .finfield import MAX_FIELD_SIZE, FieldElement, FiniteField, capped_power, make_extension
-from .forms import GramMatrix
 from .funcfield import Poly, to_text
 
 __getattr__ = _lazy_names(globals(), {"genus_report_to_json": "genus"})
@@ -229,13 +228,14 @@ def point_to_json(p: AffinePoint) -> dict:
 # witness / search pair files
 
 
-def pair_from_json(data: dict) -> dict:
+def pair_from_json(data: dict, max_rank=float("inf")) -> dict:
     """Load a pair file: curve, forms F and G, optional witnesses,
     inspection degree, and search bounds.
 
     The curve must be a JSON object and the witnesses a JSON list; to
     replay a pair over another base field, edit ``curve.field`` in the
-    JSON (polynomial texts are read mod p).
+    JSON (polynomial texts are read mod p).  A rank above ``max_rank``,
+    the search's limit, is refused once both shapes are read.
     """
     if data.get("schema") != 1:
         raise ValueError("unsupported or missing schema version")
@@ -246,7 +246,9 @@ def pair_from_json(data: dict) -> dict:
     f, g = (_rows_from_json(curve, require_key(data, key, "pair"), key, entry_from_json) for key in "FG")
     if len(f) != len(g):
         raise ValueError("forms have different ranks")
-    out = {"curve": curve, "F": GramMatrix(curve, f), "G": GramMatrix(curve, g)}
+    if len(f) > max_rank:
+        raise ValueError(f"search supports rank <= {max_rank}")
+    out = {"curve": curve, "F": forms.GramMatrix(curve, f), "G": forms.GramMatrix(curve, g)}
     if "witnesses" in data:
         if not isinstance(data["witnesses"], list):
             raise ValueError("witnesses must be a JSON list")
@@ -257,9 +259,7 @@ def pair_from_json(data: dict) -> dict:
             )
             for w in data["witnesses"]
         )
-        from .forms import GenusWitness  # compiles genus verification on first use
-
-        out["witness"] = GenusWitness(out["G"], pairs)
+        out["witness"] = forms.GenusWitness(out["G"], pairs)  # compiles genus verification on first use
     if "degree" in data:
         out["degree"] = require_int(data["degree"], "degree")
     if "isom_bounds" in data:

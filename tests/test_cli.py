@@ -365,6 +365,16 @@ def test_malformed_shapes_exit_2(capsys):
     for flags in (["--a", "1", "--b", "1"], ["--b", "0"]):  # once dropped by the flag reader
         code, _, err = invoke(capsys, "curve", "--q", "5", "--polyline", *flags)
         assert code == 2 and json.loads(err)["error"] == "the affine line takes no coefficients"
+    # a y-degree bound below -1 was searched with, and echoed, exit 1
+    with open(fixture_path("singular_cubic_pair")) as handle:
+        cubic = json.load(handle)
+    for payload, flags in (
+        (cubic, ["--degree-bound", "1", "--degree-bound-y", "-5"]),
+        (cubic, ["--degree-bound=1", "--degree-bound-y=-1000000"]),
+        (dict(cubic, isom_bounds={"deg_x": 1, "deg_y": -5}), []),
+    ):
+        code, out, err = invoke(capsys, "isom-search", "--json", json.dumps(payload), *flags)
+        assert (code, out, json.loads(err)["error"]) == (2, "", "degree bound deg_y must be >= -1")
 
 
 @pytest.mark.parametrize("route", ["--json", "--input"])
@@ -425,6 +435,14 @@ def test_malformed_pair_shape_is_refused_before_any_determinant(capsys, monkeypa
             payload = {**pair, "G": g, "witnesses": []}
             code, out, err = invoke(capsys, command, "--json", json.dumps(payload), *flags)
             assert (code, out, json.loads(err)["error"], taken) == (2, "", message, [])
+    # the search's rank limit: a dense rank-8 pair took over a second to be
+    # refused, after both determinants
+    for n in (4, 8):
+        rows = [row[:n] for row in gram[:n]]
+        for extra, flags in (({}, ["--degree-bound", "0"]), ({"isom_bounds": {"deg_x": 0}}, [])):
+            payload = {**pair, "F": rows, "G": rows, **extra}
+            code, out, err = invoke(capsys, "isom-search", "--json", json.dumps(payload), *flags)
+            assert (code, out, json.loads(err)["error"], taken) == (2, "", "search supports rank <= 3", [])
 
 
 def test_missing_key_names_the_object(capsys):
@@ -718,10 +736,10 @@ def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # beyond the modules every command loads, so growth there shows in
     # their rows too
     for argv, lines, nodes in [
-        (["genus-verify", "--input", fixture_path("polyline_pair")], 2883, 17479),
-        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 3023, 18867),
-        (["curve", "--q", "5", "--polyline"], 2817, 16694),
-        (["form", "--json", form_payload("1")], 2624, 15967),
+        (["genus-verify", "--input", fixture_path("polyline_pair")], 2869, 17474),
+        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 3008, 18856),
+        (["curve", "--q", "5", "--polyline"], 2800, 16659),
+        (["form", "--json", form_payload("1")], 2610, 15963),
     ]:
         size = _loaded_size(argv)
         assert size[0] <= lines and size[1] <= nodes, (argv[0], size)

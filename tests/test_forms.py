@@ -1473,6 +1473,32 @@ def test_isom_search_budget_checked_before_pool(monkeypatch):
         isom_search(g, g, deg_x=2, deg_y=1, budget=5**3 * 5**2 - 1)
 
 
+def test_isom_search_refuses_a_pool_too_large_to_hold(monkeypatch, capsys):
+    # over F_3 at deg_x = 13 the pool would hold 3^14 entries at 27 points,
+    # 129 M values at about 17 bytes each; the search ran 46 s and exited 1
+    from hasseforms.cli import run
+
+    def no_call(*args):
+        raise AssertionError("the search went past its refusal")
+
+    monkeypatch.setattr(search, "_pool_vectors", no_call)
+    monkeypatch.setattr(search, "_evaluation_points", no_call)
+    line = CurveSpec.polyline(F3)
+    f, g = GramMatrix.diagonal(line, [1]), GramMatrix.diagonal(line, [2])
+    with pytest.raises(ValueError, match="^entry pool of 4782969 entries at 27 points exceeds 50000000 values$"):
+        isom_search(f, g, deg_x=13)
+    pair = {"schema": 1, "curve": {"type": "polyline", "field": {"p": 3, "k": 1}}, "F": [[1]], "G": [[2]]}
+    assert run(["isom-search", "--json", json.dumps(pair), "--degree-bound", "13"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith("entry pool of 4782969 entries")
+    # the cap counts entries times points: 3^2 entries at 3 points at deg_x = 1
+    monkeypatch.undo()
+    monkeypatch.setattr(search, "MAX_POOL_VALUES", 27)
+    assert isom_search(f, f, deg_x=1) is not None
+    monkeypatch.setattr(search, "MAX_POOL_VALUES", 26)
+    with pytest.raises(ValueError, match="^entry pool of 9 entries at 3 points exceeds 26 values$"):
+        isom_search(f, f, deg_x=1)
+
+
 @pytest.mark.parametrize(
     "curve, deg_x, deg_y",
     [
