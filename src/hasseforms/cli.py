@@ -28,7 +28,7 @@ from types import SimpleNamespace
 from . import curvepoints, forms
 from .curvering import POLYLINE, CurveSpec
 from .finfield import MAX_FIELD_SIZE, _prime_factors, make_extension
-from .forms import DEFAULT_SEARCH_BUDGET, MAX_SEARCH_RANK, BudgetExceededError
+from .forms import DEFAULT_SEARCH_BUDGET, BudgetExceededError
 from .hasse import hasse_principle
 from .serialize import (
     curve_from_json,
@@ -162,7 +162,8 @@ def _cmd_isom_search(args) -> int:
     bounds = data.get("isom_bounds", {})  # one that is no JSON object is refused by pair_from_json
     if args.degree_bound is None and isinstance(bounds, dict) and "deg_x" not in bounds:  # before any form is built
         raise ValueError("no degree bound: pass --degree-bound or put isom_bounds in the file")
-    pair = pair_from_json(data, max_rank=MAX_SEARCH_RANK)  # which also checks ``bounds``
+    pair = pair_from_json(data, search=True)
+    bounds = pair.get("bounds", {})
     deg_x = args.degree_bound if args.degree_bound is not None else bounds["deg_x"]
     deg_y = args.degree_bound_y if args.degree_bound_y is not None else bounds.get("deg_y", -1)
     witness = forms.isom_search(pair["F"], pair["G"], deg_x=deg_x, deg_y=deg_y, budget=_search_budget())

@@ -2,11 +2,10 @@
 Frobenius orbits.
 
 Points are listed by one scan of x over the field: above each x of a
-cubic, the square roots of x^3 + ax + b are read off its log, which the
-scan computes on logs (``_cubic_points``); on the line every x is a
-point, with no y.  A closed point of degree d is one Frobenius orbit of
-d points, so a point's degree is its orbit's length; on the line it is
-also a prime of F_q[x].
+cubic, the square roots of x^3 + ax + b are read off its log
+(``_cubic_logs``); on the line every x is a point, with no y.  A closed
+point of degree d is one Frobenius orbit of d points, so a point's degree
+is its orbit's length; on the line it is also a prime of F_q[x].
 
 Orbits are walked on discrete logs: in F_{q^d} with generator g, the
 Frobenius x -> x^q sends g^n to g^(nq mod (q^d - 1)), so the orbit of a
@@ -178,30 +177,36 @@ def _orbit_prime(roots: list, base, ext) -> Poly:
 
 
 def _cubic_points(curve: CurveSpec, ext):
-    """The points of a cubic over ext in canonical order, read off the log
-    v of x^3 + ax + b with no field-element arithmetic: x^3 is g^(3 log
-    x), ax is g^(log a + log x), and a sum is one Zech lookup, g^i + g^j
-    = g^(i + Z(j - i)).  Logs stay unreduced, below 3(q - 1); q - 1 is
-    even, so v's parity is chi.  Above x there is no point if v is odd,
-    (x, 0) if x^3 + ax + b is zero, else y = g^(v/2) and g^(v/2 + (q -
-    1)/2), smaller coefficients first."""
-    exp, half, zech, m = ext._exp, ext._half, ext._zech, ext.q - 1
-    la, lb = embed(curve.a, ext).log, embed(curve.b, ext).log
-    for x0 in ext.elements():
-        v = lb  # at x = 0
-        if (lx := x0._log) is not None:
-            v = 3 * lx % m  # log of x^3, then of x^3 + ax, then of the cubic
-            if la is not None:
-                v = None if (z := zech[la + lx - v]) is None else v + z
-            if v is None:
-                v = lb
-            elif lb is not None:
-                v = None if (z := zech[lb - v]) is None else v + z
+    """The points of a cubic over ext in canonical order, by ``_cubic_logs``:
+    above x none if x^3 + ax + b = g^v has odd v, (x, 0) if it is zero,
+    else y = g^(v/2) and g^(v/2 + (q - 1)/2), smaller coefficients first."""
+    exp, half = ext._exp, ext._half
+    for x0, v in zip(ext.elements(), _cubic_logs(ext, embed(curve.a, ext).log, embed(curve.b, ext).log)):
         if v is None:
             yield x0, ext.zero()
         elif v % 2 == 0:
             r, s = exp[v // 2], exp[v // 2 + half]
             yield from ((x0, r), (x0, s)) if r.coeffs < s.coeffs else ((x0, s), (x0, r))
+
+
+def _cubic_logs(field, la, lb):
+    """The log of x^3 + ax + b for every x in canonical order (None for
+    zero), from la = log a and lb = log b, with no field-element
+    arithmetic: x^3 is g^(3 log x), ax is g^(log a + log x), and a sum is
+    one Zech lookup, g^i + g^j = g^(i + Z(j - i)).  Logs stay unreduced,
+    below 2(q - 1); q - 1 is even, so a log's parity is chi."""
+    zech, m, elements = field._zech, field.q - 1, field.elements()
+    next(elements)
+    yield lb  # x = 0
+    for x0 in elements:
+        lx = x0._log
+        s = 3 * lx % m  # log of x^3, then of x^3 + ax
+        if la is not None:
+            if (z := zech[la + lx - s]) is None:
+                yield lb
+                continue
+            s += z
+        yield s if lb is None else None if (z := zech[lb - s]) is None else s + z
 
 
 def _cubic_at(curve: CurveSpec, x0: FieldElement) -> FieldElement:

@@ -24,6 +24,12 @@ DEFAULT_SEARCH_BUDGET = 10**8
 MAX_SEARCH_RANK = 3  # the largest rank isom_search takes
 
 
+def _require_search_rank(n: int) -> None:
+    """Refuse a rank the search does not take, before it builds anything."""
+    if n > MAX_SEARCH_RANK:
+        raise ValueError(f"search supports rank <= {MAX_SEARCH_RANK}")
+
+
 class MalformedWitnessError(ValueError):
     """A witness entry is not in O[1/s]: it has a pole off its declared locus s."""
 

@@ -1,10 +1,10 @@
 """Point counts, smoothness and the Picard data of a curve, and the JSON
 of the reports built on them.
 
-The count is read off one scan of x over F_q that lists the affine
-points (``curvepoints._cubic_points``): above each x there are 1 +
-chi(x^3 + ax + b) of them, with chi the quadratic character (chi(0) =
-0).
+The count needs no points: over F_q there are 1 + chi(x^3 + ax + b)
+affine points above each x, with chi the quadratic character (chi(0) =
+0), read off one scan of the logs of x^3 + ax + b
+(``curvepoints._cubic_logs``).
 
 For a smooth Weierstrass curve with its rational point at infinity
 removed, the Picard group of the affine curve is isomorphic to the
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .curvepoints import AffinePoint, _cubic_points, is_singular_point
+from .curvepoints import AffinePoint, _cubic_logs, is_singular_point
 from .curvering import CurveSpec
 from .hasse import HasseDecision
 from .records import Record
@@ -65,13 +65,16 @@ class PointCountReport(Record):
 
 def _count_scan(curve: CurveSpec):
     """(affine point count sum_x (1 + chi(x^3 + ax + b)) over F_q, whether
-    the cubic has a root in F_q), read off the points of one
-    ``_cubic_points`` scan: their number, and whether one has y = 0.  The
-    pair is kept on the curve, so each curve is scanned once per
-    process."""
+    the cubic has a root in F_q), from one ``_cubic_logs`` scan that is
+    kept on the curve, so each curve is scanned once per process."""
     if curve._scan is None:
-        ys = [y0 for _, y0 in _cubic_points(curve, curve.field)]
-        curve._scan = (len(ys), any(y0.is_zero() for y0 in ys))
+        affine, root = 0, False
+        for v in _cubic_logs(curve.field, curve.a.log, curve.b.log):
+            if v is None:
+                affine, root = affine + 1, True
+            elif v % 2 == 0:
+                affine += 2
+        curve._scan = (affine, root)
     return curve._scan
 
 
@@ -105,7 +108,7 @@ def picard_order(curve: CurveSpec) -> int:
 
     1 for the affine line; for a smooth Weierstrass curve the projective
     point count (point group isomorphism), q + 1 + sum_x chi(x^3 + ax + b)
-    by the character sum, with no AffinePoint built.  Singular cubics are
+    by the character sum, with no point built.  Singular cubics are
     rejected: the isomorphism with the point group needs smoothness.
     """
     if curve.is_polyline:
@@ -124,10 +127,10 @@ def has_two_torsion(curve: CurveSpec) -> bool:
 
 
 def point_report(curve: CurveSpec) -> PointCountReport:
-    """Counting report from one x-scan of the character sum, no
-    AffinePoint built; for singular cubics the count is still produced
-    (all projective points, singular one included) but the Picard fields
-    are left unset with a warning."""
+    """Counting report from one x-scan of the character sum, no point
+    built; for singular cubics the count is still produced (all
+    projective points, singular one included) but the Picard fields are
+    left unset with a warning."""
     if curve.is_polyline:
         q = curve.field.q
         return PointCountReport(

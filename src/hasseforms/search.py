@@ -18,7 +18,7 @@ from typing import Optional
 from .curvepoints import _cubic_points
 from .curvering import CurveSpec, RingElement, RingMatrix
 from .finfield import MAX_INSPECTION_SIZE, capped_power, embed, make_extension
-from .forms import DEFAULT_SEARCH_BUDGET, MAX_SEARCH_RANK, BudgetExceededError, GramMatrix
+from .forms import DEFAULT_SEARCH_BUDGET, BudgetExceededError, GramMatrix, _require_search_rank
 from .funcfield import Poly
 
 # the most values _pool_vectors may hold, at about 17 bytes each
@@ -85,8 +85,7 @@ def isom_search(
     if f.n != g.n:
         raise ValueError("forms have different ranks")
     n = f.n
-    if n > MAX_SEARCH_RANK:
-        raise ValueError(f"search supports rank <= {MAX_SEARCH_RANK}")
+    _require_search_rank(n)
     if deg_x < -1:
         raise ValueError("degree bound deg_x must be >= -1")
     if deg_y < -1:
@@ -99,7 +98,7 @@ def isom_search(
 
     # every search path ticks at least the pool size, so refuse before
     # allocating a pool the budget could never pay for
-    size = capped_power(curve.field.q, deg_x + 1 + max(deg_y + 1, 0), budget)
+    size = capped_power(curve.field.q, deg_x + 1, budget) * capped_power(curve.field.q, deg_y + 1, budget)
     if size > budget:
         raise BudgetExceededError(f"entry pool size exceeds budget {budget}")
     f_rows, g_rows = f.rows, g.rows
@@ -129,12 +128,12 @@ def isom_search(
     # None marks a G entry beyond the reach of u^t F v, matched by nothing
     g_at = [[logs.values(e) if _reachable(e, reach) else None for e in row] for row in g_rows]
     scan = _diagonal_scan(pool, f_at, logs) if diagonal else _full_scan(pool, n, f_terms, logs)
-    targets = {}  # scans by target values, which tell reachable targets apart
+    targets = {}
     for j in range(n):
-        t = g_at[j][j]
+        t = g_rows[j][j]
         if t not in targets:
-            targets[t] = [] if t is None else scan(t)
-    candidates = [targets[g_at[j][j]] for j in range(n)]
+            targets[t] = [] if g_at[j][j] is None else scan(g_at[j][j])
+    candidates = [targets[g_rows[j][j]] for j in range(n)]
 
     est = 1
     for cand in candidates:
@@ -215,9 +214,13 @@ def _pool_entry(curve: CurveSpec, deg_x: int, deg_y: int, coeffs, k: int) -> Rin
     so position k holds the number (k + 1) mod q^m.
     """
     field = curve.field
-    places = deg_x + 1 + max(deg_y + 1, 0)
+    places = deg_x + deg_y + 2
     number = (k + 1) % field.q**places
-    digits = [coeffs[number // field.q**i % field.q] for i in reversed(range(places))]
+    digits = []
+    for _ in range(places):
+        number, d = divmod(number, field.q)
+        digits.append(coeffs[d])
+    digits.reverse()
     return RingElement(curve, Poly._raw(field, digits[: deg_x + 1]), Poly._raw(field, digits[deg_x + 1 :]))
 
 
@@ -233,10 +236,14 @@ def _pole_order(e: RingElement) -> Optional[int]:
 def _reach(curve: CurveSpec, f_rows, deg_x: int, deg_y: int) -> Optional[int]:
     """The largest pole order of u^t F v over columns within the bounds,
     or None when the bounds admit only the zero entry."""
-    entry = max(deg_x if curve.is_polyline else 2 * deg_x, 2 * deg_y + 3 if deg_y >= 0 else -1)
-    if entry < 0:  # the bounds admit only 0
+    entry = []
+    if deg_x >= 0:
+        entry.append(deg_x if curve.is_polyline else 2 * deg_x)
+    if deg_y >= 0:
+        entry.append(2 * deg_y + 3)
+    if not entry:
         return None
-    return 2 * entry + max(_pole_order(e) for row in f_rows for e in row if not e.is_zero())
+    return 2 * max(entry) + max(_pole_order(e) for row in f_rows for e in row if not e.is_zero())
 
 
 def _reachable(target: RingElement, reach: Optional[int]) -> bool:

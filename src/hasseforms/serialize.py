@@ -37,6 +37,7 @@ from . import _lazy_names, forms
 from .curvepoints import AffinePoint
 from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _coerce_entry, square_rows
 from .finfield import MAX_FIELD_SIZE, FieldElement, FiniteField, capped_power, make_extension
+from .forms import GramMatrix
 from .funcfield import Poly, to_text
 
 __getattr__ = _lazy_names(globals(), {"genus_report_to_json": "genus"})
@@ -228,14 +229,15 @@ def point_to_json(p: AffinePoint) -> dict:
 # witness / search pair files
 
 
-def pair_from_json(data: dict, max_rank=float("inf")) -> dict:
+def pair_from_json(data: dict, search: bool = False) -> dict:
     """Load a pair file: curve, forms F and G, optional witnesses,
     inspection degree, and search bounds.
 
     The curve must be a JSON object and the witnesses a JSON list; to
     replay a pair over another base field, edit ``curve.field`` in the
-    JSON (polynomial texts are read mod p).  A rank above ``max_rank``,
-    the search's limit, is refused once both shapes are read.
+    JSON (polynomial texts are read mod p).  With ``search``, a rank the
+    search does not take is refused once both shapes are read
+    (``forms._require_search_rank``), before either form is built.
     """
     if data.get("schema") != 1:
         raise ValueError("unsupported or missing schema version")
@@ -246,9 +248,9 @@ def pair_from_json(data: dict, max_rank=float("inf")) -> dict:
     f, g = (_rows_from_json(curve, require_key(data, key, "pair"), key, entry_from_json) for key in "FG")
     if len(f) != len(g):
         raise ValueError("forms have different ranks")
-    if len(f) > max_rank:
-        raise ValueError(f"search supports rank <= {max_rank}")
-    out = {"curve": curve, "F": forms.GramMatrix(curve, f), "G": forms.GramMatrix(curve, g)}
+    if search:
+        forms._require_search_rank(len(f))
+    out = {"curve": curve, "F": GramMatrix(curve, f), "G": GramMatrix(curve, g)}
     if "witnesses" in data:
         if not isinstance(data["witnesses"], list):
             raise ValueError("witnesses must be a JSON list")

@@ -736,10 +736,10 @@ def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # beyond the modules every command loads, so growth there shows in
     # their rows too
     for argv, lines, nodes in [
-        (["genus-verify", "--input", fixture_path("polyline_pair")], 2869, 17474),
-        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 3008, 18856),
-        (["curve", "--q", "5", "--polyline"], 2800, 16659),
-        (["form", "--json", form_payload("1")], 2610, 15963),
+        (["genus-verify", "--input", fixture_path("polyline_pair")], 2883, 17517),
+        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 3029, 18931),
+        (["curve", "--q", "5", "--polyline"], 2817, 16733),
+        (["form", "--json", form_payload("1")], 2624, 16006),
     ]:
         size = _loaded_size(argv)
         assert size[0] <= lines and size[1] <= nodes, (argv[0], size)
