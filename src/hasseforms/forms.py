@@ -35,7 +35,7 @@ class MalformedWitnessError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Estimated search size exceeds the configured evaluation cap."""
+    """A search charged more evaluations than its budget allows."""
 
 
 __getattr__ = _lazy_names(

@@ -72,8 +72,12 @@ def isom_search(
     the evaluation field's size.  Only these survivors are checked
     against every chosen column at every point (at the first one once).
 
-    ``budget`` caps the estimated number of inner-product evaluations
-    (default 10^8); exceeding it raises BudgetExceededError.  A skipped
+    ``budget`` caps the inner-product evaluations the search charges
+    (default 10^8), and the first charge past it raises
+    BudgetExceededError with the count charged so far.  The scans are
+    charged up front, before any field, point or pool is built; the pool
+    size in that charge is capped at budget + 1, so a refusal there may
+    report a lower bound.  Each check is charged after that.  A skipped
     candidate costs one evaluation, the check it fails, but each run of
     them is charged in one step: with the next survivor's first check, or
     before the column gives up.  The totals are those of charging every
@@ -96,21 +100,12 @@ def isom_search(
     if curve.is_polyline:
         deg_y = -1
 
-    # every search path ticks at least the pool size, so refuse before
-    # allocating a pool the budget could never pay for
+    # the scan for each distinct diagonal target is charged, at least the
+    # pool size each, before any field, point or pool is built; the scans
+    # themselves tick nothing
     size = capped_power(curve.field.q, deg_x + 1, budget) * capped_power(curve.field.q, deg_y + 1, budget)
-    if size > budget:
-        raise BudgetExceededError(f"entry pool size exceeds budget {budget}")
     f_rows, g_rows = f.rows, g.rows
-    reach = _reach(curve, f_rows, deg_x, deg_y)
-    count = 1 if reach is None else reach + 1
-    if size * count > MAX_POOL_VALUES:  # the pool's values, one per entry and point
-        raise ValueError(f"entry pool of {size} entries at {count} points exceeds {MAX_POOL_VALUES} values")
-    points = _evaluation_points(curve, count)
     diagonal = all(f_rows[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
-
-    # the scan for each distinct diagonal target is charged before any
-    # value is computed; the scans themselves tick nothing
     counter = _EvalCounter(budget)
     for _ in {g_rows[j][j] for j in range(n)}:
         if diagonal:
@@ -120,6 +115,11 @@ def isom_search(
         else:
             counter.tick(size ** n)
 
+    reach = _reach(curve, f_rows, deg_x, deg_y)
+    count = 1 if reach is None else reach + 1
+    if size * count > MAX_POOL_VALUES:  # the pool's values, one per entry and point
+        raise ValueError(f"entry pool of {size} entries at {count} points exceeds {MAX_POOL_VALUES} values")
+    points = _evaluation_points(curve, count)
     logs = _Logs(points)
     coeffs = sorted(curve.field.elements(), key=lambda c: c.coeffs)
     pool = _pool_vectors(deg_x, deg_y, coeffs, logs)
@@ -134,14 +134,6 @@ def isom_search(
         if t not in targets:
             targets[t] = [] if g_at[j][j] is None else scan(g_at[j][j])
     candidates = [targets[g_rows[j][j]] for j in range(n)]
-
-    est = 1
-    for cand in candidates:
-        est *= max(1, len(cand))
-        if est > budget:
-            raise BudgetExceededError(
-                f"estimated candidate count {est} exceeds budget {budget}"
-            )
 
     cols = []
     first, rest, every = range(1), range(1, len(points)), range(len(points))

@@ -232,6 +232,14 @@ def test_isom_search_budget_env(capsys, monkeypatch):
     code, _, err = invoke(capsys, "isom-search", "--input", fixture_path("polyline_pair"))
     assert code == 2
     assert "exceeds budget 3" in err
+    # the budget bounds what the search charges, not the product of its
+    # per-column candidate counts (270^3 here)
+    monkeypatch.setenv("HASSE_FORMS_BUDGET", "1000000")
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    payload = {"schema": 1, "curve": {"type": "polyline", "field": {"p": 5, "k": 1}}, "F": identity, "G": identity}
+    code, data, _ = invoke_json(capsys, "isom-search", "--json", json.dumps(payload), "--degree-bound", "1")
+    assert code == 0
+    assert data["found"] is True and len(data["witness"]) == 3
 
 
 def test_isom_search_budget_env_must_be_positive_integer(capsys, monkeypatch):
@@ -737,7 +745,7 @@ def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # their rows too
     for argv, lines, nodes in [
         (["genus-verify", "--input", fixture_path("polyline_pair")], 2883, 17517),
-        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 3029, 18931),
+        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 3021, 18873),
         (["curve", "--q", "5", "--polyline"], 2817, 16733),
         (["form", "--json", form_payload("1")], 2624, 16006),
     ]:

@@ -1459,15 +1459,19 @@ def test_isom_search_budget_cap():
 
 
 def test_isom_search_budget_checked_before_pool(monkeypatch):
-    def no_pool(*args):
-        raise AssertionError("the entry pool's vectors were built")
+    def no_call(*args):
+        raise AssertionError("the search built its points or its pool")
 
-    monkeypatch.setattr(search, "_pool_vectors", no_pool)
+    monkeypatch.setattr(search, "_pool_vectors", no_call)
+    monkeypatch.setattr(search, "_evaluation_points", no_call)
     f = GramMatrix.identity(LINE5, 2)
     with pytest.raises(BudgetExceededError):
         isom_search(f, f, deg_x=4, budget=1)
     with pytest.raises(BudgetExceededError):
         isom_search(f, f, deg_x=10**9, budget=10**8)
+    # 5^5 entries fit the budget, but the scans charge 3125 + 3125
+    with pytest.raises(BudgetExceededError, match="^evaluation count 6250 exceeds budget 5000$"):
+        isom_search(f, f, deg_x=4, budget=5000)
     g = GramMatrix.identity(EC, 2)
     with pytest.raises(BudgetExceededError):
         isom_search(g, g, deg_x=2, deg_y=1, budget=5**3 * 5**2 - 1)
@@ -1707,27 +1711,15 @@ def test_isom_search_tick_totals_unchanged(name):
     assert sum(ticks) == PINNED_TICK_TOTALS[name]
 
 
-# the smallest budget with which each search still returns, and the
-# error one less gives.  Both fixtures stop at their charge totals; the
-# other two at their candidate estimates (49^2 and 30^3), which exceed
-# their charges, so a budget equal to those charges is refused.
-BUDGET_EDGES = {
-    "cubic fixture": (137480, "evaluation count"),
-    "line fixture": (504, "evaluation count"),
-    "hyperbolic plane": (2401, "estimated candidate count 2401"),
-    "identity rank 3": (27000, "estimated candidate count 27000"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(BUDGET_EDGES))
+# the budget counts only what the search charges: a budget equal to a
+# search's charge total returns its result, and one less is refused on
+# the evaluation count
+@pytest.mark.parametrize("name", sorted(PINNED_TICK_TOTALS))
 def test_isom_search_budget_edge(name):
-    edge, refusal = BUDGET_EDGES[name]
-    assert _pinned_search(name, budget=edge) == _pinned_search(name)
-    with pytest.raises(BudgetExceededError, match=refusal):
-        _pinned_search(name, budget=edge - 1)
-    if edge > PINNED_TICK_TOTALS[name]:
-        with pytest.raises(BudgetExceededError, match="estimated candidate count"):
-            _pinned_search(name, budget=PINNED_TICK_TOTALS[name])
+    total = PINNED_TICK_TOTALS[name]
+    assert _pinned_search(name, budget=total) == _pinned_search(name)
+    with pytest.raises(BudgetExceededError, match=f"^evaluation count [0-9]+ exceeds budget {total - 1}$"):
+        _pinned_search(name, budget=total - 1)
 
 
 SEARCH_CURVES = [
