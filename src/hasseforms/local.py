@@ -46,7 +46,7 @@ from .curvepoints import AffinePoint, _conjugates, is_singular_point, require_on
 from .curvering import CurveSpec, diagonal_rows, is_symmetric, square_rows
 from .finfield import MAX_INSPECTION_SIZE, FieldElement, FiniteField, capped_power, is_square
 from .forms import GramMatrix, is_unimodular
-from .funcfield import Poly, _coeff_text, is_irreducible, monic_rank, poly_gcd, to_text
+from .funcfield import Poly, _coeff_text, is_irreducible, poly_gcd, to_text
 from .records import Record
 
 FACTOR_DEGREE_BOUND = 24
@@ -86,10 +86,10 @@ def factor(f: Poly):
     division against ``monic_irreducibles(field, j)``.  Once rem has
     degree < 2j it is itself prime.
 
-    Returns (leading coefficient, [(prime, multiplicity), ...]) with the
-    primes in ``monic_polys`` order (``monic_rank``), the order of
-    ``monic_irreducibles``, so the product of the prime powers times the
-    leading coefficient reassembles f.
+    Returns (leading coefficient, [(prime, multiplicity), ...]), which
+    reassembles f.  The primes come degree by degree, each degree in
+    ``monic_irreducibles`` order, and the prime rem left last has the
+    largest degree, so they are in ``monic_polys`` order.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -112,7 +112,6 @@ def factor(f: Poly):
         for prime in primes:
             mult, rem = _multiplicity(rem, prime)
             factors.append((prime, mult))
-    factors.sort(key=lambda fe: monic_rank(fe[0]))
     return lead, factors
 
 
@@ -230,9 +229,9 @@ def diagonalize(form: FieldForm):
 
     Returns (diagonal entries, T) with T^t F T diagonal, kept on the form
     and returned again on a later call.  A zero pivot with a nonzero
-    off-diagonal partner j is repaired by the basis substitution e_i <-
-    e_i + e_j (falling back to e_i - e_j when the characteristic-
-    independent cancellation 2F_ij + F_jj = 0 strikes); pivots and
+    off-diagonal partner j is repaired by one transvection e_i <- e_i +
+    c e_j: the new pivot is c (2F_ij + c F_jj), so c = 1 unless 2F_ij +
+    F_jj = 0, when c = -1 (and 2F_ij - F_jj = 4F_ij).  Pivots and
     partners are always taken at the lowest index.  Degenerate forms
     simply keep zeros on the diagonal, so the rank is preserved.
     """
@@ -261,9 +260,7 @@ def diagonalize(form: FieldForm):
             j = next((k for k in range(i + 1, n) if not m[i][k].is_zero()), None)
             if j is None:
                 continue  # e_i lies in the radical of the trailing block
-            add_basis(i, j, field.one())
-            if m[i][i].is_zero():
-                add_basis(i, j, field.element(-2))
+            add_basis(i, j, field.element(-1 if (m[i][j] + m[i][j] + m[j][j]).is_zero() else 1))
         inv = m[i][i].inverse()
         for j in range(i + 1, n):
             if not m[i][j].is_zero():

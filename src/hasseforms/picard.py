@@ -133,33 +133,15 @@ def point_report(curve: CurveSpec) -> PointCountReport:
     left unset with a warning."""
     if curve.is_polyline:
         q = curve.field.q
-        return PointCountReport(
-            affine=q,
-            total=q + 1,
-            smooth=True,
-            singular_points=(),
-            pic_order=1,
-            pic_parity="odd",
-            two_torsion=None,
-        )
+        return PointCountReport(q, q + 1, True, (), pic_order=1, pic_parity="odd")
     smooth, singular = is_smooth(curve)
     affine, root = _count_scan(curve)
-    report = PointCountReport(
-        affine=affine,
-        total=affine + 1,
-        smooth=smooth,
-        singular_points=singular,
-    )
-    if smooth:
-        report.pic_order = affine + 1
-        report.pic_parity = "odd" if report.pic_order % 2 else "even"
-        report.two_torsion = root
-    else:
-        report.warning = (
-            "curve is singular: Picard data omitted because the "
-            "point-group isomorphism requires smoothness"
-        )
-    return report
+    total = affine + 1
+    if not smooth:
+        warning = "curve is singular: Picard data omitted because the point-group isomorphism requires smoothness"
+        return PointCountReport(affine, total, smooth, singular, warning=warning)
+    parity = "odd" if total % 2 else "even"
+    return PointCountReport(affine, total, smooth, singular, pic_order=total, pic_parity=parity, two_torsion=root)
 
 
 # ---------------------------------------------------------------------------

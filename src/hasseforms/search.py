@@ -56,14 +56,14 @@ def isom_search(
     for columns within the bounds, also bounds u^t F v - G_ij, and a
     nonzero difference vanishes at no more than D of the x-values.  A
     G_ij of larger pole order is matched by nothing and needs no points.
-    The points are the first D + 1 x-values (one if the bounds admit only
-    0), in canonical order, of the smallest F_{q^k} that has that many (on
-    the cubic, each with the smaller square root for y); when no field of
-    at most MAX_INSPECTION_SIZE elements has them, ValueError is raised
-    before the pool is built.  Only the final witness is built as a
-    matrix over the ring, for its determinant.  A pool of more than
-    MAX_POOL_VALUES values, one per entry and point, is refused with
-    ValueError before any point is found.
+    The points are the first D + 1 x-values, in canonical order, of the
+    smallest F_{q^k} that has that many (on the cubic, each with the
+    smaller square root for y); when no field of at most
+    MAX_INSPECTION_SIZE elements has them, ValueError is raised before
+    the pool is built.  Only the final witness is built as a matrix over
+    the ring, for its determinant.  A pool of more than MAX_POOL_VALUES
+    values, one per entry and point, is refused with ValueError before
+    any point is found.
 
     A later column's candidates are first filtered at the first point
     alone: those that agree there with the first column, in order, are
@@ -73,16 +73,16 @@ def isom_search(
     against every chosen column at every point (at the first one once).
 
     ``budget`` caps the inner-product evaluations the search charges
-    (default 10^8), and the first charge past it raises
-    BudgetExceededError with the count charged so far.  The scans are
-    charged up front, before any field, point or pool is built; the pool
-    size in that charge is capped at budget + 1, so a refusal there may
-    report a lower bound.  Each check is charged after that.  A skipped
-    candidate costs one evaluation, the check it fails, but each run of
-    them is charged in one step: with the next survivor's first check, or
-    before the column gives up.  The totals are those of charging every
-    check in turn, so the same searches return and the same ones raise;
-    only the count in the error message can differ.
+    (default 10^8); the first charge past it raises BudgetExceededError
+    with the count so far.  The scans are charged first, before any field,
+    point or pool is built, with the pool size capped at budget + 1, so a
+    refusal there may report a lower bound.  Bounds that admit only the
+    zero entry then return None: no such Q has a unit determinant.  Each
+    check is charged after that.  A skipped candidate costs one evaluation,
+    the check it fails, but each run of them is charged in one step: with
+    the next survivor's first check, or before the column gives up.  The
+    totals are those of charging every check in turn, so the same searches
+    return and the same ones raise; only the count in an error can differ.
     """
     if f.curve is not g.curve:
         raise ValueError("forms live over different curves")
@@ -115,8 +115,10 @@ def isom_search(
         else:
             counter.tick(size ** n)
 
+    if deg_x < 0 and deg_y < 0:  # only the zero entry, and no unit determinant
+        return None
     reach = _reach(curve, f_rows, deg_x, deg_y)
-    count = 1 if reach is None else reach + 1
+    count = reach + 1
     if size * count > MAX_POOL_VALUES:  # the pool's values, one per entry and point
         raise ValueError(f"entry pool of {size} entries at {count} points exceeds {MAX_POOL_VALUES} values")
     points = _evaluation_points(curve, count)
@@ -225,22 +227,19 @@ def _pole_order(e: RingElement) -> Optional[int]:
     return max(2 * e.a.degree, 2 * e.b.degree + 3 if not e.b.is_zero() else -1)
 
 
-def _reach(curve: CurveSpec, f_rows, deg_x: int, deg_y: int) -> Optional[int]:
-    """The largest pole order of u^t F v over columns within the bounds,
-    or None when the bounds admit only the zero entry."""
+def _reach(curve: CurveSpec, f_rows, deg_x: int, deg_y: int) -> int:
+    """The largest pole order of u^t F v, for bounds that admit a nonzero entry."""
     entry = []
     if deg_x >= 0:
         entry.append(deg_x if curve.is_polyline else 2 * deg_x)
     if deg_y >= 0:
         entry.append(2 * deg_y + 3)
-    if not entry:
-        return None
     return 2 * max(entry) + max(_pole_order(e) for row in f_rows for e in row if not e.is_zero())
 
 
-def _reachable(target: RingElement, reach: Optional[int]) -> bool:
+def _reachable(target: RingElement, reach: int) -> bool:
     order = _pole_order(target)
-    return order is None or (reach is not None and order <= reach)
+    return order is None or order <= reach
 
 
 def _evaluation_points(curve: CurveSpec, count: int):

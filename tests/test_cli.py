@@ -745,8 +745,8 @@ def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # their rows too
     for argv, lines, nodes in [
         (["genus-verify", "--input", fixture_path("polyline_pair")], 2883, 17517),
-        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 3021, 18873),
-        (["curve", "--q", "5", "--polyline"], 2817, 16733),
+        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 3020, 18859),
+        (["curve", "--q", "5", "--polyline"], 2799, 16726),
         (["form", "--json", form_payload("1")], 2624, 16006),
     ]:
         size = _loaded_size(argv)

@@ -165,6 +165,19 @@ def test_mismatched_curves_rejected():
             RingElement(EC, a, b)
     with pytest.raises(ValueError, match="mismatched curves"):
         congruence(RingMatrix(EC, diagonal_rows([1, 1])), RingMatrix(other, diagonal_rows([1, 1])))
+    for num, den in ((relem(other, "x"), None), (relem(EC, "x"), P("1", F9))):
+        with pytest.raises(ValueError, match="^mismatched curves$"):
+            RingFraction(EC, num, den)
+
+
+def test_equal_matrices_and_field_forms_hash_equal():
+    x = relem(EC, "x")
+    for a, b in (
+        (RingMatrix(EC, [[1, x], [x, 2]]), RingMatrix(EC, [[1, relem(EC, "x")], [relem(EC, "x"), 2]])),
+        (FieldForm(F5, [[1, 2], [2, 1]]), FieldForm(F5, [[1, 2], [2, 1]])),
+    ):
+        assert a is not b and hash(a) == hash(b)
+        assert len({a, b}) == 1
 
 
 def test_canonical_form_idempotent():

@@ -296,6 +296,7 @@ def test_element_coercion_and_equality():
     assert a == 2
     assert a + 1 == 3
     assert 1 - a == F5.element(4)
+    assert a - 2 is F5.zero() and a - 4 is F5.element(3)
     assert hash(F5.element(2)) == hash(a)
 
 

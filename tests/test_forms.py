@@ -335,6 +335,20 @@ def test_diagonalize_hyperbolic_plane_f3():
     assert field_congruence(t, form) == FieldForm.diagonal(F3, diag)
 
 
+def test_diagonalize_zero_pivot_fallback_multiplier():
+    # 2F_01 + F_11 = 0, so e_0 <- e_0 + e_1 would leave a zero pivot and
+    # the repair takes e_0 <- e_0 - e_1
+    for field, rows, want_diag, want_t in (
+        (F3, [[0, 1], [1, 1]], (2, 1), ((1, 0), (2, 1))),
+        (F5, [[0, 1, 2], [1, 3, 0], [2, 0, 1]], (1, 4, 3), ((1, 2, 1), (4, 4, 3), (0, 0, 1))),
+    ):
+        form = FieldForm(field, rows)
+        diag, t = diagonalize(form)
+        assert diag == tuple(field.element(c) for c in want_diag)
+        assert t == tuple(tuple(field.element(c) for c in row) for row in want_t)
+        assert field_congruence(t, form) == FieldForm.diagonal(field, diag)
+
+
 def test_diagonalize_fixed_point_on_diagonals():
     form = FieldForm.diagonal(F5, [1, 2, 3])
     diag, t = diagonalize(form)
@@ -1475,6 +1489,14 @@ def test_isom_search_budget_checked_before_pool(monkeypatch):
     g = GramMatrix.identity(EC, 2)
     with pytest.raises(BudgetExceededError):
         isom_search(g, g, deg_x=2, deg_y=1, budget=5**3 * 5**2 - 1)
+    # bounds that admit only the zero entry answer None once the scans are
+    # charged: no such Q has a unit determinant
+    hyperbolic = GramMatrix.from_rows(LINE5, [[0, 1], [1, 0]])
+    assert isom_search(f, f, deg_x=-1) is None
+    assert isom_search(f, hyperbolic, deg_x=-1, budget=2) is None
+    assert isom_search(g, g, deg_x=-1, deg_y=-1) is None
+    with pytest.raises(BudgetExceededError, match="^evaluation count 2 exceeds budget 1$"):
+        isom_search(f, f, deg_x=-1, budget=1)
 
 
 def test_isom_search_refuses_a_pool_too_large_to_hold(monkeypatch, capsys):

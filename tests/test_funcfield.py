@@ -555,6 +555,21 @@ def test_poly_unit_factors_and_zero_subtrahends_return_the_other_operand():
         assert (f * zero).is_zero() and (zero - f) == -f
 
 
+def test_poly_difference_and_divmod_coerce_a_constant_operand():
+    for field in ARITH_FIELDS:
+        f = Poly(field, [field.gen(), 2, 1])
+        two = Poly(field, [2])
+        assert f - 2 == f - two and f - field.element(2) == f - two
+        assert divmod(f, 2) == divmod(f, two) == (f * field.element(2).inverse(), Poly.zero(field))
+
+
+def test_equal_primes_hash_equal():
+    line = PrimePoly(F5, Poly(F5, [1, 1]))
+    same = PrimePoly(F5, Poly(F5, [1, 1]))
+    assert line is not same and hash(line) == hash(same)
+    assert len({line, same, PrimePoly(F5, None), PrimePoly(F5, None)}) == 2
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_poly_pairs, st.integers(-20, 20))
 def test_poly_equality_across_types_is_unchanged(pair, n):

@@ -1,7 +1,10 @@
 """The package's public names resolve on first access to the objects of
-their home modules, and behave like ordinary module attributes."""
+their home modules, and behave like ordinary module attributes; and
+``pyproject.toml`` ships every bundled fixture and a console script that
+resolves."""
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +39,17 @@ def test_star_import_and_dir_list_all():
     exec("from hasseforms import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(hasseforms.__all__)
     assert set(hasseforms.__all__) <= set(dir(hasseforms))
+
+
+def test_pyproject_ships_every_fixture_and_a_working_console_script():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())
+    package = root / "src" / "hasseforms"
+    globs = project["tool"]["setuptools"]["package-data"]["hasseforms"]
+    shipped = {path for pattern in globs for path in package.glob(pattern) if path.is_file()}
+    fixtures = {path for path in (package / "fixtures").rglob("*") if path.is_file()}
+    assert fixtures and fixtures <= shipped
+    module, _, attribute = project["project"]["scripts"]["hasseforms"].partition(":")
+    assert (module, attribute) == ("hasseforms.cli", "main")
+    assert callable(getattr(importlib.import_module(module), attribute))

@@ -6,9 +6,10 @@ method or class has a caller in the library; every class that interns
 its values in ``__new__`` defines ``__reduce__``; interned fields and
 curves are compared with ``is``, never ``==``; only
 ``local.local_isomorphic`` tells the two kinds of closed place apart by
-type; only ``cli.build_parser`` imports argparse; and a public name
-defined in a module loaded on first use resolves from a second module
-exactly when perfbench looks it up there."""
+type; only ``cli.build_parser`` imports argparse; a public name defined
+in a module loaded on first use resolves from a second module exactly
+when perfbench looks it up there; and every module parses under the
+Python 3.10 grammar, the oldest that ``pyproject.toml`` admits."""
 
 import ast
 import importlib
@@ -29,6 +30,11 @@ def _tree(path):
 
 def test_modules_found():
     assert {"finfield.py", "forms.py", "__init__.py"} <= {path.name for path in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_parses_under_the_oldest_supported_grammar(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
