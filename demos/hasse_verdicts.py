@@ -7,7 +7,7 @@ x-axis: an even group has a rational 2-torsion point there.
 """
 
 from hasseforms import CurveSpec, hasse_principle, make_extension
-from hasseforms.hasse import binary_genus_lower_bound
+from hasseforms.picard import binary_genus_lower_bound
 
 print(f"{'curve':<28}{'rank':>6}{'verdict':>10}   reason")
 print("-" * 76)

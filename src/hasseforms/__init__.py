@@ -23,9 +23,10 @@ _HOME = {
         "isom_search local_isomorphic verify_genus_witness",
         "funcfield": "Poly factor valuation",
         "genus": "GenusReport",
-        "hasse": "FAILS HOLDS HasseDecision HasseReason binary_genus_lower_bound hasse_principle is_ufd",
+        "hasse": "hasse_principle",
         "local": "FieldForm PrimePoly field_isomorphic",
-        "picard": "PointCountReport has_two_torsion is_smooth picard_order",
+        "picard": "FAILS HOLDS HasseDecision HasseReason PointCountReport binary_genus_lower_bound has_two_torsion "
+        "is_smooth is_ufd picard_order",
     }.items()
     for name in names.split()
 }

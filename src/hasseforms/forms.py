@@ -88,7 +88,7 @@ class GramMatrix:
 
     @classmethod
     def identity(cls, curve, n: int) -> GramMatrix:
-        return cls.diagonal(curve, [_ring_entry(curve, 1)] * n)
+        return cls.diagonal(curve, [1] * n)
 
     @classmethod
     def diagonal(cls, curve, entries) -> GramMatrix:

@@ -43,7 +43,7 @@ class GenusWitness(Record):
         self.__post_init__()
 
     def __post_init__(self):
-        pairs = []
+        self.pairs = tuple(self.pairs)
         for q, s in self.pairs:
             if not isinstance(q, RingMatrix) or not isinstance(s, RingElement):
                 raise TypeError("witness pairs are (matrix, ring element)")
@@ -55,8 +55,6 @@ class GenusWitness(Record):
                 for j, e in enumerate(row, 1):
                     if not _times_power(e.num, s, 2 * e.den.degree, e.den).is_zero():
                         raise MalformedWitnessError(f"entry ({i}, {j}) has a pole off the declared locus")
-            pairs.append((q, s))
-        self.pairs = tuple(pairs)
 
 
 def _times_power(num: RingElement, s: RingElement, k: int, m: Poly) -> RingElement:

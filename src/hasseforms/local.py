@@ -23,33 +23,33 @@ degree d, the minimal polynomials of the line's Frobenius orbits of
 length d, and ``factor`` is distinct-degree factorization on the
 Frobenius powers x^(q^j) mod f (von zur Gathen and Gerhard, *Modern
 Computer Algebra*, ch. 14), splitting a part that holds two or more
-primes by those lists.
+primes by equal degree (Cantor and Zassenhaus, Math. Comp. 36, 1981).
 
 No CLI command runs this code.  Its public names are imported from
 here, except the five that perfbench's tracer wraps on ``forms`` and
 ``funcfield`` (``diagonalize``, ``local_isomorphic``,
 ``monic_irreducibles``, ``factor``, ``valuation``), which are reached
 there; those modules import this one on first use.  The code here calls
-``diagonalize``, ``monic_irreducibles`` and ``enumerate_points`` as
-attributes of the modules the tracer wraps them on, so that the tracer
-sees each call.
+``diagonalize`` and ``enumerate_points`` as attributes of the modules
+the tracer wraps them on, so that the tracer sees each call.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import reduce
 from operator import mul
 from typing import Optional
 
-from . import curvepoints, forms, funcfield
+from . import curvepoints, forms
 from .curvepoints import AffinePoint, _conjugates, is_singular_point, require_on_curve
 from .curvering import CurveSpec, diagonal_rows, is_symmetric, square_rows
 from .finfield import MAX_INSPECTION_SIZE, FieldElement, FiniteField, capped_power, is_square
 from .forms import GramMatrix, is_unimodular
-from .funcfield import Poly, _coeff_text, is_irreducible, poly_gcd, to_text
+from .funcfield import Poly, _coeff_text, is_irreducible, monic_polys, monic_rank, poly_gcd, to_text
 from .records import Record
 
-FACTOR_DEGREE_BOUND = 24
+FACTOR_DEGREE_BOUND = 64
 
 
 # ---------------------------------------------------------------------------
@@ -77,19 +77,45 @@ def _multiplicity(f: Poly, prime: Poly):
         f, mult = quo, mult + 1
 
 
+def _equal_degree_primes(g: Poly, j: int):
+    """The distinct primes of degree j whose product is g, by monic_rank.
+
+    For q odd, a prime p of degree j and a in F_q[x], a^((q^j - 1)/2) is
+    0, 1 or -1 mod p as a is zero, a nonzero square or a non-square in
+    F_{q^j} = F_q[x]/(p).  So gcd(part, a^((q^j - 1)/2) - 1) splits a part
+    when that power is 1 mod some but not all of its primes, and an a
+    that does not split a part splits none of the part's divisors.  The
+    parts are tried with a = x, x + 1, ..., x^2, ... in ``monic_polys``
+    order, degree by degree, until each has degree j: by the Chinese
+    remainder theorem some monic a of degree < deg g is a square mod one
+    prime of g and not mod another.
+    """
+    parts, e = [g], (g.field.q**j - 1) // 2
+    candidates = (a for k in itertools.count(1) for a in monic_polys(g.field, k))
+    while any(part.degree > j for part in parts):
+        a = next(candidates)
+        split = []
+        for part in parts:
+            d = poly_gcd(part, pow(a, e, part) - 1) if part.degree > j else part
+            split += [d, part // d] if 0 < d.degree < part.degree else [part]
+        parts = split
+    # the split leaves the primes in no useful order
+    return sorted(parts, key=monic_rank)
+
+
 def factor(f: Poly):
     """Factor into monic irreducibles by distinct-degree factorization.
 
     With every prime of degree < j divided out of rem, gcd(rem, x^(q^j) - x)
     is the product of the distinct primes of degree j dividing rem.  A
-    product of degree j is one prime; a longer one is split by trial
-    division against ``monic_irreducibles(field, j)``.  Once rem has
-    degree < 2j it is itself prime.
+    product of degree j is one prime; a longer one is split by equal
+    degree (``_equal_degree_primes``).  Once rem has degree < 2j it is
+    itself prime.
 
     Returns (leading coefficient, [(prime, multiplicity), ...]), which
     reassembles f.  The primes come degree by degree, each degree in
-    ``monic_irreducibles`` order, and the prime rem left last has the
-    largest degree, so they are in ``monic_polys`` order.
+    ``monic_rank`` order, and the prime rem left last has the largest
+    degree, so they are in ``monic_polys`` order.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -108,8 +134,7 @@ def factor(f: Poly):
         g = poly_gcd(rem, h - x)
         if g.degree < 1:
             continue
-        primes = [g] if g.degree == j else [p for p in funcfield.monic_irreducibles(f.field, j) if (g % p).is_zero()]
-        for prime in primes:
+        for prime in _equal_degree_primes(g, j):
             mult, rem = _multiplicity(rem, prime)
             factors.append((prime, mult))
     return lead, factors

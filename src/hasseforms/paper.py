@@ -4,7 +4,8 @@ print a pass/fail table.
 Only ``verify-paper`` loads this module.  Its rows need point counting,
 genus verification and the search; like every other caller, it imports
 the names perfbench's tracer wraps from the modules it wraps them on
-(``curvepoints``, ``forms``) and every other name from its home.
+(``curvepoints``, ``forms``, ``hasse``) and every other name from its
+home.
 """
 
 from __future__ import annotations

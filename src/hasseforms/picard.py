@@ -1,5 +1,17 @@
-"""Point counts, smoothness and the Picard data of a curve, and the JSON
-of the reports built on them.
+"""Point counts, smoothness and the Picard data of a curve, the Hasse
+local-global verdicts read off them, and the JSON of the reports built
+on them.
+
+For a unimodular symmetric bilinear form of rank n over the ring of
+functions regular away from the infinite point, every form in its genus
+is already globally isomorphic to it exactly when:
+
+  rank n != 2:  the Picard group of the affine curve has odd order;
+  rank n == 2:  that group is trivial, i.e. the ring is a UFD.
+
+Verdicts carry these reasons so reports are auditable, and rank 1
+deliberately runs through the generic n != 2 branch rather than a
+special case.
 
 The count needs no points: over F_q there are 1 + chi(x^3 + ax + b)
 affine points above each x, with chi the quadratic character (chi(0) =
@@ -20,10 +32,16 @@ The 2-torsion criterion: a point of order 2 is a rational point on the
 x-axis, so the group order is odd exactly when x^3 + ax + b has no root
 in F_q.  ``point_report`` carries both facts side by side.
 
+When -1 is a square in F_q the rank-2 special unitary group of the
+identity form is a split torus, which pins the number of isomorphism
+classes in the genus of the identity form from below by the Picard
+order itself; ``binary_genus_lower_bound`` exposes that bound.
+
 Only the ``curve``, ``hasse`` and ``verify-paper`` commands load this
-module, and its public names are imported from here, except
-``point_report``, which perfbench's tracer wraps on ``curvepoints`` and
-is reached there; ``curvepoints`` imports this module on first use.
+module, and its public names are imported from here, except the two
+that perfbench's tracer wraps elsewhere: ``point_report`` is reached
+through ``curvepoints`` and ``hasse_principle`` through ``hasse``, which
+import this module on first use.
 """
 
 from __future__ import annotations
@@ -32,9 +50,12 @@ from typing import Optional
 
 from .curvepoints import AffinePoint, _cubic_logs, is_singular_point
 from .curvering import CurveSpec
-from .hasse import HasseDecision
+from .finfield import is_square
 from .records import Record
 from .serialize import point_to_json
+
+HOLDS = "Holds"
+FAILS = "Fails"
 
 
 class PointCountReport(Record):
@@ -61,6 +82,28 @@ class PointCountReport(Record):
         self.pic_parity = pic_parity
         self.two_torsion = two_torsion
         self.warning = warning
+
+
+class HasseReason(Record):
+    """Machine-checkable evidence behind a verdict."""
+
+    __slots__ = ("pic_order", "pic_parity", "ufd", "two_torsion", "criterion")
+
+    def __init__(self, pic_order: int, pic_parity: str, ufd: bool, two_torsion: Optional[bool], criterion: str):
+        self.pic_order = pic_order
+        self.pic_parity = pic_parity
+        self.ufd = ufd
+        self.two_torsion = two_torsion
+        self.criterion = criterion
+
+
+class HasseDecision(Record):
+    __slots__ = ("verdict", "rank", "reason")
+
+    def __init__(self, verdict: str, rank: int, reason: HasseReason):
+        self.verdict = verdict  # HOLDS | FAILS
+        self.rank = rank
+        self.reason = reason
 
 
 def _count_scan(curve: CurveSpec):
@@ -142,6 +185,60 @@ def point_report(curve: CurveSpec) -> PointCountReport:
         return PointCountReport(affine, total, smooth, singular, warning=warning)
     parity = "odd" if total % 2 else "even"
     return PointCountReport(affine, total, smooth, singular, pic_order=total, pic_parity=parity, two_torsion=root)
+
+
+# ---------------------------------------------------------------------------
+# local-global verdicts
+
+
+def _picard_data(curve: CurveSpec):
+    """(Picard order, 2-torsion or None on the line), cross-checked.
+    ``picard_order`` refuses a singular cubic, naming its singular point;
+    that is the one smoothness refusal of every verdict here."""
+    order = picard_order(curve)
+    torsion = None
+    if not curve.is_polyline:
+        torsion = has_two_torsion(curve)
+        if (order % 2 == 1) == torsion:
+            raise AssertionError("point-group parity disagrees with the 2-torsion criterion")
+    return order, torsion
+
+
+def hasse_principle(curve: CurveSpec, rank: int) -> HasseDecision:
+    """Decide the local-global principle for unimodular forms of the
+    given rank over the curve's coordinate ring."""
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    order, torsion = _picard_data(curve)
+    parity = "odd" if order % 2 else "even"
+    ufd = order == 1
+    if rank == 2:
+        verdict = HOLDS if ufd else FAILS
+        criterion = "rank 2: holds iff the coordinate ring is a UFD (Picard group trivial)"
+    else:
+        verdict = HOLDS if order % 2 else FAILS
+        criterion = "rank != 2: holds iff the Picard group has odd order"
+    reason = HasseReason(pic_order=order, pic_parity=parity, ufd=ufd, two_torsion=torsion, criterion=criterion)
+    return HasseDecision(verdict=verdict, rank=rank, reason=reason)
+
+
+def is_ufd(curve: CurveSpec) -> bool:
+    """Whether the coordinate ring has unique factorization; for these
+    Dedekind rings that is exactly a trivial Picard group."""
+    return _picard_data(curve)[0] == 1
+
+
+def binary_genus_lower_bound(curve: CurveSpec) -> Optional[int]:
+    """Lower bound for the number of isomorphism classes in the genus of
+    the rank-2 identity form, when -1 is a square (split torus case).
+
+    Returns the Picard order then, and None when -1 is not a square,
+    where the split-torus argument does not apply.
+    """
+    if curve.is_polyline:
+        raise ValueError("the bound is stated for Weierstrass curves")
+    order, _ = _picard_data(curve)
+    return order if is_square(curve.field.element(-1)) else None
 
 
 # ---------------------------------------------------------------------------

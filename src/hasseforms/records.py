@@ -14,13 +14,10 @@ class Record:
     __slots__ = ()
     __hash__ = None
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return [getattr(self, name) for name in self.__slots__] == [getattr(other, name) for name in self.__slots__]
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -678,6 +678,24 @@ def monic_irreducibles_by_trial_division(field: FiniteField, degree: int):
     return _trial_cache[key]
 
 
+def factor_by_trial_division(f):
+    """(leading coefficient, [(prime, multiplicity), ...]) of f != 0: the
+    monic irreducibles of each degree d, listed by trial division, divided
+    out in canonical order while d is at most half of what is left, which
+    is then 1 or prime."""
+    rem, factors, d = f.monic(), [], 1
+    while 2 * d <= rem.degree:
+        for g in monic_irreducibles_by_trial_division(f.field, d):
+            m = _multiplicity(rem, g)
+            if m:
+                factors.append((g, m))
+                rem = rem // g**m
+        d += 1
+    if rem.degree >= 1:
+        factors.append((rem, 1))
+    return f.leading_coeff(), factors
+
+
 # ---------------------------------------------------------------------------
 # F_p[t]/(m) on plain coefficient vectors: schoolbook products with long
 # division by the modulus, inverses and square roots by exhaustive search.

@@ -24,9 +24,9 @@ from hasseforms.forms import (
     verify_genus_witness,
 )
 from hasseforms.funcfield import Poly
-from hasseforms.hasse import FAILS, HOLDS, hasse_principle
+from hasseforms.hasse import hasse_principle
 from hasseforms.local import FieldForm, field_isomorphic
-from hasseforms.picard import is_smooth, picard_order
+from hasseforms.picard import FAILS, HOLDS, is_smooth, picard_order
 from hasseforms.serialize import load_bundled_pair, pair_from_json
 
 from oracles import INFINITY, brute_force_congruent, ec_multiply, smooth_weierstrass_pairs, symmetric_nondegenerate

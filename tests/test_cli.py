@@ -744,10 +744,10 @@ def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # beyond the modules every command loads, so growth there shows in
     # their rows too
     for argv, lines, nodes in [
-        (["genus-verify", "--input", fixture_path("polyline_pair")], 2883, 17517),
-        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 3020, 18859),
-        (["curve", "--q", "5", "--polyline"], 2799, 16726),
-        (["form", "--json", form_payload("1")], 2624, 16006),
+        (["genus-verify", "--input", fixture_path("polyline_pair")], 2763, 17103),
+        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2902, 18460),
+        (["curve", "--q", "5", "--polyline"], 2778, 16709),
+        (["form", "--json", form_payload("1")], 2506, 15607),
     ]:
         size = _loaded_size(argv)
         assert size[0] <= lines and size[1] <= nodes, (argv[0], size)

@@ -55,6 +55,15 @@ def test_singular_cubic_flagged_but_accepted():
     assert EC.cubic() == P("x^3+2*x+3")
 
 
+def test_reprs_of_the_line_ring_elements_and_fractions():
+    c = CurveSpec.weierstrass(F5, 1, 1)
+    assert repr(LINE) == "CurveSpec(line/F5)"
+    assert repr(relem(LINE, "x^2+2")) == "RingElement('x^2+2')"
+    assert repr(relem(c, "x", "2*x+1")) == "RingElement('x' + ('2*x+1')*y)"
+    assert repr(RingFraction(LINE, relem(LINE, "x+1"))) == "RingFraction(RingElement('x+1'))"
+    assert repr(RingFraction(c, relem(c, "x", "1"), P("x+1"))) == "RingFraction(RingElement('x' + ('1')*y) / 'x+1')"
+
+
 def test_smooth_cubic():
     c = CurveSpec.weierstrass(F5, 1, 1)
     assert c.is_smooth

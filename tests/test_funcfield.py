@@ -1,4 +1,3 @@
-import collections
 import random
 
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 from hasseforms import funcfield
 from hasseforms.curvepoints import enumerate_points
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction
-from hasseforms.finfield import MAX_INSPECTION_SIZE, make_extension
+from hasseforms.finfield import make_extension
 from hasseforms.genus import _times_power
 from hasseforms.local import PrimePoly
 from hasseforms.funcfield import (
@@ -27,6 +26,7 @@ from oracles import (
     INFINITY,
     ec_add,
     ec_multiply,
+    factor_by_trial_division,
     monic_irreducibles_by_trial_division,
     poly_product_by_vectors,
     reducible_monics_by_products,
@@ -63,6 +63,23 @@ def test_cubic_expansion_from_linear_factors():
 def test_gcd_of_coprime_linear_pair():
     # (1+x) + (1-x) = 2 is a unit, so the gcd is 1
     assert poly_gcd(P5("1-x"), P5("1+x")) == Poly.one(F5)
+
+
+def test_gcd_of_zero_and_zero_is_zero():
+    assert poly_gcd(Poly.zero(F5), Poly.zero(F5)).is_zero()
+
+
+def test_str_of_a_poly_is_its_text():
+    assert str(P5("4+x+3*x^2")) == "3*x^2+x+4"
+
+
+def test_monic_polys_of_negative_degree_yields_nothing():
+    assert list(monic_polys(F5, -1)) == []
+
+
+def test_a_poly_plus_a_string_raises_type_error():
+    with pytest.raises(TypeError, match="'Poly' and 'str'"):
+        Poly.x(F5) + "x"
 
 
 def test_multiplicative_identity():
@@ -205,7 +222,7 @@ def test_factor_reassembly_random(field, max_deg, trials):
 
 def test_factor_degree_bound():
     with pytest.raises(ValueError):
-        factor(Poly.x(F5) ** 30)
+        factor(Poly.x(F5) ** 65)
     with pytest.raises(ValueError, match="cannot factor the zero polynomial"):
         factor(Poly.zero(F5))
 
@@ -300,14 +317,7 @@ def test_factor_matches_sympy(f):
     galoistools = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ
 
-    p = f.field.p
-    want_lead, want = galoistools.gf_factor([ZZ(c) for c in _dense(f)], p, ZZ)
-    per_degree = collections.Counter(len(g) - 1 for g, _ in want)
-    if any(n >= 2 and p**j > MAX_INSPECTION_SIZE for j, n in per_degree.items()):
-        # splitting two primes of degree j would list all p^j monics
-        with pytest.raises(ValueError, match="enumeration bound"):
-            factor(f)
-        return
+    want_lead, want = galoistools.gf_factor([ZZ(c) for c in _dense(f)], f.field.p, ZZ)
     lead, factors = factor(f)
     assert lead == f.field.element(int(want_lead))
     assert sorted((_dense(g), e) for g, e in factors) == sorted(([int(c) for c in g], e) for g, e in want)
@@ -346,7 +356,7 @@ def test_factor_of_a_prime_square_lists_no_cubics(monkeypatch):
 
 def test_factor_splits_equal_degree_products():
     # three linear and two quadratic primes: gcds of degree 3 and 4 are split
-    # against the degree-1 and degree-2 lists
+    # by equal degree
     f = P5("x") * P5("x+1") ** 2 * P5("x+3") * P5("x^2+2") * P5("x^2+3") ** 3
     _, factors = factor(f)
     assert factors == [(P5("x"), 1), (P5("x+1"), 2), (P5("x+3"), 1), (P5("x^2+2"), 1), (P5("x^2+3"), 3)]
@@ -376,10 +386,35 @@ def test_enumerations_beyond_the_bound_are_refused(monkeypatch):
         funcfield.monic_irreducibles(F121, 3)
     assert seen == [("monic_irreducibles", 3)]  # refused before listing anything
     # two distinct cubic primes over F_121 share one distinct-degree part,
-    # which would need the 1.77 million monic cubics to split
+    # which is split with no list of the 1.77 million monic cubics
     cubics = [f for f in (Poly.from_text(F121, f"x^3+x+{c}") for c in range(11)) if is_irreducible(f)]
-    with pytest.raises(ValueError, match="enumeration bound"):
-        factor(cubics[0] * cubics[1])
+    assert factor(cubics[0] * cubics[1]) == (F121.one(), [(cubics[0], 1), (cubics[1], 1)])
+
+
+def test_factor_splits_planted_products_of_equal_degree_primes():
+    # every part of degree > j is split by equal degree, whatever q^j is
+    F7 = make_extension(7, 1)
+    quintics = [f for f in (Poly.from_text(F7, f"x^5+{b}*x+{c}") for b in (1, 2) for c in range(7)) if is_irreducible(f)]
+    cubics = [f for f in (Poly.from_text(F121, f"x^3+x+{c}") for c in range(11)) if is_irreducible(f)]
+    for primes in (quintics[:2], quintics, cubics[:3], cubics):
+        field = primes[0].field
+        rng = random.Random(len(primes) * field.q)
+        planted = [(g, rng.randrange(1, 3)) for g in primes]
+        f = Poly.constant(field, 3)
+        for g, e in planted:
+            f = f * g**e
+        assert factor(f) == (field.element(3), planted)
+
+
+@pytest.mark.parametrize("p,k,max_deg", [(3, 2, 6), (5, 2, 5)])
+def test_factor_matches_trial_division(p, k, max_deg):
+    field = make_extension(p, k)
+    elements = list(field.elements())
+    rng = random.Random(field.q)
+    for _ in range(40):
+        f = Poly(field, [rng.choice(elements) for _ in range(rng.randint(2, max_deg + 1))])
+        if not f.is_zero():
+            assert factor(f) == factor_by_trial_division(f), to_text(f)
 
 
 def test_monic_irreducible_counts():

@@ -5,14 +5,8 @@ import pytest
 
 from hasseforms.curvering import CurveSpec
 from hasseforms.finfield import make_extension
-from hasseforms.hasse import (
-    FAILS,
-    HOLDS,
-    binary_genus_lower_bound,
-    hasse_principle,
-    is_ufd,
-)
-from hasseforms.picard import has_two_torsion
+from hasseforms.hasse import hasse_principle
+from hasseforms.picard import FAILS, HOLDS, binary_genus_lower_bound, has_two_torsion, is_ufd
 
 from oracles import smooth_weierstrass_pairs
 

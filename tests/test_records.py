@@ -9,8 +9,7 @@ from hasseforms.finfield import make_extension
 from hasseforms.forms import GenusWitness, GramMatrix, MalformedWitnessError
 from hasseforms.funcfield import Poly
 from hasseforms.genus import GenusReport
-from hasseforms.hasse import HasseDecision, HasseReason
-from hasseforms.picard import PointCountReport
+from hasseforms.picard import HasseDecision, HasseReason, PointCountReport
 
 F5 = make_extension(5, 1)
 LINE5 = CurveSpec.polyline(F5)

@@ -179,7 +179,7 @@ def test_argparse_is_imported_only_to_build_the_parser():
 
 
 # modules that forward names defined in the modules loaded on first use
-FORWARDING = ("forms", "funcfield", "curvepoints", "serialize")
+FORWARDING = ("forms", "funcfield", "curvepoints", "serialize", "hasse")
 LAZY_HOMES = ("local", "genus", "search", "picard")
 
 

@@ -114,7 +114,8 @@ line = hf.CurveSpec.polyline(field)
 form = hf.FieldForm(field, [[1, 2], [2, 3]])
 hf.diagonalize(form)
 form.rank  # diagonalizes once more
-hf.factor(hf.Poly(field, [0, 1, 1]))  # x(x + 1): lists the primes of degree 1
+hf.funcfield.monic_irreducibles(field, 1)
+hf.factor(hf.Poly(field, [0, 1, 1]))  # x(x + 1)
 f = hf.GramMatrix.identity(line, 2)
 hf.local_isomorphic(f, f, hf.PrimePoly.finite(hf.Poly(field, [2, 0, 1])))
 hf.point_report(hf.CurveSpec.weierstrass(field, 1, 1))
