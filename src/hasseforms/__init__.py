@@ -38,20 +38,21 @@ def _lazy_names(namespace: dict, homes: dict):
     """A module ``__getattr__`` for names that live in other modules of the
     package: a name of ``homes`` is imported from its module there on first
     access and then bound in ``namespace``, the module's globals, like any
-    other attribute; any other name raises AttributeError."""
+    other attribute; any other name raises AttributeError.  ``__all__``,
+    unless the module sets it, and the module's ``__dir__``, which this
+    binds, list the public globals and the names of ``homes``, so a star
+    import binds those too."""
 
     def __getattr__(name):
+        if name == "__all__":
+            return [key for key in namespace["__dir__"]() if key[0] != "_"]
         if name not in homes:
             raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        value = getattr(importlib.import_module(f"{__name__}.{homes[name]}"), name)
-        namespace[name] = value
+        value = namespace[name] = getattr(importlib.import_module(f"{__name__}.{homes[name]}"), name)
         return value
 
+    namespace["__dir__"] = lambda: sorted({*namespace, *homes})
     return __getattr__
 
 
 __getattr__ = _lazy_names(globals(), _HOME)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

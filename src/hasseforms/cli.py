@@ -85,10 +85,7 @@ def _load_input(args) -> dict:
 
 
 def _emit(payload: dict, fmt: str):
-    if fmt == "text":
-        sys.stdout.write(render_text(payload))
-    else:
-        sys.stdout.write(dumps(payload))
+    sys.stdout.write(render_text(payload) if fmt == "text" else dumps(payload))
 
 
 def _search_budget():
@@ -105,19 +102,13 @@ def _search_budget():
 # tracer sees the call and no call runs an import statement for it
 
 
-def _cmd_curve(args) -> int:
-    from .picard import point_report_to_json
+def _cmd_report(args) -> int:
+    """``curve``'s point report, or ``hasse``'s verdict at ``--rank``."""
+    from .picard import report_to_json
 
-    report = curvepoints.point_report(_curve_from_args(args))
-    _emit(point_report_to_json(report), args.format)
-    return 0
-
-
-def _cmd_hasse(args) -> int:
-    from .picard import decision_to_json
-
-    decision = hasse.hasse_principle(_curve_from_args(args), args.rank)
-    _emit(decision_to_json(decision), args.format)
+    curve = _curve_from_args(args)
+    report = hasse.hasse_principle(curve, args.rank) if args.command == "hasse" else curvepoints.point_report(curve)
+    _emit(report_to_json(report), args.format)
     return 0
 
 
@@ -209,8 +200,8 @@ _CURVE = ("--q", "--a", "--b", "--polyline", *_IO)  # a curve JSON may replace t
 # each subcommand: its help line, its flags in help order (every command
 # also takes --format, last), and its handler
 _COMMANDS = {
-    "curve": ("point count and smoothness report", _CURVE, _cmd_curve),
-    "hasse": ("local-global verdict for a rank", (*_CURVE, "--rank"), _cmd_hasse),
+    "curve": ("point count and smoothness report", _CURVE, _cmd_report),
+    "hasse": ("local-global verdict for a rank", (*_CURVE, "--rank"), _cmd_report),
     "form": ("inspect a matrix over a coordinate ring", _IO, _cmd_form),
     "genus-verify": ("verify a genus-witness pair file", (*_IO, "--inspection-degree"), _cmd_genus_verify),
     "isom-search": ("bounded integral isometry search", (*_IO, "--degree-bound", "--degree-bound-y"), _cmd_isom_search),

@@ -15,8 +15,9 @@ of x - r over the roots r of its orbit (Lidl and Niederreiter, *Finite
 Fields*, section 2.2), formed on logs with Zech sums and pulled back to
 F_q once per coefficient.
 
-Point counting, smoothness and the Picard data live in ``picard``,
-which only the ``curve``, ``hasse`` and ``verify-paper`` commands load.
+Point counting, point validity (on-curve and singular-point tests),
+smoothness and the Picard data live in ``picard``, which only the
+``curve``, ``hasse`` and ``verify-paper`` commands load.
 ``point_report``, which perfbench's tracer wraps here, is also reached
 through this module, which imports ``picard`` on first use
 (``__getattr__``).
@@ -25,7 +26,6 @@ through this module, which imports ``picard`` on first use
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from . import _lazy_names
 from .curvering import CurveSpec
@@ -44,7 +44,7 @@ class AffinePoint(Record):
 
     __slots__ = ("x", "y", "degree", "prime")
 
-    def __init__(self, x: FieldElement, y: Optional[FieldElement], degree: int, *, prime: Optional[Poly] = None):
+    def __init__(self, x: FieldElement, y: FieldElement | None, degree: int, *, prime: Poly | None = None):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "degree", degree)
@@ -207,23 +207,3 @@ def _cubic_logs(field, la, lb):
                 continue
             s += z
         yield s if lb is None else None if (z := zech[lb - s]) is None else s + z
-
-
-def _cubic_at(curve: CurveSpec, x0: FieldElement) -> FieldElement:
-    """x0^3 + a x0 + b, with a and b embedded in the field of x0."""
-    return x0 * x0 * x0 + embed(curve.a, x0.field) * x0 + embed(curve.b, x0.field)
-
-
-def is_singular_point(curve: CurveSpec, x0: FieldElement, y0: FieldElement) -> bool:
-    """Whether (x0, y0) is a common zero of the equation and both
-    partials: y0 = 0, x0^3 + a x0 + b = 0 and 3 x0^2 + a = 0."""
-    if not y0.is_zero():
-        return False
-    return _cubic_at(curve, x0).is_zero() and (3 * x0 * x0 + embed(curve.a, x0.field)).is_zero()
-
-
-def require_on_curve(curve: CurveSpec, point: AffinePoint):
-    """Raise ValueError unless y^2 = x^3 + ax + b holds at the point, in
-    its own field."""
-    if point.y * point.y != _cubic_at(curve, point.x):
-        raise ValueError(f"point {point!r} is not on the curve {curve!r}")

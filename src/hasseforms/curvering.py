@@ -32,13 +32,13 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import add
-from typing import Optional
 
 from .finfield import FieldElement, FieldOps, FiniteField, RingOps, square_and_multiply
 from .funcfield import Poly, _coeff_text, poly_gcd, to_text
 
 POLYLINE = "polyline"
 WEIERSTRASS = "weierstrass"
+MAX_DET_COST = 120_000_000  # the largest estimated cost ``det`` takes
 
 
 class CurveSpec:
@@ -120,7 +120,7 @@ class RingElement(RingOps):
 
     __slots__ = ("curve", "a", "b")
 
-    def __init__(self, curve: CurveSpec, a: Poly, b: Optional[Poly] = None):
+    def __init__(self, curve: CurveSpec, a: Poly, b: Poly | None = None):
         if b is None:
             b = Poly.zero(curve.field)
         if a.field is not curve.field or b.field is not curve.field:
@@ -168,12 +168,8 @@ class RingElement(RingOps):
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, RingElement):  # operands of this curve take the fast path
-            raise ValueError("mismatched curves")
-        if isinstance(other, Poly):
-            return RingElement(self.curve, other)
-        if isinstance(other, (int, FieldElement)):
-            return RingElement.constant(self.curve, other)
+        if isinstance(other, (int, FieldElement, Poly, RingElement)):
+            return _ring_entry(self.curve, other)
         return NotImplemented
 
     def __add__(self, other):
@@ -246,7 +242,7 @@ class RingElement(RingOps):
             raise AssertionError("unit characterizations disagree")
         return structural
 
-    def evaluate(self, x0: FieldElement, y0: Optional[FieldElement] = None) -> FieldElement:
+    def evaluate(self, x0: FieldElement, y0: FieldElement | None = None) -> FieldElement:
         """Value at a point; y0 is required off the affine line."""
         if self.curve.is_polyline or self.b.is_zero():
             return self.a.evaluate(x0)
@@ -277,7 +273,7 @@ class RingFraction(FieldOps):
 
     __slots__ = ("curve", "num", "den")
 
-    def __init__(self, curve: CurveSpec, num: RingElement, den: Optional[Poly] = None):
+    def __init__(self, curve: CurveSpec, num: RingElement, den: Poly | None = None):
         if den is None:
             den = Poly.one(curve.field)
         if num.curve is not curve or den.field is not curve.field:
@@ -511,10 +507,8 @@ def diagonal_rows(entries, zero=0):
 
 
 def is_symmetric(rows) -> bool:
-    """Whether a square matrix given as rows is symmetric.  Shared
-    constants make most equal pairs one object, so identity is tried
-    before equality."""
-    return all(rows[i][j] is rows[j][i] or rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
+    """Whether a square matrix given as rows is symmetric."""
+    return all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
 
 
 def matmul(a, b):
@@ -541,8 +535,23 @@ def det(rows):
     down to a 2 x 2 base case that drops a product with a zero factor: at
     the ranks used here (n <= 3 in search and genus work, sparse Gram
     matrices beyond that) it beats fraction-free elimination, whose exact
-    divisions cost more than the few products they save.
-    """
+    divisions cost more than the few products they save.  Above rank 2,
+    before any product, ValueError refuses a matrix whose estimated cost
+    L (n D + 1)^2 exceeds MAX_DET_COST: L = prod_i min(nonzero entries of
+    row i, n - i) bounds the leaves of the expansion, and D = max(deg A,
+    deg B + 2) over the ring entries, at least 1, bounds their degrees.
+    Ranks 1 and 2 form at most two products and are not estimated."""
+    n, leaves = len(rows), 1
+    if n > 2:
+        for i, row in enumerate(rows):
+            leaves *= min(sum(not e.is_zero() for e in row), n - i) or 1
+        top = max((max(e.a.degree, e.b.degree + 2) for row in rows for e in row if type(e) is RingElement), default=1)
+        if leaves * (n * top + 1) ** 2 > MAX_DET_COST:
+            raise ValueError(f"a determinant of rank {n} and entry degree {top} exceeds the cost bound {MAX_DET_COST}")
+    return _expand(rows)
+
+
+def _expand(rows):
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -555,7 +564,7 @@ def det(rows):
     for j, e in enumerate(rows[0]):
         if e.is_zero():
             continue
-        cof = e * det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        cof = e * _expand([row[:j] + row[j + 1 :] for row in rows[1:]])
         if j % 2:
             cof = -cof
         total = cof if total is None else total + cof

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Iterator
+from collections.abc import Iterator
 
 MAX_FIELD_SIZE = 121
 MAX_INSPECTION_SIZE = MAX_FIELD_SIZE**2
@@ -389,7 +389,8 @@ class FieldElement(FieldOps):
         return self.field._exp[self.field.q - 1 - self._log]
 
     def __rtruediv__(self, other):
-        return self.field.element(other) / self
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other / self
 
     def __pow__(self, e: int):
         field = self.field

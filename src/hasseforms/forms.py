@@ -24,6 +24,14 @@ DEFAULT_SEARCH_BUDGET = 10**8
 MAX_SEARCH_RANK = 3  # the largest rank isom_search takes
 
 
+def _require_pair(f, g):
+    """Refuse two forms that live over different curves or have different ranks."""
+    if f.curve is not g.curve:
+        raise ValueError("forms live over different curves")
+    if f.n != g.n:
+        raise ValueError("forms have different ranks")
+
+
 def _require_search_rank(n: int) -> None:
     """Refuse a rank the search does not take, before it builds anything."""
     if n > MAX_SEARCH_RANK:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import _lazy_names
 from .finfield import FieldElement, FiniteField, RingOps, _horner, embed, square_and_multiply, t_poly_text

@@ -25,7 +25,7 @@ from __future__ import annotations
 from .curvepoints import AffinePoint, enumerate_points
 from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _cleared, congruence_rows
 from .finfield import MAX_INSPECTION_SIZE, FiniteField, capped_power, embed, make_extension, square_and_multiply
-from .forms import GramMatrix, MalformedWitnessError
+from .forms import GramMatrix, MalformedWitnessError, _require_pair
 from .funcfield import Poly, to_text
 from .records import Record
 from .serialize import point_to_json
@@ -107,10 +107,7 @@ def verify_genus_witness(
     any work.  Points beyond the inspection degree are not examined; a
     Certified verdict means certified up to that degree.
     """
-    if f.curve is not g.curve:
-        raise ValueError("forms live over different curves")
-    if f.n != g.n:
-        raise ValueError("forms have different ranks")
+    _require_pair(f, g)
     if witness.target != g:
         raise ValueError("witness targets a different form")
     if degree < 1:

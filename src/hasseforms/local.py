@@ -39,14 +39,14 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from operator import mul
-from typing import Optional
 
 from . import curvepoints, forms
-from .curvepoints import AffinePoint, _conjugates, is_singular_point, require_on_curve
+from .curvepoints import AffinePoint, _conjugates
 from .curvering import CurveSpec, diagonal_rows, is_symmetric, square_rows
 from .finfield import MAX_INSPECTION_SIZE, FieldElement, FiniteField, capped_power, is_square
 from .forms import GramMatrix, is_unimodular
 from .funcfield import Poly, _coeff_text, is_irreducible, monic_polys, monic_rank, poly_gcd, to_text
+from .picard import is_singular_point, require_on_curve
 from .records import Record
 
 FACTOR_DEGREE_BOUND = 64
@@ -146,7 +146,7 @@ class PrimePoly(Record):
 
     __slots__ = ("field", "poly")
 
-    def __init__(self, field: FiniteField, poly: Optional[Poly]):
+    def __init__(self, field: FiniteField, poly: Poly | None):
         self.field = field
         self.poly = poly
 

@@ -1,6 +1,6 @@
-"""Point counts, smoothness and the Picard data of a curve, the Hasse
-local-global verdicts read off them, and the JSON of the reports built
-on them.
+"""Point counts, point validity (on-curve, singular points), smoothness
+and the Picard data of a curve, the Hasse local-global verdicts read off
+them, and the JSON of the reports built on them.
 
 For a unimodular symmetric bilinear form of rank n over the ring of
 functions regular away from the infinite point, every form in its genus
@@ -37,20 +37,18 @@ identity form is a split torus, which pins the number of isomorphism
 classes in the genus of the identity form from below by the Picard
 order itself; ``binary_genus_lower_bound`` exposes that bound.
 
-Only the ``curve``, ``hasse`` and ``verify-paper`` commands load this
-module, and its public names are imported from here, except the two
-that perfbench's tracer wraps elsewhere: ``point_report`` is reached
-through ``curvepoints`` and ``hasse_principle`` through ``hasse``, which
-import this module on first use.
+Only ``local``, for its point checks, and the ``curve``, ``hasse`` and
+``verify-paper`` commands load this module.  Its public names are read
+here, except the two that perfbench's tracer wraps elsewhere:
+``point_report`` is reached through ``curvepoints`` and
+``hasse_principle`` through ``hasse``, which import it on first use.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .curvepoints import AffinePoint, _cubic_logs, is_singular_point
+from .curvepoints import AffinePoint, _cubic_logs
 from .curvering import CurveSpec
-from .finfield import is_square
+from .finfield import FieldElement, embed, is_square
 from .records import Record
 from .serialize import point_to_json
 
@@ -69,10 +67,10 @@ class PointCountReport(Record):
         total: int,
         smooth: bool,
         singular_points: tuple,
-        pic_order: Optional[int] = None,
-        pic_parity: Optional[str] = None,
-        two_torsion: Optional[bool] = None,
-        warning: Optional[str] = None,
+        pic_order: int | None = None,
+        pic_parity: str | None = None,
+        two_torsion: bool | None = None,
+        warning: str | None = None,
     ):
         self.affine = affine
         self.total = total
@@ -89,7 +87,7 @@ class HasseReason(Record):
 
     __slots__ = ("pic_order", "pic_parity", "ufd", "two_torsion", "criterion")
 
-    def __init__(self, pic_order: int, pic_parity: str, ufd: bool, two_torsion: Optional[bool], criterion: str):
+    def __init__(self, pic_order: int, pic_parity: str, ufd: bool, two_torsion: bool | None, criterion: str):
         self.pic_order = pic_order
         self.pic_parity = pic_parity
         self.ufd = ufd
@@ -121,6 +119,19 @@ def _count_scan(curve: CurveSpec):
     return curve._scan
 
 
+def is_singular_point(curve: CurveSpec, x0: FieldElement, y0: FieldElement) -> bool:
+    """Whether (x0, y0) is a common zero of the equation and both
+    partials: y0 = 0, x0^3 + a x0 + b = 0 and 3 x0^2 + a = 0."""
+    return y0.is_zero() and curve.cubic()(x0).is_zero() and (3 * x0 * x0 + embed(curve.a, x0.field)).is_zero()
+
+
+def require_on_curve(curve: CurveSpec, point: AffinePoint):
+    """Raise ValueError unless y^2 = x^3 + ax + b holds at the point, in
+    its own field."""
+    if point.y * point.y != curve.cubic()(point.x):
+        raise ValueError(f"point {point!r} is not on the curve {curve!r}")
+
+
 def is_smooth(curve: CurveSpec):
     """(smooth?, singular point list).
 
@@ -131,19 +142,19 @@ def is_smooth(curve: CurveSpec):
     if curve.is_smooth:  # the affine line included
         return True, ()
     zero = curve.field.zero()
-    singular = tuple(
-        AffinePoint(x0, zero, 1) for x0 in curve.field.elements() if is_singular_point(curve, x0, zero)
-    )
-    return False, singular
+    return False, tuple(AffinePoint(x0, zero, 1) for x0 in curve.field.elements() if is_singular_point(curve, x0, zero))
 
 
-def _require_smooth(curve: CurveSpec, what: str):
+def _smooth_scan(curve: CurveSpec, what: str):
+    """``_count_scan(curve)``; ValueError, naming the singular point, for
+    a singular cubic, where ``what`` does not apply."""
     if not curve.is_smooth:
         _, sing = is_smooth(curve)
         raise ValueError(
             f"{what} requires a smooth curve; discriminant is zero "
             f"(singular at {tuple((p.x, p.y) for p in sing)})"
         )
+    return _count_scan(curve)
 
 
 def picard_order(curve: CurveSpec) -> int:
@@ -156,8 +167,7 @@ def picard_order(curve: CurveSpec) -> int:
     """
     if curve.is_polyline:
         return 1
-    _require_smooth(curve, "the Picard/point-group isomorphism")
-    return _count_scan(curve)[0] + 1
+    return _smooth_scan(curve, "the Picard/point-group isomorphism")[0] + 1
 
 
 def has_two_torsion(curve: CurveSpec) -> bool:
@@ -165,8 +175,7 @@ def has_two_torsion(curve: CurveSpec) -> bool:
     cubic has a root in F_q; read off the same x-scan as the count."""
     if curve.is_polyline:
         raise ValueError("2-torsion applies to Weierstrass curves")
-    _require_smooth(curve, "the 2-torsion test")
-    return _count_scan(curve)[1]
+    return _smooth_scan(curve, "the 2-torsion test")[1]
 
 
 def point_report(curve: CurveSpec) -> PointCountReport:
@@ -196,11 +205,9 @@ def _picard_data(curve: CurveSpec):
     ``picard_order`` refuses a singular cubic, naming its singular point;
     that is the one smoothness refusal of every verdict here."""
     order = picard_order(curve)
-    torsion = None
-    if not curve.is_polyline:
-        torsion = has_two_torsion(curve)
-        if (order % 2 == 1) == torsion:
-            raise AssertionError("point-group parity disagrees with the 2-torsion criterion")
+    torsion = None if curve.is_polyline else has_two_torsion(curve)
+    if (order % 2 == 1) == torsion:  # never on the line, where torsion is None
+        raise AssertionError("point-group parity disagrees with the 2-torsion criterion")
     return order, torsion
 
 
@@ -210,16 +217,17 @@ def hasse_principle(curve: CurveSpec, rank: int) -> HasseDecision:
     if rank < 1:
         raise ValueError("rank must be >= 1")
     order, torsion = _picard_data(curve)
-    parity = "odd" if order % 2 else "even"
     ufd = order == 1
     if rank == 2:
-        verdict = HOLDS if ufd else FAILS
-        criterion = "rank 2: holds iff the coordinate ring is a UFD (Picard group trivial)"
+        holds, criterion = ufd, "rank 2: holds iff the coordinate ring is a UFD (Picard group trivial)"
     else:
-        verdict = HOLDS if order % 2 else FAILS
-        criterion = "rank != 2: holds iff the Picard group has odd order"
-    reason = HasseReason(pic_order=order, pic_parity=parity, ufd=ufd, two_torsion=torsion, criterion=criterion)
-    return HasseDecision(verdict=verdict, rank=rank, reason=reason)
+        holds, criterion = order % 2, "rank != 2: holds iff the Picard group has odd order"
+    parity = "odd" if order % 2 else "even"
+    return HasseDecision(
+        verdict=HOLDS if holds else FAILS,
+        rank=rank,
+        reason=HasseReason(pic_order=order, pic_parity=parity, ufd=ufd, two_torsion=torsion, criterion=criterion),
+    )
 
 
 def is_ufd(curve: CurveSpec) -> bool:
@@ -228,7 +236,7 @@ def is_ufd(curve: CurveSpec) -> bool:
     return _picard_data(curve)[0] == 1
 
 
-def binary_genus_lower_bound(curve: CurveSpec) -> Optional[int]:
+def binary_genus_lower_bound(curve: CurveSpec) -> int | None:
     """Lower bound for the number of isomorphism classes in the genus of
     the rank-2 identity form, when -1 is a square (split torus case).
 
@@ -245,28 +253,21 @@ def binary_genus_lower_bound(curve: CurveSpec) -> Optional[int]:
 # reports as JSON
 
 
-def point_report_to_json(report: PointCountReport) -> dict:
-    out = {
-        "schema": 1,
-        "affine": report.affine,
-        "total": report.total,
-        "smooth": report.smooth,
-        "singular_points": [point_to_json(p) for p in report.singular_points],
-    }
-    for key in ("pic_order", "pic_parity", "two_torsion", "warning"):
-        value = getattr(report, key)
+def report_to_json(report) -> dict:
+    """A point report or a verdict as JSON, its fields under ``"schema": 1``."""
+    return {"schema": 1, **_fields(report)}
+
+
+def _fields(record) -> dict:
+    """A report's fields by name, with each field that is None left out,
+    its points as point records and its reason as that reason's fields."""
+    out = {}
+    for name in record.__slots__:
+        value = getattr(record, name)
+        if name == "singular_points":
+            value = [point_to_json(p) for p in value]
+        elif name == "reason":
+            value = _fields(value)
         if value is not None:
-            out[key] = value
+            out[name] = value
     return out
-
-
-def decision_to_json(decision: HasseDecision) -> dict:
-    reason = {
-        "pic_order": decision.reason.pic_order,
-        "pic_parity": decision.reason.pic_parity,
-        "ufd": decision.reason.ufd,
-        "criterion": decision.reason.criterion,
-    }
-    if decision.reason.two_torsion is not None:
-        reason["two_torsion"] = decision.reason.two_torsion
-    return {"schema": 1, "verdict": decision.verdict, "rank": decision.rank, "reason": reason}

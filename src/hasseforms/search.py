@@ -13,12 +13,11 @@ Only the searching commands import this module; ``forms`` binds
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 from .curvepoints import _cubic_points
 from .curvering import CurveSpec, RingElement, RingMatrix
 from .finfield import MAX_INSPECTION_SIZE, capped_power, embed, make_extension
-from .forms import DEFAULT_SEARCH_BUDGET, BudgetExceededError, GramMatrix, _require_search_rank
+from .forms import DEFAULT_SEARCH_BUDGET, BudgetExceededError, GramMatrix, _require_pair, _require_search_rank
 from .funcfield import Poly
 
 # the most values _pool_vectors may hold, at about 17 bytes each
@@ -30,8 +29,8 @@ def isom_search(
     g: GramMatrix,
     deg_x: int,
     deg_y: int = -1,
-    budget: Optional[int] = None,
-) -> Optional[RingMatrix]:
+    budget: int | None = None,
+) -> RingMatrix | None:
     """Search for Q integral with Q^t F Q = G and unit determinant.
 
     Candidate entries are ring elements A(x) + B(x)y with deg A <= deg_x
@@ -84,10 +83,7 @@ def isom_search(
     totals are those of charging every check in turn, so the same searches
     return and the same ones raise; only the count in an error can differ.
     """
-    if f.curve is not g.curve:
-        raise ValueError("forms live over different curves")
-    if f.n != g.n:
-        raise ValueError("forms have different ranks")
+    _require_pair(f, g)
     n = f.n
     _require_search_rank(n)
     if deg_x < -1:
@@ -143,7 +139,7 @@ def isom_search(
     # first column at the first point, keyed by that column's values there
     fits = [{} for _ in range(n)]
 
-    def extend(j: int) -> Optional[RingMatrix]:
+    def extend(j: int) -> RingMatrix | None:
         picks = enumerate(candidates[j])
         if j:
             key = tuple(pool[0][k] for k in cols[0])
@@ -218,7 +214,7 @@ def _pool_entry(curve: CurveSpec, deg_x: int, deg_y: int, coeffs, k: int) -> Rin
     return RingElement(curve, Poly._raw(field, digits[: deg_x + 1]), Poly._raw(field, digits[deg_x + 1 :]))
 
 
-def _pole_order(e: RingElement) -> Optional[int]:
+def _pole_order(e: RingElement) -> int | None:
     """deg N(e), the pole order of e at infinity, or None for 0."""
     if e.is_zero():
         return None

@@ -22,8 +22,8 @@ for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``, built by
 a recursive encoder (the standard one indents only in pure Python).
 
 The reports' encoders live next to the code that builds the reports and
-load with it: ``point_report_to_json`` and ``decision_to_json`` in
-``picard``, ``genus_report_to_json`` in ``genus``.  The last, which
+load with it: ``report_to_json`` in ``picard``, for point reports and
+verdicts, and ``genus_report_to_json`` in ``genus``.  The last, which
 perfbench's session worker looks up here, is also reached through this
 module (``__getattr__``).
 """
@@ -171,9 +171,7 @@ def ring_elem_from_json(curve: CurveSpec, data) -> RingElement:
         return RingElement(curve, Poly.from_text(field, data))
     if not isinstance(data, dict):
         raise ValueError("ring element must be a JSON object, int or string")
-    a = Poly.from_text(field, data.get("A", "0"))
-    b = Poly.from_text(field, data.get("B", "0"))
-    return RingElement(curve, a, b)
+    return RingElement(curve, Poly.from_text(field, data.get("A", "0")), Poly.from_text(field, data.get("B", "0")))
 
 
 def fraction_to_json(e: RingFraction) -> dict:
@@ -287,9 +285,9 @@ def load_bundled_pair(name: str) -> dict:
 # text rendering (mirrors the JSON field for field)
 
 
-def render_text(obj, prefix="") -> str:
+def render_text(obj) -> str:
     lines = []
-    _flatten(obj, prefix, lines)
+    _flatten(obj, "", lines)
     return "\n".join(lines) + "\n"
 
 

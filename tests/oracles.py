@@ -20,10 +20,11 @@ from pathlib import Path
 
 from hasseforms import forms, search
 from hasseforms.finfield import FiniteField, embed, make_extension, square_and_multiply
-from hasseforms.curvepoints import AffinePoint, require_on_curve
+from hasseforms.curvepoints import AffinePoint
 from hasseforms.curvering import RingElement, RingFraction, congruence_rows
 from hasseforms.funcfield import Poly, factor, monic_polys
 from hasseforms.local import FieldForm, PrimePoly, field_isomorphic
+from hasseforms.picard import require_on_curve
 from hasseforms.serialize import elem_to_json, matrix_to_json, ring_elem_to_json
 
 

@@ -6,6 +6,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,34 @@ def test_form_determinant_y_is_not_a_unit(capsys):
 def test_form_missing_input(capsys):
     code, _, err = invoke(capsys, "form")
     assert code == 2 and "error" in err
+
+
+def line_form_payload(rows):
+    return json.dumps({"schema": 1, "curve": {"type": "polyline", "field": {"p": 5, "k": 1}}, "matrix": rows})
+
+
+def test_dense_rank_12_form_is_refused_before_its_determinant(capsys):
+    # cofactor expansion of a dense rank-12 matrix would run for hours
+    rng = random.Random(12)
+    rows = [[None] * 12 for _ in range(12)]
+    for i in range(12):
+        for j in range(i, 12):
+            rows[i][j] = rows[j][i] = f"{rng.randrange(1, 5)}*x+{rng.randrange(5)}"
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "form", "--json", line_form_payload(rows))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "a determinant of rank 12 and entry degree 1 exceeds the cost bound 120000000"
+    }
+
+
+def test_sparse_rank_12_form_still_answers(capsys):
+    # hyperbolic planes down the diagonal: one entry per row, so one leaf
+    rows = [[1 if i ^ 1 == j else 0 for j in range(12)] for i in range(12)]
+    code, data, _ = invoke_json(capsys, "form", "--json", line_form_payload(rows))
+    assert code == 0
+    assert data["det"] == {"num": {"A": "1", "B": "0"}, "den": "1"} and data["unimodular"] is True
 
 
 # -- genus-verify and isom-search on the bundled files ----------------------
@@ -744,10 +773,10 @@ def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # beyond the modules every command loads, so growth there shows in
     # their rows too
     for argv, lines, nodes in [
-        (["genus-verify", "--input", fixture_path("polyline_pair")], 2763, 17103),
-        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2902, 18460),
-        (["curve", "--q", "5", "--polyline"], 2778, 16709),
-        (["form", "--json", form_payload("1")], 2506, 15607),
+        (["genus-verify", "--input", fixture_path("polyline_pair")], 2748, 17060),
+        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2886, 18411),
+        (["curve", "--q", "5", "--polyline"], 2767, 16708),
+        (["form", "--json", form_payload("1")], 2494, 15587),
     ]:
         size = _loaded_size(argv)
         assert size[0] <= lines and size[1] <= nodes, (argv[0], size)

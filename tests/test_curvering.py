@@ -1,8 +1,10 @@
 import copy
+import operator
 import pickle
 import random
 import subprocess
 import sys
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -676,9 +678,9 @@ def test_is_symmetric_compares_only_distinct_entries(monkeypatch):
     eq = RingFraction.__eq__
     monkeypatch.setattr(RingFraction, "__eq__", lambda a, b: calls.append((a, b)) or eq(a, b))
     assert RingMatrix(LINE, diagonal_rows([1] * 4)).is_symmetric()
-    assert calls == []
+    assert len(calls) == 6  # one comparison per off-diagonal pair
     assert RingMatrix(LINE, [[1, P("x")], [P("x"), 0]]).is_symmetric()
-    assert len(calls) == 1
+    assert len(calls) == 7
     assert not RingMatrix(LINE, [[1, P("x")], [P("x+1"), 0]]).is_symmetric()
 
 
@@ -911,3 +913,69 @@ def test_identity_and_diagonal_share_the_constant_entries():
     m = RingMatrix(curve, diagonal_rows([P("x"), 1, RingElement.x(curve)]))
     assert m.rows[1][1] is one and all(m.rows[i][j] is zero for i in range(3) for j in range(3) if i != j)
     assert RingMatrix(curve, [[1, 0], [0, 1]]).rows == RingMatrix(curve, diagonal_rows([1, 1])).rows
+
+
+# each arithmetic type with an element of it, and the binary operators it defines
+ARITHMETIC = (operator.add, operator.sub, operator.mul)
+OPERAND_TYPES = [
+    ("FieldElement", lambda: F5.element(2), (*ARITHMETIC, operator.truediv, operator.pow)),
+    ("Poly", lambda: P("x+2"), (*ARITHMETIC, operator.pow, divmod, operator.floordiv, operator.mod)),
+    ("RingElement", lambda: relem(EC, "x", "1"), (*ARITHMETIC, operator.pow)),
+    ("RingFraction", lambda: RingFraction(EC, relem(EC, "x", "1"), P("x+1")), (*ARITHMETIC, operator.truediv)),
+]
+
+
+@pytest.mark.parametrize(
+    "make, op",
+    [(make, op) for _, make, ops in OPERAND_TYPES for op in ops],
+    ids=[f"{name}-{op.__name__}" for name, _, ops in OPERAND_TYPES for op in ops],
+)
+def test_a_foreign_operand_raises_type_error(make, op):
+    value = make()
+    with pytest.raises(TypeError):
+        op(value, "x")
+    with pytest.raises(TypeError):
+        op("x", value)
+    assert (value == "x") is False and (value != "x") is True
+
+
+def dense_rows(curve, n, a_text, b_text="0"):
+    return [[relem(curve, a_text, b_text) for _ in range(n)] for _ in range(n)]
+
+
+def test_det_refuses_a_cost_estimate_above_the_bound(monkeypatch):
+    # L (n D + 1)^2 with L = n! for dense rows: degree-1 entries cost
+    # 9! 10^2 = 3.6e7 at rank 9, admitted, and 10! 11^2 = 4.4e8 at rank 10
+    monkeypatch.setattr(curvering, "_expand", lambda rows: "expanded")
+    assert det(dense_rows(LINE, 9, "x+1")) == "expanded"
+    with pytest.raises(ValueError, match="rank 10 and entry degree 1 exceeds the cost bound 120000000"):
+        det(dense_rows(LINE, 10, "x+1"))
+    # a y part counts deg B + 2: 5! (5 D + 1)^2 is 4.9e7 at D = 128 and 2.0e8 at D = 256
+    assert det(dense_rows(SMOOTH, 5, "1", "x^126")) == "expanded"
+    with pytest.raises(ValueError, match="rank 5 and entry degree 256"):
+        det(dense_rows(SMOOTH, 5, "1", "x^254"))
+    # a constant entry counts as degree 1, so a dense constant rank 10 is refused too
+    with pytest.raises(ValueError, match="rank 10 and entry degree 1 "):
+        det(dense_rows(LINE, 10, "1"))
+    # a zero row does not zero the estimate: the rows above it are still expanded
+    rows = dense_rows(LINE, 12, "x")
+    rows[-1] = [RingElement.zero(LINE)] * 12
+    with pytest.raises(ValueError, match="rank 12"):
+        det(rows)
+
+
+def test_det_refuses_before_any_product(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(RingElement, "__mul__", refuse)
+    with pytest.raises(ValueError, match="cost bound"):
+        det(dense_rows(LINE, 12, "x+1"))
+
+
+def test_rank_12_forms_with_few_entries_per_row_still_answer():
+    x = [relem(LINE, f"x+{i}") for i in range(12)]
+    assert GramMatrix.diagonal(LINE, x).det() == reduce(operator.mul, x)
+    one, zero = RingElement.one(LINE), RingElement.zero(LINE)
+    hyperbolic = [[one if i ^ 1 == j else zero for j in range(12)] for i in range(12)]
+    assert GramMatrix.from_rows(LINE, hyperbolic).det() == one  # (-1)^6

@@ -4,6 +4,9 @@ their home modules, and behave like ordinary module attributes; and
 resolves."""
 
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,6 +52,32 @@ def test_star_import_and_dir_list_all():
     exec("from hasseforms import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(hasseforms.__all__)
     assert set(hasseforms.__all__) <= set(dir(hasseforms))
+
+
+# the names each module forwards to the module that defines them
+FORWARDED = {
+    "forms": {"diagonalize", "local_isomorphic", "GenusWitness", "verify_genus_witness", "isom_search"},
+    "funcfield": {"monic_irreducibles", "factor", "valuation"},
+    "curvepoints": {"point_report"},
+    "serialize": {"genus_report_to_json"},
+    "hasse": {"hasse_principle"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(FORWARDED))
+def test_star_import_and_dir_list_the_forwarded_names(module):
+    # in a fresh interpreter, so that no earlier access has bound a name
+    probe = (
+        "import json, sys\n"
+        f"namespace = {{}}\nexec('from hasseforms.{module} import *', namespace)\n"
+        f"print(json.dumps([sorted(namespace), dir(sys.modules['hasseforms.{module}'])]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    bound, listed = map(set, json.loads(proc.stdout))
+    owner = importlib.import_module(f"hasseforms.{module}")
+    assert FORWARDED[module] <= bound and FORWARDED[module] <= listed
+    assert set(owner.__all__) == {name for name in vars(owner) if not name.startswith("_")} | FORWARDED[module]
 
 
 def test_pyproject_ships_every_fixture_and_a_working_console_script():

@@ -6,7 +6,9 @@ method or class has a caller in the library; every class that interns
 its values in ``__new__`` defines ``__reduce__``; interned fields and
 curves are compared with ``is``, never ``==``; only
 ``local.local_isomorphic`` tells the two kinds of closed place apart by
-type; only ``cli.build_parser`` imports argparse; a public name defined
+type; only ``cli.build_parser`` imports argparse; no module imports
+``typing``, so a CLI process in an environment whose start-up does not
+load it never does; a public name defined
 in a module loaded on first use resolves from a second module exactly
 when perfbench looks it up there; and every module parses under the
 Python 3.10 grammar, the oldest that ``pyproject.toml`` admits."""
@@ -176,6 +178,19 @@ def test_argparse_is_imported_only_to_build_the_parser():
     # built, to print help, usage or an error
     sites = [(f"{path.stem}.{scope}", line) for path in MODULES for scope, line in _argparse_imports(_tree(path))]
     assert {scope for scope, _ in sites} == {"cli.build_parser"}, sites
+
+
+def test_no_module_imports_typing():
+    # annotations are strings under ``from __future__ import annotations``:
+    # ``X | None`` needs no import, and ``Iterator`` comes from collections.abc
+    sites = [
+        (path.name, node.lineno)
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "typing" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "typing"
+    ]
+    assert sites == []
 
 
 # modules that forward names defined in the modules loaded on first use
