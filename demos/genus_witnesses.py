@@ -12,7 +12,8 @@ at the curve's singular point (4, 0), so a gap is reported there.
 """
 
 from hasseforms import verify_genus_witness
-from hasseforms.serialize import genus_report_to_json, load_bundled_pair
+from hasseforms.paper import load_bundled_pair
+from hasseforms.serialize import genus_report_to_json
 
 
 def show(name, degree):

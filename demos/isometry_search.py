@@ -14,7 +14,8 @@ so the negative result below is genuinely a statement about its bounds.
 
 from hasseforms import GramMatrix, congruence, isom_search, make_extension
 from hasseforms.curvering import CurveSpec
-from hasseforms.serialize import load_bundled_pair, matrix_to_json
+from hasseforms.paper import load_bundled_pair
+from hasseforms.serialize import matrix_to_json
 
 ec = load_bundled_pair("singular_cubic_pair")
 line = load_bundled_pair("polyline_pair")

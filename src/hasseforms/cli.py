@@ -19,7 +19,6 @@ search evaluation cap.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import sys
@@ -264,7 +263,9 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_args(argv) or build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # inside the try: an unwritable stdout exits 2 like any other OSError
+        return code
     except (ValueError, KeyError, TypeError, OSError, BudgetExceededError, json.JSONDecodeError) as exc:
         sys.stderr.write(dumps({"error": _error_text(exc)}))
         return 2
@@ -281,10 +282,9 @@ def _error_text(exc: Exception) -> str:
 
 
 def main() -> None:
-    # the process ends after one command: the objects made at start-up
-    # are exempted from every collection, the final ones at exit included
-    gc.freeze()
-    sys.exit(run())
+    # the process ends after one command, whose output run() has flushed,
+    # so it skips the interpreter's teardown
+    os._exit(run())
 
 
 if __name__ == "__main__":

@@ -31,12 +31,11 @@ from . import _lazy_names
 from .curvering import CurveSpec
 from .finfield import FieldElement, embed, make_extension, pullback_table
 from .funcfield import Poly, monic_rank
-from .records import Record
 
 __getattr__ = _lazy_names(globals(), {"point_report": "picard"})
 
 
-class AffinePoint(Record):
+class AffinePoint:
     """A solution (x, y) of a cubic over F_{q^d}, or an x of the line with
     y = None, with its closed point's degree (its Frobenius orbit's length)
     and, on the line, prime (else None); frozen, and compared and hashed by

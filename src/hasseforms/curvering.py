@@ -39,6 +39,7 @@ from .funcfield import Poly, _coeff_text, poly_gcd, to_text
 POLYLINE = "polyline"
 WEIERSTRASS = "weierstrass"
 MAX_DET_COST = 120_000_000  # the largest estimated cost ``det`` takes
+Y_PART_COST = 5  # the estimate's weight for a matrix with a y part
 
 
 class CurveSpec:
@@ -537,16 +538,21 @@ def det(rows):
     matrices beyond that) it beats fraction-free elimination, whose exact
     divisions cost more than the few products they save.  Above rank 2,
     before any product, ValueError refuses a matrix whose estimated cost
-    L (n D + 1)^2 exceeds MAX_DET_COST: L = prod_i min(nonzero entries of
-    row i, n - i) bounds the leaves of the expansion, and D = max(deg A,
-    deg B + 2) over the ring entries, at least 1, bounds their degrees.
-    Ranks 1 and 2 form at most two products and are not estimated."""
+    w L (n D + 1)^2 exceeds MAX_DET_COST: L = prod_i min(nonzero entries
+    of row i, n - i) bounds the leaves of the expansion, D = max(deg A,
+    deg B + 2) over the ring entries, at least 1, bounds their degrees,
+    and w is Y_PART_COST if an entry has a y part, else 1, since a
+    product of two such entries forms five polynomial products where a
+    y-free one forms one.  Ranks 1 and 2 form at most two products and
+    are not estimated."""
     n, leaves = len(rows), 1
     if n > 2:
         for i, row in enumerate(rows):
             leaves *= min(sum(not e.is_zero() for e in row), n - i) or 1
-        top = max((max(e.a.degree, e.b.degree + 2) for row in rows for e in row if type(e) is RingElement), default=1)
-        if leaves * (n * top + 1) ** 2 > MAX_DET_COST:
+        ring = [e for row in rows for e in row if type(e) is RingElement]
+        top = max((max(e.a.degree, e.b.degree + 2) for e in ring), default=1)
+        weight = Y_PART_COST if any(e.b.coeffs for e in ring) else 1
+        if weight * leaves * (n * top + 1) ** 2 > MAX_DET_COST:
             raise ValueError(f"a determinant of rank {n} and entry degree {top} exceeds the cost bound {MAX_DET_COST}")
     return _expand(rows)
 

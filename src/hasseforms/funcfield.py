@@ -299,13 +299,13 @@ def _exponent(x: str, exp: str) -> int:
 def _refusal(text: str, compact: str) -> ValueError:
     """The error for text outside the grammar: an empty text, a stray
     sign, or else the first term, reading left to right, that is not one
-    or has too large an exponent (raised here)."""
+    or has too large an exponent (raised here).  When the signed runs
+    spell the text, one of them is no term: were each a term, the text
+    would match the grammar."""
     if not compact:
         return ValueError("empty polynomial text")
     pieces = re.findall(r"[+-]?[^+-]+", compact)  # signed runs, compiled only on this error path
-    if "".join(pieces) != compact:
-        return ValueError(f"cannot parse polynomial text {text!r}")
-    for piece in pieces:
+    for piece in pieces if "".join(pieces) == compact else ():
         if not _POLY_RE.fullmatch(piece):
             return ValueError(f"bad term {piece!r} in polynomial text {text!r}")
         _exponent(*_TERM_RE.match(piece).group(3, 4))

@@ -1,16 +1,19 @@
 """The ``verify-paper`` command: re-run every bundled worked example and
 print a pass/fail table.
 
-Only ``verify-paper`` loads this module.  Its rows need point counting,
-genus verification and the search; like every other caller, it imports
-the names perfbench's tracer wraps from the modules it wraps them on
+Only ``verify-paper`` loads this module, and with it the loader of the
+bundled pair files.  Its rows need point counting, genus verification
+and the search; like every other caller, it imports the names
+perfbench's tracer wraps from the modules it wraps them on
 (``curvepoints``, ``forms``, ``hasse``) and every other name from its
 home.
 """
 
 from __future__ import annotations
 
+import json
 import sys
+from importlib import resources
 
 from .curvepoints import point_report
 from .curvering import CurveSpec
@@ -18,7 +21,13 @@ from .finfield import make_extension
 from .forms import is_unimodular, isom_search, verify_genus_witness
 from .genus import witness_identity
 from .hasse import hasse_principle
-from .serialize import dumps, load_bundled_pair
+from .serialize import dumps, pair_from_json
+
+
+def load_bundled_pair(name: str) -> dict:
+    """Load one of the worked-example pair files shipped with the package."""
+    path = resources.files("hasseforms") / "fixtures" / f"{name}.json"
+    return pair_from_json(json.loads(path.read_text()))
 
 
 def _row(check: str, expected, got) -> dict:

@@ -5,8 +5,8 @@ own ``__init__``.  It compares equal to a record of the same class with
 equal fields, is unhashable unless it defines ``__hash__``, and shows as
 ``Name(field=value, ...)``.  The classes are written out by hand:
 generating them at import would load ``inspect``, ``ast``, ``dis`` and
-``tokenize`` into every CLI process and add their code generation to
-its start-up.
+``tokenize`` into every process that loads a report and add their code
+generation to its start-up.
 """
 
 

@@ -273,14 +273,6 @@ def pair_from_json(data: dict, search: bool = False) -> dict:
     return out
 
 
-def load_bundled_pair(name: str) -> dict:
-    """Load one of the worked-example pair files shipped with the package."""
-    from importlib import resources
-
-    path = resources.files("hasseforms") / "fixtures" / f"{name}.json"
-    return pair_from_json(json.loads(path.read_text()))
-
-
 # ---------------------------------------------------------------------------
 # text rendering (mirrors the JSON field for field)
 

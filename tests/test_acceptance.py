@@ -26,8 +26,9 @@ from hasseforms.forms import (
 from hasseforms.funcfield import Poly
 from hasseforms.hasse import hasse_principle
 from hasseforms.local import FieldForm, field_isomorphic
+from hasseforms.paper import load_bundled_pair
 from hasseforms.picard import FAILS, HOLDS, is_smooth, picard_order
-from hasseforms.serialize import load_bundled_pair, pair_from_json
+from hasseforms.serialize import pair_from_json
 
 from oracles import INFINITY, brute_force_congruent, ec_multiply, smooth_weierstrass_pairs, symmetric_nondegenerate
 

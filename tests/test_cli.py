@@ -1,8 +1,10 @@
 import ast
 import contextlib
+import errno
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -13,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hasseforms.cli
 from hasseforms.cli import _COMMANDS as COMMANDS
 from hasseforms.cli import _FLAGS as FLAGS
-from hasseforms.cli import _read_args, build_parser, run
+from hasseforms.cli import _read_args, build_parser, main, run
+from hasseforms.serialize import dumps
 from oracles import benchmark_jobs
 from test_traced_names import _traced_names
 
@@ -713,7 +717,7 @@ def test_package_import_loads_no_submodule():
 
 
 # modules loaded on first use, by the commands that run their code
-LAZY_MODULES = {"genus", "local", "paper", "picard", "search"}
+LAZY_MODULES = {"genus", "local", "paper", "picard", "records", "search"}
 
 
 def test_cli_import_loads_every_traced_module_but_not_the_search():
@@ -728,13 +732,13 @@ def test_cli_import_loads_every_traced_module_but_not_the_search():
 BARE_PAIR = json.dumps({"schema": 1, "curve": {"type": "polyline", "field": {"p": 3, "k": 1}}, "F": [[1]], "G": [[1]]})
 
 COMMAND_MODULES = [
-    (["curve", "--q", "5", "--polyline"], {"picard"}),
-    (["hasse", "--q", "5", "--a", "1", "--b", "1", "--rank", "2"], {"picard"}),
+    (["curve", "--q", "5", "--polyline"], {"picard", "records"}),
+    (["hasse", "--q", "5", "--a", "1", "--b", "1", "--rank", "2"], {"picard", "records"}),
     (["form", "--json", form_payload("1")], set()),
-    (["genus-verify", "--input", fixture_path("polyline_pair")], {"genus"}),
+    (["genus-verify", "--input", fixture_path("polyline_pair")], {"genus", "records"}),
     (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], {"search"}),
-    (["isom-search", "--input", fixture_path("polyline_pair")], {"genus", "search"}),  # carries witnesses
-    (["verify-paper"], {"genus", "paper", "picard", "search"}),
+    (["isom-search", "--input", fixture_path("polyline_pair")], {"genus", "records", "search"}),  # carries witnesses
+    (["verify-paper"], {"genus", "paper", "picard", "records", "search"}),
 ]
 
 
@@ -773,10 +777,10 @@ def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # beyond the modules every command loads, so growth there shows in
     # their rows too
     for argv, lines, nodes in [
-        (["genus-verify", "--input", fixture_path("polyline_pair")], 2748, 17060),
-        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2886, 18411),
-        (["curve", "--q", "5", "--polyline"], 2767, 16708),
-        (["form", "--json", form_payload("1")], 2494, 15587),
+        (["genus-verify", "--input", fixture_path("polyline_pair")], 2745, 17051),
+        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2859, 18293),
+        (["curve", "--q", "5", "--polyline"], 2764, 16699),
+        (["form", "--json", form_payload("1")], 2467, 15469),
     ]:
         size = _loaded_size(argv)
         assert size[0] <= lines and size[1] <= nodes, (argv[0], size)
@@ -1013,7 +1017,7 @@ def test_flag_table_reader_takes_every_well_formed_line():
 
 
 def test_console_entry_matches_run_byte_for_byte(capsys, monkeypatch):
-    # main() freezes the start-up heap before it runs the command, and
+    # main() ends the process with os._exit once run() has flushed, and
     # must print exactly what run() prints
     monkeypatch.delenv("HASSE_FORMS_BUDGET", raising=False)
     cases = [
@@ -1026,6 +1030,43 @@ def test_console_entry_matches_run_byte_for_byte(capsys, monkeypatch):
         assert run(argv) == proc.returncode == code, argv
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (proc.stdout, proc.stderr), argv
+
+
+def test_main_exits_with_the_code_of_run(capsys, monkeypatch):
+    # in this process, with os._exit recorded instead of ending it
+    monkeypatch.delenv("HASSE_FORMS_BUDGET", raising=False)
+    exits = []
+    monkeypatch.setattr(os, "_exit", exits.append)
+    for argv in (["curve", "--q", "5", "--polyline"], ["genus-verify", "--input", fixture_path("singular_cubic_pair")],
+                 ["genus-verify", "--json", "{}"]):
+        monkeypatch.setattr(sys, "argv", ["hasseforms", *argv])
+        main()
+        by_main = capsys.readouterr()
+        code = run(argv)
+        assert (exits, by_main) == ([code], capsys.readouterr()), argv
+        exits.clear()
+    # ``python -m hasseforms.cli`` runs the module as __main__, which calls
+    # main(), here on the last line again
+    module = Path(hasseforms.cli.__file__)
+    exec(compile(module.read_text(), str(module), "exec"), {"__name__": "__main__", "__package__": "hasseforms"})
+    assert exits == [2]
+
+
+def test_an_unwritable_stdout_exits_2_with_the_error_record():
+    # the write end of a pipe whose reader has gone, as in ``| head``:
+    # buffered, the write fails at run()'s flush, and unbuffered (-u), at
+    # the command's own write; both report it on stderr and exit 2
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    expected = dumps({"error": str(BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)))})
+    for flags in ([], ["-u"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, *flags, "-m", "hasseforms.cli", "curve", "--q", "5", "--polyline"],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=30)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (2, expected), flags
 
 
 def _pinned_cases():

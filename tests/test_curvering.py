@@ -503,9 +503,12 @@ def test_field_det_swaps_rows_and_finds_rank_deficiency():
         assert FieldForm.diagonal(field, [one, two, 0, one]).det().is_zero()
 
 
-def test_is_unit_invariant_survives_optimize():
-    # the cross-check of the two unit characterizations must not vanish
-    # under python -O, which strips assert statements
+def test_is_unit_invariant_survives_optimize(monkeypatch):
+    # the cross-check of the two unit characterizations raises, in this
+    # process and under python -O, which strips assert statements
+    monkeypatch.setattr(RingElement, "norm", lambda self: Poly.one(F5))
+    with pytest.raises(AssertionError, match="unit characterizations disagree"):
+        relem(LINE, "x").is_unit()
     script = (
         "from hasseforms.curvering import CurveSpec, RingElement\n"
         "from hasseforms.finfield import make_extension\n"
@@ -944,16 +947,19 @@ def dense_rows(curve, n, a_text, b_text="0"):
 
 
 def test_det_refuses_a_cost_estimate_above_the_bound(monkeypatch):
-    # L (n D + 1)^2 with L = n! for dense rows: degree-1 entries cost
+    # w L (n D + 1)^2 with L = n! for dense rows: degree-1 entries cost
     # 9! 10^2 = 3.6e7 at rank 9, admitted, and 10! 11^2 = 4.4e8 at rank 10
     monkeypatch.setattr(curvering, "_expand", lambda rows: "expanded")
     assert det(dense_rows(LINE, 9, "x+1")) == "expanded"
     with pytest.raises(ValueError, match="rank 10 and entry degree 1 exceeds the cost bound 120000000"):
         det(dense_rows(LINE, 10, "x+1"))
-    # a y part counts deg B + 2: 5! (5 D + 1)^2 is 4.9e7 at D = 128 and 2.0e8 at D = 256
-    assert det(dense_rows(SMOOTH, 5, "1", "x^126")) == "expanded"
-    with pytest.raises(ValueError, match="rank 5 and entry degree 256"):
-        det(dense_rows(SMOOTH, 5, "1", "x^254"))
+    # a y part counts deg B + 2 and weighs 5: 5 5! (5 D + 1)^2 is 6.2e7 at
+    # D = 64 and 2.5e8 at D = 128; y-free entries on a cubic weigh 1, as
+    # on the line: 5! 641^2 = 4.9e7 at D = 128
+    assert det(dense_rows(SMOOTH, 5, "1", "x^62")) == "expanded"
+    with pytest.raises(ValueError, match="rank 5 and entry degree 128"):
+        det(dense_rows(SMOOTH, 5, "1", "x^126"))
+    assert det(dense_rows(SMOOTH, 5, "x^128")) == "expanded"
     # a constant entry counts as degree 1, so a dense constant rank 10 is refused too
     with pytest.raises(ValueError, match="rank 10 and entry degree 1 "):
         det(dense_rows(LINE, 10, "1"))

@@ -28,7 +28,8 @@ from hasseforms.forms import (
 from hasseforms.funcfield import Poly, monic_irreducibles
 from hasseforms.genus import witness_identity
 from hasseforms.local import FieldForm, PrimePoly, field_isomorphic
-from hasseforms.serialize import genus_report_to_json, load_bundled_pair, pair_from_json
+from hasseforms.paper import load_bundled_pair
+from hasseforms.serialize import genus_report_to_json, pair_from_json
 
 from oracles import (
     _vanishes_at,

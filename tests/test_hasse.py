@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from hasseforms import picard
 from hasseforms.curvering import CurveSpec
 from hasseforms.finfield import make_extension
 from hasseforms.hasse import hasse_principle
@@ -124,9 +125,12 @@ def test_lower_bound_consistent_with_rank2_failure():
                 assert hasse_principle(curve, 2).verdict == FAILS
 
 
-def test_parity_invariant_survives_optimize():
-    # the parity/2-torsion cross-check must not vanish under python -O,
-    # which strips assert statements
+def test_parity_invariant_survives_optimize(monkeypatch):
+    # the parity/2-torsion cross-check raises, in this process and under
+    # python -O, which strips assert statements: y^2 = x^3 + x + 1 has 9 points
+    monkeypatch.setattr(picard, "has_two_torsion", lambda curve: True)
+    with pytest.raises(AssertionError, match="point-group parity disagrees"):
+        hasse_principle(CurveSpec.weierstrass(F5, 1, 1), 3)
     script = (
         "from hasseforms import hasse, picard\n"
         "from hasseforms.curvering import CurveSpec\n"

@@ -8,12 +8,12 @@ from hasseforms import curvering, serialize
 from hasseforms.curvering import CurveSpec, RingElement, RingFraction, RingMatrix, diagonal_rows
 from hasseforms.finfield import make_extension
 from hasseforms.funcfield import Poly
+from hasseforms.paper import load_bundled_pair
 from hasseforms.serialize import (
     curve_from_json,
     dumps,
     fraction_from_json,
     fraction_to_json,
-    load_bundled_pair,
     matrix_from_json,
     matrix_to_json,
     pair_from_json,
