@@ -266,7 +266,7 @@ def run(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # inside the try: an unwritable stdout exits 2 like any other OSError
         return code
-    except (ValueError, KeyError, TypeError, OSError, BudgetExceededError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, BudgetExceededError) as exc:
         sys.stderr.write(dumps({"error": _error_text(exc)}))
         return 2
 

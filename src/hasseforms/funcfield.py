@@ -249,7 +249,7 @@ class Poly(RingOps):
         if type(other) is Poly and other.field is self.field:
             return self.coeffs == other.coeffs
         if isinstance(other, (int, FieldElement)):  # the constant it names
-            return self.coeffs == Poly.constant(self.field, other).coeffs
+            return len(self.coeffs) <= 1 and self.constant_value() == other
         return False  # a polynomial over another field, or no polynomial
 
     def __hash__(self):

@@ -7,26 +7,29 @@ both parts of (A + By) s^k for k = 2 deg D, a test in O/(D) with no
 factoring.  Off the zeros of s, Q then lies in GL_n of the local ring
 exactly where s * s^k * det Q, with s^k det Q in O, does not vanish.
 Verification is point-based up to an inspection degree d with q^d <=
-14 641.  Each closed place is examined once, on the line as on the
-cubic, at one point of its Frobenius orbit, by one zero test per witness
-on the logs of its coordinates.  Whatever no witness reaches is reported
-as a gap.
+14 641.  A closed place of degree d is one Frobenius orbit of d points,
+walked here once on the logs of their coordinates, with its prime on
+the line (``enumerate_points``).  Each is examined once, on the line as
+on the cubic, at one point of its orbit, by one zero test per witness
+on those logs.  Whatever no witness reaches is reported as a gap.
 
-Only ``genus-verify``, ``verify-paper`` and pair files that carry
-witnesses load this module.  Its public names are imported from here,
-except those that perfbench looks up elsewhere: ``GenusWitness`` and
-``verify_genus_witness`` are reached through ``forms``, and
-``genus_report_to_json`` through ``serialize``, which import this
-module on first use.
+Only ``genus-verify``, ``verify-paper``, pair files that carry witnesses
+and ``local``'s primes of the line load this module.  Its public names
+are imported from here, except those that perfbench looks up elsewhere:
+``GenusWitness`` and ``verify_genus_witness`` are reached through
+``forms``, ``genus_report_to_json`` through ``serialize`` and
+``enumerate_points`` through ``curvepoints``, which import this module
+on first use.
 """
 
 from __future__ import annotations
 
-from .curvepoints import AffinePoint, enumerate_points
+from . import curvepoints
+from .curvepoints import AffinePoint, _conjugates, _cubic_points, _cycle
 from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _cleared, congruence_rows
-from .finfield import MAX_INSPECTION_SIZE, FiniteField, capped_power, embed, make_extension, square_and_multiply
+from .finfield import MAX_INSPECTION_SIZE, FiniteField, capped_power, embed, make_extension, pullback_table, square_and_multiply
 from .forms import GramMatrix, MalformedWitnessError, _require_pair
-from .funcfield import Poly, to_text
+from .funcfield import Poly, monic_rank, to_text
 from .records import Record
 from .serialize import point_to_json
 
@@ -167,7 +170,94 @@ def _closed_places(curve: CurveSpec, d: int):
     once on the logs of its coordinates (``enumerate_points``).  s, Q and
     det Q are defined over F_q, so they vanish at every point of an orbit
     or at none, and one point decides for the whole closed place."""
-    return [point for point in enumerate_points(curve, d, closed=True) if point.degree == d]
+    return [point for point in curvepoints.enumerate_points(curve, d, closed=True) if point.degree == d]
+
+
+def enumerate_points(curve: CurveSpec, degree: int = 1, closed: bool = False):
+    """All affine points with coordinates in F_{q^degree} in canonical
+    coordinate order: every x of the line, with y = None, or the points of
+    a cubic (``_cubic_points``), each tagged with its Frobenius orbit's
+    length, its closed point's degree, and on the line with its closed
+    point's prime.  ``closed`` keeps the point of each orbit with the
+    least coordinates (x.coeffs, y.coeffs), one per closed point, and
+    lists the line's in ``monic_polys`` order.
+
+    At degree 1 every point is its own orbit and the line's prime is
+    x - x0, so nothing is walked.  Above it each orbit is walked once, on
+    logs: on the line, the cycle of every log not yet met (``_cycle``),
+    with its prime formed on logs too (``_orbit_prime``); on the cubic,
+    the orbit of every point not yet met (``_conjugates``)."""
+    base, line = curve.field, curve.is_polyline
+    ext = make_extension(base.p, base.k * degree)
+    if degree == 1:
+        if not line:
+            return [AffinePoint(x0, y0, 1) for x0, y0 in _cubic_points(curve, ext)]
+        # the prime of x0 is x + c, c = -x0; monic_polys order is c's order
+        one = base.one()
+        roots = ((-c, c) for c in base.elements()) if closed else ((x0, -x0) for x0 in base.elements())
+        return [AffinePoint(x0, None, 1, prime=Poly._raw(base, (c, one))) for x0, c in roots]
+    q, m, exp, zero = base.q, ext.q - 1, ext._exp, ext.zero()
+    if line:
+        orbits = [(1, zero, Poly.x(base))]  # x = 0, whose prime is x
+        tags = [None] * m  # log -> (length, least x, prime) of its orbit
+        for n in range(m):
+            if tags[n] is None:
+                orbit = _cycle(q, m, n)
+                least = exp[min(orbit, key=lambda r: exp[r].coeffs)]
+                tag = (len(orbit), least, _orbit_prime(orbit, base, ext))
+                orbits.append(tag)
+                for r in orbit:
+                    tags[r] = tag
+        if closed:
+            orbits.sort(key=lambda tag: monic_rank(tag[2]))
+            return [AffinePoint(x0, None, length, prime=prime) for length, x0, prime in orbits]
+        points = []
+        for x0 in ext.elements():
+            length, _, prime = orbits[0] if x0._log is None else tags[x0._log]
+            points.append(AffinePoint(x0, None, length, prime=prime))
+        return points
+
+    def coordinates(logs):
+        lx, ly = logs
+        return (zero if lx is None else exp[lx]).coeffs, (zero if ly is None else exp[ly]).coeffs
+
+    walked, points = {}, []  # logs of a point met in an earlier orbit -> (length, least logs)
+    for x0, y0 in _cubic_points(curve, ext):
+        logs = (x0._log, y0._log)
+        if (tag := walked.pop(logs, None)) is None:
+            orbit = _conjugates(q, m, *logs)
+            tag = (len(orbit), min(orbit, key=coordinates))
+            walked.update(dict.fromkeys(orbit[1:], tag))
+        if not closed or tag[1] == logs:
+            points.append(AffinePoint(x0, y0, tag[0]))
+    return points
+
+
+def _orbit_prime(roots: list, base, ext) -> Poly:
+    """The prime of a closed point of the line: the product of x - g^r
+    over the logs r of its orbit's nonzero roots (Lidl and Niederreiter,
+    *Finite Fields*, section 2.2), formed on logs with Zech sums; its
+    coefficients lie in base, and each is pulled back there once
+    (``finfield.pullback_table``)."""
+    m, half, zech = ext.q - 1, ext._half, ext._zech
+    coeffs = [0]  # logs (None for 0), lowest degree first, of the product so far: 1
+    for r in roots:  # c_i becomes c_(i-1) - g^r c_i
+        r += half  # the log of -g^r
+        out, low = [], None
+        for c in coeffs:
+            t = None if c is None else (c + r) % m
+            if low is not None:
+                if t is None:
+                    t = low
+                else:
+                    z = zech[t - low]
+                    t = None if z is None else (low + z) % m
+            out.append(t)
+            low = c
+        out.append(low)
+        coeffs = out
+    pull, zero = pullback_table(ext, base), base.zero()
+    return Poly._raw(base, [zero if c is None else pull[c] for c in coeffs])
 
 
 def _support(s: RingElement, det: RingFraction) -> tuple:

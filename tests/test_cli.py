@@ -777,10 +777,10 @@ def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # beyond the modules every command loads, so growth there shows in
     # their rows too
     for argv, lines, nodes in [
-        (["genus-verify", "--input", fixture_path("polyline_pair")], 2745, 17051),
-        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2859, 18293),
-        (["curve", "--q", "5", "--polyline"], 2764, 16699),
-        (["form", "--json", form_payload("1")], 2467, 15469),
+        (["genus-verify", "--input", fixture_path("polyline_pair")], 2744, 17044),
+        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2768, 17440),
+        (["curve", "--q", "5", "--polyline"], 2673, 15846),
+        (["form", "--json", form_payload("1")], 2376, 14616),
     ]:
         size = _loaded_size(argv)
         assert size[0] <= lines and size[1] <= nodes, (argv[0], size)

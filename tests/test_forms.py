@@ -1636,7 +1636,7 @@ def test_cubic_inspection_degree_capped_before_any_work(monkeypatch):
         raise AssertionError("verification started")
 
     monkeypatch.setattr(genus, "witness_identity", no_work)
-    monkeypatch.setattr(genus, "enumerate_points", no_work)
+    monkeypatch.setattr(curvepoints, "enumerate_points", no_work)
     for degree in (6, 10**9):
         with pytest.raises(ValueError, match="inspection degree"):
             verify_genus_witness(pair["F"], pair["G"], pair["witness"], degree=degree)

@@ -616,6 +616,9 @@ def test_poly_equality_across_types_is_unchanged(pair, n):
     assert (a == c) == (a.is_constant() and a.constant_value() is c)
     other = F3 if field.p != 3 else F5
     assert a != Poly.zero(other) and a != Poly.one(other)
+    # a constant of another field of the same characteristic is unequal too
+    wide = make_extension(field.p, 2 * field.k).element(n)
+    assert a != wide and wide not in [a]
     with pytest.raises(ValueError, match="mismatched base fields"):
         a + Poly.one(other)
 

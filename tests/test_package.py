@@ -58,7 +58,7 @@ def test_star_import_and_dir_list_all():
 FORWARDED = {
     "forms": {"diagonalize", "local_isomorphic", "GenusWitness", "verify_genus_witness", "isom_search"},
     "funcfield": {"monic_irreducibles", "factor", "valuation"},
-    "curvepoints": {"point_report"},
+    "curvepoints": {"enumerate_points", "point_report"},
     "serialize": {"genus_report_to_json"},
     "hasse": {"hasse_principle"},
 }
