@@ -216,7 +216,7 @@ class RingElement(RingOps):
 
     def norm(self) -> Poly:
         """N(u) = u * conj(u) = A^2 - B^2 (x^3+ax+b), in F_q[x]."""
-        if self.curve.is_polyline or self.b.is_zero():
+        if self.b.is_zero():  # the line's every element
             return self.a * self.a
         return self.a * self.a - self.b * self.b * self.curve.cubic()
 
@@ -245,7 +245,7 @@ class RingElement(RingOps):
 
     def evaluate(self, x0: FieldElement, y0: FieldElement | None = None) -> FieldElement:
         """Value at a point; y0 is required off the affine line."""
-        if self.curve.is_polyline or self.b.is_zero():
+        if self.b.is_zero():  # the line's every element
             return self.a.evaluate(x0)
         if y0 is None:
             raise ValueError("evaluation on a curve needs a y coordinate")
@@ -311,9 +311,7 @@ class RingFraction(FieldOps):
             den = Poly.constant(curve.field, den)
         if isinstance(den, Poly):
             return cls(curve, num, den)
-        if isinstance(den, RingElement):
-            if den.is_zero():
-                raise ZeroDivisionError("zero denominator")
+        if isinstance(den, RingElement):  # a zero den has norm 0, which __init__ refuses
             return cls(curve, num * den.conj(), den.norm())
         raise TypeError(f"cannot use {den!r} as a denominator")
 

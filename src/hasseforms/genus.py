@@ -36,7 +36,8 @@ from .serialize import point_to_json
 
 class GenusWitness(Record):
     """Transition matrices with declared bad loci, certifying membership
-    in a genus prime by prime."""
+    in a genus prime by prime.  Each Q's size is checked against the
+    target's rank before any of its entries is validated."""
 
     __slots__ = ("target", "pairs")
 
@@ -52,6 +53,8 @@ class GenusWitness(Record):
                 raise TypeError("witness pairs are (matrix, ring element)")
             if q.curve is not self.target.curve or s.curve is not self.target.curve:
                 raise ValueError("witness pieces live over different curves")
+            if q.n != self.target.n:
+                raise ValueError("dimension mismatch")
             if s.is_zero():
                 raise MalformedWitnessError("declared locus must be nonzero")
             for i, row in enumerate(q.rows, 1):  # every entry must lie in O[1/s]
@@ -101,8 +104,10 @@ def verify_genus_witness(
     coverage: every closed point of degree at most ``degree`` must be
     reached by some witness, one whose support s * s^k * det Q
     (``_support``) does not vanish there: s does not, and det Q is a
-    unit.  Each closed point is listed once, as one point of its
-    Frobenius orbit (``_closed_places``), walked on discrete logs.  For
+    unit.  Each closed point is listed once, at its degree, as one point
+    of its Frobenius orbit (``enumerate_points``), walked on discrete
+    logs; s, Q and det Q are defined over F_q, so they vanish at every
+    point of an orbit or at none, and one point decides for it.  For
     each degree d, each support becomes one test on the logs of a point
     of F_{q^d} (``_reaches``), its coefficients embedded in F_{q^d} once,
     so a place costs a few Horner steps on logs and no field element.
@@ -131,7 +136,7 @@ def verify_genus_witness(
     for d in range(1, degree + 1):
         ext = make_extension(base.p, base.k * d)
         tests = [_reaches(support, ext) for support in supports]
-        for place in _closed_places(curve, d):
+        for place in curvepoints.enumerate_points(curve, d, closed=True):
             lx, ly = place.x._log, None if place.y is None else place.y._log
             for reaches in tests:
                 if reaches(lx, ly):
@@ -164,29 +169,22 @@ def witness_identity(q: RingMatrix, f: GramMatrix, g: GramMatrix):
     return ok, det_q
 
 
-def _closed_places(curve: CurveSpec, d: int):
-    """The closed places of degree d, on the line as on the cubic: one
-    point per Frobenius orbit of length d in F_{q^d}, each orbit walked
-    once on the logs of its coordinates (``enumerate_points``).  s, Q and
-    det Q are defined over F_q, so they vanish at every point of an orbit
-    or at none, and one point decides for the whole closed place."""
-    return [point for point in curvepoints.enumerate_points(curve, d, closed=True) if point.degree == d]
-
-
 def enumerate_points(curve: CurveSpec, degree: int = 1, closed: bool = False):
     """All affine points with coordinates in F_{q^degree} in canonical
     coordinate order: every x of the line, with y = None, or the points of
     a cubic (``_cubic_points``), each tagged with its Frobenius orbit's
     length, its closed point's degree, and on the line with its closed
-    point's prime.  ``closed`` keeps the point of each orbit with the
-    least coordinates (x.coeffs, y.coeffs), one per closed point, and
-    lists the line's in ``monic_polys`` order.
+    point's prime.  ``closed`` lists the closed points of exactly this
+    degree, those of a smaller one being listed at their own: of each
+    orbit of length ``degree``, the point with the least coordinates
+    (x.coeffs, y.coeffs), the line's in ``monic_polys`` order.
 
     At degree 1 every point is its own orbit and the line's prime is
     x - x0, so nothing is walked.  Above it each orbit is walked once, on
     logs: on the line, the cycle of every log not yet met (``_cycle``),
-    with its prime formed on logs too (``_orbit_prime``); on the cubic,
-    the orbit of every point not yet met (``_conjugates``)."""
+    with its prime formed on logs too (``_orbit_prime``), in a closed
+    listing only for the orbits listed; on the cubic, the orbit of every
+    point not yet met (``_conjugates``)."""
     base, line = curve.field, curve.is_polyline
     ext = make_extension(base.p, base.k * degree)
     if degree == 1:
@@ -198,22 +196,23 @@ def enumerate_points(curve: CurveSpec, degree: int = 1, closed: bool = False):
         return [AffinePoint(x0, None, 1, prime=Poly._raw(base, (c, one))) for x0, c in roots]
     q, m, exp, zero = base.q, ext.q - 1, ext._exp, ext.zero()
     if line:
-        orbits = [(1, zero, Poly.x(base))]  # x = 0, whose prime is x
-        tags = [None] * m  # log -> (length, least x, prime) of its orbit
+        places = []  # (least x, prime) of each orbit of length degree
+        tags = [None] * m  # log -> (length, prime) of its orbit
         for n in range(m):
             if tags[n] is None:
                 orbit = _cycle(q, m, n)
-                least = exp[min(orbit, key=lambda r: exp[r].coeffs)]
-                tag = (len(orbit), least, _orbit_prime(orbit, base, ext))
-                orbits.append(tag)
+                whole = len(orbit) == degree
+                tag = (len(orbit), _orbit_prime(orbit, base, ext) if whole or not closed else None)
+                if whole and closed:
+                    places.append((exp[min(orbit, key=lambda r: exp[r].coeffs)], tag[1]))
                 for r in orbit:
                     tags[r] = tag
         if closed:
-            orbits.sort(key=lambda tag: monic_rank(tag[2]))
-            return [AffinePoint(x0, None, length, prime=prime) for length, x0, prime in orbits]
+            places.sort(key=lambda place: monic_rank(place[1]))
+            return [AffinePoint(x0, None, degree, prime=prime) for x0, prime in places]
         points = []
         for x0 in ext.elements():
-            length, _, prime = orbits[0] if x0._log is None else tags[x0._log]
+            length, prime = (1, Poly.x(base)) if x0._log is None else tags[x0._log]
             points.append(AffinePoint(x0, None, length, prime=prime))
         return points
 
@@ -228,7 +227,7 @@ def enumerate_points(curve: CurveSpec, degree: int = 1, closed: bool = False):
             orbit = _conjugates(q, m, *logs)
             tag = (len(orbit), min(orbit, key=coordinates))
             walked.update(dict.fromkeys(orbit[1:], tag))
-        if not closed or tag[1] == logs:
+        if not closed or tag == (degree, logs):
             points.append(AffinePoint(x0, y0, tag[0]))
     return points
 
@@ -303,9 +302,6 @@ def _zero_test(h: RingElement, ext: FiniteField):
                 z = zech[c - acc]
                 acc = None if z is None else (acc + z) % m
         return acc
-
-    if not b:
-        return lambda lx, ly: value(a, lx) is None
 
     def vanishes(lx, ly):
         va = value(a, lx)

@@ -58,13 +58,15 @@ FACTOR_DEGREE_BOUND = 64
 
 def monic_irreducibles(field: FiniteField, degree: int):
     """All monic irreducibles of the degree in ``monic_polys`` order: the
-    primes of the line's Frobenius orbits of that length in F_{q^degree}
-    (``curvepoints.enumerate_points``).  The walk scans F_{q^degree}, so
+    primes of the line's closed places of that degree, which a closed
+    listing (``curvepoints.enumerate_points``) forms only for the
+    Frobenius orbits of that length in F_{q^degree}; no smaller orbit's
+    prime is formed.  The walk scans F_{q^degree}, so
     q^degree > MAX_INSPECTION_SIZE is refused before anything is built."""
     if capped_power(field.q, degree, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
         raise ValueError(f"{field.q}^{degree} monics exceed the enumeration bound {MAX_INSPECTION_SIZE}")
     line = CurveSpec.polyline(field)
-    return tuple(place.prime for place in curvepoints.enumerate_points(line, degree, closed=True) if place.degree == degree)
+    return tuple(place.prime for place in curvepoints.enumerate_points(line, degree, closed=True))
 
 
 def _multiplicity(f: Poly, prime: Poly):
@@ -311,7 +313,7 @@ def field_isomorphic(f: FieldForm, g: FieldForm) -> bool:
 def local_isomorphic(f: GramMatrix, g: GramMatrix, at) -> bool:
     """Whether two unimodular forms agree over the residue field F_{q^e}
     of a closed place: a monic irreducible of the line of degree e, or a
-    point of the line (y = None, as ``_closed_places`` reports it) or of
+    point of the line (y = None, as ``enumerate_points`` lists it) or of
     the cubic whose Frobenius orbit has its stated length e.
 
     Rank and the square class of the determinant classify forms there.

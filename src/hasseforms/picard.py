@@ -128,7 +128,7 @@ def is_singular_point(curve: CurveSpec, x0: FieldElement, y0: FieldElement) -> b
 def require_on_curve(curve: CurveSpec, point: AffinePoint):
     """Raise ValueError unless y^2 = x^3 + ax + b holds at the point, in
     its own field."""
-    if point.y * point.y != curve.cubic()(point.x):
+    if point.y is None or point.y * point.y != curve.cubic()(point.x):
         raise ValueError(f"point {point!r} is not on the curve {curve!r}")
 
 

@@ -15,7 +15,8 @@ Conventions (all schemas carry ``"schema": 1``):
   place          its point on a cubic, its prime's text on the line
 
 On input a fraction denominator may also be a ring-element record; it
-is rationalized into F_q[x] on load.  Integers (field entries, element
+is rationalized into F_q[x] on load.  A record with a defaulted key
+refuses any key it does not define.  Integers (field entries, element
 coefficients, degrees, bounds) must be JSON integers, never floats,
 strings or booleans.  Output is deterministic: ``dumps(obj)`` is byte
 for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``, built by
@@ -103,6 +104,13 @@ def require_key(data, key: str, what: str):
     return data[key]
 
 
+def require_known_keys(data: dict, allowed: tuple, what: str):
+    """Refuse a key of the JSON object ``what`` outside ``allowed`` with a
+    ValueError naming the first in sorted order."""
+    if unknown := sorted(data.keys() - allowed):
+        raise ValueError(f"unknown key {unknown[0]!r} in {what}; allowed are {', '.join(allowed[:-1])} and {allowed[-1]}")
+
+
 def require_int(value, what: str) -> int:
     """value if it is a JSON integer; a float, a string or true is
     refused with a ValueError naming ``what``, never rounded or read."""
@@ -119,6 +127,7 @@ def field_from_json(data: dict) -> FiniteField:
     """A base field F_{p^k}: p and k are integers and p^k is at most
     MAX_FIELD_SIZE, checked before the primality test."""
     p = require_int(require_key(data, "p", "field"), "field p")
+    require_known_keys(data, ("p", "k"), "field")
     k = require_int(data.get("k", 1), "field k")
     if p >= 2 and capped_power(p, k, MAX_FIELD_SIZE) > MAX_FIELD_SIZE:
         raise ValueError(f"field size {p}^{k} exceeds desk-scale bound {MAX_FIELD_SIZE}")
@@ -171,6 +180,7 @@ def ring_elem_from_json(curve: CurveSpec, data) -> RingElement:
         return RingElement(curve, Poly.from_text(field, data))
     if not isinstance(data, dict):
         raise ValueError("ring element must be a JSON object, int or string")
+    require_known_keys(data, ("A", "B"), "ring element")
     return RingElement(curve, Poly.from_text(field, data.get("A", "0")), Poly.from_text(field, data.get("B", "0")))
 
 
@@ -180,11 +190,12 @@ def fraction_to_json(e: RingFraction) -> dict:
 
 def entry_from_json(curve: CurveSpec, data):
     """A matrix entry as written: a RingElement for an int, a polynomial
-    text or a ring-element record, else a RingFraction in lowest terms,
-    its denominator rationalized into F_q[x]."""
-    if not isinstance(data, dict) or "num" not in data:
+    text or a ring-element record, else (num or den named) a RingFraction
+    in lowest terms, its denominator rationalized into F_q[x]."""
+    if not isinstance(data, dict) or data.keys().isdisjoint(("num", "den")):
         return ring_elem_from_json(curve, data)  # an int is the curve's shared constant
-    num = ring_elem_from_json(curve, data["num"])
+    require_known_keys(data, ("num", "den"), "fraction")
+    num = ring_elem_from_json(curve, require_key(data, "num", "fraction"))
     den = data.get("den", "1")
     den = ring_elem_from_json(curve, den) if isinstance(den, dict) else Poly.from_text(curve.field, den)
     if den.is_zero():
@@ -239,6 +250,7 @@ def pair_from_json(data: dict, search: bool = False) -> dict:
     """
     if data.get("schema") != 1:
         raise ValueError("unsupported or missing schema version")
+    require_known_keys(data, ("schema", "curve", "F", "G", "witnesses", "degree", "isom_bounds"), "pair")
     curve = curve_from_json(require_key(data, "curve", "pair"))
     # the entries load by entry_from_json, a fraction only for a fraction
     # record, and both shapes are checked before either form is built
@@ -266,9 +278,7 @@ def pair_from_json(data: dict, search: bool = False) -> dict:
         bounds = data["isom_bounds"]
         if not isinstance(bounds, dict):
             raise ValueError("isom_bounds must be a JSON object")
-        for key in bounds:
-            if key not in ("deg_x", "deg_y"):
-                raise ValueError(f"unknown key {key!r} in isom_bounds; allowed are deg_x and deg_y")
+        require_known_keys(bounds, ("deg_x", "deg_y"), "isom_bounds")
         out["bounds"] = {k: require_int(v, f"isom_bounds {k}") for k, v in bounds.items()}
     return out
 

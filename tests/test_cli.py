@@ -557,6 +557,46 @@ def test_unknown_isom_bounds_key_rejected(capsys):
         assert json.loads(err)["error"] == "unknown key 'degy' in isom_bounds; allowed are deg_x and deg_y"
 
 
+def test_unknown_keys_of_defaulted_records_rejected(capsys):
+    # each misspelt key used to take its default, with exit 0: "b" for "B"
+    # made the determinant 1, "K" read F_5, "nun" read the entry as 0, and
+    # "degre" verified the pair at degree 2
+    cubic = {"type": "weierstrass", "field": {"p": 5, "k": 1}, "a": [1], "b": [1]}
+
+    def form(entry):
+        return json.dumps({"schema": 1, "curve": cubic, "matrix": [[1, entry], [entry, 1]]})
+
+    code, data, _ = invoke_json(capsys, "form", "--json", form({"B": "1"}))
+    assert code == 0 and data["det"] == {"num": {"A": "4*x^3+4*x", "B": "0"}, "den": "1"}
+    with open(fixture_path("polyline_pair")) as handle:
+        pair = json.load(handle)
+    pair["degre"] = pair.pop("degree")
+    for argv, key, record in [
+        (["form", "--json", form({"b": "1"})], "b", "ring element; allowed are A and B"),
+        (["curve", "--json", json.dumps({"type": "polyline", "field": {"p": 5, "K": 2}})], "K", "field; allowed are p and k"),
+        (["form", "--json", form({"nun": "1", "den": "x"})], "nun", "fraction; allowed are num and den"),
+        (["genus-verify", "--json", json.dumps(pair)], "degre",
+         "pair; allowed are schema, curve, F, G, witnesses, degree and isom_bounds"),
+    ]:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == f"unknown key {key!r} in {record}"
+
+
+def test_a_witness_of_the_wrong_size_is_refused_before_its_entries(capsys):
+    # every entry 1/x^256 lies in O[1/s] for s = x u, u dense of degree
+    # 255 with u(0) != 0, and checking one took 0.2-0.3 s: the 144 checks
+    # ran for 42.6 s before the size was compared with the forms' rank
+    s = "+".join(f"x^{i}" for i in range(256, 0, -1))
+    q = [[{"num": "1", "den": "x^256"}] * 12 for _ in range(12)]
+    pair = {"schema": 1, "curve": {"type": "polyline", "field": {"p": 5, "k": 1}},
+            "F": [[1, 0], [0, 1]], "G": [[1, 0], [0, 1]], "witnesses": [{"Q": q, "s": s}]}
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "genus-verify", "--json", json.dumps(pair))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "") and json.loads(err)["error"] == "dimension mismatch"
+
+
 def test_matrix_must_be_a_list_of_rows(capsys):
     # 5 and [5] failed with "'int' object is not iterable", a dict walked its keys
     line = {"type": "polyline", "field": {"p": 3, "k": 1}}
@@ -777,10 +817,10 @@ def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # beyond the modules every command loads, so growth there shows in
     # their rows too
     for argv, lines, nodes in [
-        (["genus-verify", "--input", fixture_path("polyline_pair")], 2744, 17044),
-        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2768, 17440),
-        (["curve", "--q", "5", "--polyline"], 2673, 15846),
-        (["form", "--json", form_payload("1")], 2376, 14616),
+        (["genus-verify", "--input", fixture_path("polyline_pair")], 2748, 17115),
+        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2776, 17526),
+        (["curve", "--q", "5", "--polyline"], 2681, 15941),
+        (["form", "--json", form_payload("1")], 2384, 14702),
     ]:
         size = _loaded_size(argv)
         assert size[0] <= lines and size[1] <= nodes, (argv[0], size)

@@ -516,6 +516,11 @@ def test_local_isomorphic_rejects_off_curve_point():
     g = ec_g_matrix()
     with pytest.raises(ValueError, match=r"\(F5\(0\), F5\(0\)\) is not on the curve"):
         local_isomorphic(f, g, AffinePoint(F5.element(0), F5.element(0), 1))
+    # a point of a cubic with no y is none of its places either; it raised
+    # TypeError from y * y
+    h = GramMatrix.identity(EC11, 2)
+    with pytest.raises(ValueError, match=r"\(F5\(0\), None\) is not on the curve"):
+        local_isomorphic(h, h, AffinePoint(F5.element(0), None, 1))
 
 
 def test_local_isomorphic_singular_test_is_pointwise():
@@ -633,7 +638,7 @@ def test_local_isomorphic_at_line_places_matches_their_primes(field):
     grams = [_unimodular_gram(line, rng, n, square) for n in (1, 2) for square in (True, False)]
     answers = set()
     for d in (1, 2):
-        places = genus._closed_places(line, d)
+        places = curvepoints.enumerate_points(line, d, closed=True)
         assert places and all(place.y is None and place.degree == d for place in places)
         for place in places:
             prime = PrimePoly.finite(place.prime)
@@ -647,7 +652,7 @@ def test_local_isomorphic_at_line_places_matches_their_primes(field):
 
 def test_local_isomorphic_rejects_malformed_line_points():
     f = GramMatrix.identity(LINE5, 2)
-    place = genus._closed_places(LINE5, 2)[0]
+    place = curvepoints.enumerate_points(LINE5, 2, closed=True)[0]
     with pytest.raises(ValueError, match="has degree 2, not the stated 1"):
         local_isomorphic(f, f, AffinePoint(place.x, None, 1))
     with pytest.raises(ValueError, match="y coordinate"):
@@ -796,7 +801,7 @@ def test_cubic_closed_places_one_per_orbit(p, k, a, b, d_max):
     curve = CurveSpec.weierstrass(field, a, b)
     expected = closed_point_counts(field, field.element(a), field.element(b), d_max)
     for d, count in enumerate(expected, 1):
-        places = genus._closed_places(curve, d)
+        places = curvepoints.enumerate_points(curve, d, closed=True)
         assert len(places) == count
         assert all(place.degree == d for place in places)
 
@@ -1147,7 +1152,7 @@ def test_coverage_tests_at_most_three_parts_per_witness_and_place(monkeypatch):
 # prime and extension fields for the line, as (p, k), each with the
 # inspection degrees up to 3 that keep q^d <= 121^2
 LINE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (11, 2), (3, 3)]
-LINE_PLACES = {}  # (p, k, d) -> genus._closed_places of the line, listed once
+LINE_PLACES = {}  # (p, k, d) -> the line's closed places of degree d, listed once
 
 
 @settings(max_examples=200, deadline=None)
@@ -1158,7 +1163,7 @@ def test_vanishing_by_evaluation_matches_division(data):
     d = data.draw(st.sampled_from([d for d in (1, 2, 3) if field.q**d <= 121**2]))
     line = CurveSpec.polyline(field)
     if (p, k, d) not in LINE_PLACES:
-        LINE_PLACES[p, k, d] = genus._closed_places(line, d)
+        LINE_PLACES[p, k, d] = curvepoints.enumerate_points(line, d, closed=True)
     place = data.draw(st.sampled_from(LINE_PLACES[p, k, d]))
     element = st.sampled_from(list(field.elements()))
     h = RingElement(line, Poly(field, data.draw(st.lists(element, max_size=7))))
@@ -1179,7 +1184,7 @@ ZERO_TEST_CURVES = {
     "cubic-F9": CurveSpec.weierstrass(F9, [1, 1], [0, 1]),
     "cubic-F25": CurveSpec.weierstrass(F25, [1, 1], [0, 3]),
 }
-ZERO_TEST_PLACES = {}  # (name, d) -> genus._closed_places
+ZERO_TEST_PLACES = {}  # (name, d) -> the closed places of degree d
 
 
 @pytest.mark.parametrize("name", sorted(ZERO_TEST_CURVES))
@@ -1204,7 +1209,7 @@ def test_zero_tests_match_the_vanishing_oracle(name, data):
     for d in (1, 2):
         ext = make_extension(field.p, field.k * d)
         if (name, d) not in ZERO_TEST_PLACES:
-            ZERO_TEST_PLACES[name, d] = genus._closed_places(curve, d)
+            ZERO_TEST_PLACES[name, d] = curvepoints.enumerate_points(curve, d, closed=True)
         tests, reaches = [genus._zero_test(h, ext) for h in support], genus._reaches(support, ext)
         for place in ZERO_TEST_PLACES[name, d]:
             lx, ly = place.x.log, None if place.y is None else place.y.log
@@ -1239,13 +1244,22 @@ def test_line_places_are_frobenius_orbits_named_by_their_primes(p, k, d):
     # root x of its prime with y = None; the primes come in the order of
     # the trial-division oracle, which shares no code with the orbit walk
     field = make_extension(p, k)
-    places = genus._closed_places(CurveSpec.polyline(field), d)
+    places = curvepoints.enumerate_points(CurveSpec.polyline(field), d, closed=True)
     assert [place.prime for place in places] == list(monic_irreducibles_by_trial_division(field, d))
     for place in places:
         assert place.y is None and place.x.field.q == field.q**d
         orbit = frobenius_orbit_by_powering(field.q, place.x, place.y)
         assert len(orbit) == place.degree == d
         assert all(place.prime.evaluate(x).is_zero() for x, _ in orbit)
+
+
+def test_a_closed_listing_forms_only_the_primes_it_lists(monkeypatch):
+    # F_81 holds 2 nonzero orbits of length 1, 3 of length 2 and 18 of
+    # length 4; the listing at degree 4 forms the 18 primes of degree 4
+    real, formed = genus._orbit_prime, []
+    monkeypatch.setattr(genus, "_orbit_prime", lambda orbit, *fields: formed.append(len(orbit)) or real(orbit, *fields))
+    places = curvepoints.enumerate_points(CurveSpec.polyline(F3), 4, closed=True)
+    assert len(places) == 18 and formed == [4] * 18
 
 
 def test_curve_and_form_reprs_write_coefficients_as_text():
@@ -1265,7 +1279,7 @@ def test_closed_places_list_one_point_per_frobenius_orbit(p, k, a, b, d):
     field = make_extension(p, k)
     curve = CurveSpec.weierstrass(field, field.element(a), field.element(b))
     points = [pt for pt in enumerate_points(curve, d) if pt.degree == d]
-    places = genus._closed_places(curve, d)
+    places = curvepoints.enumerate_points(curve, d, closed=True)
     orbits = [frobenius_orbit_by_powering(field.q, pt.x, pt.y) for pt in places]
     key = lambda xy: (xy[0].coeffs, xy[1].coeffs)  # noqa: E731
     # each place is the first point of its orbit, in enumeration order, and

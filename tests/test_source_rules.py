@@ -10,8 +10,10 @@ type; only ``cli.build_parser`` imports argparse; no module imports
 ``typing``, so a CLI process in an environment whose start-up does not
 load it never does; a public name defined
 in a module loaded on first use resolves from a second module exactly
-when perfbench looks it up there; and every module parses under the
-Python 3.10 grammar, the oldest that ``pyproject.toml`` admits."""
+when perfbench looks it up there, and a name that perfbench traces there
+is neither imported from its home nor called there by its bare name;
+and every module parses under the Python 3.10 grammar, the oldest that
+``pyproject.toml`` admits."""
 
 import ast
 import importlib
@@ -227,3 +229,28 @@ def test_a_name_is_forwarded_exactly_where_perfbench_looks_it_up():
     assert forwarded == {(module, name) for module, name in traced | read if module in FORWARDING and name in defined}
     homes = {name: module for module, name in traced if name in hasseforms._HOME}
     assert homes == {name: hasseforms._HOME[name] for name in homes}
+
+
+def test_a_traced_name_is_called_through_the_module_perfbench_wraps_it_on():
+    # perfbench's tracer wraps a name in the modules loaded before its own
+    # look-ups, and those look-ups load the modules of first use; so a
+    # traced name at home in one of them is reached through the module
+    # that forwards it, and a copy imported from its home, or a call by
+    # its bare name inside its home, would escape the counts and spans
+    traced = {path.split(".")[0] for _, path in _traced_names()}
+    homes = {name: home for home in LAZY_HOMES for name in _public_definitions(SRC / f"{home}.py") & traced}
+    imported = [
+        (path.name, node.lineno, alias.name)
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+        if homes.get(alias.name) == node.module.split(".")[-1]
+    ]
+    called = [
+        (home, node.lineno, node.func.id)
+        for home in sorted(set(homes.values()))
+        for node in ast.walk(_tree(SRC / f"{home}.py"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and homes.get(node.func.id) == home
+    ]
+    assert homes and imported == [] and called == [], (imported, called)
