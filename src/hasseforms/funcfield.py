@@ -19,8 +19,11 @@ through this module, which imports ``local`` on first use
 (``__getattr__``).
 
 Text grammar for polynomials: integer coefficients, variable x,
-caret powers, e.g. ``x^3+2*x+3``; coefficients are read mod p.  An
-exponent above MAX_TEXT_DEGREE is refused before anything is allocated.
+caret powers, e.g. ``x^3+2*x+3``; coefficients are read mod p.  Spaces
+are dropped, and the text splits into signed runs, each a term of
+``_TERM_RE``; the first run, reading left to right, that is no term or
+has an exponent above MAX_TEXT_DEGREE is refused, before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -86,21 +89,26 @@ class Poly(RingOps):
     def from_text(cls, field, text: str) -> Poly:
         """The polynomial a text of the grammar names, with its coefficients
         read mod p straight into element codes.  A plain integer, the most
-        common entry, costs one ``int``."""
+        common entry, costs one ``int``; any other text is checked and read
+        in one pass over its signed runs.  ValueError names an empty text,
+        a stray or doubled sign, or the first run that is no term."""
         if not isinstance(text, str):
             raise ValueError(f"polynomial text must be a string, got {text!r}")
         compact = text.replace(" ", "")
         if compact.isdecimal():  # exactly what \d+ matches, and what int() reads
             c = int(compact) % field.p
             return _constants(field)[c] if c < 2 else Poly._raw(field, (field._elements[c],))
-        if not _POLY_RE.fullmatch(compact):
-            raise _refusal(text, compact)
+        runs = re.findall(r"[+-]?[^+-]+", compact)  # the terms, each after its sign
+        if not runs or "".join(runs) != compact:
+            raise ValueError(f"cannot parse polynomial text {text!r}" if compact else "empty polynomial text")
         coeffs: dict[int, int] = {}
-        for sign, digits, x, exp in _TERM_RE.findall(compact):
-            if digits or x:  # not the empty match at the end
-                e = _exponent(x, exp)
-                c = int(digits) if digits else 1
-                coeffs[e] = coeffs.get(e, 0) + (-c if sign == "-" else c)
+        for run in runs:
+            if (term := _TERM_RE.fullmatch(run)) is None:
+                raise ValueError(f"bad term {run!r} in polynomial text {text!r}")
+            sign, digits, x, exp = term.groups()
+            e = _exponent(x, exp)
+            c = int(digits) if digits else 1
+            coeffs[e] = coeffs.get(e, 0) + (-c if sign == "-" else c)
         codes = [0] * (max(coeffs) + 1)
         for e, c in coeffs.items():
             codes[e] = c % field.p
@@ -281,10 +289,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # Text grammar
 
 
-# a term is a coefficient, x to a power, or both, after an optional sign,
-# and is followed by the next term's sign or the end.  Text is checked
-# against the whole grammar once, then read term by term with no check
-_POLY_RE = re.compile(r"(?:[+-]?(?:\d+(?:\*?x(?:\^\d+)?)?|\*?x(?:\^\d+)?)(?=[+-]|\Z))+")
+# a term: an optional sign, then a coefficient, x to a power, or both
 _TERM_RE = re.compile(r"([+-]?)(\d*)(?:\*?(x)(?:\^(\d+))?)?")
 
 
@@ -294,22 +299,6 @@ def _exponent(x: str, exp: str) -> int:
     if e > MAX_TEXT_DEGREE:
         raise ValueError(f"exponent {e} exceeds the text grammar's bound {MAX_TEXT_DEGREE}")
     return e
-
-
-def _refusal(text: str, compact: str) -> ValueError:
-    """The error for text outside the grammar: an empty text, a stray
-    sign, or else the first term, reading left to right, that is not one
-    or has too large an exponent (raised here).  When the signed runs
-    spell the text, one of them is no term: were each a term, the text
-    would match the grammar."""
-    if not compact:
-        return ValueError("empty polynomial text")
-    pieces = re.findall(r"[+-]?[^+-]+", compact)  # signed runs, compiled only on this error path
-    for piece in pieces if "".join(pieces) == compact else ():
-        if not _POLY_RE.fullmatch(piece):
-            return ValueError(f"bad term {piece!r} in polynomial text {text!r}")
-        _exponent(*_TERM_RE.match(piece).group(3, 4))
-    return ValueError(f"cannot parse polynomial text {text!r}")
 
 
 @functools.cache

@@ -15,6 +15,7 @@ import importlib
 import itertools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from hasseforms import forms, search
 from hasseforms.finfield import FiniteField, embed, make_extension, square_and_multiply
 from hasseforms.curvepoints import AffinePoint
 from hasseforms.curvering import RingElement, RingFraction, congruence_rows
-from hasseforms.funcfield import Poly, factor, monic_polys
+from hasseforms.funcfield import MAX_TEXT_DEGREE, Poly, factor, monic_polys
 from hasseforms.local import FieldForm, PrimePoly, field_isomorphic
 from hasseforms.picard import require_on_curve
 from hasseforms.serialize import elem_to_json, matrix_to_json, ring_elem_to_json
@@ -852,3 +853,56 @@ def pair_to_json(curve, f, g, witness=None, degree=None, bounds=None) -> dict:
     if bounds is not None:
         out["isom_bounds"] = dict(bounds)
     return out
+
+
+# ---------------------------------------------------------------------------
+# polynomial text, read by a second statement of the grammar: the whole
+# text is matched against a grammar of terms, then read term by term, and
+# a refused text is read again to find the term to blame
+
+
+_WHOLE_TEXT_RE = re.compile(r"(?:[+-]?(?:\d+(?:\*?x(?:\^\d+)?)?|\*?x(?:\^\d+)?)(?=[+-]|\Z))+")
+_REFERENCE_TERM_RE = re.compile(r"([+-]?)(\d*)(?:\*?(x)(?:\^(\d+))?)?")
+
+
+def _reference_exponent(x: str, exp: str) -> int:
+    e = (int(exp) if exp else 1) if x else 0
+    if e > MAX_TEXT_DEGREE:
+        raise ValueError(f"exponent {e} exceeds the text grammar's bound {MAX_TEXT_DEGREE}")
+    return e
+
+
+def _reference_refusal(text: str, compact: str) -> ValueError:
+    """The error for a text outside the whole-text grammar: an empty
+    text, a stray sign, or else the first signed run, left to right,
+    that is no term or has too large an exponent (raised here)."""
+    if not compact:
+        return ValueError("empty polynomial text")
+    pieces = re.findall(r"[+-]?[^+-]+", compact)
+    for piece in pieces if "".join(pieces) == compact else ():
+        if not _WHOLE_TEXT_RE.fullmatch(piece):
+            return ValueError(f"bad term {piece!r} in polynomial text {text!r}")
+        _reference_exponent(*_REFERENCE_TERM_RE.match(piece).group(3, 4))
+    return ValueError(f"cannot parse polynomial text {text!r}")
+
+
+def poly_from_text_by_whole_grammar(field: FiniteField, text: str) -> Poly:
+    """``Poly.from_text`` as a whole-text match followed by a term-by-term
+    read, raising the same messages."""
+    if not isinstance(text, str):
+        raise ValueError(f"polynomial text must be a string, got {text!r}")
+    compact = text.replace(" ", "")
+    if compact.isdecimal():
+        return Poly(field, [int(compact)])
+    if not _WHOLE_TEXT_RE.fullmatch(compact):
+        raise _reference_refusal(text, compact)
+    coeffs: dict[int, int] = {}
+    for sign, digits, x, exp in _REFERENCE_TERM_RE.findall(compact):
+        if digits or x:  # not the empty match at the end
+            e = _reference_exponent(x, exp)
+            c = int(digits) if digits else 1
+            coeffs[e] = coeffs.get(e, 0) + (-c if sign == "-" else c)
+    codes = [0] * (max(coeffs) + 1)
+    for e, c in coeffs.items():
+        codes[e] = c
+    return Poly(field, codes)

@@ -28,6 +28,7 @@ from oracles import (
     ec_multiply,
     factor_by_trial_division,
     monic_irreducibles_by_trial_division,
+    poly_from_text_by_whole_grammar,
     poly_product_by_vectors,
     reducible_monics_by_products,
 )
@@ -135,9 +136,54 @@ def test_parse_poly(text, coeffs):
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x+", "y^2", "x**2", "++1", "1.5", "--1", "3\n"):
-        with pytest.raises(ValueError):
+    for bad, message in [
+        ("", "empty polynomial text"),
+        ("x+", "cannot parse polynomial text 'x+'"),
+        ("y^2", "bad term 'y^2' in polynomial text 'y^2'"),
+        ("x**2", "bad term 'x**2' in polynomial text 'x**2'"),
+        ("++1", "cannot parse polynomial text '++1'"),
+        ("1.5", "bad term '1.5' in polynomial text '1.5'"),
+        ("--1", "cannot parse polynomial text '--1'"),
+        ("3\n", "bad term '3\\n' in polynomial text '3\\n'"),
+        ("x + 2 y", "bad term '+2y' in polynomial text 'x + 2 y'"),
+        ("y+x^300", "bad term 'y' in polynomial text 'y+x^300'"),
+        ("x^300+y", "exponent 300 exceeds the text grammar's bound 256"),
+    ]:
+        with pytest.raises(ValueError) as refused:
             Poly.from_text(F5, bad)
+        assert str(refused.value) == message, bad
+
+
+def _drawn_text(rng: random.Random) -> str:
+    """A string over the grammar's characters and its near misses, or a
+    run of signed terms, some of them no term, with exponents up to 400."""
+    if rng.random() < 0.5:
+        return "".join(rng.choices("0123456789x^*+-.()yt ", k=rng.randrange(13)))
+    return "".join(
+        rng.choice(["+", "-", "+", "-", "", "--"])
+        + rng.choice(["", "0", "1", "3", "12", "007"])
+        + rng.choice(["x", "x", "x", "*x", "", "x^", "**x"])
+        + rng.choice(["", f"^{rng.randrange(401)}", f"^{rng.randrange(401)}"])
+        for _ in range(rng.randrange(1, 6))
+    )
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([F5, F9]), st.integers(0, 2**32 - 1))
+def test_text_reads_as_the_whole_text_grammar_reads_it(field, seed):
+    # one pass over the signed runs returns the polynomial, or raises the
+    # message, that a whole-text match followed by a re-scan gives, on
+    # 20 x 500 drawn texts
+    rng = random.Random(seed)
+    for text in (_drawn_text(rng) for _ in range(500)):
+        try:
+            expected = poly_from_text_by_whole_grammar(field, text)
+        except ValueError as refused:
+            with pytest.raises(ValueError) as raised:
+                Poly.from_text(field, text)
+            assert str(raised.value) == str(refused), text
+        else:
+            assert Poly.from_text(field, text) == expected, text
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
