@@ -37,6 +37,7 @@ from .serialize import (
     pair_from_json,
     render_text,
     require_key,
+    require_known_keys,
 )
 
 
@@ -115,6 +116,7 @@ def _cmd_form(args) -> int:
     data = _load_input(args)
     if data.get("schema") != 1:
         raise ValueError("unsupported or missing schema version")
+    require_known_keys(data, ("schema", "curve", "matrix"), "input")
     curve = curve_from_json(require_key(data, "curve", "input"))
     matrix = matrix_from_json(curve, require_key(data, "matrix", "input"))
     det = matrix.det()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from . import curvepoints
 from .curvepoints import AffinePoint, _conjugates, _cubic_points, _cycle
-from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _cleared, congruence_rows
+from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _cleared, _cleared_rows, congruence_rows, require_det_cost
 from .finfield import MAX_INSPECTION_SIZE, FiniteField, capped_power, embed, make_extension, pullback_table, square_and_multiply
 from .forms import GramMatrix, MalformedWitnessError, _require_pair
 from .funcfield import Poly, monic_rank, to_text
@@ -36,8 +36,10 @@ from .serialize import point_to_json
 
 class GenusWitness(Record):
     """Transition matrices with declared bad loci, certifying membership
-    in a genus prime by prime.  Each Q's size is checked against the
-    target's rank before any of its entries is validated."""
+    in a genus prime by prime.  Each Q's size, and the cost of the
+    determinant ``witness_identity`` takes of its cleared rows
+    (``curvering.require_det_cost``), are checked before any of its
+    entries is validated."""
 
     __slots__ = ("target", "pairs")
 
@@ -57,6 +59,7 @@ class GenusWitness(Record):
                 raise ValueError("dimension mismatch")
             if s.is_zero():
                 raise MalformedWitnessError("declared locus must be nonzero")
+            require_det_cost(_cleared_rows(q.rows)[0])
             for i, row in enumerate(q.rows, 1):  # every entry must lie in O[1/s]
                 for j, e in enumerate(row, 1):
                     if not _times_power(e.num, s, 2 * e.den.degree, e.den).is_zero():

@@ -15,8 +15,8 @@ Conventions (all schemas carry ``"schema": 1``):
   place          its point on a cubic, its prime's text on the line
 
 On input a fraction denominator may also be a ring-element record; it
-is rationalized into F_q[x] on load.  A record with a defaulted key
-refuses any key it does not define.  Integers (field entries, element
+is rationalized into F_q[x] on load.  Every record refuses any key it
+does not define.  Integers (field entries, element
 coefficients, degrees, bounds) must be JSON integers, never floats,
 strings or booleans.  Output is deterministic: ``dumps(obj)`` is byte
 for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``, built by
@@ -152,6 +152,7 @@ def elem_from_json(field: FiniteField, data, what: str = "field element") -> Fie
 
 def curve_from_json(data: dict) -> CurveSpec:
     field = field_from_json(require_key(data, "field", "curve"))
+    require_known_keys(data, ("type", "field", "a", "b"), "curve")
     kind = require_key(data, "type", "curve")
     if kind == "polyline":
         return CurveSpec(kind, field, data.get("a"), data.get("b"))  # which refuses coefficients
@@ -264,13 +265,11 @@ def pair_from_json(data: dict, search: bool = False) -> dict:
     if "witnesses" in data:
         if not isinstance(data["witnesses"], list):
             raise ValueError("witnesses must be a JSON list")
-        pairs = tuple(
-            (
-                matrix_from_json(curve, require_key(w, "Q", "witness"), "witness Q"),
-                ring_elem_from_json(curve, require_key(w, "s", "witness")),
-            )
-            for w in data["witnesses"]
-        )
+        pairs = []
+        for w in data["witnesses"]:
+            q = require_key(w, "Q", "witness")
+            require_known_keys(w, ("Q", "s"), "witness")
+            pairs.append((matrix_from_json(curve, q, "witness Q"), ring_elem_from_json(curve, require_key(w, "s", "witness"))))
         out["witness"] = forms.GenusWitness(out["G"], pairs)  # compiles genus verification on first use
     if "degree" in data:
         out["degree"] = require_int(data["degree"], "degree")

@@ -560,7 +560,8 @@ def test_unknown_isom_bounds_key_rejected(capsys):
 def test_unknown_keys_of_defaulted_records_rejected(capsys):
     # each misspelt key used to take its default, with exit 0: "b" for "B"
     # made the determinant 1, "K" read F_5, "nun" read the entry as 0, and
-    # "degre" verified the pair at degree 2
+    # "degre" verified the pair at degree 2; a witness's "degree", a
+    # cubic's "B" beside "b" and a form's "matirx" were ignored
     cubic = {"type": "weierstrass", "field": {"p": 5, "k": 1}, "a": [1], "b": [1]}
 
     def form(entry):
@@ -571,7 +572,17 @@ def test_unknown_keys_of_defaulted_records_rejected(capsys):
     with open(fixture_path("polyline_pair")) as handle:
         pair = json.load(handle)
     pair["degre"] = pair.pop("degree")
+    with open(fixture_path("polyline_pair")) as handle:
+        witnessed = json.load(handle)
+    witnessed["witnesses"][0]["degree"] = 1
+    doubled = dict(cubic, B=[3])
+    curve_keys = "curve; allowed are type, field, a and b"
     for argv, key, record in [
+        (["genus-verify", "--json", json.dumps(witnessed)], "degree", "witness; allowed are Q and s"),
+        (["form", "--json", json.dumps({"schema": 1, "curve": doubled, "matrix": [[1]]})], "B", curve_keys),
+        (["curve", "--json", json.dumps(doubled)], "B", curve_keys),
+        (["form", "--json", json.dumps({"schema": 1, "curve": cubic, "matrix": [[1]], "matirx": [[2]]})], "matirx",
+         "input; allowed are schema, curve and matrix"),
         (["form", "--json", form({"b": "1"})], "b", "ring element; allowed are A and B"),
         (["curve", "--json", json.dumps({"type": "polyline", "field": {"p": 5, "K": 2}})], "K", "field; allowed are p and k"),
         (["form", "--json", form({"nun": "1", "den": "x"})], "nun", "fraction; allowed are num and den"),
@@ -583,18 +594,35 @@ def test_unknown_keys_of_defaulted_records_rejected(capsys):
         assert json.loads(err)["error"] == f"unknown key {key!r} in {record}"
 
 
-def test_a_witness_of_the_wrong_size_is_refused_before_its_entries(capsys):
-    # every entry 1/x^256 lies in O[1/s] for s = x u, u dense of degree
-    # 255 with u(0) != 0, and checking one took 0.2-0.3 s: the 144 checks
-    # ran for 42.6 s before the size was compared with the forms' rank
+def _slow_witness_pair(rank: int) -> str:
+    """Identity forms of this rank, and one 12 x 12 witness whose entries
+    1/x^256 all lie in O[1/s] for s = x u, u dense of degree 255 with
+    u(0) != 0: checking one entry takes 0.2-0.3 s."""
     s = "+".join(f"x^{i}" for i in range(256, 0, -1))
     q = [[{"num": "1", "den": "x^256"}] * 12 for _ in range(12)]
-    pair = {"schema": 1, "curve": {"type": "polyline", "field": {"p": 5, "k": 1}},
-            "F": [[1, 0], [0, 1]], "G": [[1, 0], [0, 1]], "witnesses": [{"Q": q, "s": s}]}
+    identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    return json.dumps({"schema": 1, "curve": {"type": "polyline", "field": {"p": 5, "k": 1}},
+                       "F": identity, "G": identity, "witnesses": [{"Q": q, "s": s}]})
+
+
+def test_a_witness_of_the_wrong_size_is_refused_before_its_entries(capsys):
+    # the 144 checks ran for 42.6 s before the size was compared with the
+    # forms' rank
     start = time.perf_counter()
-    code, out, err = invoke(capsys, "genus-verify", "--json", json.dumps(pair))
+    code, out, err = invoke(capsys, "genus-verify", "--json", _slow_witness_pair(2))
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "") and json.loads(err)["error"] == "dimension mismatch"
+
+
+def test_a_witness_over_the_determinant_cost_is_refused_before_its_entries(capsys):
+    # with forms of rank 12 the 144 checks ran for 40 s before
+    # witness_identity's determinant refused its cost; isom-search, which
+    # builds the witness too, refuses the rank first
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "genus-verify", "--json", _slow_witness_pair(12))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "a determinant of rank 12 and entry degree 1 exceeds the cost bound 120000000"
 
 
 def test_matrix_must_be_a_list_of_rows(capsys):
@@ -817,10 +845,10 @@ def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # beyond the modules every command loads, so growth there shows in
     # their rows too
     for argv, lines, nodes in [
-        (["genus-verify", "--input", fixture_path("polyline_pair")], 2748, 17115),
-        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2776, 17526),
-        (["curve", "--q", "5", "--polyline"], 2681, 15941),
-        (["form", "--json", form_payload("1")], 2384, 14702),
+        (["genus-verify", "--input", fixture_path("polyline_pair")], 2750, 17142),
+        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2775, 17537),
+        (["curve", "--q", "5", "--polyline"], 2680, 15952),
+        (["form", "--json", form_payload("1")], 2383, 14713),
     ]:
         size = _loaded_size(argv)
         assert size[0] <= lines and size[1] <= nodes, (argv[0], size)
