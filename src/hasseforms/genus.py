@@ -59,7 +59,8 @@ class GenusWitness(Record):
                 raise ValueError("dimension mismatch")
             if s.is_zero():
                 raise MalformedWitnessError("declared locus must be nonzero")
-            require_det_cost(_cleared_rows(q.rows)[0])
+            if q.n > 2:  # the ranks det estimates: a smaller Q is not cleared here
+                require_det_cost(_cleared_rows(q.rows)[0])
             for i, row in enumerate(q.rows, 1):  # every entry must lie in O[1/s]
                 for j, e in enumerate(row, 1):
                     if not _times_power(e.num, s, 2 * e.den.degree, e.den).is_zero():

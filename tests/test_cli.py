@@ -845,7 +845,7 @@ def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # beyond the modules every command loads, so growth there shows in
     # their rows too
     for argv, lines, nodes in [
-        (["genus-verify", "--input", fixture_path("polyline_pair")], 2750, 17142),
+        (["genus-verify", "--input", fixture_path("polyline_pair")], 2751, 17150),
         (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2775, 17537),
         (["curve", "--q", "5", "--polyline"], 2680, 15952),
         (["form", "--json", form_payload("1")], 2383, 14713),
