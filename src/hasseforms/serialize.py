@@ -16,11 +16,11 @@ Conventions (all schemas carry ``"schema": 1``):
 
 On input a fraction denominator may also be a ring-element record; it
 is rationalized into F_q[x] on load.  Every record refuses any key it
-does not define.  Integers (field entries, element
-coefficients, degrees, bounds) must be JSON integers, never floats,
-strings or booleans.  Output is deterministic: ``dumps(obj)`` is byte
-for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``, built by
-a recursive encoder (the standard one indents only in pure Python).
+does not define.  Integers (field entries, element coefficients,
+degrees, bounds) must be JSON integers, never floats, strings or
+booleans.  Output is deterministic: ``dumps(obj)`` is byte for byte
+``json.dumps(obj, sort_keys=True, indent=2) + "\n"``, built by a
+recursive encoder (the standard one indents only in pure Python).
 
 The reports' encoders live next to the code that builds the reports and
 load with it: ``report_to_json`` in ``picard``, for point reports and
