@@ -98,7 +98,7 @@ class Poly(RingOps):
         if compact.isdecimal():  # exactly what \d+ matches, and what int() reads
             c = int(compact) % field.p
             return _constants(field)[c] if c < 2 else Poly._raw(field, (field._elements[c],))
-        runs = re.findall(r"[+-]?[^+-]+", compact)  # the terms, each after its sign
+        runs = re.findall(r"[+-]?[^+-]+", compact)  # signed runs, each of which must be one term
         if not runs or "".join(runs) != compact:
             raise ValueError(f"cannot parse polynomial text {text!r}" if compact else "empty polynomial text")
         coeffs: dict[int, int] = {}
