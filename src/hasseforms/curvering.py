@@ -535,29 +535,30 @@ def det(rows):
     the ranks used here (n <= 3 in search and genus work, sparse Gram
     matrices beyond that) it beats fraction-free elimination, whose exact
     divisions cost more than the few products they save.  Above rank 2,
-    before any product, ``require_det_cost`` refuses with ValueError a
-    matrix whose estimated cost w L (n D + 1)^2 exceeds MAX_DET_COST:
-    L = prod_i min(nonzero entries of row i, n - i) bounds the leaves of
-    the expansion, D = max(deg A, deg B + 2) over the ring entries, at
-    least 1, bounds their degrees, and w is Y_PART_COST if an entry has a
-    y part, else 1, since a product of two such entries forms five
-    polynomial products where a y-free one forms one.  Ranks 1 and 2 form
-    at most two products and are not estimated."""
-    require_det_cost(rows)
+    before any product, ValueError refuses a matrix whose estimated cost
+    w L (n D + 1)^2 exceeds MAX_DET_COST (``require_det_cost``): D =
+    max(deg A, deg B + 2) over the ring entries, at least 1, bounds their
+    degrees, and w is Y_PART_COST if an entry has a y part, else 1, since
+    a product of two such entries forms five polynomial products where a
+    y-free one forms one.  Ranks 1 and 2 form at most two products and
+    are not estimated."""
+    if len(rows) > 2:
+        ring = [e for row in rows for e in row if type(e) is RingElement]
+        top = max((max(e.a.degree, e.b.degree + 2) for e in ring), default=1)
+        require_det_cost(rows, top, any(e.b.coeffs for e in ring))
     return _expand(rows)
 
 
-def require_det_cost(rows) -> None:
-    """``det``'s refusal of an estimated cost over MAX_DET_COST, alone."""
+def require_det_cost(rows, top: int, y_part: bool) -> None:
+    """``det``'s refusal of a matrix given as rows, of rank n, with entry
+    degree top: ValueError if w L (n top + 1)^2 exceeds MAX_DET_COST, w =
+    Y_PART_COST if y_part else 1, where L = prod_i min(nonzero entries of
+    row i, n - i) bounds the leaves of the expansion."""
     n, leaves = len(rows), 1
-    if n > 2:
-        for i, row in enumerate(rows):
-            leaves *= min(sum(not e.is_zero() for e in row), n - i) or 1
-        ring = [e for row in rows for e in row if type(e) is RingElement]
-        top = max((max(e.a.degree, e.b.degree + 2) for e in ring), default=1)
-        weight = Y_PART_COST if any(e.b.coeffs for e in ring) else 1
-        if weight * leaves * (n * top + 1) ** 2 > MAX_DET_COST:
-            raise ValueError(f"a determinant of rank {n} and entry degree {top} exceeds the cost bound {MAX_DET_COST}")
+    for i, row in enumerate(rows):
+        leaves *= min(sum(not e.is_zero() for e in row), n - i) or 1
+    if (Y_PART_COST if y_part else 1) * leaves * (n * top + 1) ** 2 > MAX_DET_COST:
+        raise ValueError(f"a determinant of rank {n} and entry degree {top} exceeds the cost bound {MAX_DET_COST}")
 
 
 def _expand(rows):
@@ -584,19 +585,15 @@ def _cleared(rows):
     """(P, delta, det Q) for a square matrix Q of fractions given as rows,
     fraction-free (von zur Gathen and Gerhard, *Modern Computer Algebra*,
     ch. 6): delta is the monic lcm of the denominators, P = delta Q has
-    ring entries (``_cleared_rows``), and det Q = det P / delta^n, reduced
-    once (``_quotient``).  No product of two fractions is formed."""
-    p, delta = _cleared_rows(rows)
-    return p, delta, _quotient(det(p), delta ** len(rows))
-
-
-def _cleared_rows(rows):
+    ring entries, and det Q = det P / delta^n, reduced once
+    (``_quotient``).  No product of two fractions is formed."""
     delta = Poly.one(rows[0][0].curve.field)
     for row in rows:
         for e in row:
             if e.den.degree >= 1 and e.den != delta:
                 delta = e.den if delta.degree < 1 else delta // poly_gcd(delta, e.den) * e.den
-    return [[e.num if e.is_zero() or e.den == delta else e.num * (delta // e.den) for e in row] for row in rows], delta
+    p = [[e.num if e.is_zero() or e.den == delta else e.num * (delta // e.den) for e in row] for row in rows]
+    return p, delta, _quotient(det(p), delta ** len(rows))
 
 
 def _quotient(num: RingElement, den: Poly) -> RingFraction:

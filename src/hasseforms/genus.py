@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from . import curvepoints
 from .curvepoints import AffinePoint, _conjugates, _cubic_points, _cycle
-from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _cleared, _cleared_rows, congruence_rows, require_det_cost
+from .curvering import CurveSpec, RingElement, RingFraction, RingMatrix, _cleared, congruence_rows, require_det_cost
 from .finfield import MAX_INSPECTION_SIZE, FiniteField, capped_power, embed, make_extension, pullback_table, square_and_multiply
 from .forms import GramMatrix, MalformedWitnessError, _require_pair
 from .funcfield import Poly, monic_rank, to_text
@@ -37,9 +37,9 @@ from .serialize import point_to_json
 class GenusWitness(Record):
     """Transition matrices with declared bad loci, certifying membership
     in a genus prime by prime.  Each Q's size, and the cost of the
-    determinant ``witness_identity`` takes of its cleared rows
-    (``curvering.require_det_cost``), are checked before any of its
-    entries is validated."""
+    determinant ``witness_identity`` takes of its cleared rows, read off
+    Q's degrees (``_require_cleared_cost``), are checked before any of
+    its entries is validated."""
 
     __slots__ = ("target", "pairs")
 
@@ -59,12 +59,25 @@ class GenusWitness(Record):
                 raise ValueError("dimension mismatch")
             if s.is_zero():
                 raise MalformedWitnessError("declared locus must be nonzero")
-            if q.n > 2:  # the ranks det estimates: a smaller Q is not cleared here
-                require_det_cost(_cleared_rows(q.rows)[0])
+            if q.n > 2:  # the ranks det estimates
+                _require_cleared_cost(q.rows)
             for i, row in enumerate(q.rows, 1):  # every entry must lie in O[1/s]
                 for j, e in enumerate(row, 1):
                     if not _times_power(e.num, s, 2 * e.den.degree, e.den).is_zero():
                         raise MalformedWitnessError(f"entry ({i}, {j}) has a pole off the declared locus")
+
+
+def _require_cleared_cost(rows) -> None:
+    """``det``'s cost refusal for ``witness_identity``'s P = delta Q, read
+    off Q with no polynomial arithmetic: (A + By)/D becomes (A + By)
+    delta/D, and deg delta is taken as the largest deg D.  It is that when
+    this D is the lcm, as when the D are equal, and the estimate is then
+    ``det``'s on P; otherwise the estimate is low, never high, and ``det``
+    checks P itself."""
+    live = [e for row in rows for e in row if not e.is_zero()]
+    lift = max((e.den.degree for e in live), default=0)
+    lifted = [lift - e.den.degree + max(e.num.a.degree, e.num.b.degree + 2 if e.num.b.coeffs else 0) for e in live]
+    require_det_cost(rows, max([1] + lifted), any(e.num.b.coeffs for e in live))
 
 
 def _times_power(num: RingElement, s: RingElement, k: int, m: Poly) -> RingElement:

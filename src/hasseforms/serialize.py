@@ -1,6 +1,7 @@
 """JSON wire formats for fields, curves, matrices, witnesses, reports.
 
-Conventions (all schemas carry ``"schema": 1``):
+Conventions (a pair file, ``form`` input and every report carry
+``"schema": 1``; the records below do not, a bare curve file included):
 
   field          {"p": 5, "k": 1}
   element        coefficient array, least significant first: [4]

@@ -561,7 +561,8 @@ def test_unknown_keys_of_defaulted_records_rejected(capsys):
     # each misspelt key used to take its default, with exit 0: "b" for "B"
     # made the determinant 1, "K" read F_5, "nun" read the entry as 0, and
     # "degre" verified the pair at degree 2; a witness's "degree", a
-    # cubic's "B" beside "b" and a form's "matirx" were ignored
+    # cubic's "B" beside "b", a bare curve file's "schema" and a form's
+    # "matirx" were ignored
     cubic = {"type": "weierstrass", "field": {"p": 5, "k": 1}, "a": [1], "b": [1]}
 
     def form(entry):
@@ -581,6 +582,7 @@ def test_unknown_keys_of_defaulted_records_rejected(capsys):
         (["genus-verify", "--json", json.dumps(witnessed)], "degree", "witness; allowed are Q and s"),
         (["form", "--json", json.dumps({"schema": 1, "curve": doubled, "matrix": [[1]]})], "B", curve_keys),
         (["curve", "--json", json.dumps(doubled)], "B", curve_keys),
+        (["hasse", "--json", json.dumps(dict(cubic, schema=1)), "--rank", "2"], "schema", curve_keys),
         (["form", "--json", json.dumps({"schema": 1, "curve": cubic, "matrix": [[1]], "matirx": [[2]]})], "matirx",
          "input; allowed are schema, curve and matrix"),
         (["form", "--json", form({"b": "1"})], "b", "ring element; allowed are A and B"),
@@ -623,6 +625,32 @@ def test_a_witness_over_the_determinant_cost_is_refused_before_its_entries(capsy
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "a determinant of rank 12 and entry degree 1 exceeds the cost bound 120000000"
+
+
+def test_a_witness_with_distinct_denominators_is_refused_without_their_lcm(capsys):
+    # Q's n^2 denominators are pairwise coprime of degree 256 (powers of
+    # distinct irreducibles), so their lcm has degree 256 n^2; the cost
+    # check read it off the lcm, formed before any entry was checked, and
+    # ran 2.1 s at rank 3.  Now it reads Q's degrees: rank 12 is refused by
+    # its cost alone, and rank 3 by its first entry, as before the check
+    from hasseforms.finfield import FiniteField
+    from hasseforms.funcfield import to_text
+    from hasseforms.local import monic_irreducibles
+
+    f5 = FiniteField(5, 1)
+    for rank, degree, error in [
+        (3, 2, "entry (1, 1) has a pole off the declared locus"),
+        (12, 4, "a determinant of rank 12 and entry degree 1 exceeds the cost bound 120000000"),
+    ]:
+        dens = iter([to_text(p ** (256 // degree)) for p in monic_irreducibles(f5, degree)[: rank * rank]])
+        q = [[{"num": "1", "den": next(dens)} for _ in range(rank)] for _ in range(rank)]
+        identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        pair = json.dumps({"schema": 1, "curve": {"type": "polyline", "field": {"p": 5, "k": 1}},
+                           "F": identity, "G": identity, "witnesses": [{"Q": q, "s": "x"}]})
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "genus-verify", "--json", pair)
+        assert time.perf_counter() - start < 1, rank
+        assert (code, out) == (2, "") and json.loads(err)["error"] == error
 
 
 def test_matrix_must_be_a_list_of_rows(capsys):
@@ -845,10 +873,10 @@ def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # beyond the modules every command loads, so growth there shows in
     # their rows too
     for argv, lines, nodes in [
-        (["genus-verify", "--input", fixture_path("polyline_pair")], 2751, 17150),
-        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2775, 17537),
-        (["curve", "--q", "5", "--polyline"], 2680, 15952),
-        (["form", "--json", form_payload("1")], 2383, 14713),
+        (["genus-verify", "--input", fixture_path("polyline_pair")], 2762, 17269),
+        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2773, 17528),
+        (["curve", "--q", "5", "--polyline"], 2678, 15943),
+        (["form", "--json", form_payload("1")], 2381, 14704),
     ]:
         size = _loaded_size(argv)
         assert size[0] <= lines and size[1] <= nodes, (argv[0], size)

@@ -1416,6 +1416,55 @@ def test_witness_identity_failure_reported():
     assert report.verdict == "GapFound"
 
 
+def test_the_cleared_cost_is_dets_when_the_largest_denominator_is_the_lcm(monkeypatch):
+    # GenusWitness reads det's estimate of P = delta Q off Q, taking
+    # deg delta as the largest deg D: exact when that D is the lcm, low
+    # (never high) when the lcm is larger
+    calls = []
+
+    def record(rows, top, y_part):
+        calls.append(([[not e.is_zero() for e in row] for row in rows], top, y_part))
+
+    monkeypatch.setattr(curvering, "require_det_cost", record)
+    monkeypatch.setattr(genus, "require_det_cost", record)
+    rng = random.Random(47)
+
+    def poly(degree):
+        return Poly(F5, [rng.randrange(5) for _ in range(degree)] + [1])
+
+    exact = low = 0
+    for _ in range(300):
+        curve, n = rng.choice([LINE5, EC11, EC]), rng.choice([3, 4])
+        shared = poly(rng.randrange(4))
+
+        def entry():
+            roll = rng.random()
+            b = Poly.zero(F5) if curve.is_polyline or rng.random() < 0.3 else poly(rng.randrange(2))
+            num = RingElement(curve, poly(rng.randrange(3)), b)
+            if roll < 0.2:
+                return RingElement.zero(curve)
+            return num if roll < 0.4 else RingFraction(curve, num, shared if roll < 0.9 else poly(rng.randrange(3)))
+
+        q = RingMatrix(curve, [[entry() for _ in range(n)] for _ in range(n)])
+        calls.clear()
+        genus._require_cleared_cost(q.rows)
+        _, delta, _ = curvering._cleared(q.rows)
+        (pattern, top, y_part), (cleared_pattern, cleared_top, cleared_y_part) = calls
+        assert (pattern, y_part) == (cleared_pattern, cleared_y_part)
+        if delta.degree == max(e.den.degree for row in q.rows for e in row):
+            exact += 1
+            assert top == cleared_top
+        else:
+            low += 1
+            assert top <= cleared_top
+    assert exact > 100 and low > 100
+    calls.clear()
+    q = RingMatrix(LINE5, diagonal_rows([1, 2, 3]))  # a constant entry counts as degree 1
+    genus._require_cleared_cost(q.rows)
+    curvering._cleared(q.rows)
+    assert calls[0] == calls[1] == ([[i == j for j in range(3)] for i in range(3)], 1, False)
+
+
 # -- isometry search ------------------------------------------------------------------------
 
 
