@@ -616,40 +616,38 @@ def test_a_witness_of_the_wrong_size_is_refused_before_its_entries(capsys):
     assert (code, out) == (2, "") and json.loads(err)["error"] == "dimension mismatch"
 
 
-def test_a_witness_over_the_determinant_cost_is_refused_before_its_entries(capsys):
-    # with forms of rank 12 the 144 checks ran for 40 s before
-    # witness_identity's determinant refused its cost; isom-search, which
-    # builds the witness too, refuses the rank first
-    start = time.perf_counter()
-    code, out, err = invoke(capsys, "genus-verify", "--json", _slow_witness_pair(12))
-    assert time.perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    assert json.loads(err)["error"] == "a determinant of rank 12 and entry degree 1 exceeds the cost bound 120000000"
-
-
-def test_a_witness_with_distinct_denominators_is_refused_without_their_lcm(capsys):
-    # Q's n^2 denominators are pairwise coprime of degree 256 (powers of
-    # distinct irreducibles), so their lcm has degree 256 n^2; the cost
-    # check read it off the lcm, formed before any entry was checked, and
-    # ran 2.1 s at rank 3.  Now it reads Q's degrees: rank 12 is refused by
-    # its cost alone, and rank 3 by its first entry, as before the check
+def _coprime_witness_pair(rank: int, degree: int) -> str:
+    """Identity forms of this rank, and one witness whose rank^2 entries
+    1/D have pairwise coprime D of degree 256, powers of distinct monic
+    irreducibles of the given degree over F_5 (their lcm has degree
+    256 rank^2), with s = x, so entry (1, 1) has a pole off the locus."""
     from hasseforms.finfield import FiniteField
     from hasseforms.funcfield import to_text
     from hasseforms.local import monic_irreducibles
 
-    f5 = FiniteField(5, 1)
-    for rank, degree, error in [
-        (3, 2, "entry (1, 1) has a pole off the declared locus"),
-        (12, 4, "a determinant of rank 12 and entry degree 1 exceeds the cost bound 120000000"),
+    dens = iter([to_text(p ** (256 // degree)) for p in monic_irreducibles(FiniteField(5, 1), degree)])
+    q = [[{"num": "1", "den": next(dens)} for _ in range(rank)] for _ in range(rank)]
+    identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    return json.dumps({"schema": 1, "curve": {"type": "polyline", "field": {"p": 5, "k": 1}},
+                       "F": identity, "G": identity, "witnesses": [{"Q": q, "s": "x"}]})
+
+
+def test_a_witness_over_the_determinant_cost_is_refused_before_its_entries(capsys):
+    # with forms of rank 12 the 144 checks of _slow_witness_pair ran for
+    # 40 s before witness_identity's determinant refused its cost;
+    # isom-search, which builds the witness too, refuses the rank first.
+    # The cost is read off Q's degrees: a check that first formed the lcm
+    # of _coprime_witness_pair's denominators ran 2.1 s at rank 3, where
+    # entry (1, 1) is refused in 0.1 s, and over 120 s at rank 12
+    cost = "a determinant of rank 12 and entry degree 1 exceeds the cost bound 120000000"
+    for pair, error in [
+        (_slow_witness_pair(12), cost),
+        (_coprime_witness_pair(3, 2), "entry (1, 1) has a pole off the declared locus"),
+        (_coprime_witness_pair(12, 4), cost),
     ]:
-        dens = iter([to_text(p ** (256 // degree)) for p in monic_irreducibles(f5, degree)[: rank * rank]])
-        q = [[{"num": "1", "den": next(dens)} for _ in range(rank)] for _ in range(rank)]
-        identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
-        pair = json.dumps({"schema": 1, "curve": {"type": "polyline", "field": {"p": 5, "k": 1}},
-                           "F": identity, "G": identity, "witnesses": [{"Q": q, "s": "x"}]})
         start = time.perf_counter()
         code, out, err = invoke(capsys, "genus-verify", "--json", pair)
-        assert time.perf_counter() - start < 1, rank
+        assert time.perf_counter() - start < 1, error
         assert (code, out) == (2, "") and json.loads(err)["error"] == error
 
 
