@@ -35,7 +35,12 @@ curve = CurveSpec.weierstrass(F5, 2, 3)
 for p in enumerate_points(curve):
     print(f"  ({p.x.coeffs[0]}, {p.y.coeffs[0]})")
 
-print("\nDegree-2 points live over F_25:")
-pts2 = enumerate_points(CurveSpec.weierstrass(F5, 1, 1), degree=2)
-exact = [p for p in pts2 if p.degree == 2]
-print(f"  {len(pts2)} points over F_25, {len(exact)} of exact degree 2")
+# enumerate_points(curve, d) lists the closed points of degree d, one
+# point of each Frobenius orbit of d points; a closed point of degree 2
+# stands for two points of F_25, so F_25 holds a + 2b of them.
+
+print("\nClosed points of y^2 = x^3 + x + 1 of degrees 1 and 2:")
+curve = CurveSpec.weierstrass(F5, 1, 1)
+a, b = len(enumerate_points(curve)), len(enumerate_points(curve, degree=2))
+print(f"  {a} of degree 1, {b} of degree 2 (over F_25)")
+print(f"  so F_25 holds a + 2b = {a + 2 * b} points")

@@ -9,13 +9,13 @@ g^(nq mod (q^d - 1)), so the orbit of a point is the cycle of its
 coordinates' logs under n -> nq (``_cycle``, ``_conjugates``), and no
 field element is raised to a power.
 
-The walk over closed points, ``enumerate_points``, lives in ``genus``;
-point counting, point validity (on-curve and singular-point tests),
-smoothness and the Picard data live in ``picard``, which only the
-``curve``, ``hasse`` and ``verify-paper`` commands load.  perfbench's
-tracer wraps ``enumerate_points`` and ``point_report`` here, so this
-module also reaches them, importing their module on first use
-(``__getattr__``).
+The closed points of one degree, ``enumerate_points``, each the least
+point of its orbit, are listed in ``genus``; point counting, point
+validity (on-curve and singular-point tests), smoothness and the Picard
+data live in ``picard``, which only the ``curve``, ``hasse`` and
+``verify-paper`` commands load.  perfbench's tracer wraps
+``enumerate_points`` and ``point_report`` here, so this module also
+reaches them, importing their module on first use (``__getattr__``).
 """
 
 from __future__ import annotations

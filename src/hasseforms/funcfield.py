@@ -19,11 +19,13 @@ through this module, which imports ``local`` on first use
 (``__getattr__``).
 
 Text grammar for polynomials: integer coefficients, variable x,
-caret powers, e.g. ``x^3+2*x+3``; coefficients are read mod p.  Spaces
-are dropped, and the text splits into signed runs, each a term of
-``_TERM_RE``; the first run, reading left to right, that is no term or
-has an exponent above MAX_TEXT_DEGREE is refused, before anything is
-allocated.
+caret powers, e.g. ``x^3+2*x+3``; coefficients are read mod p.  Over
+F_{p^k} = F_p[t]/(m) a coefficient may also be a t-polynomial in
+parentheses, as ``to_text`` writes it, e.g. ``(1+2*t)*x^2+(t)``.  Spaces
+are dropped, and the text splits into signed runs, a parenthesized group
+kept whole, each a term of ``_TERM_RE``; the first run, reading left to
+right, that is no term or has an exponent above MAX_TEXT_DEGREE is
+refused, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import re
 from collections.abc import Iterator
 
 from . import _lazy_names
-from .finfield import FieldElement, FiniteField, RingOps, _horner, embed, square_and_multiply, t_poly_text
+from .finfield import FieldElement, FiniteField, RingOps, _horner, embed, make_extension, square_and_multiply, t_poly_text
 
 MAX_TEXT_DEGREE = 256  # largest exponent the text grammar accepts
 
@@ -88,31 +90,33 @@ class Poly(RingOps):
     @classmethod
     def from_text(cls, field, text: str) -> Poly:
         """The polynomial a text of the grammar names, with its coefficients
-        read mod p straight into element codes.  A plain integer, the most
-        common entry, costs one ``int``; any other text is checked and read
-        in one pass over its signed runs.  ValueError names an empty text,
-        a stray or doubled sign, or the first run that is no term."""
+        read mod p, a t-polynomial as a text over F_p in t, whose vector
+        ``FiniteField.element`` refuses when longer than k.  A plain
+        integer, the most common entry, costs one ``int``; any other text
+        is checked and read in one pass over its signed runs.  ValueError
+        names an empty text, a stray or doubled sign, or the first run that
+        is no term."""
         if not isinstance(text, str):
             raise ValueError(f"polynomial text must be a string, got {text!r}")
         compact = text.replace(" ", "")
         if compact.isdecimal():  # exactly what \d+ matches, and what int() reads
             c = int(compact) % field.p
             return _constants(field)[c] if c < 2 else Poly._raw(field, (field._elements[c],))
-        runs = re.findall(r"[+-]?[^+-]+", compact)  # signed runs, each of which must be one term
+        runs = _RUN_RE.findall(compact)  # signed runs, each of which must be one term
         if not runs or "".join(runs) != compact:
             raise ValueError(f"cannot parse polynomial text {text!r}" if compact else "empty polynomial text")
-        coeffs: dict[int, int] = {}
+        coeffs: dict[int, int | FieldElement] = {}  # an int is read mod p at the end
         for run in runs:
             if (term := _TERM_RE.fullmatch(run)) is None:
                 raise ValueError(f"bad term {run!r} in polynomial text {text!r}")
-            sign, digits, x, exp = term.groups()
+            sign, c, x, exp = term.groups()
             e = _exponent(x, exp)
-            c = int(digits) if digits else 1
+            if c[:1] == "(":
+                c = field.element([d._code for d in Poly.from_text(make_extension(field.p, 1), c[1:-1].replace("t", "x")).coeffs])
+            else:
+                c = int(c) if c else 1
             coeffs[e] = coeffs.get(e, 0) + (-c if sign == "-" else c)
-        codes = [0] * (max(coeffs) + 1)
-        for e, c in coeffs.items():
-            codes[e] = c % field.p
-        return Poly._raw(field, [field._elements[c] for c in codes])
+        return Poly._raw(field, [field.element(coeffs.get(e, 0)) for e in range(max(coeffs) + 1)])
 
     # -- structure ----------------------------------------------------
 
@@ -289,8 +293,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # Text grammar
 
 
-# a term: an optional sign, then a coefficient, x to a power, or both
-_TERM_RE = re.compile(r"([+-]?)(\d*)(?:\*?(x)(?:\^(\d+))?)?")
+# a signed run of a polynomial text, a parenthesized group kept whole
+_RUN_RE = re.compile(r"[+-]?(?:[^+\-(]|\([^()]*\))+")
+# a term of ``t_poly_text``: a coefficient, t to a power, or both
+_T_TERM = r"(?:\d+(?:\*?t(?:\^\d+)?)?|\*?t(?:\^\d+)?)"
+# a term: an optional sign, then a coefficient, x to a power, or both; a
+# coefficient is digits or, over F_{p^k}, a parenthesized t-polynomial
+_TERM_RE = re.compile(rf"([+-]?)(\d*|\({_T_TERM}(?:\+{_T_TERM})*\))(?:\*?(x)(?:\^(\d+))?)?")
 
 
 def _exponent(x: str, exp: str) -> int:

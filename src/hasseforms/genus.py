@@ -8,10 +8,10 @@ factoring.  Off the zeros of s, Q then lies in GL_n of the local ring
 exactly where s * s^k * det Q, with s^k det Q in O, does not vanish.
 Verification is point-based up to an inspection degree d with q^d <=
 14 641.  A closed place of degree d is one Frobenius orbit of d points,
-walked here once on the logs of their coordinates, with its prime on
-the line (``enumerate_points``).  Each is examined once, on the line as
-on the cubic, at one point of its orbit, by one zero test per witness
-on those logs.  Whatever no witness reaches is reported as a gap.
+walked here once on the logs of their coordinates and listed as its
+least point, with its prime on the line (``enumerate_points``).  Each is
+examined there once, on the line as on the cubic, by one zero test per
+witness on those logs.  Whatever no witness reaches is reported as a gap.
 
 Only ``genus-verify``, ``verify-paper``, pair files that carry witnesses
 and ``local``'s primes of the line load this module.  Its public names
@@ -153,7 +153,7 @@ def verify_genus_witness(
     for d in range(1, degree + 1):
         ext = make_extension(base.p, base.k * d)
         tests = [_reaches(support, ext) for support in supports]
-        for place in curvepoints.enumerate_points(curve, d, closed=True):
+        for place in curvepoints.enumerate_points(curve, d):
             lx, ly = place.x._log, None if place.y is None else place.y._log
             for reaches in tests:
                 if reaches(lx, ly):
@@ -186,22 +186,19 @@ def witness_identity(q: RingMatrix, f: GramMatrix, g: GramMatrix):
     return ok, det_q
 
 
-def enumerate_points(curve: CurveSpec, degree: int = 1, closed: bool = False):
-    """All affine points with coordinates in F_{q^degree} in canonical
-    coordinate order: every x of the line, with y = None, or the points of
-    a cubic (``_cubic_points``), each tagged with its Frobenius orbit's
-    length, its closed point's degree, and on the line with its closed
-    point's prime.  ``closed`` lists the closed points of exactly this
-    degree, those of a smaller one being listed at their own: of each
-    orbit of length ``degree``, the point with the least coordinates
-    (x.coeffs, y.coeffs), the line's in ``monic_polys`` order.
+def enumerate_points(curve: CurveSpec, degree: int = 1):
+    """The closed points of exactly this degree, those of a smaller one
+    listed at their own: of each Frobenius orbit of ``degree`` points,
+    the point with the least coordinates (x.coeffs, y.coeffs), on the
+    line with y = None and its prime, in ``monic_polys`` order, and on a
+    cubic in canonical order (``_cubic_points``).
 
     At degree 1 every point is its own orbit and the line's prime is
     x - x0, so nothing is walked.  Above it each orbit is walked once, on
-    logs: on the line, the cycle of every log not yet met (``_cycle``),
-    with its prime formed on logs too (``_orbit_prime``), in a closed
-    listing only for the orbits listed; on the cubic, the orbit of every
-    point not yet met (``_conjugates``)."""
+    logs: on the line, the cycle of every log not yet visited (``_cycle``),
+    with the prime of each cycle of length ``degree`` formed on logs too
+    (``_orbit_prime``); on the cubic, the orbit of every point not yet met
+    (``_conjugates``)."""
     base, line = curve.field, curve.is_polyline
     ext = make_extension(base.p, base.k * degree)
     if degree == 1:
@@ -209,29 +206,19 @@ def enumerate_points(curve: CurveSpec, degree: int = 1, closed: bool = False):
             return [AffinePoint(x0, y0, 1) for x0, y0 in _cubic_points(curve, ext)]
         # the prime of x0 is x + c, c = -x0; monic_polys order is c's order
         one = base.one()
-        roots = ((-c, c) for c in base.elements()) if closed else ((x0, -x0) for x0 in base.elements())
-        return [AffinePoint(x0, None, 1, prime=Poly._raw(base, (c, one))) for x0, c in roots]
+        return [AffinePoint(-c, None, 1, prime=Poly._raw(base, (c, one))) for c in base.elements()]
     q, m, exp, zero = base.q, ext.q - 1, ext._exp, ext.zero()
     if line:
-        places = []  # (least x, prime) of each orbit of length degree
-        tags = [None] * m  # log -> (length, prime) of its orbit
+        places, visited = [], [False] * m  # (least x, prime) of each orbit of length degree
         for n in range(m):
-            if tags[n] is None:
+            if not visited[n]:
                 orbit = _cycle(q, m, n)
-                whole = len(orbit) == degree
-                tag = (len(orbit), _orbit_prime(orbit, base, ext) if whole or not closed else None)
-                if whole and closed:
-                    places.append((exp[min(orbit, key=lambda r: exp[r].coeffs)], tag[1]))
                 for r in orbit:
-                    tags[r] = tag
-        if closed:
-            places.sort(key=lambda place: monic_rank(place[1]))
-            return [AffinePoint(x0, None, degree, prime=prime) for x0, prime in places]
-        points = []
-        for x0 in ext.elements():
-            length, prime = (1, Poly.x(base)) if x0._log is None else tags[x0._log]
-            points.append(AffinePoint(x0, None, length, prime=prime))
-        return points
+                    visited[r] = True
+                if len(orbit) == degree:
+                    places.append((exp[min(orbit, key=lambda r: exp[r].coeffs)], _orbit_prime(orbit, base, ext)))
+        places.sort(key=lambda place: monic_rank(place[1]))
+        return [AffinePoint(x0, None, degree, prime=prime) for x0, prime in places]
 
     def coordinates(logs):
         lx, ly = logs
@@ -244,14 +231,14 @@ def enumerate_points(curve: CurveSpec, degree: int = 1, closed: bool = False):
             orbit = _conjugates(q, m, *logs)
             tag = (len(orbit), min(orbit, key=coordinates))
             walked.update(dict.fromkeys(orbit[1:], tag))
-        if not closed or tag == (degree, logs):
-            points.append(AffinePoint(x0, y0, tag[0]))
+        if tag == (degree, logs):
+            points.append(AffinePoint(x0, y0, degree))
     return points
 
 
 def _orbit_prime(roots: list, base, ext) -> Poly:
-    """The prime of a closed point of the line: the product of x - g^r
-    over the logs r of its orbit's nonzero roots (Lidl and Niederreiter,
+    """The prime of a line's place of degree >= 2: the product of x - g^r
+    over the logs r of its orbit, all nonzero roots (Lidl and Niederreiter,
     *Finite Fields*, section 2.2), formed on logs with Zech sums; its
     coefficients lie in base, and each is pulled back there once
     (``finfield.pullback_table``)."""

@@ -58,15 +58,14 @@ FACTOR_DEGREE_BOUND = 64
 
 def monic_irreducibles(field: FiniteField, degree: int):
     """All monic irreducibles of the degree in ``monic_polys`` order: the
-    primes of the line's closed places of that degree, which a closed
-    listing (``curvepoints.enumerate_points``) forms only for the
-    Frobenius orbits of that length in F_{q^degree}; no smaller orbit's
-    prime is formed.  The walk scans F_{q^degree}, so
+    primes of the line's closed places of that degree, which
+    ``curvepoints.enumerate_points`` forms only for the Frobenius orbits
+    of that length in F_{q^degree}.  The walk scans F_{q^degree}, so
     q^degree > MAX_INSPECTION_SIZE is refused before anything is built."""
     if capped_power(field.q, degree, MAX_INSPECTION_SIZE) > MAX_INSPECTION_SIZE:
         raise ValueError(f"{field.q}^{degree} monics exceed the enumeration bound {MAX_INSPECTION_SIZE}")
     line = CurveSpec.polyline(field)
-    return tuple(place.prime for place in curvepoints.enumerate_points(line, degree, closed=True))
+    return tuple(place.prime for place in curvepoints.enumerate_points(line, degree))
 
 
 def _multiplicity(f: Poly, prime: Poly):

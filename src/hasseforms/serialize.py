@@ -5,7 +5,7 @@ Conventions (a pair file, ``form`` input and every report carry
 
   field          {"p": 5, "k": 1}
   element        coefficient array, least significant first: [4]
-  polynomial     text, e.g. "x^3+2*x+3" (coefficients read mod p)
+  polynomial     text, e.g. "x^3+2*x+3", or "(1+2*t)*x+(t)" over F_{p^k} (read mod p)
   ring element   {"A": "<poly>", "B": "<poly>"}   (A + B*y)
   fraction       {"num": <ring element>, "den": "<poly>"}
   matrix         row-major nested arrays of entries; an entry may be a
@@ -13,7 +13,7 @@ Conventions (a pair file, ``form`` input and every report carry
                  string, or a plain integer
   curve          {"type": "polyline"|"weierstrass", "field": ..., "a": [...], "b": [...]}
   point          {"x": [...], "y": [...], "degree": d}
-  place          its point on a cubic, its prime's text on the line
+  place          its least point on a cubic, its prime's text on the line
 
 On input a fraction denominator may also be a ring-element record; it
 is rationalized into F_q[x] on load.  Every record refuses any key it

@@ -92,29 +92,41 @@ def cubic_has_root(field: FiniteField, a, b) -> bool:
     return any((x * x * x + a * x + b).is_zero() for x in field.elements())
 
 
-def points_by_trying_every_y(curve, degree: int, closed: bool = False) -> list:
-    """(x.coeffs, y.coeffs, closed-point degree) of every affine point of a
-    Weierstrass curve with coordinates in F_{q^degree}: x in canonical
-    order, and above it every y whose square is x^3 + ax + b, smaller
-    coefficient tuple first.  Every y is squared once, with no square
-    root or log; the degree is the least e >= 1 with x^(q^e) = x and
-    y^(q^e) = y.  ``closed`` keeps only the point of each Frobenius orbit
-    whose coordinates are least, as (x.coeffs, y.coeffs)."""
+def _points_and_orbits(curve, degree: int):
+    """(x.coeffs, y.coeffs, orbit) of every affine point of a Weierstrass
+    curve with coordinates in F_{q^degree}: x in canonical order, and above
+    it every y whose square is x^3 + ax + b, smaller coefficient tuple
+    first.  Every y is squared once, with no square root or log; the orbit
+    lists the point's conjugates as coefficient pairs, each raised to the
+    q-th power in turn until it repeats."""
     ext = make_extension(curve.field.p, curve.field.k * degree)
     a, b, q = embed(curve.a, ext), embed(curve.b, ext), curve.field.q
     roots = {}
     for y in ext.elements():
         roots.setdefault((y * y).coeffs, []).append(y)
-    points = []
     for x in ext.elements():
         for y in sorted(roots.get((x * x * x + a * x + b).coeffs, []), key=lambda v: v.coeffs):
             orbit, xe, ye = [(x.coeffs, y.coeffs)], x**q, y**q
             while xe != x or ye != y:
                 orbit.append((xe.coeffs, ye.coeffs))
                 xe, ye = xe**q, ye**q
-            if not closed or min(orbit) == orbit[0]:
-                points.append((x.coeffs, y.coeffs, len(orbit)))
-    return points
+            yield x.coeffs, y.coeffs, orbit
+
+
+def points_by_trying_every_y(curve, degree: int) -> list:
+    """(x.coeffs, y.coeffs, closed-point degree) of every affine point of a
+    Weierstrass curve with coordinates in F_{q^degree}, in the order of
+    ``_points_and_orbits``; the degree is its orbit's length, the least
+    e >= 1 with x^(q^e) = x and y^(q^e) = y."""
+    return [(x, y, len(orbit)) for x, y, orbit in _points_and_orbits(curve, degree)]
+
+
+def closed_points_by_trying_every_y(curve, degree: int) -> list:
+    """The closed points of exactly this degree, as
+    ``points_by_trying_every_y`` lists them: of each Frobenius orbit of
+    ``degree`` points, the one whose coordinates (x.coeffs, y.coeffs) are
+    least."""
+    return [(x, y, degree) for x, y, orbit in _points_and_orbits(curve, degree) if len(orbit) == degree and min(orbit) == orbit[0]]
 
 
 def _mobius(n: int) -> int:
@@ -861,8 +873,12 @@ def pair_to_json(curve, f, g, witness=None, degree=None, bounds=None) -> dict:
 # a refused text is read again to find the term to blame
 
 
-_WHOLE_TEXT_RE = re.compile(r"(?:[+-]?(?:\d+(?:\*?x(?:\^\d+)?)?|\*?x(?:\^\d+)?)(?=[+-]|\Z))+")
-_REFERENCE_TERM_RE = re.compile(r"([+-]?)(\d*)(?:\*?(x)(?:\^(\d+))?)?")
+# a coefficient: digits, or a parenthesized t-polynomial as to_text writes
+# one over F_{p^k}
+_REFERENCE_T_TERM = r"(?:\d+(?:\*?t(?:\^\d+)?)?|\*?t(?:\^\d+)?)"
+_REFERENCE_COEFF = rf"(?:\d+|\({_REFERENCE_T_TERM}(?:\+{_REFERENCE_T_TERM})*\))"
+_WHOLE_TEXT_RE = re.compile(rf"(?:[+-]?(?:{_REFERENCE_COEFF}(?:\*?x(?:\^\d+)?)?|\*?x(?:\^\d+)?)(?=[+-]|\Z))+")
+_REFERENCE_TERM_RE = re.compile(r"([+-]?)(\([^()]*\)|\d*)(?:\*?(x)(?:\^(\d+))?)?")
 
 
 def _reference_exponent(x: str, exp: str) -> int:
@@ -872,17 +888,40 @@ def _reference_exponent(x: str, exp: str) -> int:
     return e
 
 
-def _reference_refusal(text: str, compact: str) -> ValueError:
+def _reference_coefficient(field: FiniteField, coeff: str):
+    """A term's coefficient: an int, or the field element a parenthesized
+    t-polynomial names, summed term by term in the field once its top
+    power of t with a nonzero coefficient mod p is known to be below k."""
+    if not coeff.startswith("("):
+        return int(coeff) if coeff else 1
+    vector: dict[int, int] = {}
+    for term in coeff[1:-1].split("+"):
+        digits, t, exp = re.fullmatch(r"(\d*)\*?(t?)(?:\^(\d+))?", term).groups()
+        e = _reference_exponent(t, exp)
+        vector[e] = (vector.get(e, 0) + (int(digits) if digits else 1)) % field.p
+    if max((e for e, c in vector.items() if c), default=0) >= field.k:
+        raise ValueError("coefficient vector longer than extension degree")
+    total = field.zero()
+    for e, c in vector.items():
+        if c:
+            total += c * field.element([0] * e + [1])
+    return total
+
+
+def _reference_refusal(field: FiniteField, text: str, compact: str) -> ValueError:
     """The error for a text outside the whole-text grammar: an empty
-    text, a stray sign, or else the first signed run, left to right,
-    that is no term or has too large an exponent (raised here)."""
+    text, a stray sign, or else the first signed run, left to right, a
+    parenthesized group kept whole, that is no term or has too large an
+    exponent or coefficient (raised here)."""
     if not compact:
         return ValueError("empty polynomial text")
-    pieces = re.findall(r"[+-]?[^+-]+", compact)
+    pieces = re.findall(r"[+-]?(?:[^+\-(]|\([^()]*\))+", compact)
     for piece in pieces if "".join(pieces) == compact else ():
         if not _WHOLE_TEXT_RE.fullmatch(piece):
             return ValueError(f"bad term {piece!r} in polynomial text {text!r}")
-        _reference_exponent(*_REFERENCE_TERM_RE.match(piece).group(3, 4))
+        _, coeff, x, exp = _REFERENCE_TERM_RE.fullmatch(piece).groups()
+        _reference_exponent(x, exp)
+        _reference_coefficient(field, coeff)
     return ValueError(f"cannot parse polynomial text {text!r}")
 
 
@@ -895,12 +934,12 @@ def poly_from_text_by_whole_grammar(field: FiniteField, text: str) -> Poly:
     if compact.isdecimal():
         return Poly(field, [int(compact)])
     if not _WHOLE_TEXT_RE.fullmatch(compact):
-        raise _reference_refusal(text, compact)
-    coeffs: dict[int, int] = {}
-    for sign, digits, x, exp in _REFERENCE_TERM_RE.findall(compact):
-        if digits or x:  # not the empty match at the end
+        raise _reference_refusal(field, text, compact)
+    coeffs = {}
+    for sign, coeff, x, exp in _REFERENCE_TERM_RE.findall(compact):
+        if coeff or x:  # not the empty match at the end
             e = _reference_exponent(x, exp)
-            c = int(digits) if digits else 1
+            c = _reference_coefficient(field, coeff)
             coeffs[e] = coeffs.get(e, 0) + (-c if sign == "-" else c)
     codes = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():

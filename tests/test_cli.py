@@ -368,6 +368,21 @@ def test_huge_exponent_in_pair_rejected(tmp_path):
         assert proc.returncode == 2 and "exceeds" in proc.stderr
 
 
+def test_an_isom_search_witness_over_f9_reads_back_as_a_genus_witness():
+    # the search prints the coefficient t of F_9 as "(t)", and the pair
+    # reader takes that text back; a coefficient outside F_9 is refused
+    pair = {"schema": 1, "curve": {"type": "polyline", "field": {"p": 3, "k": 2}}, "F": [[1]], "G": [[2]]}
+    found = run_cli("isom-search", "--json", json.dumps(pair), "--degree-bound", "0")
+    witness = json.loads(found.stdout)["witness"]
+    assert found.returncode == 0 and witness == [[{"num": {"A": "(t)", "B": "0"}, "den": "1"}]]
+    pair["witnesses"] = [{"Q": witness, "s": "1"}]
+    checked = run_cli("genus-verify", "--json", json.dumps(pair))
+    assert checked.returncode == 0 and json.loads(checked.stdout)["verdict"] == "Certified"
+    pair["F"] = [["x+(t^2)"]]
+    refused = run_cli("genus-verify", "--json", json.dumps(pair))
+    assert refused.returncode == 2 and "longer than extension degree" in refused.stderr
+
+
 def test_genus_verify_f121_line_finishes(tmp_path):
     # 7381 primes of degree <= 2; trial-division enumeration alone took over a minute
     with open(fixture_path("polyline_pair")) as handle:
@@ -871,10 +886,10 @@ def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # beyond the modules every command loads, so growth there shows in
     # their rows too
     for argv, lines, nodes in [
-        (["genus-verify", "--input", fixture_path("polyline_pair")], 2762, 17269),
-        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2773, 17528),
-        (["curve", "--q", "5", "--polyline"], 2678, 15943),
-        (["form", "--json", form_payload("1")], 2381, 14704),
+        (["genus-verify", "--input", fixture_path("polyline_pair")], 2758, 17165),
+        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2782, 17580),
+        (["curve", "--q", "5", "--polyline"], 2687, 15995),
+        (["form", "--json", form_payload("1")], 2390, 14756),
     ]:
         size = _loaded_size(argv)
         assert size[0] <= lines and size[1] <= nodes, (argv[0], size)

@@ -1,13 +1,12 @@
 import math
 import random
-from collections import Counter
 
 import pytest
 
 from hasseforms.curvepoints import AffinePoint, enumerate_points, point_report
 from hasseforms import curvepoints, finfield, genus, picard
 from hasseforms.curvering import CurveSpec
-from hasseforms.finfield import FieldElement, FiniteField, make_extension
+from hasseforms.finfield import FieldElement, FiniteField, embed, make_extension
 from hasseforms.hasse import hasse_principle
 from hasseforms.picard import has_two_torsion, is_smooth, picard_order
 
@@ -15,6 +14,7 @@ from oracles import (
     INFINITY,
     affine_count_by_squares,
     closed_point_counts,
+    closed_points_by_trying_every_y,
     count_points_char_sum,
     cubic_has_root,
     ec_add,
@@ -55,21 +55,6 @@ def test_point_counts_match_char_sum_oracle(curve, affine, total):
     assert point_report(curve).total == total
 
 
-def test_enumerate_lists_every_x_of_the_line():
-    # over F_{q^d} the line has q^d points, one per x in canonical order,
-    # with no y; each carries its orbit's length and its prime, whose
-    # degree that length is and whose root it is
-    for p, k, d in ((5, 1, 1), (5, 1, 3), (3, 2, 2), (3, 1, 4), (11, 1, 2)):
-        field = make_extension(p, k)
-        points = enumerate_points(CurveSpec.polyline(field), d)
-        ext = make_extension(p, k * d)
-        assert len(points) == field.q**d == ext.q
-        assert [point.x for point in points] == list(ext.elements())
-        for point in points:
-            assert point.y is None and d % point.degree == 0 and point.prime.degree == point.degree
-            assert point.prime.evaluate(point.x).is_zero()
-
-
 def test_enumerate_respects_size_bound():
     with pytest.raises(ValueError):
         enumerate_points(C511, degree=6)  # 5^6 = 15625 > 121^2
@@ -77,32 +62,29 @@ def test_enumerate_respects_size_bound():
 
 
 def test_degree_two_enumeration():
-    pts1 = {(p.x.coeffs, p.y.coeffs) for p in enumerate_points(C511)}
-    pts2 = enumerate_points(C511, degree=2)
-    assert len(pts2) >= len(pts1)
-    degrees = {p.degree for p in pts2}
-    assert degrees <= {1, 2}
-    ones = [p for p in pts2 if p.degree == 1]
-    assert len(ones) == len(pts1)
-    # every point satisfies the embedded equation exactly
-    ext = pts2[0].x.field
-    from hasseforms.finfield import embed
-
+    # the closed points of degree 2 are written in F_25 and satisfy the
+    # embedded equation exactly; with the a points of degree 1, each of
+    # the b of degree 2 standing for two, they are every point of F_25
+    ones, twos = enumerate_points(C511), enumerate_points(C511, degree=2)
+    assert twos and {p.degree for p in twos} == {2}
+    ext = twos[0].x.field
     a, b = embed(C511.a, ext), embed(C511.b, ext)
-    for p in pts2:
+    for p in twos:
+        assert p.x.field is p.y.field is ext
         assert p.y * p.y == p.x**3 + a * p.x + b
+    assert len(ones) + 2 * len(twos) == affine_count_by_squares(ext, a, b)
 
 
 def test_point_degree_is_orbit_length():
     # the degree of a point is the lcm of its coordinates' degrees, not
     # the max: over F_3 at degree 6, six points have coordinates of
-    # degrees 2 and 3 and were tagged as degree 3 (750/27/6)
+    # degrees 2 and 3, and tagged as degree 3 their closed point was
+    # missing from the 126 of degree 6
     F3 = make_extension(3, 1)
     curve = CurveSpec.weierstrass(F3, 2, 1)
-    degrees = Counter(p.degree for p in enumerate_points(curve, 6))
-    assert degrees == {6: 756, 3: 21, 1: 6}
-    counts = closed_point_counts(F3, F3.element(2), F3.one(), 6)
-    assert degrees == {d: d * n for d, n in enumerate(counts, 1) if n and 6 % d == 0}
+    counts = [len(enumerate_points(curve, d)) for d in range(1, 7)]
+    assert [counts[d - 1] for d in (1, 2, 3, 6)] == [6, 0, 7, 126]
+    assert counts == closed_point_counts(F3, F3.element(2), F3.one(), 6)
 
 
 def test_orbit_prime_carries_a_zero_coefficient():
@@ -130,7 +112,7 @@ def test_points_compare_by_coordinates_and_degree():
     bare = AffinePoint(place.x, None, 1)
     assert bare == place and hash(bare) == hash(place) and len({bare, place}) == 1
     assert AffinePoint(place.x, None, 2) != place and AffinePoint(place.x, F5.zero(), 1) != place
-    point = next(p for p in enumerate_points(C511, 2) if p.degree == 2)
+    point = enumerate_points(C511, 2)[0]
     assert AffinePoint(point.x, point.y, 2) == point and AffinePoint(point.x, -point.y, 2) != point
     assert point != (point.x, point.y)
 
@@ -202,11 +184,12 @@ def test_group_law_commutative_and_associative():
 
 def test_sum_of_conjugate_points_is_rational():
     # P + Frob(P) is fixed by Frobenius, so it is a point of degree 1; the
-    # max of the summands' degrees tagged these 16 sums as degree 2
+    # max of the summands' degrees tagged these 16 sums as degree 2.  P
+    # runs over both points of each closed point of degree 2
     conjugate_sums = [
-        ec_add(C511, p, AffinePoint(p.x**5, p.y**5, 2))
-        for p in enumerate_points(C511, 2)
-        if p.degree == 2
+        ec_add(C511, AffinePoint(x, y, 2), AffinePoint(x**5, y**5, 2))
+        for place in enumerate_points(C511, 2)
+        for x, y in frobenius_orbit_by_powering(5, place.x, place.y)
     ]
     finite = [s for s in conjugate_sums if s is not INFINITY]
     assert len(finite) == 16
@@ -429,15 +412,16 @@ SCAN_CURVES = [
 
 @pytest.mark.parametrize("p, k, a, b, top", SCAN_CURVES)
 def test_log_scan_matches_trying_every_y(p, k, a, b, top):
-    # the oracle walks each orbit by raising field elements to the q-th
-    # power, with no log; a closed listing keeps the least point of each
-    # orbit of length degree
+    # the oracle squares every y and walks each orbit by raising field
+    # elements to the q-th power, with no log: the root scan finds every
+    # point, and the closed listing the least point of each orbit of
+    # length degree
     field = make_extension(p, k)
     curve = CurveSpec.weierstrass(field, field.element(a), field.element(b))
     for degree in range(1, top + 1):
-        points = enumerate_points(curve, degree)
-        assert [(pt.x.coeffs, pt.y.coeffs, pt.degree) for pt in points] == points_by_trying_every_y(curve, degree)
-        assert all(pt.degree == len(frobenius_orbit_by_powering(field.q, pt.x, pt.y)) for pt in points)
-        places = enumerate_points(curve, degree, closed=True)
-        expected = [pt for pt in points_by_trying_every_y(curve, degree, closed=True) if pt[2] == degree]
-        assert [(pt.x.coeffs, pt.y.coeffs, pt.degree) for pt in places] == expected
+        ext = make_extension(p, k * degree)
+        scanned = [(x0.coeffs, y0.coeffs) for x0, y0 in curvepoints._cubic_points(curve, ext)]
+        assert scanned == [(x0, y0) for x0, y0, _ in points_by_trying_every_y(curve, degree)]
+        places = enumerate_points(curve, degree)
+        assert [(pt.x.coeffs, pt.y.coeffs, pt.degree) for pt in places] == closed_points_by_trying_every_y(curve, degree)
+        assert all(pt.degree == len(frobenius_orbit_by_powering(field.q, pt.x, pt.y)) for pt in places)

@@ -36,6 +36,7 @@ from oracles import (
     benchmark_jobs,
     brute_force_congruent,
     closed_point_counts,
+    closed_points_by_trying_every_y,
     clearing_exponent,
     covers_by_valuations,
     entry_pool,
@@ -46,6 +47,7 @@ from oracles import (
     leibniz_det,
     local_isomorphic_by_evaluation,
     monic_irreducibles_by_trial_division,
+    points_by_trying_every_y,
     polys_up_to,
     recorded_ticks,
     symmetric_nondegenerate,
@@ -555,14 +557,12 @@ def test_local_isomorphic_answers_over_the_residue_field():
     curve = CurveSpec.weierstrass(F5, 1, 1)
     f, g = GramMatrix.identity(curve, 2), GramMatrix.diagonal(curve, [1, 2])
     rational = AffinePoint(F5.zero(), F5.one(), 1)
-    written_in_f25 = next(
-        pt for pt in enumerate_points(curve, 2) if pt.x == embed(F5.zero(), pt.x.field) and pt.y == embed(F5.one(), pt.y.field)
-    )
-    assert written_in_f25.x.field.q == 25 and written_in_f25.degree == 1
+    F25 = make_extension(5, 2)
+    written_in_f25 = AffinePoint(embed(F5.zero(), F25), embed(F5.one(), F25), 1)
     assert not local_isomorphic(f, g, rational)
     assert not local_isomorphic(f, g, written_in_f25)
-    degree_two = next(pt for pt in enumerate_points(curve, 2) if pt.degree == 2)
-    assert local_isomorphic(f, g, degree_two)  # 2 is a square in F_25
+    degree_two = enumerate_points(curve, 2)[0]
+    assert degree_two.degree == 2 and local_isomorphic(f, g, degree_two)  # 2 is a square in F_25
 
 
 def _unimodular_gram(curve, rng, n, square_det):
@@ -589,12 +589,18 @@ def _unimodular_gram(curve, rng, n, square_det):
 
 def _places_up_to_degree_two(curve):
     """Every prime of degree 1 or 2 on the line; on a cubic every point of
-    degree e <= 2, with coordinates in F_{q^e}."""
+    degree e <= 2, with coordinates in F_{q^e}: each point of the orbit
+    of each closed point listed."""
     from hasseforms.curvepoints import enumerate_points
 
     if curve.is_polyline:
         return [PrimePoly(curve.field, prime) for d in (1, 2) for prime in monic_irreducibles(curve.field, d)]
-    return [pt for e in (1, 2) for pt in enumerate_points(curve, e) if pt.degree == e]
+    return [
+        AffinePoint(x0, y0, e)
+        for e in (1, 2)
+        for place in enumerate_points(curve, e)
+        for x0, y0 in frobenius_orbit_by_powering(curve.field.q, place.x, place.y)
+    ]
 
 
 F9 = make_extension(3, 2)
@@ -638,7 +644,7 @@ def test_local_isomorphic_at_line_places_matches_their_primes(field):
     grams = [_unimodular_gram(line, rng, n, square) for n in (1, 2) for square in (True, False)]
     answers = set()
     for d in (1, 2):
-        places = curvepoints.enumerate_points(line, d, closed=True)
+        places = curvepoints.enumerate_points(line, d)
         assert places and all(place.y is None and place.degree == d for place in places)
         for place in places:
             prime = PrimePoly.finite(place.prime)
@@ -652,7 +658,7 @@ def test_local_isomorphic_at_line_places_matches_their_primes(field):
 
 def test_local_isomorphic_rejects_malformed_line_points():
     f = GramMatrix.identity(LINE5, 2)
-    place = curvepoints.enumerate_points(LINE5, 2, closed=True)[0]
+    place = curvepoints.enumerate_points(LINE5, 2)[0]
     with pytest.raises(ValueError, match="has degree 2, not the stated 1"):
         local_isomorphic(f, f, AffinePoint(place.x, None, 1))
     with pytest.raises(ValueError, match="y coordinate"):
@@ -669,7 +675,7 @@ def test_local_isomorphic_rejects_a_stated_degree_off_the_orbit():
     rational = AffinePoint(F5.zero(), F5.one(), 2)
     with pytest.raises(ValueError, match="has degree 1, not the stated 2"):
         local_isomorphic(f, f, rational)
-    pt = next(pt for pt in enumerate_points(curve, 2) if pt.degree == 2)
+    pt = enumerate_points(curve, 2)[0]
     with pytest.raises(ValueError, match="has degree 2, not the stated 1"):
         local_isomorphic(f, f, AffinePoint(pt.x, pt.y, 1))
 
@@ -801,7 +807,7 @@ def test_cubic_closed_places_one_per_orbit(p, k, a, b, d_max):
     curve = CurveSpec.weierstrass(field, a, b)
     expected = closed_point_counts(field, field.element(a), field.element(b), d_max)
     for d, count in enumerate(expected, 1):
-        places = curvepoints.enumerate_points(curve, d, closed=True)
+        places = curvepoints.enumerate_points(curve, d)
         assert len(places) == count
         assert all(place.degree == d for place in places)
 
@@ -1163,7 +1169,7 @@ def test_vanishing_by_evaluation_matches_division(data):
     d = data.draw(st.sampled_from([d for d in (1, 2, 3) if field.q**d <= 121**2]))
     line = CurveSpec.polyline(field)
     if (p, k, d) not in LINE_PLACES:
-        LINE_PLACES[p, k, d] = curvepoints.enumerate_points(line, d, closed=True)
+        LINE_PLACES[p, k, d] = curvepoints.enumerate_points(line, d)
     place = data.draw(st.sampled_from(LINE_PLACES[p, k, d]))
     element = st.sampled_from(list(field.elements()))
     h = RingElement(line, Poly(field, data.draw(st.lists(element, max_size=7))))
@@ -1209,7 +1215,7 @@ def test_zero_tests_match_the_vanishing_oracle(name, data):
     for d in (1, 2):
         ext = make_extension(field.p, field.k * d)
         if (name, d) not in ZERO_TEST_PLACES:
-            ZERO_TEST_PLACES[name, d] = curvepoints.enumerate_points(curve, d, closed=True)
+            ZERO_TEST_PLACES[name, d] = curvepoints.enumerate_points(curve, d)
         tests, reaches = [genus._zero_test(h, ext) for h in support], genus._reaches(support, ext)
         for place in ZERO_TEST_PLACES[name, d]:
             lx, ly = place.x.log, None if place.y is None else place.y.log
@@ -1240,16 +1246,17 @@ def test_coverage_embeds_each_coefficient_once_per_place_field(monkeypatch):
 
 @pytest.mark.parametrize("p, k, d", [(3, 1, 1), (3, 1, 4), (5, 1, 3), (7, 1, 2), (11, 1, 3), (3, 2, 2), (5, 2, 2), (3, 3, 2)])
 def test_line_places_are_frobenius_orbits_named_by_their_primes(p, k, d):
-    # a closed place of the line is one orbit of length d in F_{q^d}, a
-    # root x of its prime with y = None; the primes come in the order of
-    # the trial-division oracle, which shares no code with the orbit walk
+    # a closed place of the line is one orbit of length d in F_{q^d}, its
+    # least root x of its prime with y = None; the primes come in the order
+    # of the trial-division oracle, which shares no code with the orbit walk
     field = make_extension(p, k)
-    places = curvepoints.enumerate_points(CurveSpec.polyline(field), d, closed=True)
+    places = curvepoints.enumerate_points(CurveSpec.polyline(field), d)
     assert [place.prime for place in places] == list(monic_irreducibles_by_trial_division(field, d))
     for place in places:
         assert place.y is None and place.x.field.q == field.q**d
         orbit = frobenius_orbit_by_powering(field.q, place.x, place.y)
         assert len(orbit) == place.degree == d
+        assert place.x == min((x0 for x0, _ in orbit), key=lambda x0: x0.coeffs)
         assert all(place.prime.evaluate(x).is_zero() for x, _ in orbit)
 
 
@@ -1258,7 +1265,7 @@ def test_a_closed_listing_forms_only_the_primes_it_lists(monkeypatch):
     # length 4; the listing at degree 4 forms the 18 primes of degree 4
     real, formed = genus._orbit_prime, []
     monkeypatch.setattr(genus, "_orbit_prime", lambda orbit, *fields: formed.append(len(orbit)) or real(orbit, *fields))
-    places = curvepoints.enumerate_points(CurveSpec.polyline(F3), 4, closed=True)
+    places = curvepoints.enumerate_points(CurveSpec.polyline(F3), 4)
     assert len(places) == 18 and formed == [4] * 18
 
 
@@ -1276,19 +1283,19 @@ def test_curve_and_form_reprs_write_coefficients_as_text():
 @pytest.mark.parametrize("p, k, a, b", [(3, 1, 2, 1), (5, 1, 1, 1), (5, 1, 2, 3), (3, 2, (0, 1), (1, 1)), (7, 1, 0, 3)])
 @pytest.mark.parametrize("d", [2, 3])
 def test_closed_places_list_one_point_per_frobenius_orbit(p, k, a, b, d):
+    # each place is the least point of its orbit, in the order of the
+    # oracle that tries every y, and the orbits, walked by powering, are
+    # disjoint and cover every point of degree d
     field = make_extension(p, k)
     curve = CurveSpec.weierstrass(field, field.element(a), field.element(b))
-    points = [pt for pt in enumerate_points(curve, d) if pt.degree == d]
-    places = curvepoints.enumerate_points(curve, d, closed=True)
+    places = curvepoints.enumerate_points(curve, d)
+    assert [(pt.x.coeffs, pt.y.coeffs, pt.degree) for pt in places] == closed_points_by_trying_every_y(curve, d)
     orbits = [frobenius_orbit_by_powering(field.q, pt.x, pt.y) for pt in places]
     key = lambda xy: (xy[0].coeffs, xy[1].coeffs)  # noqa: E731
-    # each place is the first point of its orbit, in enumeration order, and
-    # the orbits are disjoint and cover every point of degree d
     assert [(pt.x, pt.y) for pt in places] == [min(orbit, key=key) for orbit in orbits]
-    listed = {(place.x, place.y) for place in places}
-    assert places == [pt for pt in points if (pt.x, pt.y) in listed]
     assert all(len(orbit) == d for orbit in orbits)
-    assert sorted((xy for orbit in orbits for xy in orbit), key=key) == sorted(((pt.x, pt.y) for pt in points), key=key)
+    points = sorted((key(xy) for orbit in orbits for xy in orbit))
+    assert points == sorted((x0, y0) for x0, y0, e in points_by_trying_every_y(curve, d) if e == d)
 
 
 # sha256 of json.dumps([covered, uncovered], sort_keys=True) from the
@@ -1927,13 +1934,17 @@ SMOOTH11 = CurveSpec.weierstrass(make_extension(11, 1), 1, 1)
 
 
 def _first_point_per_x(curve, k):
-    """(x, y) for the first point of ``enumerate_points(curve, k)`` above
-    each x, in its order, with y = 0 on the line: the rule the search's
+    """(x, y) for the first point over F_{q^k} above each x, in canonical
+    order: every x with y = 0 on the line, and on a cubic the smaller y
+    found by the oracle that tries every y; the rule the search's
     evaluation points followed before they were read off the root scan."""
+    ext = make_extension(curve.field.p, curve.field.k * k)
+    if curve.is_polyline:
+        return [(x0, ext.zero()) for x0 in ext.elements()]
     first = {}
-    for point in enumerate_points(curve, k):
-        first.setdefault(point.x, point.x.field.zero() if point.y is None else point.y)
-    return list(first.items())
+    for x0, y0, _ in points_by_trying_every_y(curve, k):
+        first.setdefault(x0, y0)
+    return [(ext.element(list(x0)), ext.element(list(y0))) for x0, y0 in first.items()]
 
 
 @pytest.mark.parametrize(

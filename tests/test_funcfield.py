@@ -156,12 +156,13 @@ def test_parse_rejects_garbage():
 
 def _drawn_text(rng: random.Random) -> str:
     """A string over the grammar's characters and its near misses, or a
-    run of signed terms, some of them no term, with exponents up to 400."""
+    run of signed terms, some of them no term, with exponents up to 400
+    and coefficients that may be parenthesized t-polynomials."""
     if rng.random() < 0.5:
         return "".join(rng.choices("0123456789x^*+-.()yt ", k=rng.randrange(13)))
     return "".join(
         rng.choice(["+", "-", "+", "-", "", "--"])
-        + rng.choice(["", "0", "1", "3", "12", "007"])
+        + rng.choice(["", "0", "1", "3", "12", "007", "(t)", "(1+2*t)", "(t^2)", "(t^300)", "(t+)", "()", "(2t"])
         + rng.choice(["x", "x", "x", "*x", "", "x^", "**x"])
         + rng.choice(["", f"^{rng.randrange(401)}", f"^{rng.randrange(401)}"])
         for _ in range(rng.randrange(1, 6))
@@ -217,6 +218,34 @@ def test_text_round_trip():
     for _ in range(40):
         f = rand_poly(rng, F5, 6)
         assert Poly.from_text(F5, to_text(f)) == f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_text_round_trip_over_extension_fields(data):
+    # to_text writes a coefficient with a t term as a parenthesized
+    # t-polynomial, and from_text reads it back
+    field = data.draw(st.sampled_from([F9, make_extension(5, 2), make_extension(3, 4), make_extension(11, 2)]))
+    f = Poly(field, data.draw(st.lists(st.sampled_from(tuple(field.elements())), max_size=7)))
+    assert Poly.from_text(field, to_text(f)) == f
+
+
+def test_parenthesized_coefficients_are_read_in_their_field():
+    F25 = make_extension(5, 2)
+    t = F25.gen()
+    assert Poly.from_text(F25, "(3+t)*x^2+x+(2*t)") == Poly(F25, [2 * t, 1, 3 + t])
+    assert Poly.from_text(F25, "-(t)x+(t)x+(1+t)-(1)") == Poly(F25, [t])
+    assert Poly.from_text(F9, "x+(3*t^2)") == Poly.x(F9)  # read mod p, as 3*x^2 is
+    for field, bad, message in [
+        (F9, "x+(t^2)", "coefficient vector longer than extension degree"),  # t^2 needs k = 3
+        (F5, "(t)", "coefficient vector longer than extension degree"),
+        (F9, "(t^300)", "exponent 300 exceeds the text grammar's bound 256"),
+        (F9, "x+2(t)", "bad term '+2(t)' in polynomial text 'x+2(t)'"),
+        (F9, "(t-1)", "bad term '(t-1)' in polynomial text '(t-1)'"),
+    ]:
+        with pytest.raises(ValueError) as refused:
+            Poly.from_text(field, bad)
+        assert str(refused.value) == message, bad
 
 
 def test_text_with_extension_coefficients():
