@@ -300,9 +300,10 @@ def field_isomorphic(f: FieldForm, g: FieldForm) -> bool:
     over a finite field of odd order (Witt classification)."""
     if f.field is not g.field:
         raise ValueError("forms live over different fields")
-    if f.is_degenerate() or g.is_degenerate():
+    det_f, det_g = f.det(), g.det()
+    if det_f.is_zero() or det_g.is_zero():
         raise ValueError("isomorphism test requires nondegenerate forms")
-    return f.n == g.n and is_square(f.det()) == is_square(g.det())
+    return f.n == g.n and is_square(det_f) == is_square(det_g)
 
 
 # ---------------------------------------------------------------------------

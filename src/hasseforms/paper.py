@@ -19,7 +19,6 @@ from .curvepoints import point_report
 from .curvering import CurveSpec
 from .finfield import make_extension
 from .forms import is_unimodular, isom_search, verify_genus_witness
-from .genus import witness_identity
 from .hasse import hasse_principle
 from .serialize import dumps, pair_from_json
 
@@ -45,16 +44,16 @@ def _verify_rows(budget: int):
     sing = [(p.x.coeffs[0], p.y.coeffs[0]) for p in report.singular_points]
     rows.append(_row("singular locus", [(4, 0)], sing))
 
-    (q, _), (p, _) = ec["witness"].pairs
-    rows.append(_row("first transition identity Q^t Q = G", True, witness_identity(q, ec["F"], ec["G"])[0]))
-    rows.append(_row("second transition identity P^t P = G", True, witness_identity(p, ec["F"], ec["G"])[0]))
+    ec_report = verify_genus_witness(ec["F"], ec["G"], ec["witness"], degree=ec["degree"])
+    first, second = ec_report.identity_ok
+    rows.append(_row("first transition identity Q^t Q = G", True, first))
+    rows.append(_row("second transition identity P^t P = G", True, second))
 
     rows.append(_row("unimodularity of G", True, is_unimodular(ec["G"])))
 
     line_report = verify_genus_witness(line["F"], line["G"], line["witness"], degree=line["degree"])
     rows.append(_row("affine-line pair genus verdict (degree 3)", "Certified", line_report.verdict))
 
-    ec_report = verify_genus_witness(ec["F"], ec["G"], ec["witness"], degree=ec["degree"])
     rows.append(_row("singular-cubic pair genus verdict (degree 2)", "GapFound", ec_report.verdict))
     gap = [(pt.x.coeffs[0], pt.y.coeffs[0]) for pt in ec_report.uncovered]
     rows.append(_row("uncovered point of the singular-cubic pair", [(4, 0)], gap))

@@ -124,7 +124,7 @@ def isom_search(
     f_at = [[logs.values(e) for e in row] for row in f_rows]
     f_terms = [(r, s, f_at[r][s]) for r in range(n) for s in range(n) if not f_rows[r][s].is_zero()]
     # None marks a G entry beyond the reach of u^t F v, matched by nothing
-    g_at = [[logs.values(e) if _reachable(e, reach) else None for e in row] for row in g_rows]
+    g_at = [[logs.values(e) if e.is_zero() or _pole_order(e) <= reach else None for e in row] for row in g_rows]
     scan = _diagonal_scan(pool, f_at, logs) if diagonal else _full_scan(pool, n, f_terms, logs)
     targets = {}
     for j in range(n):
@@ -166,7 +166,7 @@ def isom_search(
                         [_pool_entry(curve, deg_x, deg_y, coeffs, cols[c][r]) for c in range(n)] for r in range(n)
                     ])
                     det = q.det()
-                    if det.is_integral() and det.as_ring_element().is_unit():
+                    if det.as_ring_element().is_unit():
                         return q
                 else:
                     found = extend(j + 1)
@@ -214,10 +214,8 @@ def _pool_entry(curve: CurveSpec, deg_x: int, deg_y: int, coeffs, k: int) -> Rin
     return RingElement(curve, Poly._raw(field, digits[: deg_x + 1]), Poly._raw(field, digits[deg_x + 1 :]))
 
 
-def _pole_order(e: RingElement) -> int | None:
-    """deg N(e), the pole order of e at infinity, or None for 0."""
-    if e.is_zero():
-        return None
+def _pole_order(e: RingElement) -> int:
+    """deg N(e), the pole order at infinity of a nonzero e."""
     if e.curve.is_polyline:
         return e.a.degree
     return max(2 * e.a.degree, 2 * e.b.degree + 3 if not e.b.is_zero() else -1)
@@ -231,11 +229,6 @@ def _reach(curve: CurveSpec, f_rows, deg_x: int, deg_y: int) -> int:
     if deg_y >= 0:
         entry.append(2 * deg_y + 3)
     return 2 * max(entry) + max(_pole_order(e) for row in f_rows for e in row if not e.is_zero())
-
-
-def _reachable(target: RingElement, reach: int) -> bool:
-    order = _pole_order(target)
-    return order is None or order <= reach
 
 
 def _evaluation_points(curve: CurveSpec, count: int):

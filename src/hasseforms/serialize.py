@@ -206,8 +206,7 @@ def entry_from_json(curve: CurveSpec, data):
 
 
 def fraction_from_json(curve: CurveSpec, data) -> RingFraction:
-    # an int is the curve's shared c/1 (JSON true is no int)
-    return _coerce_entry(curve, data if type(data) is int else entry_from_json(curve, data))
+    return _coerce_entry(curve, entry_from_json(curve, data))
 
 
 def matrix_to_json(m: RingMatrix) -> list:

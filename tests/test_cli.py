@@ -886,10 +886,10 @@ def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # beyond the modules every command loads, so growth there shows in
     # their rows too
     for argv, lines, nodes in [
-        (["genus-verify", "--input", fixture_path("polyline_pair")], 2758, 17165),
-        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2782, 17580),
-        (["curve", "--q", "5", "--polyline"], 2687, 15995),
-        (["form", "--json", form_payload("1")], 2390, 14756),
+        (["genus-verify", "--input", fixture_path("polyline_pair")], 2757, 17148),
+        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2774, 17522),
+        (["curve", "--q", "5", "--polyline"], 2686, 15978),
+        (["form", "--json", form_payload("1")], 2389, 14739),
     ]:
         size = _loaded_size(argv)
         assert size[0] <= lines and size[1] <= nodes, (argv[0], size)

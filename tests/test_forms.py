@@ -434,6 +434,14 @@ def test_field_isomorphic_examples():
     assert field_isomorphic(g, g)
 
 
+def test_field_isomorphic_refuses_a_degenerate_form():
+    degenerate = FieldForm(F5, [[1, 2], [2, 4]])
+    assert degenerate.is_degenerate() and not FieldForm.diagonal(F5, [1, 1]).is_degenerate()
+    for f, g in ((degenerate, FieldForm.diagonal(F5, [1, 1])), (FieldForm.diagonal(F5, [1]), degenerate)):
+        with pytest.raises(ValueError, match="requires nondegenerate forms"):
+            field_isomorphic(f, g)
+
+
 def test_field_isomorphic_oracle_exhaustive_f3_rank2():
     forms = [FieldForm(F3, rows) for rows in symmetric_nondegenerate(3, 2)]
     ints = symmetric_nondegenerate(3, 2)
