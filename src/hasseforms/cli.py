@@ -31,6 +31,7 @@ from .forms import DEFAULT_SEARCH_BUDGET, BudgetExceededError
 from .serialize import (
     curve_from_json,
     dumps,
+    elem_from_json,
     fraction_to_json,
     matrix_from_json,
     matrix_to_json,
@@ -41,8 +42,9 @@ from .serialize import (
 )
 
 
-def _parse_coeffs(text: str):
-    return [int(part) for part in text.split(",")]
+def _flag_element(field, text: str, flag: str):
+    """A flag's comma-separated coefficients, read as a curve record's."""
+    return elem_from_json(field, [int(part) for part in text.split(",")], flag)
 
 
 def _field_from_q(q: int):
@@ -65,7 +67,7 @@ def _curve_from_args(args) -> CurveSpec:
         return CurveSpec(POLYLINE, field, args.a, args.b)  # which refuses --a and --b
     if args.a is None or args.b is None:
         raise ValueError("weierstrass curves need --a and --b (or pass --polyline)")
-    return CurveSpec.weierstrass(field, _parse_coeffs(args.a), _parse_coeffs(args.b))
+    return CurveSpec.weierstrass(field, _flag_element(field, args.a, "--a"), _flag_element(field, args.b, "--b"))
 
 
 def _load_input(args) -> dict:
@@ -114,7 +116,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_form(args) -> int:
     data = _load_input(args)
-    if data.get("schema") != 1:
+    if data.get("schema") != 1 or type(data["schema"]) is not int:  # true and 1.0 equal 1
         raise ValueError("unsupported or missing schema version")
     require_known_keys(data, ("schema", "curve", "matrix"), "input")
     curve = curve_from_json(require_key(data, "curve", "input"))

@@ -65,7 +65,7 @@ class CurveSpec:
         if curve is None:
             curve = _curves[key] = super().__new__(cls)
             curve.kind, curve.field, curve.a, curve.b = key
-            # made on first use: the cubic, the discriminant test and curvepoints' x-scan of F_q
+            # made on first use: the cubic, the discriminant test and picard._count_scan's (affine count, root) pair
             curve._cubic = curve._smooth = curve._scan = None
             curve._entries = {}  # constant entries c/1 by c, shared and never changed
         return curve

@@ -25,7 +25,8 @@ parentheses, as ``to_text`` writes it, e.g. ``(1+2*t)*x^2+(t)``.  Spaces
 are dropped, and the text splits into signed runs, a parenthesized group
 kept whole, each a term of ``_TERM_RE``; the first run, reading left to
 right, that is no term or has an exponent above MAX_TEXT_DEGREE is
-refused, before anything is allocated.
+refused, before anything is allocated; so is one whose t-polynomial has
+degree k or more.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ class Poly(RingOps):
     @classmethod
     def from_text(cls, field, text: str) -> Poly:
         """The polynomial a text of the grammar names, with its coefficients
-        read mod p, a t-polynomial as a text over F_p in t, whose vector
-        ``FiniteField.element`` refuses when longer than k.  A plain
+        read mod p, a t-polynomial as a text over F_p in t, whose run is
+        refused when its degree in t is k or more.  A plain
         integer, the most common entry, costs one ``int``; any other text
         is checked and read in one pass over its signed runs.  ValueError
         names an empty text, a stray or doubled sign, or the first run that
@@ -112,7 +113,10 @@ class Poly(RingOps):
             sign, c, x, exp = term.groups()
             e = _exponent(x, exp)
             if c[:1] == "(":
-                c = field.element([d._code for d in Poly.from_text(make_extension(field.p, 1), c[1:-1].replace("t", "x")).coeffs])
+                t = Poly.from_text(make_extension(field.p, 1), c[1:-1].replace("t", "x")).coeffs
+                if len(t) > field.k:  # no element of F_{p^k} has t-degree k
+                    raise ValueError(f"bad term {run!r} in polynomial text {text!r}")
+                c = field.element([d._code for d in t])
             else:
                 c = int(c) if c else 1
             coeffs[e] = coeffs.get(e, 0) + (-c if sign == "-" else c)

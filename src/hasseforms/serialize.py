@@ -17,7 +17,7 @@ Conventions (a pair file, ``form`` input and every report carry
 
 On input a fraction denominator may also be a ring-element record; it
 is rationalized into F_q[x] on load.  Every record refuses any key it
-does not define.  Integers (field entries, element coefficients,
+does not define.  Integers (the schema, field entries, element coefficients,
 degrees, bounds) must be JSON integers, never floats, strings or
 booleans.  Output is deterministic: ``dumps(obj)`` is byte for byte
 ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``, built by a
@@ -141,8 +141,10 @@ def elem_to_json(e: FieldElement) -> list:
 
 def elem_from_json(field: FiniteField, data, what: str = "field element") -> FieldElement:
     """An element from a JSON integer or a list of JSON integers (its
-    coefficients, least significant first)."""
+    coefficients, least significant first, at most k over F_{p^k})."""
     if isinstance(data, list):
+        if len(data) > field.k:
+            raise ValueError(f"{what} has {len(data)} coefficients; an element of F_{field.q} has at most {field.k}")
         return field.element([require_int(c, f"{what} coefficient") for c in data])
     return field.element(require_int(data, what))
 
@@ -249,7 +251,7 @@ def pair_from_json(data: dict, search: bool = False) -> dict:
     search does not take is refused once both shapes are read
     (``forms._require_search_rank``), before either form is built.
     """
-    if data.get("schema") != 1:
+    if data.get("schema") != 1 or type(data["schema"]) is not int:  # true and 1.0 equal 1
         raise ValueError("unsupported or missing schema version")
     require_known_keys(data, ("schema", "curve", "F", "G", "witnesses", "degree", "isom_bounds"), "pair")
     curve = curve_from_json(require_key(data, "curve", "pair"))

@@ -888,10 +888,11 @@ def _reference_exponent(x: str, exp: str) -> int:
     return e
 
 
-def _reference_coefficient(field: FiniteField, coeff: str):
+def _reference_coefficient(field: FiniteField, coeff: str, run: str, text: str):
     """A term's coefficient: an int, or the field element a parenthesized
     t-polynomial names, summed term by term in the field once its top
-    power of t with a nonzero coefficient mod p is known to be below k."""
+    power of t with a nonzero coefficient mod p is known to be below k;
+    otherwise the term's run is refused as a bad term of the text."""
     if not coeff.startswith("("):
         return int(coeff) if coeff else 1
     vector: dict[int, int] = {}
@@ -900,7 +901,7 @@ def _reference_coefficient(field: FiniteField, coeff: str):
         e = _reference_exponent(t, exp)
         vector[e] = (vector.get(e, 0) + (int(digits) if digits else 1)) % field.p
     if max((e for e, c in vector.items() if c), default=0) >= field.k:
-        raise ValueError("coefficient vector longer than extension degree")
+        raise ValueError(f"bad term {run!r} in polynomial text {text!r}")
     total = field.zero()
     for e, c in vector.items():
         if c:
@@ -921,7 +922,7 @@ def _reference_refusal(field: FiniteField, text: str, compact: str) -> ValueErro
             return ValueError(f"bad term {piece!r} in polynomial text {text!r}")
         _, coeff, x, exp = _REFERENCE_TERM_RE.fullmatch(piece).groups()
         _reference_exponent(x, exp)
-        _reference_coefficient(field, coeff)
+        _reference_coefficient(field, coeff, piece, text)
     return ValueError(f"cannot parse polynomial text {text!r}")
 
 
@@ -936,10 +937,11 @@ def poly_from_text_by_whole_grammar(field: FiniteField, text: str) -> Poly:
     if not _WHOLE_TEXT_RE.fullmatch(compact):
         raise _reference_refusal(field, text, compact)
     coeffs = {}
-    for sign, coeff, x, exp in _REFERENCE_TERM_RE.findall(compact):
+    for term in _REFERENCE_TERM_RE.finditer(compact):
+        sign, coeff, x, exp = term.groups()
         if coeff or x:  # not the empty match at the end
             e = _reference_exponent(x, exp)
-            c = _reference_coefficient(field, coeff)
+            c = _reference_coefficient(field, coeff, term[0], text)
             coeffs[e] = coeffs.get(e, 0) + (-c if sign == "-" else c)
     codes = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():

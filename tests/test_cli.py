@@ -380,7 +380,8 @@ def test_an_isom_search_witness_over_f9_reads_back_as_a_genus_witness():
     assert checked.returncode == 0 and json.loads(checked.stdout)["verdict"] == "Certified"
     pair["F"] = [["x+(t^2)"]]
     refused = run_cli("genus-verify", "--json", json.dumps(pair))
-    assert refused.returncode == 2 and "longer than extension degree" in refused.stderr
+    assert refused.returncode == 2
+    assert json.loads(refused.stderr) == {"error": "bad term '+(t^2)' in polynomial text 'x+(t^2)'"}
 
 
 def test_genus_verify_f121_line_finishes(tmp_path):
@@ -559,6 +560,41 @@ def test_pair_integers_must_be_json_integers(capsys):
         for command in ("genus-verify", "isom-search"):
             code, out, err = invoke(capsys, command, "--json", json.dumps(dict(pair, **{key: value})))
             assert (code, out) == (2, "") and json.loads(err)["error"] == message
+
+
+def test_schema_must_be_the_json_integer_1(capsys):
+    # true and 1.0 equal 1 in Python, and were once read as schema 1
+    line = {"type": "polyline", "field": {"p": 3, "k": 1}}
+    pair = {"schema": 1, "curve": line, "F": [[1]], "G": [[1]]}
+    inputs = [
+        ("isom-search", pair, ["--degree-bound", "0"]),
+        ("genus-verify", dict(pair, witnesses=[{"Q": [[1]], "s": "1"}]), []),
+        ("form", {"schema": 1, "curve": line, "matrix": [[1]]}, []),
+    ]
+    for command, payload, flags in inputs:
+        assert invoke(capsys, command, "--json", json.dumps(payload), *flags)[0] == 0, command
+        for schema in (True, 1.0, "1", 2, None):
+            data = {key: value for key, value in payload.items() if key != "schema"}
+            if schema is not None:
+                data["schema"] = schema
+            code, out, err = invoke(capsys, command, "--json", json.dumps(data), *flags)
+            assert (code, out, json.loads(err)) == (2, "", {"error": "unsupported or missing schema version"}), (command, schema)
+
+
+def test_an_over_long_element_names_its_field(capsys):
+    # both routes gave FiniteField.element's bare "coefficient vector
+    # longer than extension degree"
+    cubic = {"type": "weierstrass", "field": {"p": 5, "k": 1}, "a": [1, 2], "b": [3]}
+    code, out, err = invoke(capsys, "curve", "--json", json.dumps(cubic))
+    assert (code, out, json.loads(err)["error"]) == (2, "", "curve a has 2 coefficients; an element of F_5 has at most 1")
+    code, out, err = invoke(capsys, "curve", "--q", "5", "--a", "1,2", "--b", "3")
+    assert (code, out, json.loads(err)["error"]) == (2, "", "--a has 2 coefficients; an element of F_5 has at most 1")
+    code, out, err = invoke(capsys, "curve", "--q", "9", "--a", "1", "--b", "0,1,1")
+    assert (code, out, json.loads(err)["error"]) == (2, "", "--b has 3 coefficients; an element of F_9 has at most 2")
+    # the flags take what a curve record takes
+    flags = invoke(capsys, "curve", "--q", "9", "--a", "1,1", "--b", "2")
+    record = invoke(capsys, "curve", "--json", json.dumps(dict(cubic, field={"p": 3, "k": 2}, a=[1, 1], b=[2])))
+    assert flags == record and flags[0] == 0
 
 
 def test_unknown_isom_bounds_key_rejected(capsys):
@@ -886,10 +922,10 @@ def test_start_up_compiles_at_most_a_ceiling_of_source_lines():
     # beyond the modules every command loads, so growth there shows in
     # their rows too
     for argv, lines, nodes in [
-        (["genus-verify", "--input", fixture_path("polyline_pair")], 2757, 17148),
-        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2774, 17522),
-        (["curve", "--q", "5", "--polyline"], 2686, 15978),
-        (["form", "--json", form_payload("1")], 2389, 14739),
+        (["genus-verify", "--input", fixture_path("polyline_pair")], 2765, 17265),
+        (["isom-search", "--json", BARE_PAIR, "--degree-bound", "0"], 2782, 17639),
+        (["curve", "--q", "5", "--polyline"], 2694, 16095),
+        (["form", "--json", form_payload("1")], 2397, 14856),
     ]:
         size = _loaded_size(argv)
         assert size[0] <= lines and size[1] <= nodes, (argv[0], size)

@@ -237,8 +237,9 @@ def test_parenthesized_coefficients_are_read_in_their_field():
     assert Poly.from_text(F25, "-(t)x+(t)x+(1+t)-(1)") == Poly(F25, [t])
     assert Poly.from_text(F9, "x+(3*t^2)") == Poly.x(F9)  # read mod p, as 3*x^2 is
     for field, bad, message in [
-        (F9, "x+(t^2)", "coefficient vector longer than extension degree"),  # t^2 needs k = 3
-        (F5, "(t)", "coefficient vector longer than extension degree"),
+        (F9, "x+(t^2)", "bad term '+(t^2)' in polynomial text 'x+(t^2)'"),  # t^2 needs k = 3
+        (F5, "(t)", "bad term '(t)' in polynomial text '(t)'"),
+        (F9, "2x-(1+t^2)*x^3", "bad term '-(1+t^2)*x^3' in polynomial text '2x-(1+t^2)*x^3'"),
         (F9, "(t^300)", "exponent 300 exceeds the text grammar's bound 256"),
         (F9, "x+2(t)", "bad term '+2(t)' in polynomial text 'x+2(t)'"),
         (F9, "(t-1)", "bad term '(t-1)' in polynomial text '(t-1)'"),
